@@ -1,18 +1,22 @@
 """Independent verification engine based on the quadratic relations.
 
 Arbitrary monomials in the degree-two generators are reduced to rational
-combinations of square-free monomials by exact Gaussian elimination over the
-span of the relations
+combinations of square-free monomials modulo the ideal generated by the
+relations
 
     g_i * (2*g_i - g_{i-1} - g_{i+1}) = 0,   1 <= i <= n-1,
 
-with the boundary convention g_0 = g_n = 0, multiplied by every monomial of
-complementary degree.  No run-rule rewriting is used anywhere in this
-module, so its structure constants are an independent cross-check of the
-rewrite engine.
+with the boundary convention g_0 = g_n = 0.  No run-rule rewriting is used
+anywhere in this module, so its structure constants are an independent
+cross-check of the rewrite engine.
 
-Elimination is exact (integer rows with content normalization) and memoized
-per (n, degree): the reduced matrix is the expensive object, not the query.
+A normal form is built one generator at a time, using
+NF(g_i * m) = NF(g_i * NF(m)), which holds because the relations generate an
+ideal.  Each step eliminates only the relation rows that its non-square-free
+terms reach, exactly (integer rows with content normalization).  The full
+degree-d relation matrix is eliminated, and memoized per (n, degree), only
+by ``quotient_dimension``: its graded dimensions certify that the
+square-free monomials form a basis, so the normal forms are unique.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .errors import PresentationError
 from .intervals import IndexSet, m_factor
@@ -39,6 +44,14 @@ __all__ = [
 # A monomial of rank n is its exponent tuple of length n-1 (entry i-1 is the
 # multiplicity of generator i).
 Exponents = tuple[int, ...]
+
+
+def _squared(mono: Exponents) -> int:
+    """The first generator with exponent above one, or 0 if square-free."""
+    for i, e in enumerate(mono, start=1):
+        if e > 1:
+            return i
+    return 0
 
 
 @dataclass(frozen=True)
@@ -73,7 +86,7 @@ class Monomial:
 
     @property
     def is_square_free(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
+        return not _squared(self.exponents)
 
 
 def _monomial_exponents(n: int, d: int) -> list[Exponents]:
@@ -98,8 +111,8 @@ def _columns(n: int, d: int) -> tuple[list[Exponents], dict[Exponents, int]]:
     """Degree-d monomials ordered with non-square-free ones first, each block
     in a fixed lexicographic order."""
     monos = _monomial_exponents(n, d)
-    non_sf = [m for m in monos if any(e > 1 for e in m)]
-    sf = [m for m in monos if all(e <= 1 for e in m)]
+    non_sf = [m for m in monos if _squared(m)]
+    sf = [m for m in monos if not _squared(m)]
     cols = non_sf + sf
     return cols, {m: idx for idx, m in enumerate(cols)}
 
@@ -115,31 +128,35 @@ class RelationMatrix:
     num_non_square_free: int
 
 
+def _bump(mono: Exponents, i: int, k: int) -> Exponents:
+    """The monomial with the exponent of generator i raised by k."""
+    return mono[: i - 1] + (mono[i - 1] + k,) + mono[i:]
+
+
+def _relation_row(M: Exponents, i: int) -> dict[Exponents, int]:
+    """The expansion of M * g_i * (2*g_i - g_{i-1} - g_{i+1}) with boundary
+    terms dropped, keyed by exponent tuple (its three monomials differ)."""
+    row = {_bump(M, i, 2): 2}
+    for j in (i - 1, i + 1):
+        if 1 <= j <= len(M):
+            row[_bump(_bump(M, i, 1), j, 1)] = -1
+    return row
+
+
 def relation_rows(n: int, d: int) -> RelationMatrix:
     """One row per (generator i, degree-(d-2) monomial M): the expansion of
     M * g_i * (2*g_i - g_{i-1} - g_{i+1}) with boundary terms dropped."""
     if d < 2:
         raise ValueError("relations exist only in degree >= 2")
     cols, col_index = _columns(n, d)
-    rows: list[dict[int, int]] = []
-    for i in range(1, n):
-        for M in _monomial_exponents(n, d - 2):
-            exps = list(M)
-            exps[i - 1] += 2
-            row = {col_index[tuple(exps)]: 2}
-            exps[i - 1] -= 1
-            if i - 1 >= 1:
-                exps[i - 2] += 1
-                row[col_index[tuple(exps)]] = row.get(col_index[tuple(exps)], 0) - 1
-                exps[i - 2] -= 1
-            if i + 1 <= n - 1:
-                exps[i] += 1
-                key = col_index[tuple(exps)]
-                row[key] = row.get(key, 0) - 1
-                exps[i] -= 1
-            rows.append({c: v for c, v in row.items() if v})
-    num_non_sf = sum(1 for m in cols if any(e > 1 for e in m))
-    return RelationMatrix(n, d, tuple(cols), tuple(rows), num_non_sf)
+    lower = _monomial_exponents(n, d - 2)
+    rows = tuple(
+        {col_index[mono]: v for mono, v in _relation_row(M, i).items()}
+        for i in range(1, n)
+        for M in lower
+    )
+    num_non_sf = sum(1 for m in cols if _squared(m))
+    return RelationMatrix(n, d, tuple(cols), rows, num_non_sf)
 
 
 def _normalize(row: dict[int, int], lead: int) -> dict[int, int]:
@@ -209,45 +226,81 @@ def _reduce_row(
     return row, denom, -1
 
 
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Pivot rows, one per pivot column.  Rows are processed in the given
+    order; each settles on its leading column after reduction by the pivots
+    found so far, so pivots prefer the smallest eligible column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        reduced, _, lead = _reduce_row(dict(row), pivots, stop_at_new_lead=True)
+        if lead >= 0:
+            pivots[lead] = _normalize(reduced, lead)
+    return pivots
+
+
 @functools.lru_cache(maxsize=None)
 def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, dict[int, int]]]:
-    """Echelon pivot rows of the degree-d relation matrix, one per pivot
-    column, in a deterministic order.  Rows are processed in their generation
-    order; each settles on its leading column after reduction by the pivots
-    found so far, which prefers the lexicographically smallest eligible
-    non-square-free column by the column ordering."""
+    """Echelon pivot rows of the whole degree-d relation matrix, rows in
+    their generation order, non-square-free columns first."""
     if d < 2:
         cols, _ = _columns(n, d)
         return tuple(cols), {}
     matrix = relation_rows(n, d)
-    pivots: dict[int, dict[int, int]] = {}
-    for row in matrix.rows:
-        reduced, _, lead = _reduce_row(dict(row), pivots, stop_at_new_lead=True)
-        if lead >= 0:
-            pivots[lead] = _normalize(reduced, lead)
-    return matrix.columns, pivots
+    return matrix.columns, _echelon(matrix.rows)
+
+
+def _times_generator(vec: dict[Exponents, int], i: int) -> tuple[dict[Exponents, int], int]:
+    """g_i times a square-free integer vector, reduced modulo the relations;
+    returns (row, denominator).
+
+    Each non-square-free monomial that appears, starting from those of the
+    product, brings in the one relation row whose 2*g_j^2 term it is, until
+    no row brings in a new one.  Only these rows are eliminated, with the
+    non-square-free columns first so that the pivots land on them.
+    """
+    product = {_bump(mono, i, 1): v for mono, v in vec.items()}
+    relations: dict[Exponents, dict[Exponents, int]] = {}
+    todo = list(product)
+    while todo:
+        mono = todo.pop()
+        j = _squared(mono)
+        if j and mono not in relations:
+            relations[mono] = _relation_row(_bump(mono, j, -2), j)
+            todo.extend(relations[mono])
+    others = set(product).union(*relations.values()).difference(relations)
+    cols = sorted(relations) + sorted(others)
+    col_index = {mono: idx for idx, mono in enumerate(cols)}
+    pivots = _echelon(
+        {col_index[t]: v for t, v in relations[mono].items()} for mono in cols[: len(relations)]
+    )
+    reduced, denom, _ = _reduce_row(
+        {col_index[mono]: v for mono, v in product.items()}, pivots, stop_at_new_lead=False
+    )
+    return {cols[c]: v for c, v in reduced.items()}, denom
 
 
 def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
     """The unique expression of a monomial as a rational combination of
-    square-free monomials modulo the relation span."""
-    if m.is_square_free:
-        support = frozenset(i + 1 for i, e in enumerate(m.exponents) if e)
-        return {IndexSet(m.n, support): Fraction(1)}
-    cols, pivots = _reduced_pivots(m.n, m.degree)
-    col_index = {mono: idx for idx, mono in enumerate(cols)}
-    vec, denom, _ = _reduce_row({col_index[m.exponents]: 1}, pivots, stop_at_new_lead=False)
-    out: dict[IndexSet, Fraction] = {}
-    for c, v in vec.items():
-        mono = cols[c]
-        if any(e > 1 for e in mono):
-            raise PresentationError(
-                f"monomial {mono} at rank {m.n}, degree {m.degree} is neither "
-                "square-free nor eliminated: the relations are incomplete here"
-            )
-        support = frozenset(i + 1 for i, e in enumerate(mono) if e)
-        out[IndexSet(m.n, support)] = Fraction(v, denom)
-    return out
+    square-free monomials modulo the relation ideal.
+
+    Starts from the square-free part of the monomial and multiplies in the
+    remaining generators one at a time, reducing after each step; no full
+    (n, degree) matrix is built."""
+    vec, denom = {tuple(min(e, 1) for e in m.exponents): 1}, 1
+    for i, e in enumerate(m.exponents, start=1):
+        for _ in range(e - 1):
+            vec, scale = _times_generator(vec, i)
+            denom *= scale
+            leftover = [mono for mono in vec if _squared(mono)]
+            if leftover:
+                raise PresentationError(
+                    f"monomial {leftover[0]} at rank {m.n}, degree {m.degree} is neither "
+                    "square-free nor eliminated: the relations are incomplete here"
+                )
+    return {
+        IndexSet(m.n, frozenset(i + 1 for i, e in enumerate(mono) if e)): Fraction(v, denom)
+        for mono, v in vec.items()
+    }
 
 
 def quotient_dimension(n: int, d: int) -> int:

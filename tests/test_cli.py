@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from petring.cli import ExpansionRecord, main
+from petring.cli import ExpansionRecord, compute_expansion, main
+from petring.errors import ConsistencyError
 
 GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]
 
@@ -104,6 +105,19 @@ class TestVerify:
 
     def test_guard(self, capsys):
         assert run(capsys, "verify", "--n-max", "9")[0] == 1
+
+    def test_failure_names_subsets(self, capsys, monkeypatch):
+        def faulty(J, K, method):
+            if J.format() == "1,3" and K.format() == "2":
+                raise ConsistencyError("injected")
+            return compute_expansion(J, K, method)
+
+        monkeypatch.setattr("petring.cli.compute_expansion", faulty)
+        code, out, err = run(capsys, "verify", "--n-max", "5")
+        assert code == 2
+        assert "FAIL n=5 J=1,3 K=2: injected" in err.splitlines()
+        assert "FAIL n=5 J=2 K=1,3: expansion not symmetric" in err.splitlines()
+        assert "FAIL" not in out
 
 
 class TestTable:

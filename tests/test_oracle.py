@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from petring import oracle
 from petring.intervals import IndexSet, all_index_sets
 from petring.oracle import (
     Monomial,
@@ -75,6 +76,33 @@ class TestNormalForm:
 
     def test_rank_two_square_vanishes(self):
         assert normal_form(Monomial.from_multiset(2, {1: 2})) == {}
+
+    def test_matches_full_elimination(self):
+        # every monomial with n <= 6 and d <= n+1, exponents >= 3 included,
+        # against reduction by the echelon form of the whole degree-d matrix
+        for n in range(1, 7):
+            for d in range(0, n + 2):
+                cols, pivots = oracle._reduced_pivots(n, d)
+                col_index = {mono: idx for idx, mono in enumerate(cols)}
+                for exps in oracle._monomial_exponents(n, d):
+                    vec, denom, _ = oracle._reduce_row(
+                        {col_index[exps]: 1}, pivots, stop_at_new_lead=False
+                    )
+                    expected = {
+                        IndexSet.of(n, (i + 1 for i, e in enumerate(cols[c]) if e)): Fraction(v, denom)
+                        for c, v in vec.items()
+                    }
+                    assert all(max(cols[c], default=0) <= 1 for c in vec), (n, exps)
+                    assert normal_form(Monomial(n, exps)) == expected, (n, exps)
+
+    def test_builds_no_full_matrix(self):
+        J = IndexSet.parse("1,3,5,6,7", 10)
+        K = IndexSet.parse("3,6,8", 10)
+        # hits, misses and currsize all unchanged: no full matrix was
+        # looked up, let alone eliminated
+        before = oracle._reduced_pivots.cache_info()
+        structure_constants_linalg(J, K)
+        assert oracle._reduced_pivots.cache_info() == before
 
 
 class TestQuotientDimension:
