@@ -1,8 +1,9 @@
 """Command-line surface: expansions, diagram listings, exhaustive
 verification, tables, and group data.
 
-Exit codes: 0 on success, 1 on a usage error, 2 on a mathematical
-consistency failure (engine disagreement or a failed verification check).
+Exit codes: 0 on success, 1 on a usage error or a refused request, 2 on a
+mathematical consistency failure (engine disagreement or a failed
+verification check).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import click
 
 from .diagrams import enumerate_diagrams, expand_all, render_ascii, structure_constant, weight
-from .errors import ConsistencyError, PresentationError
+from .errors import ConsistencyError, PresentationError, integer_constant
 from .intervals import (
     IndexSet,
     all_index_sets,
@@ -97,14 +98,8 @@ def _sorted_terms(expansion: dict[IndexSet, int]) -> list[dict]:
 
 
 def _linalg_integer(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    out = {}
-    for L, coeff in structure_constants_linalg(J, K).items():
-        if coeff.denominator != 1 or coeff < 0:
-            raise ConsistencyError(
-                f"linalg engine gave non-integer constant {coeff} for J={J}, K={K}, L={L}"
-            )
-        out[L] = int(coeff)
-    return out
+    linalg = structure_constants_linalg(J, K)
+    return {L: integer_constant("linalg", J, K, L, coeff) for L, coeff in linalg.items()}
 
 
 def compute_expansion(J: IndexSet, K: IndexSet, method: str) -> dict[IndexSet, int]:
@@ -175,13 +170,17 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    rows = _read_table(path)
+    key = (J.format(), K.format())
     out: dict[IndexSet, int] = {}
-    for row in rows:
+    for row in _read_table(path):
         if row["n"] != n:
             raise click.UsageError(f"cache {path} is for rank {row['n']}, not {n}")
-        if IndexSet.parse(row["J"], n) == J and IndexSet.parse(row["K"], n) == K:
+        if (row["J"], row["K"]) == key:
             out[IndexSet.parse(row["L"], n)] = int(row["d"])
+    # a table holds only nonzero constants, and the product is nonzero exactly
+    # when |J| + |K| <= n - 1: such a pair without rows was left out by filters
+    if not out and len(J) + len(K) <= n - 1:
+        raise click.ClickException(f"cache {path} has no rows for J={key[0]} K={key[1]}, a nonzero product")
     return out
 
 
@@ -228,10 +227,9 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[tuple[int, int, 
     """Worker for `verify`: three-engine expansion for a block of (J, K)
     pairs given by their subset masks.  Returns serialized expansions plus
     an error string on the first problem found per pair."""
-    sets = {J.mask: J for J in all_index_sets(n)}
     out = []
     for jm, km in masks:
-        J, K = sets[jm], sets[km]
+        J, K = IndexSet.from_mask(n, jm), IndexSet.from_mask(n, km)
         try:
             expansion = compute_expansion(J, K, "all")
             out.append((jm, km, {L.mask: d for L, d in expansion.items()}, ""))

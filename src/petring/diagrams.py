@@ -1,13 +1,15 @@
 """The left-right shading game and its diagram-counted structure constants.
 
 A game for (J, K, L) starts from the shading J | K on the columns of L and
-plays one row per element of J & K in increasing order.  In each row the
-maximal run {a, ..., b} of consecutively shaded columns containing the
-marked element is extended by one darkly-shaded box, either at a-1 (a LEFT
-move, weight (b-i+1)/(b-a+2)) or at b+1 (a RIGHT move, weight
-(i-a+1)/(b-a+2)); the move is legal only if the target column is available.
-A game is successful when every row has moved, which forces the final
-shading to be exactly L.  Structure constants are the weight sums scaled by
+plays one row per element of J & K in increasing order.  Each row is one
+step of the run rule, ``intervals.run_step``, the same step the rewrite
+engine takes: the maximal run {a, ..., b} of consecutively shaded columns
+containing the marked element is extended by one darkly-shaded box, either
+at a-1 (a LEFT move) or at b+1 (a RIGHT move), with the step's weight; the
+move is legal only if the target column is available.  A game is
+successful when every row has moved, which forces the final shading to be
+exactly L.  The game is played on bit masks and carries the product of the
+row weights.  Structure constants are the weight sums scaled by
 m_factor(L) / (m_factor(J) * m_factor(K)).
 """
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConsistencyError
-from .intervals import IndexSet, m_factor
+from .errors import integer_constant
+from .intervals import IndexSet, m_factor, run_step
 
 __all__ = [
     "Move",
@@ -64,120 +66,71 @@ class LeftRightDiagram:
     weight: Fraction
 
 
-def _run(shading: frozenset[int], element: int) -> tuple[int, int]:
-    """Maximal set of consecutive shaded integers containing the element.
-    Adjacency is by integer value, not grid position: a column missing from
-    the grid breaks the run."""
-    a = b = element
-    while a - 1 in shading:
-        a -= 1
-    while b + 1 in shading:
-        b += 1
-    return a, b
-
-
-def _row_weight(run: tuple[int, int], element: int, move: Move) -> Fraction:
-    a, b = run
-    if move is Move.LEFT:
-        return Fraction(b - element + 1, b - a + 2)
-    return Fraction(element - a + 1, b - a + 2)
-
-
-def _play(
-    n: int,
-    elements: list[int],
-    shading: frozenset[int],
-    allowed: frozenset[int],
-    rows: list[GameRow],
-    results: list[tuple[frozenset[int], tuple[GameRow, ...]]],
-) -> None:
-    """Depth-first branch over LEFT/RIGHT moves, LEFT first."""
-    if len(rows) == len(elements):
-        results.append((shading, tuple(rows)))
-        return
-    element = elements[len(rows)]
-    run = _run(shading, element)
-    a, b = run
-    for move, target in ((Move.LEFT, a - 1), (Move.RIGHT, b + 1)):
-        if target in allowed:
-            rows.append(GameRow(element, run, move, target, _row_weight(run, element, move)))
-            _play(n, elements, shading | {target}, allowed, rows, results)
-            rows.pop()
+def _games(J: IndexSet, K: IndexSet, allowed: int) -> list[tuple[int, tuple, Fraction]]:
+    """Every successful game from the shading J | K whose darkly-shaded
+    columns lie in the mask ``allowed``, in LEFT-before-RIGHT order, as
+    (final shading mask, rows, weight).  A row is the step it played,
+    (element, a, b, target, num, den), of weight num/den; the game carries
+    the product of its row weights."""
+    J._check_same_rank(K)
+    games = [(J.mask | K.mask, (), 1, 1)]
+    for element in sorted(J.intersection(K)):
+        played = []
+        for shading, rows, num, den in games:
+            a, b, row_den, moves = run_step(shading, element, J.n)
+            for target, row_num in moves:
+                if allowed >> (target - 1) & 1:
+                    row = (element, a, b, target, row_num, row_den)
+                    played.append((shading | 1 << (target - 1), rows + (row,), num * row_num, den * row_den))
+        games = played
+    return [(shading, rows, Fraction(num, den)) for shading, rows, num, den in games]
 
 
 def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightDiagram]:
     """All successful games for (J, K, L), in LEFT-before-RIGHT branch
     order.  Triples violating the support or degree condition yield the
     empty list."""
-    J._check_same_rank(K)
     J._check_same_rank(L)
     union = J.union(K)
     if not (union.issubset(L) and len(L) == len(J) + len(K)):
         return []
-    elements = sorted(J.intersection(K))
-    results: list[tuple[frozenset[int], tuple[GameRow, ...]]] = []
-    _play(J.n, elements, union.members, L.members - union.members, [], results)
     diagrams = []
-    for shading, rows in results:
-        assert shading == L.members  # forced: each row adds one new column
-        wt = Fraction(1)
-        for row in rows:
-            wt *= row.row_weight
+    for shading, played, wt in _games(J, K, L.mask & ~union.mask):
+        assert shading == L.mask  # forced: each row adds one new column
+        rows = tuple(
+            GameRow(element, (a, b), Move.LEFT if target < a else Move.RIGHT, target, Fraction(num, den))
+            for element, a, b, target, num, den in played
+        )
         diagrams.append(LeftRightDiagram(J.n, J, K, L, rows, wt))
     return diagrams
 
 
 def weight(P: LeftRightDiagram) -> Fraction:
-    """Product of the per-row weights."""
-    wt = Fraction(1)
-    for row in P.rows:
-        wt *= row.row_weight
-    return wt
+    """Product of the per-row weights, carried through the game."""
+    return P.weight
 
 
 def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
     """The coefficient of the basis class on L in the product of the basis
     classes on J and K, by counting weighted diagrams."""
-    diagrams = enumerate_diagrams(J, K, L)
-    total = sum((weight(P) for P in diagrams), Fraction(0))
-    value = Fraction(m_factor(L), m_factor(J) * m_factor(K)) * total
-    if value.denominator != 1 or value < 0:
-        raise ConsistencyError(
-            f"diagram count for J={J}, K={K}, L={L} gave {value}, "
-            "expected a non-negative integer"
-        )
-    return int(value)
+    total = sum((P.weight for P in enumerate_diagrams(J, K, L)), Fraction(0))
+    return integer_constant("diagram", J, K, L, m_factor(L) * total, m_factor(J) * m_factor(K))
 
 
 def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     """The full expansion of the product: play the unrestricted game (any
     column in {1, ..., n-1} may be darkly shaded; branches that hit a
     boundary die), group terminal shadings, and scale each group."""
-    J._check_same_rank(K)
-    n = J.n
-    union = J.union(K)
-    elements = sorted(J.intersection(K))
-    results: list[tuple[frozenset[int], tuple[GameRow, ...]]] = []
-    allowed = frozenset(range(1, n)) - union.members
-    _play(n, elements, union.members, allowed, [], results)
-    sums: dict[frozenset[int], Fraction] = {}
-    for shading, rows in results:
-        wt = Fraction(1)
-        for row in rows:
-            wt *= row.row_weight
-        sums[shading] = sums.get(shading, Fraction(0)) + wt
+    sums: dict[int, Fraction] = {}
+    for shading, _, wt in _games(J, K, allowed=-1):  # every column
+        sums[shading] = sums.get(shading, 0) + wt
+    m_JK = m_factor(J) * m_factor(K)
     out: dict[IndexSet, int] = {}
-    scale = Fraction(1, m_factor(J) * m_factor(K))
     for shading, total in sums.items():
-        L = IndexSet(n, shading)
-        value = m_factor(L) * scale * total
-        if value.denominator != 1 or value < 0:
-            raise ConsistencyError(
-                f"diagram expansion for J={J}, K={K}, L={L} gave {value}, "
-                "expected a non-negative integer"
-            )
+        L = IndexSet.from_mask(J.n, shading)
+        value = integer_constant("diagram", J, K, L, m_factor(L) * total, m_JK)
         if value:
-            out[L] = int(value)
+            out[L] = value
     return out
 
 

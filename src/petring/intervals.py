@@ -4,11 +4,14 @@ An ``IndexSet`` is a subset J of {1, ..., n-1} together with its ambient
 rank n.  Everything downstream (permutations, ring classes, diagrams) is
 indexed by these sets; the run decomposition into maximal consecutive
 blocks and the integer ``m_factor`` attached to it are the two workhorse
-invariants.
+invariants.  Both are computed on bit masks (bit i-1 for member i), and so
+is ``run_step``, the one statement of the run rule that the rewrite engine
+and the diagram game share.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -18,7 +21,9 @@ __all__ = [
     "IndexSet",
     "ComponentDecomposition",
     "decompose",
+    "decompose_mask",
     "m_factor",
+    "run_step",
     "hessenberg_function",
     "factor_ranks",
     "intersects_dual",
@@ -51,6 +56,12 @@ class IndexSet:
     @classmethod
     def of(cls, n: int, members: Iterable[int] = ()) -> "IndexSet":
         return cls(n, frozenset(members))
+
+    @classmethod
+    @functools.cache
+    def from_mask(cls, n: int, mask: int) -> "IndexSet":
+        """Inverse of :attr:`mask`, memoized: equal subsets share one object."""
+        return cls(n, frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
     @classmethod
     def full(cls, n: int) -> "IndexSet":
@@ -100,6 +111,7 @@ class IndexSet:
         return self.format()
 
     def _check_same_rank(self, other: "IndexSet") -> None:
+        # shared with ring.CohomologyClass, which also has a rank ``n``
         if self.n != other.n:
             raise ValueError(f"mismatched ambient ranks: {self.n} vs {other.n}")
 
@@ -128,27 +140,49 @@ class ComponentDecomposition:
     m_factor: int
 
 
+@functools.cache
+def decompose_mask(mask: int) -> ComponentDecomposition:
+    """The runs and m-factor of the subset with bit mask ``mask``, memoized."""
+    runs: list[tuple[int, int]] = []
+    m = 1
+    while mask:
+        # any rank above the members gives the same run
+        a, b, _, _ = run_step(mask, (mask & -mask).bit_length(), MAX_RANK)
+        runs.append((a, b))
+        m *= math.factorial(b - a + 1)
+        mask &= -1 << b
+    return ComponentDecomposition(tuple(runs), m)
+
+
 def decompose(J: IndexSet) -> ComponentDecomposition:
     """Split J into maximal runs of consecutive integers."""
-    runs: list[tuple[int, int]] = []
-    members = J.as_tuple()
-    i = 0
-    while i < len(members):
-        lo = hi = members[i]
-        i += 1
-        while i < len(members) and members[i] == hi + 1:
-            hi = members[i]
-            i += 1
-        runs.append((lo, hi))
-    m = 1
-    for lo, hi in runs:
-        m *= math.factorial(hi - lo + 1)
-    return ComponentDecomposition(tuple(runs), m)
+    return decompose_mask(J.mask)
 
 
 def m_factor(J: IndexSet) -> int:
     """Product of factorials of the run lengths of J; 1 for the empty set."""
-    return decompose(J).m_factor
+    return decompose_mask(J.mask).m_factor
+
+
+def run_step(mask: int, i: int, n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """The run rule at rank n: g_i times the monomial on the subset with bit
+    mask ``mask`` is the sum over the moves (t, num) of num/den times the
+    monomial on the subset plus t.  Returns (a, b, den, moves).  For i in
+    the subset, {a, ..., b} is its maximal run around i, den = b-a+2 and the
+    moves are (a-1, b-i+1) then (b+1, i-a+1), without targets 0 and n; for i
+    not in it, the run is empty, (i, i-1), and the one move is (i, 1), den 1."""
+    bit = 1 << (i - 1)
+    if not mask & bit:
+        return i, i - 1, 1, ((i, 1),)
+    above = mask >> (i - 1)
+    b = i + ((above + 1) & ~above).bit_length() - 2
+    a = (~mask & (bit - 1)).bit_length() + 1
+    moves = []
+    if a > 1:
+        moves.append((a - 1, b - i + 1))
+    if b < n - 1:
+        moves.append((b + 1, i - a + 1))
+    return a, b, b - a + 2, tuple(moves)
 
 
 def hessenberg_function(J: IndexSet) -> list[int]:
@@ -181,4 +215,4 @@ def codim_omegaj(J: IndexSet) -> int:
 def all_index_sets(n: int) -> Iterator[IndexSet]:
     """All subsets of {1, ..., n-1} in canonical (bit-mask) order."""
     for mask in range(1 << (n - 1)):
-        yield IndexSet(n, frozenset(i + 1 for i in range(n - 1) if mask >> i & 1))
+        yield IndexSet.from_mask(n, mask)

@@ -125,7 +125,6 @@ class RelationMatrix:
     degree: int
     columns: tuple[Exponents, ...]
     rows: tuple[dict[int, int], ...]
-    num_non_square_free: int
 
 
 def _bump(mono: Exponents, i: int, k: int) -> Exponents:
@@ -155,8 +154,7 @@ def relation_rows(n: int, d: int) -> RelationMatrix:
         for i in range(1, n)
         for M in lower
     )
-    num_non_sf = sum(1 for m in cols if _squared(m))
-    return RelationMatrix(n, d, tuple(cols), rows, num_non_sf)
+    return RelationMatrix(n, d, tuple(cols), rows)
 
 
 def _normalize(row: dict[int, int], lead: int) -> dict[int, int]:

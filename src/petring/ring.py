@@ -2,12 +2,16 @@
 
 A :class:`CohomologyClass` is a finite rational combination of square-free
 monomials in the degree-two generators, stored as a map from support sets to
-coefficients.  Products are computed by the run rule: multiplying by a
-generator already present in a term's support splits the maximal consecutive
-run {a, ..., b} containing it into a left extension (weight
-(b-i+1)/(b-a+2) on the support plus a-1) and a right extension (weight
-(i-a+1)/(b-a+2) on the support plus b+1), with the boundary terms at 0 and
-n dropped.
+coefficients.  Products are computed by the run rule, ``intervals.run_step``:
+multiplying by a generator already present in a term's support extends the
+maximal consecutive run containing it by one index to the left or to the
+right, with the step's weights, dropping the boundary terms at 0 and n.
+
+The rewrite engine, ``structure_constants_rewrite``, takes the same step in
+the basis of classes x_S / m_factor(S) (Harada-Tymoczko's positive Monk
+rule), where every coefficient is a non-negative integer: it works on
+integer coefficients keyed by bit mask, with no fractions, and asserts that
+every division it makes is exact.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Any, Iterable, Sequence
 
-from .errors import ConsistencyError
-from .intervals import IndexSet, m_factor
+from .errors import ConsistencyError, integer_constant
+from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = [
     "CohomologyClass",
@@ -70,6 +75,8 @@ class CohomologyClass:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
+    _check_same_rank = IndexSet._check_same_rank
+
 
 def zero(n: int) -> CohomologyClass:
     return CohomologyClass(n, {})
@@ -92,21 +99,17 @@ def peterson_schubert_class(J: IndexSet) -> CohomologyClass:
     return monomial(J, Fraction(1, m_factor(J)))
 
 
-def _check_same_rank(c1: CohomologyClass, c2: CohomologyClass) -> None:
-    if c1.n != c2.n:
-        raise ValueError(f"mismatched ambient ranks: {c1.n} vs {c2.n}")
+def _collect(pairs: Iterable[tuple[Any, Any]]) -> dict:
+    """Sum the coefficients of equal keys, dropping the sums that vanish."""
+    out: dict = {}
+    for key, coeff in pairs:
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def add(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    _check_same_rank(c1, c2)
-    terms = dict(c1.terms)
-    for support, coeff in c2.terms.items():
-        new = terms.get(support, Fraction(0)) + coeff
-        if new:
-            terms[support] = new
-        else:
-            terms.pop(support, None)
-    return CohomologyClass(c1.n, terms)
+    c1._check_same_rank(c2)
+    return CohomologyClass(c1.n, _collect(chain(c1.terms.items(), c2.terms.items())))
 
 
 def scale(c: CohomologyClass, r: Fraction | int) -> CohomologyClass:
@@ -121,31 +124,14 @@ def multiply_generator(c: CohomologyClass, i: int) -> CohomologyClass:
     n = c.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for rank {n}")
-    out: dict[Support, Fraction] = {}
-    for support, coeff in c.terms.items():
-        if i not in support:
-            _accumulate(out, support | {i}, coeff)
-            continue
-        a = i
-        while a - 1 in support:
-            a -= 1
-        b = i
-        while b + 1 in support:
-            b += 1
-        denom = b - a + 2
-        if a - 1 >= 1:
-            _accumulate(out, support | {a - 1}, coeff * Fraction(b - i + 1, denom))
-        if b + 1 <= n - 1:
-            _accumulate(out, support | {b + 1}, coeff * Fraction(i - a + 1, denom))
-    return CohomologyClass(n, out)
 
+    def moves():
+        for support, coeff in c.terms.items():
+            _, _, den, targets = run_step(IndexSet(n, support).mask, i, n)
+            for target, num in targets:
+                yield support | {target}, coeff * Fraction(num, den)
 
-def _accumulate(terms: dict[Support, Fraction], support: Support, coeff: Fraction) -> None:
-    new = terms.get(support, Fraction(0)) + coeff
-    if new:
-        terms[support] = new
-    else:
-        terms.pop(support, None)
+    return CohomologyClass(n, _collect(moves()))
 
 
 def multiply(
@@ -158,7 +144,7 @@ def multiply(
     square-free term on S1 | S2 and folds in one generator application per
     element of S1 & S2, in increasing order.  ``fold_order`` overrides the
     order (tests only; the result does not depend on it)."""
-    _check_same_rank(c1, c2)
+    c1._check_same_rank(c2)
     n = c1.n
     result = zero(n)
     for s1, r1 in c1.terms.items():
@@ -186,25 +172,43 @@ def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:
     }
 
 
+def _varpi_times_generator(terms: dict[int, int], i: int, n: int) -> dict[int, int]:
+    """Generator i times an integer combination of basis classes keyed by
+    bit mask.  By the run rule, the class on S goes to the class on L = S
+    plus a target with coefficient num*m_L / (den*m_S), a division asserted
+    to be exact."""
+    out: dict[int, int] = {}
+    for S, coeff in terms.items():
+        m_S = decompose_mask(S).m_factor
+        _, _, den, targets = run_step(S, i, n)
+        for target, num in targets:
+            L = S | 1 << (target - 1)
+            step, remainder = divmod(num * decompose_mask(L).m_factor, den * m_S)
+            if remainder:
+                raise ConsistencyError(f"run rule g_{i} from mask {S:b} to {L:b} at rank {n} is not integral")
+            out[L] = out.get(L, 0) + coeff * step
+    return out
+
+
 def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     """Expansion of the product of the basis classes on J and K, computed by
-    the run-rule engine.  Values are asserted to be non-negative integers
-    with support L containing J | K and |L| = |J| + |K|."""
+    the run-rule engine in integers: the class on J times the generators of
+    K, one at a time, then divided by m_factor(K), a division asserted to be
+    exact.  Values are asserted to be non-negative integers with support L
+    containing J | K and |L| = |J| + |K|."""
     J._check_same_rank(K)
-    expansion = to_varpi_basis(multiply(peterson_schubert_class(J), peterson_schubert_class(K)))
+    n = J.n
+    terms = {J.mask: 1}
+    for k in K:
+        terms = _varpi_times_generator(terms, k, n)
+    m_K = m_factor(K)
+    union, degree = J.mask | K.mask, len(J) + len(K)
     out: dict[IndexSet, int] = {}
-    target = len(J) + len(K)
-    for L, coeff in expansion.items():
-        if coeff.denominator != 1 or coeff < 0:
-            raise ConsistencyError(
-                f"structure constant for J={J}, K={K}, L={L} is {coeff}, "
-                "expected a non-negative integer"
-            )
-        if not (J.union(K).issubset(L) and len(L) == target):
-            raise ConsistencyError(
-                f"support condition violated for J={J}, K={K}: got L={L}"
-            )
-        out[L] = int(coeff)
+    for mask, coeff in terms.items():
+        L = IndexSet.from_mask(n, mask)
+        if mask & union != union or len(L) != degree:
+            raise ConsistencyError(f"support condition violated for J={J}, K={K}: got L={L}")
+        out[L] = integer_constant("rewrite", J, K, L, coeff, m_K)
     return out
 
 
@@ -218,6 +222,5 @@ def integral(c: CohomologyClass) -> Fraction:
 def pairing(J: IndexSet, c: CohomologyClass) -> Fraction:
     """Coefficient of the basis class on J in c: m_factor(J) times the
     monomial coefficient on J."""
-    if J.n != c.n:
-        raise ValueError(f"mismatched ambient ranks: {J.n} vs {c.n}")
+    J._check_same_rank(c)
     return m_factor(J) * c.terms.get(J.members, Fraction(0))

@@ -150,6 +150,19 @@ class TestTable:
         assert data["method"] == "cached"
         assert data["terms"] == [{"L": [1, 2], "coeff": "2"}]
 
+    def test_cache_refuses_pair_left_out_by_filters(self, capsys, tmp_path):
+        # the table holds |J| + |K| = 2 only; {1,2} * {2} = 2 * {1,2,3} is nonzero
+        path = tmp_path / "t5.csv"
+        assert run(capsys, "table", "-n", "5", "--degree", "2", "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1,2", "-K", "2", "--cached", str(path))
+        assert code == 1
+        assert out == ""
+        assert "no rows for J=1,2 K=2" in err
+        # |J| + |K| = 5 > n - 1: the product vanishes, so no rows is the answer
+        code, out, _ = run(capsys, "expand", "-n", "5", "-J", "1,2", "-K", "2,3,4", "--cached", str(path))
+        assert code == 0
+        assert json.loads(out)["terms"] == []
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "-n", "3", "--format", "json")
         assert code == 0

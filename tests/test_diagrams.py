@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,7 @@ class TestWeights:
                     for L in expand_all(J, K):
                         for P in enumerate_diagrams(J, K, L):
                             assert 0 < weight(P) <= 1
+                            assert weight(P) == math.prod(row.row_weight for row in P.rows)
                             total += weight(P)
                     assert total <= 1
 

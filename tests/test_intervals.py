@@ -13,6 +13,7 @@ from petring.intervals import (
     hessenberg_function,
     intersects_dual,
     m_factor,
+    run_step,
 )
 
 
@@ -77,6 +78,32 @@ class TestDecompose:
         # runs ascending and non-adjacent
         for (_, h1), (l2, _) in zip(dec.runs, dec.runs[1:]):
             assert h1 + 1 < l2
+
+
+class TestRunStep:
+    def test_matches_walk(self):
+        # reference: walk outward from i through the members, one at a time
+        for n in range(1, 9):
+            for J in all_index_sets(n):
+                for i in range(1, n):
+                    if i not in J:
+                        assert run_step(J.mask, i, n) == (i, i - 1, 1, ((i, 1),))
+                        continue
+                    a = b = i
+                    while a - 1 in J:
+                        a -= 1
+                    while b + 1 in J:
+                        b += 1
+                    moves = tuple(
+                        (t, num) for t, num in ((a - 1, b - i + 1), (b + 1, i - a + 1)) if 1 <= t <= n - 1
+                    )
+                    assert run_step(J.mask, i, n) == (a, b, b - a + 2, moves)
+
+    def test_mask_round_trip(self):
+        for J in all_index_sets(7):
+            assert IndexSet.from_mask(7, J.mask) == J
+        with pytest.raises(ValueError):
+            IndexSet.from_mask(4, 0b1000)
 
 
 class TestMFactor:

@@ -57,7 +57,7 @@ class TestRelationRows:
 
     def test_column_blocks(self):
         matrix = relation_rows(5, 3)
-        k = matrix.num_non_square_free
+        k = sum(1 for m in matrix.columns if any(e > 1 for e in m))
         assert all(any(e > 1 for e in m) for m in matrix.columns[:k])
         assert all(all(e <= 1 for e in m) for m in matrix.columns[k:])
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from petring.errors import ConsistencyError
+from petring.errors import ConsistencyError, integer_constant
 from petring.intervals import IndexSet, all_index_sets, m_factor
 from petring.ring import (
     CohomologyClass,
@@ -175,6 +175,27 @@ class TestStructureConstants:
                         assert d > 0
                         assert J.union(K).issubset(L)
                         assert len(L) == len(J) + len(K)
+
+
+    def test_inexact_step_raises(self, monkeypatch):
+        # a run step whose weights are off by a factor 7 cannot stay integral
+        import petring.ring as ring
+
+        def off(mask, i, n, step=ring.run_step):
+            a, b, den, moves = step(mask, i, n)
+            return a, b, 7 * den, moves
+
+        monkeypatch.setattr(ring, "run_step", off)
+        with pytest.raises(ConsistencyError, match="not integral"):
+            structure_constants_rewrite(IndexSet.of(3, [1]), IndexSet.of(3, [1]))
+
+    def test_integer_check_names_subsets(self):
+        J, K, L = IndexSet.of(4, [1]), IndexSet.of(4, [2]), IndexSet.of(4, [1, 2])
+        assert integer_constant("rewrite", J, K, L, 6, 3) == 2
+        assert integer_constant("diagram", J, K, L, Fraction(4, 2)) == 2
+        for value, divisor in ((7, 2), (-2, 1), (Fraction(1, 3), 1)):
+            with pytest.raises(ConsistencyError, match="J=1, K=2, L=1,2"):
+                integer_constant("rewrite", J, K, L, value, divisor)
 
 
 class TestIntegralAndPairing:
