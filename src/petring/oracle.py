@@ -16,7 +16,12 @@ ideal.  Each step eliminates only the relation rows that its non-square-free
 terms reach, exactly (integer rows with content normalization).  The full
 degree-d relation matrix is eliminated, and memoized per (n, degree), only
 by ``quotient_dimension``: its graded dimensions certify that the
-square-free monomials form a basis, so the normal forms are unique.
+square-free monomials form a basis, so the normal forms are unique.  That
+elimination takes each non-square-free monomial's own relation row (the one
+whose 2*g_j^2 term it is) first and stops once every column has a pivot.
+The rank is exact all the same: the row order does not change the row
+space, and the rank cannot exceed the number of columns.  Below the top
+degree the square-free columns never get a pivot, so every row is reduced.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 from .errors import PresentationError
@@ -142,6 +147,13 @@ def _relation_row(M: Exponents, i: int) -> dict[Exponents, int]:
     return row
 
 
+def _own_row(mono: Exponents) -> dict[Exponents, int]:
+    """The relation row whose 2*g_j^2 term is the non-square-free monomial
+    ``mono``, with j = _squared(mono)."""
+    j = _squared(mono)
+    return _relation_row(_bump(mono, j, -2), j)
+
+
 def relation_rows(n: int, d: int) -> RelationMatrix:
     """One row per (generator i, degree-(d-2) monomial M): the expansion of
     M * g_i * (2*g_i - g_{i-1} - g_{i+1}) with boundary terms dropped."""
@@ -224,27 +236,34 @@ def _reduce_row(
     return row, denom, -1
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon(rows: Iterable[dict[int, int]], num_columns: int) -> dict[int, dict[int, int]]:
     """Pivot rows, one per pivot column.  Rows are processed in the given
     order; each settles on its leading column after reduction by the pivots
-    found so far, so pivots prefer the smallest eligible column."""
+    found so far, so pivots prefer the smallest eligible column.  Stops once
+    all ``num_columns`` columns have a pivot: the rank can grow no further."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         reduced, _, lead = _reduce_row(dict(row), pivots, stop_at_new_lead=True)
         if lead >= 0:
             pivots[lead] = _normalize(reduced, lead)
+            if len(pivots) == num_columns:
+                break
     return pivots
 
 
 @functools.lru_cache(maxsize=None)
 def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, dict[int, int]]]:
-    """Echelon pivot rows of the whole degree-d relation matrix, rows in
-    their generation order, non-square-free columns first."""
-    if d < 2:
-        cols, _ = _columns(n, d)
-        return tuple(cols), {}
-    matrix = relation_rows(n, d)
-    return matrix.columns, _echelon(matrix.rows)
+    """Echelon pivot rows of the whole degree-d relation matrix, non-square-free
+    columns first.  Each non-square-free column's own row (``_own_row``) is
+    reduced first, then the other rows in generation order, until every
+    column has a pivot.  The rank is exact: the row order does not change the
+    row space, and the rank cannot exceed the column count."""
+    cols, col_index = _columns(n, d)
+    lower = _monomial_exponents(n, d - 2) if d >= 2 else []
+    own = (_own_row(mono) for mono in cols if _squared(mono))
+    rest = (_relation_row(M, i) for i in range(1, n) for M in lower if _squared(_bump(M, i, 2)) != i)
+    rows = ({col_index[t]: v for t, v in row.items()} for row in chain(own, rest))
+    return tuple(cols), _echelon(rows, len(cols))
 
 
 def _times_generator(vec: dict[Exponents, int], i: int) -> tuple[dict[Exponents, int], int]:
@@ -261,15 +280,15 @@ def _times_generator(vec: dict[Exponents, int], i: int) -> tuple[dict[Exponents,
     todo = list(product)
     while todo:
         mono = todo.pop()
-        j = _squared(mono)
-        if j and mono not in relations:
-            relations[mono] = _relation_row(_bump(mono, j, -2), j)
+        if _squared(mono) and mono not in relations:
+            relations[mono] = _own_row(mono)
             todo.extend(relations[mono])
     others = set(product).union(*relations.values()).difference(relations)
     cols = sorted(relations) + sorted(others)
     col_index = {mono: idx for idx, mono in enumerate(cols)}
     pivots = _echelon(
-        {col_index[t]: v for t, v in relations[mono].items()} for mono in cols[: len(relations)]
+        ({col_index[t]: v for t, v in relations[mono].items()} for mono in cols[: len(relations)]),
+        len(cols),
     )
     reduced, denom, _ = _reduce_row(
         {col_index[mono]: v for mono, v in product.items()}, pivots, stop_at_new_lead=False

@@ -142,25 +142,28 @@ def multiply(
 ) -> CohomologyClass:
     """Bilinear product.  Each pair of supports S1, S2 starts from the
     square-free term on S1 | S2 and folds in one generator application per
-    element of S1 & S2, in increasing order.  ``fold_order`` overrides the
-    order (tests only; the result does not depend on it)."""
+    element of S1 & S2, in increasing order; all partial terms are summed in
+    one pass.  ``fold_order`` overrides the order (tests only; the result
+    does not depend on it)."""
     c1._check_same_rank(c2)
     n = c1.n
-    result = zero(n)
-    for s1, r1 in c1.terms.items():
-        for s2, r2 in c2.terms.items():
-            repeated = s1 & s2
-            if fold_order is None:
-                order = sorted(repeated)
-            else:
-                order = [i for i in fold_order if i in repeated]
-                if len(order) != len(repeated):
-                    raise ValueError("fold_order must cover the repeated indices")
-            partial = CohomologyClass(n, {s1 | s2: r1 * r2})
-            for i in order:
-                partial = multiply_generator(partial, i)
-            result = add(result, partial)
-    return result
+
+    def partials():
+        for s1, r1 in c1.terms.items():
+            for s2, r2 in c2.terms.items():
+                repeated = s1 & s2
+                if fold_order is None:
+                    order = sorted(repeated)
+                else:
+                    order = [i for i in fold_order if i in repeated]
+                    if len(order) != len(repeated):
+                        raise ValueError("fold_order must cover the repeated indices")
+                partial = CohomologyClass(n, {s1 | s2: r1 * r2})
+                for i in order:
+                    partial = multiply_generator(partial, i)
+                yield from partial.terms.items()
+
+    return CohomologyClass(n, _collect(partials()))
 
 
 def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -98,6 +99,23 @@ class TestVerify:
         assert code == 0
         assert "n=5: 256 (J,K) pairs" in out
         assert "all checks passed" in out
+
+    def test_process_pool_matches_serial(self, capsys, monkeypatch):
+        # the pair sweep goes to the pool from n = 5 (256 pairs) on
+        serial = run(capsys, "verify", "--n-max", "6", "--jobs", "1")
+        pools = []
+        pool = ProcessPoolExecutor
+
+        def counting(**kwargs):
+            pools.append(kwargs)
+            return pool(**kwargs)
+
+        monkeypatch.setattr("petring.cli.ProcessPoolExecutor", counting)
+        pooled = run(capsys, "verify", "--n-max", "6", "--jobs", "2")
+        assert pools == [{"max_workers": 2}] * 2
+        assert serial[0] == pooled[0] == 0
+        assert pooled[1] == serial[1]
+        assert "n=6: 1024 (J,K) pairs" in pooled[1]
 
     def test_rank_one_trivial(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1")

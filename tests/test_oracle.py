@@ -105,6 +105,78 @@ class TestNormalForm:
         assert oracle._reduced_pivots.cache_info() == before
 
 
+class TestElimination:
+    def test_own_row(self):
+        # the own row of a non-square-free monomial is a relation row whose
+        # 2*g_j^2 term is that monomial, j its first generator squared
+        for n in range(2, 6):
+            for d in range(2, n + 2):
+                matrix = relation_rows(n, d)
+                rows = [{matrix.columns[c]: v for c, v in row.items()} for row in matrix.rows]
+                for mono in matrix.columns:
+                    if max(mono) <= 1:
+                        continue
+                    j = next(i for i, e in enumerate(mono, start=1) if e > 1)
+                    own = oracle._own_row(mono)
+                    assert own[mono] == 2 and own in rows, (n, mono)
+                    # the other terms trade one g_j for g_{j-1} or g_{j+1}
+                    less = oracle._bump(mono, j, -1)
+                    assert set(own) - {mono} == {
+                        oracle._bump(less, k, 1) for k in (j - 1, j + 1) if 1 <= k <= n - 1
+                    }, (n, mono)
+
+    def test_rank_matches_generation_order(self):
+        # same rank as every relation row in generation order with no exit,
+        # and the pivots reduce every relation row to zero
+        for n in range(2, 8):
+            for d in range(2, n + 2):
+                matrix = relation_rows(n, d)
+                plain = oracle._echelon(matrix.rows, len(matrix.columns) + 1)
+                cols, pivots = oracle._reduced_pivots(n, d)
+                assert cols == matrix.columns
+                assert len(pivots) == len(plain), (n, d)
+                for row in matrix.rows:
+                    reduced, _, _ = oracle._reduce_row(dict(row), pivots, stop_at_new_lead=False)
+                    assert reduced == {}, (n, d, row)
+
+    def test_echelon_stops_only_at_full_rank(self):
+        rows = iter([{0: 1, 1: 1}, {1: 2}, {0: 5}])
+        assert sorted(oracle._echelon(rows, 2)) == [0, 1]
+        assert next(rows) == {0: 5}  # never read: both columns had a pivot
+        # rank 2 of 3 columns: the row after the dependent one still pivots,
+        # and the exit never fires, so every row is read
+        rows = iter([{0: 1, 2: 1}, {0: 3, 2: 3}, {1: 1, 2: -1}])
+        pivots = oracle._echelon(rows, 3)
+        assert sorted(pivots) == [0, 1]
+        assert pivots[1] == {1: 1, 2: -1}
+        assert next(rows, None) is None
+
+    def _reduced_rows(self, monkeypatch, n, d):
+        calls = []
+        reduce_row = oracle._reduce_row
+
+        def counting(row, pivots, stop_at_new_lead):
+            calls.append(stop_at_new_lead)
+            return reduce_row(row, pivots, stop_at_new_lead)
+
+        monkeypatch.setattr(oracle, "_reduce_row", counting)
+        oracle._reduced_pivots.__wrapped__(n, d)
+        return len(calls)
+
+    def test_one_row_per_column_above_top_degree(self, monkeypatch):
+        # d >= n: every column is non-square-free and its own row gives it
+        # a pivot, so exactly one row per column is reduced
+        assert len(relation_rows(7, 8).columns) == 1287
+        assert self._reduced_rows(monkeypatch, 7, 8) == 1287
+
+    def test_every_row_reduced_below_top_degree(self, monkeypatch):
+        # d <= n-1: the square-free columns never get a pivot, so every
+        # relation row is reduced, once, and their independence is checked
+        for n, d in ((7, 5), (7, 6), (6, 4)):
+            rows = len(relation_rows(n, d).rows)
+            assert self._reduced_rows(monkeypatch, n, d) == rows, (n, d)
+
+
 class TestQuotientDimension:
     def test_examples(self):
         assert quotient_dimension(4, 2) == 3
@@ -112,7 +184,7 @@ class TestQuotientDimension:
         assert quotient_dimension(3, 3) == 0
 
     def test_binomials(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             for d in range(0, n + 2):
                 expected = math.comb(n - 1, d) if d <= n - 1 else 0
                 assert quotient_dimension(n, d) == expected, (n, d)

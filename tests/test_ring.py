@@ -123,6 +123,30 @@ class TestMultiply:
                 assert multiply(a, b) == multiply(b, a)
                 assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
+    def test_fold_order_must_cover_repeated(self):
+        cj, ck = monomial(IndexSet.of(6, [1, 2])), monomial(IndexSet.of(6, [2, 3]))
+        with pytest.raises(ValueError, match="fold_order"):
+            multiply(cj, ck, fold_order=[1, 3])
+
+    def test_sums_all_pairs_in_one_pass(self, monkeypatch):
+        # multi-term classes whose pair products overlap and partly cancel:
+        # the product is the sum of the pairwise products, collected once
+        # rather than folded into a growing result with add
+        a = cls(6, {(1,): 1, (2,): -1, (3, 4): Fraction(1, 2)})
+        b = cls(6, {(1,): 2, (2,): 2, (4,): -3})
+        expected = zero(6)
+        for s1, r1 in a.terms.items():
+            for s2, r2 in b.terms.items():
+                pair = multiply(CohomologyClass(6, {s1: r1}), CohomologyClass(6, {s2: r2}))
+                expected = add(expected, pair)
+
+        def no_add(*args):
+            raise AssertionError("multiply must not fold with add")
+
+        monkeypatch.setattr("petring.ring.add", no_add)
+        assert multiply(a, b) == expected
+        assert multiply(a, scale(a, -1)) == scale(multiply(a, a), -1)
+
     def test_degree_additive(self):
         rng = random.Random(3)
         for n in (5, 6):
