@@ -9,11 +9,11 @@ verification check).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -28,7 +28,7 @@ from .intervals import (
     hessenberg_function,
     m_factor,
 )
-from .oracle import quotient_dimension, structure_constants_linalg
+from .oracle import Monomial, normal_form, quotient_dimension, structure_constants_linalg
 from .permutations import (
     bruhat_leq,
     format_one_line,
@@ -248,16 +248,31 @@ def cmd_verify(n_max: int, jobs: int) -> None:
         raise click.UsageError(f"--n-max must be in [1, {MAX_VERIFY_RANK}]")
     if jobs < 1:
         raise click.UsageError("--jobs must be >= 1")
+    if jobs == 1:
+        failures = _verify_ranks(n_max, jobs, map)
+    else:
+        # imported here: multiprocessing would slow every other command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            failures = _verify_ranks(n_max, jobs, pool.map)
+    if failures:
+        for line in failures:
+            click.echo(f"FAIL {line}", err=True)
+        raise ConsistencyError(f"{len(failures)} verification check(s) failed")
+    click.echo("all checks passed")
+
+
+def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
+    """The checks of `verify` for ranks 1..n_max; the pair sweep of each
+    rank is split into ``jobs`` contiguous blocks, mapped by ``sweep``.
+    Prints one line per check and returns the failure lines."""
     failures: list[str] = []
     for n in range(1, n_max + 1):
         masks = [(jm, km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))]
-        if jobs == 1 or len(masks) < 256:
-            chunks = [_verify_chunk(n, masks)]
-        else:
-            step = (len(masks) + jobs - 1) // jobs
-            blocks = [masks[i : i + step] for i in range(0, len(masks), step)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(_verify_chunk, [n] * len(blocks), blocks))
+        step = (len(masks) + jobs - 1) // jobs
+        blocks = [masks[i : i + step] for i in range(0, len(masks), step)]
+        chunks = list(sweep(_verify_chunk, [n] * len(blocks), blocks))
         names = {J.mask: J.format() for J in all_index_sets(n)}
         results: dict[tuple[int, int], dict] = {}
         for chunk in chunks:
@@ -295,17 +310,20 @@ def cmd_verify(n_max: int, jobs: int) -> None:
             click.echo(f"n={n}: Bruhat subset criteria {'OK' if lemma_ok else 'FAIL'}")
 
         if n >= 2:
-            product = unit(n)
+            top = []
             for i in range(1, n):
-                product = multiply(product, monomial(IndexSet.of(n, [i])))
-            if integral(product) != math.factorial(n - 1):
-                failures.append(f"n={n}: top-degree evaluation is not (n-1)!")
-            click.echo(f"n={n}: top-degree evaluation OK")
-    if failures:
-        for line in failures:
-            click.echo(f"FAIL {line}", err=True)
-        raise ConsistencyError(f"{len(failures)} verification check(s) failed")
-    click.echo("all checks passed")
+                # the integral of g_i^(n-1) by the run rule, by the relations,
+                # and as the Eulerian number A(n-1, i-1)
+                by_rule = integral(functools.reduce(multiply, [monomial(IndexSet.of(n, [i]))] * (n - 1), unit(n)))
+                nf = normal_form(Monomial.from_multiset(n, {i: n - 1}))
+                by_relations = math.factorial(n - 1) * nf.get(IndexSet.full(n), 0)
+                eulerian = sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1) for j in range(i))
+                if not by_rule == by_relations == eulerian:
+                    top.append(f"n={n} i={i}: integral of g_{i}^{n - 1} is {by_rule} by the run rule, "
+                               f"{by_relations} by the relations, Eulerian number {eulerian}")
+            failures += top
+            click.echo(f"n={n}: top-degree evaluation {'FAIL' if top else 'OK'}")
+    return failures
 
 
 @cli.command("table")

@@ -2,16 +2,16 @@
 
 A :class:`CohomologyClass` is a finite rational combination of square-free
 monomials in the degree-two generators, stored as a map from support sets to
-coefficients.  Products are computed by the run rule, ``intervals.run_step``:
-multiplying by a generator already present in a term's support extends the
-maximal consecutive run containing it by one index to the left or to the
-right, with the step's weights, dropping the boundary terms at 0 and n.
-
-The rewrite engine, ``structure_constants_rewrite``, takes the same step in
-the basis of classes x_S / m_factor(S) (Harada-Tymoczko's positive Monk
-rule), where every coefficient is a non-negative integer: it works on
-integer coefficients keyed by bit mask, with no fractions, and asserts that
-every division it makes is exact.
+coefficients.  Products are computed by the run rule, ``intervals.run_step``,
+applied in one place, ``_varpi_times_generator``: multiplying by a generator
+already present in a term's support extends the maximal consecutive run
+containing it by one index to the left or to the right, dropping the
+boundary terms at 0 and n.  The step works in the basis of classes
+x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
+coefficient is a non-negative integer, on integers keyed by bit mask, and
+asserts that every division it makes is exact.  The rewrite engine,
+``structure_constants_rewrite``, and the class algebra, ``multiply``, both
+fold generators into a combination of such classes with it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import ConsistencyError, integer_constant
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
@@ -66,9 +66,6 @@ class CohomologyClass:
         """Common support size of a homogeneous class; None for zero or mixed."""
         degrees = {len(s) for s in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
-
-    def coefficient(self, support: Iterable[int]) -> Fraction:
-        return self.terms.get(frozenset(support), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CohomologyClass):
@@ -120,50 +117,31 @@ def scale(c: CohomologyClass, r: Fraction | int) -> CohomologyClass:
 
 
 def multiply_generator(c: CohomologyClass, i: int) -> CohomologyClass:
-    """Multiply by the i-th generator, term by term, via the run rule."""
-    n = c.n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
-
-    def moves():
-        for support, coeff in c.terms.items():
-            _, _, den, targets = run_step(IndexSet(n, support).mask, i, n)
-            for target, num in targets:
-                yield support | {target}, coeff * Fraction(num, den)
-
-    return CohomologyClass(n, _collect(moves()))
+    """Multiply by the i-th generator."""
+    if not 1 <= i <= c.n - 1:
+        raise ValueError(f"generator index {i} out of range for rank {c.n}")
+    return multiply(c, monomial(IndexSet.of(c.n, [i])))
 
 
-def multiply(
-    c1: CohomologyClass,
-    c2: CohomologyClass,
-    *,
-    fold_order: Sequence[int] | None = None,
-) -> CohomologyClass:
-    """Bilinear product.  Each pair of supports S1, S2 starts from the
-    square-free term on S1 | S2 and folds in one generator application per
-    element of S1 & S2, in increasing order; all partial terms are summed in
-    one pass.  ``fold_order`` overrides the order (tests only; the result
-    does not depend on it)."""
+def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
+    """Bilinear product: c1 in the basis of classes on each support, over a
+    common denominator, times the generators of each support of c2 in
+    increasing order by the integer run step, mapped back to monomials."""
     c1._check_same_rank(c2)
     n = c1.n
+    varpi = {J.mask: r for J, r in to_varpi_basis(c1).items()}
+    denom = math.lcm(*(r.denominator for r in varpi.values()))
+    start = {S: int(r * denom) for S, r in varpi.items()}
 
     def partials():
-        for s1, r1 in c1.terms.items():
-            for s2, r2 in c2.terms.items():
-                repeated = s1 & s2
-                if fold_order is None:
-                    order = sorted(repeated)
-                else:
-                    order = [i for i in fold_order if i in repeated]
-                    if len(order) != len(repeated):
-                        raise ValueError("fold_order must cover the repeated indices")
-                partial = CohomologyClass(n, {s1 | s2: r1 * r2})
-                for i in order:
-                    partial = multiply_generator(partial, i)
-                yield from partial.terms.items()
+        for s2, r2 in c2.terms.items():
+            terms = start
+            for k in sorted(s2):
+                terms = _varpi_times_generator(terms, k, n)
+            for L, coeff in terms.items():
+                yield L, Fraction(r2 * coeff, denom * decompose_mask(L).m_factor)
 
-    return CohomologyClass(n, _collect(partials()))
+    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in _collect(partials()).items()})
 
 
 def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:

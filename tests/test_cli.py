@@ -5,6 +5,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import petring.cli
+from petring.ring import scale
+
 from petring.cli import ExpansionRecord, compute_expansion, main
 from petring.errors import ConsistencyError
 
@@ -101,7 +104,7 @@ class TestVerify:
         assert "all checks passed" in out
 
     def test_process_pool_matches_serial(self, capsys, monkeypatch):
-        # the pair sweep goes to the pool from n = 5 (256 pairs) on
+        # one pool serves the pair sweep of every rank
         serial = run(capsys, "verify", "--n-max", "6", "--jobs", "1")
         pools = []
         pool = ProcessPoolExecutor
@@ -110,12 +113,26 @@ class TestVerify:
             pools.append(kwargs)
             return pool(**kwargs)
 
-        monkeypatch.setattr("petring.cli.ProcessPoolExecutor", counting)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", counting)
         pooled = run(capsys, "verify", "--n-max", "6", "--jobs", "2")
-        assert pools == [{"max_workers": 2}] * 2
+        assert pools == [{"max_workers": 2}]
         assert serial[0] == pooled[0] == 0
         assert pooled[1] == serial[1]
         assert "n=6: 1024 (J,K) pairs" in pooled[1]
+
+    @pytest.mark.parametrize("target, fault, line", [
+        ("multiply", lambda f: lambda c1, c2: scale(f(c1, c2), 2),
+         "FAIL n=3 i=2: integral of g_2^2 is 4 by the run rule, 1 by the relations, Eulerian number 1"),
+        ("normal_form", lambda f: lambda m: {L: 3 * c for L, c in f(m).items()},
+         "FAIL n=3 i=2: integral of g_2^2 is 1 by the run rule, 3 by the relations, Eulerian number 1"),
+    ], ids=["multiply", "normal_form"])
+    def test_top_degree_fault_detected(self, capsys, monkeypatch, target, fault, line):
+        monkeypatch.setattr(petring.cli, target, fault(getattr(petring.cli, target)))
+        code, out, err = run(capsys, "verify", "--n-max", "3")
+        assert code == 2
+        assert "n=2: top-degree evaluation FAIL" in out
+        assert "n=3: top-degree evaluation FAIL" in out
+        assert line in err.splitlines()
 
     def test_rank_one_trivial(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1")
