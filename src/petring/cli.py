@@ -1,6 +1,10 @@
 """Command-line surface: expansions, diagram listings, exhaustive
 verification, tables, and group data.
 
+`table` refuses, before computing, filters that admit more than
+MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
+raw line prefix of its pair and stops after that pair's block.
+
 Exit codes: 0 on success, 1 on a usage error or a refused request, 2 on a
 mathematical consistency failure (engine disagreement or a failed
 verification check).
@@ -37,12 +41,13 @@ from .permutations import (
     simple_transposition,
     subword_vj,
 )
-from .ring import integral, monomial, multiply, structure_constants_rewrite, unit
+from .ring import integral, monomial, multiply, structure_constants_rewrite, structure_constants_rewrite_pairs, unit
 
 __all__ = ["ExpansionRecord", "cli", "main", "entry"]
 
 MAX_QUERY_RANK = 16
 MAX_VERIFY_RANK = 8
+MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
 METHODS = ("diagram", "rewrite", "linalg", "all")
 
@@ -170,35 +175,41 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    key = (J.format(), K.format())
-    out: dict[IndexSet, int] = {}
-    for row in _read_table(path):
-        if row["n"] != n:
-            raise click.UsageError(f"cache {path} is for rank {row['n']}, not {n}")
-        if (row["J"], row["K"]) == key:
-            out[IndexSet.parse(row["L"], n)] = int(row["d"])
+    out = {IndexSet.parse(L, n): int(d) for L, d in _read_table(path, n, J, K)}
     # a table holds only nonzero constants, and the product is nonzero exactly
     # when |J| + |K| <= n - 1: such a pair without rows was left out by filters
     if not out and len(J) + len(K) <= n - 1:
-        raise click.ClickException(f"cache {path} has no rows for J={key[0]} K={key[1]}, a nonzero product")
+        raise click.ClickException(f"cache {path} has no rows for J={J.format()} K={K.format()}, a nonzero product")
     return out
 
 
-def _read_table(path: str) -> list[dict]:
+def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
+    """The (L, d) fields of the rows for (J, K) in a table file of rank n.
+    A CSV table is scanned for the raw line prefix "n,J,K,", written by the
+    same csv.writer as the table so that the quoting matches; the scan checks
+    the rank of every line it reads and stops after the matching block, since
+    rows are in canonical order.  A JSON table is loaded whole."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        return [
-            {"n": data["n"], "J": _format_list(r["J"]), "K": _format_list(r["K"]),
-             "L": _format_list(r["L"]), "d": r["d"]}
-            for r in data["rows"]
-        ]
+        if data["n"] != n:
+            raise click.UsageError(f"cache {path} is for rank {data['n']}, not {n}")
+        key = [list(J.as_tuple()), list(K.as_tuple())]
+        return [[_format_list(r["L"]), r["d"]] for r in data["rows"] if [r["J"], r["K"]] == key]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([n, J.format(), K.format()])
+    rank, prefix = f"{n},", buf.getvalue() + ","
+    rows: list[list[str]] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            {"n": int(r["n"]), "J": r["J"], "K": r["K"], "L": r["L"], "d": r["d"]}
-            for r in reader
-        ]
+        next(fh, None)  # the header
+        for line in fh:
+            if not line.startswith(rank):
+                raise click.UsageError(f"cache {path} is for rank {line.split(',', 1)[0]}, not {n}")
+            if line.startswith(prefix):
+                rows.append(next(csv.reader([line[len(prefix):]])))
+            elif rows:
+                break
+    return rows
 
 
 @cli.command("diagrams")
@@ -339,39 +350,34 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     """Write the structure-constant table for one rank, rows (J, K, L, d) in
     canonical order, nonzero constants only."""
     _check_rank(n)
-    j_only = _parse_subset("--J", j_filter, n) if j_filter is not None else None
-    k_only = _parse_subset("--K", k_filter, n) if k_filter is not None else None
-    rows = []
-    for J in all_index_sets(n):
-        if j_only is not None and J != j_only:
-            continue
-        for K in all_index_sets(n):
-            if k_only is not None and K != k_only:
-                continue
-            if degree is not None and len(J) + len(K) != degree:
-                continue
-            expansion = structure_constants_rewrite(J, K)
-            for L in sorted(expansion, key=lambda L: L.mask):
-                rows.append((J, K, L, expansion[L]))
+    subsets = range(1 << (n - 1))
+    js = [_parse_subset("--J", j_filter, n).mask] if j_filter is not None else subsets
+    ks = [_parse_subset("--K", k_filter, n).mask] if k_filter is not None else subsets
+    # K grouped by size, in mask order, so that --degree visits only its pairs
+    by_size: dict[int, list[int]] = {}
+    for km in ks:
+        by_size.setdefault(km.bit_count(), []).append(km)
+    admitted = (lambda jm: ks) if degree is None else (lambda jm: by_size.get(degree - jm.bit_count(), []))
+    count = sum(len(admitted(jm)) for jm in js)
+    if count > MAX_TABLE_PAIRS:
+        raise click.ClickException(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
+    pairs = ((jm, km) for jm in js for km in admitted(jm))
+    rows = [
+        (jm, km, L, d)
+        for jm, km, expansion in structure_constants_rewrite_pairs(n, pairs)
+        for L, d in sorted([(L.mask, d) for L, d in expansion.items()])
+    ]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "J", "K", "L", "d"])
-        for J, K, L, d in rows:
-            writer.writerow([n, J.format(), K.format(), L.format(), str(d)])
+        name = functools.cache(lambda m: IndexSet.from_mask(n, m).format())
+        writer.writerows([n, name(J), name(K), name(L), str(d)] for J, K, L, d in rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(
-            {
-                "n": n,
-                "rows": [
-                    {"J": list(J.as_tuple()), "K": list(K.as_tuple()),
-                     "L": list(L.as_tuple()), "d": str(d)}
-                    for J, K, L, d in rows
-                ],
-            },
-            separators=(", ", ": "),
-        )
+        members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
+        json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)} for J, K, L, d in rows]
+        text = json.dumps({"n": n, "rows": json_rows}, separators=(", ", ": "))
     if out is None:
         click.echo(text, nl=(fmt == "json"))
     else:

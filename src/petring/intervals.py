@@ -90,9 +90,10 @@ class IndexSet:
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
-    @property
+    @functools.cached_property
     def mask(self) -> int:
-        """Bit mask with bit i-1 set for each member i; the canonical subset order."""
+        """Bit mask with bit i-1 set for each member i; the canonical subset
+        order.  Computed once per object."""
         mask = 0
         for m in self.members:
             mask |= 1 << (m - 1)

@@ -11,7 +11,8 @@ x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
 coefficient is a non-negative integer, on integers keyed by bit mask, and
 asserts that every division it makes is exact.  The rewrite engine,
 ``structure_constants_rewrite``, and the class algebra, ``multiply``, both
-fold generators into a combination of such classes with it.
+fold generators into a combination of such classes with it; for a table,
+``structure_constants_rewrite_pairs`` memoizes the folds over prefixes of K.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .errors import ConsistencyError, integer_constant
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
@@ -37,6 +38,7 @@ __all__ = [
     "multiply",
     "to_varpi_basis",
     "structure_constants_rewrite",
+    "structure_constants_rewrite_pairs",
     "integral",
     "pairing",
 ]
@@ -172,22 +174,44 @@ def _varpi_times_generator(terms: dict[int, int], i: int, n: int) -> dict[int, i
 
 
 def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    """Expansion of the product of the basis classes on J and K, computed by
-    the run-rule engine in integers: the class on J times the generators of
-    K, one at a time, then divided by m_factor(K), a division asserted to be
-    exact.  Values are asserted to be non-negative integers with support L
-    containing J | K and |L| = |J| + |K|."""
+    """Expansion of the product of the basis classes on J and K by the
+    run-rule engine: the class on J times the generators of K, one at a time."""
     J._check_same_rank(K)
-    n = J.n
-    terms = {J.mask: 1}
-    for k in K:
-        terms = _varpi_times_generator(terms, k, n)
-    m_K = m_factor(K)
-    union, degree = J.mask | K.mask, len(J) + len(K)
+    return _constants(J, K, _fold({0: {J.mask: 1}}, K.mask, J.n))
+
+
+def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, dict]]:
+    """:func:`structure_constants_rewrite` of each (J, K) bit-mask pair at
+    rank n, yielded as (J, K, expansion).  Consecutive pairs with the same J
+    share one memo of folds, so pairs in canonical order take one step each."""
+    memo_J = None
+    for J, K in pairs:
+        if J != memo_J:
+            memo_J, prefix, J_set = J, {0: {J: 1}}, IndexSet.from_mask(n, J)
+        yield J, K, _constants(J_set, IndexSet.from_mask(n, K), _fold(prefix, K, n))
+
+
+def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
+    """The class on J times the generators of the subset with mask K, in
+    increasing order: one step from the fold over K minus its top element,
+    memoized in ``prefix`` ({0: {J: 1}} at least); at most |K| steps."""
+    if K not in prefix:
+        top = K.bit_length()
+        prefix[K] = _varpi_times_generator(_fold(prefix, K ^ 1 << (top - 1), n), top, n)
+    return prefix[K]
+
+
+def _constants(J: IndexSet, K: IndexSet, terms: dict[int, int]) -> dict[IndexSet, int]:
+    """The folded terms divided by m_factor(K), asserted to be non-negative
+    integers with support L containing J | K and |L| = |J| + |K|."""
+    if not terms:
+        return {}
+    m_K = decompose_mask(K.mask).m_factor
+    union, degree = J.mask | K.mask, J.mask.bit_count() + K.mask.bit_count()
     out: dict[IndexSet, int] = {}
     for mask, coeff in terms.items():
-        L = IndexSet.from_mask(n, mask)
-        if mask & union != union or len(L) != degree:
+        L = IndexSet.from_mask(J.n, mask)
+        if mask & union != union or mask.bit_count() != degree:
             raise ConsistencyError(f"support condition violated for J={J}, K={K}: got L={L}")
         out[L] = integer_constant("rewrite", J, K, L, coeff, m_K)
     return out

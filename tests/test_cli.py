@@ -6,7 +6,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import petring.cli
-from petring.ring import scale
+from petring.intervals import IndexSet, all_index_sets
+from petring.ring import scale, structure_constants_rewrite
 
 from petring.cli import ExpansionRecord, compute_expansion, main
 from petring.errors import ConsistencyError
@@ -204,6 +205,153 @@ class TestTable:
         data = json.loads(out)
         assert data["n"] == 3
         assert {"J": [1], "K": [2], "L": [1, 2], "d": "2"} in data["rows"]
+
+
+def _pair_rows(n, J, K):
+    """The table rows of one pair by the single-pair engine, as CSV fields."""
+    expansion = structure_constants_rewrite(J, K)
+    return [[str(n), J.format(), K.format(), L.format(), str(expansion[L])]
+            for L in sorted(expansion, key=lambda L: L.mask)]
+
+
+def _table_filters(n):
+    """Filter arguments of `table`: none, every --degree (empty tables past
+    the top), and samples of --J, --K and --J with --K."""
+    names = [S.format() for S in all_index_sets(n)]
+    sample = names if n <= 5 else names[::7]
+    yield []
+    for degree in range(0, 2 * n):
+        yield ["--degree", str(degree)]
+    for j in sample:
+        yield ["--J", j]
+    for k in sample:
+        yield ["--K", k]
+    for j, k in zip(sample, reversed(sample)):
+        yield ["--J", j, "--K", k]
+    yield ["--J", names[-1], "--degree", str(n - 1)]
+
+
+class TestTableAgreesWithSinglePairs:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_row(self, capsys, n):
+        sets = list(all_index_sets(n))
+        for argv in _table_filters(n):
+            opts = dict(zip(argv[::2], argv[1::2]))
+            expected = [
+                row
+                for J in sets if opts.get("--J", J.format()) == J.format()
+                for K in sets if opts.get("--K", K.format()) == K.format()
+                if int(opts.get("--degree", len(J) + len(K))) == len(J) + len(K)
+                for row in _pair_rows(n, J, K)
+            ]
+            code, out, _ = run(capsys, "table", "-n", str(n), *argv)
+            assert code == 0
+            assert list(csv.reader(io.StringIO(out))) == [["n", "J", "K", "L", "d"]] + expected, argv
+            code, out, _ = run(capsys, "table", "-n", str(n), "--format", "json", *argv)
+            assert code == 0
+            data = json.loads(out)
+            assert data["n"] == n
+            as_lists = [[list(IndexSet.parse(r[i], n).as_tuple()) for i in (1, 2, 3)] + [r[4]] for r in expected]
+            assert [[r["J"], r["K"], r["L"], r["d"]] for r in data["rows"]] == as_lists, argv
+
+
+class TestTableCap:
+    def test_refused_before_computing(self, capsys, monkeypatch):
+        def no_computation(*args):
+            raise AssertionError("table computed a refused request")
+
+        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", no_computation)
+        code, out, err = run(capsys, "table", "-n", "12")
+        assert code == 1
+        assert out == ""
+        assert "4194304 (J, K) pairs" in err
+        assert f"cap of {petring.cli.MAX_TABLE_PAIRS}" in err
+        assert petring.cli.MAX_TABLE_PAIRS == 4**10
+
+    def test_full_rank_eleven_is_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", lambda n, pairs: iter(()))
+        assert run(capsys, "table", "-n", "11")[0] == 0
+
+    def test_degree_filter_visits_only_its_pairs(self, capsys):
+        # C(26, 3) = 2600 pairs, all nonzero at n = 14
+        code, out, _ = run(capsys, "table", "-n", "14", "--degree", "3")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len({(r["J"], r["K"]) for r in rows}) == 2600
+        assert {"n": "14", "J": "1,2", "K": "2", "L": "1,2,3", "d": "2"} in rows
+
+    def test_j_filter_at_top_rank(self, capsys):
+        # |J| = 3: the products with the 2^15 - 105 - 15 - 1 sets K of size <= 12 are nonzero
+        code, out, _ = run(capsys, "table", "-n", "16", "--J", "1,2,3")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len({r["K"] for r in rows}) == 32647
+        J, K = IndexSet.of(16, [1, 2, 3]), IndexSet.of(16, [3, 9, 15])
+        assert [[r["n"], r["J"], r["K"], r["L"], r["d"]] for r in rows if r["K"] == "3,9,15"] == _pair_rows(16, J, K)
+
+
+def _cached_and_rewrite(capsys, path, n, j, k):
+    """The terms of `expand --cached` and of `--method rewrite` for one pair."""
+    code, out, err = run(capsys, "expand", "-n", str(n), "-J", j, "-K", k, "--cached", str(path))
+    assert code == 0, err
+    cached = json.loads(out)
+    assert cached["method"] == "cached"
+    code, out, _ = run(capsys, "expand", "-n", str(n), "-J", j, "-K", k, "--method", "rewrite")
+    assert code == 0
+    return cached["terms"], json.loads(out)["terms"]
+
+
+class TestCachedLookup:
+    @pytest.fixture(scope="class")
+    def table5(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cache") / "table5.csv"
+        assert main(["table", "-n", "5", "--out", str(path)]) == 0
+        return path
+
+    def test_every_pair(self, capsys, table5):
+        for J in all_index_sets(5):
+            for K in all_index_sets(5):
+                cached, rewrite = _cached_and_rewrite(capsys, table5, 5, J.format(), K.format())
+                assert cached == rewrite, (J, K)
+
+    @pytest.mark.parametrize("j, k", [
+        ("-", "-"),          # the first pair
+        ("1,2,3,4", "-"),    # the last pair with rows
+        ("1", "2"),          # prefix-confusable with the next three
+        ("1", "2,3"),
+        ("1,2", "3"),
+        ("2", "1"),
+    ])
+    def test_explicit_pairs(self, capsys, table5, j, k):
+        cached, rewrite = _cached_and_rewrite(capsys, table5, 5, j, k)
+        assert cached == rewrite != []
+
+    def test_two_digit_members(self, capsys, tmp_path):
+        # K = 10 must not be read as K = 1, whose rows the filter left out
+        path = tmp_path / "t11.csv"
+        assert run(capsys, "table", "-n", "11", "--K", "10", "--out", str(path))[0] == 0
+        cached, rewrite = _cached_and_rewrite(capsys, path, 11, "1", "10")
+        assert cached == rewrite != []
+        code, out, err = run(capsys, "expand", "-n", "11", "-J", "1", "-K", "1", "--cached", str(path))
+        assert code == 1
+        assert out == ""
+        assert "no rows for J=1 K=1" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refuses_table_of_other_rank(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"t4.{fmt}"
+        assert run(capsys, "table", "-n", "4", "--format", fmt, "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"cache {path} is for rank 4, not 5" in err
+
+    def test_json_table(self, capsys, tmp_path):
+        path = tmp_path / "t5.json"
+        assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
+        for j, k in [("-", "-"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
+            cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
+            assert cached == rewrite != []
 
 
 class TestGroup:

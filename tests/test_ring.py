@@ -17,6 +17,7 @@ from petring.ring import (
     peterson_schubert_class,
     scale,
     structure_constants_rewrite,
+    structure_constants_rewrite_pairs,
     to_varpi_basis,
     unit,
     zero,
@@ -199,6 +200,36 @@ class TestStructureConstants:
                         assert len(L) == len(J) + len(K)
 
 
+    def test_pairs_agree_with_single_pairs_in_any_order(self):
+        n = 5
+        pairs = [(J, K) for J in range(16) for K in range(16)]
+        rng = random.Random(3)
+        for order in (pairs, pairs[::-1], rng.sample(pairs, len(pairs))):
+            for J, K, expansion in structure_constants_rewrite_pairs(n, order):
+                assert expansion == structure_constants_rewrite(IndexSet.from_mask(n, J), IndexSet.from_mask(n, K))
+
+    def test_pairs_take_one_step_per_pair_in_canonical_order(self, monkeypatch):
+        import petring.ring as ring
+
+        steps = []
+        step = ring._varpi_times_generator
+        monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
+        n = 7
+        full = [(J, K) for J in range(64) for K in range(64)]
+        list(structure_constants_rewrite_pairs(n, full))
+        assert len(steps) == 64 * 63
+        # filtered requests: never more than the |K| steps of a fold per pair
+        for pairs in (
+            [(J, K) for J, K in full if J.bit_count() + K.bit_count() == 4],
+            [(J, 0b101101) for J in range(64)],
+            [(0b11, K) for K in range(64) if K.bit_count() == 3],
+            [(5, 0b111000)],
+        ):
+            steps.clear()
+            list(structure_constants_rewrite_pairs(n, pairs))
+            assert 0 < len(steps) <= sum(K.bit_count() for _, K in pairs)
+        assert steps == [4, 5, 6]
+
     def test_inexact_step_raises(self, monkeypatch):
         # a run step whose weights are off by a factor 7 cannot stay integral
         import petring.ring as ring
@@ -210,6 +241,8 @@ class TestStructureConstants:
         monkeypatch.setattr(ring, "run_step", off)
         with pytest.raises(ConsistencyError, match="not integral"):
             structure_constants_rewrite(IndexSet.of(3, [1]), IndexSet.of(3, [1]))
+        with pytest.raises(ConsistencyError, match="not integral"):
+            list(structure_constants_rewrite_pairs(3, [(0, 1), (1, 1)]))
         # the class algebra takes the same step
         g1 = monomial(IndexSet.of(3, [1]))
         with pytest.raises(ConsistencyError, match="not integral"):
