@@ -187,8 +187,9 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     """The (L, d) fields of the rows for (J, K) in a table file of rank n.
     A CSV table is scanned for the raw line prefix "n,J,K,", written by the
     same csv.writer as the table so that the quoting matches; the scan checks
-    the rank of every line it reads and stops after the matching block, since
-    rows are in canonical order.  A JSON table is loaded whole."""
+    the rank of every line it reads and stops after the matching block, or
+    after the block of J's rows if none matches, since rows are in canonical
+    order.  A JSON table is loaded whole."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
@@ -197,17 +198,22 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         key = [list(J.as_tuple()), list(K.as_tuple())]
         return [[_format_list(r["L"]), r["d"]] for r in data["rows"] if [r["J"], r["K"]] == key]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([n, J.format(), K.format()])
-    rank, prefix = f"{n},", buf.getvalue() + ","
+    csv.writer(buf, lineterminator=",\n").writerows([[n, J.format()], [n, J.format(), K.format()]])
+    rank, (j_prefix, prefix) = f"{n},", buf.getvalue().splitlines()
     rows: list[list[str]] = []
+    in_J = False
     with open(path, newline="") as fh:
         next(fh, None)  # the header
         for line in fh:
             if not line.startswith(rank):
                 raise click.UsageError(f"cache {path} is for rank {line.split(',', 1)[0]}, not {n}")
-            if line.startswith(prefix):
-                rows.append(next(csv.reader([line[len(prefix):]])))
-            elif rows:
+            if line.startswith(j_prefix):
+                in_J = True
+                if line.startswith(prefix):
+                    rows.append(next(csv.reader([line[len(prefix):]])))
+                elif rows:
+                    break
+            elif in_J:
                 break
     return rows
 
@@ -276,14 +282,18 @@ def cmd_verify(n_max: int, jobs: int) -> None:
 
 def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
     """The checks of `verify` for ranks 1..n_max; the pair sweep of each
-    rank is split into ``jobs`` contiguous blocks, mapped by ``sweep``.
-    Prints one line per check and returns the failure lines."""
+    rank is split into ``jobs`` contiguous blocks and, with the graded
+    dimensions, mapped by ``sweep`` for every rank before any result is
+    read.  Prints one line per check and returns the failure lines."""
     failures: list[str] = []
+    mapped = []
     for n in range(1, n_max + 1):
         masks = [(jm, km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))]
         step = (len(masks) + jobs - 1) // jobs
         blocks = [masks[i : i + step] for i in range(0, len(masks), step)]
-        chunks = list(sweep(_verify_chunk, [n] * len(blocks), blocks))
+        mapped.append((n, sweep(_verify_chunk, [n] * len(blocks), blocks),
+                       sweep(quotient_dimension, [n] * (n + 2), range(n + 2))))
+    for n, chunks, dims in mapped:
         names = {J.mask: J.format() for J in all_index_sets(n)}
         results: dict[tuple[int, int], dict] = {}
         for chunk in chunks:
@@ -295,12 +305,9 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
         for (jm, km), expansion in results.items():
             if results.get((km, jm)) != expansion:
                 failures.append(f"n={n} J={names[jm]} K={names[km]}: expansion not symmetric")
-        click.echo(f"n={n}: {len(masks)} (J,K) pairs cross-checked over three engines")
+        click.echo(f"n={n}: {4 ** (n - 1)} (J,K) pairs cross-checked over three engines")
 
-        dims_ok = all(
-            quotient_dimension(n, d) == (math.comb(n - 1, d) if d <= n - 1 else 0)
-            for d in range(0, n + 2)
-        )
+        dims_ok = all(dim == (math.comb(n - 1, d) if d <= n - 1 else 0) for d, dim in enumerate(dims))
         if not dims_ok:
             failures.append(f"n={n}: graded dimensions do not match binomials")
         click.echo(f"n={n}: graded dimensions 0..{n + 1} {'OK' if dims_ok else 'FAIL'}")

@@ -10,18 +10,23 @@ with the boundary convention g_0 = g_n = 0.  No run-rule rewriting is used
 anywhere in this module, so its structure constants are an independent
 cross-check of the rewrite engine.
 
-A normal form is built one generator at a time, using
-NF(g_i * m) = NF(g_i * NF(m)), which holds because the relations generate an
-ideal.  Each step eliminates only the relation rows that its non-square-free
-terms reach, exactly (integer rows with content normalization).  The full
-degree-d relation matrix is eliminated, and memoized per (n, degree), only
-by ``quotient_dimension``: its graded dimensions certify that the
-square-free monomials form a basis, so the normal forms are unique.  That
-elimination takes each non-square-free monomial's own relation row (the one
-whose 2*g_j^2 term it is) first and stops once every column has a pivot.
-The rank is exact all the same: the row order does not change the row
-space, and the rank cannot exceed the number of columns.  Below the top
-degree the square-free columns never get a pivot, so every row is reduced.
+Normal forms fold over a memoized table: the entry NF(g_i * x_S) for i in S,
+keyed by (n, i, S mask), is an integer row keyed by mask over one
+denominator, built by eliminating only the relation rows that the
+non-square-free terms of g_i * x_S reach; a non-square-free leftover raises
+PresentationError.  As NF(g_i * m) = NF(g_i * NF(m)) and NF is linear, a
+normal form takes each extra generator of a monomial's square-free part
+through the table (g_i * x_S = x_{S+i} for i not in S), on integers over one
+common denominator whose content is divided out after each step, and is
+memoized on (n, exponents).  The full degree-d relation matrix is
+eliminated, and memoized per (n, degree), only by ``quotient_dimension``:
+its graded dimensions certify that the square-free monomials form a basis,
+so the normal forms are unique.  That elimination takes each non-square-free
+monomial's own relation row (the one whose 2*g_j^2 term it is) first and
+stops once every column has a pivot.  The rank is exact all the same: the
+row order does not change the row space, and the rank cannot exceed the
+number of columns.  Below the top degree the square-free columns never get a
+pivot, so every row is reduced.
 """
 
 from __future__ import annotations
@@ -266,58 +271,64 @@ def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, di
     return tuple(cols), _echelon(rows, len(cols))
 
 
-def _times_generator(vec: dict[Exponents, int], i: int) -> tuple[dict[Exponents, int], int]:
-    """g_i times a square-free integer vector, reduced modulo the relations;
-    returns (row, denominator).
+@functools.lru_cache(maxsize=None)
+def _step(n: int, i: int, S: int) -> tuple[dict[int, int], int]:
+    """The table entry NF(g_i * x_S) for i in the subset with mask S: an
+    integer row keyed by mask, and its denominator.
 
-    Each non-square-free monomial that appears, starting from those of the
-    product, brings in the one relation row whose 2*g_j^2 term it is, until
-    no row brings in a new one.  Only these rows are eliminated, with the
-    non-square-free columns first so that the pivots land on them.
+    Each non-square-free monomial that appears, starting from g_i * x_S,
+    brings in the one relation row whose 2*g_j^2 term it is, until no row
+    brings in a new one.  Only these rows are eliminated, with the
+    non-square-free columns first so that the pivots land on them; a
+    non-square-free monomial left over raises PresentationError.
     """
-    product = {_bump(mono, i, 1): v for mono, v in vec.items()}
+    product = _bump(tuple(S >> k & 1 for k in range(n - 1)), i, 1)
     relations: dict[Exponents, dict[Exponents, int]] = {}
-    todo = list(product)
+    todo = [product]
     while todo:
         mono = todo.pop()
         if _squared(mono) and mono not in relations:
             relations[mono] = _own_row(mono)
             todo.extend(relations[mono])
-    others = set(product).union(*relations.values()).difference(relations)
+    others = {product}.union(*relations.values()).difference(relations)
     cols = sorted(relations) + sorted(others)
     col_index = {mono: idx for idx, mono in enumerate(cols)}
     pivots = _echelon(
         ({col_index[t]: v for t, v in relations[mono].items()} for mono in cols[: len(relations)]),
         len(cols),
     )
-    reduced, denom, _ = _reduce_row(
-        {col_index[mono]: v for mono, v in product.items()}, pivots, stop_at_new_lead=False
-    )
-    return {cols[c]: v for c, v in reduced.items()}, denom
+    reduced, denom, _ = _reduce_row({col_index[product]: 1}, pivots, stop_at_new_lead=False)
+    leftover = [cols[c] for c in reduced if _squared(cols[c])]
+    if leftover:
+        raise PresentationError(f"monomial {leftover[0]} at rank {n}, degree {S.bit_count() + 1} is neither "
+                                "square-free nor eliminated: the relations are incomplete here")
+    return {sum(e << k for k, e in enumerate(cols[c])): v for c, v in reduced.items()}, denom
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_form(n: int, exps: Exponents) -> dict[IndexSet, Fraction]:
+    """NF of the monomial with these exponents: the table folded over its
+    extra generators on integers, over one common denominator."""
+    terms, denom = {sum(1 << k for k, e in enumerate(exps) if e): 1}, 1
+    for i, e in enumerate(exps, start=1):
+        bit = 1 << (i - 1)
+        for _ in range(e - 1):
+            steps = [(v, *(_step(n, i, S) if S & bit else ({S | bit: 1}, 1))) for S, v in terms.items()]
+            scale = math.lcm(*(d for _, _, d in steps))
+            out: dict[int, int] = {}
+            for v, row, d in steps:
+                for L, w in row.items():
+                    out[L] = out.get(L, 0) + v * w * (scale // d)
+            g = math.gcd(denom * scale, *out.values())
+            terms, denom = {L: v // g for L, v in out.items() if v}, denom * scale // g
+    return {IndexSet.from_mask(n, S): Fraction(v, denom) for S, v in terms.items()}
 
 
 def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
     """The unique expression of a monomial as a rational combination of
-    square-free monomials modulo the relation ideal.
-
-    Starts from the square-free part of the monomial and multiplies in the
-    remaining generators one at a time, reducing after each step; no full
-    (n, degree) matrix is built."""
-    vec, denom = {tuple(min(e, 1) for e in m.exponents): 1}, 1
-    for i, e in enumerate(m.exponents, start=1):
-        for _ in range(e - 1):
-            vec, scale = _times_generator(vec, i)
-            denom *= scale
-            leftover = [mono for mono in vec if _squared(mono)]
-            if leftover:
-                raise PresentationError(
-                    f"monomial {leftover[0]} at rank {m.n}, degree {m.degree} is neither "
-                    "square-free nor eliminated: the relations are incomplete here"
-                )
-    return {
-        IndexSet(m.n, frozenset(i + 1 for i, e in enumerate(mono) if e)): Fraction(v, denom)
-        for mono, v in vec.items()
-    }
+    square-free monomials modulo the relation ideal, memoized on (n,
+    exponents); no full (n, degree) matrix is built."""
+    return dict(_normal_form(m.n, m.exponents))
 
 
 def quotient_dimension(n: int, d: int) -> int:
@@ -343,5 +354,5 @@ def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, Fract
     for i in K:
         exps[i - 1] += 1
     nf = normal_form(Monomial(n, tuple(exps)))
-    scale = Fraction(1, m_factor(J) * m_factor(K))
-    return {L: coeff * m_factor(L) * scale for L, coeff in nf.items() if coeff}
+    m_JK = m_factor(J) * m_factor(K)
+    return {L: Fraction(c.numerator * m_factor(L), c.denominator * m_JK) for L, c in nf.items()}

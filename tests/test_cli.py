@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -6,6 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import petring.cli
+from petring import oracle
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import scale, structure_constants_rewrite
 
@@ -154,6 +156,41 @@ class TestVerify:
         assert "FAIL n=5 J=1,3 K=2: injected" in err.splitlines()
         assert "FAIL n=5 J=2 K=1,3: expansion not symmetric" in err.splitlines()
         assert "FAIL" not in out
+
+
+    def test_corrupted_table_entry_detected(self, capsys, monkeypatch):
+        # one wrong one-generator step, NF(g_2 * x_{2}) at rank 4, shows up
+        # as a disagreement of linalg with the other engines
+        step = oracle._step.__wrapped__
+
+        def corrupted(n, i, S):
+            row, denom = step(n, i, S)
+            return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
+
+        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(oracle._normal_form.__wrapped__))
+        code, out, err = run(capsys, "verify", "--n-max", "4")
+        assert code == 2
+        assert "FAIL n=4 J=2 K=2: engines disagree" in err
+        assert "n=3: top-degree evaluation OK" in out
+
+    def test_every_map_issued_before_any_result_is_read(self, capsys):
+        # the pair blocks and graded dimensions of all ranks go to the pool
+        # at once, so no worker waits for the parent's checks
+        issued = []
+
+        def sweep(fn, *args):
+            issued.append(fn)
+
+            def results():
+                assert len(issued) == 2 * 4
+                yield from map(fn, *args)
+
+            return results()
+
+        assert petring.cli._verify_ranks(4, 1, sweep) == []
+        assert issued == [petring.cli._verify_chunk, oracle.quotient_dimension] * 4
+        assert "n=4: graded dimensions 0..5 OK" in capsys.readouterr().out
 
 
 class TestTable:
@@ -336,6 +373,22 @@ class TestCachedLookup:
         assert code == 1
         assert out == ""
         assert "no rows for J=1 K=1" in err
+
+    def test_zero_product_stops_after_its_J_block(self, capsys, tmp_path):
+        # a line of another rank after the last row: a zero product on an
+        # early J stops before it, one whose scan reaches it still refuses
+        path = tmp_path / "t5.csv"
+        assert run(capsys, "table", "-n", "5", "--out", str(path))[0] == 0
+        with open(path, "a") as fh:
+            fh.write("4,-,-,-,1\n")
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "1,2,3,4", "--cached", str(path))
+        assert code == 0, err
+        assert json.loads(out)["terms"] == []
+        assert petring.cli._read_table(str(path), 5, IndexSet.of(5, [1, 2]), IndexSet.of(5, [1, 3, 4])) == []
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1,2,3,4", "-K", "1", "--cached", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"cache {path} is for rank 4, not 5" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refuses_table_of_other_rank(self, capsys, tmp_path, fmt):

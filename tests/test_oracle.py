@@ -1,9 +1,13 @@
+import ast
+import functools
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
 from petring import oracle
+from petring.errors import PresentationError
 from petring.intervals import IndexSet, all_index_sets
 from petring.oracle import (
     Monomial,
@@ -103,6 +107,64 @@ class TestNormalForm:
         before = oracle._reduced_pivots.cache_info()
         structure_constants_linalg(J, K)
         assert oracle._reduced_pivots.cache_info() == before
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """Empty table and normal-form memos for one test, so that a patched
+    entry or relation is neither read from nor left in the shared caches."""
+    for name in ("_step", "_normal_form"):
+        monkeypatch.setattr(oracle, name, functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
+
+
+class TestTable:
+    def test_entries_match_full_elimination(self):
+        # every entry NF(g_i * x_S) for n <= 7, against reduction by the
+        # echelon form of the whole degree-(|S|+1) matrix
+        for n in range(2, 8):
+            for S in range(1 << (n - 1)):
+                cols, pivots = oracle._reduced_pivots(n, S.bit_count() + 1)
+                col_index = {mono: idx for idx, mono in enumerate(cols)}
+                for i in (k + 1 for k in range(n - 1) if S >> k & 1):
+                    product = oracle._bump(tuple(S >> k & 1 for k in range(n - 1)), i, 1)
+                    vec, denom, _ = oracle._reduce_row({col_index[product]: 1}, pivots, stop_at_new_lead=False)
+                    expected = {sum(e << k for k, e in enumerate(cols[c])): Fraction(v, denom) for c, v in vec.items()}
+                    row, d = oracle._step(n, i, S)
+                    assert {L: Fraction(v, d) for L, v in row.items()} == expected, (n, i, S)
+
+    def test_transposed_pairs_share_one_reduction(self, fresh_table):
+        J, K = IndexSet.of(8, [1, 2, 3]), IndexSet.of(8, [2, 3, 5])
+        assert structure_constants_linalg(J, K) == structure_constants_linalg(K, J)
+        info = oracle._normal_form.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # two table entries: g_2 on x_{1,2,3,5}, then g_3 on the one term
+        # that the first step leaves
+        assert oracle._step.cache_info().currsize == 2
+
+    def test_dropped_relation_term_raises(self, fresh_table, monkeypatch):
+        # without its 2*g_j^2 term a relation row cannot eliminate that
+        # monomial, so building the entry must refuse
+        own_row = oracle._own_row
+        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        with pytest.raises(PresentationError, match="neither square-free nor eliminated"):
+            oracle._step(4, 2, 0b010)
+        with pytest.raises(PresentationError):
+            structure_constants_linalg(IndexSet.of(4, [2]), IndexSet.of(4, [2]))
+
+    def test_independent_of_the_run_rule(self):
+        # linalg is a cross-check only while it never uses the run rule
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+        assert not imported & {"ring", "diagrams", "run_step"}
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "run_step" not in names
 
 
 class TestElimination:

@@ -248,6 +248,24 @@ class TestStructureConstants:
         with pytest.raises(ConsistencyError, match="not integral"):
             multiply(g1, g1)
 
+    def test_inexact_division_by_m_K_raises(self, monkeypatch):
+        # m_K read as 2 for K = {1}: the fold's term 1 on L = {1,3} is not a
+        # multiple of it, and the division must say so rather than round
+        import dataclasses
+
+        import petring.ring as ring
+
+        def doubled(mask, decompose=ring.decompose_mask):
+            found = decompose(mask)
+            return dataclasses.replace(found, m_factor=2) if mask == 0b1 else found
+
+        monkeypatch.setattr(ring, "decompose_mask", doubled)
+        J, K = IndexSet.of(5, [3]), IndexSet.of(5, [1])
+        with pytest.raises(ConsistencyError, match=r"d = 1/2 for J=3, K=1, L=1,3"):
+            structure_constants_rewrite(J, K)
+        with pytest.raises(ConsistencyError, match=r"d = 1/2 for J=3, K=1, L=1,3"):
+            list(structure_constants_rewrite_pairs(5, [(J.mask, K.mask)]))
+
     def test_integer_check_names_subsets(self):
         J, K, L = IndexSet.of(4, [1]), IndexSet.of(4, [2]), IndexSet.of(4, [1, 2])
         assert integer_constant("rewrite", J, K, L, 6, 3) == 2
