@@ -17,13 +17,14 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import click
 
 from .diagrams import enumerate_diagrams, expand_all, render_ascii, structure_constant, weight
-from .errors import ConsistencyError, PresentationError, integer_constant
+from .errors import ConsistencyError, PresentationError
 from .intervals import (
     IndexSet,
     all_index_sets,
@@ -102,11 +103,6 @@ def _sorted_terms(expansion: dict[IndexSet, int]) -> list[dict]:
     ]
 
 
-def _linalg_integer(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    linalg = structure_constants_linalg(J, K)
-    return {L: integer_constant("linalg", J, K, L, coeff) for L, coeff in linalg.items()}
-
-
 def compute_expansion(J: IndexSet, K: IndexSet, method: str) -> dict[IndexSet, int]:
     """Run one engine, or all three with an exact-agreement check."""
     if method == "diagram":
@@ -114,11 +110,11 @@ def compute_expansion(J: IndexSet, K: IndexSet, method: str) -> dict[IndexSet, i
     if method == "rewrite":
         return structure_constants_rewrite(J, K)
     if method == "linalg":
-        return _linalg_integer(J, K)
+        return structure_constants_linalg(J, K)
     if method == "all":
         by_diagram = expand_all(J, K)
         by_rewrite = structure_constants_rewrite(J, K)
-        by_linalg = _linalg_integer(J, K)
+        by_linalg = structure_constants_linalg(J, K)
         if not (by_diagram == by_rewrite == by_linalg):
             raise ConsistencyError(
                 f"engines disagree for J={J}, K={K}: "
@@ -263,8 +259,10 @@ def cmd_verify(n_max: int, jobs: int) -> None:
     combinatorics for every rank up to --n-max."""
     if not 1 <= n_max <= MAX_VERIFY_RANK:
         raise click.UsageError(f"--n-max must be in [1, {MAX_VERIFY_RANK}]")
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
+    # a process pool starts all its workers at once: refuse more than the CPUs
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise click.UsageError(f"--jobs must be in [1, {cpus}], the number of CPUs")
     if jobs == 1:
         failures = _verify_ranks(n_max, jobs, map)
     else:
@@ -369,28 +367,45 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     if count > MAX_TABLE_PAIRS:
         raise click.ClickException(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
     pairs = ((jm, km) for jm in js for km in admitted(jm))
-    rows = [
+    rows = (
         (jm, km, L, d)
         for jm, km, expansion in structure_constants_rewrite_pairs(n, pairs)
         for L, d in sorted([(L.mask, d) for L, d in expansion.items()])
-    ]
+    )
+    if out is None:
+        _write_table(sys.stdout, n, fmt, rows)
+        return
+    # written beside --out and moved over it only once complete, so that a
+    # failing table leaves neither a partial file nor a clobbered one
+    partial = f"{out}.{os.getpid()}.tmp"
+    fh = open(partial, "x")
+    try:
+        with fh:
+            written = _write_table(fh, n, fmt, rows)
+        os.replace(partial, out)
+    except BaseException:
+        os.remove(partial)
+        raise
+    click.echo(f"wrote {written} rows to {out}")
+
+
+def _write_table(fh, n: int, fmt: str, rows) -> int:
+    """Write the (J, K, L, d) mask rows of a rank-n table to ``fh`` and
+    return their number.  CSV rows are written as they come; a JSON table is
+    built whole, then written with a final newline."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "J", "K", "L", "d"])
         name = functools.cache(lambda m: IndexSet.from_mask(n, m).format())
-        writer.writerows([n, name(J), name(K), name(L), str(d)] for J, K, L, d in rows)
-        text = buf.getvalue()
-    else:
-        members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
-        json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)} for J, K, L, d in rows]
-        text = json.dumps({"n": n, "rows": json_rows}, separators=(", ", ": "))
-    if out is None:
-        click.echo(text, nl=(fmt == "json"))
-    else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") or fmt == "csv" else text + "\n")
-        click.echo(f"wrote {len(rows)} rows to {out}")
+        count = 0
+        for J, K, L, d in rows:
+            writer.writerow([n, name(J), name(K), name(L), str(d)])
+            count += 1
+        return count
+    members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
+    json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)} for J, K, L, d in rows]
+    fh.write(json.dumps({"n": n, "rows": json_rows}, separators=(", ", ": ")) + "\n")
+    return len(json_rows)
 
 
 @cli.command("group")

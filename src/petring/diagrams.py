@@ -11,10 +11,19 @@ successful when every row has moved, which forces the final shading to be
 exactly L.  The game is played on bit masks and carries the product of the
 row weights.  Structure constants are the weight sums scaled by
 m_factor(L) / (m_factor(J) * m_factor(K)).
+
+The unrestricted game of ``expand_all`` depends on (J, K) only through its
+starting shading J | K and its marked rows J & K, so its unscaled weight
+sums per final shading are memoized on (n, J | K, J & K): the 4^(n-1) pairs
+of rank n share 3^(n-1) games, and only the scaling is done per pair.
+``enumerate_diagrams`` plays its game, restricted to the columns of L,
+afresh on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -66,24 +75,39 @@ class LeftRightDiagram:
     weight: Fraction
 
 
-def _games(J: IndexSet, K: IndexSet, allowed: int) -> list[tuple[int, tuple, Fraction]]:
-    """Every successful game from the shading J | K whose darkly-shaded
-    columns lie in the mask ``allowed``, in LEFT-before-RIGHT order, as
-    (final shading mask, rows, weight).  A row is the step it played,
-    (element, a, b, target, num, den), of weight num/den; the game carries
-    the product of its row weights."""
-    J._check_same_rank(K)
-    games = [(J.mask | K.mask, (), 1, 1)]
-    for element in sorted(J.intersection(K)):
+def _games(n: int, start: int, marked: int, allowed: int) -> list[tuple[int, tuple, int, int]]:
+    """Every successful game at rank n from the shading mask ``start``,
+    playing one row per member of the mask ``marked`` in increasing order,
+    whose darkly-shaded columns lie in the mask ``allowed``, in
+    LEFT-before-RIGHT order, as (final shading mask, rows, num, den).  A row
+    is the step it played, (element, a, b, target, num, den), of weight
+    num/den; the game carries the product num/den of its row weights."""
+    games = [(start, (), 1, 1)]
+    for element in (k + 1 for k in range(marked.bit_length()) if marked >> k & 1):
         played = []
         for shading, rows, num, den in games:
-            a, b, row_den, moves = run_step(shading, element, J.n)
+            a, b, row_den, moves = run_step(shading, element, n)
             for target, row_num in moves:
                 if allowed >> (target - 1) & 1:
                     row = (element, a, b, target, row_num, row_den)
                     played.append((shading | 1 << (target - 1), rows + (row,), num * row_num, den * row_den))
         games = played
-    return [(shading, rows, Fraction(num, den)) for shading, rows, num, den in games]
+    return games
+
+
+@functools.lru_cache(maxsize=None)
+def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The unrestricted game from the shading mask ``start`` with the rows
+    of the mask ``marked`` (any column in {1, ..., n-1} may be darkly
+    shaded; branches that hit a boundary die): its unscaled weight sum per
+    final shading mask, in order of first appearance, as (mask, numerator)
+    pairs over one common denominator, which is returned with them."""
+    games = _games(n, start, marked, allowed=-1)
+    denom = math.lcm(*(den for _, _, _, den in games))
+    sums: dict[int, int] = {}
+    for final, _, num, den in games:
+        sums[final] = sums.get(final, 0) + num * (denom // den)
+    return tuple(sums.items()), denom
 
 
 def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightDiagram]:
@@ -95,13 +119,13 @@ def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightD
     if not (union.issubset(L) and len(L) == len(J) + len(K)):
         return []
     diagrams = []
-    for shading, played, wt in _games(J, K, L.mask & ~union.mask):
+    for shading, played, num, den in _games(J.n, union.mask, J.mask & K.mask, L.mask & ~union.mask):
         assert shading == L.mask  # forced: each row adds one new column
         rows = tuple(
-            GameRow(element, (a, b), Move.LEFT if target < a else Move.RIGHT, target, Fraction(num, den))
-            for element, a, b, target, num, den in played
+            GameRow(element, (a, b), Move.LEFT if target < a else Move.RIGHT, target, Fraction(row_num, row_den))
+            for element, a, b, target, row_num, row_den in played
         )
-        diagrams.append(LeftRightDiagram(J.n, J, K, L, rows, wt))
+        diagrams.append(LeftRightDiagram(J.n, J, K, L, rows, Fraction(num, den)))
     return diagrams
 
 
@@ -118,17 +142,16 @@ def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
 
 
 def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    """The full expansion of the product: play the unrestricted game (any
-    column in {1, ..., n-1} may be darkly shaded; branches that hit a
-    boundary die), group terminal shadings, and scale each group."""
-    sums: dict[int, Fraction] = {}
-    for shading, _, wt in _games(J, K, allowed=-1):  # every column
-        sums[shading] = sums.get(shading, 0) + wt
-    m_JK = m_factor(J) * m_factor(K)
+    """The full expansion of the product: the memoized weight sums of the
+    unrestricted game from J | K with the rows of J & K, each scaled by
+    m_factor(L) / (m_factor(J) * m_factor(K))."""
+    J._check_same_rank(K)
+    sums, denom = _game_sums(J.n, J.mask | K.mask, J.mask & K.mask)
+    divisor = denom * m_factor(J) * m_factor(K)
     out: dict[IndexSet, int] = {}
-    for shading, total in sums.items():
+    for shading, total in sums:
         L = IndexSet.from_mask(J.n, shading)
-        value = integer_constant("diagram", J, K, L, m_factor(L) * total, m_JK)
+        value = integer_constant("diagram", J, K, L, m_factor(L) * total, divisor)
         if value:
             out[L] = value
     return out

@@ -18,15 +18,19 @@ PresentationError.  As NF(g_i * m) = NF(g_i * NF(m)) and NF is linear, a
 normal form takes each extra generator of a monomial's square-free part
 through the table (g_i * x_S = x_{S+i} for i not in S), on integers over one
 common denominator whose content is divided out after each step, and is
-memoized on (n, exponents).  The full degree-d relation matrix is
-eliminated, and memoized per (n, degree), only by ``quotient_dimension``:
-its graded dimensions certify that the square-free monomials form a basis,
-so the normal forms are unique.  That elimination takes each non-square-free
-monomial's own relation row (the one whose 2*g_j^2 term it is) first and
-stops once every column has a pivot.  The rank is exact all the same: the
-row order does not change the row space, and the rank cannot exceed the
-number of columns.  Below the top degree the square-free columns never get a
-pivot, so every row is reduced.
+memoized on (n, exponents) as that integer row and denominator.
+``structure_constants_linalg`` reads the row directly and returns integer
+constants, each checked here to be a non-negative integer;
+``normal_form`` converts the row to Fractions for its callers.
+
+The full degree-d relation matrix is eliminated, and memoized per (n,
+degree), only by ``quotient_dimension``: its graded dimensions certify that
+the square-free monomials form a basis, so the normal forms are unique.
+That elimination takes each non-square-free monomial's own relation row
+(the one whose 2*g_j^2 term it is) first and stops once every column has a
+pivot.  The rank is exact all the same: the row order does not change the
+row space, and the rank cannot exceed the number of columns.  Below the top
+degree the square-free columns never get a pivot, so every row is reduced.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable
 
-from .errors import PresentationError
+from .errors import PresentationError, integer_constant
 from .intervals import IndexSet, m_factor
 
 __all__ = [
@@ -306,9 +310,10 @@ def _step(n: int, i: int, S: int) -> tuple[dict[int, int], int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _normal_form(n: int, exps: Exponents) -> dict[IndexSet, Fraction]:
+def _normal_form(n: int, exps: Exponents) -> tuple[tuple[tuple[int, int], ...], int]:
     """NF of the monomial with these exponents: the table folded over its
-    extra generators on integers, over one common denominator."""
+    extra generators on integers, over one common denominator.  Returns the
+    row as (mask, numerator) pairs, and the denominator."""
     terms, denom = {sum(1 << k for k, e in enumerate(exps) if e): 1}, 1
     for i, e in enumerate(exps, start=1):
         bit = 1 << (i - 1)
@@ -321,14 +326,15 @@ def _normal_form(n: int, exps: Exponents) -> dict[IndexSet, Fraction]:
                     out[L] = out.get(L, 0) + v * w * (scale // d)
             g = math.gcd(denom * scale, *out.values())
             terms, denom = {L: v // g for L, v in out.items() if v}, denom * scale // g
-    return {IndexSet.from_mask(n, S): Fraction(v, denom) for S, v in terms.items()}
+    return tuple(terms.items()), denom
 
 
 def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
     """The unique expression of a monomial as a rational combination of
     square-free monomials modulo the relation ideal, memoized on (n,
     exponents); no full (n, degree) matrix is built."""
-    return dict(_normal_form(m.n, m.exponents))
+    row, denom = _normal_form(m.n, m.exponents)
+    return {IndexSet.from_mask(m.n, S): Fraction(v, denom) for S, v in row}
 
 
 def quotient_dimension(n: int, d: int) -> int:
@@ -339,20 +345,21 @@ def quotient_dimension(n: int, d: int) -> int:
     return len(cols) - len(pivots)
 
 
-def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, Fraction]:
+def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     """Expansion of the product of the basis classes on J and K via normal
-    forms, with no use of the run rule."""
+    forms, with no use of the run rule: d_JK^L = v * m_factor(L) /
+    (denominator * m_factor(J) * m_factor(K)) for the row entry v on L,
+    checked to be a non-negative integer."""
     J._check_same_rank(K)
     n = J.n
     if len(J) + len(K) > n - 1:
         # the quotient vanishes above the top degree (its graded dimension is
         # the number of square-free supports, checked by quotient_dimension)
         return {}
-    exps = [0] * (n - 1)
-    for i in J:
-        exps[i - 1] += 1
-    for i in K:
-        exps[i - 1] += 1
-    nf = normal_form(Monomial(n, tuple(exps)))
-    m_JK = m_factor(J) * m_factor(K)
-    return {L: Fraction(c.numerator * m_factor(L), c.denominator * m_JK) for L, c in nf.items()}
+    row, denom = _normal_form(n, tuple((J.mask >> k & 1) + (K.mask >> k & 1) for k in range(n - 1)))
+    divisor = denom * m_factor(J) * m_factor(K)
+    out: dict[IndexSet, int] = {}
+    for S, v in row:
+        L = IndexSet.from_mask(n, S)
+        out[L] = integer_constant("linalg", J, K, L, v * m_factor(L), divisor)
+    return out

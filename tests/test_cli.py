@@ -144,6 +144,17 @@ class TestVerify:
     def test_guard(self, capsys):
         assert run(capsys, "verify", "--n-max", "9")[0] == 1
 
+    def test_jobs_above_cpu_count_refused_before_any_pool(self, capsys, monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        code, out, err = run(capsys, "verify", "--n-max", "3", "--jobs", "3")
+        assert code == 1
+        assert out == ""
+        assert "--jobs must be in [1, 2]" in err
+
     def test_failure_names_subsets(self, capsys, monkeypatch):
         def faulty(J, K, method):
             if J.format() == "1,3" and K.format() == "2":
@@ -193,6 +204,20 @@ class TestVerify:
         assert "n=4: graded dimensions 0..5 OK" in capsys.readouterr().out
 
 
+def _failing_after(count):
+    """The table's rewrite fold, raising ConsistencyError in place of its
+    pair number ``count``."""
+    rewrite_pairs = petring.cli.structure_constants_rewrite_pairs
+
+    def failing(n, pairs):
+        for k, item in enumerate(rewrite_pairs(n, pairs)):
+            if k == count:
+                raise ConsistencyError("injected")
+            yield item
+
+    return failing
+
+
 class TestTable:
     def test_contains_known_row(self, capsys):
         code, out, _ = run(capsys, "table", "-n", "4")
@@ -222,6 +247,34 @@ class TestTable:
         data = json.loads(out)
         assert data["method"] == "cached"
         assert data["terms"] == [{"L": [1, 2], "coeff": "2"}]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_table_keeps_existing_out(self, capsys, monkeypatch, tmp_path, fmt):
+        path = tmp_path / "table.out"
+        path.write_bytes(b"an earlier table\n")
+        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", _failing_after(20))
+        code, out, err = run(capsys, "table", "-n", "4", "--format", fmt, "--out", str(path))
+        assert code == 2
+        assert "injected" in err
+        assert path.read_bytes() == b"an earlier table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.out"]
+
+    def test_csv_rows_stream_to_stdout(self, capsys, monkeypatch):
+        # rows are written as the pairs come, not after the last one
+        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", _failing_after(20))
+        code, out, _ = run(capsys, "table", "-n", "4")
+        assert code == 2
+        assert out.startswith("n,J,K,L,d\n4,-,-,-,1\n")
+        # pair 19 is J = 2, K = 1,2; pair 20 is J = 2, K = 3
+        assert out.endswith('4,2,"1,2","1,2,3",2\n')
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        path = tmp_path / "table5.csv"
+        _, printed, _ = run(capsys, "table", "-n", "5")
+        code, out, _ = run(capsys, "table", "-n", "5", "--out", str(path))
+        assert code == 0
+        assert path.read_text() == printed
+        assert out == f"wrote {len(printed.splitlines()) - 1} rows to {path}\n"
 
     def test_cache_refuses_pair_left_out_by_filters(self, capsys, tmp_path):
         # the table holds |J| + |K| = 2 only; {1,2} * {2} = 2 * {1,2,3} is nonzero

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from petring import oracle
-from petring.errors import PresentationError
+from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet, all_index_sets
 from petring.oracle import (
     Monomial,
@@ -150,6 +150,23 @@ class TestTable:
             oracle._step(4, 2, 0b010)
         with pytest.raises(PresentationError):
             structure_constants_linalg(IndexSet.of(4, [2]), IndexSet.of(4, [2]))
+
+    def test_non_integral_constant_raises_in_the_engine(self, fresh_table, monkeypatch):
+        # NF(g_2 * x_{2}) at rank 4 with a tripled denominator gives
+        # d = 2/6 on L = {1,2}: linalg itself must refuse it
+        step = oracle._step.__wrapped__
+
+        def corrupted(n, i, S):
+            row, denom = step(n, i, S)
+            return (row, 3 * denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
+
+        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        with pytest.raises(ConsistencyError, match=r"linalg engine gave d = 2/6 for J=2, K=2, L=1,2,"):
+            structure_constants_linalg(IndexSet.of(4, [2]), IndexSet.of(4, [2]))
+
+    def test_constants_are_integers(self):
+        J, K = IndexSet.parse("1,3,5,6,7", 10), IndexSet.parse("3,6,8", 10)
+        assert all(type(d) is int for d in structure_constants_linalg(J, K).values())
 
     def test_independent_of_the_run_rule(self):
         # linalg is a cross-check only while it never uses the run rule
