@@ -3,7 +3,9 @@ verification, tables, and group data.
 
 `table` refuses, before computing, filters that admit more than
 MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
-raw line prefix of its pair and stops after that pair's block.
+raw line prefix of its pair and stops after that pair's block.  `verify`
+gives each worker whole J | K classes of pairs and gets back failure lines
+only.  Engines return expansions unsorted; they are sorted here, to print.
 
 Exit codes: 0 on success, 1 on a usage error or a refused request, 2 on a
 mathematical consistency failure (engine disagreement or a failed
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -31,7 +34,6 @@ from .intervals import (
     decompose,
     factor_ranks,
     hessenberg_function,
-    m_factor,
 )
 from .oracle import Monomial, normal_form, quotient_dimension, structure_constants_linalg
 from .permutations import (
@@ -135,9 +137,9 @@ def _parse_subset(ctx_name: str, text: str, n: int) -> IndexSet:
         raise click.UsageError(f"bad {ctx_name}: {exc}") from None
 
 
-def _check_rank(n: int, cap: int = MAX_QUERY_RANK) -> None:
-    if not 1 <= n <= cap:
-        raise click.UsageError(f"rank must be in [1, {cap}], got {n}")
+def _check_rank(n: int) -> None:
+    if not 1 <= n <= MAX_QUERY_RANK:
+        raise click.UsageError(f"rank must be in [1, {MAX_QUERY_RANK}], got {n}")
 
 
 @click.group()
@@ -236,19 +238,27 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
     click.echo(f"d = {structure_constant(J, K, L)}")
 
 
-def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[tuple[int, int, dict | None, str]]:
+def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
     """Worker for `verify`: three-engine expansion for a block of (J, K)
-    pairs given by their subset masks.  Returns serialized expansions plus
-    an error string on the first problem found per pair."""
-    out = []
+    pairs given by their subset masks, holding each pair's transpose.
+    Returns the failure lines in pair order: a pair's error, or a pair whose
+    expansion differs from its transpose's."""
+    results: dict[tuple[int, int], dict | Exception] = {}
     for jm, km in masks:
-        J, K = IndexSet.from_mask(n, jm), IndexSet.from_mask(n, km)
         try:
-            expansion = compute_expansion(J, K, "all")
-            out.append((jm, km, {L.mask: d for L, d in expansion.items()}, ""))
+            results[jm, km] = compute_expansion(IndexSet.from_mask(n, jm), IndexSet.from_mask(n, km), "all")
         except (ConsistencyError, PresentationError) as exc:
-            out.append((jm, km, None, str(exc)))
-    return out
+            results[jm, km] = exc
+    failures = []
+    for (jm, km), expansion in results.items():
+        if isinstance(expansion, Exception):
+            problem = expansion
+        elif results[km, jm] != expansion:
+            problem = "expansion not symmetric"
+        else:
+            continue
+        failures.append(f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: {problem}")
+    return failures
 
 
 @cli.command("verify")
@@ -279,30 +289,26 @@ def cmd_verify(n_max: int, jobs: int) -> None:
 
 
 def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
-    """The checks of `verify` for ranks 1..n_max; the pair sweep of each
-    rank is split into ``jobs`` contiguous blocks and, with the graded
-    dimensions, mapped by ``sweep`` for every rank before any result is
-    read.  Prints one line per check and returns the failure lines."""
+    """The checks of `verify` for ranks 1..n_max.  Each rank's pair sweep is
+    cut into blocks of whole J | K classes, contiguous in union-mask order,
+    of about 4^(n-1) / ``jobs`` pairs, so that one worker alone fills the
+    linalg and game memos, both keyed by (J | K, J & K); with the graded
+    dimensions, every rank's blocks are mapped by ``sweep`` before any
+    result is read.  Prints one line per check and returns the failure lines."""
     failures: list[str] = []
     mapped = []
     for n in range(1, n_max + 1):
-        masks = [(jm, km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))]
-        step = (len(masks) + jobs - 1) // jobs
-        blocks = [masks[i : i + step] for i in range(0, len(masks), step)]
+        pairs = sorted(itertools.product(range(1 << (n - 1)), repeat=2), key=lambda p: p[0] | p[1])
+        blocks: list[list[tuple[int, int]]] = [[]]
+        for _, union_class in itertools.groupby(pairs, key=lambda p: p[0] | p[1]):
+            if len(blocks[-1]) >= len(pairs) / jobs:
+                blocks.append([])
+            blocks[-1] += union_class
         mapped.append((n, sweep(_verify_chunk, [n] * len(blocks), blocks),
                        sweep(quotient_dimension, [n] * (n + 2), range(n + 2))))
     for n, chunks, dims in mapped:
-        names = {J.mask: J.format() for J in all_index_sets(n)}
-        results: dict[tuple[int, int], dict] = {}
         for chunk in chunks:
-            for jm, km, expansion, error in chunk:
-                if error:
-                    failures.append(f"n={n} J={names[jm]} K={names[km]}: {error}")
-                else:
-                    results[jm, km] = expansion
-        for (jm, km), expansion in results.items():
-            if results.get((km, jm)) != expansion:
-                failures.append(f"n={n} J={names[jm]} K={names[km]}: expansion not symmetric")
+            failures += chunk
         click.echo(f"n={n}: {4 ** (n - 1)} (J,K) pairs cross-checked over three engines")
 
         dims_ok = all(dim == (math.comb(n - 1, d) if d <= n - 1 else 0) for d, dim in enumerate(dims))
@@ -413,7 +419,7 @@ def _write_table(fh, n: int, fmt: str, rows) -> int:
 @click.option("-J", "j_text", default="-", metavar="SUBSET")
 def cmd_group(n: int, j_text: str) -> None:
     """Print the combinatorial data attached to one subset."""
-    _check_rank(n, cap=MAX_QUERY_RANK)
+    _check_rank(n)
     J = _parse_subset("-J", j_text, n)
     dec = decompose(J)
     wj = longest_wj(J)

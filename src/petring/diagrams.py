@@ -15,7 +15,8 @@ m_factor(L) / (m_factor(J) * m_factor(K)).
 The unrestricted game of ``expand_all`` depends on (J, K) only through its
 starting shading J | K and its marked rows J & K, so its unscaled weight
 sums per final shading are memoized on (n, J | K, J & K): the 4^(n-1) pairs
-of rank n share 3^(n-1) games, and only the scaling is done per pair.
+of rank n share 3^(n-1) games, and only the scaling is done per pair, in
+the checked tail that all three engines end in, ``errors.constants``.
 ``enumerate_diagrams`` plays its game, restricted to the columns of L,
 afresh on every call.
 """
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import integer_constant
-from .intervals import IndexSet, m_factor, run_step
+from .errors import constants, integer_constant
+from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = [
     "Move",
@@ -147,14 +148,8 @@ def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     m_factor(L) / (m_factor(J) * m_factor(K))."""
     J._check_same_rank(K)
     sums, denom = _game_sums(J.n, J.mask | K.mask, J.mask & K.mask)
-    divisor = denom * m_factor(J) * m_factor(K)
-    out: dict[IndexSet, int] = {}
-    for shading, total in sums:
-        L = IndexSet.from_mask(J.n, shading)
-        value = integer_constant("diagram", J, K, L, m_factor(L) * total, divisor)
-        if value:
-            out[L] = value
-    return out
+    row = ((L, decompose_mask(L).m_factor * total) for L, total in sums)
+    return constants("diagram", J, K, row, denom * m_factor(J) * m_factor(K))
 
 
 def render_ascii(P: LeftRightDiagram) -> str:

@@ -1,6 +1,13 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and ``constants``, the checked
+tail that each of the three engines ends in: it refuses a term off the
+support and degree condition and a constant that is not a non-negative
+integer."""
 
-__all__ = ["ConsistencyError", "PresentationError", "integer_constant"]
+from typing import Iterable
+
+from .intervals import IndexSet
+
+__all__ = ["ConsistencyError", "PresentationError", "integer_constant", "constants"]
 
 
 class ConsistencyError(RuntimeError):
@@ -24,3 +31,20 @@ def integer_constant(engine: str, J: object, K: object, L: object, value, diviso
             f"{engine} engine gave d = {shown} for J={J}, K={K}, L={L}, expected a non-negative integer"
         )
     return int(quotient)
+
+
+def constants(engine: str, J: IndexSet, K: IndexSet, row: Iterable[tuple[int, int]], divisor) -> dict[IndexSet, int]:
+    """The expansion d_JK^L = value / divisor of the named engine's (L mask,
+    value) row, zeros dropped.  Every L must contain J | K and have |J| + |K|
+    members, and every constant must be a non-negative integer."""
+    union, degree = J.mask | K.mask, J.mask.bit_count() + K.mask.bit_count()
+    out: dict[IndexSet, int] = {}
+    for mask, value in row:
+        L = IndexSet.from_mask(J.n, mask)
+        if mask & union != union or mask.bit_count() != degree:
+            raise ConsistencyError(f"{engine} engine gave a term on L={L} for J={J}, K={K}, "
+                                   "outside the L containing J | K with |L| = |J| + |K|")
+        d = integer_constant(engine, J, K, L, value, divisor)
+        if d:
+            out[L] = d
+    return out

@@ -19,8 +19,8 @@ normal form takes each extra generator of a monomial's square-free part
 through the table (g_i * x_S = x_{S+i} for i not in S), on integers over one
 common denominator whose content is divided out after each step, and is
 memoized on (n, exponents) as that integer row and denominator.
-``structure_constants_linalg`` reads the row directly and returns integer
-constants, each checked here to be a non-negative integer;
+``structure_constants_linalg`` scales the row by m_factor(L) and ends in
+the checked tail that all three engines share, ``errors.constants``;
 ``normal_form`` converts the row to Fractions for its callers.
 
 The full degree-d relation matrix is eliminated, and memoized per (n,
@@ -43,8 +43,8 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable
 
-from .errors import PresentationError, integer_constant
-from .intervals import IndexSet, m_factor
+from .errors import PresentationError, constants
+from .intervals import IndexSet, decompose_mask, m_factor
 
 __all__ = [
     "Monomial",
@@ -349,7 +349,7 @@ def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     """Expansion of the product of the basis classes on J and K via normal
     forms, with no use of the run rule: d_JK^L = v * m_factor(L) /
     (denominator * m_factor(J) * m_factor(K)) for the row entry v on L,
-    checked to be a non-negative integer."""
+    checked by ``errors.constants``."""
     J._check_same_rank(K)
     n = J.n
     if len(J) + len(K) > n - 1:
@@ -357,9 +357,5 @@ def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
         # the number of square-free supports, checked by quotient_dimension)
         return {}
     row, denom = _normal_form(n, tuple((J.mask >> k & 1) + (K.mask >> k & 1) for k in range(n - 1)))
-    divisor = denom * m_factor(J) * m_factor(K)
-    out: dict[IndexSet, int] = {}
-    for S, v in row:
-        L = IndexSet.from_mask(n, S)
-        out[L] = integer_constant("linalg", J, K, L, v * m_factor(L), divisor)
-    return out
+    scaled = ((S, v * decompose_mask(S).m_factor) for S, v in row)
+    return constants("linalg", J, K, scaled, denom * m_factor(J) * m_factor(K))

@@ -16,7 +16,6 @@ __all__ = [
     "identity",
     "simple_transposition",
     "compose",
-    "inverse",
     "length",
     "longest_wj",
     "subword_vj",
@@ -47,13 +46,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     if len(u) != len(v):
         raise ValueError("mismatched degrees")
     return tuple(u[v[p] - 1] for p in range(len(u)))
-
-
-def inverse(w: Permutation) -> Permutation:
-    inv = [0] * len(w)
-    for p, q in enumerate(w, start=1):
-        inv[q - 1] = p
-    return tuple(inv)
 
 
 def length(w: Permutation) -> int:

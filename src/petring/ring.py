@@ -11,8 +11,9 @@ x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
 coefficient is a non-negative integer, on integers keyed by bit mask, and
 asserts that every division it makes is exact.  The rewrite engine,
 ``structure_constants_rewrite``, and the class algebra, ``multiply``, both
-fold generators into a combination of such classes with it; for a table,
-``structure_constants_rewrite_pairs`` memoizes the folds over prefixes of K.
+fold generators into a combination of such classes with it by ``_fold``,
+memoized over the prefixes of a support (across a J's pairs, for a table).
+The rewrite ends in ``errors.constants``, dividing by m_factor(K).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
-from .errors import ConsistencyError, integer_constant
+from .errors import ConsistencyError, constants
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = [
@@ -133,17 +134,13 @@ def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
     n = c1.n
     varpi = {J.mask: r for J, r in to_varpi_basis(c1).items()}
     denom = math.lcm(*(r.denominator for r in varpi.values()))
-    start = {S: int(r * denom) for S, r in varpi.items()}
-
-    def partials():
-        for s2, r2 in c2.terms.items():
-            terms = start
-            for k in sorted(s2):
-                terms = _varpi_times_generator(terms, k, n)
-            for L, coeff in terms.items():
-                yield L, Fraction(r2 * coeff, denom * decompose_mask(L).m_factor)
-
-    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in _collect(partials()).items()})
+    prefix = {0: {S: int(r * denom) for S, r in varpi.items()}}
+    partials = (
+        (L, Fraction(r2 * coeff, denom * decompose_mask(L).m_factor))
+        for s2, r2 in c2.terms.items()
+        for L, coeff in _fold(prefix, IndexSet(n, s2).mask, n).items()
+    )
+    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in _collect(partials).items()})
 
 
 def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:
@@ -175,9 +172,10 @@ def _varpi_times_generator(terms: dict[int, int], i: int, n: int) -> dict[int, i
 
 def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     """Expansion of the product of the basis classes on J and K by the
-    run-rule engine: the class on J times the generators of K, one at a time."""
+    run-rule engine: the class on J times the generators of K, one at a
+    time, divided by m_factor(K)."""
     J._check_same_rank(K)
-    return _constants(J, K, _fold({0: {J.mask: 1}}, K.mask, J.n))
+    return next(structure_constants_rewrite_pairs(J.n, [(J.mask, K.mask)]))[2]
 
 
 def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, dict]]:
@@ -188,33 +186,21 @@ def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) 
     for J, K in pairs:
         if J != memo_J:
             memo_J, prefix, J_set = J, {0: {J: 1}}, IndexSet.from_mask(n, J)
-        yield J, K, _constants(J_set, IndexSet.from_mask(n, K), _fold(prefix, K, n))
+        terms = _fold(prefix, K, n)
+        # zero products, |J| + |K| > n - 1, are 40% of a full table and skip the tail
+        yield J, K, (constants("rewrite", J_set, IndexSet.from_mask(n, K), terms.items(), decompose_mask(K).m_factor)
+                     if terms else {})
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
-    """The class on J times the generators of the subset with mask K, in
-    increasing order: one step from the fold over K minus its top element,
-    memoized in ``prefix`` ({0: {J: 1}} at least); at most |K| steps."""
+    """The combination prefix[0] (the class on J, {J: 1}, for the rewrite)
+    times the generators of the subset with mask K, in increasing order: one
+    step from the fold over K minus its top element, memoized in ``prefix``;
+    at most |K| steps."""
     if K not in prefix:
         top = K.bit_length()
         prefix[K] = _varpi_times_generator(_fold(prefix, K ^ 1 << (top - 1), n), top, n)
     return prefix[K]
-
-
-def _constants(J: IndexSet, K: IndexSet, terms: dict[int, int]) -> dict[IndexSet, int]:
-    """The folded terms divided by m_factor(K), asserted to be non-negative
-    integers with support L containing J | K and |L| = |J| + |K|."""
-    if not terms:
-        return {}
-    m_K = decompose_mask(K.mask).m_factor
-    union, degree = J.mask | K.mask, J.mask.bit_count() + K.mask.bit_count()
-    out: dict[IndexSet, int] = {}
-    for mask, coeff in terms.items():
-        L = IndexSet.from_mask(J.n, mask)
-        if mask & union != union or mask.bit_count() != degree:
-            raise ConsistencyError(f"support condition violated for J={J}, K={K}: got L={L}")
-        out[L] = integer_constant("rewrite", J, K, L, coeff, m_K)
-    return out
 
 
 def integral(c: CohomologyClass) -> Fraction:

@@ -2,12 +2,13 @@ import csv
 import functools
 import io
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import petring.cli
-from petring import oracle
+from petring import diagrams, oracle
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import scale, structure_constants_rewrite
 
@@ -67,6 +68,46 @@ class TestExpand:
         out1 = run(capsys, *GOLDEN)[1]
         out2 = run(capsys, *GOLDEN)[1]
         assert out1 == out2
+
+
+class TestCheckedTail:
+    """Every engine's expansion ends in one check of support, degree and
+    integrality, so a wrong term is refused instead of printed."""
+
+    def test_linalg_term_off_support_refused(self, capsys, monkeypatch):
+        # NF(g_2 * x_{2}) at rank 5 with the weight of L = {1,2} moved onto
+        # {3,4}, which does not contain J | K = {2}
+        step = oracle._step.__wrapped__
+
+        def moved(n, i, S):
+            row, denom = step(n, i, S)
+            if (n, i, S) == (5, 2, 0b0010):
+                row = {0b1100 if L == 0b0011 else L: v for L, v in row.items()}
+            return row, denom
+
+        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(moved))
+        monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(oracle._normal_form.__wrapped__))
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "2", "-K", "2", "--method", "linalg")
+        assert code == 2
+        assert out == ""
+        assert "linalg engine gave a term on L=3,4 for J=2, K=2" in err
+
+    def test_diagram_shading_off_degree_refused(self, capsys, monkeypatch):
+        # the game from {2} with row 2 at rank 5, with its final shading
+        # {1,2} turned into {1,2,3}, one column more than |J| + |K|
+        game_sums = diagrams._game_sums.__wrapped__
+
+        def grown(n, start, marked):
+            sums, denom = game_sums(n, start, marked)
+            if (n, start, marked) == (5, 0b0010, 0b0010):
+                sums = tuple((0b0111 if L == 0b0011 else L, v) for L, v in sums)
+            return sums, denom
+
+        monkeypatch.setattr(diagrams, "_game_sums", grown)
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "2", "-K", "2", "--method", "diagram")
+        assert code == 2
+        assert out == ""
+        assert "diagram engine gave a term on L=1,2,3 for J=2, K=2" in err
 
 
 class TestExpansionRecord:
@@ -202,6 +243,70 @@ class TestVerify:
         assert petring.cli._verify_ranks(4, 1, sweep) == []
         assert issued == [petring.cli._verify_chunk, oracle.quotient_dimension] * 4
         assert "n=4: graded dimensions 0..5 OK" in capsys.readouterr().out
+
+    def test_jobs_blocks_fill_each_memo_entry_once(self, monkeypatch):
+        # memos cleared before each block, as in a fresh worker: the blocks of
+        # --jobs 2 fill the normal-form and game memos no more than one block
+        # of all pairs does, because each holds whole J | K classes
+        memos = {}
+        for module, name in ((oracle, "_step"), (oracle, "_normal_form"), (diagrams, "_game_sums")):
+            memos[name] = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
+            monkeypatch.setattr(module, name, memos[name])
+
+        def filled(jobs):
+            blocks, lines, fills = [], [], {"_normal_form": 0, "_game_sums": 0}
+
+            def sweep(fn, ns, args):
+                results = []
+                for n, block in zip(ns, args):
+                    for memo in memos.values():
+                        memo.cache_clear()
+                    results.append(fn(n, block))
+                    if fn is petring.cli._verify_chunk and n == 6:
+                        blocks.append(block)
+                        lines.extend(results[-1])
+                        for name in fills:
+                            fills[name] += memos[name].cache_info().currsize
+                return results
+
+            assert petring.cli._verify_ranks(6, jobs, sweep) == []
+            return blocks, lines, fills
+
+        one, lines_one, single = filled(1)
+        two, lines_two, split = filled(2)
+        assert split == single
+        assert single["_game_sums"] == 3 ** 5
+        # a passing block returns no lines, and nothing but failure lines
+        assert lines_one == lines_two == []
+        assert len(one) == 1 and len(two) == 2
+        assert sorted(one[0]) == sorted(two[0] + two[1])
+        unions = [{jm | km for jm, km in block} for block in two]
+        assert not unions[0] & unions[1]
+        assert max(unions[0]) < min(unions[1])
+
+    def test_failure_lines_independent_of_jobs(self, capsys, monkeypatch):
+        # each failure line is made in the worker that holds the pair and its
+        # transpose; the lines come back in union-mask order either way
+        def faulty(J, K, method):
+            if J.format() == "1,3" and K.format() == "2":
+                raise ConsistencyError("injected")
+            return compute_expansion(J, K, method)
+
+        monkeypatch.setattr("petring.cli.compute_expansion", faulty)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        serial = run(capsys, "verify", "--n-max", "5", "--jobs", "1")
+        pooled = run(capsys, "verify", "--n-max", "5", "--jobs", "2")
+        assert serial[0] == pooled[0] == 2
+        assert pooled[2] == serial[2]
+        assert serial[2].splitlines() == [
+            "FAIL n=4 J=2 K=1,3: expansion not symmetric",
+            "FAIL n=4 J=1,3 K=2: injected",
+            "FAIL n=5 J=2 K=1,3: expansion not symmetric",
+            "FAIL n=5 J=1,3 K=2: injected",
+            "consistency failure: 4 verification check(s) failed",
+        ]
 
 
 def _failing_after(count):

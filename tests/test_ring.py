@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from petring.errors import ConsistencyError, integer_constant
+from petring.errors import ConsistencyError, constants, integer_constant
 from petring.intervals import IndexSet, all_index_sets, m_factor
 from petring.ring import (
     CohomologyClass,
@@ -273,6 +273,34 @@ class TestStructureConstants:
         for value, divisor in ((7, 2), (-2, 1), (Fraction(1, 3), 1)):
             with pytest.raises(ConsistencyError, match="J=1, K=2, L=1,2"):
                 integer_constant("rewrite", J, K, L, value, divisor)
+
+    def test_shared_tail_checks_support_degree_and_integrality(self):
+        J, K = IndexSet.of(5, [2]), IndexSet.of(5, [2, 3])
+        assert constants("rewrite", J, K, [(0b0111, 6), (0b1110, 0), (0b0110 | 0b1000, 3)], 3) == {
+            IndexSet.of(5, [1, 2, 3]): 2,
+            IndexSet.of(5, [2, 3, 4]): 1,
+        }
+        for engine, mask, value in (("diagram", 0b1011, 3), ("linalg", 0b0110, 3), ("rewrite", 0b1111, 3)):
+            # L misses 3 from J | K; L has too few members; L has too many
+            with pytest.raises(ConsistencyError, match=rf"{engine} engine gave a term on L=.* for J=2, K=2,3"):
+                constants(engine, J, K, [(0b0111, 3), (mask, value)], 3)
+        for value in (4, -3):
+            with pytest.raises(ConsistencyError, match=r"for J=2, K=2,3, L=1,2,3, expected a non-negative integer"):
+                constants("linalg", J, K, [(0b0111, value)], 3)
+
+    def test_rewrite_term_off_support_refused(self, monkeypatch):
+        # a run step that always moves to column 1 leaves the support of
+        # J | K, and the rewrite's own tail must refuse the term
+        import petring.ring as ring
+
+        def astray(mask, i, n, step=ring.run_step):
+            a, b, den, moves = step(mask, i, n)
+            return a, b, den, tuple((1, num) for _, num in moves)
+
+        monkeypatch.setattr(ring, "run_step", astray)
+        J, K = IndexSet.of(5, [3]), IndexSet.of(5, [4])
+        with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=1,3 for J=3, K=4"):
+            structure_constants_rewrite(J, K)
 
 
 class TestIntegralAndPairing:
