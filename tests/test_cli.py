@@ -308,6 +308,64 @@ class TestVerify:
             "consistency failure: 4 verification check(s) failed",
         ]
 
+    def test_refused_reduction_fails_its_checks_and_carries_on(self, capsys, monkeypatch):
+        # without its 2*g_j^2 term no relation row eliminates g_j^2: the
+        # graded dimensions and the top-degree check fail, naming (n, d) and
+        # (n, i), and every later check still runs, under either --jobs
+        own_row = oracle._own_row
+        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        for name in ("_step", "_normal_form"):
+            monkeypatch.setattr(oracle, name, functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
+        monkeypatch.setattr(oracle, "_last_level", {})
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        serial = run(capsys, "verify", "--n-max", "4", "--jobs", "1")
+        pooled = run(capsys, "verify", "--n-max", "4", "--jobs", "2")
+        assert serial == pooled
+        code, out, err = serial
+        assert code == 2
+        assert "n=2: graded dimensions 0..3 FAIL" in out
+        assert "n=4: top-degree evaluation FAIL" in out.splitlines()[-1]
+        incomplete = "is neither square-free nor eliminated: the relations are incomplete here"
+        assert f"FAIL n=2 d=2: monomial (2,) at rank 2, degree 2 {incomplete}" in err.splitlines()
+        assert f"FAIL n=4 i=3: monomial (0, 0, 2) at rank 4, degree 2 {incomplete}" in err.splitlines()
+
+    def test_chunk_folds_each_J_once(self, monkeypatch):
+        # a block expanded in (J, K) order: the rewrite folds each J once over
+        # one prefix memo, one run-rule step per nonempty K, 4^5 - 2^5 in all
+        # (one step per member of each K, 2560, pair by pair)
+        import petring.ring as ring
+
+        steps = []
+        step = ring._varpi_times_generator
+        monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
+        monkeypatch.setattr(ring, "_last_J", {})
+        block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
+        assert petring.cli._verify_chunk(6, block) == []
+        assert len(steps) == 4 ** 5 - 2 ** 5
+
+    def test_jobs_blocks_balance_cost(self):
+        # the pairs with |J| + |K| <= n - 1 carry the cost; the two blocks of
+        # --jobs 2 hold about as many each, within one J | K class
+        blocks = []
+
+        def sweep(fn, ns, args):
+            if fn is petring.cli._verify_chunk:
+                blocks[:] = args
+                return [[] for _ in args]
+            return map(fn, ns, args)
+
+        n = 7
+        assert petring.cli._verify_ranks(n, 2, sweep) == []
+        costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in block) for block in blocks]
+        assert len(costs) == 2
+        classes: dict[int, int] = {}
+        for jm in range(1 << (n - 1)):
+            for km in range(1 << (n - 1)):
+                classes[jm | km] = classes.get(jm | km, 0) + (jm.bit_count() + km.bit_count() < n)
+        assert abs(costs[0] - costs[1]) <= max(classes.values())
+
 
 def _failing_after(count):
     """The table's rewrite fold, raising ConsistencyError in place of its

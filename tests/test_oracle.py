@@ -272,6 +272,65 @@ class TestQuotientDimension:
         for n in range(2, 7):
             assert sum(quotient_dimension(n, d) for d in range(n)) == 2 ** (n - 1)
 
+    def test_matches_full_elimination(self):
+        for n in range(1, 8):
+            for d in range(0, n + 2):
+                cols, pivots = oracle._reduced_pivots(n, d)
+                assert quotient_dimension(n, d) == len(cols) - len(pivots), (n, d)
+
+    def test_eliminates_no_full_matrix(self):
+        before = oracle._reduced_pivots.cache_info()
+        for d in range(0, 10):
+            quotient_dimension(8, d)
+        assert oracle._reduced_pivots.cache_info() == before
+
+    def test_rank_nine(self):
+        # a rank that verify's pair sweep does not reach
+        assert [quotient_dimension(9, d) for d in range(0, 11)] == [math.comb(8, d) for d in range(0, 11)]
+
+    def test_forms_are_normal_forms(self):
+        # the forms of each level follow the route of the normal forms
+        for n in range(1, 7):
+            for k in range(0, n + 1):
+                for mono, (terms, denom) in oracle._level(n, k).items():
+                    expected = {IndexSet.from_mask(n, S): Fraction(v, denom) for S, v in terms.items()}
+                    assert normal_form(Monomial(n, mono)) == expected, (n, mono)
+
+    def test_each_level_built_once(self, monkeypatch):
+        # d = 0, 1, ..., n+1 in turn: one table fold per monomial that is not
+        # square-free, of degree at most n, and levels above n are not built
+        calls = []
+        times = oracle._times
+        monkeypatch.setattr(oracle, "_times", lambda *args: calls.append(args) or times(*args))
+        monkeypatch.setattr(oracle, "_last_level", {})
+        n = 6
+        assert [quotient_dimension(n, d) for d in range(n + 2)] == [math.comb(n - 1, d) for d in range(n + 2)]
+        assert len(calls) == sum(math.comb(n + k - 2, k) - math.comb(n - 1, k) for k in range(n + 1))
+
+    def test_wrong_table_entry_lowers_the_count(self, fresh_table, monkeypatch):
+        # NF(g_2 * x_{2}) at rank 4 tripled: the relation row of g_2^2 no
+        # longer reduces to zero, so degree 2 loses a dimension
+        step = oracle._step.__wrapped__
+
+        def corrupted(n, i, S):
+            row, denom = step(n, i, S)
+            return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
+
+        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        monkeypatch.setattr(oracle, "_last_level", {})
+        assert quotient_dimension(4, 2) == 2
+        assert quotient_dimension(4, 1) == 3
+
+    def test_unreduced_monomial_raises(self, fresh_table, monkeypatch):
+        # without its 2*g_j^2 term no relation row eliminates g_1^2 at rank 2
+        own_row = oracle._own_row
+        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        monkeypatch.setattr(oracle, "_last_level", {})
+        assert quotient_dimension(2, 1) == 1
+        for d in (2, 3):
+            with pytest.raises(PresentationError, match=r"monomial \(2,\) at rank 2, degree 2"):
+                quotient_dimension(2, d)
+
 
 class TestStructureConstantsLinalg:
     def test_golden_example(self):
