@@ -6,8 +6,9 @@ MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
 raw line prefix of its pair and stops after that pair's block.  `verify`
 gives each worker whole J | K classes of pairs, cut by estimated cost, and
 gets back failure lines only; a check that raises fails, and the later
-checks still run.  Engines return expansions unsorted; they are sorted
-here, to print.
+checks still run.  Engines give their expansions as checked (L mask, d)
+rows sorted by mask, which `table` writes as they come and `expand` prints
+in that order; subsets are formatted only here.
 
 Exit codes: 0 on success, 1 on a usage error or a refused request, 2 on a
 mathematical consistency failure (engine disagreement or a failed
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import click
 
-from .diagrams import enumerate_diagrams, expand_all, render_ascii, structure_constant, weight
-from .errors import ConsistencyError, PresentationError
+from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
+from .errors import ConsistencyError, PresentationError, Row, expansion
 from .intervals import (
     IndexSet,
     all_index_sets,
@@ -37,7 +38,7 @@ from .intervals import (
     factor_ranks,
     hessenberg_function,
 )
-from .oracle import Monomial, normal_form, quotient_dimension, structure_constants_linalg
+from .oracle import Monomial, linalg_row, normal_form, quotient_dimension
 from .permutations import (
     bruhat_leq,
     format_one_line,
@@ -46,7 +47,7 @@ from .permutations import (
     simple_transposition,
     subword_vj,
 )
-from .ring import integral, monomial, multiply, structure_constants_rewrite, structure_constants_rewrite_pairs, unit
+from .ring import integral, monomial, multiply, rewrite_row, structure_constants_rewrite_pairs, unit
 
 __all__ = ["ExpansionRecord", "cli", "main", "entry"]
 
@@ -100,36 +101,27 @@ def _format_list(xs: list[int]) -> str:
     return ",".join(str(x) for x in xs) if xs else "-"
 
 
-def _sorted_terms(expansion: dict[IndexSet, int]) -> list[dict]:
-    return [
-        {"L": list(L.as_tuple()), "coeff": str(expansion[L])}
-        for L in sorted(expansion, key=lambda L: L.mask)
-    ]
-
-
 def compute_expansion(J: IndexSet, K: IndexSet, method: str) -> dict[IndexSet, int]:
     """Run one engine, or all three with an exact-agreement check."""
-    if method == "diagram":
-        return expand_all(J, K)
-    if method == "rewrite":
-        return structure_constants_rewrite(J, K)
-    if method == "linalg":
-        return structure_constants_linalg(J, K)
-    if method == "all":
-        by_diagram = expand_all(J, K)
-        by_rewrite = structure_constants_rewrite(J, K)
-        by_linalg = structure_constants_linalg(J, K)
-        if not (by_diagram == by_rewrite == by_linalg):
-            raise ConsistencyError(
-                f"engines disagree for J={J}, K={K}: "
-                f"diagram={_plain(by_diagram)} rewrite={_plain(by_rewrite)} linalg={_plain(by_linalg)}"
-            )
-        return by_rewrite
-    raise ValueError(f"unknown method {method!r}")
+    return expansion(functools.partial(_expansion_row, method=method), J, K)
 
 
-def _plain(expansion: dict[IndexSet, int]) -> dict[str, int]:
-    return {L.format(): d for L, d in sorted(expansion.items(), key=lambda x: x[0].mask)}
+def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
+    """The checked row of one engine, or of all three with an exact-agreement
+    check; a disagreement names the first L at which the rows differ."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    engines = {"diagram": diagram_row, "rewrite": rewrite_row, "linalg": linalg_row}
+    rows = {name: engine(n, J, K) for name, engine in engines.items() if method in (name, "all")}
+    if len(set(rows.values())) > 1:
+        found = {name: dict(row) for name, row in rows.items()}
+        first = min(L for d in found.values() for L in d if len({e.get(L, 0) for e in found.values()}) > 1)
+        subset = functools.partial(IndexSet.from_mask, n)
+        raise ConsistencyError(
+            f"engines disagree for J={subset(J)}, K={subset(K)}, first at L={subset(first)}: "
+            + ", ".join(f"{e} d={d.get(first, 0)}" for e, d in found.items()) + "; "
+            + " ".join(f"{e}={ {subset(L).format(): c for L, c in row} }" for e, row in rows.items()))
+    return rows.popitem()[1]  # the rows are equal
 
 
 def _parse_subset(ctx_name: str, text: str, n: int) -> IndexSet:
@@ -163,19 +155,20 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
     J = _parse_subset("-J", j_text, n)
     K = _parse_subset("-K", k_text, n)
     if cached is not None:
-        expansion = _lookup_cached(cached, n, J, K)
+        row = _lookup_cached(cached, n, J, K)
         method = "cached"
     else:
-        expansion = compute_expansion(J, K, method)
-    record = ExpansionRecord(n, list(J.as_tuple()), list(K.as_tuple()), method, _sorted_terms(expansion))
+        row = _expansion_row(n, J.mask, K.mask, method)
+    terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)} for L, d in row]
+    record = ExpansionRecord(n, list(J.as_tuple()), list(K.as_tuple()), method, terms)
     if fmt == "json":
         click.echo(record.to_json())
     else:
         click.echo(record.to_csv(), nl=False)
 
 
-def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    out = {IndexSet.parse(L, n): int(d) for L, d in _read_table(path, n, J, K)}
+def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
+    out = tuple(sorted((IndexSet.parse(L, n).mask, int(d)) for L, d in _read_table(path, n, J, K)))
     # a table holds only nonzero constants, and the product is nonzero exactly
     # when |J| + |K| <= n - 1: such a pair without rows was left out by filters
     if not out and len(J) + len(K) <= n - 1:
@@ -396,11 +389,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     if count > MAX_TABLE_PAIRS:
         raise click.ClickException(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
     pairs = ((jm, km) for jm in js for km in admitted(jm))
-    rows = (
-        (jm, km, L, d)
-        for jm, km, expansion in structure_constants_rewrite_pairs(n, pairs)
-        for L, d in sorted([(L.mask, d) for L, d in expansion.items()])
-    )
+    rows = ((jm, km, L, d) for jm, km, row in structure_constants_rewrite_pairs(n, pairs) for L, d in row)
     if out is None:
         _write_table(sys.stdout, n, fmt, rows)
         return

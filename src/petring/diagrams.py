@@ -12,11 +12,12 @@ exactly L.  The game is played on bit masks and carries the product of the
 row weights.  Structure constants are the weight sums scaled by
 m_factor(L) / (m_factor(J) * m_factor(K)).
 
-The unrestricted game of ``expand_all`` depends on (J, K) only through its
-starting shading J | K and its marked rows J & K, so its unscaled weight
-sums per final shading are memoized on (n, J | K, J & K): the 4^(n-1) pairs
-of rank n share 3^(n-1) games, and only the scaling is done per pair, in
-the checked tail that all three engines end in, ``errors.constants``.
+The unrestricted game of ``diagram_row`` depends on (J, K) only through
+its starting shading J | K and its marked rows J & K, so its weight sums
+per final shading L, times m_factor(L), are memoized on (n, J | K, J & K):
+the 4^(n-1) pairs of rank n share 3^(n-1) games, and only the division by
+m_factor(J) * m_factor(K) is done per pair, on bit masks, in the checked
+tail that all three engines end in, ``errors.constants``.
 ``enumerate_diagrams`` plays its game, restricted to the columns of L,
 afresh on every call.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import constants, integer_constant
+from .errors import Row, constants, expansion, integer_constant
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "weight",
     "structure_constant",
     "expand_all",
+    "diagram_row",
     "render_ascii",
 ]
 
@@ -100,15 +102,16 @@ def _games(n: int, start: int, marked: int, allowed: int) -> list[tuple[int, tup
 def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The unrestricted game from the shading mask ``start`` with the rows
     of the mask ``marked`` (any column in {1, ..., n-1} may be darkly
-    shaded; branches that hit a boundary die): its unscaled weight sum per
-    final shading mask, in order of first appearance, as (mask, numerator)
-    pairs over one common denominator, which is returned with them."""
+    shaded; branches that hit a boundary die): its weight sum per final
+    shading mask L, times m_factor(L), in order of first appearance, as
+    (mask, numerator) pairs over one common denominator, which is returned
+    with them."""
     games = _games(n, start, marked, allowed=-1)
     denom = math.lcm(*(den for _, _, _, den in games))
     sums: dict[int, int] = {}
     for final, _, num, den in games:
         sums[final] = sums.get(final, 0) + num * (denom // den)
-    return tuple(sums.items()), denom
+    return tuple((L, decompose_mask(L).m_factor * total) for L, total in sums.items()), denom
 
 
 def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightDiagram]:
@@ -143,13 +146,16 @@ def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
 
 
 def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    """The full expansion of the product: the memoized weight sums of the
-    unrestricted game from J | K with the rows of J & K, each scaled by
-    m_factor(L) / (m_factor(J) * m_factor(K))."""
-    J._check_same_rank(K)
-    sums, denom = _game_sums(J.n, J.mask | K.mask, J.mask & K.mask)
-    row = ((L, decompose_mask(L).m_factor * total) for L, total in sums)
-    return constants("diagram", J, K, row, denom * m_factor(J) * m_factor(K))
+    """The product of the basis classes on J and K by :func:`diagram_row`."""
+    return expansion(diagram_row, J, K)
+
+
+def diagram_row(n: int, J: int, K: int) -> Row:
+    """The checked row of the product for the masks J and K at rank n: the
+    memoized sums of the unrestricted game from J | K with the rows of
+    J & K, divided by m_factor(J) * m_factor(K)."""
+    sums, denom = _game_sums(n, J | K, J & K)
+    return constants("diagram", n, J, K, sums, denom * decompose_mask(J).m_factor * decompose_mask(K).m_factor)
 
 
 def render_ascii(P: LeftRightDiagram) -> str:

@@ -1,13 +1,15 @@
 """Exceptions shared across the package, and ``constants``, the checked
-tail that each of the three engines ends in: it refuses a term off the
-support and degree condition and a constant that is not a non-negative
-integer."""
+tail that each of the three engines ends in, on bit masks: it refuses a
+term off the support and degree condition and a constant that is not a
+non-negative integer.  ``expansion`` converts its rows to ``{L: d}``."""
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .intervals import IndexSet
 
-__all__ = ["ConsistencyError", "PresentationError", "integer_constant", "constants"]
+__all__ = ["ConsistencyError", "PresentationError", "integer_constant", "constants", "expansion"]
+
+Row = tuple[tuple[int, int], ...]  # (L mask, d) pairs, increasing in mask, each d > 0
 
 
 class ConsistencyError(RuntimeError):
@@ -33,18 +35,28 @@ def integer_constant(engine: str, J: object, K: object, L: object, value, diviso
     return int(quotient)
 
 
-def constants(engine: str, J: IndexSet, K: IndexSet, row: Iterable[tuple[int, int]], divisor) -> dict[IndexSet, int]:
+def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]], divisor: int) -> Row:
     """The expansion d_JK^L = value / divisor of the named engine's (L mask,
-    value) row, zeros dropped.  Every L must contain J | K and have |J| + |K|
-    members, and every constant must be a non-negative integer."""
-    union, degree = J.mask | K.mask, J.mask.bit_count() + K.mask.bit_count()
-    out: dict[IndexSet, int] = {}
-    for mask, value in row:
-        L = IndexSet.from_mask(J.n, mask)
-        if mask & union != union or mask.bit_count() != degree:
-            raise ConsistencyError(f"{engine} engine gave a term on L={L} for J={J}, K={K}, "
+    value) row at rank n for the masks J and K, sorted by mask, zeros
+    dropped.  Every L must contain J | K and have |J| + |K| members, and
+    every constant must be a non-negative integer; subsets are built only
+    to name them in an error."""
+    union, degree = J | K, J.bit_count() + K.bit_count()
+    out = []
+    for L, value in sorted(row):
+        d, remainder = divmod(value, divisor)
+        if L & union != union or L.bit_count() != degree:
+            raise ConsistencyError(f"{engine} engine gave a term on L={IndexSet.from_mask(n, L)} for "
+                                   f"J={IndexSet.from_mask(n, J)}, K={IndexSet.from_mask(n, K)}, "
                                    "outside the L containing J | K with |L| = |J| + |K|")
-        d = integer_constant(engine, J, K, L, value, divisor)
+        if remainder or d < 0:  # raises, naming the subsets
+            integer_constant(engine, *(IndexSet.from_mask(n, S) for S in (J, K, L)), value, divisor)
         if d:
-            out[L] = d
-    return out
+            out.append((L, d))
+    return tuple(out)
+
+
+def expansion(engine: Callable[[int, int, int], Row], J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
+    """The row ``engine(n, J mask, K mask)`` as the public {L: d} form."""
+    J._check_same_rank(K)
+    return {IndexSet.from_mask(J.n, L): d for L, d in engine(J.n, J.mask, K.mask)}

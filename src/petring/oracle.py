@@ -19,8 +19,8 @@ normal form takes each extra generator of a monomial's square-free part
 through the table (g_i * x_S = x_{S+i} for i not in S), on integers over one
 common denominator whose content is divided out after each step, and is
 memoized on (n, exponents) as that integer row and denominator.
-``structure_constants_linalg`` scales the row by m_factor(L) and ends in
-the checked tail that all three engines share, ``errors.constants``;
+``linalg_row`` scales the row by m_factor(L) and ends in the checked tail
+that all three engines share, ``errors.constants``, on bit masks;
 ``normal_form`` converts the row to Fractions for its callers.
 
 ``quotient_dimension`` gives the graded dimensions that certify that the
@@ -51,8 +51,8 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable
 
-from .errors import PresentationError, constants
-from .intervals import IndexSet, decompose_mask, m_factor
+from .errors import PresentationError, Row, constants, expansion
+from .intervals import IndexSet, decompose_mask
 
 __all__ = [
     "Monomial",
@@ -61,6 +61,7 @@ __all__ = [
     "normal_form",
     "quotient_dimension",
     "structure_constants_linalg",
+    "linalg_row",
 ]
 
 # A monomial of rank n is its exponent tuple of length n-1 (entry i-1 is the
@@ -425,16 +426,18 @@ def quotient_dimension(n: int, d: int) -> int:
 
 
 def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    """Expansion of the product of the basis classes on J and K via normal
-    forms, with no use of the run rule: d_JK^L = v * m_factor(L) /
-    (denominator * m_factor(J) * m_factor(K)) for the row entry v on L,
-    checked by ``errors.constants``."""
-    J._check_same_rank(K)
-    n = J.n
-    if len(J) + len(K) > n - 1:
+    """The product of the basis classes on J and K by :func:`linalg_row`."""
+    return expansion(linalg_row, J, K)
+
+
+def linalg_row(n: int, J: int, K: int) -> Row:
+    """The checked row of the product for the masks J and K at rank n, with
+    no use of the run rule: d_JK^L = v * m_factor(L) / (denominator *
+    m_factor(J) * m_factor(K)) for the normal form's entry v on L."""
+    if J.bit_count() + K.bit_count() > n - 1:
         # the quotient vanishes above the top degree (its graded dimension is
         # the number of square-free supports, checked by quotient_dimension)
-        return {}
-    row, denom = _normal_form(n, tuple((J.mask >> k & 1) + (K.mask >> k & 1) for k in range(n - 1)))
+        return ()
+    row, denom = _normal_form(n, tuple((J >> k & 1) + (K >> k & 1) for k in range(n - 1)))
     scaled = ((S, v * decompose_mask(S).m_factor) for S, v in row)
-    return constants("linalg", J, K, scaled, denom * m_factor(J) * m_factor(K))
+    return constants("linalg", n, J, K, scaled, denom * decompose_mask(J).m_factor * decompose_mask(K).m_factor)

@@ -14,8 +14,8 @@ asserts that every division it makes is exact.  The rewrite engine,
 fold generators into a combination of such classes with it by ``_fold``,
 memoized over the prefixes of a support.  The rewrite keeps the memo of
 the last J it folded, across calls, so that a table's pairs and a `verify`
-block expanded in (J, K) order take one step per pair.  The rewrite ends in
-``errors.constants``, dividing by m_factor(K).
+block expanded in (J, K) order take one step per pair.  The rewrite's
+row, ``rewrite_row``, ends in ``errors.constants``, dividing by m_factor(K).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
-from .errors import ConsistencyError, constants
+from .errors import ConsistencyError, Row, constants, expansion
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "to_varpi_basis",
     "structure_constants_rewrite",
     "structure_constants_rewrite_pairs",
+    "rewrite_row",
     "integral",
     "pairing",
 ]
@@ -177,8 +178,12 @@ def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]
     """Expansion of the product of the basis classes on J and K by the
     run-rule engine: the class on J times the generators of K, one at a
     time, divided by m_factor(K)."""
-    J._check_same_rank(K)
-    return next(structure_constants_rewrite_pairs(J.n, [(J.mask, K.mask)]))[2]
+    return expansion(rewrite_row, J, K)
+
+
+def rewrite_row(n: int, J: int, K: int) -> Row:
+    """The checked row of the product for the masks J and K at rank n."""
+    return next(structure_constants_rewrite_pairs(n, [(J, K)]))[2]
 
 
 # The prefix memo of the last (n, J) that the rewrite folded, {(n, J): memo}:
@@ -186,21 +191,20 @@ def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]
 _last_J: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
 
 
-def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, dict]]:
-    """:func:`structure_constants_rewrite` of each (J, K) bit-mask pair at
-    rank n, yielded as (J, K, expansion).  Consecutive pairs with the same J
-    share one memo of folds, kept for the last J after the call, so pairs in
-    canonical order take one step each."""
+def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, Row]]:
+    """:func:`rewrite_row` of each (J, K) bit-mask pair at rank n, yielded
+    as (J, K, row).  Consecutive pairs with the same J share one memo of
+    folds, kept for the last J after the call, so pairs in canonical order
+    take one step each."""
     for J, group in groupby(pairs, key=itemgetter(0)):
         if (n, J) not in _last_J:
             _last_J.clear()
             _last_J[n, J] = {0: {J: 1}}
-        prefix, J_set = _last_J[n, J], IndexSet.from_mask(n, J)
+        prefix = _last_J[n, J]
         for _, K in group:
             terms = _fold(prefix, K, n)
             # zero products, |J| + |K| > n - 1, are 40% of a full table and skip the tail
-            yield J, K, (constants("rewrite", J_set, IndexSet.from_mask(n, K), terms.items(), decompose_mask(K).m_factor)
-                         if terms else {})
+            yield J, K, constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor) if terms else ()
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:

@@ -226,6 +226,30 @@ class TestVerify:
         assert "FAIL n=4 J=2 K=2: engines disagree" in err
         assert "n=3: top-degree evaluation OK" in out
 
+    @pytest.mark.parametrize("tripled, first", [({0b011, 0b110}, "1,2"), ({0b110}, "2,3")])
+    def test_disagreement_names_the_first_L_that_differs(self, capsys, monkeypatch, tripled, first):
+        # NF(g_2 * x_{2}) at rank 4 is (x_{1,2} + x_{2,3}) / 2; tripling its
+        # terms on the masks in ``tripled`` makes linalg differ from the
+        # other engines, first at L = ``first``
+        step = oracle._step.__wrapped__
+
+        def corrupted(n, i, S):
+            row, denom = step(n, i, S)
+            if (n, i, S) == (4, 2, 0b010):
+                row = {L: 3 * v if L in tripled else v for L, v in row.items()}
+            return row, denom
+
+        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(oracle._normal_form.__wrapped__))
+        linalg = {"1,2": 3 if 0b011 in tripled else 1, "2,3": 3}
+        named = (f"engines disagree for J=2, K=2, first at L={first}: diagram d=1, rewrite d=1, linalg d=3; "
+                 f"diagram={{'1,2': 1, '2,3': 1}} rewrite={{'1,2': 1, '2,3': 1}} linalg={linalg}")
+        code, out, err = run(capsys, "verify", "--n-max", "4")
+        assert code == 2
+        assert f"FAIL n=4 J=2 K=2: {named}" in err.splitlines()
+        assert "n=4: 64 (J,K) pairs cross-checked over three engines" in out.splitlines()
+        assert run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2") == (2, "", f"consistency failure: {named}\n")
+
     def test_every_map_issued_before_any_result_is_read(self, capsys):
         # the pair blocks and graded dimensions of all ranks go to the pool
         # at once, so no worker waits for the parent's checks
@@ -421,6 +445,27 @@ class TestTable:
         assert "injected" in err
         assert path.read_bytes() == b"an earlier table\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table.out"]
+
+    def test_tail_refusal_keeps_existing_out(self, capsys, monkeypatch, tmp_path):
+        # a run step that always moves to column 1 leaves the support of
+        # J | K: the rewrite's own tail refuses the term, and the table
+        # fails before it replaces --out
+        import petring.ring as ring
+
+        def astray(mask, i, n, step=ring.run_step):
+            a, b, den, moves = step(mask, i, n)
+            return a, b, den, tuple((1, num) for _, num in moves)
+
+        monkeypatch.setattr(ring, "run_step", astray)
+        monkeypatch.setattr(ring, "_last_J", {})
+        path = tmp_path / "table5.csv"
+        path.write_bytes(b"an earlier table\n")
+        code, out, err = run(capsys, "table", "-n", "5", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "consistency failure: rewrite engine gave a term on L=1 for J=-, K=2, outside the L" in err
+        assert path.read_bytes() == b"an earlier table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table5.csv"]
 
     def test_csv_rows_stream_to_stdout(self, capsys, monkeypatch):
         # rows are written as the pairs come, not after the last one

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petring.cli import compute_expansion
-from petring.diagrams import expand_all
+from petring.diagrams import diagram_row, expand_all
 from petring.intervals import IndexSet
-from petring.ring import structure_constants_rewrite
+from petring.oracle import linalg_row
+from petring.ring import rewrite_row, structure_constants_rewrite
 
 
 @st.composite
@@ -36,6 +37,17 @@ def test_engines_agree_commute_and_keep_support(pair):
         assert d > 0
     if target > J.n - 1:
         assert expansion == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs())
+def test_rows_strictly_increase_in_mask(pair):
+    J, K = pair
+    rows = [row_of(J.n, J.mask, K.mask) for row_of in (diagram_row, rewrite_row, linalg_row)]
+    for row in rows:
+        assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), (J, K, row)
+        assert all(type(d) is int and d > 0 for _, d in row), (J, K, row)
+    assert rows[0] == rows[1] == rows[2]
 
 
 @st.composite

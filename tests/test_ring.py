@@ -205,7 +205,8 @@ class TestStructureConstants:
         pairs = [(J, K) for J in range(16) for K in range(16)]
         rng = random.Random(3)
         for order in (pairs, pairs[::-1], rng.sample(pairs, len(pairs))):
-            for J, K, expansion in structure_constants_rewrite_pairs(n, order):
+            for J, K, row in structure_constants_rewrite_pairs(n, order):
+                expansion = {IndexSet.from_mask(n, L): d for L, d in row}
                 assert expansion == structure_constants_rewrite(IndexSet.from_mask(n, J), IndexSet.from_mask(n, K))
 
     def test_pairs_take_one_step_per_pair_in_canonical_order(self, monkeypatch):
@@ -275,18 +276,16 @@ class TestStructureConstants:
                 integer_constant("rewrite", J, K, L, value, divisor)
 
     def test_shared_tail_checks_support_degree_and_integrality(self):
-        J, K = IndexSet.of(5, [2]), IndexSet.of(5, [2, 3])
-        assert constants("rewrite", J, K, [(0b0111, 6), (0b1110, 0), (0b0110 | 0b1000, 3)], 3) == {
-            IndexSet.of(5, [1, 2, 3]): 2,
-            IndexSet.of(5, [2, 3, 4]): 1,
-        }
+        J, K = IndexSet.of(5, [2]).mask, IndexSet.of(5, [2, 3]).mask
+        row = constants("rewrite", 5, J, K, [(0b0111, 6), (0b1110, 0), (0b0110 | 0b1000, 3)], 3)
+        assert row == ((IndexSet.of(5, [1, 2, 3]).mask, 2), (IndexSet.of(5, [2, 3, 4]).mask, 1))
         for engine, mask, value in (("diagram", 0b1011, 3), ("linalg", 0b0110, 3), ("rewrite", 0b1111, 3)):
             # L misses 3 from J | K; L has too few members; L has too many
             with pytest.raises(ConsistencyError, match=rf"{engine} engine gave a term on L=.* for J=2, K=2,3"):
-                constants(engine, J, K, [(0b0111, 3), (mask, value)], 3)
+                constants(engine, 5, J, K, [(0b0111, 3), (mask, value)], 3)
         for value in (4, -3):
             with pytest.raises(ConsistencyError, match=r"for J=2, K=2,3, L=1,2,3, expected a non-negative integer"):
-                constants("linalg", J, K, [(0b0111, value)], 3)
+                constants("linalg", 5, J, K, [(0b0111, value)], 3)
 
     def test_rewrite_term_off_support_refused(self, monkeypatch):
         # a run step that always moves to column 1 leaves the support of
