@@ -7,12 +7,9 @@ from .intervals import (
     ComponentDecomposition,
     IndexSet,
     all_index_sets,
-    codim_omegaj,
     decompose,
-    dim_xj,
     factor_ranks,
     hessenberg_function,
-    intersects_dual,
     m_factor,
 )
 from .ring import (

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import click
 
 from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
-from .errors import ConsistencyError, PresentationError, Row, expansion
+from .errors import ConsistencyError, PresentationError, Row, constants
 from .intervals import (
     IndexSet,
     all_index_sets,
@@ -101,11 +101,6 @@ def _format_list(xs: list[int]) -> str:
     return ",".join(str(x) for x in xs) if xs else "-"
 
 
-def compute_expansion(J: IndexSet, K: IndexSet, method: str) -> dict[IndexSet, int]:
-    """Run one engine, or all three with an exact-agreement check."""
-    return expansion(functools.partial(_expansion_row, method=method), J, K)
-
-
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
     """The checked row of one engine, or of all three with an exact-agreement
     check; a disagreement names the first L at which the rows differ."""
@@ -168,7 +163,13 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
-    out = tuple(sorted((IndexSet.parse(L, n).mask, int(d)) for L, d in _read_table(path, n, J, K)))
+    """The rows for (J, K) in a table file, through the checked tail of the
+    engines; a file that does not parse is refused."""
+    try:
+        pairs = [(IndexSet.parse(L, n).mask, int(d)) for L, d in _read_table(path, n, J, K)]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.ClickException(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
+    out = constants("cached", n, J.mask, K.mask, pairs, 1)
     # a table holds only nonzero constants, and the product is nonzero exactly
     # when |J| + |K| <= n - 1: such a pair without rows was left out by filters
     if not out and len(J) + len(K) <= n - 1:
@@ -189,7 +190,8 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         if data["n"] != n:
             raise click.UsageError(f"cache {path} is for rank {data['n']}, not {n}")
         key = [list(J.as_tuple()), list(K.as_tuple())]
-        return [[_format_list(r["L"]), r["d"]] for r in data["rows"] if [r["J"], r["K"]] == key]
+        # d as its text, as in a CSV table, so that int() refuses 2.5 or true
+        return [[_format_list(r["L"]), str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
     buf = io.StringIO()
     csv.writer(buf, lineterminator=",\n").writerows([[n, J.format()], [n, J.format(), K.format()]])
     rank, (j_prefix, prefix) = f"{n},", buf.getvalue().splitlines()
@@ -240,17 +242,17 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
     once over a shared prefix memo.  Returns the failure lines in block
     order: a pair's error, or a pair whose expansion differs from its
     transpose's."""
-    results: dict[tuple[int, int], dict | Exception | None] = dict.fromkeys(masks)
+    results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
     for jm, km in sorted(masks):
         try:
-            results[jm, km] = compute_expansion(IndexSet.from_mask(n, jm), IndexSet.from_mask(n, km), "all")
+            results[jm, km] = _expansion_row(n, jm, km, "all")
         except (ConsistencyError, PresentationError) as exc:
             results[jm, km] = exc
     failures = []
-    for (jm, km), expansion in results.items():
-        if isinstance(expansion, Exception):
-            problem = expansion
-        elif results[km, jm] != expansion:
+    for (jm, km), row in results.items():
+        if isinstance(row, Exception):
+            problem = row
+        elif results[km, jm] != row:
             problem = "expansion not symmetric"
         else:
             continue

@@ -18,8 +18,9 @@ per final shading L, times m_factor(L), are memoized on (n, J | K, J & K):
 the 4^(n-1) pairs of rank n share 3^(n-1) games, and only the division by
 m_factor(J) * m_factor(K) is done per pair, on bit masks, in the checked
 tail that all three engines end in, ``errors.constants``.
-``enumerate_diagrams`` plays its game, restricted to the columns of L,
-afresh on every call.
+``enumerate_diagrams`` plays the same game afresh on every call and keeps
+the games that end on L: every column a row adds lies outside J | K, so
+the games on the columns of L are exactly these.
 """
 
 from __future__ import annotations
@@ -78,12 +79,11 @@ class LeftRightDiagram:
     weight: Fraction
 
 
-def _games(n: int, start: int, marked: int, allowed: int) -> list[tuple[int, tuple, int, int]]:
+def _games(n: int, start: int, marked: int) -> list[tuple[int, tuple, int, int]]:
     """Every successful game at rank n from the shading mask ``start``,
     playing one row per member of the mask ``marked`` in increasing order,
-    whose darkly-shaded columns lie in the mask ``allowed``, in
-    LEFT-before-RIGHT order, as (final shading mask, rows, num, den).  A row
-    is the step it played, (element, a, b, target, num, den), of weight
+    in LEFT-before-RIGHT order, as (final shading mask, rows, num, den).  A
+    row is the step it played, (element, a, b, target, num, den), of weight
     num/den; the game carries the product num/den of its row weights."""
     games = [(start, (), 1, 1)]
     for element in (k + 1 for k in range(marked.bit_length()) if marked >> k & 1):
@@ -91,9 +91,8 @@ def _games(n: int, start: int, marked: int, allowed: int) -> list[tuple[int, tup
         for shading, rows, num, den in games:
             a, b, row_den, moves = run_step(shading, element, n)
             for target, row_num in moves:
-                if allowed >> (target - 1) & 1:
-                    row = (element, a, b, target, row_num, row_den)
-                    played.append((shading | 1 << (target - 1), rows + (row,), num * row_num, den * row_den))
+                row = (element, a, b, target, row_num, row_den)
+                played.append((shading | 1 << (target - 1), rows + (row,), num * row_num, den * row_den))
         games = played
     return games
 
@@ -106,7 +105,7 @@ def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], 
     shading mask L, times m_factor(L), in order of first appearance, as
     (mask, numerator) pairs over one common denominator, which is returned
     with them."""
-    games = _games(n, start, marked, allowed=-1)
+    games = _games(n, start, marked)
     denom = math.lcm(*(den for _, _, _, den in games))
     sums: dict[int, int] = {}
     for final, _, num, den in games:
@@ -116,15 +115,15 @@ def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], 
 
 def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightDiagram]:
     """All successful games for (J, K, L), in LEFT-before-RIGHT branch
-    order.  Triples violating the support or degree condition yield the
-    empty list."""
+    order: the games of the unrestricted game from J | K with the rows of
+    J & K that end on L.  Triples violating the support or degree condition
+    yield the empty list, as every game ends on J | K and |J & K| more
+    columns."""
     J._check_same_rank(L)
-    union = J.union(K)
-    if not (union.issubset(L) and len(L) == len(J) + len(K)):
-        return []
     diagrams = []
-    for shading, played, num, den in _games(J.n, union.mask, J.mask & K.mask, L.mask & ~union.mask):
-        assert shading == L.mask  # forced: each row adds one new column
+    for shading, played, num, den in _games(J.n, J.union(K).mask, J.mask & K.mask):
+        if shading != L.mask:
+            continue
         rows = tuple(
             GameRow(element, (a, b), Move.LEFT if target < a else Move.RIGHT, target, Fraction(row_num, row_den))
             for element, a, b, target, row_num, row_den in played

@@ -26,9 +26,6 @@ __all__ = [
     "run_step",
     "hessenberg_function",
     "factor_ranks",
-    "intersects_dual",
-    "dim_xj",
-    "codim_omegaj",
     "all_index_sets",
 ]
 
@@ -195,22 +192,6 @@ def hessenberg_function(J: IndexSet) -> list[int]:
 def factor_ranks(J: IndexSet) -> list[int]:
     """Run lengths plus one: the ranks of the Peterson factors attached to J."""
     return [hi - lo + 2 for lo, hi in decompose(J).runs]
-
-
-def intersects_dual(J: IndexSet, Jp: IndexSet) -> bool:
-    """Whether the degree variety of J meets the dual variety of Jp: true iff Jp is a subset of J."""
-    J._check_same_rank(Jp)
-    return Jp.members <= J.members
-
-
-def dim_xj(J: IndexSet) -> int:
-    """Complex dimension of the subvariety attached to J."""
-    return len(J)
-
-
-def codim_omegaj(J: IndexSet) -> int:
-    """Complex codimension of the dual subvariety attached to J."""
-    return len(J)
 
 
 def all_index_sets(n: int) -> Iterator[IndexSet]:

@@ -12,7 +12,7 @@ from petring import diagrams, oracle
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import scale, structure_constants_rewrite
 
-from petring.cli import ExpansionRecord, compute_expansion, main
+from petring.cli import ExpansionRecord, main
 from petring.errors import ConsistencyError
 
 GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]
@@ -197,12 +197,14 @@ class TestVerify:
         assert "--jobs must be in [1, 2]" in err
 
     def test_failure_names_subsets(self, capsys, monkeypatch):
-        def faulty(J, K, method):
-            if J.format() == "1,3" and K.format() == "2":
-                raise ConsistencyError("injected")
-            return compute_expansion(J, K, method)
+        expansion_row = petring.cli._expansion_row
 
-        monkeypatch.setattr("petring.cli.compute_expansion", faulty)
+        def faulty(n, J, K, method):
+            if (J, K) == (0b101, 0b010):
+                raise ConsistencyError("injected")
+            return expansion_row(n, J, K, method)
+
+        monkeypatch.setattr(petring.cli, "_expansion_row", faulty)
         code, out, err = run(capsys, "verify", "--n-max", "5")
         assert code == 2
         assert "FAIL n=5 J=1,3 K=2: injected" in err.splitlines()
@@ -311,12 +313,14 @@ class TestVerify:
     def test_failure_lines_independent_of_jobs(self, capsys, monkeypatch):
         # each failure line is made in the worker that holds the pair and its
         # transpose; the lines come back in union-mask order either way
-        def faulty(J, K, method):
-            if J.format() == "1,3" and K.format() == "2":
-                raise ConsistencyError("injected")
-            return compute_expansion(J, K, method)
+        expansion_row = petring.cli._expansion_row
 
-        monkeypatch.setattr("petring.cli.compute_expansion", faulty)
+        def faulty(n, J, K, method):
+            if (J, K) == (0b101, 0b010):
+                raise ConsistencyError("injected")
+            return expansion_row(n, J, K, method)
+
+        monkeypatch.setattr(petring.cli, "_expansion_row", faulty)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
@@ -340,7 +344,6 @@ class TestVerify:
         monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
         for name in ("_step", "_normal_form"):
             monkeypatch.setattr(oracle, name, functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
-        monkeypatch.setattr(oracle, "_last_level", {})
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
@@ -666,6 +669,67 @@ class TestCachedLookup:
         for j, k in [("-", "-"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
             cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
             assert cached == rewrite != []
+
+
+def _edited_table(capsys, tmp_path, fmt, L, d):
+    """A rank-4 table whose one row for J = {1}, K = {2}, d = 2 on L = {1,2},
+    is replaced by the given L and d fields."""
+    path = tmp_path / f"t4.{fmt}"
+    assert run(capsys, "table", "-n", "4", "--format", fmt, "--out", str(path))[0] == 0
+    if fmt == "json":
+        data = json.loads(path.read_text())
+        row = next(r for r in data["rows"] if (r["J"], r["K"]) == ([1], [2]))
+        assert (row["L"], row["d"]) == ([1, 2], "2")
+        row["L"], row["d"] = L, d
+        path.write_text(json.dumps(data))
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        index = lines.index('4,1,2,"1,2",2\n')
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([4, "1", "2", ",".join(map(str, L)), d])
+        lines[index] = buf.getvalue()
+        path.write_text("".join(lines))
+    return path
+
+
+class TestCachedRowsChecked:
+    """A cached row goes through the checked tail of the engines, and a table
+    that does not parse is refused with one line naming it."""
+
+    @pytest.mark.parametrize("out_fmt", ["json", "csv"])
+    @pytest.mark.parametrize("table_fmt", ["csv", "json"])
+    @pytest.mark.parametrize("L, d, message", [
+        ([1, 2], "-3", "cached engine gave d = -3 for J=1, K=2, L=1,2, expected a non-negative integer"),
+        ([2, 3], "2", "cached engine gave a term on L=2,3 for J=1, K=2, outside the L containing J | K"),
+    ], ids=["negative", "off-support"])
+    def test_bad_row_refused(self, capsys, tmp_path, table_fmt, out_fmt, L, d, message):
+        path = _edited_table(capsys, tmp_path, table_fmt, L, d)
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "1", "-K", "2", "--cached", str(path),
+                             "--format", out_fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"consistency failure: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("table_fmt, L, d, text", [
+        ("csv", [1, 2], "x", None),
+        ("csv", [1, 9], "2", None),
+        ("json", [1, 2], "x", None),
+        ("json", [1, 9], "2", None),
+        ("json", [1, 2], 2.5, None),
+        ("json", None, None, '{"n": 4}\n'),
+        ("json", None, None, "not json\n"),
+    ], ids=["csv-d", "csv-L", "json-d", "json-L", "json-float-d", "json-no-rows", "not-json"])
+    def test_malformed_cache_refused(self, capsys, tmp_path, table_fmt, L, d, text):
+        if text is None:
+            path = _edited_table(capsys, tmp_path, table_fmt, L, d)
+        else:
+            path = tmp_path / "t4.json"
+            path.write_text(text)
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "1", "-K", "2", "--cached", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"Error: cache {path} is malformed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestGroup:

@@ -109,6 +109,17 @@ class TestStructureConstant:
                         d = structure_constant(J, K, L)
                         assert (d == 0) == (enumerate_diagrams(J, K, L) == [])
 
+    def test_listing_matches_memoized_game(self):
+        # the listing filters the game that expand_all memoizes on final
+        # shading L: both must give every constant, zeros included
+        for n in range(1, 7):
+            sets = list(all_index_sets(n))
+            for J in sets:
+                for K in sets:
+                    expansion = expand_all(J, K)
+                    for L in sets:
+                        assert structure_constant(J, K, L) == expansion.get(L, 0), (n, J, K, L)
+
     def test_symmetry(self):
         for n in range(2, 8):
             for J in all_index_sets(n):

@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from petring.intervals import (
     IndexSet,
     all_index_sets,
-    codim_omegaj,
     decompose,
-    dim_xj,
     factor_ranks,
     hessenberg_function,
-    intersects_dual,
     m_factor,
     run_step,
 )
@@ -141,38 +138,3 @@ class TestFactorRanks:
         assert factor_ranks(IndexSet.of(10, [1, 2, 4, 5, 6, 9])) == [3, 4, 2]
         assert factor_ranks(IndexSet(6)) == []
         assert factor_ranks(IndexSet.of(5, [2, 3])) == [3]
-
-
-class TestIntersectsDual:
-    def test_examples(self):
-        assert intersects_dual(IndexSet.of(4, [2, 3]), IndexSet.of(4, [2]))
-        assert not intersects_dual(IndexSet.of(5, [2]), IndexSet.of(5, [3]))
-        assert intersects_dual(IndexSet.of(3, [1]), IndexSet.of(3, [1]))
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            intersects_dual(IndexSet.of(4, [1]), IndexSet.of(5, [1]))
-
-    def test_monotone(self):
-        n = 7
-        for J in all_index_sets(n):
-            for Jp in all_index_sets(n):
-                hit = intersects_dual(J, Jp)
-                for extra in range(1, n):
-                    if hit:
-                        # enlarging J preserves true
-                        assert intersects_dual(IndexSet(n, J.members | {extra}), Jp)
-                    else:
-                        # enlarging Jp preserves false
-                        assert not intersects_dual(J, IndexSet(n, Jp.members | {extra}))
-
-
-class TestDimensions:
-    def test_examples(self):
-        assert dim_xj(IndexSet.of(8, [1, 3, 5, 6, 7])) == 5
-        assert dim_xj(IndexSet(4)) == 0
-        assert codim_omegaj(IndexSet.full(6)) == 5
-
-    @given(index_sets())
-    def test_both_equal_cardinality(self, J):
-        assert dim_xj(J) == codim_omegaj(J) == len(J)

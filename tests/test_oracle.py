@@ -134,9 +134,15 @@ class TestTable:
 
     def test_transposed_pairs_share_one_reduction(self, fresh_table):
         J, K = IndexSet.of(8, [1, 2, 3]), IndexSet.of(8, [2, 3, 5])
-        assert structure_constants_linalg(J, K) == structure_constants_linalg(K, J)
+        expansion = structure_constants_linalg(J, K)
+        first = oracle._normal_form.cache_info()
+        # three forms on the route: g_1 g_2^2 g_3^2 g_5, then one g_3 less,
+        # then one g_2 less, which is square-free
+        assert (first.misses, first.hits) == (3, 0)
+        assert structure_constants_linalg(K, J) == expansion
         info = oracle._normal_form.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        # the transpose adds no miss and one hit
+        assert (info.misses, info.hits) == (first.misses, first.hits + 1)
         # two table entries: g_2 on x_{1,2,3,5}, then g_3 on the one term
         # that the first step leaves
         assert oracle._step.cache_info().currsize == 2
@@ -288,21 +294,12 @@ class TestQuotientDimension:
         # a rank that verify's pair sweep does not reach
         assert [quotient_dimension(9, d) for d in range(0, 11)] == [math.comb(8, d) for d in range(0, 11)]
 
-    def test_forms_are_normal_forms(self):
-        # the forms of each level follow the route of the normal forms
-        for n in range(1, 7):
-            for k in range(0, n + 1):
-                for mono, (terms, denom) in oracle._level(n, k).items():
-                    expected = {IndexSet.from_mask(n, S): Fraction(v, denom) for S, v in terms.items()}
-                    assert normal_form(Monomial(n, mono)) == expected, (n, mono)
-
-    def test_each_level_built_once(self, monkeypatch):
+    def test_each_level_built_once(self, fresh_table, monkeypatch):
         # d = 0, 1, ..., n+1 in turn: one table fold per monomial that is not
-        # square-free, of degree at most n, and levels above n are not built
+        # square-free, of degree at most n, and none above degree n
         calls = []
         times = oracle._times
         monkeypatch.setattr(oracle, "_times", lambda *args: calls.append(args) or times(*args))
-        monkeypatch.setattr(oracle, "_last_level", {})
         n = 6
         assert [quotient_dimension(n, d) for d in range(n + 2)] == [math.comb(n - 1, d) for d in range(n + 2)]
         assert len(calls) == sum(math.comb(n + k - 2, k) - math.comb(n - 1, k) for k in range(n + 1))
@@ -317,7 +314,6 @@ class TestQuotientDimension:
             return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
 
         monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
-        monkeypatch.setattr(oracle, "_last_level", {})
         assert quotient_dimension(4, 2) == 2
         assert quotient_dimension(4, 1) == 3
 
@@ -325,7 +321,6 @@ class TestQuotientDimension:
         # without its 2*g_j^2 term no relation row eliminates g_1^2 at rank 2
         own_row = oracle._own_row
         monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
-        monkeypatch.setattr(oracle, "_last_level", {})
         assert quotient_dimension(2, 1) == 1
         for d in (2, 3):
             with pytest.raises(PresentationError, match=r"monomial \(2,\) at rank 2, degree 2"):
