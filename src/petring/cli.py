@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -49,56 +48,13 @@ from .permutations import (
 )
 from .ring import integral, monomial, multiply, rewrite_row, structure_constants_rewrite_pairs, unit
 
-__all__ = ["ExpansionRecord", "cli", "main", "entry"]
+__all__ = ["cli", "main", "entry"]
 
 MAX_QUERY_RANK = 16
 MAX_VERIFY_RANK = 8
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
 METHODS = ("diagram", "rewrite", "linalg", "all")
-
-
-@dataclass
-class ExpansionRecord:
-    """Serialized expansion of one product: terms are (L, coefficient)
-    pairs in canonical subset order, coefficients as decimal strings."""
-
-    n: int
-    J: list[int]
-    K: list[int]
-    method: str
-    terms: list[dict]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "J": self.J, "K": self.K, "method": self.method, "terms": self.terms},
-            separators=(", ", ": "),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExpansionRecord":
-        data = json.loads(text)
-        return cls(
-            n=data["n"],
-            J=list(data["J"]),
-            K=list(data["K"]),
-            method=data["method"],
-            terms=[{"L": list(t["L"]), "coeff": str(t["coeff"])} for t in data["terms"]],
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "J", "K", "method", "L", "coeff"])
-        j = _format_list(self.J)
-        k = _format_list(self.K)
-        for term in self.terms:
-            writer.writerow([self.n, j, k, self.method, _format_list(term["L"]), term["coeff"]])
-        return buf.getvalue()
-
-
-def _format_list(xs: list[int]) -> str:
-    return ",".join(str(x) for x in xs) if xs else "-"
 
 
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
@@ -154,21 +110,29 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
         method = "cached"
     else:
         row = _expansion_row(n, J.mask, K.mask, method)
-    terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)} for L, d in row]
-    record = ExpansionRecord(n, list(J.as_tuple()), list(K.as_tuple()), method, terms)
     if fmt == "json":
-        click.echo(record.to_json())
-    else:
-        click.echo(record.to_csv(), nl=False)
+        terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)} for L, d in row]
+        record = {"n": n, "J": list(J.as_tuple()), "K": list(K.as_tuple()), "method": method, "terms": terms}
+        click.echo(json.dumps(record, separators=(", ", ": ")))
+        return
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["n", "J", "K", "method", "L", "coeff"])
+    writer.writerows([n, J.format(), K.format(), method, IndexSet.from_mask(n, L).format(), d] for L, d in row)
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
     """The rows for (J, K) in a table file, through the checked tail of the
-    engines; a file that does not parse is refused."""
+    engines; a file that does not parse is refused, and so is a pair with
+    two rows on one L."""
     try:
         pairs = [(IndexSet.parse(L, n).mask, int(d)) for L, d in _read_table(path, n, J, K)]
     except (ValueError, KeyError, TypeError) as exc:
         raise click.ClickException(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
+    masks = sorted(L for L, _ in pairs)
+    repeated = [L for L, M in zip(masks, masks[1:]) if L == M]
+    if repeated:
+        raise ConsistencyError(f"cache {path} has two rows for J={J.format()} K={K.format()} "
+                               f"L={IndexSet.from_mask(n, repeated[0]).format()}")
     out = constants("cached", n, J.mask, K.mask, pairs, 1)
     # a table holds only nonzero constants, and the product is nonzero exactly
     # when |J| + |K| <= n - 1: such a pair without rows was left out by filters
@@ -182,8 +146,10 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     A CSV table is scanned for the raw line prefix "n,J,K,", written by the
     same csv.writer as the table so that the quoting matches; the scan checks
     the rank of every line it reads and stops after the matching block, or
-    after the block of J's rows if none matches, since rows are in canonical
-    order.  A JSON table is loaded whole."""
+    after the block of J's rows if none matches.  It trusts the canonical
+    row order that `table` writes: in a file whose rows for one pair are not
+    contiguous, it finds only the first block (a check would read to the
+    end of the file).  A JSON table is loaded whole."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
@@ -191,7 +157,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
             raise click.UsageError(f"cache {path} is for rank {data['n']}, not {n}")
         key = [list(J.as_tuple()), list(K.as_tuple())]
         # d as its text, as in a CSV table, so that int() refuses 2.5 or true
-        return [[_format_list(r["L"]), str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
+        return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
     buf = io.StringIO()
     csv.writer(buf, lineterminator=",\n").writerows([[n, J.format()], [n, J.format(), K.format()]])
     rank, (j_prefix, prefix) = f"{n},", buf.getvalue().splitlines()

@@ -30,8 +30,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
-from .errors import Row, constants, expansion, integer_constant
+from .errors import Row, constants, expansion
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = [
@@ -139,9 +140,14 @@ def weight(P: LeftRightDiagram) -> Fraction:
 
 def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
     """The coefficient of the basis class on L in the product of the basis
-    classes on J and K, by counting weighted diagrams."""
-    total = sum((P.weight for P in enumerate_diagrams(J, K, L)), Fraction(0))
-    return integer_constant("diagram", J, K, L, m_factor(L) * total, m_factor(J) * m_factor(K))
+    classes on J and K, by counting weighted diagrams: their weight sum as
+    one numerator over a denominator, through the checked tail (an empty
+    row, so 0, when there are none)."""
+    found = enumerate_diagrams(J, K, L)
+    total = sum((P.weight for P in found), Fraction(0))
+    row = [(L.mask, m_factor(L) * total.numerator)] if found else []
+    divisor = total.denominator * m_factor(J) * m_factor(K)
+    return dict(constants("diagram", J.n, J.mask, K.mask, row, divisor)).get(L.mask, 0)
 
 
 def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
@@ -166,34 +172,14 @@ def render_ascii(P: LeftRightDiagram) -> str:
     width = max((len(str(c)) for c in columns), default=1) + 2
     label_width = max([3] + [len(str(r.element)) for r in P.rows])
 
-    def cell(text: str) -> str:
-        return text.rjust(width)
+    def line(label: str, cells: Iterable[str]) -> str:
+        return label.rjust(label_width) + " |" + "".join(text.rjust(width) for text in cells) + " |"
 
-    lines = []
-    lines.append(" " * label_width + " |" + "".join(cell(str(c)) for c in columns) + " |")
     shading = P.J.union(P.K).members
-    lines.append(
-        " " * label_width
-        + " |"
-        + "".join(cell("#" if c in shading else "") for c in columns)
-        + " |"
-    )
+    lines = [line("", map(str, columns)), line("", ("#" if c in shading else "" for c in columns))]
     for row in P.rows:
         shading = shading | {row.added_column}
-        cells = []
-        for c in columns:
-            if c == row.added_column:
-                cells.append(cell("*"))
-            elif c == row.element:
-                cells.append(cell("x"))
-            elif c in shading:
-                cells.append(cell("#"))
-            else:
-                cells.append(cell(""))
-        lines.append(
-            str(row.element).rjust(label_width)
-            + " |"
-            + "".join(cells)
-            + f" | ({row.move.value}) {row.row_weight}"
-        )
+        marks = {row.element: "x", row.added_column: "*"}
+        cells = (marks.get(c) or ("#" if c in shading else "") for c in columns)
+        lines.append(line(str(row.element), cells) + f" ({row.move.value}) {row.row_weight}")
     return "\n".join(lines)

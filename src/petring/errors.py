@@ -7,7 +7,7 @@ from typing import Callable, Iterable
 
 from .intervals import IndexSet
 
-__all__ = ["ConsistencyError", "PresentationError", "integer_constant", "constants", "expansion"]
+__all__ = ["ConsistencyError", "PresentationError", "constants", "expansion"]
 
 Row = tuple[tuple[int, int], ...]  # (L mask, d) pairs, increasing in mask, each d > 0
 
@@ -21,18 +21,6 @@ class ConsistencyError(RuntimeError):
 class PresentationError(RuntimeError):
     """The quadratic relations did not eliminate every non-square-free
     monomial at some degree, so normal forms are not defined there."""
-
-
-def integer_constant(engine: str, J: object, K: object, L: object, value, divisor=1) -> int:
-    """d_JK^L = value / divisor as computed by the named engine (integers or
-    fractions), checked to be a non-negative integer."""
-    quotient, remainder = divmod(value, divisor)
-    if remainder or quotient < 0:
-        shown = value if divisor == 1 else f"{value}/{divisor}"
-        raise ConsistencyError(
-            f"{engine} engine gave d = {shown} for J={J}, K={K}, L={L}, expected a non-negative integer"
-        )
-    return int(quotient)
 
 
 def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]], divisor: int) -> Row:
@@ -49,8 +37,11 @@ def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]
             raise ConsistencyError(f"{engine} engine gave a term on L={IndexSet.from_mask(n, L)} for "
                                    f"J={IndexSet.from_mask(n, J)}, K={IndexSet.from_mask(n, K)}, "
                                    "outside the L containing J | K with |L| = |J| + |K|")
-        if remainder or d < 0:  # raises, naming the subsets
-            integer_constant(engine, *(IndexSet.from_mask(n, S) for S in (J, K, L)), value, divisor)
+        if remainder or d < 0:
+            shown = value if divisor == 1 else f"{value}/{divisor}"
+            raise ConsistencyError(f"{engine} engine gave d = {shown} for J={IndexSet.from_mask(n, J)}, "
+                                   f"K={IndexSet.from_mask(n, K)}, L={IndexSet.from_mask(n, L)}, "
+                                   "expected a non-negative integer")
         if d:
             out.append((L, d))
     return tuple(out)

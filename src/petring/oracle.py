@@ -10,16 +10,24 @@ with the boundary convention g_0 = g_n = 0.  No run-rule rewriting is used
 anywhere in this module, so its structure constants are an independent
 cross-check of the rewrite engine.
 
+One kernel does every elimination: ``_reduce_row`` clears a row's smallest
+column with that column's pivot until the smallest column has none, and
+returns the row over a positive denominator in lowest terms.
+``_echelon`` makes each pivot from a reduced row, lead positive and content
+divided out.
+
 Normal forms fold over a memoized table: the entry NF(g_i * x_S) for i in S,
 keyed by (n, i, S mask), is an integer row keyed by mask over one
 denominator, built by eliminating only the relation rows that the
-non-square-free terms of g_i * x_S reach; a non-square-free leftover raises
-PresentationError.  As NF(g_i * m) = NF(g_i * NF(m)) and NF is linear,
-normal forms are one memoized recursion on (n, exponents): a square-free
-monomial is its own form, and any other is g_j times the form of the
-monomial with one g_j less, j its last squared generator, by one step
-through the table (g_i * x_S = x_{S+i} for i not in S), on integers over
-one common denominator whose content is divided out.  That integer row and
+non-square-free terms of g_i * x_S reach.  Their columns come first, so the
+reduction of g_i * x_S stops at a square-free column or at a non-square-free
+leftover, which raises PresentationError.  As NF(g_i * m) = NF(g_i * NF(m))
+and NF is linear, normal forms are one memoized recursion on (n,
+exponents): a square-free monomial is its own form, and any other is g_j
+times the form of the monomial with one g_j less, j its last squared
+generator, by one step through the table (g_i * x_S = x_{S+i} for i not
+in S), on integers over one common denominator whose content is divided
+out.  That integer row and
 denominator do not depend on the route that built them.
 ``linalg_row`` scales the row by m_factor(L) and ends in the checked tail
 that all three engines share, ``errors.constants``, on bit masks;
@@ -49,7 +57,6 @@ never get a pivot, so every row is reduced.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,83 +204,41 @@ def relation_rows(n: int, d: int) -> RelationMatrix:
     return RelationMatrix(n, d, tuple(cols), rows)
 
 
-def _normalize(row: dict[int, int], lead: int) -> dict[int, int]:
-    """Divide by the content and make the leading entry positive."""
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-    if row[lead] < 0:
-        g = -g
-    return {c: v // g for c, v in row.items()}
-
-
-def _reduce_row(
-    row: dict[int, int],
-    pivots: dict[int, dict[int, int]],
-    stop_at_new_lead: bool,
-) -> tuple[dict[int, int], int, int]:
-    """Eliminate pivot columns from an integer row, smallest column first.
-
-    Returns (row, denominator, lead).  The row is scaled by the pivot leading
-    coefficients as eliminations are applied; ``denominator`` tracks the
-    accumulated scale so row/denominator is the exact reduced vector.  If
-    ``stop_at_new_lead`` is true, reduction stops at the first leading column
-    with no pivot (that column is returned as ``lead``); otherwise every
-    pivot column is eliminated and ``lead`` is -1.
-    """
+def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> tuple[dict[int, int], int]:
+    """Clear the smallest column of an integer row with that column's pivot
+    until the smallest column has none.  A pivot's smallest column is its
+    lead, so no column below the cleared one comes back.  Returns (row,
+    denominator) in lowest terms with a positive denominator: row /
+    denominator is the reduced vector, and its lead is min(row)."""
     denom = 1
-    heap = list(row)
-    heapq.heapify(heap)
-    queued = set(row)
-    while heap:
-        c = heapq.heappop(heap)
-        queued.discard(c)
-        v = row.get(c, 0)
-        if not v:
-            row.pop(c, None)
-            continue
-        p = pivots.get(c)
-        if p is None:
-            if stop_at_new_lead:
-                return row, denom, c
-            continue
-        pc = p[c]
-        if pc != 1:
-            for col in row:
-                row[col] *= pc
-            denom *= pc
-        for col, pv in p.items():
-            nv = row.get(col, 0) - v * pv
-            if nv:
+    while row and (pivot := pivots.get(c := min(row))):
+        g = math.gcd(row[c], pivot[c])
+        scale, v = pivot[c] // g, row[c] // g
+        denom *= scale
+        for col in row:
+            row[col] *= scale
+        for col, pv in pivot.items():
+            if nv := row.get(col, 0) - v * pv:
                 row[col] = nv
-                if col > c and col not in queued:
-                    heapq.heappush(heap, col)
-                    queued.add(col)
             else:
-                row.pop(col, None)
-        # keep entries small: strip the common content
-        g = denom
-        for val in row.values():
-            g = math.gcd(g, val)
-            if g == 1:
-                break
-        if g > 1:
-            denom //= g
-            for col in list(row):
-                row[col] //= g
-    return row, denom, -1
+                del row[col]
+    g = math.gcd(denom, *row.values())
+    return {c: v // g for c, v in row.items()}, denom // g
 
 
 def _echelon(rows: Iterable[dict[int, int]], num_columns: int) -> dict[int, dict[int, int]]:
     """Pivot rows, one per pivot column.  Rows are processed in the given
-    order; each settles on its leading column after reduction by the pivots
-    found so far, so pivots prefer the smallest eligible column.  Stops once
-    all ``num_columns`` columns have a pivot: the rank can grow no further."""
+    order; each settles on its lead after reduction by the pivots found so
+    far, with the lead positive and the content divided out, so pivots
+    prefer the smallest eligible column.  Stops once all ``num_columns``
+    columns have a pivot: the rank can grow no further."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        reduced, _, lead = _reduce_row(dict(row), pivots, stop_at_new_lead=True)
-        if lead >= 0:
-            pivots[lead] = _normalize(reduced, lead)
+        reduced, _ = _reduce_row(dict(row), pivots)
+        if reduced:
+            lead = min(reduced)
+            g = math.gcd(*reduced.values()) * (1 if reduced[lead] > 0 else -1)
+            pivots[lead] = {c: v // g for c, v in reduced.items()}
             if len(pivots) == num_columns:
                 break
     return pivots
@@ -321,10 +286,9 @@ def _step(n: int, i: int, S: int) -> tuple[dict[int, int], int]:
         ({col_index[t]: v for t, v in relations[mono].items()} for mono in cols[: len(relations)]),
         len(cols),
     )
-    reduced, denom, _ = _reduce_row({col_index[product]: 1}, pivots, stop_at_new_lead=False)
-    leftover = [cols[c] for c in reduced if _squared(cols[c])]
-    if leftover:
-        raise PresentationError(f"monomial {leftover[0]} at rank {n}, degree {S.bit_count() + 1} is neither "
+    reduced, denom = _reduce_row({col_index[product]: 1}, pivots)
+    if reduced and min(reduced) < len(relations):
+        raise PresentationError(f"monomial {cols[min(reduced)]} at rank {n}, degree {S.bit_count() + 1} is neither "
                                 "square-free nor eliminated: the relations are incomplete here")
     return {_mask(cols[c]): v for c, v in reduced.items()}, denom
 

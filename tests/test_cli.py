@@ -12,7 +12,7 @@ from petring import diagrams, oracle
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import scale, structure_constants_rewrite
 
-from petring.cli import ExpansionRecord, main
+from petring.cli import main
 from petring.errors import ConsistencyError
 
 GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]
@@ -113,9 +113,12 @@ class TestCheckedTail:
 class TestExpansionRecord:
     def test_json_round_trip(self, capsys):
         _, out, _ = run(capsys, *GOLDEN)
-        record = ExpansionRecord.from_json(out)
-        assert record.to_json() == out.strip()
-        assert ExpansionRecord.from_json(record.to_json()) == record
+        record = json.loads(out)
+        assert json.dumps(record, separators=(", ", ": ")) == out.strip()
+        assert json.loads(json.dumps(record)) == record
+        assert list(record) == ["n", "J", "K", "method", "terms"]
+        assert (record["n"], record["J"], record["K"], record["method"]) == (10, [1, 3, 5, 6, 7], [3, 6, 8], "all")
+        assert all(list(term) == ["L", "coeff"] and type(term["coeff"]) is str for term in record["terms"])
 
 
 class TestDiagramsCommand:
@@ -709,6 +712,25 @@ class TestCachedRowsChecked:
         assert code == 2
         assert out == ""
         assert err.startswith(f"consistency failure: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("table_fmt", ["csv", "json"])
+    def test_repeated_row_refused(self, capsys, tmp_path, table_fmt):
+        # the one row for J = K = {2}, d = 1 on L = {1,2}, written twice
+        path = tmp_path / f"t4.{table_fmt}"
+        assert run(capsys, "table", "-n", "4", "--format", table_fmt, "--out", str(path))[0] == 0
+        if table_fmt == "json":
+            data = json.loads(path.read_text())
+            row = {"J": [2], "K": [2], "L": [1, 2], "d": "1"}
+            data["rows"].insert(data["rows"].index(row), row)
+            path.write_text(json.dumps(data))
+        else:
+            text = path.read_text()
+            assert text.count('4,2,2,"1,2",1\n') == 1
+            path.write_text(text.replace('4,2,2,"1,2",1\n', '4,2,2,"1,2",1\n' * 2))
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2", "--cached", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"consistency failure: cache {path} has two rows for J=2 K=2 L=1,2\n"
 
     @pytest.mark.parametrize("table_fmt, L, d, text", [
         ("csv", [1, 2], "x", None),

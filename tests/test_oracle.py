@@ -89,9 +89,7 @@ class TestNormalForm:
                 cols, pivots = oracle._reduced_pivots(n, d)
                 col_index = {mono: idx for idx, mono in enumerate(cols)}
                 for exps in oracle._monomial_exponents(n, d):
-                    vec, denom, _ = oracle._reduce_row(
-                        {col_index[exps]: 1}, pivots, stop_at_new_lead=False
-                    )
+                    vec, denom = oracle._reduce_row({col_index[exps]: 1}, pivots)
                     expected = {
                         IndexSet.of(n, (i + 1 for i, e in enumerate(cols[c]) if e)): Fraction(v, denom)
                         for c, v in vec.items()
@@ -127,10 +125,18 @@ class TestTable:
                 col_index = {mono: idx for idx, mono in enumerate(cols)}
                 for i in (k + 1 for k in range(n - 1) if S >> k & 1):
                     product = oracle._bump(tuple(S >> k & 1 for k in range(n - 1)), i, 1)
-                    vec, denom, _ = oracle._reduce_row({col_index[product]: 1}, pivots, stop_at_new_lead=False)
+                    vec, denom = oracle._reduce_row({col_index[product]: 1}, pivots)
                     expected = {sum(e << k for k, e in enumerate(cols[c])): Fraction(v, denom) for c, v in vec.items()}
                     row, d = oracle._step(n, i, S)
                     assert {L: Fraction(v, d) for L, v in row.items()} == expected, (n, i, S)
+
+    def test_entries_in_lowest_terms(self):
+        # _normal_form's memo relies on one canonical (row, denominator) form
+        for n in range(2, 9):
+            for S in range(1 << (n - 1)):
+                for i in (k + 1 for k in range(n - 1) if S >> k & 1):
+                    row, denom = oracle._step(n, i, S)
+                    assert denom > 0 and math.gcd(denom, *row.values()) == 1, (n, i, S)
 
     def test_transposed_pairs_share_one_reduction(self, fresh_table):
         J, K = IndexSet.of(8, [1, 2, 3]), IndexSet.of(8, [2, 3, 5])
@@ -221,7 +227,7 @@ class TestElimination:
                 assert cols == matrix.columns
                 assert len(pivots) == len(plain), (n, d)
                 for row in matrix.rows:
-                    reduced, _, _ = oracle._reduce_row(dict(row), pivots, stop_at_new_lead=False)
+                    reduced, _ = oracle._reduce_row(dict(row), pivots)
                     assert reduced == {}, (n, d, row)
 
     def test_echelon_stops_only_at_full_rank(self):
@@ -236,13 +242,23 @@ class TestElimination:
         assert pivots[1] == {1: 1, 2: -1}
         assert next(rows, None) is None
 
+    def test_reduction_stops_at_the_first_unpivoted_column(self):
+        # clearing column 0 brings in column 3, above the unpivoted column 1:
+        # the reduction stops there and leaves column 3, pivot and all
+        pivots = {0: {0: 2, 3: 1}, 3: {3: 1}}
+        assert oracle._reduce_row({0: 1, 1: 1}, pivots) == ({1: 2, 3: -1}, 2)
+        # a row whose smallest column has no pivot comes back as it was, and
+        # one reduced to zero over 1, not over the pivot's lead 2
+        assert oracle._reduce_row({1: 2, 3: 4}, pivots) == ({1: 2, 3: 4}, 1)
+        assert oracle._reduce_row({0: 3}, {0: {0: 2}}) == ({}, 1)
+
     def _reduced_rows(self, monkeypatch, n, d):
         calls = []
         reduce_row = oracle._reduce_row
 
-        def counting(row, pivots, stop_at_new_lead):
-            calls.append(stop_at_new_lead)
-            return reduce_row(row, pivots, stop_at_new_lead)
+        def counting(row, pivots):
+            calls.append(None)
+            return reduce_row(row, pivots)
 
         monkeypatch.setattr(oracle, "_reduce_row", counting)
         oracle._reduced_pivots.__wrapped__(n, d)

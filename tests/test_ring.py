@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from petring.errors import ConsistencyError, constants, integer_constant
+from petring.errors import ConsistencyError, constants
 from petring.intervals import IndexSet, all_index_sets, m_factor
 from petring.ring import (
     CohomologyClass,
@@ -268,12 +268,11 @@ class TestStructureConstants:
             list(structure_constants_rewrite_pairs(5, [(J.mask, K.mask)]))
 
     def test_integer_check_names_subsets(self):
-        J, K, L = IndexSet.of(4, [1]), IndexSet.of(4, [2]), IndexSet.of(4, [1, 2])
-        assert integer_constant("rewrite", J, K, L, 6, 3) == 2
-        assert integer_constant("diagram", J, K, L, Fraction(4, 2)) == 2
-        for value, divisor in ((7, 2), (-2, 1), (Fraction(1, 3), 1)):
+        J, K, L = IndexSet.of(4, [1]).mask, IndexSet.of(4, [2]).mask, IndexSet.of(4, [1, 2]).mask
+        assert constants("rewrite", 4, J, K, [(L, 6)], 3) == ((L, 2),)
+        for value, divisor in ((7, 2), (-2, 1)):
             with pytest.raises(ConsistencyError, match="J=1, K=2, L=1,2"):
-                integer_constant("rewrite", J, K, L, value, divisor)
+                constants("rewrite", 4, J, K, [(L, value)], divisor)
 
     def test_shared_tail_checks_support_degree_and_integrality(self):
         J, K = IndexSet.of(5, [2]).mask, IndexSet.of(5, [2, 3]).mask
