@@ -6,9 +6,13 @@ MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
 raw line prefix of its pair and stops after that pair's block.  `verify`
 gives each worker whole J | K classes of pairs, cut by estimated cost, and
 gets back failure lines only; a check that raises fails, and the later
-checks still run.  Engines give their expansions as checked (L mask, d)
-rows sorted by mask, which `table` writes as they come and `expand` prints
-in that order; subsets are formatted only here.
+checks still run.  A pair costs three row calls over memos that persist in
+the worker (the rewrite's transition table and fold prefixes, the games,
+the normal forms and their exponent tuples) and one comparison; the
+disagreement message is built only when the rows differ.  Engines give
+their expansions as checked (L mask, d) rows sorted by mask, which `table`
+writes as they come and `expand` prints in that order; subsets are
+formatted only here.
 
 Exit codes: 0 on success, 1 on a usage error or a refused request, 2 on a
 mathematical consistency failure (engine disagreement or a failed
@@ -60,19 +64,22 @@ METHODS = ("diagram", "rewrite", "linalg", "all")
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
     """The checked row of one engine, or of all three with an exact-agreement
     check; a disagreement names the first L at which the rows differ."""
-    if method not in METHODS:
+    if method == "all":
+        diagram, rewrite, linalg = diagram_row(n, J, K), rewrite_row(n, J, K), linalg_row(n, J, K)
+        if diagram == rewrite == linalg:
+            return diagram
+        rows = {"diagram": diagram, "rewrite": rewrite, "linalg": linalg}
+    elif method in METHODS:
+        return {"diagram": diagram_row, "rewrite": rewrite_row, "linalg": linalg_row}[method](n, J, K)
+    else:
         raise ValueError(f"unknown method {method!r}")
-    engines = {"diagram": diagram_row, "rewrite": rewrite_row, "linalg": linalg_row}
-    rows = {name: engine(n, J, K) for name, engine in engines.items() if method in (name, "all")}
-    if len(set(rows.values())) > 1:
-        found = {name: dict(row) for name, row in rows.items()}
-        first = min(L for d in found.values() for L in d if len({e.get(L, 0) for e in found.values()}) > 1)
-        subset = functools.partial(IndexSet.from_mask, n)
-        raise ConsistencyError(
-            f"engines disagree for J={subset(J)}, K={subset(K)}, first at L={subset(first)}: "
-            + ", ".join(f"{e} d={d.get(first, 0)}" for e, d in found.items()) + "; "
-            + " ".join(f"{e}={ {subset(L).format(): c for L, c in row} }" for e, row in rows.items()))
-    return rows.popitem()[1]  # the rows are equal
+    found = {name: dict(row) for name, row in rows.items()}
+    first = min(L for d in found.values() for L in d if len({e.get(L, 0) for e in found.values()}) > 1)
+    subset = functools.partial(IndexSet.from_mask, n)
+    raise ConsistencyError(
+        f"engines disagree for J={subset(J)}, K={subset(K)}, first at L={subset(first)}: "
+        + ", ".join(f"{e} d={d.get(first, 0)}" for e, d in found.items()) + "; "
+        + " ".join(f"{e}={ {subset(L).format(): c for L, c in row} }" for e, row in rows.items()))
 
 
 def _parse_subset(ctx_name: str, text: str, n: int) -> IndexSet:

@@ -26,17 +26,22 @@ class PresentationError(RuntimeError):
 def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]], divisor: int) -> Row:
     """The expansion d_JK^L = value / divisor of the named engine's (L mask,
     value) row at rank n for the masks J and K, sorted by mask, zeros
-    dropped.  Every L must contain J | K and have |J| + |K| members, and
-    every constant must be a non-negative integer; subsets are built only
-    to name them in an error."""
+    dropped.  Every L must contain J | K, have |J| + |K| members and appear
+    once, and every constant must be a non-negative integer; subsets are
+    built only to name them in an error."""
     union, degree = J | K, J.bit_count() + K.bit_count()
     out = []
+    previous = -1
     for L, value in sorted(row):
         d, remainder = divmod(value, divisor)
         if L & union != union or L.bit_count() != degree:
             raise ConsistencyError(f"{engine} engine gave a term on L={IndexSet.from_mask(n, L)} for "
                                    f"J={IndexSet.from_mask(n, J)}, K={IndexSet.from_mask(n, K)}, "
                                    "outside the L containing J | K with |L| = |J| + |K|")
+        if L == previous:
+            raise ConsistencyError(f"{engine} engine gave two terms on L={IndexSet.from_mask(n, L)} for "
+                                   f"J={IndexSet.from_mask(n, J)}, K={IndexSet.from_mask(n, K)}")
+        previous = L
         if remainder or d < 0:
             shown = value if divisor == 1 else f"{value}/{divisor}"
             raise ConsistencyError(f"{engine} engine gave d = {shown} for J={IndexSet.from_mask(n, J)}, "

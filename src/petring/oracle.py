@@ -364,6 +364,12 @@ def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     return expansion(linalg_row, J, K)
 
 
+@functools.lru_cache(maxsize=None)
+def _exponents(n: int, union: int, meet: int) -> Exponents:
+    """The exponents of x_J * x_K for the masks J | K and J & K at rank n."""
+    return tuple((union >> k & 1) + (meet >> k & 1) for k in range(n - 1))
+
+
 def linalg_row(n: int, J: int, K: int) -> Row:
     """The checked row of the product for the masks J and K at rank n, with
     no use of the run rule: d_JK^L = v * m_factor(L) / (denominator *
@@ -372,6 +378,6 @@ def linalg_row(n: int, J: int, K: int) -> Row:
         # the quotient vanishes above the top degree (its graded dimension is
         # the number of square-free supports, checked by quotient_dimension)
         return ()
-    row, denom = _normal_form(n, tuple((J >> k & 1) + (K >> k & 1) for k in range(n - 1)))
+    row, denom = _normal_form(n, _exponents(n, J | K, J & K))
     scaled = ((S, v * decompose_mask(S).m_factor) for S, v in row.items())
     return constants("linalg", n, J, K, scaled, denom * decompose_mask(J).m_factor * decompose_mask(K).m_factor)

@@ -3,28 +3,31 @@
 A :class:`CohomologyClass` is a finite rational combination of square-free
 monomials in the degree-two generators, stored as a map from support sets to
 coefficients.  Products are computed by the run rule, ``intervals.run_step``,
-applied in one place, ``_varpi_times_generator``: multiplying by a generator
+applied in one place, ``_transition``: multiplying by a generator
 already present in a term's support extends the maximal consecutive run
 containing it by one index to the left or to the right, dropping the
 boundary terms at 0 and n.  The step works in the basis of classes
 x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
-coefficient is a non-negative integer, on integers keyed by bit mask, and
-asserts that every division it makes is exact.  The rewrite engine,
-``structure_constants_rewrite``, and the class algebra, ``multiply``, both
-fold generators into a combination of such classes with it by ``_fold``,
-memoized over the prefixes of a support.  The rewrite keeps the memo of
-the last J it folded, across calls, so that a table's pairs and a `verify`
-block expanded in (J, K) order take one step per pair.  The rewrite's
-row, ``rewrite_row``, ends in ``errors.constants``, dividing by m_factor(K).
+coefficient is a positive integer, on integers keyed by bit mask, and
+asserts that every division it makes is exact; ``_transition(n, i, S)``
+memoizes it per (n, i, S), so each run is searched and each m-factor
+division made once per process.  ``_varpi_times_generator``, the one fold
+step, sums the transitions of a combination's terms.  The rewrite engine,
+``rewrite_row``, and the class algebra, ``multiply``, both fold generators
+into a combination of such classes with it by ``_fold``, memoized over the
+prefixes of a support.  The rewrite keeps the memo of the last J it
+folded, across calls, so that a table's pairs and a `verify` block
+expanded in (J, K) order take one step per pair.  The rewrite's row ends
+in ``errors.constants``, dividing by m_factor(K).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Any, Iterable, Iterator
 
 from .errors import ConsistencyError, Row, constants, expansion
@@ -158,20 +161,30 @@ def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:
 
 def _varpi_times_generator(terms: dict[int, int], i: int, n: int) -> dict[int, int]:
     """Generator i times an integer combination of basis classes keyed by
-    bit mask.  By the run rule, the class on S goes to the class on L = S
-    plus a target with coefficient num*m_L / (den*m_S), a division asserted
-    to be exact."""
+    bit mask, one :func:`_transition` per term."""
     out: dict[int, int] = {}
     for S, coeff in terms.items():
-        m_S = decompose_mask(S).m_factor
-        _, _, den, targets = run_step(S, i, n)
-        for target, num in targets:
-            L = S | 1 << (target - 1)
-            step, remainder = divmod(num * decompose_mask(L).m_factor, den * m_S)
-            if remainder:
-                raise ConsistencyError(f"run rule g_{i} from mask {S:b} to {L:b} at rank {n} is not integral")
+        for L, step in _transition(n, i, S):
             out[L] = out.get(L, 0) + coeff * step
     return out
+
+
+@functools.cache
+def _transition(n: int, i: int, S: int) -> tuple[tuple[int, int], ...]:
+    """Generator i times the basis class on the subset with mask S at rank
+    n, memoized: by the run rule, the (L, coefficient) pairs with L = S plus
+    a target and coefficient num*m_L / (den*m_S), a division asserted to be
+    exact."""
+    m_S = decompose_mask(S).m_factor
+    _, _, den, targets = run_step(S, i, n)
+    out = []
+    for target, num in targets:
+        L = S | 1 << (target - 1)
+        step, remainder = divmod(num * decompose_mask(L).m_factor, den * m_S)
+        if remainder:
+            raise ConsistencyError(f"run rule g_{i} from mask {S:b} to {L:b} at rank {n} is not integral")
+        out.append((L, step))
+    return tuple(out)
 
 
 def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
@@ -181,30 +194,29 @@ def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]
     return expansion(rewrite_row, J, K)
 
 
-def rewrite_row(n: int, J: int, K: int) -> Row:
-    """The checked row of the product for the masks J and K at rank n."""
-    return next(structure_constants_rewrite_pairs(n, [(J, K)]))[2]
-
-
 # The prefix memo of the last (n, J) that the rewrite folded, {(n, J): memo}:
 # consecutive requests with the same J, in one call or across calls, share it.
 _last_J: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
 
 
+def rewrite_row(n: int, J: int, K: int) -> Row:
+    """The checked row of the product for the masks J and K at rank n: K
+    folded over the prefix memo of J in ``_last_J``, so that pairs in
+    canonical order, in one call or across calls, take one step each."""
+    prefix = _last_J.get((n, J))
+    if prefix is None:
+        _last_J.clear()
+        prefix = _last_J[n, J] = {0: {J: 1}}
+    terms = _fold(prefix, K, n)
+    # zero products, |J| + |K| > n - 1, are 40% of a full table and skip the tail
+    return constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor) if terms else ()
+
+
 def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, Row]]:
     """:func:`rewrite_row` of each (J, K) bit-mask pair at rank n, yielded
-    as (J, K, row).  Consecutive pairs with the same J share one memo of
-    folds, kept for the last J after the call, so pairs in canonical order
-    take one step each."""
-    for J, group in groupby(pairs, key=itemgetter(0)):
-        if (n, J) not in _last_J:
-            _last_J.clear()
-            _last_J[n, J] = {0: {J: 1}}
-        prefix = _last_J[n, J]
-        for _, K in group:
-            terms = _fold(prefix, K, n)
-            # zero products, |J| + |K| > n - 1, are 40% of a full table and skip the tail
-            yield J, K, constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor) if terms else ()
+    as (J, K, row)."""
+    for J, K in pairs:
+        yield J, K, rewrite_row(n, J, K)
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:

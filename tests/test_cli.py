@@ -375,6 +375,21 @@ class TestVerify:
         assert petring.cli._verify_chunk(6, block) == []
         assert len(steps) == 4 ** 5 - 2 ** 5
 
+    def test_chunk_takes_one_run_step_per_transition(self, monkeypatch):
+        # on fresh memos, the rewrite of all pairs at rank 6 searches each
+        # run once per (i, S) of the transition table it fills
+        import petring.ring as ring
+
+        calls = []
+        run_step = ring.run_step
+        monkeypatch.setattr(ring, "run_step", lambda mask, i, n: calls.append((i, mask)) or run_step(mask, i, n))
+        transition = functools.cache(ring._transition.__wrapped__)
+        monkeypatch.setattr(ring, "_transition", transition)
+        monkeypatch.setattr(ring, "_last_J", {})
+        block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
+        assert petring.cli._verify_chunk(6, block) == []
+        assert 0 < len(calls) == len(set(calls)) == transition.cache_info().currsize
+
     def test_jobs_blocks_balance_cost(self):
         # the pairs with |J| + |K| <= n - 1 carry the cost; the two blocks of
         # --jobs 2 hold about as many each, within one J | K class
@@ -463,6 +478,7 @@ class TestTable:
             return a, b, den, tuple((1, num) for _, num in moves)
 
         monkeypatch.setattr(ring, "run_step", astray)
+        monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
         monkeypatch.setattr(ring, "_last_J", {})
         path = tmp_path / "table5.csv"
         path.write_bytes(b"an earlier table\n")

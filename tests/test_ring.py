@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -240,6 +241,8 @@ class TestStructureConstants:
             return a, b, 7 * den, moves
 
         monkeypatch.setattr(ring, "run_step", off)
+        monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
+        monkeypatch.setattr(ring, "_last_J", {})
         with pytest.raises(ConsistencyError, match="not integral"):
             structure_constants_rewrite(IndexSet.of(3, [1]), IndexSet.of(3, [1]))
         with pytest.raises(ConsistencyError, match="not integral"):
@@ -276,8 +279,10 @@ class TestStructureConstants:
 
     def test_shared_tail_checks_support_degree_and_integrality(self):
         J, K = IndexSet.of(5, [2]).mask, IndexSet.of(5, [2, 3]).mask
-        row = constants("rewrite", 5, J, K, [(0b0111, 6), (0b1110, 0), (0b0110 | 0b1000, 3)], 3)
+        row = constants("rewrite", 5, J, K, [(0b1110, 3), (0b0111, 6)], 3)
         assert row == ((IndexSet.of(5, [1, 2, 3]).mask, 2), (IndexSet.of(5, [2, 3, 4]).mask, 1))
+        # a zero constant is dropped
+        assert constants("rewrite", 5, J, K, [(0b0111, 6), (0b1110, 0)], 3) == ((IndexSet.of(5, [1, 2, 3]).mask, 2),)
         for engine, mask, value in (("diagram", 0b1011, 3), ("linalg", 0b0110, 3), ("rewrite", 0b1111, 3)):
             # L misses 3 from J | K; L has too few members; L has too many
             with pytest.raises(ConsistencyError, match=rf"{engine} engine gave a term on L=.* for J=2, K=2,3"):
@@ -285,6 +290,16 @@ class TestStructureConstants:
         for value in (4, -3):
             with pytest.raises(ConsistencyError, match=r"for J=2, K=2,3, L=1,2,3, expected a non-negative integer"):
                 constants("linalg", 5, J, K, [(0b0111, value)], 3)
+
+    def test_shared_tail_refuses_a_repeated_L(self):
+        # two terms on one L would break the row's order by mask; a zero term
+        # repeats an L all the same
+        J, K = IndexSet.of(5, [2]).mask, IndexSet.of(5, [2, 3]).mask
+        for row in ([(0b111, 3), (0b111, 3)], [(0b1110, 3), (0b0111, 6), (0b1110, 0)]):
+            with pytest.raises(ConsistencyError, match=r"rewrite engine gave two terms on L=.* for J=2, K=2,3"):
+                constants("rewrite", 5, J, K, row, 3)
+        with pytest.raises(ConsistencyError, match=r"^linalg engine gave two terms on L=1,2,3 for J=2, K=2,3$"):
+            constants("linalg", 5, J, K, [(0b111, 3), (0b111, 3)], 3)
 
     def test_rewrite_term_off_support_refused(self, monkeypatch):
         # a run step that always moves to column 1 leaves the support of
@@ -296,9 +311,35 @@ class TestStructureConstants:
             return a, b, den, tuple((1, num) for _, num in moves)
 
         monkeypatch.setattr(ring, "run_step", astray)
+        monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
+        monkeypatch.setattr(ring, "_last_J", {})
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [4])
         with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=1,3 for J=3, K=4"):
             structure_constants_rewrite(J, K)
+
+
+class TestTransitionTable:
+    def test_every_transition_is_a_positive_integer_run_step(self):
+        # the memoized step in the basis x_S / m_S is the run rule's step
+        # num*m_L / (den*m_S), a positive integer (the positive Monk rule),
+        # onto L = S plus one column
+        import petring.ring as ring
+        from petring.intervals import decompose_mask, run_step
+
+        for n in range(1, 11):
+            for i in range(1, n):
+                for S in range(1 << (n - 1)):
+                    found = ring._transition(n, i, S)
+                    _, _, den, moves = run_step(S, i, n)
+                    m_S = decompose_mask(S).m_factor
+                    expected = tuple(
+                        (S | 1 << (t - 1), Fraction(num * decompose_mask(S | 1 << (t - 1)).m_factor, den * m_S))
+                        for t, num in moves
+                    )
+                    assert found == expected
+                    for L, c in found:
+                        assert type(c) is int and c > 0
+                        assert L & S == S and (L & ~S).bit_count() == 1
 
 
 class TestIntegralAndPairing:
