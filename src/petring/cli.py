@@ -4,15 +4,17 @@ verification, tables, and group data.
 `table` refuses, before computing, filters that admit more than
 MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
 raw line prefix of its pair and stops after that pair's block.  `verify`
-gives each worker whole J | K classes of pairs, cut by estimated cost, and
-gets back failure lines only; a check that raises fails, and the later
-checks still run.  A pair costs three row calls over memos that persist in
-the worker (the rewrite's transition table and fold prefixes, the games,
-the normal forms and their exponent tuples) and one comparison; the
-disagreement message is built only when the rows differ.  Engines give
-their expansions as checked (L mask, d) rows sorted by mask, which `table`
-writes as they come and `expand` prints in that order; subsets are
-formatted only here.
+gives each worker whole J | K classes of pairs, cut by estimated cost; a
+pair costs three row calls over memos that persist in the worker and one
+comparison.  Engines give their expansions as checked (L mask, d) rows
+sorted by mask, which `table` writes as they come and `expand` prints in
+that order; subsets are formatted only here.
+
+The parser is one ``argparse`` parser, ``cli``, with a subparser per
+command in ``cli.commands``; ``main`` calls the command's ``callback``
+with the parsed options as keywords.  Importing it loads neither
+``fractions``, which only the class algebra and the diagram listings use,
+nor ``concurrent.futures``, which only ``verify --jobs 2`` and up uses.
 
 Exit codes: 0 on success, 1 on a usage error or a refused request, 2 on a
 mathematical consistency failure (engine disagreement or a failed
@@ -21,6 +23,7 @@ verification check).
 
 from __future__ import annotations
 
+import argparse
 import csv
 import functools
 import io
@@ -30,26 +33,11 @@ import math
 import os
 import sys
 
-import click
-
 from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
 from .errors import ConsistencyError, PresentationError, Row, constants
-from .intervals import (
-    IndexSet,
-    all_index_sets,
-    decompose,
-    factor_ranks,
-    hessenberg_function,
-)
+from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function
 from .oracle import Monomial, linalg_row, normal_form, quotient_dimension
-from .permutations import (
-    bruhat_leq,
-    format_one_line,
-    length,
-    longest_wj,
-    simple_transposition,
-    subword_vj,
-)
+from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
 from .ring import integral, monomial, multiply, rewrite_row, structure_constants_rewrite_pairs, unit
 
 __all__ = ["cli", "main", "entry"]
@@ -59,6 +47,68 @@ MAX_VERIFY_RANK = 8
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
 METHODS = ("diagram", "rewrite", "linalg", "all")
+
+
+class UsageError(Exception):
+    """A bad command line: exit 1, with "error: <message>" on stderr."""
+
+    prefix = "error"
+
+
+class Refused(UsageError):
+    """A request refused for its input (a table over the cap, a cache file
+    that cannot serve it): exit 1, with "Error: <message>" on stderr."""
+
+    prefix = "Error"
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # in place of argparse's usage message and exit 2
+        raise UsageError(message)
+
+
+cli = _Parser(prog="petring", description="Exact structure constants for the Peterson cohomology basis.",
+              allow_abbrev=False)
+cli.commands = {}  # name: subparser, whose ``callback`` runs the command
+_subparsers = cli.add_subparsers(dest="command", required=True)
+
+
+def command(name: str, *options: tuple[tuple[str, ...], dict]):
+    """Register the decorated function as the subcommand ``name``, with its
+    options given by :func:`option`; its docstring is the help."""
+
+    def register(fn):
+        parser = cli.commands[name] = _subparsers.add_parser(
+            name, help=fn.__doc__.split(".")[0] + ".", description=fn.__doc__, allow_abbrev=False)
+        parser.callback = fn
+        for flags, kwargs in options:
+            parser.add_argument(*flags, **kwargs)
+        return fn
+
+    return register
+
+
+def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+def _file(path: str, must_exist: bool = False) -> str:
+    """The argparse type of ``--out`` and, with ``must_exist``, of
+    ``--cached``: a path that is not a directory and that, if it exists, can
+    be written (``--out``) or read (``--cached``)."""
+    if not os.path.exists(path):
+        if must_exist:
+            raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    elif os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    elif not os.access(path, os.R_OK if must_exist else os.W_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is not {'readable' if must_exist else 'writable'}")
+    return path
+
+
+RANK = option("-n", "--rank", dest="n", type=int, required=True, help="Ambient rank.")
+SUBSET_J = option("-J", dest="j_text", default="-", metavar="SUBSET", help='First subset, e.g. "1,3,5" ("-" = empty).')
+SUBSET_K = option("-K", dest="k_text", default="-", metavar="SUBSET", help="Second subset.")
 
 
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
@@ -86,27 +136,19 @@ def _parse_subset(ctx_name: str, text: str, n: int) -> IndexSet:
     try:
         return IndexSet.parse(text, n)
     except ValueError as exc:
-        raise click.UsageError(f"bad {ctx_name}: {exc}") from None
+        raise UsageError(f"bad {ctx_name}: {exc}") from None
 
 
 def _check_rank(n: int) -> None:
     if not 1 <= n <= MAX_QUERY_RANK:
-        raise click.UsageError(f"rank must be in [1, {MAX_QUERY_RANK}], got {n}")
+        raise UsageError(f"rank must be in [1, {MAX_QUERY_RANK}], got {n}")
 
 
-@click.group()
-def cli() -> None:
-    """Exact structure constants for the Peterson cohomology basis."""
-
-
-@cli.command("expand")
-@click.option("-n", "--rank", "n", type=int, required=True, help="Ambient rank.")
-@click.option("-J", "j_text", default="-", metavar="SUBSET", help='First subset, e.g. "1,3,5" ("-" = empty).')
-@click.option("-K", "k_text", default="-", metavar="SUBSET", help="Second subset.")
-@click.option("--method", type=click.Choice(METHODS), default="all", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--cached", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Read the expansion from a table file written by `table` instead of computing.")
+@command("expand", RANK, SUBSET_J, SUBSET_K,
+         option("--method", choices=METHODS, default="all", help="Engine (default: all)."),
+         option("--format", dest="fmt", choices=("json", "csv"), default="json", help="Output (default: json)."),
+         option("--cached", type=lambda path: _file(path, must_exist=True), metavar="PATH",
+                help="Read the expansion from a table file written by `table` instead of computing."))
 def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: str | None) -> None:
     """Expand a product of two basis classes."""
     _check_rank(n)
@@ -120,7 +162,7 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
     if fmt == "json":
         terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)} for L, d in row]
         record = {"n": n, "J": list(J.as_tuple()), "K": list(K.as_tuple()), "method": method, "terms": terms}
-        click.echo(json.dumps(record, separators=(", ", ": ")))
+        print(json.dumps(record, separators=(", ", ": ")))
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "J", "K", "method", "L", "coeff"])
@@ -134,7 +176,7 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
     try:
         pairs = [(IndexSet.parse(L, n).mask, int(d)) for L, d in _read_table(path, n, J, K)]
     except (ValueError, KeyError, TypeError) as exc:
-        raise click.ClickException(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
+        raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
     masks = sorted(L for L, _ in pairs)
     repeated = [L for L, M in zip(masks, masks[1:]) if L == M]
     if repeated:
@@ -144,7 +186,7 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
     # a table holds only nonzero constants, and the product is nonzero exactly
     # when |J| + |K| <= n - 1: such a pair without rows was left out by filters
     if not out and len(J) + len(K) <= n - 1:
-        raise click.ClickException(f"cache {path} has no rows for J={J.format()} K={K.format()}, a nonzero product")
+        raise Refused(f"cache {path} has no rows for J={J.format()} K={K.format()}, a nonzero product")
     return out
 
 
@@ -161,7 +203,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         with open(path) as fh:
             data = json.load(fh)
         if data["n"] != n:
-            raise click.UsageError(f"cache {path} is for rank {data['n']}, not {n}")
+            raise UsageError(f"cache {path} is for rank {data['n']}, not {n}")
         key = [list(J.as_tuple()), list(K.as_tuple())]
         # d as its text, as in a CSV table, so that int() refuses 2.5 or true
         return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
@@ -174,7 +216,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         next(fh, None)  # the header
         for line in fh:
             if not line.startswith(rank):
-                raise click.UsageError(f"cache {path} is for rank {line.split(',', 1)[0]}, not {n}")
+                raise UsageError(f"cache {path} is for rank {line.split(',', 1)[0]}, not {n}")
             if line.startswith(j_prefix):
                 in_J = True
                 if line.startswith(prefix):
@@ -186,11 +228,8 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     return rows
 
 
-@cli.command("diagrams")
-@click.option("-n", "--rank", "n", type=int, required=True)
-@click.option("-J", "j_text", default="-", metavar="SUBSET")
-@click.option("-K", "k_text", default="-", metavar="SUBSET")
-@click.option("-L", "l_text", required=True, metavar="SUBSET")
+@command("diagrams", RANK, SUBSET_J, SUBSET_K,
+         option("-L", dest="l_text", required=True, metavar="SUBSET", help="The subset of the product's term."))
 def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
     """List and render the left-right diagrams for one (J, K, L) triple."""
     _check_rank(n)
@@ -199,13 +238,13 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
     L = _parse_subset("-L", l_text, n)
     found = enumerate_diagrams(J, K, L)
     if not found:
-        click.echo("no diagrams; d = 0")
+        print("no diagrams; d = 0")
         return
     for idx, P in enumerate(found, start=1):
-        click.echo(f"diagram {idx} of {len(found)}  (weight {weight(P)})")
-        click.echo(render_ascii(P))
-        click.echo("")
-    click.echo(f"d = {structure_constant(J, K, L)}")
+        print(f"diagram {idx} of {len(found)}  (weight {weight(P)})")
+        print(render_ascii(P))
+        print("")
+    print(f"d = {structure_constant(J, K, L)}")
 
 
 def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
@@ -233,18 +272,18 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
     return failures
 
 
-@cli.command("verify")
-@click.option("--n-max", type=int, default=7, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes for the pair sweep.")
+@command("verify",
+         option("--n-max", type=int, default=7, help="Largest rank checked (default: 7)."),
+         option("--jobs", type=int, default=1, help="Worker processes for the pair sweep (default: 1)."))
 def cmd_verify(n_max: int, jobs: int) -> None:
     """Exhaustively cross-check the three engines and the supporting
     combinatorics for every rank up to --n-max."""
     if not 1 <= n_max <= MAX_VERIFY_RANK:
-        raise click.UsageError(f"--n-max must be in [1, {MAX_VERIFY_RANK}]")
+        raise UsageError(f"--n-max must be in [1, {MAX_VERIFY_RANK}]")
     # a process pool starts all its workers at once: refuse more than the CPUs
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
-        raise click.UsageError(f"--jobs must be in [1, {cpus}], the number of CPUs")
+        raise UsageError(f"--jobs must be in [1, {cpus}], the number of CPUs")
     if jobs == 1:
         failures = _verify_ranks(n_max, jobs, map)
     else:
@@ -254,10 +293,10 @@ def cmd_verify(n_max: int, jobs: int) -> None:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             failures = _verify_ranks(n_max, jobs, pool.map)
     if failures:
-        for line in failures:
-            click.echo(f"FAIL {line}", err=True)
+        sys.stdout.flush()  # the check lines first, also when both streams go to one file
+        print("\n".join(f"FAIL {line}" for line in failures), file=sys.stderr)
         raise ConsistencyError(f"{len(failures)} verification check(s) failed")
-    click.echo("all checks passed")
+    print("all checks passed")
 
 
 def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
@@ -288,7 +327,7 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
     for n, chunks, dims in mapped:
         for chunk in chunks:
             failures += chunk
-        click.echo(f"n={n}: {4 ** (n - 1)} (J,K) pairs cross-checked over three engines")
+        print(f"n={n}: {4 ** (n - 1)} (J,K) pairs cross-checked over three engines")
 
         graded: list[str] = []
         results = iter(dims)
@@ -301,7 +340,7 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
             if dim != math.comb(n - 1, d) and not graded:
                 graded.append(f"n={n}: graded dimensions do not match binomials")
         failures += graded
-        click.echo(f"n={n}: graded dimensions 0..{n + 1} {'FAIL' if graded else 'OK'}")
+        print(f"n={n}: graded dimensions 0..{n + 1} {'FAIL' if graded else 'OK'}")
 
         if n <= 6:
             sets = list(all_index_sets(n))
@@ -316,7 +355,7 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
             )
             if not lemma_ok:
                 failures.append(f"n={n}: Bruhat comparisons disagree with the subset criteria")
-            click.echo(f"n={n}: Bruhat subset criteria {'OK' if lemma_ok else 'FAIL'}")
+            print(f"n={n}: Bruhat subset criteria {'OK' if lemma_ok else 'FAIL'}")
 
         if n >= 2:
             top = []
@@ -335,18 +374,16 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
                     top.append(f"n={n} i={i}: integral of g_{i}^{n - 1} is {by_rule} by the run rule, "
                                f"{by_relations} by the relations, Eulerian number {eulerian}")
             failures += top
-            click.echo(f"n={n}: top-degree evaluation {'FAIL' if top else 'OK'}")
+            print(f"n={n}: top-degree evaluation {'FAIL' if top else 'OK'}")
     return failures
 
 
-@cli.command("table")
-@click.option("-n", "--rank", "n", type=int, required=True)
-@click.option("--degree", type=int, default=None, help="Only pairs with |J| + |K| equal to this.")
-@click.option("--J", "j_filter", default=None, metavar="SUBSET", help="Restrict to this J.")
-@click.option("--K", "k_filter", default=None, metavar="SUBSET", help="Restrict to this K.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Output path (default: stdout).")
+@command("table", RANK,
+         option("--degree", type=int, help="Only pairs with |J| + |K| equal to this."),
+         option("--J", dest="j_filter", metavar="SUBSET", help="Restrict to this J."),
+         option("--K", dest="k_filter", metavar="SUBSET", help="Restrict to this K."),
+         option("--format", dest="fmt", choices=("csv", "json"), default="csv", help="Output (default: csv)."),
+         option("--out", type=_file, metavar="PATH", help="Output path (default: stdout)."))
 def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | None,
               fmt: str, out: str | None) -> None:
     """Write the structure-constant table for one rank, rows (J, K, L, d) in
@@ -362,7 +399,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     admitted = (lambda jm: ks) if degree is None else (lambda jm: by_size.get(degree - jm.bit_count(), []))
     count = sum(len(admitted(jm)) for jm in js)
     if count > MAX_TABLE_PAIRS:
-        raise click.ClickException(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
+        raise Refused(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
     pairs = ((jm, km) for jm in js for km in admitted(jm))
     rows = ((jm, km, L, d) for jm, km, row in structure_constants_rewrite_pairs(n, pairs) for L, d in row)
     if out is None:
@@ -379,7 +416,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     except BaseException:
         os.remove(partial)
         raise
-    click.echo(f"wrote {written} rows to {out}")
+    print(f"wrote {written} rows to {out}")
 
 
 def _write_table(fh, n: int, fmt: str, rows) -> int:
@@ -401,38 +438,34 @@ def _write_table(fh, n: int, fmt: str, rows) -> int:
     return len(json_rows)
 
 
-@cli.command("group")
-@click.option("-n", "--rank", "n", type=int, required=True)
-@click.option("-J", "j_text", default="-", metavar="SUBSET")
+@command("group", RANK, SUBSET_J)
 def cmd_group(n: int, j_text: str) -> None:
     """Print the combinatorial data attached to one subset."""
     _check_rank(n)
     J = _parse_subset("-J", j_text, n)
     dec = decompose(J)
     wj = longest_wj(J)
-    click.echo(f"J = {J.format()}  (rank n = {n})")
-    click.echo("components = " + (" ".join(f"[{lo}..{hi}]" for lo, hi in dec.runs) or "(empty)"))
-    click.echo(f"m_J = {dec.m_factor}")
-    click.echo(f"factor ranks = {factor_ranks(J)}")
-    click.echo(f"h_J = {hessenberg_function(J)}")
-    click.echo(f"w_J = {format_one_line(wj)}   length {length(wj)}")
-    click.echo(f"v_J = {format_one_line(subword_vj(J))}")
+    print(f"J = {J.format()}  (rank n = {n})")
+    print("components = " + (" ".join(f"[{lo}..{hi}]" for lo, hi in dec.runs) or "(empty)"))
+    print(f"m_J = {dec.m_factor}")
+    print(f"factor ranks = {factor_ranks(J)}")
+    print(f"h_J = {hessenberg_function(J)}")
+    print(f"w_J = {format_one_line(wj)}   length {length(wj)}")
+    print(f"v_J = {format_one_line(subword_vj(J))}")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Driver enforcing the exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
+        options = vars(cli.parse_args(argv))
+        cli.commands[options.pop("command")].callback(**options)
+    except SystemExit as exc:  # --help, printed by argparse
+        return exc.code
+    except UsageError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return 1
     except (ConsistencyError, PresentationError) as exc:
-        click.echo(f"consistency failure: {exc}", err=True)
+        print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -13,39 +13,26 @@ row weights.  Structure constants are the weight sums scaled by
 m_factor(L) / (m_factor(J) * m_factor(K)).
 
 The unrestricted game of ``diagram_row`` depends on (J, K) only through
-its starting shading J | K and its marked rows J & K, so its weight sums
-per final shading L, times m_factor(L), are memoized on (n, J | K, J & K):
-the 4^(n-1) pairs of rank n share 3^(n-1) games, and only the division by
-m_factor(J) * m_factor(K) is done per pair, on bit masks, in the checked
-tail that all three engines end in, ``errors.constants``.
-``enumerate_diagrams`` plays the same game afresh on every call and keeps
-the games that end on L: every column a row adds lies outside J | K, so
-the games on the columns of L are exactly these.
+J | K and J & K, so the 4^(n-1) pairs of rank n share 3^(n-1) memoized
+games, and only the division by m_factor(J) * m_factor(K) is done per
+pair, in the checked tail ``errors.constants``.  ``enumerate_diagrams``
+replays the game and keeps the games that end on L: every column a row
+adds lies outside J | K, so these are the games on the columns of L.  Only
+the listings build Fractions, and import them when they do.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import Row, constants, expansion
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
-__all__ = [
-    "Move",
-    "GameRow",
-    "LeftRightDiagram",
-    "enumerate_diagrams",
-    "weight",
-    "structure_constant",
-    "expand_all",
-    "diagram_row",
-    "render_ascii",
-]
+__all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight",
+           "structure_constant", "expand_all", "diagram_row", "render_ascii"]
 
 
 class Move(str, Enum):
@@ -53,8 +40,7 @@ class Move(str, Enum):
     RIGHT = "R"
 
 
-@dataclass(frozen=True)
-class GameRow:
+class GameRow(NamedTuple):
     """One played row: the marked element, the run of shaded columns around
     it before the move, the move direction, the darkly-shaded column it
     added, and the rational weight of the move."""
@@ -66,8 +52,7 @@ class GameRow:
     row_weight: Fraction
 
 
-@dataclass(frozen=True)
-class LeftRightDiagram:
+class LeftRightDiagram(NamedTuple):
     """A successful game record.  The diagram's identity is its move
     sequence; two diagrams with the same final shading but different move
     sequences are distinct."""
@@ -120,6 +105,8 @@ def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightD
     J & K that end on L.  Triples violating the support or degree condition
     yield the empty list, as every game ends on J | K and |J & K| more
     columns."""
+    from fractions import Fraction
+
     J._check_same_rank(L)
     diagrams = []
     for shading, played, num, den in _games(J.n, J.union(K).mask, J.mask & K.mask):
@@ -144,7 +131,7 @@ def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
     one numerator over a denominator, through the checked tail (an empty
     row, so 0, when there are none)."""
     found = enumerate_diagrams(J, K, L)
-    total = sum((P.weight for P in found), Fraction(0))
+    total = sum(P.weight for P in found)
     row = [(L.mask, m_factor(L) * total.numerator)] if found else []
     divisor = total.denominator * m_factor(J) * m_factor(K)
     return dict(constants("diagram", J.n, J.mask, K.mask, row, divisor)).get(L.mask, 0)

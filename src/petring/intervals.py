@@ -13,70 +13,94 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-__all__ = [
-    "MAX_RANK",
-    "IndexSet",
-    "ComponentDecomposition",
-    "decompose",
-    "decompose_mask",
-    "m_factor",
-    "run_step",
-    "hessenberg_function",
-    "factor_ranks",
-    "all_index_sets",
-]
+__all__ = ["MAX_RANK", "IndexSet", "ComponentDecomposition", "decompose", "decompose_mask",
+           "m_factor", "run_step", "hessenberg_function", "factor_ranks", "all_index_sets"]
 
 # Exhaustive drivers are hopeless beyond this anyway; a fixed cap keeps the
 # bit-mask ordering well defined.
 MAX_RANK = 32
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A subset of {1, ..., n-1} with ambient rank n (n-1 vertices)."""
+class Frozen:
+    """Base of the validated value types, with the behaviour of a frozen
+    dataclass over ``_fields``: equality and hash by the field values, a
+    repr, pickling through the constructor, and no attribute assignment.
+    Each ``__init__`` sets its slots with ``object.__setattr__``."""
 
-    n: int
-    members: frozenset[int] = frozenset()
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_RANK:
-            raise ValueError(f"ambient rank must be an integer in [1, {MAX_RANK}], got {self.n!r}")
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        for m in self.members:
-            if not isinstance(m, int) or not 1 <= m <= self.n - 1:
-                raise ValueError(f"member {m!r} outside {{1, ..., {self.n - 1}}}")
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self._fields, self._values()))})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class IndexSet(Frozen):
+    """A subset of {1, ..., n-1} with ambient rank n (n-1 vertices), and its
+    bit mask, with bit i-1 set for each member i: the canonical subset
+    order."""
+
+    __slots__ = ("n", "members", "mask")
+    _fields = ("n", "members")
+
+    def __init__(self, n: int, members: Iterable[int] = frozenset()) -> None:
+        if not isinstance(n, int) or not 1 <= n <= MAX_RANK:
+            raise ValueError(f"ambient rank must be an integer in [1, {MAX_RANK}], got {n!r}")
+        members = frozenset(members)
+        mask = 0
+        for m in members:
+            if not isinstance(m, int) or not 1 <= m <= n - 1:
+                raise ValueError(f"member {m!r} outside {{1, ..., {n - 1}}}")
+            mask |= 1 << (m - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def of(cls, n: int, members: Iterable[int] = ()) -> "IndexSet":
-        return cls(n, frozenset(members))
+        return cls(n, members)
 
     @classmethod
     @functools.cache
     def from_mask(cls, n: int, mask: int) -> "IndexSet":
         """Inverse of :attr:`mask`, memoized: equal subsets share one object."""
-        return cls(n, frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
+        return cls(n, (i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
     @classmethod
     def full(cls, n: int) -> "IndexSet":
-        return cls(n, frozenset(range(1, n)))
+        return cls(n, range(1, n))
 
     @classmethod
     def parse(cls, text: str, n: int) -> "IndexSet":
         """Parse the external syntax: ascending comma-separated integers, "-" for the empty set."""
         text = text.strip()
         if text == "-" or text == "":
-            return cls(n, frozenset())
+            return cls(n)
         try:
             parts = [int(p) for p in text.split(",")]
         except ValueError:
             raise ValueError(f"cannot parse subset {text!r}") from None
         if parts != sorted(parts) or len(set(parts)) != len(parts):
             raise ValueError(f"subset {text!r} must list distinct integers in ascending order")
-        return cls(n, frozenset(parts))
+        return cls(n, parts)
 
     def format(self) -> str:
         """Inverse of :meth:`parse`."""
@@ -86,15 +110,6 @@ class IndexSet:
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
-
-    @functools.cached_property
-    def mask(self) -> int:
-        """Bit mask with bit i-1 set for each member i; the canonical subset
-        order.  Computed once per object."""
-        mask = 0
-        for m in self.members:
-            mask |= 1 << (m - 1)
-        return mask
 
     def __contains__(self, item: int) -> bool:
         return item in self.members
@@ -129,8 +144,7 @@ class IndexSet:
     __and__ = intersection
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(NamedTuple):
     """Maximal consecutive runs (lo, hi) of an IndexSet, in ascending order,
     and the product of factorials of the run lengths."""
 

@@ -35,46 +35,24 @@ that all three engines share, ``errors.constants``, on bit masks;
 
 ``quotient_dimension`` gives the graded dimensions that certify that the
 square-free monomials form a basis, so that the normal forms are unique.
-It eliminates no full matrix: it reads the forms of the degree-d relation
-rows from the same memo and ranks them over the square-free masks (with
-the correct relations every such row is zero).  Each table step subtracts
-only relation rows, so a monomial minus its form lies in the ideal: degree d
-of the quotient is the square-free span modulo the forms of the degree-d
-relation rows, and its dimension is C(n-1, d) less their rank.  The memo
-keeps every form it builds: on a 2-core x86 machine under Python 3.11, all
-degrees d <= n+1 take 0.18-0.25 s for every n <= 8 together, 0.6-0.75 s at
-n = 9, and 2.5-2.7 s with 62 MB peak RSS at n = 10.
-
-The full degree-d relation matrix is eliminated only by the tests'
-reference, ``_reduced_pivots``.  That elimination takes each
-non-square-free monomial's own relation row (the one whose 2*g_j^2 term it
-is) first and stops once every column has a pivot.  The rank is exact all
-the same: the row order does not change the row space, and the rank cannot
-exceed the number of columns.  Below the top degree the square-free columns
-never get a pivot, so every row is reduced.
+It eliminates no full matrix: it ranks the forms of the degree-d relation
+rows, read from the same memo, which keeps every form it builds.  The full
+degree-d relation matrix is eliminated only by the tests' reference,
+``_reduced_pivots``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import PresentationError, Row, constants, expansion
-from .intervals import IndexSet, decompose_mask
+from .intervals import Frozen, IndexSet, decompose_mask
 
-__all__ = [
-    "Monomial",
-    "RelationMatrix",
-    "relation_rows",
-    "normal_form",
-    "quotient_dimension",
-    "structure_constants_linalg",
-    "linalg_row",
-]
+__all__ = ["Monomial", "RelationMatrix", "relation_rows", "normal_form", "quotient_dimension",
+           "structure_constants_linalg", "linalg_row"]
 
 # A monomial of rank n is its exponent tuple of length n-1 (entry i-1 is the
 # multiplicity of generator i).
@@ -94,18 +72,18 @@ def _mask(mono: Exponents) -> int:
     return sum(1 << k for k, e in enumerate(mono) if e)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Frozen):
     """A monomial in the generators, as an exponent tuple."""
 
-    n: int
-    exponents: Exponents
+    __slots__ = _fields = ("n", "exponents")
 
-    def __post_init__(self) -> None:
-        if len(self.exponents) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} exponents, got {len(self.exponents)}")
-        if any(e < 0 for e in self.exponents):
+    def __init__(self, n: int, exponents: Exponents) -> None:
+        if len(exponents) != n - 1:
+            raise ValueError(f"expected {n - 1} exponents, got {len(exponents)}")
+        if any(e < 0 for e in exponents):
             raise ValueError("negative exponent")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exponents", exponents)
 
     @classmethod
     def from_multiset(cls, n: int, indices: dict[int, int] | list[int]) -> "Monomial":
@@ -157,8 +135,7 @@ def _columns(n: int, d: int) -> tuple[list[Exponents], dict[Exponents, int]]:
     return cols, {m: idx for idx, m in enumerate(cols)}
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(NamedTuple):
     """Sparse relation rows over the degree-d monomial columns."""
 
     n: int
@@ -250,8 +227,10 @@ def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, di
     columns first: the reference that the tests hold the table and
     ``quotient_dimension`` to.  Each non-square-free column's own row
     (``_own_row``) is reduced first, then the other rows in generation
-    order, until every column has a pivot.  The rank is exact: the row order does not change the
-    row space, and the rank cannot exceed the column count."""
+    order, until every column has a pivot.  The rank is exact: the row order
+    does not change the row space, and the rank cannot exceed the column
+    count.  Below the top degree the square-free columns never get a pivot,
+    so every row is reduced."""
     cols, col_index = _columns(n, d)
     lower = _monomial_exponents(n, d - 2) if d >= 2 else []
     own = (_own_row(mono) for mono in cols if _squared(mono))
@@ -331,6 +310,8 @@ def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
     """The unique expression of a monomial as a rational combination of
     square-free monomials modulo the relation ideal, memoized on (n,
     exponents); no full (n, degree) matrix is built."""
+    from fractions import Fraction
+
     row, denom = _normal_form(m.n, m.exponents)
     return {IndexSet.from_mask(m.n, S): Fraction(v, denom) for S, v in row.items()}
 
@@ -342,8 +323,8 @@ def quotient_dimension(n: int, d: int) -> int:
     Each table step subtracts only relation rows, so a monomial minus its
     form lies in the ideal, and a square-free monomial is its own form.  So
     degree d of the quotient is the square-free span modulo the forms of
-    the degree-d relation rows, and its dimension is C(n-1, d) less their
-    rank.  No full relation matrix is eliminated."""
+    the degree-d relation rows (with the correct relations every such row
+    is zero), and its dimension is C(n-1, d) less their rank."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     if d >= n:

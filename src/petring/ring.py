@@ -8,66 +8,47 @@ already present in a term's support extends the maximal consecutive run
 containing it by one index to the left or to the right, dropping the
 boundary terms at 0 and n.  The step works in the basis of classes
 x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
-coefficient is a positive integer, on integers keyed by bit mask, and
-asserts that every division it makes is exact; ``_transition(n, i, S)``
-memoizes it per (n, i, S), so each run is searched and each m-factor
-division made once per process.  ``_varpi_times_generator``, the one fold
-step, sums the transitions of a combination's terms.  The rewrite engine,
-``rewrite_row``, and the class algebra, ``multiply``, both fold generators
-into a combination of such classes with it by ``_fold``, memoized over the
-prefixes of a support.  The rewrite keeps the memo of the last J it
-folded, across calls, so that a table's pairs and a `verify` block
-expanded in (J, K) order take one step per pair.  The rewrite's row ends
-in ``errors.constants``, dividing by m_factor(K).
+coefficient is a positive integer, on integers keyed by bit mask; it is
+memoized per (n, i, S).  The rewrite engine, ``rewrite_row``, and the
+class algebra, ``multiply``, both fold generators into a combination of
+such classes by ``_fold``, memoized over the prefixes of a support, and
+the rewrite's row ends in ``errors.constants``, dividing by m_factor(K).
+The class algebra alone builds Fractions, and imports them when it does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
 from .errors import ConsistencyError, Row, constants, expansion
-from .intervals import IndexSet, decompose_mask, m_factor, run_step
+from .intervals import Frozen, IndexSet, decompose_mask, m_factor, run_step
 
-__all__ = [
-    "CohomologyClass",
-    "unit",
-    "zero",
-    "monomial",
-    "peterson_schubert_class",
-    "add",
-    "scale",
-    "multiply_generator",
-    "multiply",
-    "to_varpi_basis",
-    "structure_constants_rewrite",
-    "structure_constants_rewrite_pairs",
-    "rewrite_row",
-    "integral",
-    "pairing",
-]
+__all__ = ["CohomologyClass", "unit", "zero", "monomial", "peterson_schubert_class", "add", "scale",
+           "multiply_generator", "multiply", "to_varpi_basis", "structure_constants_rewrite",
+           "structure_constants_rewrite_pairs", "rewrite_row", "integral", "pairing"]
 
 Support = frozenset[int]
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Frozen):
     """Rational combination of square-free monomials; zero coefficients are
-    never stored.  Treated as immutable: all operations return new values."""
+    never stored.  Treated as immutable: all operations return new values.
+    Unhashable, as its terms are a dict."""
 
-    n: int
-    terms: dict[Support, Fraction] = field(default_factory=dict)
+    __slots__ = _fields = ("n", "terms")
 
-    def __post_init__(self) -> None:
-        for support, coeff in self.terms.items():
-            if not all(1 <= i <= self.n - 1 for i in support):
-                raise ValueError(f"support {sorted(support)} invalid for rank {self.n}")
+    def __init__(self, n: int, terms: dict[Support, Fraction] | None = None) -> None:
+        terms = {} if terms is None else terms
+        for support, coeff in terms.items():
+            if not all(1 <= i <= n - 1 for i in support):
+                raise ValueError(f"support {sorted(support)} invalid for rank {n}")
             if coeff == 0:
                 raise ValueError("zero coefficients must be pruned")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -77,11 +58,6 @@ class CohomologyClass:
         degrees = {len(s) for s in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CohomologyClass):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
     _check_same_rank = IndexSet._check_same_rank
 
 
@@ -90,11 +66,13 @@ def zero(n: int) -> CohomologyClass:
 
 
 def unit(n: int) -> CohomologyClass:
-    return CohomologyClass(n, {frozenset(): Fraction(1)})
+    return monomial(IndexSet(n))
 
 
 def monomial(J: IndexSet, coeff: Fraction | int = 1) -> CohomologyClass:
     """The square-free monomial on J (product of the generators indexed by J)."""
+    from fractions import Fraction
+
     coeff = Fraction(coeff)
     if coeff == 0:
         return zero(J.n)
@@ -103,6 +81,8 @@ def monomial(J: IndexSet, coeff: Fraction | int = 1) -> CohomologyClass:
 
 def peterson_schubert_class(J: IndexSet) -> CohomologyClass:
     """The basis class on J: the monomial on J scaled by 1/m_factor(J)."""
+    from fractions import Fraction
+
     return monomial(J, Fraction(1, m_factor(J)))
 
 
@@ -120,6 +100,8 @@ def add(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
 
 
 def scale(c: CohomologyClass, r: Fraction | int) -> CohomologyClass:
+    from fractions import Fraction
+
     r = Fraction(r)
     if r == 0:
         return zero(c.n)
@@ -137,6 +119,8 @@ def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
     """Bilinear product: c1 in the basis of classes on each support, over a
     common denominator, times the generators of each support of c2 in
     increasing order by the integer run step, mapped back to monomials."""
+    from fractions import Fraction
+
     c1._check_same_rank(c2)
     n = c1.n
     varpi = {J.mask: r for J, r in to_varpi_basis(c1).items()}
@@ -232,13 +216,14 @@ def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
 
 def integral(c: CohomologyClass) -> Fraction:
     """Evaluation against the fundamental class: (n-1)! times the monomial
-    coefficient on the full set {1, ..., n-1}."""
-    full = frozenset(range(1, c.n))
-    return math.factorial(c.n - 1) * c.terms.get(full, Fraction(0))
+    coefficient on the full set {1, ..., n-1}, whose m-factor is (n-1)!."""
+    return pairing(IndexSet.full(c.n), c)
 
 
 def pairing(J: IndexSet, c: CohomologyClass) -> Fraction:
     """Coefficient of the basis class on J in c: m_factor(J) times the
     monomial coefficient on J."""
+    from fractions import Fraction
+
     J._check_same_rank(c)
     return m_factor(J) * c.terms.get(J.members, Fraction(0))

@@ -3,7 +3,11 @@ import functools
 import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("module, unneeded", [
+    ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal"]),
+    ("petring.intervals", ["petring.ring", "petring.diagrams", "petring.oracle"]),
+])
+def test_fresh_import_loads_no_unneeded_module(module, unneeded):
+    # in a fresh interpreter, the modules that the import adds to those loaded at start-up
+    src = Path(petring.cli.__file__).parents[1]
+    code = f"import sys; before = set(sys.modules); import {module}; print(*set(sys.modules) - before)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert not set(unneeded) & set(proc.stdout.split()), proc.stdout
+
+
+def test_package_resolves_every_public_name():
+    import petring
+    from petring import errors, intervals, ring
+
+    modules = (errors, intervals, ring, diagrams, oracle)
+    assert petring.__version__ == "0.1.0" and len(petring.__all__) == 36
+    for name in (n for n in petring.__all__ if n != "__version__"):
+        assert any(getattr(m, name, None) is getattr(petring, name) for m in modules), name
+    with pytest.raises(AttributeError):
+        petring.no_such_name
 
 
 class TestExpand:
@@ -59,10 +88,34 @@ class TestExpand:
         assert [r["coeff"] for r in rows] == ["3456", "24", "240"]
         assert rows[0]["J"] == "1,3,5,6,7"
 
-    def test_usage_errors(self, capsys):
-        assert run(capsys, "expand", "-n", "99", "-J", "1", "-K", "2")[0] == 1
-        assert run(capsys, "expand", "-n", "5", "-J", "7", "-K", "-")[0] == 1
-        assert run(capsys, "expand", "-n", "5", "-J", "2,1", "-K", "-")[0] == 1
+    @pytest.mark.parametrize("argv, named", [
+        (["expand", "-n", "99", "-J", "1", "-K", "2"], "rank"),
+        (["expand", "-n", "5", "-J", "7", "-K", "-"], "-J"),
+        (["expand", "-n", "5", "-J", "2,1", "-K", "-"], "-J"),
+        (["expand", "-J", "1"], "-n/--rank"),
+        (["expand", "-n", "x"], "-n/--rank"),
+        (["expand", "-n", "5", "--bogus"], "--bogus"),
+        (["bogus", "-n", "5"], "bogus"),
+        ([], "command"),
+        (["expand", "-n", "5", "--method", "fast"], "--method"),
+        (["expand", "-n", "5", "--format", "xml"], "--format"),
+        (["expand", "-n", "5", "--cached", "{tmp}/missing.csv"], "--cached"),
+        (["expand", "-n", "5", "--cached", "{tmp}"], "--cached"),
+        (["table", "-n", "3", "--out", "{tmp}"], "--out"),
+        (["verify", "--n-max", "x"], "--n-max"),
+    ], ids=["rank-out-of-range", "member-out-of-range", "unsorted-subset", "missing-n", "non-integer-n",
+            "unknown-option", "unknown-command", "no-command", "bad-method", "bad-format", "cached-missing",
+            "cached-directory", "out-directory", "non-integer-n-max"])
+    def test_usage_errors(self, capsys, tmp_path, argv, named):
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["expand", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: petring")
 
     def test_deterministic_output(self, capsys):
         out1 = run(capsys, *GOLDEN)[1]

@@ -53,6 +53,79 @@ class TestIndexSet:
         assert masks == list(range(8))
 
 
+class TestValueTypes:
+    """IndexSet, Monomial and CohomologyClass: validated, immutable values
+    that compare and hash by their fields."""
+
+    def test_index_set_constructors_agree(self):
+        built = [IndexSet.of(6, [4, 1, 2]), IndexSet.from_mask(6, 0b1011), IndexSet.parse("1,2,4", 6),
+                 IndexSet(6, frozenset({1, 2, 4})), IndexSet(6, [1, 2, 4])]
+        assert all(J == built[0] for J in built)
+        assert {hash(J) for J in built} == {hash((6, frozenset({1, 2, 4})))}
+        assert {J.mask for J in built} == {0b1011}
+        assert len(set(built)) == 1
+        assert IndexSet.of(6, [1, 2, 4]) != IndexSet.of(7, [1, 2, 4])
+        assert IndexSet.of(6, [1, 2, 4]) != (6, frozenset({1, 2, 4}))
+
+    def test_values_copy_and_show_their_fields(self):
+        import copy
+        import pickle
+
+        from petring.oracle import Monomial
+        from petring.ring import CohomologyClass
+
+        for value in (IndexSet.of(5, [1, 3]), Monomial(4, (0, 2, 1)), CohomologyClass(3, {frozenset({1}): 2})):
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.deepcopy(value) == value
+        assert repr(IndexSet.of(4, [2])) == "IndexSet(n=4, members=frozenset({2}))"
+        assert repr(Monomial(3, (1, 0))) == "Monomial(n=3, exponents=(1, 0))"
+
+    def test_fields_refuse_assignment(self):
+        from petring.oracle import Monomial
+        from petring.ring import CohomologyClass
+
+        values = [(IndexSet.of(5, [1]), "members"), (IndexSet.of(5, [1]), "mask"),
+                  (Monomial(4, (0, 2, 1)), "exponents"), (CohomologyClass(3), "terms")]
+        for value, name in values:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+        assert IndexSet.of(5, [1]).mask == 0b1
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IndexSet(0), "ambient rank must be an integer in [1, 32], got 0"),
+        (lambda: IndexSet(33), "ambient rank must be an integer in [1, 32], got 33"),
+        (lambda: IndexSet(4.0), "ambient rank must be an integer in [1, 32], got 4.0"),
+        (lambda: IndexSet(3, frozenset({3})), "member 3 outside {1, ..., 2}"),
+        (lambda: IndexSet.of(4, [0]), "member 0 outside {1, ..., 3}"),
+        (lambda: IndexSet.from_mask(4, 0b1000), "member 4 outside {1, ..., 3}"),
+        (lambda: IndexSet.parse("x", 4), "cannot parse subset 'x'"),
+        (lambda: IndexSet.parse("3,1", 4), "subset '3,1' must list distinct integers in ascending order"),
+    ])
+    def test_index_set_errors(self, build, message):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_monomial_and_class_errors(self):
+        from petring.oracle import Monomial
+        from petring.ring import CohomologyClass
+
+        for build, message in [
+            (lambda: Monomial(4, (1, 2)), "expected 3 exponents, got 2"),
+            (lambda: Monomial(3, (1, -1)), "negative exponent"),
+            (lambda: Monomial.from_multiset(3, [3]), "generator index 3 out of range for rank 3"),
+            (lambda: CohomologyClass(4, {frozenset({4}): 1}), "support [4] invalid for rank 4"),
+            (lambda: CohomologyClass(4, {frozenset({1}): 0}), "zero coefficients must be pruned"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == message
+
+
 class TestDecompose:
     def test_three_runs(self):
         dec = decompose(IndexSet.of(10, [1, 2, 4, 5, 6, 9]))

@@ -255,13 +255,12 @@ class TestStructureConstants:
     def test_inexact_division_by_m_K_raises(self, monkeypatch):
         # m_K read as 2 for K = {1}: the fold's term 1 on L = {1,3} is not a
         # multiple of it, and the division must say so rather than round
-        import dataclasses
-
         import petring.ring as ring
+        from petring.intervals import ComponentDecomposition
 
         def doubled(mask, decompose=ring.decompose_mask):
             found = decompose(mask)
-            return dataclasses.replace(found, m_factor=2) if mask == 0b1 else found
+            return ComponentDecomposition(found.runs, 2) if mask == 0b1 else found
 
         monkeypatch.setattr(ring, "decompose_mask", doubled)
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [1])
