@@ -4,11 +4,10 @@ verification, tables, and group data.
 `table` refuses, before computing, filters that admit more than
 MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
 raw line prefix of its pair and stops after that pair's block.  `verify`
-gives each worker whole J | K classes of pairs, cut by estimated cost; a
-pair costs three row calls over memos that persist in the worker and one
-comparison.  Engines give their expansions as checked (L mask, d) rows
-sorted by mask, which `table` writes as they come and `expand` prints in
-that order; subsets are formatted only here.
+issues every check of its table ``CHECKS`` at every rank to one map, the
+pair sweep in blocks of whole J | K classes.  Engines give their expansions
+as checked (L mask, d) rows sorted by mask, which `table` writes as they
+come and `expand` prints in that order; subsets are formatted only here.
 
 The parser is one ``argparse`` parser, ``cli``, with a subparser per
 command in ``cli.commands``; ``main`` calls the command's ``callback``
@@ -44,6 +43,7 @@ __all__ = ["cli", "main", "entry"]
 
 MAX_QUERY_RANK = 16
 MAX_VERIFY_RANK = 8
+VERIFY_RANKS = range(1, MAX_VERIFY_RANK + 1)
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
 METHODS = ("diagram", "rewrite", "linalg", "all")
@@ -94,11 +94,11 @@ def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 def _file(path: str, must_exist: bool = False) -> str:
     """The argparse type of ``--out`` and, with ``must_exist``, of
-    ``--cached``: a path that is not a directory and that, if it exists, can
-    be written (``--out``) or read (``--cached``)."""
+    ``--cached``: a path in a directory that exists, not itself a directory,
+    that if it exists can be written (``--out``) or read (``--cached``)."""
     if not os.path.exists(path):
-        if must_exist:
-            raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+        if must_exist or not os.path.isdir(os.path.dirname(path) or "."):
+            raise argparse.ArgumentTypeError(f"{'file' if must_exist else 'directory of'} {path!r} does not exist")
     elif os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
     elif not os.access(path, os.R_OK if must_exist else os.W_OK):
@@ -248,11 +248,10 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
 
 
 def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
-    """Worker for `verify`: three-engine expansion for a block of (J, K)
-    pairs given by their subset masks, holding each pair's transpose.  The
-    pairs are expanded in (J, K) order, so that the rewrite folds each J
-    once over a shared prefix memo.  Returns the failure lines in block
-    order: a pair's error, or a pair whose expansion differs from its
+    """The pair sweep of `verify` over a block of (J, K) mask pairs that
+    holds each pair's transpose, in (J, K) order, so that the rewrite folds
+    each J once over a shared prefix memo.  Returns the failure lines in
+    block order: a pair's error, or a pair whose expansion differs from its
     transpose's."""
     results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
     for jm, km in sorted(masks):
@@ -262,19 +261,83 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
             results[jm, km] = exc
     failures = []
     for (jm, km), row in results.items():
-        if isinstance(row, Exception):
-            problem = row
-        elif results[km, jm] != row:
-            problem = "expansion not symmetric"
-        else:
-            continue
-        failures.append(f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: {problem}")
+        if isinstance(row, Exception) or results[km, jm] != row:
+            problem = row if isinstance(row, Exception) else "expansion not symmetric"
+            failures.append(f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: {problem}")
     return failures
+
+
+def _pair_blocks(n: int, jobs: int) -> list[list[tuple[int, int]]]:
+    """The pairs of rank n in ``jobs`` blocks of whole J | K classes, in
+    union-mask order, so that one worker alone fills the memos keyed by
+    (J | K, J & K), and of about equal cost: a pair costs one if |J| + |K| <=
+    n - 1 (it reduces a normal form and plays a game that does not die)."""
+    pairs = sorted(itertools.product(range(1 << (n - 1)), repeat=2), key=lambda p: p[0] | p[1])
+    classes = [list(union_class) for _, union_class in itertools.groupby(pairs, key=lambda p: p[0] | p[1])]
+    costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in union_class) for union_class in classes]
+    total, spent = sum(costs), 0
+    blocks: list[list[tuple[int, int]]] = [[]]
+    for union_class, cost in zip(classes, costs):
+        if spent >= total * len(blocks) / jobs:
+            blocks.append([])
+        blocks[-1] += union_class
+        spent += cost
+    return blocks
+
+
+def _graded_dimensions(n: int, _) -> list[str]:
+    """Degree d of the quotient has dimension C(n-1, d), for d = 0..n+1 or up to one that raises."""
+    mismatch = []
+    for d in range(n + 2):
+        try:
+            if quotient_dimension(n, d) != math.comb(n - 1, d):
+                mismatch = [f"n={n}: graded dimensions do not match binomials"]
+        except (ConsistencyError, PresentationError) as exc:
+            return mismatch + [f"n={n} d={d}: {exc}"]
+    return mismatch
+
+
+def _bruhat_criteria(n: int, _) -> list[str]:
+    """s_i <= w_J exactly when i is in J, and w_J' <= w_J exactly when J' is a subset of J."""
+    sets = list(all_index_sets(n))
+    if all(bruhat_leq(simple_transposition(n, i), longest_wj(J)) == (i in J) for J in sets for i in range(1, n)) \
+            and all(bruhat_leq(longest_wj(Jp), longest_wj(J)) == Jp.issubset(J) for J in sets for Jp in sets):
+        return []
+    return [f"n={n}: Bruhat comparisons disagree with the subset criteria"]
+
+
+def _top_degree(n: int, _) -> list[str]:
+    """The integral of g_i^(n-1) by the run rule, by the relations, and as the Eulerian number A(n-1, i-1)."""
+    failures = []
+    for i in range(1, n):
+        try:
+            by_rule = integral(functools.reduce(multiply, [monomial(IndexSet.of(n, [i]))] * (n - 1), unit(n)))
+            nf = normal_form(Monomial.from_multiset(n, {i: n - 1}))
+        except (ConsistencyError, PresentationError) as exc:
+            failures.append(f"n={n} i={i}: {exc}")
+            continue
+        by_relations = math.factorial(n - 1) * nf.get(IndexSet.full(n), 0)
+        eulerian = sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1) for j in range(i))
+        if not by_rule == by_relations == eulerian:
+            failures.append(f"n={n} i={i}: integral of g_{i}^{n - 1} is {by_rule} by the run rule, "
+                            f"{by_relations} by the relations, Eulerian number {eulerian}")
+    return failures
+
+
+# The checks of `verify`, in output order: the line after "n=N: ", the ranks it
+# runs at, the check (n, part) -> failure lines, which catches its own errors,
+# and the cut (n, jobs) -> parts, or None for one part per rank.
+CHECKS = [
+    ("{pairs} (J,K) pairs cross-checked over three engines", VERIFY_RANKS, _verify_chunk, _pair_blocks),
+    ("graded dimensions 0..{top} {status}", VERIFY_RANKS, _graded_dimensions, None),
+    ("Bruhat subset criteria {status}", range(1, 7), _bruhat_criteria, None),
+    ("top-degree evaluation {status}", VERIFY_RANKS[1:], _top_degree, None),
+]
 
 
 @command("verify",
          option("--n-max", type=int, default=7, help="Largest rank checked (default: 7)."),
-         option("--jobs", type=int, default=1, help="Worker processes for the pair sweep (default: 1)."))
+         option("--jobs", type=int, default=1, help="Worker processes for the checks (default: 1)."))
 def cmd_verify(n_max: int, jobs: int) -> None:
     """Exhaustively cross-check the three engines and the supporting
     combinatorics for every rank up to --n-max."""
@@ -300,81 +363,18 @@ def cmd_verify(n_max: int, jobs: int) -> None:
 
 
 def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
-    """The checks of `verify` for ranks 1..n_max.  Each rank's pair sweep is
-    cut into ``jobs`` blocks of whole J | K classes, contiguous in
-    union-mask order and of about equal cost, so that one worker alone
-    fills the linalg and game memos, both keyed by (J | K, J & K).  A pair
-    costs one if |J| + |K| <= n - 1, when it reduces a normal form and plays
-    a game that does not die, and nothing otherwise.  With the graded
-    dimensions, every rank's blocks are mapped by ``sweep`` before any
-    result is read.  Prints one line per check and returns the failure
-    lines; a check that raises fails, and the later checks still run."""
-    failures: list[str] = []
+    """Map every (rank, check) of CHECKS for ranks 1..n_max by ``sweep``,
+    then print one line per (rank, check); returns the failure lines."""
     mapped = []
-    for n in range(1, n_max + 1):
-        pairs = sorted(itertools.product(range(1 << (n - 1)), repeat=2), key=lambda p: p[0] | p[1])
-        classes = [list(union_class) for _, union_class in itertools.groupby(pairs, key=lambda p: p[0] | p[1])]
-        costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in union_class) for union_class in classes]
-        total, spent = sum(costs), 0
-        blocks: list[list[tuple[int, int]]] = [[]]
-        for union_class, cost in zip(classes, costs):
-            if spent >= total * len(blocks) / jobs:
-                blocks.append([])
-            blocks[-1] += union_class
-            spent += cost
-        mapped.append((n, sweep(_verify_chunk, [n] * len(blocks), blocks),
-                       sweep(quotient_dimension, [n] * (n + 2), range(n + 2))))
-    for n, chunks, dims in mapped:
-        for chunk in chunks:
-            failures += chunk
-        print(f"n={n}: {4 ** (n - 1)} (J,K) pairs cross-checked over three engines")
-
-        graded: list[str] = []
-        results = iter(dims)
-        for d in range(n + 2):
-            try:
-                dim = next(results)
-            except PresentationError as exc:
-                graded.append(f"n={n} d={d}: {exc}")
-                break
-            if dim != math.comb(n - 1, d) and not graded:
-                graded.append(f"n={n}: graded dimensions do not match binomials")
-        failures += graded
-        print(f"n={n}: graded dimensions 0..{n + 1} {'FAIL' if graded else 'OK'}")
-
-        if n <= 6:
-            sets = list(all_index_sets(n))
-            lemma_ok = all(
-                bruhat_leq(simple_transposition(n, i), longest_wj(J)) == (i in J)
-                for J in sets
-                for i in range(1, n)
-            ) and all(
-                bruhat_leq(longest_wj(Jp), longest_wj(J)) == Jp.issubset(J)
-                for J in sets
-                for Jp in sets
-            )
-            if not lemma_ok:
-                failures.append(f"n={n}: Bruhat comparisons disagree with the subset criteria")
-            print(f"n={n}: Bruhat subset criteria {'OK' if lemma_ok else 'FAIL'}")
-
-        if n >= 2:
-            top = []
-            for i in range(1, n):
-                # the integral of g_i^(n-1) by the run rule, by the relations,
-                # and as the Eulerian number A(n-1, i-1)
-                try:
-                    by_rule = integral(functools.reduce(multiply, [monomial(IndexSet.of(n, [i]))] * (n - 1), unit(n)))
-                    nf = normal_form(Monomial.from_multiset(n, {i: n - 1}))
-                except (ConsistencyError, PresentationError) as exc:
-                    top.append(f"n={n} i={i}: {exc}")
-                    continue
-                by_relations = math.factorial(n - 1) * nf.get(IndexSet.full(n), 0)
-                eulerian = sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1) for j in range(i))
-                if not by_rule == by_relations == eulerian:
-                    top.append(f"n={n} i={i}: integral of g_{i}^{n - 1} is {by_rule} by the run rule, "
-                               f"{by_relations} by the relations, Eulerian number {eulerian}")
-            failures += top
-            print(f"n={n}: top-degree evaluation {'FAIL' if top else 'OK'}")
+    for n, (line, ranks, check, cut) in itertools.product(range(1, n_max + 1), CHECKS):
+        if n in ranks:
+            parts = cut(n, jobs) if cut else [None]
+            mapped.append((n, line, sweep(check, [n] * len(parts), parts)))
+    failures: list[str] = []
+    for n, line, results in mapped:
+        lines = [failure for part in results for failure in part]
+        print(f"n={n}: " + line.format(pairs=4 ** (n - 1), top=n + 1, status="FAIL" if lines else "OK"))
+        failures += lines
     return failures
 
 

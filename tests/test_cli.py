@@ -103,9 +103,10 @@ class TestExpand:
         (["expand", "-n", "5", "--cached", "{tmp}"], "--cached"),
         (["table", "-n", "3", "--out", "{tmp}"], "--out"),
         (["verify", "--n-max", "x"], "--n-max"),
+        (["table", "-n", "3", "--out", "{tmp}/missing/t.csv"], "--out"),
     ], ids=["rank-out-of-range", "member-out-of-range", "unsorted-subset", "missing-n", "non-integer-n",
             "unknown-option", "unknown-command", "no-command", "bad-method", "bad-format", "cached-missing",
-            "cached-directory", "out-directory", "non-integer-n-max"])
+            "cached-directory", "out-directory", "non-integer-n-max", "out-missing-directory"])
     def test_usage_errors(self, capsys, tmp_path, argv, named):
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert (code, out) == (1, "")
@@ -196,6 +197,73 @@ class TestDiagramsCommand:
         assert "no diagrams; d = 0" in out
 
 
+def _odd_rank_fails(n, part):
+    """A check added to `verify`'s table by a test: it fails at odd ranks."""
+    return [f"n={n}: odd rank"] if n % 2 else []
+
+
+def _fresh_memos(monkeypatch):
+    """Empty the engines' memos, so that a fault planted after this reaches
+    every row that takes the faulty step."""
+    import petring.ring as ring
+
+    monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
+    monkeypatch.setattr(ring, "_last_J", {})
+    for module, name in ((oracle, "_step"), (oracle, "_normal_form"), (diagrams, "_game_sums")):
+        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__))
+
+
+def _pair_raises(monkeypatch):
+    # the three-engine row of (J, K) = ({1,3}, {2}) raises
+    expansion_row = petring.cli._expansion_row
+
+    def faulty(n, J, K, method):
+        if (J, K) == (0b101, 0b010):
+            raise ConsistencyError("injected")
+        return expansion_row(n, J, K, method)
+
+    monkeypatch.setattr(petring.cli, "_expansion_row", faulty)
+
+
+def _move_weight_off_by_one(monkeypatch):
+    # g_2 times the monomial on {2}: its first move weighs one more, in the
+    # rewrite and in the game alike
+    import petring.ring as ring
+
+    def off(mask, i, n, step=ring.run_step):
+        a, b, den, moves = step(mask, i, n)
+        if (mask, i) == (0b10, 2):
+            moves = ((moves[0][0], moves[0][1] + 1),) + moves[1:]
+        return a, b, den, moves
+
+    monkeypatch.setattr(ring, "run_step", off)
+    monkeypatch.setattr(diagrams, "run_step", off)
+
+
+def _step_tripled(monkeypatch):
+    # NF(g_2 * x_{2}) at rank 4 with every term tripled
+    step = oracle._step.__wrapped__
+
+    def corrupted(n, i, S):
+        row, denom = step(n, i, S)
+        return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
+
+    monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+
+
+def _game_doubled(monkeypatch):
+    # the game from {2} with row 2 at rank 4 with every sum doubled
+    game_sums = diagrams._game_sums.__wrapped__
+
+    def doubled(n, start, marked):
+        sums, denom = game_sums(n, start, marked)
+        if (n, start, marked) == (4, 0b010, 0b010):
+            sums = tuple((L, 2 * v) for L, v in sums)
+        return sums, denom
+
+    monkeypatch.setattr(diagrams, "_game_sums", functools.lru_cache(maxsize=None)(doubled))
+
+
 class TestVerify:
     def test_small_ranks_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "5")
@@ -227,8 +295,13 @@ class TestVerify:
          "FAIL n=3 i=2: integral of g_2^2 is 1 by the run rule, 3 by the relations, Eulerian number 1"),
     ], ids=["multiply", "normal_form"])
     def test_top_degree_fault_detected(self, capsys, monkeypatch, target, fault, line):
+        # the check runs in a worker under --jobs 2, and reports the same
         monkeypatch.setattr(petring.cli, target, fault(getattr(petring.cli, target)))
-        code, out, err = run(capsys, "verify", "--n-max", "3")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        code, out, err = run(capsys, "verify", "--n-max", "3", "--jobs", "1")
+        assert run(capsys, "verify", "--n-max", "3", "--jobs", "2") == (code, out, err)
         assert code == 2
         assert "n=2: top-degree evaluation FAIL" in out
         assert "n=3: top-degree evaluation FAIL" in out
@@ -308,23 +381,37 @@ class TestVerify:
         assert "n=4: 64 (J,K) pairs cross-checked over three engines" in out.splitlines()
         assert run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2") == (2, "", f"consistency failure: {named}\n")
 
-    def test_every_map_issued_before_any_result_is_read(self, capsys):
-        # the pair blocks and graded dimensions of all ranks go to the pool
-        # at once, so no worker waits for the parent's checks
+    def test_every_map_issued_before_any_result_is_read(self, capsys, monkeypatch):
+        # every check of every rank goes to the pool at once, so no worker
+        # waits for the parent, and the parent does no check's work
+        cli = petring.cli
+        checks = [cli._verify_chunk, cli._graded_dimensions, cli._bruhat_criteria, cli._top_degree]
+        expected = [(1, fn) for fn in checks[:3]] + [(n, fn) for n in (2, 3, 4) for fn in checks]
         issued = []
 
-        def sweep(fn, *args):
-            issued.append(fn)
+        def sweep(fn, ns, parts):
+            issued.append((ns[0], fn))
 
             def results():
-                assert len(issued) == 2 * 4
-                yield from map(fn, *args)
+                assert issued == expected
+                yield from map(fn, ns, parts)
 
             return results()
 
-        assert petring.cli._verify_ranks(4, 1, sweep) == []
-        assert issued == [petring.cli._verify_chunk, oracle.quotient_dimension] * 4
+        assert cli._verify_ranks(4, 1, sweep) == []
+        assert issued == expected
         assert "n=4: graded dimensions 0..5 OK" in capsys.readouterr().out
+        # a check is one function and one row of the table: its line is
+        # printed after the rank's other checks, and its failure exits 2
+        odd_rank_check = ("odd-rank check {status}", range(2, 9), _odd_rank_fails, None)
+        monkeypatch.setattr(cli, "CHECKS", [*cli.CHECKS, odd_rank_check])
+        code, out, err = run(capsys, "verify", "--n-max", "3")
+        assert code == 2
+        assert out.splitlines()[6:] == ["n=2: top-degree evaluation OK", "n=2: odd-rank check OK",
+                                        "n=3: 16 (J,K) pairs cross-checked over three engines",
+                                        "n=3: graded dimensions 0..4 OK", "n=3: Bruhat subset criteria OK",
+                                        "n=3: top-degree evaluation OK", "n=3: odd-rank check FAIL"]
+        assert err.splitlines() == ["FAIL n=3: odd rank", "consistency failure: 1 verification check(s) failed"]
 
     def test_jobs_blocks_fill_each_memo_entry_once(self, monkeypatch):
         # memos cleared before each block, as in a fresh worker: the blocks of
@@ -366,31 +453,47 @@ class TestVerify:
         assert not unions[0] & unions[1]
         assert max(unions[0]) < min(unions[1])
 
-    def test_failure_lines_independent_of_jobs(self, capsys, monkeypatch):
-        # each failure line is made in the worker that holds the pair and its
-        # transpose; the lines come back in union-mask order either way
-        expansion_row = petring.cli._expansion_row
-
-        def faulty(n, J, K, method):
-            if (J, K) == (0b101, 0b010):
-                raise ConsistencyError("injected")
-            return expansion_row(n, J, K, method)
-
-        monkeypatch.setattr(petring.cli, "_expansion_row", faulty)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-        serial = run(capsys, "verify", "--n-max", "5", "--jobs", "1")
-        pooled = run(capsys, "verify", "--n-max", "5", "--jobs", "2")
-        assert serial[0] == pooled[0] == 2
-        assert pooled[2] == serial[2]
-        assert serial[2].splitlines() == [
+    @pytest.mark.parametrize("fault, n_max, lines", [
+        (_pair_raises, "5", [
             "FAIL n=4 J=2 K=1,3: expansion not symmetric",
             "FAIL n=4 J=1,3 K=2: injected",
             "FAIL n=5 J=2 K=1,3: expansion not symmetric",
             "FAIL n=5 J=1,3 K=2: injected",
-            "consistency failure: 4 verification check(s) failed",
-        ]
+        ]),
+        (_move_weight_off_by_one, "4", [
+            "FAIL n=3 J=2 K=2: engines disagree for J=2, K=2, first at L=1,2: diagram d=2, rewrite d=2, linalg d=1; "
+            "diagram={'1,2': 2} rewrite={'1,2': 2} linalg={'1,2': 1}",
+            "FAIL n=3 i=2: integral of g_2^2 is 2 by the run rule, 1 by the relations, Eulerian number 1",
+            "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=1,2: diagram d=2, rewrite d=2, linalg d=1; "
+            "diagram={'1,2': 2, '2,3': 1} rewrite={'1,2': 2, '2,3': 1} linalg={'1,2': 1, '2,3': 1}",
+            "FAIL n=4 J=2 K=2,3: rewrite engine gave d = 7/2 for J=2, K=2,3, L=1,2,3, expected a non-negative integer",
+            "FAIL n=4 J=2,3 K=2: expansion not symmetric",
+            "FAIL n=4 i=2: integral of g_2^3 is 6 by the run rule, 4 by the relations, Eulerian number 4",
+        ]),
+        (_step_tripled, "4", [
+            "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=1,2: diagram d=1, rewrite d=1, linalg d=3; "
+            "diagram={'1,2': 1, '2,3': 1} rewrite={'1,2': 1, '2,3': 1} linalg={'1,2': 3, '2,3': 3}",
+            "FAIL n=4: graded dimensions do not match binomials",
+            "FAIL n=4 i=2: integral of g_2^3 is 4 by the run rule, 12 by the relations, Eulerian number 4",
+        ]),
+        (_game_doubled, "4", [
+            "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=1,2: diagram d=2, rewrite d=1, linalg d=1; "
+            "diagram={'1,2': 2, '2,3': 2} rewrite={'1,2': 1, '2,3': 1} linalg={'1,2': 1, '2,3': 1}",
+        ]),
+    ], ids=["expansion-row", "run-step-weight", "oracle-step", "game-sums"])
+    def test_failure_lines_independent_of_jobs(self, capsys, monkeypatch, fault, n_max, lines):
+        # each check makes its failure lines in the worker that runs it, and
+        # the pair sweep's come back in union-mask order either way
+        _fresh_memos(monkeypatch)
+        fault(monkeypatch)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        serial = run(capsys, "verify", "--n-max", n_max, "--jobs", "1")
+        pooled = run(capsys, "verify", "--n-max", n_max, "--jobs", "2")
+        assert serial[0] == pooled[0] == 2
+        assert pooled[2] == serial[2]
+        assert serial[2].splitlines() == lines + [f"consistency failure: {len(lines)} verification check(s) failed"]
 
     def test_refused_reduction_fails_its_checks_and_carries_on(self, capsys, monkeypatch):
         # without its 2*g_j^2 term no relation row eliminates g_j^2: the
