@@ -4,8 +4,9 @@ verification, tables, and group data.
 `table` refuses, before computing, filters that admit more than
 MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
 raw line prefix of its pair and stops after that pair's block.  `verify`
-issues every check of its table ``CHECKS`` at every rank to one map, the
-pair sweep in blocks of whole J | K classes.  Engines give their expansions
+issues every check of its table ``CHECKS`` at every rank to one map, top
+rank first, the pair sweep in blocks of whole J | K classes; under --jobs 2
+and up each pool worker is pinned to one CPU.  Engines give their expansions
 as checked (L mask, d) rows sorted by mask, which `table` writes as they
 come and `expand` prints in that order; subsets are formatted only here.
 
@@ -351,9 +352,16 @@ def cmd_verify(n_max: int, jobs: int) -> None:
         failures = _verify_ranks(n_max, jobs, map)
     else:
         # imported here: multiprocessing would slow every other command's start-up
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pin = {}
+        if hasattr(os, "sched_setaffinity"):  # else the kernel may keep every worker on one CPU
+            mask, ids = itertools.cycle(sorted(os.sched_getaffinity(0))), multiprocessing.SimpleQueue()
+            for _ in range(jobs):  # one CPU of the mask per worker, cycling if --jobs exceeds it
+                ids.put(next(mask))
+            pin = {"initializer": _pin_worker, "initargs": (ids,)}
+        with ProcessPoolExecutor(max_workers=jobs, **pin) as pool:
             failures = _verify_ranks(n_max, jobs, pool.map)
     if failures:
         sys.stdout.flush()  # the check lines first, also when both streams go to one file
@@ -362,16 +370,22 @@ def cmd_verify(n_max: int, jobs: int) -> None:
     print("all checks passed")
 
 
+def _pin_worker(ids) -> None:
+    """The pool's initializer: pin this worker to the next CPU id of ``ids``."""
+    os.sched_setaffinity(0, {ids.get()})
+
+
 def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
-    """Map every (rank, check) of CHECKS for ranks 1..n_max by ``sweep``,
-    then print one line per (rank, check); returns the failure lines."""
+    """Map every (rank, check) of CHECKS by ``sweep`` from rank n_max down, so that a
+    pool starts on the costliest, then print one line per (rank, check) from rank 1 up,
+    the order in which the lazy ``map`` of ``--jobs 1`` computes them; returns the failure lines."""
     mapped = []
-    for n, (line, ranks, check, cut) in itertools.product(range(1, n_max + 1), CHECKS):
+    for n, (line, ranks, check, cut) in itertools.product(range(n_max, 0, -1), CHECKS):
         if n in ranks:
             parts = cut(n, jobs) if cut else [None]
             mapped.append((n, line, sweep(check, [n] * len(parts), parts)))
     failures: list[str] = []
-    for n, line, results in mapped:
+    for n, line, results in sorted(mapped, key=lambda m: m[0]):  # stable: CHECKS order within a rank
         lines = [failure for part in results for failure in part]
         print(f"n={n}: " + line.format(pairs=4 ** (n - 1), top=n + 1, status="FAIL" if lines else "OK"))
         failures += lines
@@ -472,3 +486,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -6,8 +6,10 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -34,10 +36,8 @@ def run(capsys, *argv):
 ])
 def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     # in a fresh interpreter, the modules that the import adds to those loaded at start-up
-    src = Path(petring.cli.__file__).parents[1]
     code = f"import sys; before = set(sys.modules); import {module}; print(*set(sys.modules) - before)"
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, check=True)
+    proc = _python("-c", code, check=True)
     assert not set(unneeded) & set(proc.stdout.split()), proc.stdout
 
 
@@ -202,6 +202,21 @@ def _odd_rank_fails(n, part):
     return [f"n={n}: odd rank"] if n % 2 else []
 
 
+def _worker_cpus(n, part):
+    """A check added to `verify`'s table by a test: it holds its worker a
+    moment, so that every worker takes a part, and fails with a line
+    "pid:cpus" naming the worker and its CPU mask."""
+    time.sleep(0.05)
+    return [f"{os.getpid()}:{','.join(map(str, sorted(os.sched_getaffinity(0))))}"]
+
+
+def _python(*args, **kwargs):
+    """Run the interpreter on ``args`` with this checkout's petring importable."""
+    src = Path(petring.cli.__file__).parents[1]
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, **kwargs)
+
+
 def _fresh_memos(monkeypatch):
     """Empty the engines' memos, so that a fault planted after this reaches
     every row that takes the faulty step."""
@@ -272,7 +287,7 @@ class TestVerify:
         assert "all checks passed" in out
 
     def test_process_pool_matches_serial(self, capsys, monkeypatch):
-        # one pool serves the pair sweep of every rank
+        # one pool serves the pair sweep of every rank, its workers pinned by its initializer
         serial = run(capsys, "verify", "--n-max", "6", "--jobs", "1")
         pools = []
         pool = ProcessPoolExecutor
@@ -283,7 +298,7 @@ class TestVerify:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", counting)
         pooled = run(capsys, "verify", "--n-max", "6", "--jobs", "2")
-        assert pools == [{"max_workers": 2}]
+        assert pools == [{"max_workers": 2, "initializer": petring.cli._pin_worker, "initargs": (ANY,)}]
         assert serial[0] == pooled[0] == 0
         assert pooled[1] == serial[1]
         assert "n=6: 1024 (J,K) pairs" in pooled[1]
@@ -306,6 +321,47 @@ class TestVerify:
         assert "n=2: top-degree evaluation FAIL" in out
         assert "n=3: top-degree evaluation FAIL" in out
         assert line in err.splitlines()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_each_worker_pinned_to_one_cpu(self, capsys, monkeypatch):
+        # under --jobs 2 each worker runs on one CPU of the parent's mask, the
+        # two on different CPUs when the mask holds two; the parent is not pinned
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(petring.cli, "CHECKS", [("worker {status}", range(1, 9), _worker_cpus, None)])
+        code, out, err = run(capsys, "verify", "--n-max", "8", "--jobs", "2")
+        assert code == 2
+        assert out.splitlines() == [f"n={n}: worker FAIL" for n in range(1, 9)]
+        workers = dict(line.removeprefix("FAIL ").split(":") for line in err.splitlines()[:-1])
+        assert len(workers) == 2
+        assert all(cpu.isdigit() and int(cpu) in mask for cpu in workers.values())
+        if len(mask) >= 2:
+            assert len(set(workers.values())) == 2
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_more_workers_than_cpus_in_the_mask(self):
+        # with a mask of one CPU both workers take it: the second does not wait
+        # for a CPU id of its own, and the output is that of --jobs 1
+        script = ("import os, sys; cpu = min(os.sched_getaffinity(0)); os.sched_getaffinity = lambda pid: {cpu}; "
+                  "os.cpu_count = lambda: 2; from petring.cli import main; "
+                  "sys.exit(main(['verify', '--n-max', '5', '--jobs', sys.argv[1]]))")
+        serial, pooled = (_python("-c", script, jobs, timeout=60) for jobs in ("1", "2"))
+        assert serial.returncode == pooled.returncode == 0
+        assert pooled.stdout == serial.stdout
+        assert "n=5: 256 (J,K) pairs cross-checked over three engines" in pooled.stdout.splitlines()
+        assert pooled.stderr == serial.stderr == ""
+
+    @pytest.mark.parametrize("module", ["petring", "petring.cli"])
+    def test_runs_as_module(self, capsys, module):
+        # `python -m` runs the command, as the installed `petring` script does
+        code, out, err = run(capsys, "verify", "--n-max", "3")
+        assert (code, err) == (0, "")
+        assert "n=3: top-degree evaluation OK" in out.splitlines()
+        proc = _python("-m", module, "verify", "--n-max", "3", timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     def test_rank_one_trivial(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1")
@@ -382,11 +438,11 @@ class TestVerify:
         assert run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2") == (2, "", f"consistency failure: {named}\n")
 
     def test_every_map_issued_before_any_result_is_read(self, capsys, monkeypatch):
-        # every check of every rank goes to the pool at once, so no worker
-        # waits for the parent, and the parent does no check's work
+        # every check of every rank goes to the pool at once, top rank first,
+        # so no worker waits for the parent, and the parent does no check's work
         cli = petring.cli
         checks = [cli._verify_chunk, cli._graded_dimensions, cli._bruhat_criteria, cli._top_degree]
-        expected = [(1, fn) for fn in checks[:3]] + [(n, fn) for n in (2, 3, 4) for fn in checks]
+        expected = [(n, fn) for n in (4, 3, 2) for fn in checks] + [(1, fn) for fn in checks[:3]]
         issued = []
 
         def sweep(fn, ns, parts):
@@ -552,7 +608,7 @@ class TestVerify:
         blocks = []
 
         def sweep(fn, ns, args):
-            if fn is petring.cli._verify_chunk:
+            if fn is petring.cli._verify_chunk and ns[0] == 7:
                 blocks[:] = args
                 return [[] for _ in args]
             return map(fn, ns, args)
