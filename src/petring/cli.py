@@ -36,7 +36,7 @@ import sys
 from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
 from .errors import ConsistencyError, PresentationError, Row, constants
 from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function
-from .oracle import Monomial, linalg_row, normal_form, quotient_dimension
+from .oracle import Monomial, linalg_row, normal_form, presentation_failures
 from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
 from .ring import integral, monomial, multiply, rewrite_row, structure_constants_rewrite_pairs, unit
 
@@ -287,14 +287,16 @@ def _pair_blocks(n: int, jobs: int) -> list[list[tuple[int, int]]]:
 
 
 def _graded_dimensions(n: int, _) -> list[str]:
-    """Degree d of the quotient has dimension C(n-1, d), for d = 0..n+1 or up to one that raises."""
+    """Degree d of the quotient has dimension C(n-1, d) for every d, certified by the table being a module
+    over the quotient on every x_S (``presentation_failures``), |S| = 0..n-1 or up to the first that raises,
+    named by d = |S| + 2, the degree of the entry that raised."""
     mismatch = []
-    for d in range(n + 2):
+    for size in range(n):
         try:
-            if quotient_dimension(n, d) != math.comb(n - 1, d):
+            if presentation_failures(n, size):
                 mismatch = [f"n={n}: graded dimensions do not match binomials"]
         except (ConsistencyError, PresentationError) as exc:
-            return mismatch + [f"n={n} d={d}: {exc}"]
+            return mismatch + [f"n={n} d={size + 2}: {exc}"]
     return mismatch
 
 

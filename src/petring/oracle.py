@@ -33,12 +33,13 @@ denominator do not depend on the route that built them.
 that all three engines share, ``errors.constants``, on bit masks;
 ``normal_form`` converts the row to Fractions for its callers.
 
-``quotient_dimension`` gives the graded dimensions that certify that the
-square-free monomials form a basis, so that the normal forms are unique.
-It eliminates no full matrix: it ranks the forms of the degree-d relation
-rows, read from the same memo, which keeps every form it builds.  The full
-degree-d relation matrix is eliminated only by the tests' reference,
-``_reduced_pivots``.
+The square-free monomials form a basis, so that normal forms are unique,
+if the table, as operators T_i on the square-free span, commutes and
+satisfies the relations on every x_S.  ``presentation_failures`` checks
+that, building no normal form; `verify` runs it.  Then the form of every
+relation row is zero, so ``quotient_dimension``, which ranks those forms,
+gives binomials: it is the reference.  The full degree-d relation matrix
+is eliminated only by the tests' reference, ``_reduced_pivots``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import PresentationError, Row, constants, expansion
 from .intervals import Frozen, IndexSet, decompose_mask
 
 __all__ = ["Monomial", "RelationMatrix", "relation_rows", "normal_form", "quotient_dimension",
-           "structure_constants_linalg", "linalg_row"]
+           "presentation_failures", "structure_constants_linalg", "linalg_row"]
 
 # A monomial of rank n is its exponent tuple of length n-1 (entry i-1 is the
 # multiplicity of generator i).
@@ -324,7 +325,8 @@ def quotient_dimension(n: int, d: int) -> int:
     form lies in the ideal, and a square-free monomial is its own form.  So
     degree d of the quotient is the square-free span modulo the forms of
     the degree-d relation rows (with the correct relations every such row
-    is zero), and its dimension is C(n-1, d) less their rank."""
+    is zero), and its dimension is C(n-1, d) less their rank.  It is the
+    reference for ``presentation_failures``, which `verify` runs instead."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     if d >= n:
@@ -338,6 +340,29 @@ def quotient_dimension(n: int, d: int) -> int:
     rows = (_combine([(v, *_normal_form(n, t)) for t, v in _relation_row(_bump(mono, i, -2), i).items()])[0]
             for mono in _monomial_exponents(n, d) for i in range(1, n) if mono[i - 1] > 1)
     return math.comb(n - 1, d) - len(_echelon(filter(None, rows), math.comb(n - 1, d)))
+
+
+def presentation_failures(n: int, size: int) -> list[tuple[int, int, int]]:
+    """The (S mask, i, j) with |S| = size at which the table, as operators
+    T_i = ``_times(n, i, .)`` on the square-free span, fails to be a module
+    over the quotient: i < j for T_i T_j x_S != T_j T_i x_S, checked when i
+    or j is in S (else both are x_{S+i+j}), and i = j for r_i(T) x_S != 0,
+    r_i = g_i (2 g_i - g_{i-1} - g_{i+1}) with boundary terms dropped.
+
+    With no failure for size = 0..n-1, every form is m(T) 1 whatever its
+    route, and so is every relation row's, which is then zero: every
+    ``quotient_dimension`` is a binomial, and every degree-n entry was built.
+    No normal form is built; an entry that does not reduce raises."""
+    gens, failures = range(1, n), []
+    for S in (S for S in range(1 << (n - 1)) if S.bit_count() == size):
+        once = [({}, 1), *(_times(n, i, {S: 1}, 1) for i in gens), ({}, 1)]  # T_i x_S, zero at i = 0, n
+        for i, j in combinations(gens, 2):
+            if S & (1 << (i - 1) | 1 << (j - 1)) and _times(n, i, *once[j]) != _times(n, j, *once[i]):
+                failures.append((S, i, j))
+        for i in gens:
+            if _times(n, i, *_combine([(2, *once[i]), (-1, *once[i - 1]), (-1, *once[i + 1])]))[0]:
+                failures.append((S, i, i))
+    return failures
 
 
 def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:

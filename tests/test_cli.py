@@ -573,6 +573,19 @@ class TestVerify:
         assert f"FAIL n=2 d=2: monomial (2,) at rank 2, degree 2 {incomplete}" in err.splitlines()
         assert f"FAIL n=4 i=3: monomial (0, 0, 2) at rank 4, degree 2 {incomplete}" in err.splitlines()
 
+    def test_graded_dimensions_by_the_certificate(self, monkeypatch):
+        # the check builds no normal form and never calls quotient_dimension,
+        # and a failing certificate gives the check's one mismatch line
+        def refused(n, d):
+            raise AssertionError("quotient_dimension called")
+
+        monkeypatch.setattr(oracle, "quotient_dimension", refused)
+        before = oracle._normal_form.cache_info()
+        assert petring.cli._graded_dimensions(8, None) == []
+        assert oracle._normal_form.cache_info() == before
+        monkeypatch.setattr(petring.cli, "presentation_failures", lambda n, size: [(0, 1, 1)] * (size < 2))
+        assert petring.cli._graded_dimensions(5, None) == ["n=5: graded dimensions do not match binomials"]
+
     def test_chunk_folds_each_J_once(self, monkeypatch):
         # a block expanded in (J, K) order: the rewrite folds each J once over
         # one prefix memo, one run-rule step per nonempty K, 4^5 - 2^5 in all

@@ -1,6 +1,7 @@
 import ast
 import functools
 import inspect
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from petring.intervals import IndexSet, all_index_sets
 from petring.oracle import (
     Monomial,
     normal_form,
+    presentation_failures,
     quotient_dimension,
     relation_rows,
     structure_constants_linalg,
@@ -341,6 +343,99 @@ class TestQuotientDimension:
         for d in (2, 3):
             with pytest.raises(PresentationError, match=r"monomial \(2,\) at rank 2, degree 2"):
                 quotient_dimension(2, d)
+
+
+def _graded_dimensions_fail(n):
+    try:
+        return any(quotient_dimension(n, d) != math.comb(n - 1, d) for d in range(n + 2))
+    except PresentationError:
+        return True
+
+
+def _certificate_fails(n):
+    try:
+        return any(presentation_failures(n, size) for size in range(n))
+    except PresentationError:
+        return True
+
+
+# single-entry corruptions of a table entry (row, denominator)
+CORRUPTIONS = {
+    "tripled row": lambda row, den: ({L: 3 * v for L, v in row.items()}, den),
+    "dropped term": lambda row, den: ({L: v for L, v in row.items() if L != min(row)}, den),
+    "one unit moved": lambda row, den: ({L: v - (L == min(row)) + (L == max(row)) for L, v in row.items()}, den),
+    "doubled denominator": lambda row, den: (row, 2 * den),
+}
+
+
+class TestPresentationCertificate:
+    def test_passes_to_rank_nine(self):
+        for n in range(1, 10):
+            assert [presentation_failures(n, size) for size in range(n)] == [[]] * n, n
+
+    def test_builds_no_normal_form(self):
+        before = oracle._normal_form.cache_info()
+        assert not any(presentation_failures(8, size) for size in range(8))
+        assert oracle._normal_form.cache_info() == before
+
+    def test_names_each_failing_check(self, fresh_table, monkeypatch):
+        # NF(g_2 * x_{2}) at rank 4 tripled: r_2 fails on x_0, and on x_{2}
+        # every check whose two steps reach the entry fails
+        step = oracle._step.__wrapped__
+
+        def corrupted(n, i, S):
+            row, denom = step(n, i, S)
+            return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
+
+        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        assert [presentation_failures(4, size) for size in range(4)] == [
+            [(0, 2, 2)], [(0b010, 1, 2), (0b010, 2, 3), (0b010, 1, 1), (0b010, 2, 2), (0b010, 3, 3)], [], []]
+
+    def test_entry_that_does_not_reduce_raises(self, fresh_table, monkeypatch):
+        # without its 2*g_j^2 term no relation row eliminates g_1^2 at rank 2:
+        # r_1 on x_0 builds that degree-2 entry
+        own_row = oracle._own_row
+        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        with pytest.raises(PresentationError, match=r"monomial \(2,\) at rank 2, degree 2"):
+            presentation_failures(2, 0)
+
+    def test_same_verdict_as_graded_dimensions_on_every_corrupted_entry(self, monkeypatch):
+        # every single-entry corruption of the table at n = 3..5: the
+        # certificate fails or raises exactly when some graded dimension is
+        # not a binomial or raises
+        step = oracle._step.__wrapped__
+        verdicts = {}
+        for n in range(3, 6):
+            entries = [(i, S) for S in range(1 << (n - 1)) for i in range(1, n) if S >> (i - 1) & 1]
+            for (i, S), (name, corrupt) in itertools.product(entries, CORRUPTIONS.items()):
+                def corrupted(n_, i_, S_, key=(n, i, S), corrupt=corrupt):
+                    row, denom = step(n_, i_, S_)
+                    return corrupt(row, denom) if (n_, i_, S_) == key else (row, denom)
+
+                monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+                monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(
+                    oracle._normal_form.__wrapped__))
+                verdict = _certificate_fails(n)
+                assert verdict == _graded_dimensions_fail(n), (n, i, S, name)
+                verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        assert verdicts == {True: 124, False: 68}
+
+    def test_run_rule_is_the_table_to_rank_ten(self):
+        # the run rule's step in the x basis is the table entry NF(g_i * x_S)
+        # for every S and i in S, n <= 10: with the certificate, the run rule
+        # is the multiplication of the quotient at these ranks
+        from petring.intervals import run_step
+
+        steps = 0
+        for n in range(2, 11):
+            for S in range(1 << (n - 1)):
+                for i in (k + 1 for k in range(n - 1) if S >> k & 1):
+                    _, _, den, moves = run_step(S, i, n)
+                    row, denom = oracle._step(n, i, S)
+                    assert {L: Fraction(v, denom) for L, v in row.items()} == {
+                        S | 1 << (t - 1): Fraction(num, den) for t, num in moves}, (n, i, S)
+                    steps += 1
+        assert steps == 4097
 
 
 class TestStructureConstantsLinalg:
