@@ -417,7 +417,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     if count > MAX_TABLE_PAIRS:
         raise Refused(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
     pairs = ((jm, km) for jm in js for km in admitted(jm))
-    rows = ((jm, km, L, d) for jm, km, row in structure_constants_rewrite_pairs(n, pairs) for L, d in row)
+    rows = structure_constants_rewrite_pairs(n, pairs)
     if out is None:
         _write_table(sys.stdout, n, fmt, rows)
         return
@@ -436,20 +436,24 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
 
 
 def _write_table(fh, n: int, fmt: str, rows) -> int:
-    """Write the (J, K, L, d) mask rows of a rank-n table to ``fh`` and
-    return their number.  CSV rows are written as they come; a JSON table is
-    built whole, then written with a final newline."""
+    """Write the (J, K, row) pair rows of a rank-n table to ``fh``, a line (J, K, L, d) per (L, d),
+    and return the number of lines.  CSV lines are written as the pairs come, from each mask's
+    cell, formatted once by a csv writer for its quoting; a JSON table is built whole."""
     if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "J", "K", "L", "d"])
-        name = functools.cache(lambda m: IndexSet.from_mask(n, m).format())
+        fh.write("n,J,K,L,d\n")
+        # writerow returns what its file's write returns: here, the text itself
+        writer = csv.writer(argparse.Namespace(write=str), lineterminator=",")
+        cell = functools.cache(lambda m: writer.writerow([IndexSet.from_mask(n, m).format()]))
         count = 0
-        for J, K, L, d in rows:
-            writer.writerow([n, name(J), name(K), name(L), str(d)])
-            count += 1
+        for J, K, row in rows:
+            head = f"{n},{cell(J)}{cell(K)}"
+            for L, d in row:
+                fh.write(f"{head}{cell(L)}{d}\n")
+            count += len(row)
         return count
     members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
-    json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)} for J, K, L, d in rows]
+    json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)}
+                 for J, K, row in rows for L, d in row]
     fh.write(json.dumps({"n": n, "rows": json_rows}, separators=(", ", ": ")) + "\n")
     return len(json_rows)
 

@@ -26,13 +26,18 @@ class PresentationError(RuntimeError):
 def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]], divisor: int) -> Row:
     """The expansion d_JK^L = value / divisor of the named engine's (L mask,
     value) row at rank n for the masks J and K, sorted by mask, zeros
-    dropped.  Every L must contain J | K, have |J| + |K| members and appear
-    once, and every constant must be a non-negative integer; subsets are
-    built only to name them in an error."""
+    dropped.  Every L must lie in {1, ..., n-1}, contain J | K, have |J| + |K|
+    members and appear once, and every constant must be a non-negative
+    integer; subsets are built only to name them in an error."""
     union, degree = J | K, J.bit_count() + K.bit_count()
+    row = sorted(row)
+    if row and row[-1][0] >> (n - 1):  # the largest L has a member past n - 1
+        L = ",".join(str(k + 1) for k in range(row[-1][0].bit_length()) if row[-1][0] >> k & 1)
+        raise ConsistencyError(f"{engine} engine gave a term on L={L} for J={IndexSet.from_mask(n, J)}, "
+                               f"K={IndexSet.from_mask(n, K)}, outside {{1, ..., {n - 1}}}")
     out = []
     previous = -1
-    for L, value in sorted(row):
+    for L, value in row:
         d, remainder = divmod(value, divisor)
         if L & union != union or L.bit_count() != degree:
             raise ConsistencyError(f"{engine} engine gave a term on L={IndexSet.from_mask(n, L)} for "

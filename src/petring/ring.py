@@ -9,10 +9,10 @@ containing it by one index to the left or to the right, dropping the
 boundary terms at 0 and n.  The step works in the basis of classes
 x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
 coefficient is a positive integer, on integers keyed by bit mask; it is
-memoized per (n, i, S).  The rewrite engine, ``rewrite_row``, and the
-class algebra, ``multiply``, both fold generators into a combination of
-such classes by ``_fold``, memoized over the prefixes of a support, and
-the rewrite's row ends in ``errors.constants``, dividing by m_factor(K).
+memoized per (n, i, S).  The rewrite and the class algebra, ``multiply``,
+fold generators into such classes by ``_fold``, memoized over the prefixes
+of a support (per J in a table's pairs loop, in ``_last_J`` for single
+pairs); a rewrite row ends in ``errors.constants``, dividing by m_factor(K).
 The class algebra alone builds Fractions, and imports them when it does.
 """
 
@@ -131,7 +131,9 @@ def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
         for s2, r2 in c2.terms.items()
         for L, coeff in _fold(prefix, IndexSet(n, s2).mask, n).items()
     )
-    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in _collect(partials).items()})
+    if max(terms := _collect(partials), default=0) >> (n - 1):
+        raise ConsistencyError(f"run rule gave a term on mask {max(terms):b}, outside {{1, ..., {n - 1}}} at rank {n}")
+    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in terms.items()})
 
 
 def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:
@@ -178,8 +180,8 @@ def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]
     return expansion(rewrite_row, J, K)
 
 
-# The prefix memo of the last (n, J) that the rewrite folded, {(n, J): memo}:
-# consecutive requests with the same J, in one call or across calls, share it.
+# The prefix memo of the last (n, J) that :func:`rewrite_row` folded, {(n, J): memo}:
+# single pairs (`verify`, `expand`) with the same J, in one call or across calls, share it.
 _last_J: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
 
 
@@ -191,16 +193,22 @@ def rewrite_row(n: int, J: int, K: int) -> Row:
     if prefix is None:
         _last_J.clear()
         prefix = _last_J[n, J] = {0: {J: 1}}
-    terms = _fold(prefix, K, n)
-    # zero products, |J| + |K| > n - 1, are 40% of a full table and skip the tail
+    return _rewrite_tail(n, J, K, _fold(prefix, K, n))
+
+
+def _rewrite_tail(n: int, J: int, K: int, terms: dict[int, int]) -> Row:
+    # the fold divided by m_factor(K) in the checked tail; zero products, |J| + |K| > n - 1, 40% of a table, skip it
     return constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor) if terms else ()
 
 
 def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, Row]]:
-    """:func:`rewrite_row` of each (J, K) bit-mask pair at rank n, yielded
-    as (J, K, row)."""
+    """:func:`rewrite_row` of each (J, K) bit-mask pair at rank n, yielded as (J, K, row), each run
+    of consecutive pairs with one J folded over a prefix memo of its own, not over ``_last_J``."""
+    last = prefix = None
     for J, K in pairs:
-        yield J, K, rewrite_row(n, J, K)
+        if J != last:
+            last, prefix = J, {0: {J: 1}}
+        yield J, K, _rewrite_tail(n, J, K, _fold(prefix, K, n))
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
@@ -208,10 +216,13 @@ def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
     times the generators of the subset with mask K, in increasing order: one
     step from the fold over K minus its top element, memoized in ``prefix``;
     at most |K| steps."""
-    if K not in prefix:
+    terms = prefix.get(K)
+    if terms is None:  # not `if not terms`: an empty fold is falsy
         top = K.bit_length()
-        prefix[K] = _varpi_times_generator(_fold(prefix, K ^ 1 << (top - 1), n), top, n)
-    return prefix[K]
+        below = prefix.get(K ^ 1 << (top - 1))
+        below = _fold(prefix, K ^ 1 << (top - 1), n) if below is None else below
+        terms = prefix[K] = _varpi_times_generator(below, top, n)
+    return terms
 
 
 def integral(c: CohomologyClass) -> Fraction:

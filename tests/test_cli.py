@@ -163,6 +163,39 @@ class TestCheckedTail:
         assert out == ""
         assert "diagram engine gave a term on L=1,2,3 for J=2, K=2" in err
 
+    def test_term_past_the_last_column_refused(self, capsys, monkeypatch, tmp_path):
+        # a run step that also moves to column n when the run ends at n - 1,
+        # in the rewrite and in the game alike: each command names the term
+        # outside {1, ..., n-1} and exits 2, rather than failing to build L
+        import petring.ring as ring
+
+        def beyond(mask, i, n, step=ring.run_step):
+            a, b, den, moves = step(mask, i, n)
+            return a, b, den, (moves + ((n, 1),) if b == n - 1 else moves)
+
+        _fresh_memos(monkeypatch)
+        monkeypatch.setattr(ring, "run_step", beyond)
+        monkeypatch.setattr(diagrams, "run_step", beyond)
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "3", "-K", "3", "--method", "rewrite")
+        assert (code, out) == (2, "")
+        assert err == "consistency failure: rewrite engine gave a term on L=3,4 for J=3, K=3, outside {1, ..., 3}\n"
+        path = tmp_path / "table4.csv"
+        path.write_bytes(b"an earlier table\n")
+        for argv in (["table", "-n", "4"], ["table", "-n", "4", "--out", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert err == ("consistency failure: rewrite engine gave a term on L=1,2,3,4 for J=1, K=1,2,3, "
+                           "outside {1, ..., 3}\n")
+        assert path.read_bytes() == b"an earlier table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table4.csv"]
+        code, out, err = run(capsys, "verify", "--n-max", "4")
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines[0] == "FAIL n=2 J=1 K=1: diagram engine gave a term on L=1,2 for J=1, K=1, outside {1, ..., 1}"
+        assert "FAIL n=4 i=2: run rule gave a term on mask 1110, outside {1, ..., 3} at rank 4" in lines
+        assert lines[-1] == "consistency failure: 31 verification check(s) failed"
+
 
 class TestExpansionRecord:
     def test_json_round_trip(self, capsys):
@@ -798,6 +831,26 @@ class TestTableAgreesWithSinglePairs:
             assert data["n"] == n
             as_lists = [[list(IndexSet.parse(r[i], n).as_tuple()) for i in (1, 2, 3)] + [r[4]] for r in expected]
             assert [[r["J"], r["K"], r["L"], r["d"]] for r in data["rows"]] == as_lists, argv
+
+    @pytest.mark.parametrize("argv", [[], ["--degree", "2"], ["--J", "1,3"]])
+    def test_raw_output_bytes(self, capsys, argv):
+        # the raw output, quoting included (csv.reader reads "1" and 1 alike),
+        # against csv.writer's text and json.dumps of the single-pair rows
+        n = 6
+        sets = list(all_index_sets(n))
+        expected = [
+            row
+            for J in sets if argv[:1] != ["--J"] or J.format() == argv[1]
+            for K in sets if argv[:1] != ["--degree"] or len(J) + len(K) == int(argv[1])
+            for row in _pair_rows(n, J, K)
+        ]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([["n", "J", "K", "L", "d"]] + expected)
+        assert f'{n},"1,3",' in text.getvalue()  # a quoted cell is among the rows
+        assert run(capsys, "table", "-n", str(n), *argv) == (0, text.getvalue(), "")
+        rows = [dict(zip("JKL", (list(IndexSet.parse(r[i], n).as_tuple()) for i in (1, 2, 3))), d=r[4]) for r in expected]
+        text = json.dumps({"n": n, "rows": rows}, separators=(", ", ": ")) + "\n"
+        assert run(capsys, "table", "-n", str(n), "--format", "json", *argv) == (0, text, "")
 
 
 class TestTableCap:

@@ -437,6 +437,23 @@ class TestPresentationCertificate:
                     steps += 1
         assert steps == 4097
 
+    def test_run_rule_is_the_table_at_ranks_eleven_and_twelve(self):
+        # the same step certificate at n = 11 and 12, past the ranks of the
+        # exhaustive sweeps: 10 * 2^9 + 11 * 2^10 entries, compared with
+        # denominators cleared
+        from petring.intervals import run_step
+
+        steps = 0
+        for n in (11, 12):
+            for S in range(1 << (n - 1)):
+                for i in (k + 1 for k in range(n - 1) if S >> k & 1):
+                    _, _, den, moves = run_step(S, i, n)
+                    row, denom = oracle._step(n, i, S)
+                    assert {L: v * den for L, v in row.items()} == {
+                        S | 1 << (t - 1): num * denom for t, num in moves}, (n, i, S)
+                    steps += 1
+        assert steps == 10 * 2**9 + 11 * 2**10 == 16384
+
 
 class TestStructureConstantsLinalg:
     def test_golden_example(self):
