@@ -115,15 +115,12 @@ SUBSET_K = option("-K", dest="k_text", default="-", metavar="SUBSET", help="Seco
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
     """The checked row of one engine, or of all three with an exact-agreement
     check; a disagreement names the first L at which the rows differ."""
-    if method == "all":
-        diagram, rewrite, linalg = diagram_row(n, J, K), rewrite_row(n, J, K), linalg_row(n, J, K)
-        if diagram == rewrite == linalg:
-            return diagram
-        rows = {"diagram": diagram, "rewrite": rewrite, "linalg": linalg}
-    elif method in METHODS:
+    if method != "all":
         return {"diagram": diagram_row, "rewrite": rewrite_row, "linalg": linalg_row}[method](n, J, K)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    diagram, rewrite, linalg = diagram_row(n, J, K), rewrite_row(n, J, K), linalg_row(n, J, K)
+    if diagram == rewrite == linalg:
+        return diagram
+    rows = {"diagram": diagram, "rewrite": rewrite, "linalg": linalg}
     found = {name: dict(row) for name, row in rows.items()}
     first = min(L for d in found.values() for L in d if len({e.get(L, 0) for e in found.values()}) > 1)
     subset = functools.partial(IndexSet.from_mask, n)

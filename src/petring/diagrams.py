@@ -28,7 +28,7 @@ import math
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import Row, constants, expansion
+from .errors import ConsistencyError, Row, constants, expansion
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight",
@@ -77,6 +77,9 @@ def _games(n: int, start: int, marked: int) -> list[tuple[int, tuple, int, int]]
         for shading, rows, num, den in games:
             a, b, row_den, moves = run_step(shading, element, n)
             for target, row_num in moves:
+                if target < 1:
+                    raise ConsistencyError(f"run rule g_{element} from mask {shading:b} at rank {n} "
+                                           f"moves to column {target}")
                 row = (element, a, b, target, row_num, row_den)
                 played.append((shading | 1 << (target - 1), rows + (row,), num * row_num, den * row_den))
         games = played

@@ -154,15 +154,16 @@ class ComponentDecomposition(NamedTuple):
 
 @functools.cache
 def decompose_mask(mask: int) -> ComponentDecomposition:
-    """The runs and m-factor of the subset with bit mask ``mask``, memoized."""
+    """The runs and m-factor of the subset with bit mask ``mask``, memoized; by carry arithmetic,
+    not ``run_step``, so that linalg, which reads m-factors, never reaches the run rule."""
     runs: list[tuple[int, int]] = []
     m = 1
     while mask:
-        # any rank above the members gives the same run
-        a, b, _, _ = run_step(mask, (mask & -mask).bit_length(), MAX_RANK)
-        runs.append((a, b))
-        m *= math.factorial(b - a + 1)
-        mask &= -1 << b
+        low = mask & -mask
+        above = (mask + low) & -(mask + low)  # the carry clears the lowest run and sets the bit above it
+        runs.append((low.bit_length(), above.bit_length() - 1))
+        m *= math.factorial(above.bit_length() - low.bit_length())
+        mask &= mask + low
     return ComponentDecomposition(tuple(runs), m)
 
 

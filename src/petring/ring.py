@@ -9,17 +9,17 @@ containing it by one index to the left or to the right, dropping the
 boundary terms at 0 and n.  The step works in the basis of classes
 x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
 coefficient is a positive integer, on integers keyed by bit mask; it is
-memoized per (n, i, S).  The rewrite and the class algebra, ``multiply``,
-fold generators into such classes by ``_fold``, memoized over the prefixes
-of a support (per J in a table's pairs loop, in ``_last_J`` for single
-pairs); a rewrite row ends in ``errors.constants``, dividing by m_factor(K).
-The class algebra alone builds Fractions, and imports them when it does.
+memoized per (n, i, S).  The rewrite folds the generators of K into the
+class on J by ``_fold``, memoized over the prefixes of K (per J in a table's
+pairs loop, in ``_last_J`` for single pairs); a rewrite row ends in
+``errors.constants``, dividing by m_factor(K).  The class algebra,
+``multiply``, is the bilinear extension of those checked rows; it alone
+builds Fractions, and imports them when it does.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
@@ -110,30 +110,23 @@ def scale(c: CohomologyClass, r: Fraction | int) -> CohomologyClass:
 
 def multiply_generator(c: CohomologyClass, i: int) -> CohomologyClass:
     """Multiply by the i-th generator."""
-    if not 1 <= i <= c.n - 1:
-        raise ValueError(f"generator index {i} out of range for rank {c.n}")
     return multiply(c, monomial(IndexSet.of(c.n, [i])))
 
 
 def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    """Bilinear product: c1 in the basis of classes on each support, over a
-    common denominator, times the generators of each support of c2 in
-    increasing order by the integer run step, mapped back to monomials."""
+    """Bilinear product, the extension of :func:`rewrite_row`: with c1 and c2 in the basis of classes
+    on each support, each pair of supports, J outer (its pairs share ``_last_J``'s memo), adds
+    r1 r2 d / m_L on x_L for each (L, d) of its checked row."""
     from fractions import Fraction
 
     c1._check_same_rank(c2)
     n = c1.n
-    varpi = {J.mask: r for J, r in to_varpi_basis(c1).items()}
-    denom = math.lcm(*(r.denominator for r in varpi.values()))
-    prefix = {0: {S: int(r * denom) for S, r in varpi.items()}}
-    partials = (
-        (L, Fraction(r2 * coeff, denom * decompose_mask(L).m_factor))
-        for s2, r2 in c2.terms.items()
-        for L, coeff in _fold(prefix, IndexSet(n, s2).mask, n).items()
+    left, right = ([(J.mask, r) for J, r in to_varpi_basis(c).items()] for c in (c1, c2))
+    products = (
+        (L, Fraction(r1 * r2 * d, decompose_mask(L).m_factor))
+        for J, r1 in left for K, r2 in right for L, d in rewrite_row(n, J, K)
     )
-    if max(terms := _collect(partials), default=0) >> (n - 1):
-        raise ConsistencyError(f"run rule gave a term on mask {max(terms):b}, outside {{1, ..., {n - 1}}} at rank {n}")
-    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in terms.items()})
+    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in _collect(products).items()})
 
 
 def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:
@@ -165,6 +158,8 @@ def _transition(n: int, i: int, S: int) -> tuple[tuple[int, int], ...]:
     _, _, den, targets = run_step(S, i, n)
     out = []
     for target, num in targets:
+        if target < 1:  # column n is left to the checked tail, which names J and K
+            raise ConsistencyError(f"run rule g_{i} from mask {S:b} at rank {n} moves to column {target}")
         L = S | 1 << (target - 1)
         step, remainder = divmod(num * decompose_mask(L).m_factor, den * m_S)
         if remainder:
@@ -212,10 +207,10 @@ def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) 
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
-    """The combination prefix[0] (the class on J, {J: 1}, for the rewrite)
-    times the generators of the subset with mask K, in increasing order: one
-    step from the fold over K minus its top element, memoized in ``prefix``;
-    at most |K| steps."""
+    """The rewrite's fold: the class on J, prefix[0] = {J: 1}, times the
+    generators of the subset with mask K, in increasing order: one step from
+    the fold over K minus its top element, memoized in ``prefix``; at most
+    |K| steps."""
     terms = prefix.get(K)
     if terms is None:  # not `if not terms`: an empty fold is falsy
         top = K.bit_length()

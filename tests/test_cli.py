@@ -193,7 +193,8 @@ class TestCheckedTail:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert lines[0] == "FAIL n=2 J=1 K=1: diagram engine gave a term on L=1,2 for J=1, K=1, outside {1, ..., 1}"
-        assert "FAIL n=4 i=2: run rule gave a term on mask 1110, outside {1, ..., 3} at rank 4" in lines
+        assert ("FAIL n=4 i=2: rewrite engine gave a term on L=2,3,4 for J=2,3, K=2, "
+                "outside {1, ..., 3}") in lines
         assert lines[-1] == "consistency failure: 31 verification check(s) failed"
 
 

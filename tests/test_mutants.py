@@ -1,0 +1,87 @@
+"""The mutant matrix: each row plants one class of fault, on fresh memos,
+and `verify` must exit 2 at the smallest rank where the fault shows, on the
+line that catches it, while the rank below still passes."""
+
+import functools
+
+import pytest
+
+from petring import diagrams, intervals, oracle, ring
+from petring.errors import ConsistencyError
+from petring.intervals import IndexSet
+from test_cli import _fresh_memos, run
+
+
+def _squared_m(monkeypatch):
+    # each run's factorial squared, in every module that reads the m-factors
+    decompose = intervals.decompose_mask.__wrapped__
+    squared = functools.cache(lambda mask: decompose(mask)._replace(m_factor=decompose(mask).m_factor ** 2))
+    for module in (intervals, ring, diagrams, oracle):
+        monkeypatch.setattr(module, "decompose_mask", squared)
+
+
+def _column_zero(monkeypatch):
+    # a run step that also moves to column 0 when the run around i starts at 1
+    def also_zero(mask, i, n, step=intervals.run_step):
+        a, b, den, moves = step(mask, i, n)
+        return a, b, den, (((0, 1),) + moves if mask >> (i - 1) & 1 and a == 1 else moves)
+
+    for module in (ring, diagrams):
+        monkeypatch.setattr(module, "run_step", also_zero)
+
+
+def _transition_off_support(monkeypatch):
+    # g_2 times the class on {2} at rank 5 with its term on {1,2} moved onto
+    # {3,4}, which does not contain {2}
+    transition = ring._transition.__wrapped__
+
+    def planted(n, i, S):
+        out = transition(n, i, S)
+        return tuple((0b1100 if L == 0b0011 else L, c) for L, c in out) if (n, i, S) == (5, 2, 0b0010) else out
+
+    monkeypatch.setattr(ring, "_transition", functools.cache(planted))
+
+
+# (fault, smallest rank at which verify fails, the start of its first FAIL line,
+# and the check line that reads FAIL, or None for the pair sweep, whose line has no status)
+MUTANTS = [
+    (_squared_m, 3, "FAIL n=3 i=1: ", "n=3: top-degree evaluation FAIL"),
+    (_column_zero, 2, "FAIL n=2 J=1 K=1: run rule g_1 from mask 1 at rank 2 moves to column 0", None),
+    (_transition_off_support, 5, "FAIL n=5 J=2 K=2: rewrite engine gave a term on L=3,4 for J=2, K=2, outside",
+     None),
+]
+
+
+@pytest.mark.parametrize("plant, rank, first, status", MUTANTS, ids=[row[0].__name__ for row in MUTANTS])
+def test_verify_catches(capsys, monkeypatch, plant, rank, first, status):
+    _fresh_memos(monkeypatch)
+    plant(monkeypatch)
+    assert run(capsys, "verify", "--n-max", str(rank - 1))[0] == 0
+    code, out, err = run(capsys, "verify", "--n-max", str(rank))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith(first)
+    assert status is None or status in out.splitlines()
+
+
+def test_column_zero_exits_2_in_every_command(capsys, monkeypatch):
+    _fresh_memos(monkeypatch)
+    _column_zero(monkeypatch)
+    for method in ("rewrite", "diagram"):
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "1", "-K", "1", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == "consistency failure: run rule g_1 from mask 1 at rank 4 moves to column 0\n"
+    for argv in (["table", "-n", "4"], ["verify", "--n-max", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err and "moves to column 0" in err
+
+
+def test_multiply_ends_in_the_checked_tail(monkeypatch):
+    # the class algebra is the bilinear extension of the rewrite's checked rows,
+    # so a transition entry off the support is refused, not summed into a class
+    _fresh_memos(monkeypatch)
+    _transition_off_support(monkeypatch)
+    g2 = ring.monomial(IndexSet.of(5, [2]))
+    with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=3,4 for J=2, K=2, outside"):
+        ring.multiply(g2, g2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from petring import oracle
+from petring import intervals, oracle
 from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet, all_index_sets
 from petring.oracle import (
@@ -18,7 +18,7 @@ from petring.oracle import (
     relation_rows,
     structure_constants_linalg,
 )
-from petring.ring import structure_constants_rewrite
+from petring.ring import rewrite_row, structure_constants_rewrite
 
 
 class TestMonomial:
@@ -182,8 +182,9 @@ class TestTable:
         J, K = IndexSet.parse("1,3,5,6,7", 10), IndexSet.parse("3,6,8", 10)
         assert all(type(d) is int for d in structure_constants_linalg(J, K).values())
 
-    def test_independent_of_the_run_rule(self):
-        # linalg is a cross-check only while it never uses the run rule
+    def test_independent_of_the_run_rule(self, monkeypatch):
+        # linalg is a cross-check only while it never uses the run rule: not
+        # by name, and not at run time through a callee such as the m-factors
         tree = ast.parse(inspect.getsource(oracle))
         imported = set()
         for node in ast.walk(tree):
@@ -196,6 +197,19 @@ class TestTable:
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "run_step" not in names
+
+        def refused(*args):
+            raise AssertionError("linalg reached the run rule")
+
+        monkeypatch.setattr(intervals, "run_step", refused)
+        intervals.decompose_mask.cache_clear()
+        for name in ("_step", "_normal_form"):
+            monkeypatch.setattr(oracle, name, functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
+        for n in range(1, 7):
+            # ring binds its own run_step, so the rewrite still gives the reference rows
+            for J, K in itertools.product(range(1 << (n - 1)), repeat=2):
+                assert oracle.linalg_row(n, J, K) == rewrite_row(n, J, K), (n, J, K)
+            assert not any(presentation_failures(n, size) for size in range(n))
 
 
 class TestElimination:
