@@ -2,13 +2,14 @@
 verification, tables, and group data.
 
 `table` refuses, before computing, filters that admit more than
-MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` scans a CSV table for the
-raw line prefix of its pair and stops after that pair's block.  `verify`
-issues every check of its table ``CHECKS`` at every rank to one map, top
-rank first, the pair sweep in blocks of whole J | K classes; under --jobs 2
-and up each pool worker is pinned to one CPU.  Engines give their expansions
-as checked (L mask, d) rows sorted by mask, which `table` writes as they
-come and `expand` prints in that order; subsets are formatted only here.
+MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` bisects a CSV table, whose
+rows `table` writes in (J mask, K mask) order, for its pair's block and
+reads that block alone.  `verify` issues every check of its table
+``CHECKS`` at every rank to one map, top rank first, the pair sweep in
+blocks of whole J | K classes; under --jobs 2 and up each pool worker is
+pinned to one CPU.  Engines give their expansions as checked (L mask, d)
+rows sorted by mask, which `table` writes as they come and `expand` prints
+in that order; subsets are formatted only here.
 
 The parser is one ``argparse`` parser, ``cli``, with a subparser per
 command in ``cli.commands``; ``main`` calls the command's ``callback``
@@ -190,13 +191,15 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
 
 def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     """The (L, d) fields of the rows for (J, K) in a table file of rank n.
-    A CSV table is scanned for the raw line prefix "n,J,K,", written by the
-    same csv.writer as the table so that the quoting matches; the scan checks
-    the rank of every line it reads and stops after the matching block, or
-    after the block of J's rows if none matches.  It trusts the canonical
-    row order that `table` writes: in a file whose rows for one pair are not
-    contiguous, it finds only the first block (a check would read to the
-    end of the file).  A JSON table is loaded whole."""
+    A CSV table is bisected over byte offsets for the first line whose
+    (J mask, K mask) key, parsed from its J and K cells, is not below the
+    pair's; from there its lines are read while they carry the raw prefix
+    "n,J,K,", written by the same csv.writer as the table so that the quoting
+    matches.  Every line read, probes included, has its rank checked.  The
+    bisection trusts the canonical row order that `table` writes: in a file
+    out of that order it can find part of a pair's rows, or none (only a scan
+    to the end of the file could see the disorder).  A JSON table is loaded
+    whole."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
@@ -206,23 +209,42 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         # d as its text, as in a CSV table, so that int() refuses 2.5 or true
         return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator=",\n").writerows([[n, J.format()], [n, J.format(), K.format()]])
-    rank, (j_prefix, prefix) = f"{n},", buf.getvalue().splitlines()
-    rows: list[list[str]] = []
-    in_J = False
-    with open(path, newline="") as fh:
-        next(fh, None)  # the header
+    csv.writer(buf, lineterminator=",").writerow([n, J.format(), K.format()])
+    rank, prefix, target = f"{n},", buf.getvalue(), (J.mask, K.mask)
+
+    def decoded(line: bytes) -> str:
+        text = line.decode()
+        if not text.startswith(rank):
+            raise UsageError(f"cache {path} is for rank {text.split(',', 1)[0]}, not {n}")
+        return text
+
+    def below_target(text: str) -> bool:
+        _, j, k, *_ = next(csv.reader([text]))  # a ValueError on a line of fewer cells
+        return (IndexSet.parse(j, n).mask, IndexSet.parse(k, n).mask) < target
+
+    with open(path, "rb") as fh:
+        lo = len(fh.readline())  # the rows start past the header
+        if not lo:
+            return []  # an empty file
+        hi = os.fstat(fh.fileno()).st_size
+        # the least offset whose first line at or after it is not below the pair, or is the end
+        while lo < hi:
+            mid = (lo + hi) // 2
+            fh.seek(mid - 1)
+            fh.readline()  # the rest of the line that holds byte mid - 1
+            line = fh.readline()
+            if line and below_target(decoded(line)):
+                lo = mid + 1
+            else:
+                hi = mid
+        fh.seek(lo - 1)
+        fh.readline()  # to the first line at or after lo
+        rows: list[list[str]] = []
         for line in fh:
-            if not line.startswith(rank):
-                raise UsageError(f"cache {path} is for rank {line.split(',', 1)[0]}, not {n}")
-            if line.startswith(j_prefix):
-                in_J = True
-                if line.startswith(prefix):
-                    rows.append(next(csv.reader([line[len(prefix):]])))
-                elif rows:
-                    break
-            elif in_J:
+            text = decoded(line)
+            if not text.startswith(prefix):
                 break
+            rows.append(next(csv.reader([text[len(prefix):]])))
     return rows
 
 

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -900,6 +901,48 @@ def _cached_and_rewrite(capsys, path, n, j, k):
     return cached["terms"], json.loads(out)["terms"]
 
 
+def _counting_open(counter):
+    """An ``open`` that counts in counter[0] the lines decoded from its files:
+    each line read from a text file, each ``decode`` of a line read from a
+    binary one."""
+
+    class Line(bytes):
+        def decode(self, *args, **kwargs):
+            counter[0] += 1
+            return super().decode(*args, **kwargs)
+
+    class File:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            line = self.readline()
+            if not line:
+                raise StopIteration
+            return line
+
+        def readline(self):
+            line = self.fh.readline()
+            if isinstance(line, bytes):
+                return Line(line)
+            counter[0] += bool(line)
+            return line
+
+    return lambda *args, **kwargs: File(open(*args, **kwargs))
+
+
 class TestCachedLookup:
     @pytest.fixture(scope="class")
     def table5(self, tmp_path_factory):
@@ -967,6 +1010,51 @@ class TestCachedLookup:
         for j, k in [("-", "-"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
             cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
             assert cached == rewrite != []
+
+    @pytest.mark.parametrize("header", [False, True], ids=["empty", "header-only"])
+    def test_table_without_rows(self, capsys, tmp_path, header):
+        path = tmp_path / "t4.csv"
+        if header:
+            assert run(capsys, "table", "-n", "4", "--degree", "99", "--out", str(path))[0] == 0
+            assert path.read_text() == "n,J,K,L,d\n"
+        else:
+            path.write_bytes(b"")
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "1", "-K", "2", "--cached", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"Error: cache {path} has no rows for J=1 K=2, a nonzero product\n"
+        # |J| + |K| = 4 > n - 1: the product vanishes
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "1,2", "-K", "2,3", "--cached", str(path))
+        assert (code, err) == (0, "")
+        assert '"terms": []' in out
+
+    @pytest.mark.parametrize("argv", list(_table_filters(6)), ids=lambda argv: " ".join(argv) or "full")
+    def test_read_table_is_a_full_parse_filtered(self, tmp_path, argv):
+        # every pair, so also pairs absent before the first block, between
+        # blocks and after the last row
+        path = tmp_path / "t6.csv"
+        assert main(["table", "-n", "6", *argv, "--out", str(path)]) == 0
+        by_pair: dict[tuple[str, str], list[list[str]]] = {}
+        with open(path, newline="") as fh:
+            for _, j, k, *fields in list(csv.reader(fh))[1:]:
+                by_pair.setdefault((j, k), []).append(fields)
+        sets = list(all_index_sets(6))
+        for J in sets:
+            for K in sets:
+                expected = by_pair.get((J.format(), K.format()), [])
+                assert petring.cli._read_table(str(path), 6, J, K) == expected, (J, K)
+
+    def test_lines_decoded_grow_with_the_log_of_the_file(self, monkeypatch, tmp_path):
+        path = tmp_path / "t7.csv"
+        assert main(["table", "-n", "7", "--out", str(path)]) == 0
+        bound = 2 * math.ceil(math.log2(path.stat().st_size)) + 2
+        counter = [0]
+        monkeypatch.setattr(petring.cli, "open", _counting_open(counter), raising=False)
+        sets = list(all_index_sets(7))
+        for J in sets:
+            for K in sets:
+                counter[0] = 0
+                rows = petring.cli._read_table(str(path), 7, J, K)
+                assert counter[0] <= bound + len(rows), (J, K, counter[0])
 
 
 def _edited_table(capsys, tmp_path, fmt, L, d):
@@ -1046,6 +1134,21 @@ class TestCachedRowsChecked:
         assert code == 1
         assert out == ""
         assert err.startswith(f"Error: cache {path} is malformed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("line, error", [
+        (b"4,x,-,-,1\n", "ValueError: cannot parse subset 'x'"),
+        (b'4,"2,1",-,-,1\n', "ValueError: subset '2,1' must list distinct integers in ascending order"),
+        (b"4,1\n", "ValueError: not enough values to unpack"),
+        (b"4,\xff,-,-,1\n", "UnicodeDecodeError: "),
+    ], ids=["J-cell", "unsorted-J", "short", "not-utf8"])
+    def test_probe_that_does_not_parse_refused(self, capsys, tmp_path, line, error):
+        # every row of the file is the bad line, so the bisection's first probe reads one
+        path = tmp_path / "t4.csv"
+        path.write_bytes(b"n,J,K,L,d\n" + line * 50)
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "1", "-K", "2", "--cached", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"Error: cache {path} is malformed: {error}")
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -42,6 +42,38 @@ def _transition_off_support(monkeypatch):
     monkeypatch.setattr(ring, "_transition", functools.cache(planted))
 
 
+def _relation_coefficient_three(monkeypatch):
+    # every relation 3*g_i^2 - g_i*g_{i-1} - g_i*g_{i+1} in place of 2*g_i^2 - ...
+    relation_row = oracle._relation_row
+    monkeypatch.setattr(oracle, "_relation_row",
+                        lambda M, i: {mono: 3 if v == 2 else v for mono, v in relation_row(M, i).items()})
+
+
+def _own_row_term_dropped(monkeypatch):
+    # the last -1 term of each relation row that eliminates a square
+    own_row = oracle._own_row
+
+    def dropped(mono):
+        row = own_row(mono)
+        last = [m for m, v in row.items() if v == -1][-1:]
+        return {m: v for m, v in row.items() if [m] != last}
+
+    monkeypatch.setattr(oracle, "_own_row", dropped)
+
+
+def _first_move_heavier(monkeypatch):
+    # g_i times a monomial on a subset holding i: its first move weighs one
+    # more, in the rewrite and in the game alike
+    def heavier(mask, i, n, step=intervals.run_step):
+        a, b, den, moves = step(mask, i, n)
+        if mask >> (i - 1) & 1 and moves:
+            moves = ((moves[0][0], moves[0][1] + 1),) + moves[1:]
+        return a, b, den, moves
+
+    for module in (ring, diagrams):
+        monkeypatch.setattr(module, "run_step", heavier)
+
+
 # (fault, smallest rank at which verify fails, the start of its first FAIL line,
 # and the check line that reads FAIL, or None for the pair sweep, whose line has no status)
 MUTANTS = [
@@ -49,6 +81,12 @@ MUTANTS = [
     (_column_zero, 2, "FAIL n=2 J=1 K=1: run rule g_1 from mask 1 at rank 2 moves to column 0", None),
     (_transition_off_support, 5, "FAIL n=5 J=2 K=2: rewrite engine gave a term on L=3,4 for J=2, K=2, outside",
      None),
+    (_relation_coefficient_three, 3, "FAIL n=3 J=1 K=1: linalg engine gave d = 2/3 for J=1, K=1, L=1,2",
+     "n=3: graded dimensions 0..4 FAIL"),
+    (_own_row_term_dropped, 3, "FAIL n=3 J=1 K=1: engines disagree for J=1, K=1, first at L=1,2: "
+     "diagram d=1, rewrite d=1, linalg d=0", "n=3: graded dimensions 0..4 FAIL"),
+    (_first_move_heavier, 3, "FAIL n=3 J=1 K=1: engines disagree for J=1, K=1, first at L=1,2: "
+     "diagram d=2, rewrite d=2, linalg d=1", "n=3: top-degree evaluation FAIL"),
 ]
 
 
