@@ -6,10 +6,11 @@ MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` bisects a CSV table, whose
 rows `table` writes in (J mask, K mask) order, for its pair's block and
 reads that block alone.  `verify` issues every check of its table
 ``CHECKS`` at every rank to one map, top rank first, the pair sweep in
-blocks of whole J | K classes; under --jobs 2 and up each pool worker is
-pinned to one CPU.  Engines give their expansions as checked (L mask, d)
-rows sorted by mask, which `table` writes as they come and `expand` prints
-in that order; subsets are formatted only here.
+blocks of whole J | K classes, which checks the game and linalg once per
+(J | K, J & K) class and the rewrite once per pair; under --jobs 2 and up
+each pool worker is pinned to one CPU.  Engines give their expansions as
+checked (L mask, d) rows sorted by mask, which `table` writes as they come
+and `expand` prints in that order; subsets are formatted only here.
 
 The parser is one ``argparse`` parser, ``cli``, with a subparser per
 command in ``cli.commands``; ``main`` calls the command's ``callback``
@@ -34,8 +35,9 @@ import math
 import os
 import sys
 
+from . import diagrams, oracle
 from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
-from .errors import ConsistencyError, PresentationError, Row, constants
+from .errors import ConsistencyError, PresentationError, Row, class_tail, constants
 from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function
 from .oracle import Monomial, linalg_row, normal_form, presentation_failures
 from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
@@ -268,40 +270,49 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
 
 
 def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
-    """The pair sweep of `verify` over a block of (J, K) mask pairs that
-    holds each pair's transpose, in (J, K) order, so that the rewrite folds
-    each J once over a shared prefix memo.  Returns the failure lines in
-    block order: a pair's error, or a pair whose expansion differs from its
-    transpose's."""
+    """The pair sweep of `verify` over a block of (J, K) mask pairs holding
+    each pair's transpose: the game and linalg compared exactly once per (J |
+    K, J & K) class, then each pair's rewrite row, in (J, K) order so that it
+    folds each J once, against their agreed row through their shared tail, or
+    where that fails or raises, ``_expansion_row(..., "all")``, which names the
+    engines.  Returns the failure lines in block order: a pair's error, or a
+    pair whose expansion differs from its transpose's."""
+
+    @functools.cache  # the class table of this block
+    def agreed(union: int, meet: int) -> tuple | None:
+        (game, gd), (lin, ld) = diagrams._game_sums(n, union, meet), oracle._class_row(n, union, meet)
+        return (game, gd) if sorted((L, v * ld) for L, v in game) == sorted((L, v * gd) for L, v in lin) else None
+
     results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
     for jm, km in sorted(masks):
         try:
-            results[jm, km] = _expansion_row(n, jm, km, "all")
+            rewrite, class_row = _expansion_row(n, jm, km, "rewrite"), agreed(jm | km, jm & km)
+            row = rewrite if class_row and class_tail("diagram", n, jm, km, *class_row) == rewrite else None
+        except Exception:  # checked again below, where an error is named or raised
+            row = None
+        try:
+            results[jm, km] = _expansion_row(n, jm, km, "all") if row is None else row
         except (ConsistencyError, PresentationError) as exc:
             results[jm, km] = exc
-    failures = []
-    for (jm, km), row in results.items():
-        if isinstance(row, Exception) or results[km, jm] != row:
-            problem = row if isinstance(row, Exception) else "expansion not symmetric"
-            failures.append(f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: {problem}")
-    return failures
+    return [f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: "
+            f"{row if isinstance(row, Exception) else 'expansion not symmetric'}"
+            for (jm, km), row in results.items() if isinstance(row, Exception) or results[km, jm] != row]
 
 
 def _pair_blocks(n: int, jobs: int) -> list[list[tuple[int, int]]]:
-    """The pairs of rank n in ``jobs`` blocks of whole J | K classes, in
-    union-mask order, so that one worker alone fills the memos keyed by
-    (J | K, J & K), and of about equal cost: a pair costs one if |J| + |K| <=
-    n - 1 (it reduces a normal form and plays a game that does not die)."""
-    pairs = sorted(itertools.product(range(1 << (n - 1)), repeat=2), key=lambda p: p[0] | p[1])
-    classes = [list(union_class) for _, union_class in itertools.groupby(pairs, key=lambda p: p[0] | p[1])]
-    costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in union_class) for union_class in classes]
-    total, spent = sum(costs), 0
+    """The pairs of rank n in ``jobs`` blocks of whole J | K classes, in union-mask order, each class in
+    (J, K) order, so that one worker alone fills the memos keyed by (J | K, J & K), and of about equal
+    cost: a pair costs one if |J| + |K| = |J | K| + |J & K| <= n - 1 (it reduces a normal form and plays
+    a game that does not die), of the C(u, m) * 2^(u - m) pairs with |J | K| = u and |J & K| = m."""
+    cost = [sum(math.comb(u, m) << (u - m) for m in range(min(u + 1, n - u))) for u in range(n)]
+    total, spent = sum(math.comb(n - 1, u) * cost[u] for u in range(n)), 0
+    subsets = [[s for s in range(mask + 1) if s & mask == s] for mask in range(1 << (n - 1))]  # increasing
     blocks: list[list[tuple[int, int]]] = [[]]
-    for union_class, cost in zip(classes, costs):
+    for union in range(1 << (n - 1)):
         if spent >= total * len(blocks) / jobs:
             blocks.append([])
-        blocks[-1] += union_class
-        spent += cost
+        blocks[-1] += [(jm, union ^ jm | s) for jm in subsets[union] for s in subsets[jm]]  # K = (J|K) - J + s
+        spent += cost[union.bit_count()]
     return blocks
 
 
@@ -321,9 +332,9 @@ def _graded_dimensions(n: int, _) -> list[str]:
 
 def _bruhat_criteria(n: int, _) -> list[str]:
     """s_i <= w_J exactly when i is in J, and w_J' <= w_J exactly when J' is a subset of J."""
-    sets = list(all_index_sets(n))
-    if all(bruhat_leq(simple_transposition(n, i), longest_wj(J)) == (i in J) for J in sets for i in range(1, n)) \
-            and all(bruhat_leq(longest_wj(Jp), longest_wj(J)) == Jp.issubset(J) for J in sets for Jp in sets):
+    sets, s = [(J, longest_wj(J)) for J in all_index_sets(n)], {i: simple_transposition(n, i) for i in range(1, n)}
+    if all(bruhat_leq(s[i], w) == (i in J) for J, w in sets for i in range(1, n)) \
+            and all(bruhat_leq(wp, w) == Jp.issubset(J) for J, w in sets for Jp, wp in sets):
         return []
     return [f"n={n}: Bruhat comparisons disagree with the subset criteria"]
 

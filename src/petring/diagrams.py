@@ -14,11 +14,11 @@ m_factor(L) / (m_factor(J) * m_factor(K)).
 
 The unrestricted game of ``diagram_row`` depends on (J, K) only through
 J | K and J & K, so the 4^(n-1) pairs of rank n share 3^(n-1) memoized
-games, and only the division by m_factor(J) * m_factor(K) is done per
-pair, in the checked tail ``errors.constants``.  ``enumerate_diagrams``
-replays the game and keeps the games that end on L: every column a row
-adds lies outside J | K, so these are the games on the columns of L.  Only
-the listings build Fractions, and import them when they do.
+games, ``_game_sums``, and only the division by m_factor(J) * m_factor(K)
+is done per pair, in the tail shared with linalg, ``errors.class_tail``.
+``enumerate_diagrams`` replays the game and keeps the games that end on L:
+every column a row adds lies outside J | K, so these are the games on the
+columns of L.  Only the listings build Fractions, and import them then.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import ConsistencyError, Row, constants, expansion
+from .errors import ConsistencyError, Row, class_tail, expansion
 from .intervals import IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight",
@@ -135,9 +135,8 @@ def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
     row, so 0, when there are none)."""
     found = enumerate_diagrams(J, K, L)
     total = sum(P.weight for P in found)
-    row = [(L.mask, m_factor(L) * total.numerator)] if found else []
-    divisor = total.denominator * m_factor(J) * m_factor(K)
-    return dict(constants("diagram", J.n, J.mask, K.mask, row, divisor)).get(L.mask, 0)
+    row = ((L.mask, m_factor(L) * total.numerator),) if found else ()
+    return dict(class_tail("diagram", J.n, J.mask, K.mask, row, total.denominator)).get(L.mask, 0)
 
 
 def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
@@ -149,8 +148,7 @@ def diagram_row(n: int, J: int, K: int) -> Row:
     """The checked row of the product for the masks J and K at rank n: the
     memoized sums of the unrestricted game from J | K with the rows of
     J & K, divided by m_factor(J) * m_factor(K)."""
-    sums, denom = _game_sums(n, J | K, J & K)
-    return constants("diagram", n, J, K, sums, denom * decompose_mask(J).m_factor * decompose_mask(K).m_factor)
+    return class_tail("diagram", n, J, K, *_game_sums(n, J | K, J & K))
 
 
 def render_ascii(P: LeftRightDiagram) -> str:

@@ -5,9 +5,10 @@ non-negative integer.  ``expansion`` converts its rows to ``{L: d}``."""
 
 from typing import Callable, Iterable
 
+from . import intervals
 from .intervals import IndexSet
 
-__all__ = ["ConsistencyError", "PresentationError", "constants", "expansion"]
+__all__ = ["ConsistencyError", "PresentationError", "constants", "class_tail", "expansion"]
 
 Row = tuple[tuple[int, int], ...]  # (L mask, d) pairs, increasing in mask, each d > 0
 
@@ -55,6 +56,13 @@ def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]
         if d:
             out.append((L, d))
     return tuple(out)
+
+
+def class_tail(engine: str, n: int, J: int, K: int, row: tuple[tuple[int, int], ...], denom: int) -> Row:
+    """The row of (J, K) from a row of the game or linalg that depends only on (J | K, J & K): ``constants``
+    over denom * m_factor(J) * m_factor(K), read through ``intervals`` when called; () for an empty row."""
+    decompose = intervals.decompose_mask
+    return constants(engine, n, J, K, row, denom * decompose(J).m_factor * decompose(K).m_factor) if row else ()
 
 
 def expansion(engine: Callable[[int, int, int], Row], J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:

@@ -62,12 +62,12 @@ class IndexSet(Frozen):
     _fields = ("n", "members")
 
     def __init__(self, n: int, members: Iterable[int] = frozenset()) -> None:
-        if not isinstance(n, int) or not 1 <= n <= MAX_RANK:
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_RANK:
             raise ValueError(f"ambient rank must be an integer in [1, {MAX_RANK}], got {n!r}")
         members = frozenset(members)
         mask = 0
         for m in members:
-            if not isinstance(m, int) or not 1 <= m <= n - 1:
+            if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= n - 1:
                 raise ValueError(f"member {m!r} outside {{1, ..., {n - 1}}}")
             mask |= 1 << (m - 1)
         object.__setattr__(self, "n", n)

@@ -29,9 +29,9 @@ generator, by one step through the table (g_i * x_S = x_{S+i} for i not
 in S), on integers over one common denominator whose content is divided
 out.  That integer row and
 denominator do not depend on the route that built them.
-``linalg_row`` scales the row by m_factor(L) and ends in the checked tail
-that all three engines share, ``errors.constants``, on bit masks;
-``normal_form`` converts the row to Fractions for its callers.
+``_class_row`` scales the form of x_J * x_K by m_factor(L), a row that
+depends only on (J | K, J & K); ``linalg_row`` ends it in the tail shared
+with the game, ``errors.class_tail``.  ``normal_form`` gives Fractions.
 
 The square-free monomials form a basis, so that normal forms are unique,
 if the table, as operators T_i on the square-free span, commutes and
@@ -49,7 +49,7 @@ import math
 from itertools import chain, combinations
 from typing import Iterable, NamedTuple
 
-from .errors import PresentationError, Row, constants, expansion
+from .errors import PresentationError, Row, class_tail, expansion
 from .intervals import Frozen, IndexSet, decompose_mask
 
 __all__ = ["Monomial", "RelationMatrix", "relation_rows", "normal_form", "quotient_dimension",
@@ -376,14 +376,17 @@ def _exponents(n: int, union: int, meet: int) -> Exponents:
     return tuple((union >> k & 1) + (meet >> k & 1) for k in range(n - 1))
 
 
+def _class_row(n: int, union: int, meet: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """NF(x_J * x_K) for the masks J | K and J & K at rank n in the basis of
+    classes, (S mask, v * m_factor(S)) for its entries v, and its denominator."""
+    if union.bit_count() + meet.bit_count() > n - 1:  # the quotient vanishes above the top degree
+        return (), 1
+    row, denom = _normal_form(n, _exponents(n, union, meet))
+    return tuple((S, v * decompose_mask(S).m_factor) for S, v in row.items()), denom
+
+
 def linalg_row(n: int, J: int, K: int) -> Row:
     """The checked row of the product for the masks J and K at rank n, with
     no use of the run rule: d_JK^L = v * m_factor(L) / (denominator *
     m_factor(J) * m_factor(K)) for the normal form's entry v on L."""
-    if J.bit_count() + K.bit_count() > n - 1:
-        # the quotient vanishes above the top degree (its graded dimension is
-        # the number of square-free supports, checked by quotient_dimension)
-        return ()
-    row, denom = _normal_form(n, _exponents(n, J | K, J & K))
-    scaled = ((S, v * decompose_mask(S).m_factor) for S, v in row.items())
-    return constants("linalg", n, J, K, scaled, denom * decompose_mask(J).m_factor * decompose_mask(K).m_factor)
+    return class_tail("linalg", n, J, K, *_class_row(n, J | K, J & K))

@@ -32,6 +32,14 @@ class TestIndexSet:
             IndexSet(33)
         assert IndexSet(1).members == frozenset()
 
+    def test_bool_refused(self):
+        # True == 1 as an int, but a flag is neither a rank nor a member
+        for members in ([True, 3], [False]):
+            with pytest.raises(ValueError, match="member"):
+                IndexSet.of(5, members)
+        with pytest.raises(ValueError, match="ambient rank"):
+            IndexSet(True)
+
     def test_parse_format_round_trip(self):
         assert IndexSet.parse("-", 4) == IndexSet(4)
         assert IndexSet.parse("1,3", 4).as_tuple() == (1, 3)

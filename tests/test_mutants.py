@@ -3,10 +3,11 @@ and `verify` must exit 2 at the smallest rank where the fault shows, on the
 line that catches it, while the rank below still passes."""
 
 import functools
+import math
 
 import pytest
 
-from petring import diagrams, intervals, oracle, ring
+from petring import cli, diagrams, errors, intervals, oracle, ring
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 from test_cli import _fresh_memos, run
@@ -74,6 +75,59 @@ def _first_move_heavier(monkeypatch):
         monkeypatch.setattr(module, "run_step", heavier)
 
 
+def _run_one_column_short(monkeypatch):
+    # the run search stops one column short of the run's right end when the
+    # run extends past i, in the rewrite and in the game alike
+    def short(mask, i, n, step=intervals.run_step):
+        a, b, den, moves = step(mask, i, n)
+        return step(mask & ~(1 << (b - 1)), i, n) if b > i else (a, b, den, moves)
+
+    for module in (ring, diagrams):
+        monkeypatch.setattr(module, "run_step", short)
+
+
+def _column_n(monkeypatch):
+    # a run step that also moves to column n when the run around i ends at n - 1
+    def beyond(mask, i, n, step=intervals.run_step):
+        a, b, den, moves = step(mask, i, n)
+        return a, b, den, (moves + ((n, 1),) if mask >> (i - 1) & 1 and b == n - 1 else moves)
+
+    for module in (ring, diagrams):
+        monkeypatch.setattr(module, "run_step", beyond)
+
+
+def _m_times(monkeypatch, factor):
+    # each m-factor times factor(runs), in every module that reads the m-factors
+    decompose = intervals.decompose_mask.__wrapped__
+
+    @functools.cache
+    def scaled(mask):
+        found = decompose(mask)
+        return found._replace(m_factor=found.m_factor * factor(found.runs))
+
+    for module in (intervals, ring, diagrams, oracle):
+        monkeypatch.setattr(module, "decompose_mask", scaled)
+
+
+def _m_doubled_per_pair_run(monkeypatch):
+    # m times 2 for each run of length 2
+    _m_times(monkeypatch, lambda runs: 2 ** sum(hi - lo == 1 for lo, hi in runs))
+
+
+def _m_times_runs_factorial(monkeypatch):
+    # m times (number of runs)!
+    _m_times(monkeypatch, lambda runs: math.factorial(len(runs)))
+
+
+def _class_divisor_without_m_K(monkeypatch):
+    # the per-pair tail of the game and linalg, which the sweep shares, divides by m_factor(J) alone
+    def dropped(engine, n, J, K, row, denom):
+        return errors.constants(engine, n, J, K, row, denom * intervals.decompose_mask(J).m_factor)
+
+    for module in (diagrams, oracle, cli):
+        monkeypatch.setattr(module, "class_tail", dropped)
+
+
 # (fault, smallest rank at which verify fails, the start of its first FAIL line,
 # and the check line that reads FAIL, or None for the pair sweep, whose line has no status)
 MUTANTS = [
@@ -87,6 +141,15 @@ MUTANTS = [
      "diagram d=1, rewrite d=1, linalg d=0", "n=3: graded dimensions 0..4 FAIL"),
     (_first_move_heavier, 3, "FAIL n=3 J=1 K=1: engines disagree for J=1, K=1, first at L=1,2: "
      "diagram d=2, rewrite d=2, linalg d=1", "n=3: top-degree evaluation FAIL"),
+    (_run_one_column_short, 3, "FAIL n=3 J=1 K=1,2: diagram engine gave a term on L=1,2 for J=1, K=1,2, outside the L "
+     "containing J | K", None),
+    (_column_n, 2, "FAIL n=2 J=1 K=1: diagram engine gave a term on L=1,2 for J=1, K=1, outside {1, ..., 1}", None),
+    (_m_doubled_per_pair_run, 3, "FAIL n=3 i=1: integral of g_1^2 is 2 by the run rule, 1 by the relations",
+     "n=3: top-degree evaluation FAIL"),
+    (_m_times_runs_factorial, 4, "FAIL n=4 J=1 K=1,3: diagram engine gave d = 6/4 for J=1, K=1,3, L=1,2,3, expected a "
+     "non-negative integer", None),
+    (_class_divisor_without_m_K, 3, "FAIL n=3 J=- K=1,2: engines disagree for J=-, K=1,2, first at L=1,2: "
+     "diagram d=2, rewrite d=1, linalg d=2", None),
 ]
 
 

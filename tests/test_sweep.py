@@ -1,0 +1,152 @@
+"""`verify`'s pair sweep against the per-pair sweep it replaced: the game
+and linalg are checked once per (J | K, J & K) class and the rewrite once
+per pair, and on every planted fault the failure lines are those of the
+sweep that ran all three engines on every pair."""
+
+import functools
+import itertools
+import random
+
+import pytest
+
+import petring.cli
+from petring import diagrams, oracle, ring
+from petring.errors import ConsistencyError, PresentationError
+from petring.intervals import IndexSet
+from test_cli import _fresh_memos
+
+
+def _reference_chunk(n, masks):
+    """The per-pair sweep: the three-engine row of every pair in (J, K) order."""
+    results = dict.fromkeys(masks)
+    for jm, km in sorted(masks):
+        try:
+            results[jm, km] = petring.cli._expansion_row(n, jm, km, "all")
+        except (ConsistencyError, PresentationError) as exc:
+            results[jm, km] = exc
+    failures = []
+    for (jm, km), row in results.items():
+        if isinstance(row, Exception) or results[km, jm] != row:
+            problem = row if isinstance(row, Exception) else "expansion not symmetric"
+            failures.append(f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: {problem}")
+    return failures
+
+
+def _reference_blocks(n, jobs):
+    """The blocks cut from all pairs sorted by union mask, each class costed pair by pair."""
+    pairs = sorted(itertools.product(range(1 << (n - 1)), repeat=2), key=lambda p: p[0] | p[1])
+    classes = [list(union_class) for _, union_class in itertools.groupby(pairs, key=lambda p: p[0] | p[1])]
+    costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in union_class) for union_class in classes]
+    total, spent = sum(costs), 0
+    blocks = [[]]
+    for union_class, cost in zip(classes, costs):
+        if spent >= total * len(blocks) / jobs:
+            blocks.append([])
+        blocks[-1] += union_class
+        spent += cost
+    return blocks
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_blocks_match_the_sorted_reference(n):
+    for jobs in (1, 2, 3):
+        assert petring.cli._pair_blocks(n, jobs) == _reference_blocks(n, jobs)
+
+
+# the memoized engine internals a fault is planted in, and the module that holds each
+ENTRIES = {"_step": oracle, "_game_sums": diagrams, "_transition": ring}
+
+
+@functools.cache
+def _entries_read(name, n):
+    """The arguments of every entry of ``name`` that a clean sweep at rank n reads."""
+    module, read = ENTRIES[name], set()
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_memos(mp)
+        memo = getattr(module, name)
+        mp.setattr(module, name, lambda *args: read.add(args) or memo(*args))
+        assert petring.cli._verify_chunk(n, petring.cli._pair_blocks(n, 1)[0]) == []
+    return sorted(read)
+
+
+def _corrupted(terms, rng, n):
+    """One (mask, value) term of ``terms`` changed: its value off by one,
+    doubled, negated or zero, its mask moved, or the term dropped."""
+    k = rng.randrange(len(terms))
+    mask, value = terms[k]
+    kind = rng.choice(["plus one", "minus one", "doubled", "negated", "zero", "moved", "dropped"])
+    changed = {"plus one": [(mask, value + 1)], "minus one": [(mask, value - 1)], "doubled": [(mask, 2 * value)],
+               "negated": [(mask, -value)], "zero": [(mask, 0)],
+               "moved": [(rng.choice([m for m in range(1 << (n - 1)) if m != mask]), value)], "dropped": []}[kind]
+    return terms[:k] + changed + terms[k + 1:]
+
+
+def _terms(name, args):
+    """The (mask, value) terms of the clean entry of ``name`` at ``args``."""
+    out = getattr(ENTRIES[name], name).__wrapped__(*args)
+    return tuple(out[0].items()) if name == "_step" else out[0] if name == "_game_sums" else out
+
+
+def _plant(monkeypatch, name, seed):
+    """A single-entry fault in ``name`` at a rank of 3..5, on an entry that the sweep reads; returns the rank."""
+    rng = random.Random(seed)
+    n = rng.choice([3, 4, 5])
+    target = rng.choice([args for args in _entries_read(name, n) if _terms(name, args)])
+    module = ENTRIES[name]
+    memo = getattr(module, name).__wrapped__
+    terms = _corrupted(list(_terms(name, target)), rng, n)
+
+    def planted(*args):
+        out = memo(*args)
+        if args != target:
+            return out
+        if name == "_step":
+            return dict(terms), out[1]
+        return (tuple(terms), out[1]) if name == "_game_sums" else tuple(terms)
+
+    monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(planted))
+    return n
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", ENTRIES)
+def test_faults_give_the_reference_lines(monkeypatch, name, seed):
+    lines = []
+    for sweep in (_reference_chunk, petring.cli._verify_chunk):
+        with monkeypatch.context() as mp:
+            _fresh_memos(mp)
+            n = _plant(mp, name, seed)
+            lines.append(sweep(n, petring.cli._pair_blocks(n, 1)[0]))
+    assert lines[0] == lines[1]
+    assert lines[0], "the planted fault went unseen"
+
+
+def test_each_engine_read_once_per_input(monkeypatch):
+    # at n = 6 the sweep plays each class's game and reduces each class's
+    # normal form once, and takes each pair's rewrite row once
+    n = 6
+    _fresh_memos(monkeypatch)
+    games, forms, rows, depth = [], [], [], [0]
+    game_sums, normal_form, expansion_row = diagrams._game_sums, oracle._normal_form, petring.cli._expansion_row
+
+    def outermost_form(n, exps):  # the recursion of _normal_form runs through this too
+        depth[0] += 1
+        try:
+            out = normal_form(n, exps)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            forms.append(exps)
+        return out
+
+    monkeypatch.setattr(diagrams, "_game_sums", lambda n, union, meet: games.append((union, meet)) or
+                        game_sums(n, union, meet))
+    monkeypatch.setattr(oracle, "_normal_form", outermost_form)
+    monkeypatch.setattr(petring.cli, "_expansion_row", lambda n, J, K, method: rows.append((J, K, method)) or
+                        expansion_row(n, J, K, method))
+    assert petring.cli._verify_chunk(n, petring.cli._pair_blocks(n, 1)[0]) == []
+    classes = {(jm | km, jm & km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))}
+    assert sorted(games) == sorted(classes) and len(classes) == 3 ** (n - 1)
+    below_top = [(u, m) for u, m in classes if u.bit_count() + m.bit_count() <= n - 1]
+    assert sorted(forms) == sorted(oracle._exponents(n, u, m) for u, m in below_top)
+    assert sorted(rows) == [(jm, km, "rewrite") for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))]
