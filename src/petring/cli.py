@@ -9,8 +9,8 @@ reads that block alone.  `verify` issues every check of its table
 blocks of whole J | K classes, which checks the game and linalg once per
 (J | K, J & K) class and the rewrite once per pair; under --jobs 2 and up
 each pool worker is pinned to one CPU.  Engines give their expansions as
-checked (L mask, d) rows sorted by mask, which `table` writes as they come
-and `expand` prints in that order; subsets are formatted only here.
+checked (L mask, d) rows sorted by mask, which `table` writes one J block
+at a time and `expand` prints in that order; subsets are formatted only here.
 
 The parser is one ``argparse`` parser, ``cli``, with a subparser per
 command in ``cli.commands``; ``main`` calls the command's ``callback``
@@ -41,7 +41,7 @@ from .errors import ConsistencyError, PresentationError, Row, class_tail, consta
 from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function
 from .oracle import Monomial, linalg_row, normal_form, presentation_failures
 from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
-from .ring import integral, monomial, multiply, rewrite_row, structure_constants_rewrite_pairs, unit
+from .ring import integral, monomial, multiply, rewrite_row, rewrite_rows, unit
 
 __all__ = ["cli", "main", "entry"]
 
@@ -433,7 +433,7 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
 def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | None,
               fmt: str, out: str | None) -> None:
     """Write the structure-constant table for one rank, rows (J, K, L, d) in
-    canonical order, nonzero constants only."""
+    canonical order, nonzero constants only, computed and written one J at a time."""
     _check_rank(n)
     subsets = range(1 << (n - 1))
     js = [_parse_subset("--J", j_filter, n).mask] if j_filter is not None else subsets
@@ -446,10 +446,9 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     count = sum(len(admitted(jm)) for jm in js)
     if count > MAX_TABLE_PAIRS:
         raise Refused(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
-    pairs = ((jm, km) for jm in js for km in admitted(jm))
-    rows = structure_constants_rewrite_pairs(n, pairs)
+    blocks = ((jm, rewrite_rows(n, jm, admitted(jm))) for jm in js)
     if out is None:
-        _write_table(sys.stdout, n, fmt, rows)
+        _write_table(sys.stdout, n, fmt, blocks)
         return
     # written beside --out and moved over it only once complete, so that a
     # failing table leaves neither a partial file nor a clobbered one
@@ -457,7 +456,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     fh = open(partial, "x")
     try:
         with fh:
-            written = _write_table(fh, n, fmt, rows)
+            written = _write_table(fh, n, fmt, blocks)
         os.replace(partial, out)
     except BaseException:
         os.remove(partial)
@@ -465,25 +464,31 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     print(f"wrote {written} rows to {out}")
 
 
-def _write_table(fh, n: int, fmt: str, rows) -> int:
-    """Write the (J, K, row) pair rows of a rank-n table to ``fh``, a line (J, K, L, d) per (L, d),
-    and return the number of lines.  CSV lines are written as the pairs come, from each mask's
-    cell, formatted once by a csv writer for its quoting; a JSON table is built whole."""
+def _write_table(fh, n: int, fmt: str, blocks) -> int:
+    """Write the (J, (K, row) pairs) blocks of a rank-n table to ``fh``, a line (J, K, L, d) per (L, d), and
+    return the number of lines.  A CSV block, joined from mask cells formatted once by a csv writer for its
+    quoting, is written at once, also when one of its pairs fails; a JSON table is built whole."""
     if fmt == "csv":
         fh.write("n,J,K,L,d\n")
         # writerow returns what its file's write returns: here, the text itself
         writer = csv.writer(argparse.Namespace(write=str), lineterminator=",")
         cell = functools.cache(lambda m: writer.writerow([IndexSet.from_mask(n, m).format()]))
         count = 0
-        for J, K, row in rows:
-            head = f"{n},{cell(J)}{cell(K)}"
-            for L, d in row:
-                fh.write(f"{head}{cell(L)}{d}\n")
-            count += len(row)
+        for J, rows in blocks:
+            lines, head_J = [], f"{n},{cell(J)}"
+            try:
+                for K, row in rows:
+                    head = head_J + cell(K)
+                    for L, d in row:
+                        lines.append(f"{head}{cell(L)}{d}\n")
+            finally:
+                if lines:
+                    fh.write("".join(lines))
+            count += len(lines)
         return count
     members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
     json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)}
-                 for J, K, row in rows for L, d in row]
+                 for J, rows in blocks for K, row in rows for L, d in row]
     fh.write(json.dumps({"n": n, "rows": json_rows}, separators=(", ", ": ")) + "\n")
     return len(json_rows)
 

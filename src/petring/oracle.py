@@ -81,6 +81,8 @@ class Monomial(Frozen):
     def __init__(self, n: int, exponents: Exponents) -> None:
         if len(exponents) != n - 1:
             raise ValueError(f"expected {n - 1} exponents, got {len(exponents)}")
+        if any(isinstance(e, bool) or not isinstance(e, int) for e in exponents):
+            raise ValueError(f"exponents must be ints, got {exponents!r}")
         if any(e < 0 for e in exponents):
             raise ValueError("negative exponent")
         object.__setattr__(self, "n", n)
@@ -89,11 +91,10 @@ class Monomial(Frozen):
     @classmethod
     def from_multiset(cls, n: int, indices: dict[int, int] | list[int]) -> "Monomial":
         exps = [0] * (n - 1)
-        if isinstance(indices, dict):
-            items = indices.items()
-        else:
-            items = [(i, 1) for i in indices]
+        items = indices.items() if isinstance(indices, dict) else [(i, 1) for i in indices]
         for i, mult in items:
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in (i, mult)):
+                raise ValueError(f"generator index and multiplicity must be ints, got {i!r}: {mult!r}")
             if not 1 <= i <= n - 1:
                 raise ValueError(f"generator index {i} out of range for rank {n}")
             exps[i - 1] += mult

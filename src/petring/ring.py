@@ -10,17 +10,17 @@ boundary terms at 0 and n.  The step works in the basis of classes
 x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
 coefficient is a positive integer, on integers keyed by bit mask; it is
 memoized per (n, i, S).  The rewrite folds the generators of K into the
-class on J by ``_fold``, memoized over the prefixes of K (per J in a table's
-pairs loop, in ``_last_J`` for single pairs); a rewrite row ends in
-``errors.constants``, dividing by m_factor(K).  The class algebra,
-``multiply``, is the bilinear extension of those checked rows; it alone
-builds Fractions, and imports them when it does.
+class on J by ``_fold``, memoized over the prefixes of K, per J in the
+table's kernel ``rewrite_rows`` and in ``_last_J`` for single pairs; a
+rewrite row ends in ``errors.constants``, dividing by m_factor(K).  The
+class algebra, ``multiply``, is the bilinear extension of those checked
+rows; it alone builds Fractions, and imports them when it does.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain
+from itertools import chain, groupby
 from typing import Any, Iterable, Iterator
 
 from .errors import ConsistencyError, Row, constants, expansion
@@ -28,7 +28,7 @@ from .intervals import Frozen, IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = ["CohomologyClass", "unit", "zero", "monomial", "peterson_schubert_class", "add", "scale",
            "multiply_generator", "multiply", "to_varpi_basis", "structure_constants_rewrite",
-           "structure_constants_rewrite_pairs", "rewrite_row", "integral", "pairing"]
+           "structure_constants_rewrite_pairs", "rewrite_rows", "rewrite_row", "integral", "pairing"]
 
 Support = frozenset[int]
 
@@ -188,22 +188,30 @@ def rewrite_row(n: int, J: int, K: int) -> Row:
     if prefix is None:
         _last_J.clear()
         prefix = _last_J[n, J] = {0: {J: 1}}
-    return _rewrite_tail(n, J, K, _fold(prefix, K, n))
-
-
-def _rewrite_tail(n: int, J: int, K: int, terms: dict[int, int]) -> Row:
-    # the fold divided by m_factor(K) in the checked tail; zero products, |J| + |K| > n - 1, 40% of a table, skip it
+    terms = _fold(prefix, K, n)
     return constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor) if terms else ()
 
 
 def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, Row]]:
-    """:func:`rewrite_row` of each (J, K) bit-mask pair at rank n, yielded as (J, K, row), each run
-    of consecutive pairs with one J folded over a prefix memo of its own, not over ``_last_J``."""
-    last = prefix = None
-    for J, K in pairs:
-        if J != last:
-            last, prefix = J, {0: {J: 1}}
-        yield J, K, _rewrite_tail(n, J, K, _fold(prefix, K, n))
+    """:func:`rewrite_row` of each (J, K) bit-mask pair at rank n, in any order, yielded as (J, K, row) with
+    zero products as (): each run of consecutive pairs with one J through :func:`rewrite_rows`."""
+    for J, run in groupby(pairs, key=lambda pair: pair[0]):
+        rows = dict(rewrite_rows(n, J, ks := [K for _, K in run]))
+        yield from ((J, K, rows.get(K, ())) for K in ks)
+
+
+def rewrite_rows(n: int, J: int, ks: Iterable[int]) -> Iterator[tuple[int, Row]]:
+    """The nonzero checked rows of the mask J times each mask K of ``ks`` at rank n, as (K, row) in the order of
+    ``ks``: one step from K minus its top element in a prefix memo of J's own, or by ``_fold`` where that is new."""
+    prefix, step = {0: {J: 1}}, _varpi_times_generator
+    for K in ks:
+        terms = prefix.get(K)
+        if terms is None:
+            top = K.bit_length()
+            below = prefix.get(K ^ 1 << top - 1)
+            terms = prefix[K] = step(_fold(prefix, K ^ 1 << top - 1, n) if below is None else below, top, n)
+        if terms:  # zero products, |J| + |K| > n - 1, 40% of a table, skip the tail
+            yield K, constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor)
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:

@@ -1,6 +1,7 @@
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -17,7 +18,7 @@ import pytest
 import petring.cli
 from petring import diagrams, oracle
 from petring.intervals import IndexSet, all_index_sets
-from petring.ring import scale, structure_constants_rewrite
+from petring.ring import rewrite_row, scale, structure_constants_rewrite
 
 from petring.cli import main
 from petring.errors import ConsistencyError
@@ -673,15 +674,16 @@ class TestVerify:
 
 
 def _failing_after(count):
-    """The table's rewrite fold, raising ConsistencyError in place of its
-    pair number ``count``."""
-    rewrite_pairs = petring.cli.structure_constants_rewrite_pairs
+    """The table's per-J rewrite kernel, raising ConsistencyError in place of
+    its pair number ``count``, counted over every admitted pair, zero
+    products included, in the order the table asks for them."""
+    rewrite_rows, pairs = petring.cli.rewrite_rows, itertools.count()
 
-    def failing(n, pairs):
-        for k, item in enumerate(rewrite_pairs(n, pairs)):
-            if k == count:
+    def failing(n, J, ks):
+        for K in ks:
+            if next(pairs) == count:
                 raise ConsistencyError("injected")
-            yield item
+            yield from rewrite_rows(n, J, [K])
 
     return failing
 
@@ -720,7 +722,7 @@ class TestTable:
     def test_failing_table_keeps_existing_out(self, capsys, monkeypatch, tmp_path, fmt):
         path = tmp_path / "table.out"
         path.write_bytes(b"an earlier table\n")
-        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", _failing_after(20))
+        monkeypatch.setattr(petring.cli, "rewrite_rows", _failing_after(20))
         code, out, err = run(capsys, "table", "-n", "4", "--format", fmt, "--out", str(path))
         assert code == 2
         assert "injected" in err
@@ -750,8 +752,9 @@ class TestTable:
         assert [p.name for p in tmp_path.iterdir()] == ["table5.csv"]
 
     def test_csv_rows_stream_to_stdout(self, capsys, monkeypatch):
-        # rows are written as the pairs come, not after the last one
-        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", _failing_after(20))
+        # rows are written one J block at a time, not after the last pair, and
+        # the block of a failing pair still gives every row before that pair
+        monkeypatch.setattr(petring.cli, "rewrite_rows", _failing_after(20))
         code, out, _ = run(capsys, "table", "-n", "4")
         assert code == 2
         assert out.startswith("n,J,K,L,d\n4,-,-,-,1\n")
@@ -834,6 +837,56 @@ class TestTableAgreesWithSinglePairs:
             as_lists = [[list(IndexSet.parse(r[i], n).as_tuple()) for i in (1, 2, 3)] + [r[4]] for r in expected]
             assert [[r["J"], r["K"], r["L"], r["d"]] for r in data["rows"]] == as_lists, argv
 
+    def test_kernel_under_every_filter(self, capsys, monkeypatch):
+        # each (J, K list) that `table` hands the per-J kernel, over every filter, gives the
+        # nonzero rewrite_row rows of that list, also where the first K's prefix is not memoized
+        n, calls = 6, []
+        kernel = petring.cli.rewrite_rows
+
+        def recorded(n, J, ks):
+            calls.append((J, list(ks)))
+            return kernel(n, J, calls[-1][1])
+
+        monkeypatch.setattr(petring.cli, "rewrite_rows", recorded)
+        for argv in _table_filters(n):
+            assert run(capsys, "table", "-n", str(n), *argv)[0] == 0
+        assert any(ks and ks[0].bit_count() > 1 for _, ks in calls)  # the _fold recursion ran
+        for J, ks in calls:
+            assert list(kernel(n, J, ks)) == [(K, rewrite_row(n, J, K)) for K in ks if rewrite_row(n, J, K)]
+
+    # every J has rows; the 16 J with |J| <= 2; none, as |J| + |K| = 6 > n - 1
+    @pytest.mark.parametrize("argv, with_rows", [([], 32), (["--K", "1,2,3"], 16), (["--degree", "6"], 0)])
+    def test_one_write_per_J_block(self, capsys, monkeypatch, tmp_path, argv, with_rows):
+        # a CSV --out file is written once for the header and once per J that
+        # has rows, each write holding that J's lines whole, counted through
+        # a wrapped file
+        files = []
+
+        class Counted:
+            def __init__(self, *args):
+                self.fh, self.writes = open(*args), []
+                files.append(self)
+
+            def write(self, text):
+                self.writes.append(text)
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(petring.cli, "open", Counted, raising=False)
+        path = tmp_path / "table6.csv"
+        assert run(capsys, "table", "-n", "6", *argv, "--out", str(path))[0] == 0
+        [counted] = files
+        header, *blocks = counted.writes
+        assert header == "n,J,K,L,d\n" and "".join(counted.writes) == path.read_text()
+        js = [{row[1] for row in csv.reader(io.StringIO(block))} for block in blocks]
+        assert all(len(j) == 1 for j in js)
+        assert len(blocks) == len(set.union(set(), *js)) == with_rows
+
     @pytest.mark.parametrize("argv", [[], ["--degree", "2"], ["--J", "1,3"]])
     def test_raw_output_bytes(self, capsys, argv):
         # the raw output, quoting included (csv.reader reads "1" and 1 alike),
@@ -860,7 +913,7 @@ class TestTableCap:
         def no_computation(*args):
             raise AssertionError("table computed a refused request")
 
-        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", no_computation)
+        monkeypatch.setattr(petring.cli, "rewrite_rows", no_computation)
         code, out, err = run(capsys, "table", "-n", "12")
         assert code == 1
         assert out == ""
@@ -869,7 +922,7 @@ class TestTableCap:
         assert petring.cli.MAX_TABLE_PAIRS == 4**10
 
     def test_full_rank_eleven_is_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(petring.cli, "structure_constants_rewrite_pairs", lambda n, pairs: iter(()))
+        monkeypatch.setattr(petring.cli, "rewrite_rows", lambda n, J, ks: iter(()))
         assert run(capsys, "table", "-n", "11")[0] == 0
 
     def test_degree_filter_visits_only_its_pairs(self, capsys):

@@ -35,6 +35,31 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial.from_multiset(4, {4: 1})
 
+    @pytest.mark.parametrize("build", [
+        lambda: Monomial(3, (0.5, 1)),
+        lambda: Monomial(3, (1.0, 1)),
+        lambda: Monomial(3, ("1", 1)),
+        lambda: Monomial(3, (True, 2)),
+        lambda: Monomial(3, (0, False)),
+        lambda: Monomial.from_multiset(3, [True, True]),
+        lambda: Monomial.from_multiset(3, [1.0]),
+        lambda: Monomial.from_multiset(3, {True: 2}),
+        lambda: Monomial.from_multiset(3, {1: True}),
+        lambda: Monomial.from_multiset(3, {2: 0.5}),
+    ], ids=["half", "float", "str", "bool", "false", "bool-list", "float-index", "bool-index",
+            "bool-multiplicity", "half-multiplicity"])
+    def test_refuses_non_int_exponents(self, build):
+        # as IndexSet refuses a bool member: a float or a bool is not an exponent, and
+        # normal_form must not read 0.5 as 1 or True as g_1
+        with pytest.raises(ValueError, match="must be ints"):
+            build()
+
+    def test_int_exponents_and_multiplicities_accepted(self):
+        assert Monomial(3, (0, 2)).exponents == (0, 2)
+        assert Monomial.from_multiset(3, [1, 1]).exponents == (2, 0)
+        assert Monomial.from_multiset(3, {2: 0}).exponents == (0, 0)
+        assert normal_form(Monomial(3, (1, 1))) == {IndexSet.of(3, [1, 2]): 1}
+
 
 class TestRelationRows:
     def test_rank_two_boundary(self):

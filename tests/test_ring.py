@@ -16,6 +16,8 @@ from petring.ring import (
     multiply_generator,
     pairing,
     peterson_schubert_class,
+    rewrite_row,
+    rewrite_rows,
     scale,
     structure_constants_rewrite,
     structure_constants_rewrite_pairs,
@@ -209,6 +211,18 @@ class TestStructureConstants:
             for J, K, row in structure_constants_rewrite_pairs(n, order):
                 expansion = {IndexSet.from_mask(n, L): d for L, d in row}
                 assert expansion == structure_constants_rewrite(IndexSet.from_mask(n, J), IndexSet.from_mask(n, K))
+
+    def test_rows_of_one_J_are_the_nonzero_single_pair_rows(self):
+        # the table's kernel: for each J and a K list in any order, the (K, row)
+        # of rewrite_row for exactly the K with a nonzero row, in list order;
+        # a reversed or shuffled list starts on a K whose prefix is not memoized
+        rng = random.Random(5)
+        for n in range(1, 7):
+            ks = list(range(1 << (n - 1)))
+            for J in ks:
+                for order in (ks, ks[::-1], rng.sample(ks, len(ks)), [K for K in ks if K.bit_count() == 2]):
+                    expected = [(K, rewrite_row(n, J, K)) for K in order if rewrite_row(n, J, K)]
+                    assert list(rewrite_rows(n, J, order)) == expected, (n, J, order)
 
     def test_pairs_take_one_step_per_pair_in_canonical_order(self, monkeypatch):
         import petring.ring as ring
