@@ -7,10 +7,11 @@ rows `table` writes in (J mask, K mask) order, for its pair's block and
 reads that block alone.  `verify` issues every check of its table
 ``CHECKS`` at every rank to one map, top rank first, the pair sweep in
 blocks of whole J | K classes, which checks the game and linalg once per
-(J | K, J & K) class and the rewrite once per pair; under --jobs 2 and up
-each pool worker is pinned to one CPU.  Engines give their expansions as
-checked (L mask, d) rows sorted by mask, which `table` writes one J block
-at a time and `expand` prints in that order; subsets are formatted only here.
+(J | K, J & K) class and, as `table` does, each J's K list by the rewrite's
+kernel ``rewrite_rows``; under --jobs 2 and up each pool worker is pinned
+to one CPU.  Engines give their expansions as checked (L mask, d) rows
+sorted by mask, which `table` writes one J block at a time and `expand`
+prints in that order; subsets are formatted only here.
 
 The parser is one ``argparse`` parser, ``cli``, with a subparser per
 command in ``cli.commands``; ``main`` calls the command's ``callback``
@@ -38,7 +39,7 @@ import sys
 from . import diagrams, oracle
 from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
 from .errors import ConsistencyError, PresentationError, Row, class_tail, constants
-from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function
+from .intervals import IndexSet, _decimal, all_index_sets, decompose, factor_ranks, hessenberg_function
 from .oracle import Monomial, linalg_row, normal_form, presentation_failures
 from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
 from .ring import integral, monomial, multiply, rewrite_row, rewrite_rows, unit
@@ -50,7 +51,7 @@ MAX_VERIFY_RANK = 8
 VERIFY_RANKS = range(1, MAX_VERIFY_RANK + 1)
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
-METHODS = ("diagram", "rewrite", "linalg", "all")
+ENGINES = {"diagram": diagram_row, "rewrite": rewrite_row, "linalg": linalg_row}  # --method and message order
 
 
 class UsageError(Exception):
@@ -97,9 +98,9 @@ def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 
 def _file(path: str, must_exist: bool = False) -> str:
-    """The argparse type of ``--out`` and, with ``must_exist``, of
-    ``--cached``: a path in a directory that exists, not itself a directory,
-    that if it exists can be written (``--out``) or read (``--cached``)."""
+    """The argparse type of ``--out`` and, with ``must_exist``, of ``--cached``: a path in a directory
+    that exists, not itself a directory, that if it exists can be read (``--cached``) or written
+    (``--out``, whose directory must be writable too: `table` writes its partial file there)."""
     if not os.path.exists(path):
         if must_exist or not os.path.isdir(os.path.dirname(path) or "."):
             raise argparse.ArgumentTypeError(f"{'file' if must_exist else 'directory of'} {path!r} does not exist")
@@ -107,6 +108,8 @@ def _file(path: str, must_exist: bool = False) -> str:
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
     elif not os.access(path, os.R_OK if must_exist else os.W_OK):
         raise argparse.ArgumentTypeError(f"{path!r} is not {'readable' if must_exist else 'writable'}")
+    if not (must_exist or os.access(os.path.dirname(path) or ".", os.W_OK)):
+        raise argparse.ArgumentTypeError(f"directory of {path!r} is not writable")
     return path
 
 
@@ -119,11 +122,10 @@ def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
     """The checked row of one engine, or of all three with an exact-agreement
     check; a disagreement names the first L at which the rows differ."""
     if method != "all":
-        return {"diagram": diagram_row, "rewrite": rewrite_row, "linalg": linalg_row}[method](n, J, K)
-    diagram, rewrite, linalg = diagram_row(n, J, K), rewrite_row(n, J, K), linalg_row(n, J, K)
-    if diagram == rewrite == linalg:
-        return diagram
-    rows = {"diagram": diagram, "rewrite": rewrite, "linalg": linalg}
+        return ENGINES[method](n, J, K)
+    rows = {name: engine(n, J, K) for name, engine in ENGINES.items()}
+    if len(set(rows.values())) == 1:
+        return rows["diagram"]
     found = {name: dict(row) for name, row in rows.items()}
     first = min(L for d in found.values() for L in d if len({e.get(L, 0) for e in found.values()}) > 1)
     subset = functools.partial(IndexSet.from_mask, n)
@@ -146,7 +148,7 @@ def _check_rank(n: int) -> None:
 
 
 @command("expand", RANK, SUBSET_J, SUBSET_K,
-         option("--method", choices=METHODS, default="all", help="Engine (default: all)."),
+         option("--method", choices=(*ENGINES, "all"), default="all", help="Engine (default: all)."),
          option("--format", dest="fmt", choices=("json", "csv"), default="json", help="Output (default: json)."),
          option("--cached", type=lambda path: _file(path, must_exist=True), metavar="PATH",
                 help="Read the expansion from a table file written by `table` instead of computing."))
@@ -175,7 +177,7 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
     engines; a file that does not parse is refused, and so is a pair with
     two rows on one L."""
     try:
-        pairs = [(IndexSet.parse(L, n).mask, int(d)) for L, d in _read_table(path, n, J, K)]
+        pairs = [(IndexSet.parse(L, n).mask, _decimal(d)) for L, d in _read_table(path, n, J, K)]
     except (ValueError, KeyError, TypeError) as exc:
         raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
     masks = sorted(L for L, _ in pairs)
@@ -208,7 +210,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         if data["n"] != n:
             raise UsageError(f"cache {path} is for rank {data['n']}, not {n}")
         key = [list(J.as_tuple()), list(K.as_tuple())]
-        # d as its text, as in a CSV table, so that int() refuses 2.5 or true
+        # d as its text, as in a CSV table, so that _decimal refuses 2.5 or true
         return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
     buf = io.StringIO()
     csv.writer(buf, lineterminator=",").writerow([n, J.format(), K.format()])
@@ -270,13 +272,12 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
 
 
 def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
-    """The pair sweep of `verify` over a block of (J, K) mask pairs holding
-    each pair's transpose: the game and linalg compared exactly once per (J |
-    K, J & K) class, then each pair's rewrite row, in (J, K) order so that it
-    folds each J once, against their agreed row through their shared tail, or
-    where that fails or raises, ``_expansion_row(..., "all")``, which names the
-    engines.  Returns the failure lines in block order: a pair's error, or a
-    pair whose expansion differs from its transpose's."""
+    """The pair sweep of `verify` over a block of (J, K) mask pairs holding each pair's transpose: the game
+    and linalg compared exactly once per (J | K, J & K) class, then each J's K list by the kernel
+    ``rewrite_rows``, each row against their agreed row through their shared tail; where that fails or
+    raises, or the kernel raises on its J, ``_expansion_row(..., "all")``, which names the engines.
+    Returns the failure lines in block order: a pair's error, or a pair whose expansion differs from its
+    transpose's."""
 
     @functools.cache  # the class table of this block
     def agreed(union: int, meet: int) -> tuple | None:
@@ -284,16 +285,21 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
         return (game, gd) if sorted((L, v * ld) for L, v in game) == sorted((L, v * gd) for L, v in lin) else None
 
     results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
-    for jm, km in sorted(masks):
+    for jm, run in itertools.groupby(sorted(masks), key=lambda pair: pair[0]):
         try:
-            rewrite, class_row = _expansion_row(n, jm, km, "rewrite"), agreed(jm | km, jm & km)
-            row = rewrite if class_row and class_tail("diagram", n, jm, km, *class_row) == rewrite else None
-        except Exception:  # checked again below, where an error is named or raised
-            row = None
-        try:
-            results[jm, km] = _expansion_row(n, jm, km, "all") if row is None else row
-        except (ConsistencyError, PresentationError) as exc:
-            results[jm, km] = exc
+            rewrites = dict(rewrite_rows(n, jm, ks := [km for _, km in run]))
+        except Exception:  # rows of None, which no class row equals: each pair is checked again below
+            rewrites = dict.fromkeys(ks)
+        for km in ks:
+            try:
+                rewrite, class_row = rewrites.get(km, ()), agreed(jm | km, jm & km)
+                row = rewrite if class_row and class_tail("diagram", n, jm, km, *class_row) == rewrite else None
+            except Exception:  # checked again below, where an error is named or raised
+                row = None
+            try:
+                results[jm, km] = _expansion_row(n, jm, km, "all") if row is None else row
+            except (ConsistencyError, PresentationError) as exc:
+                results[jm, km] = exc
     return [f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: "
             f"{row if isinstance(row, Exception) else 'expansion not symmetric'}"
             for (jm, km), row in results.items() if isinstance(row, Exception) or results[km, jm] != row]

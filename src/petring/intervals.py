@@ -23,6 +23,13 @@ __all__ = ["MAX_RANK", "IndexSet", "ComponentDecomposition", "decompose", "decom
 MAX_RANK = 32
 
 
+def _decimal(text: str) -> int:
+    """An ASCII decimal numeral with spaces around it, "-" signed or not, as ``int``; ValueError on "1_0" or "+3"."""
+    if not (text.isascii() and text.strip().removeprefix("-").isdigit()):
+        raise ValueError(f"invalid decimal numeral {text!r}")
+    return int(text)
+
+
 class Frozen:
     """Base of the validated value types, with the behaviour of a frozen
     dataclass over ``_fields``: equality and hash by the field values, a
@@ -95,7 +102,7 @@ class IndexSet(Frozen):
         if text == "-" or text == "":
             return cls(n)
         try:
-            parts = [int(p) for p in text.split(",")]
+            parts = [_decimal(p) for p in text.split(",")]
         except ValueError:
             raise ValueError(f"cannot parse subset {text!r}") from None
         if parts != sorted(parts) or len(set(parts)) != len(parts):

@@ -9,18 +9,18 @@ containing it by one index to the left or to the right, dropping the
 boundary terms at 0 and n.  The step works in the basis of classes
 x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
 coefficient is a positive integer, on integers keyed by bit mask; it is
-memoized per (n, i, S).  The rewrite folds the generators of K into the
-class on J by ``_fold``, memoized over the prefixes of K, per J in the
-table's kernel ``rewrite_rows`` and in ``_last_J`` for single pairs; a
-rewrite row ends in ``errors.constants``, dividing by m_factor(K).  The
-class algebra, ``multiply``, is the bilinear extension of those checked
-rows; it alone builds Fractions, and imports them when it does.
+memoized per (n, i, S).  The rewrite's one path, ``rewrite_rows``, folds
+the generators of each K of a list into the class on J over a prefix memo
+of its call, and ends each row in ``errors.constants``, dividing by
+m_factor(K).  The class algebra, ``multiply``, is the bilinear extension
+of those checked rows; it alone builds Fractions, and imports them when
+it does.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain, groupby
+from itertools import chain
 from typing import Any, Iterable, Iterator
 
 from .errors import ConsistencyError, Row, constants, expansion
@@ -28,7 +28,7 @@ from .intervals import Frozen, IndexSet, decompose_mask, m_factor, run_step
 
 __all__ = ["CohomologyClass", "unit", "zero", "monomial", "peterson_schubert_class", "add", "scale",
            "multiply_generator", "multiply", "to_varpi_basis", "structure_constants_rewrite",
-           "structure_constants_rewrite_pairs", "rewrite_rows", "rewrite_row", "integral", "pairing"]
+           "rewrite_rows", "rewrite_row", "integral", "pairing"]
 
 Support = frozenset[int]
 
@@ -114,18 +114,15 @@ def multiply_generator(c: CohomologyClass, i: int) -> CohomologyClass:
 
 
 def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    """Bilinear product, the extension of :func:`rewrite_row`: with c1 and c2 in the basis of classes
-    on each support, each pair of supports, J outer (its pairs share ``_last_J``'s memo), adds
-    r1 r2 d / m_L on x_L for each (L, d) of its checked row."""
+    """Bilinear product, the extension of the rewrite's checked rows: with c1 and c2 in the basis of classes on
+    each support, :func:`rewrite_rows` of each J of c1 on c2's, each (L, d) of a row adding r1 r2 d / m_L on x_L."""
     from fractions import Fraction
 
     c1._check_same_rank(c2)
     n = c1.n
-    left, right = ([(J.mask, r) for J, r in to_varpi_basis(c).items()] for c in (c1, c2))
-    products = (
-        (L, Fraction(r1 * r2 * d, decompose_mask(L).m_factor))
-        for J, r1 in left for K, r2 in right for L, d in rewrite_row(n, J, K)
-    )
+    left, right = ({J.mask: r for J, r in to_varpi_basis(c).items()} for c in (c1, c2))
+    products = ((L, Fraction(r1 * right[K] * d, decompose_mask(L).m_factor))
+                for J, r1 in left.items() for K, row in rewrite_rows(n, J, right) for L, d in row)
     return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in _collect(products).items()})
 
 
@@ -175,29 +172,9 @@ def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]
     return expansion(rewrite_row, J, K)
 
 
-# The prefix memo of the last (n, J) that :func:`rewrite_row` folded, {(n, J): memo}:
-# single pairs (`verify`, `expand`) with the same J, in one call or across calls, share it.
-_last_J: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-
-
 def rewrite_row(n: int, J: int, K: int) -> Row:
-    """The checked row of the product for the masks J and K at rank n: K
-    folded over the prefix memo of J in ``_last_J``, so that pairs in
-    canonical order, in one call or across calls, take one step each."""
-    prefix = _last_J.get((n, J))
-    if prefix is None:
-        _last_J.clear()
-        prefix = _last_J[n, J] = {0: {J: 1}}
-    terms = _fold(prefix, K, n)
-    return constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor) if terms else ()
-
-
-def structure_constants_rewrite_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, Row]]:
-    """:func:`rewrite_row` of each (J, K) bit-mask pair at rank n, in any order, yielded as (J, K, row) with
-    zero products as (): each run of consecutive pairs with one J through :func:`rewrite_rows`."""
-    for J, run in groupby(pairs, key=lambda pair: pair[0]):
-        rows = dict(rewrite_rows(n, J, ks := [K for _, K in run]))
-        yield from ((J, K, rows.get(K, ())) for K in ks)
+    """The checked row of the masks J times K at rank n, () for a zero product: :func:`rewrite_rows` on K alone."""
+    return dict(rewrite_rows(n, J, (K,))).get(K, ())
 
 
 def rewrite_rows(n: int, J: int, ks: Iterable[int]) -> Iterator[tuple[int, Row]]:
@@ -215,16 +192,12 @@ def rewrite_rows(n: int, J: int, ks: Iterable[int]) -> Iterator[tuple[int, Row]]
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
-    """The rewrite's fold: the class on J, prefix[0] = {J: 1}, times the
-    generators of the subset with mask K, in increasing order: one step from
-    the fold over K minus its top element, memoized in ``prefix``; at most
-    |K| steps."""
+    """The kernel's recursion for a K whose prefix is not memoized: the class on J, prefix[0] = {J: 1},
+    times the generators of the subset with mask K, in increasing order, memoized in ``prefix``."""
     terms = prefix.get(K)
     if terms is None:  # not `if not terms`: an empty fold is falsy
         top = K.bit_length()
-        below = prefix.get(K ^ 1 << (top - 1))
-        below = _fold(prefix, K ^ 1 << (top - 1), n) if below is None else below
-        terms = prefix[K] = _varpi_times_generator(below, top, n)
+        terms = prefix[K] = _varpi_times_generator(_fold(prefix, K ^ 1 << (top - 1), n), top, n)
     return terms
 
 

@@ -106,9 +106,12 @@ class TestExpand:
         (["table", "-n", "3", "--out", "{tmp}"], "--out"),
         (["verify", "--n-max", "x"], "--n-max"),
         (["table", "-n", "3", "--out", "{tmp}/missing/t.csv"], "--out"),
+        (["expand", "-n", "12", "-J", "1_0", "-K", "2"], "-J"),
+        (["group", "-n", "12", "-J", "\u0663"], "-J"),
     ], ids=["rank-out-of-range", "member-out-of-range", "unsorted-subset", "missing-n", "non-integer-n",
             "unknown-option", "unknown-command", "no-command", "bad-method", "bad-format", "cached-missing",
-            "cached-directory", "out-directory", "non-integer-n-max", "out-missing-directory"])
+            "cached-directory", "out-directory", "non-integer-n-max", "out-missing-directory",
+            "underscored-member", "non-ascii-member"])
     def test_usage_errors(self, capsys, tmp_path, argv, named):
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert (code, out) == (1, "")
@@ -259,21 +262,25 @@ def _fresh_memos(monkeypatch):
     import petring.ring as ring
 
     monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
-    monkeypatch.setattr(ring, "_last_J", {})
     for module, name in ((oracle, "_step"), (oracle, "_normal_form"), (diagrams, "_game_sums")):
         monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__))
 
 
 def _pair_raises(monkeypatch):
-    # the three-engine row of (J, K) = ({1,3}, {2}) raises
-    expansion_row = petring.cli._expansion_row
+    # the rewrite kernel raises at (J, K) = ({1,3}, {2}), in the sweep and in
+    # the single-pair rewrite_row of the three-engine row alike
+    import petring.ring as ring
 
-    def faulty(n, J, K, method):
-        if (J, K) == (0b101, 0b010):
-            raise ConsistencyError("injected")
-        return expansion_row(n, J, K, method)
+    kernel = ring.rewrite_rows
 
-    monkeypatch.setattr(petring.cli, "_expansion_row", faulty)
+    def faulty(n, J, ks):
+        for K in ks:
+            if (J, K) == (0b101, 0b010):
+                raise ConsistencyError("injected")
+            yield from kernel(n, J, [K])
+
+    for module in (ring, petring.cli):
+        monkeypatch.setattr(module, "rewrite_rows", faulty)
 
 
 def _move_weight_off_by_one(monkeypatch):
@@ -418,14 +425,7 @@ class TestVerify:
         assert "--jobs must be in [1, 2]" in err
 
     def test_failure_names_subsets(self, capsys, monkeypatch):
-        expansion_row = petring.cli._expansion_row
-
-        def faulty(n, J, K, method):
-            if (J, K) == (0b101, 0b010):
-                raise ConsistencyError("injected")
-            return expansion_row(n, J, K, method)
-
-        monkeypatch.setattr(petring.cli, "_expansion_row", faulty)
+        _pair_raises(monkeypatch)
         code, out, err = run(capsys, "verify", "--n-max", "5")
         assert code == 2
         assert "FAIL n=5 J=1,3 K=2: injected" in err.splitlines()
@@ -631,7 +631,6 @@ class TestVerify:
         steps = []
         step = ring._varpi_times_generator
         monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
-        monkeypatch.setattr(ring, "_last_J", {})
         block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
         assert petring.cli._verify_chunk(6, block) == []
         assert len(steps) == 4 ** 5 - 2 ** 5
@@ -646,7 +645,6 @@ class TestVerify:
         monkeypatch.setattr(ring, "run_step", lambda mask, i, n: calls.append((i, mask)) or run_step(mask, i, n))
         transition = functools.cache(ring._transition.__wrapped__)
         monkeypatch.setattr(ring, "_transition", transition)
-        monkeypatch.setattr(ring, "_last_J", {})
         block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
         assert petring.cli._verify_chunk(6, block) == []
         assert 0 < len(calls) == len(set(calls)) == transition.cache_info().currsize
@@ -741,7 +739,6 @@ class TestTable:
 
         monkeypatch.setattr(ring, "run_step", astray)
         monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
-        monkeypatch.setattr(ring, "_last_J", {})
         path = tmp_path / "table5.csv"
         path.write_bytes(b"an earlier table\n")
         code, out, err = run(capsys, "table", "-n", "5", "--out", str(path))
@@ -760,6 +757,20 @@ class TestTable:
         assert out.startswith("n,J,K,L,d\n4,-,-,-,1\n")
         # pair 19 is J = 2, K = 1,2; pair 20 is J = 2, K = 3
         assert out.endswith('4,2,"1,2","1,2,3",2\n')
+
+    def test_out_into_unwritable_directory_refused(self, capsys, monkeypatch, tmp_path):
+        # the table is written to a partial file beside --out, new or not, so
+        # its directory must be writable; os.access is patched, as a process
+        # run as root passes any permission check
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and (path, mode) != (str(tmp_path), os.W_OK))
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"an earlier table\n")
+        for out in (new, existing):
+            assert run(capsys, "table", "-n", "3", "--out", str(out)) == (
+                1, "", f"error: argument --out: directory of {str(out)!r} is not writable\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["existing.csv"]
+        assert existing.read_bytes() == b"an earlier table\n"
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "table5.csv"
@@ -1176,7 +1187,10 @@ class TestCachedRowsChecked:
         ("json", [1, 2], 2.5, None),
         ("json", None, None, '{"n": 4}\n'),
         ("json", None, None, "not json\n"),
-    ], ids=["csv-d", "csv-L", "json-d", "json-L", "json-float-d", "json-no-rows", "not-json"])
+        ("csv", [1, 2], "2_0", None),
+        ("json", [1, 2], "\u0662", None),
+    ], ids=["csv-d", "csv-L", "json-d", "json-L", "json-float-d", "json-no-rows", "not-json", "csv-underscored-d",
+            "json-non-ascii-d"])
     def test_malformed_cache_refused(self, capsys, tmp_path, table_fmt, L, d, text):
         if text is None:
             path = _edited_table(capsys, tmp_path, table_fmt, L, d)

@@ -44,6 +44,7 @@ class TestIndexSet:
         assert IndexSet.parse("-", 4) == IndexSet(4)
         assert IndexSet.parse("1,3", 4).as_tuple() == (1, 3)
         assert IndexSet.parse("1,3", 4).format() == "1,3"
+        assert IndexSet.parse(" 1 , 3 ", 4) == IndexSet.parse("1,3", 4)  # spaces around a cell
         assert IndexSet(4).format() == "-"
         with pytest.raises(ValueError):
             IndexSet.parse("3,1", 4)
@@ -111,6 +112,10 @@ class TestValueTypes:
         (lambda: IndexSet.of(4, [0]), "member 0 outside {1, ..., 3}"),
         (lambda: IndexSet.from_mask(4, 0b1000), "member 4 outside {1, ..., 3}"),
         (lambda: IndexSet.parse("x", 4), "cannot parse subset 'x'"),
+        (lambda: IndexSet.parse("1_0", 12), "cannot parse subset '1_0'"),
+        (lambda: IndexSet.parse("\u0663", 12), "cannot parse subset '\u0663'"),
+        (lambda: IndexSet.parse("1,+3", 4), "cannot parse subset '1,+3'"),
+        (lambda: IndexSet.parse("1,,3", 4), "cannot parse subset '1,,3'"),
         (lambda: IndexSet.parse("3,1", 4), "subset '3,1' must list distinct integers in ascending order"),
     ])
     def test_index_set_errors(self, build, message):

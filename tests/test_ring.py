@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,6 @@ from petring.ring import (
     rewrite_rows,
     scale,
     structure_constants_rewrite,
-    structure_constants_rewrite_pairs,
     to_varpi_basis,
     unit,
     zero,
@@ -208,9 +208,12 @@ class TestStructureConstants:
         pairs = [(J, K) for J in range(16) for K in range(16)]
         rng = random.Random(3)
         for order in (pairs, pairs[::-1], rng.sample(pairs, len(pairs))):
-            for J, K, row in structure_constants_rewrite_pairs(n, order):
-                expansion = {IndexSet.from_mask(n, L): d for L, d in row}
-                assert expansion == structure_constants_rewrite(IndexSet.from_mask(n, J), IndexSet.from_mask(n, K))
+            # the kernel on each run of consecutive pairs with one J
+            for J, run in itertools.groupby(order, key=lambda pair: pair[0]):
+                rows = dict(rewrite_rows(n, J, ks := [K for _, K in run]))
+                for K in ks:
+                    expansion = {IndexSet.from_mask(n, L): d for L, d in rows.get(K, ())}
+                    assert expansion == structure_constants_rewrite(IndexSet.from_mask(n, J), IndexSet.from_mask(n, K))
 
     def test_rows_of_one_J_are_the_nonzero_single_pair_rows(self):
         # the table's kernel: for each J and a K list in any order, the (K, row)
@@ -231,19 +234,20 @@ class TestStructureConstants:
         step = ring._varpi_times_generator
         monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
         n = 7
-        full = [(J, K) for J in range(64) for K in range(64)]
-        list(structure_constants_rewrite_pairs(n, full))
+        for J in range(64):
+            list(rewrite_rows(n, J, range(64)))
         assert len(steps) == 64 * 63
-        # filtered requests: never more than the |K| steps of a fold per pair
-        for pairs in (
-            [(J, K) for J, K in full if J.bit_count() + K.bit_count() == 4],
-            [(J, 0b101101) for J in range(64)],
-            [(0b11, K) for K in range(64) if K.bit_count() == 3],
-            [(5, 0b111000)],
+        # filtered requests, each J's K list through the kernel: never more than the |K| steps of a fold per pair
+        for requests in (
+            [(J, [K for K in range(64) if J.bit_count() + K.bit_count() == 4]) for J in range(64)],
+            [(J, [0b101101]) for J in range(64)],
+            [(0b11, [K for K in range(64) if K.bit_count() == 3])],
+            [(5, [0b111000])],
         ):
             steps.clear()
-            list(structure_constants_rewrite_pairs(n, pairs))
-            assert 0 < len(steps) <= sum(K.bit_count() for _, K in pairs)
+            for J, ks in requests:
+                list(rewrite_rows(n, J, ks))
+            assert 0 < len(steps) <= sum(K.bit_count() for _, ks in requests for K in ks)
         assert steps == [4, 5, 6]
 
     def test_inexact_step_raises(self, monkeypatch):
@@ -256,11 +260,11 @@ class TestStructureConstants:
 
         monkeypatch.setattr(ring, "run_step", off)
         monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
-        monkeypatch.setattr(ring, "_last_J", {})
         with pytest.raises(ConsistencyError, match="not integral"):
             structure_constants_rewrite(IndexSet.of(3, [1]), IndexSet.of(3, [1]))
         with pytest.raises(ConsistencyError, match="not integral"):
-            list(structure_constants_rewrite_pairs(3, [(0, 1), (1, 1)]))
+            for J in (0, 1):
+                list(rewrite_rows(3, J, [1]))
         # the class algebra takes the same step
         g1 = monomial(IndexSet.of(3, [1]))
         with pytest.raises(ConsistencyError, match="not integral"):
@@ -281,7 +285,7 @@ class TestStructureConstants:
         with pytest.raises(ConsistencyError, match=r"d = 1/2 for J=3, K=1, L=1,3"):
             structure_constants_rewrite(J, K)
         with pytest.raises(ConsistencyError, match=r"d = 1/2 for J=3, K=1, L=1,3"):
-            list(structure_constants_rewrite_pairs(5, [(J.mask, K.mask)]))
+            list(rewrite_rows(5, J.mask, [K.mask]))
 
     def test_integer_check_names_subsets(self):
         J, K, L = IndexSet.of(4, [1]).mask, IndexSet.of(4, [2]).mask, IndexSet.of(4, [1, 2]).mask
@@ -325,7 +329,6 @@ class TestStructureConstants:
 
         monkeypatch.setattr(ring, "run_step", astray)
         monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
-        monkeypatch.setattr(ring, "_last_J", {})
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [4])
         with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=1,3 for J=3, K=4"):
             structure_constants_rewrite(J, K)

@@ -121,13 +121,39 @@ def test_faults_give_the_reference_lines(monkeypatch, name, seed):
     assert lines[0], "the planted fault went unseen"
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_kernel_fault_on_one_J_gives_the_reference_lines(monkeypatch, where):
+    # the kernel raises at one K of J = {2}'s list, before, among or after the
+    # rows it yields: every pair of that J is expanded again by all three
+    # engines, as in the per-pair sweep, whose rewrite_row meets the same fault
+    n, J = 4, 0b010
+    ks = range(1 << (n - 1))
+    K = {"first": ks[0], "middle": ks[len(ks) // 2], "last": ks[-1]}[where]
+    kernel = ring.rewrite_rows
+
+    def faulty(n, jm, kms):
+        for km in kms:
+            if (jm, km) == (J, K):
+                raise ConsistencyError("injected")
+            yield from kernel(n, jm, [km])
+
+    for module in (ring, petring.cli):
+        monkeypatch.setattr(module, "rewrite_rows", faulty)
+    block = petring.cli._pair_blocks(n, 1)[0]
+    lines = _reference_chunk(n, block)
+    assert petring.cli._verify_chunk(n, block) == lines
+    assert f"n={n} J=2 K={IndexSet.from_mask(n, K)}: injected" in lines
+
+
 def test_each_engine_read_once_per_input(monkeypatch):
     # at n = 6 the sweep plays each class's game and reduces each class's
-    # normal form once, and takes each pair's rewrite row once
+    # normal form once, and hands each pair to the rewrite kernel once, with
+    # no three-engine row on a clean sweep
     n = 6
     _fresh_memos(monkeypatch)
-    games, forms, rows, depth = [], [], [], [0]
-    game_sums, normal_form, expansion_row = diagrams._game_sums, oracle._normal_form, petring.cli._expansion_row
+    games, forms, rows, retried, depth = [], [], [], [], [0]
+    game_sums, normal_form, kernel = diagrams._game_sums, oracle._normal_form, petring.cli.rewrite_rows
+    expansion_row = petring.cli._expansion_row
 
     def outermost_form(n, exps):  # the recursion of _normal_form runs through this too
         depth[0] += 1
@@ -142,11 +168,14 @@ def test_each_engine_read_once_per_input(monkeypatch):
     monkeypatch.setattr(diagrams, "_game_sums", lambda n, union, meet: games.append((union, meet)) or
                         game_sums(n, union, meet))
     monkeypatch.setattr(oracle, "_normal_form", outermost_form)
-    monkeypatch.setattr(petring.cli, "_expansion_row", lambda n, J, K, method: rows.append((J, K, method)) or
+    monkeypatch.setattr(petring.cli, "rewrite_rows", lambda n, J, ks: rows.extend((J, K) for K in ks) or
+                        kernel(n, J, ks))
+    monkeypatch.setattr(petring.cli, "_expansion_row", lambda n, J, K, method: retried.append((J, K)) or
                         expansion_row(n, J, K, method))
     assert petring.cli._verify_chunk(n, petring.cli._pair_blocks(n, 1)[0]) == []
     classes = {(jm | km, jm & km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))}
     assert sorted(games) == sorted(classes) and len(classes) == 3 ** (n - 1)
     below_top = [(u, m) for u, m in classes if u.bit_count() + m.bit_count() <= n - 1]
     assert sorted(forms) == sorted(oracle._exponents(n, u, m) for u, m in below_top)
-    assert sorted(rows) == [(jm, km, "rewrite") for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))]
+    assert sorted(rows) == [(jm, km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))]
+    assert retried == []
