@@ -36,13 +36,13 @@ import math
 import os
 import sys
 
-from . import diagrams, oracle
+from . import diagrams, oracle, ring
 from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
 from .errors import ConsistencyError, PresentationError, Row, class_tail, constants
 from .intervals import IndexSet, _decimal, all_index_sets, decompose, factor_ranks, hessenberg_function
-from .oracle import Monomial, linalg_row, normal_form, presentation_failures
+from .oracle import linalg_row, presentation_failures
 from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
-from .ring import integral, monomial, multiply, rewrite_row, rewrite_rows, unit
+from .ring import rewrite_row, rewrite_rows
 
 __all__ = ["cli", "main", "entry"]
 
@@ -99,13 +99,13 @@ def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 def _file(path: str, must_exist: bool = False) -> str:
     """The argparse type of ``--out`` and, with ``must_exist``, of ``--cached``: a path in a directory
-    that exists, not itself a directory, that if it exists can be read (``--cached``) or written
-    (``--out``, whose directory must be writable too: `table` writes its partial file there)."""
+    that exists, that if it exists is a regular file, not a FIFO or a device that `table` would replace,
+    and can be read (``--cached``) or written (``--out``, whose directory must be writable too)."""
     if not os.path.exists(path):
         if must_exist or not os.path.isdir(os.path.dirname(path) or "."):
             raise argparse.ArgumentTypeError(f"{'file' if must_exist else 'directory of'} {path!r} does not exist")
-    elif os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    elif not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a regular file")
     elif not os.access(path, os.R_OK if must_exist else os.W_OK):
         raise argparse.ArgumentTypeError(f"{path!r} is not {'readable' if must_exist else 'writable'}")
     if not (must_exist or os.access(os.path.dirname(path) or ".", os.W_OK)):
@@ -113,7 +113,7 @@ def _file(path: str, must_exist: bool = False) -> str:
     return path
 
 
-RANK = option("-n", "--rank", dest="n", type=int, required=True, help="Ambient rank.")
+RANK = option("-n", "--rank", dest="n", type=_decimal, required=True, help="Ambient rank.")
 SUBSET_J = option("-J", dest="j_text", default="-", metavar="SUBSET", help='First subset, e.g. "1,3,5" ("-" = empty).')
 SUBSET_K = option("-K", dest="k_text", default="-", metavar="SUBSET", help="Second subset.")
 
@@ -346,20 +346,22 @@ def _bruhat_criteria(n: int, _) -> list[str]:
 
 
 def _top_degree(n: int, _) -> list[str]:
-    """The integral of g_i^(n-1) by the run rule, by the relations, and as the Eulerian number A(n-1, i-1)."""
-    failures = []
+    """The integral of g_i^(n-1) by the run rule, by the relations, and as the Eulerian number A(n-1, i-1), on ints."""
+    full, failures = (1 << (n - 1)) - 1, []
     for i in range(1, n):
         try:
-            by_rule = integral(functools.reduce(multiply, [monomial(IndexSet.of(n, [i]))] * (n - 1), unit(n)))
-            nf = normal_form(Monomial.from_multiset(n, {i: n - 1}))
+            power = functools.reduce(lambda c, _: ring._varpi_product(n, c, {1 << (i - 1): 1}), range(n - 1), {0: 1})
+            row, den = oracle._normal_form(n, tuple(n - 1 if k == i else 0 for k in range(1, n)))
         except (ConsistencyError, PresentationError) as exc:
             failures.append(f"n={n} i={i}: {exc}")
             continue
-        by_relations = math.factorial(n - 1) * nf.get(IndexSet.full(n), 0)
+        by_rule, by_relations = power.get(full, 0), math.factorial(n - 1) * row.get(full, 0)
         eulerian = sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1) for j in range(i))
-        if not by_rule == by_relations == eulerian:
+        if not by_rule * den == by_relations == eulerian * den:
+            g = math.gcd(by_relations, den)  # the relations' value, shown as a Fraction shows it
+            shown = by_relations // g if g == den else f"{by_relations // g}/{den // g}"
             failures.append(f"n={n} i={i}: integral of g_{i}^{n - 1} is {by_rule} by the run rule, "
-                            f"{by_relations} by the relations, Eulerian number {eulerian}")
+                            f"{shown} by the relations, Eulerian number {eulerian}")
     return failures
 
 
@@ -375,8 +377,8 @@ CHECKS = [
 
 
 @command("verify",
-         option("--n-max", type=int, default=7, help="Largest rank checked (default: 7)."),
-         option("--jobs", type=int, default=1, help="Worker processes for the checks (default: 1)."))
+         option("--n-max", type=_decimal, default=7, help="Largest rank checked (default: 7)."),
+         option("--jobs", type=_decimal, default=1, help="Worker processes for the checks (default: 1)."))
 def cmd_verify(n_max: int, jobs: int) -> None:
     """Exhaustively cross-check the three engines and the supporting
     combinatorics for every rank up to --n-max."""
@@ -431,7 +433,7 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
 
 
 @command("table", RANK,
-         option("--degree", type=int, help="Only pairs with |J| + |K| equal to this."),
+         option("--degree", type=_decimal, help="Only pairs with |J| + |K| equal to this."),
          option("--J", dest="j_filter", metavar="SUBSET", help="Restrict to this J."),
          option("--K", dest="k_filter", metavar="SUBSET", help="Restrict to this K."),
          option("--format", dest="fmt", choices=("csv", "json"), default="csv", help="Output (default: csv)."),
@@ -520,6 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         options = vars(cli.parse_args(argv))
         cli.commands[options.pop("command")].callback(**options)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
     except SystemExit as exc:  # --help, printed by argparse
         return exc.code
     except UsageError as exc:
@@ -528,6 +531,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConsistencyError, PresentationError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed early: at the null device, the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 
-from .intervals import IndexSet, decompose
+from .intervals import IndexSet, all_index_sets, decompose
 
 __all__ = [
     "Permutation",
@@ -96,8 +96,6 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
 def peterson_fixed_points(n: int) -> list[Permutation]:
     """The 2^(n-1) block-reversal involutions w_J, one per subset J of
     {1, ..., n-1}, in canonical subset order."""
-    from .intervals import all_index_sets
-
     return [longest_wj(J) for J in all_index_sets(n)]
 
 

@@ -12,9 +12,9 @@ coefficient is a positive integer, on integers keyed by bit mask; it is
 memoized per (n, i, S).  The rewrite's one path, ``rewrite_rows``, folds
 the generators of each K of a list into the class on J over a prefix memo
 of its call, and ends each row in ``errors.constants``, dividing by
-m_factor(K).  The class algebra, ``multiply``, is the bilinear extension
-of those checked rows; it alone builds Fractions, and imports them when
-it does.
+m_factor(K).  Their bilinear extension, ``_varpi_product``, is the product
+of ``multiply``, on Fractions, and of `verify`'s top-degree check, on ints;
+the class algebra alone builds Fractions, and imports them when it does.
 """
 
 from __future__ import annotations
@@ -114,16 +114,22 @@ def multiply_generator(c: CohomologyClass, i: int) -> CohomologyClass:
 
 
 def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    """Bilinear product, the extension of the rewrite's checked rows: with c1 and c2 in the basis of classes on
-    each support, :func:`rewrite_rows` of each J of c1 on c2's, each (L, d) of a row adding r1 r2 d / m_L on x_L."""
+    """Bilinear product: c1 and c2 in the basis of classes on each support, multiplied by
+    :func:`_varpi_product`, each coefficient r on L giving r / m_L on x_L."""
     from fractions import Fraction
 
     c1._check_same_rank(c2)
     n = c1.n
     left, right = ({J.mask: r for J, r in to_varpi_basis(c).items()} for c in (c1, c2))
-    products = ((L, Fraction(r1 * right[K] * d, decompose_mask(L).m_factor))
-                for J, r1 in left.items() for K, row in rewrite_rows(n, J, right) for L, d in row)
-    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: r for L, r in _collect(products).items()})
+    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: Fraction(r, decompose_mask(L).m_factor)
+                               for L, r in _varpi_product(n, left, right).items()})
+
+
+def _varpi_product(n: int, left: dict[int, Any], right: dict[int, Any]) -> dict[int, Any]:
+    """The product at rank n of two int or Fraction combinations of basis classes keyed by mask: :func:`rewrite_rows`
+    of each J of ``left`` on the masks of ``right``, each (L, d) of a row adding r_J r_K d on L."""
+    return _collect((L, r * right[K] * d)
+                    for J, r in left.items() for K, row in rewrite_rows(n, J, right) for L, d in row)
 
 
 def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:

@@ -18,7 +18,7 @@ import pytest
 import petring.cli
 from petring import diagrams, oracle
 from petring.intervals import IndexSet, all_index_sets
-from petring.ring import rewrite_row, scale, structure_constants_rewrite
+from petring.ring import rewrite_row, structure_constants_rewrite
 
 from petring.cli import main
 from petring.errors import ConsistencyError
@@ -108,10 +108,19 @@ class TestExpand:
         (["table", "-n", "3", "--out", "{tmp}/missing/t.csv"], "--out"),
         (["expand", "-n", "12", "-J", "1_0", "-K", "2"], "-J"),
         (["group", "-n", "12", "-J", "\u0663"], "-J"),
+        (["expand", "-n", "1_0", "-J", "1", "-K", "2"], "-n/--rank"),
+        (["group", "-n", "\u0661\u0660", "-J", "1"], "-n/--rank"),
+        (["table", "-n", "3", "--degree", "1_0"], "--degree"),
+        (["table", "-n", "3", "--degree", "\u0662"], "--degree"),
+        (["verify", "--n-max", "0_3"], "--n-max"),
+        (["verify", "--n-max", "\u0663"], "--n-max"),
+        (["verify", "--n-max", "1", "--jobs", "0_1"], "--jobs"),
+        (["verify", "--n-max", "1", "--jobs", "\u0661"], "--jobs"),
     ], ids=["rank-out-of-range", "member-out-of-range", "unsorted-subset", "missing-n", "non-integer-n",
             "unknown-option", "unknown-command", "no-command", "bad-method", "bad-format", "cached-missing",
             "cached-directory", "out-directory", "non-integer-n-max", "out-missing-directory",
-            "underscored-member", "non-ascii-member"])
+            "underscored-member", "non-ascii-member", "underscored-n", "non-ascii-n", "underscored-degree",
+            "non-ascii-degree", "underscored-n-max", "non-ascii-n-max", "underscored-jobs", "non-ascii-jobs"])
     def test_usage_errors(self, capsys, tmp_path, argv, named):
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert (code, out) == (1, "")
@@ -309,6 +318,18 @@ def _step_tripled(monkeypatch):
     monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
 
 
+def _top_form_tripled(form):
+    """The normal form of each monomial of the top degree n - 1 with every
+    term tripled; the recursion of ``form`` runs through this too, and the
+    forms below the top degree stay as they are."""
+
+    def tripled(n, exps):
+        row, den = form(n, exps)
+        return ({S: 3 * v for S, v in row.items()} if sum(exps) == n - 1 else row), den
+
+    return tripled
+
+
 def _game_doubled(monkeypatch):
     # the game from {2} with row 2 at rank 4 with every sum doubled
     game_sums = diagrams._game_sums.__wrapped__
@@ -346,15 +367,17 @@ class TestVerify:
         assert pooled[1] == serial[1]
         assert "n=6: 1024 (J,K) pairs" in pooled[1]
 
-    @pytest.mark.parametrize("target, fault, line", [
-        ("multiply", lambda f: lambda c1, c2: scale(f(c1, c2), 2),
+    @pytest.mark.parametrize("module, target, fault, line", [
+        ("ring", "_varpi_product", lambda f: lambda n, left, right: {L: 2 * r for L, r in f(n, left, right).items()},
          "FAIL n=3 i=2: integral of g_2^2 is 4 by the run rule, 1 by the relations, Eulerian number 1"),
-        ("normal_form", lambda f: lambda m: {L: 3 * c for L, c in f(m).items()},
+        ("oracle", "_normal_form", _top_form_tripled,
          "FAIL n=3 i=2: integral of g_2^2 is 1 by the run rule, 3 by the relations, Eulerian number 1"),
     ], ids=["multiply", "normal_form"])
-    def test_top_degree_fault_detected(self, capsys, monkeypatch, target, fault, line):
+    def test_top_degree_fault_detected(self, capsys, monkeypatch, module, target, fault, line):
         # the check runs in a worker under --jobs 2, and reports the same
-        monkeypatch.setattr(petring.cli, target, fault(getattr(petring.cli, target)))
+        _fresh_memos(monkeypatch)
+        module = getattr(petring, module)
+        monkeypatch.setattr(module, target, fault(getattr(module, target)))
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
@@ -364,6 +387,32 @@ class TestVerify:
         assert "n=2: top-degree evaluation FAIL" in out
         assert "n=3: top-degree evaluation FAIL" in out
         assert line in err.splitlines()
+
+    def test_top_degree_off_the_class_algebra(self, capsys, monkeypatch):
+        # the check works on integer rows: with the class algebra's product and
+        # integral and the Fraction normal form raising wherever they are bound,
+        # every line is as before
+        import petring.ring as ring
+
+        expected = run(capsys, "verify", "--n-max", "6")
+        assert expected[0] == 0 and "n=6: top-degree evaluation OK" in expected[1].splitlines()
+
+        def refused(*args):
+            raise AssertionError("the class algebra was called")
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("petring")]
+        for name, fn in (("multiply", ring.multiply), ("integral", ring.integral), ("normal_form", oracle.normal_form)):
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, refused)
+        assert run(capsys, "verify", "--n-max", "6") == expected
+
+    def test_verify_loads_no_fractions(self):
+        code = ("import sys; from petring.cli import main; code = main(['verify', '--n-max', '8']); "
+                "print('fractions' in sys.modules); sys.exit(code)")
+        proc = _python("-c", code, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-2:] == ["all checks passed", "False"]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     def test_each_worker_pinned_to_one_cpu(self, capsys, monkeypatch):
@@ -704,6 +753,31 @@ class TestTable:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["d"] for r in rows] == ["3456", "24", "240"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_existing_path_that_is_not_a_regular_file_refused(self, capsys, tmp_path):
+        # the finished table is moved over --out, which would put a regular
+        # file in place of a FIFO: refused before any work, the FIFO kept
+        path = tmp_path / "table3.csv"
+        os.mkfifo(path)
+        code, out, err = run(capsys, "table", "-n", "3", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --out: {str(path)!r} is not a regular file\n"
+        assert path.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["table3.csv"]
+        # nor is the FIFO opened as a table to read, which would block
+        code, out, err = run(capsys, "expand", "-n", "3", "--cached", str(path))
+        assert (code, out, err) == (1, "", f"error: argument --cached: {str(path)!r} is not a regular file\n")
+
+    def test_closed_pipe_exits_1_without_a_traceback(self):
+        # `petring table -n 9 | head -1`: stdout is closed after one line,
+        # while most of the table (1.9 MB) is still to be written
+        env = {**os.environ, "PYTHONPATH": str(Path(petring.cli.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-m", "petring", "table", "-n", "9"], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"n,J,K,L,d\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_out_file_and_cache(self, capsys, tmp_path):
         path = tmp_path / "table4.csv"
