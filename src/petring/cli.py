@@ -1,27 +1,12 @@
-"""Command-line surface: expansions, diagram listings, exhaustive
-verification, tables, and group data.
+"""The ``petring`` command line: one argparse parser, ``cli``, with the
+subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group``
+in ``cli.commands``.  Importing it loads neither ``fractions`` nor
+``concurrent.futures``.
 
-`table` refuses, before computing, filters that admit more than
-MAX_TABLE_PAIRS (J, K) pairs; `expand --cached` bisects a CSV table, whose
-rows `table` writes in (J mask, K mask) order, for its pair's block and
-reads that block alone.  `verify` issues every check of its table
-``CHECKS`` at every rank to one map, top rank first, the pair sweep in
-blocks of whole J | K classes, which checks the game and linalg once per
-(J | K, J & K) class and, as `table` does, each J's K list by the rewrite's
-kernel ``rewrite_rows``; under --jobs 2 and up each pool worker is pinned
-to one CPU.  Engines give their expansions as checked (L mask, d) rows
-sorted by mask, which `table` writes one J block at a time and `expand`
-prints in that order; subsets are formatted only here.
-
-The parser is one ``argparse`` parser, ``cli``, with a subparser per
-command in ``cli.commands``; ``main`` calls the command's ``callback``
-with the parsed options as keywords.  Importing it loads neither
-``fractions``, which only the class algebra and the diagram listings use,
-nor ``concurrent.futures``, which only ``verify --jobs 2`` and up uses.
-
-Exit codes: 0 on success, 1 on a usage error or a refused request, 2 on a
-mathematical consistency failure (engine disagreement or a failed
-verification check).
+Exit codes: 0 on success; 1 on a usage error, a refused request or a
+standard output closed early; 2 on a ConsistencyError, such as engines
+that disagree, a failed `verify` check or a cached row that fails the
+checked tail.
 """
 
 from __future__ import annotations
@@ -38,8 +23,8 @@ import sys
 
 from . import diagrams, oracle, ring
 from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
-from .errors import ConsistencyError, PresentationError, Row, class_tail, constants
-from .intervals import IndexSet, _decimal, all_index_sets, decompose, factor_ranks, hessenberg_function
+from .errors import ConsistencyError, Row, class_tail, constants
+from .intervals import IndexSet, all_index_sets, decimal, decompose, factor_ranks, hessenberg_function
 from .oracle import linalg_row, presentation_failures
 from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
 from .ring import rewrite_row, rewrite_rows
@@ -98,10 +83,10 @@ def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 
 def _file(path: str, must_exist: bool = False) -> str:
-    """The argparse type of ``--out`` and, with ``must_exist``, of ``--cached``: a path in a directory
-    that exists, that if it exists is a regular file, not a FIFO or a device that `table` would replace,
-    and can be read (``--cached``) or written (``--out``, whose directory must be writable too)."""
-    if not os.path.exists(path):
+    """The argparse type of ``--out`` and, with ``must_exist``, of ``--cached``: ``path`` itself if it is
+    not empty, its directory exists, and it names a regular file or, for ``--out``, nothing yet; the file
+    must be readable (``--cached``) or writable with its directory (``--out``).  Else ArgumentTypeError."""
+    if path and not os.path.exists(path):
         if must_exist or not os.path.isdir(os.path.dirname(path) or "."):
             raise argparse.ArgumentTypeError(f"{'file' if must_exist else 'directory of'} {path!r} does not exist")
     elif not os.path.isfile(path):
@@ -113,14 +98,14 @@ def _file(path: str, must_exist: bool = False) -> str:
     return path
 
 
-RANK = option("-n", "--rank", dest="n", type=_decimal, required=True, help="Ambient rank.")
+RANK = option("-n", "--rank", dest="n", type=decimal, required=True, help="Ambient rank.")
 SUBSET_J = option("-J", dest="j_text", default="-", metavar="SUBSET", help='First subset, e.g. "1,3,5" ("-" = empty).')
 SUBSET_K = option("-K", dest="k_text", default="-", metavar="SUBSET", help="Second subset.")
 
 
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
-    """The checked row of one engine, or of all three with an exact-agreement
-    check; a disagreement names the first L at which the rows differ."""
+    """The checked row of one engine, or of all three if they agree exactly; else ConsistencyError naming
+    the first L at which the rows differ and every engine's row."""
     if method != "all":
         return ENGINES[method](n, J, K)
     rows = {name: engine(n, J, K) for name, engine in ENGINES.items()}
@@ -165,7 +150,7 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
     if fmt == "json":
         terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)} for L, d in row]
         record = {"n": n, "J": list(J.as_tuple()), "K": list(K.as_tuple()), "method": method, "terms": terms}
-        print(json.dumps(record, separators=(", ", ": ")))
+        print(json.dumps(record))
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "J", "K", "method", "L", "coeff"])
@@ -173,11 +158,10 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
-    """The rows for (J, K) in a table file, through the checked tail of the
-    engines; a file that does not parse is refused, and so is a pair with
-    two rows on one L."""
+    """The checked row of (J, K) in a table file: Refused if the file does not parse or has no rows for a
+    nonzero product, ConsistencyError for two rows on one L or a row that fails the checked tail."""
     try:
-        pairs = [(IndexSet.parse(L, n).mask, _decimal(d)) for L, d in _read_table(path, n, J, K)]
+        pairs = [(IndexSet.parse(L, n).mask, decimal(d)) for L, d in _read_table(path, n, J, K)]
     except (ValueError, KeyError, TypeError) as exc:
         raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
     masks = sorted(L for L, _ in pairs)
@@ -194,25 +178,19 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
 
 
 def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
-    """The (L, d) fields of the rows for (J, K) in a table file of rank n.
-    A CSV table is bisected over byte offsets for the first line whose
-    (J mask, K mask) key, parsed from its J and K cells, is not below the
-    pair's; from there its lines are read while they carry the raw prefix
-    "n,J,K,", written by the same csv.writer as the table so that the quoting
-    matches.  Every line read, probes included, has its rank checked.  The
-    bisection trusts the canonical row order that `table` writes: in a file
-    out of that order it can find part of a pair's rows, or none (only a scan
-    to the end of the file could see the disorder).  A JSON table is loaded
-    whole."""
+    """The (L, d) cells of the rows for (J, K) in a table file; UsageError if a line read is of another rank.
+    A CSV table is bisected over byte offsets for the pair's first line, in the (J mask, K mask) order that
+    `table` writes, so in a file out of that order it can find part of a pair's rows, or none: a documented
+    limit, as only a scan to the end could see the disorder.  A JSON table is loaded whole."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
         if data["n"] != n:
             raise UsageError(f"cache {path} is for rank {data['n']}, not {n}")
         key = [list(J.as_tuple()), list(K.as_tuple())]
-        # d as its text, as in a CSV table, so that _decimal refuses 2.5 or true
+        # d as its text, as in a CSV table, so that decimal refuses 2.5 or true
         return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
-    buf = io.StringIO()
+    buf = io.StringIO()  # the pair's "n,J,K," prefix, quoted as the table's csv.writer quotes it
     csv.writer(buf, lineterminator=",").writerow([n, J.format(), K.format()])
     rank, prefix, target = f"{n},", buf.getvalue(), (J.mask, K.mask)
 
@@ -272,12 +250,10 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
 
 
 def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
-    """The pair sweep of `verify` over a block of (J, K) mask pairs holding each pair's transpose: the game
-    and linalg compared exactly once per (J | K, J & K) class, then each J's K list by the kernel
-    ``rewrite_rows``, each row against their agreed row through their shared tail; where that fails or
-    raises, or the kernel raises on its J, ``_expansion_row(..., "all")``, which names the engines.
-    Returns the failure lines in block order: a pair's error, or a pair whose expansion differs from its
-    transpose's."""
+    """The failure lines, in block order, of `verify`'s pair sweep over a block of (J, K) mask pairs that
+    holds each pair's transpose: a pair whose engines raise or disagree, in the words of
+    ``_expansion_row(..., "all")``, or whose row differs from its transpose's.  The game and linalg run
+    once per (J | K, J & K) class, the rewrite once per J's K list."""
 
     @functools.cache  # the class table of this block
     def agreed(union: int, meet: int) -> tuple | None:
@@ -298,7 +274,7 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
                 row = None
             try:
                 results[jm, km] = _expansion_row(n, jm, km, "all") if row is None else row
-            except (ConsistencyError, PresentationError) as exc:
+            except ConsistencyError as exc:
                 results[jm, km] = exc
     return [f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: "
             f"{row if isinstance(row, Exception) else 'expansion not symmetric'}"
@@ -306,10 +282,10 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
 
 
 def _pair_blocks(n: int, jobs: int) -> list[list[tuple[int, int]]]:
-    """The pairs of rank n in ``jobs`` blocks of whole J | K classes, in union-mask order, each class in
-    (J, K) order, so that one worker alone fills the memos keyed by (J | K, J & K), and of about equal
-    cost: a pair costs one if |J| + |K| = |J | K| + |J & K| <= n - 1 (it reduces a normal form and plays
-    a game that does not die), of the C(u, m) * 2^(u - m) pairs with |J | K| = u and |J & K| = m."""
+    """The pairs of rank n in ``jobs`` blocks of whole J | K classes, so that one worker alone fills a
+    class's memos, in union-mask order, each class in (J, K) order, and of about equal cost: a pair costs
+    one if |J| + |K| = |J | K| + |J & K| <= n - 1, and C(u, m) * 2^(u - m) pairs have |J | K| = u and
+    |J & K| = m."""
     cost = [sum(math.comb(u, m) << (u - m) for m in range(min(u + 1, n - u))) for u in range(n)]
     total, spent = sum(math.comb(n - 1, u) * cost[u] for u in range(n)), 0
     subsets = [[s for s in range(mask + 1) if s & mask == s] for mask in range(1 << (n - 1))]  # increasing
@@ -323,15 +299,14 @@ def _pair_blocks(n: int, jobs: int) -> list[list[tuple[int, int]]]:
 
 
 def _graded_dimensions(n: int, _) -> list[str]:
-    """Degree d of the quotient has dimension C(n-1, d) for every d, certified by the table being a module
-    over the quotient on every x_S (``presentation_failures``), |S| = 0..n-1 or up to the first that raises,
-    named by d = |S| + 2, the degree of the entry that raised."""
+    """Degree d of the quotient has dimension C(n-1, d) for every d, certified by ``presentation_failures``
+    at |S| = 0..n-1; an entry that raises fails the check, named by its degree d = |S| + 2."""
     mismatch = []
     for size in range(n):
         try:
             if presentation_failures(n, size):
                 mismatch = [f"n={n}: graded dimensions do not match binomials"]
-        except (ConsistencyError, PresentationError) as exc:
+        except ConsistencyError as exc:
             return mismatch + [f"n={n} d={size + 2}: {exc}"]
     return mismatch
 
@@ -352,7 +327,7 @@ def _top_degree(n: int, _) -> list[str]:
         try:
             power = functools.reduce(lambda c, _: ring._varpi_product(n, c, {1 << (i - 1): 1}), range(n - 1), {0: 1})
             row, den = oracle._normal_form(n, tuple(n - 1 if k == i else 0 for k in range(1, n)))
-        except (ConsistencyError, PresentationError) as exc:
+        except ConsistencyError as exc:
             failures.append(f"n={n} i={i}: {exc}")
             continue
         by_rule, by_relations = power.get(full, 0), math.factorial(n - 1) * row.get(full, 0)
@@ -377,8 +352,8 @@ CHECKS = [
 
 
 @command("verify",
-         option("--n-max", type=_decimal, default=7, help="Largest rank checked (default: 7)."),
-         option("--jobs", type=_decimal, default=1, help="Worker processes for the checks (default: 1)."))
+         option("--n-max", type=decimal, default=7, help="Largest rank checked (default: 7)."),
+         option("--jobs", type=decimal, default=1, help="Worker processes for the checks (default: 1)."))
 def cmd_verify(n_max: int, jobs: int) -> None:
     """Exhaustively cross-check the three engines and the supporting
     combinatorics for every rank up to --n-max."""
@@ -416,9 +391,8 @@ def _pin_worker(ids) -> None:
 
 
 def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
-    """Map every (rank, check) of CHECKS by ``sweep`` from rank n_max down, so that a
-    pool starts on the costliest, then print one line per (rank, check) from rank 1 up,
-    the order in which the lazy ``map`` of ``--jobs 1`` computes them; returns the failure lines."""
+    """Map every (rank, check) of CHECKS by ``sweep`` from rank n_max down, so that a pool starts on the
+    costliest, then print one line per (rank, check) from rank 1 up; returns the failure lines."""
     mapped = []
     for n, (line, ranks, check, cut) in itertools.product(range(n_max, 0, -1), CHECKS):
         if n in ranks:
@@ -433,7 +407,7 @@ def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
 
 
 @command("table", RANK,
-         option("--degree", type=_decimal, help="Only pairs with |J| + |K| equal to this."),
+         option("--degree", type=decimal, help="Only pairs with |J| + |K| equal to this."),
          option("--J", dest="j_filter", metavar="SUBSET", help="Restrict to this J."),
          option("--K", dest="k_filter", metavar="SUBSET", help="Restrict to this K."),
          option("--format", dest="fmt", choices=("csv", "json"), default="csv", help="Output (default: csv)."),
@@ -474,8 +448,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
 
 def _write_table(fh, n: int, fmt: str, blocks) -> int:
     """Write the (J, (K, row) pairs) blocks of a rank-n table to ``fh``, a line (J, K, L, d) per (L, d), and
-    return the number of lines.  A CSV block, joined from mask cells formatted once by a csv writer for its
-    quoting, is written at once, also when one of its pairs fails; a JSON table is built whole."""
+    return the number of lines.  A CSV block is written whole, also when one of its pairs raises."""
     if fmt == "csv":
         fh.write("n,J,K,L,d\n")
         # writerow returns what its file's write returns: here, the text itself
@@ -497,7 +470,7 @@ def _write_table(fh, n: int, fmt: str, blocks) -> int:
     members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
     json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)}
                  for J, rows in blocks for K, row in rows for L, d in row]
-    fh.write(json.dumps({"n": n, "rows": json_rows}, separators=(", ", ": ")) + "\n")
+    fh.write(json.dumps({"n": n, "rows": json_rows}) + "\n")
     return len(json_rows)
 
 
@@ -518,7 +491,7 @@ def cmd_group(n: int, j_text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Driver enforcing the exit-code contract."""
+    """Run the command line ``argv`` (default: ``sys.argv[1:]``) and return its exit code: 0, 1 or 2."""
     try:
         options = vars(cli.parse_args(argv))
         cli.commands[options.pop("command")].callback(**options)
@@ -528,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return 1
-    except (ConsistencyError, PresentationError) as exc:
+    except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # stdout closed early: at the null device, the flush at exit does not raise again
@@ -538,6 +511,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """The ``petring`` script: exit with ``main``'s code."""
     sys.exit(main())
 
 

@@ -1,24 +1,13 @@
-"""The left-right shading game and its diagram-counted structure constants.
+"""The left-right diagram game and its structure constants.
 
-A game for (J, K, L) starts from the shading J | K on the columns of L and
-plays one row per element of J & K in increasing order.  Each row is one
-step of the run rule, ``intervals.run_step``, the same step the rewrite
-engine takes: the maximal run {a, ..., b} of consecutively shaded columns
-containing the marked element is extended by one darkly-shaded box, either
-at a-1 (a LEFT move) or at b+1 (a RIGHT move), with the step's weight; the
-move is legal only if the target column is available.  A game is
-successful when every row has moved, which forces the final shading to be
-exactly L.  The game is played on bit masks and carries the product of the
-row weights.  Structure constants are the weight sums scaled by
-m_factor(L) / (m_factor(J) * m_factor(K)).
-
-The unrestricted game of ``diagram_row`` depends on (J, K) only through
-J | K and J & K, so the 4^(n-1) pairs of rank n share 3^(n-1) memoized
-games, ``_game_sums``, and only the division by m_factor(J) * m_factor(K)
-is done per pair, in the tail shared with linalg, ``errors.class_tail``.
-``enumerate_diagrams`` replays the game and keeps the games that end on L:
-every column a row adds lies outside J | K, so these are the games on the
-columns of L.  Only the listings build Fractions, and import them then.
+A game for (J, K) starts from the shading J | K and plays one row per
+element of J & K, in increasing order.  A row is one step of the run rule,
+``intervals.run_step``: the maximal shaded run {a, ..., b} around the
+element gains a dark box at a-1 (LEFT) or b+1 (RIGHT), with the step's
+weight, if that column is in {1, ..., n-1}.  d_JK^L is the weight sum of
+the games that end on L, times m_factor(L) / (m_factor(J) * m_factor(K)),
+so the game depends on (J, K) only through (J | K, J & K).  Only the
+listings build Fractions, and they import them when they do.
 """
 
 from __future__ import annotations
@@ -36,6 +25,8 @@ __all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight"
 
 
 class Move(str, Enum):
+    """The direction of a row's move: LEFT to a-1, RIGHT to b+1."""
+
     LEFT = "L"
     RIGHT = "R"
 
@@ -53,9 +44,8 @@ class GameRow(NamedTuple):
 
 
 class LeftRightDiagram(NamedTuple):
-    """A successful game record.  The diagram's identity is its move
-    sequence; two diagrams with the same final shading but different move
-    sequences are distinct."""
+    """A successful game, identified by its move sequence: two diagrams with
+    the same final shading but different moves are distinct."""
 
     n: int
     J: IndexSet
@@ -70,7 +60,8 @@ def _games(n: int, start: int, marked: int) -> list[tuple[int, tuple, int, int]]
     playing one row per member of the mask ``marked`` in increasing order,
     in LEFT-before-RIGHT order, as (final shading mask, rows, num, den).  A
     row is the step it played, (element, a, b, target, num, den), of weight
-    num/den; the game carries the product num/den of its row weights."""
+    num/den; the game carries the product num/den of its row weights.
+    ConsistencyError for a move below column 1."""
     games = [(start, (), 1, 1)]
     for element in (k + 1 for k in range(marked.bit_length()) if marked >> k & 1):
         played = []
@@ -88,12 +79,8 @@ def _games(n: int, start: int, marked: int) -> list[tuple[int, tuple, int, int]]
 
 @functools.lru_cache(maxsize=None)
 def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The unrestricted game from the shading mask ``start`` with the rows
-    of the mask ``marked`` (any column in {1, ..., n-1} may be darkly
-    shaded; branches that hit a boundary die): its weight sum per final
-    shading mask L, times m_factor(L), in order of first appearance, as
-    (mask, numerator) pairs over one common denominator, which is returned
-    with them."""
+    """The weight sums of ``_games`` per final shading mask L, times m_factor(L), in order of first
+    appearance, as (L, numerator) pairs and their one common denominator."""
     games = _games(n, start, marked)
     denom = math.lcm(*(den for _, _, _, den in games))
     sums: dict[int, int] = {}
@@ -104,10 +91,8 @@ def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], 
 
 def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightDiagram]:
     """All successful games for (J, K, L), in LEFT-before-RIGHT branch
-    order: the games of the unrestricted game from J | K with the rows of
-    J & K that end on L.  Triples violating the support or degree condition
-    yield the empty list, as every game ends on J | K and |J & K| more
-    columns."""
+    order; [] for a triple off the support or degree condition.  ValueError
+    for mismatched ranks."""
     from fractions import Fraction
 
     J._check_same_rank(L)
@@ -129,10 +114,9 @@ def weight(P: LeftRightDiagram) -> Fraction:
 
 
 def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
-    """The coefficient of the basis class on L in the product of the basis
-    classes on J and K, by counting weighted diagrams: their weight sum as
-    one numerator over a denominator, through the checked tail (an empty
-    row, so 0, when there are none)."""
+    """d_JK^L by counting weighted diagrams, through the checked tail: 0
+    when there are none, ConsistencyError if the sum is not a non-negative
+    integer."""
     found = enumerate_diagrams(J, K, L)
     total = sum(P.weight for P in found)
     row = ((L.mask, m_factor(L) * total.numerator),) if found else ()
@@ -146,8 +130,7 @@ def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
 
 def diagram_row(n: int, J: int, K: int) -> Row:
     """The checked row of the product for the masks J and K at rank n: the
-    memoized sums of the unrestricted game from J | K with the rows of
-    J & K, divided by m_factor(J) * m_factor(K)."""
+    memoized game sums, divided by m_factor(J) * m_factor(K)."""
     return class_tail("diagram", n, J, K, *_game_sums(n, J | K, J & K))
 
 

@@ -1,7 +1,5 @@
-"""Exceptions shared across the package, and ``constants``, the checked
-tail that each of the three engines ends in, on bit masks: it refuses a
-term off the support and degree condition and a constant that is not a
-non-negative integer.  ``expansion`` converts its rows to ``{L: d}``."""
+"""The package's exceptions, and ``constants``, the checked tail that every
+engine's row ends in."""
 
 from typing import Callable, Iterable
 
@@ -14,22 +12,21 @@ Row = tuple[tuple[int, int], ...]  # (L mask, d) pairs, increasing in mask, each
 
 
 class ConsistencyError(RuntimeError):
-    """A mathematical invariant failed (non-integer or negative structure
-    constant, or two engines disagreeing).  Always a bug or bad input, never
-    a recoverable condition."""
+    """A mathematical invariant failed, such as a constant that is not a
+    non-negative integer or two engines that disagree: exit 2 in the CLI."""
 
 
-class PresentationError(RuntimeError):
-    """The quadratic relations did not eliminate every non-square-free
-    monomial at some degree, so normal forms are not defined there."""
+class PresentationError(ConsistencyError):
+    """The relations leave a non-square-free monomial unreduced at some
+    degree, so normal forms are not defined there."""
 
 
 def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]], divisor: int) -> Row:
-    """The expansion d_JK^L = value / divisor of the named engine's (L mask,
-    value) row at rank n for the masks J and K, sorted by mask, zeros
-    dropped.  Every L must lie in {1, ..., n-1}, contain J | K, have |J| + |K|
-    members and appear once, and every constant must be a non-negative
-    integer; subsets are built only to name them in an error."""
+    """The row d_JK^L = value / divisor of an engine's (L mask, value) pairs
+    for the masks J and K at rank n, sorted by mask, zeros dropped.  Raises
+    ConsistencyError, naming the engine, J, K and L, unless every L lies in
+    {1, ..., n-1}, contains J | K, has |J| + |K| members and appears once,
+    and every value / divisor is a non-negative integer."""
     union, degree = J | K, J.bit_count() + K.bit_count()
     row = sorted(row)
     if row and row[-1][0] >> (n - 1):  # the largest L has a member past n - 1
@@ -59,13 +56,14 @@ def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]
 
 
 def class_tail(engine: str, n: int, J: int, K: int, row: tuple[tuple[int, int], ...], denom: int) -> Row:
-    """The row of (J, K) from a row of the game or linalg that depends only on (J | K, J & K): ``constants``
-    over denom * m_factor(J) * m_factor(K), read through ``intervals`` when called; () for an empty row."""
+    """``constants`` of a row that depends on (J, K) only through (J | K, J & K), over denom * m_factor(J)
+    * m_factor(K); () for an empty row.  ``decompose_mask`` is read through ``intervals`` at call time, so
+    that a patched one reaches it."""
     decompose = intervals.decompose_mask
     return constants(engine, n, J, K, row, denom * decompose(J).m_factor * decompose(K).m_factor) if row else ()
 
 
 def expansion(engine: Callable[[int, int, int], Row], J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
-    """The row ``engine(n, J mask, K mask)`` as the public {L: d} form."""
+    """The row ``engine(n, J mask, K mask)`` as {L: d}; ValueError if J and K differ in rank."""
     J._check_same_rank(K)
     return {IndexSet.from_mask(J.n, L): d for L, d in engine(J.n, J.mask, K.mask)}

@@ -1,12 +1,6 @@
-"""Subsets of the type-A vertex set {1, ..., n-1} and their run structure.
-
-An ``IndexSet`` is a subset J of {1, ..., n-1} together with its ambient
-rank n.  Everything downstream (permutations, ring classes, diagrams) is
-indexed by these sets; the run decomposition into maximal consecutive
-blocks and the integer ``m_factor`` attached to it are the two workhorse
-invariants.  Both are computed on bit masks (bit i-1 for member i), and so
-is ``run_step``, the one statement of the run rule that the rewrite engine
-and the diagram game share.
+"""Subsets J of {1, ..., n-1} with their rank n, as ``IndexSet`` and as bit
+masks (bit i-1 for member i); their maximal runs and m-factors; and
+``run_step``, the one statement of the run rule.
 """
 
 from __future__ import annotations
@@ -23,7 +17,8 @@ __all__ = ["MAX_RANK", "IndexSet", "ComponentDecomposition", "decompose", "decom
 MAX_RANK = 32
 
 
-def _decimal(text: str) -> int:
+# not private: argparse names a type function in its message, "invalid decimal value: '1_0'"
+def decimal(text: str) -> int:
     """An ASCII decimal numeral with spaces around it, "-" signed or not, as ``int``; ValueError on "1_0" or "+3"."""
     if not (text.isascii() and text.strip().removeprefix("-").isdigit()):
         raise ValueError(f"invalid decimal numeral {text!r}")
@@ -61,9 +56,9 @@ class Frozen:
 
 
 class IndexSet(Frozen):
-    """A subset of {1, ..., n-1} with ambient rank n (n-1 vertices), and its
-    bit mask, with bit i-1 set for each member i: the canonical subset
-    order."""
+    """A subset of {1, ..., n-1} with ambient rank n, and its bit mask, with
+    bit i-1 set for each member i: the canonical subset order.  ValueError
+    for a rank outside [1, MAX_RANK] or a member outside {1, ..., n-1}."""
 
     __slots__ = ("n", "members", "mask")
     _fields = ("n", "members")
@@ -97,12 +92,12 @@ class IndexSet(Frozen):
 
     @classmethod
     def parse(cls, text: str, n: int) -> "IndexSet":
-        """Parse the external syntax: ascending comma-separated integers, "-" for the empty set."""
+        """Parse ascending comma-separated decimals, "-" or "" for the empty set; ValueError on anything else."""
         text = text.strip()
         if text == "-" or text == "":
             return cls(n)
         try:
-            parts = [_decimal(p) for p in text.split(",")]
+            parts = [decimal(p) for p in text.split(",")]
         except ValueError:
             raise ValueError(f"cannot parse subset {text!r}") from None
         if parts != sorted(parts) or len(set(parts)) != len(parts):

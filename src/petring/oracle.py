@@ -1,45 +1,16 @@
-"""Independent verification engine based on the quadratic relations.
+"""The linalg engine: normal forms modulo the quadratic relations
 
-Arbitrary monomials in the degree-two generators are reduced to rational
-combinations of square-free monomials modulo the ideal generated by the
-relations
+    g_i * (2*g_i - g_{i-1} - g_{i+1}) = 0,   1 <= i <= n-1,   g_0 = g_n = 0,
 
-    g_i * (2*g_i - g_{i-1} - g_{i+1}) = 0,   1 <= i <= n-1,
+by exact integer elimination.  It never uses the run rule, so its
+structure constants are an independent cross-check of the other engines.
 
-with the boundary convention g_0 = g_n = 0.  No run-rule rewriting is used
-anywhere in this module, so its structure constants are an independent
-cross-check of the rewrite engine.
-
-One kernel does every elimination: ``_reduce_row`` clears a row's smallest
-column with that column's pivot until the smallest column has none, and
-returns the row over a positive denominator in lowest terms.
-``_echelon`` makes each pivot from a reduced row, lead positive and content
-divided out.
-
-Normal forms fold over a memoized table: the entry NF(g_i * x_S) for i in S,
-keyed by (n, i, S mask), is an integer row keyed by mask over one
-denominator, built by eliminating only the relation rows that the
-non-square-free terms of g_i * x_S reach.  Their columns come first, so the
-reduction of g_i * x_S stops at a square-free column or at a non-square-free
-leftover, which raises PresentationError.  As NF(g_i * m) = NF(g_i * NF(m))
-and NF is linear, normal forms are one memoized recursion on (n,
-exponents): a square-free monomial is its own form, and any other is g_j
-times the form of the monomial with one g_j less, j its last squared
-generator, by one step through the table (g_i * x_S = x_{S+i} for i not
-in S), on integers over one common denominator whose content is divided
-out.  That integer row and
-denominator do not depend on the route that built them.
-``_class_row`` scales the form of x_J * x_K by m_factor(L), a row that
-depends only on (J | K, J & K); ``linalg_row`` ends it in the tail shared
-with the game, ``errors.class_tail``.  ``normal_form`` gives Fractions.
-
-The square-free monomials form a basis, so that normal forms are unique,
-if the table, as operators T_i on the square-free span, commutes and
-satisfies the relations on every x_S.  ``presentation_failures`` checks
-that, building no normal form; `verify` runs it.  Then the form of every
-relation row is zero, so ``quotient_dimension``, which ranks those forms,
-gives binomials: it is the reference.  The full degree-d relation matrix
-is eliminated only by the tests' reference, ``_reduced_pivots``.
+A normal form is a rational combination of square-free monomials, folded
+over the memoized table NF(g_i * x_S) of ``_step``, on integers over one
+denominator that does not depend on the route.  ``presentation_failures``
+certifies that the forms are unique, so that the square-free monomials are
+a basis; ``quotient_dimension`` and ``_reduced_pivots`` are the references
+that the tests hold it to.
 """
 
 from __future__ import annotations
@@ -74,7 +45,8 @@ def _mask(mono: Exponents) -> int:
 
 
 class Monomial(Frozen):
-    """A monomial in the generators, as an exponent tuple."""
+    """A monomial in the generators, as an exponent tuple; ValueError unless
+    it has n-1 non-negative int exponents."""
 
     __slots__ = _fields = ("n", "exponents")
 
@@ -113,7 +85,7 @@ def _monomial_exponents(n: int, d: int) -> list[Exponents]:
     """All exponent tuples of length n-1 summing to d, in lexicographic order."""
     if n - 1 == 0:
         return [()] if d == 0 else []
-    # stars and bars via combinations of bar positions, emitted in lex order
+    # stars and bars: bar positions in lexicographic order give the exponents in lexicographic order
     out: list[Exponents] = []
     for bars in combinations(range(d + n - 2), n - 2):
         exps = []
@@ -123,7 +95,6 @@ def _monomial_exponents(n: int, d: int) -> list[Exponents]:
             prev = b
         exps.append(d + n - 2 - prev - 1)
         out.append(tuple(exps))
-    out.sort()
     return out
 
 
@@ -170,7 +141,8 @@ def _own_row(mono: Exponents) -> dict[Exponents, int]:
 
 def relation_rows(n: int, d: int) -> RelationMatrix:
     """One row per (generator i, degree-(d-2) monomial M): the expansion of
-    M * g_i * (2*g_i - g_{i-1} - g_{i+1}) with boundary terms dropped."""
+    M * g_i * (2*g_i - g_{i-1} - g_{i+1}) with boundary terms dropped.
+    ValueError for d < 2."""
     if d < 2:
         raise ValueError("relations exist only in degree >= 2")
     cols, col_index = _columns(n, d)
@@ -225,14 +197,9 @@ def _echelon(rows: Iterable[dict[int, int]], num_columns: int) -> dict[int, dict
 
 @functools.lru_cache(maxsize=None)
 def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, dict[int, int]]]:
-    """Echelon pivot rows of the whole degree-d relation matrix, non-square-free
-    columns first: the reference that the tests hold the table and
-    ``quotient_dimension`` to.  Each non-square-free column's own row
-    (``_own_row``) is reduced first, then the other rows in generation
-    order, until every column has a pivot.  The rank is exact: the row order
-    does not change the row space, and the rank cannot exceed the column
-    count.  Below the top degree the square-free columns never get a pivot,
-    so every row is reduced."""
+    """Echelon pivot rows of the whole degree-d relation matrix, non-square-free columns first, each
+    column's own row (``_own_row``) before the others: the reference that the tests hold the table and
+    ``quotient_dimension`` to.  The rank is exact, as the row order does not change the row space."""
     cols, col_index = _columns(n, d)
     lower = _monomial_exponents(n, d - 2) if d >= 2 else []
     own = (_own_row(mono) for mono in cols if _squared(mono))
@@ -243,16 +210,11 @@ def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, di
 
 @functools.lru_cache(maxsize=None)
 def _step(n: int, i: int, S: int) -> tuple[dict[int, int], int]:
-    """The table entry NF(g_i * x_S) for i in the subset with mask S: an
-    integer row keyed by mask, and its denominator.
-
-    Each non-square-free monomial that appears, starting from g_i * x_S,
-    brings in the one relation row whose 2*g_j^2 term it is, until no row
-    brings in a new one.  Only these rows are eliminated, with the
-    non-square-free columns first so that the pivots land on them; a
-    non-square-free monomial left over raises PresentationError.
-    """
-    product = _bump(tuple(S >> k & 1 for k in range(n - 1)), i, 1)
+    """The table entry NF(g_i * x_S) for i in the subset with mask S: an integer row keyed by mask, and
+    its denominator.  Each non-square-free monomial reached from g_i * x_S brings in the relation row whose
+    2*g_j^2 term it is; only these rows are eliminated, their columns first.  PresentationError if a
+    non-square-free monomial is left over."""
+    product = _bump(_exponents(n, S, 0), i, 1)
     relations: dict[Exponents, dict[Exponents, int]] = {}
     todo = [product]
     while todo:
@@ -310,8 +272,8 @@ def _normal_form(n: int, exps: Exponents) -> tuple[dict[int, int], int]:
 
 def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
     """The unique expression of a monomial as a rational combination of
-    square-free monomials modulo the relation ideal, memoized on (n,
-    exponents); no full (n, degree) matrix is built."""
+    square-free monomials modulo the relation ideal; PresentationError
+    where the relations do not reduce it."""
     from fractions import Fraction
 
     row, denom = _normal_form(m.n, m.exponents)
@@ -319,15 +281,9 @@ def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
 
 
 def quotient_dimension(n: int, d: int) -> int:
-    """Dimension of degree d of the quotient by the relation ideal, from the
-    square-free forms of ``_normal_form``.
-
-    Each table step subtracts only relation rows, so a monomial minus its
-    form lies in the ideal, and a square-free monomial is its own form.  So
-    degree d of the quotient is the square-free span modulo the forms of
-    the degree-d relation rows (with the correct relations every such row
-    is zero), and its dimension is C(n-1, d) less their rank.  It is the
-    reference for ``presentation_failures``, which `verify` runs instead."""
+    """Dimension of degree d of the quotient by the relation ideal: C(n-1, d) less the rank of the forms
+    of the degree-d relation rows, as a monomial minus its form lies in the ideal.  ValueError for d < 0,
+    PresentationError where a form is not defined."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     if d >= n:
@@ -351,9 +307,9 @@ def presentation_failures(n: int, size: int) -> list[tuple[int, int, int]]:
     r_i = g_i (2 g_i - g_{i-1} - g_{i+1}) with boundary terms dropped.
 
     With no failure for size = 0..n-1, every form is m(T) 1 whatever its
-    route, and so is every relation row's, which is then zero: every
-    ``quotient_dimension`` is a binomial, and every degree-n entry was built.
-    No normal form is built; an entry that does not reduce raises."""
+    route, so every relation row's form is zero and every
+    ``quotient_dimension`` is a binomial.  Builds no normal form;
+    PresentationError for an entry that does not reduce."""
     gens, failures = range(1, n), []
     for S in (S for S in range(1 << (n - 1)) if S.bit_count() == size):
         once = [({}, 1), *(_times(n, i, {S: 1}, 1) for i in gens), ({}, 1)]  # T_i x_S, zero at i = 0, n

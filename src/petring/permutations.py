@@ -29,11 +29,12 @@ Permutation = tuple[int, ...]
 
 
 def identity(n: int) -> Permutation:
+    """The identity of S_n."""
     return tuple(range(1, n + 1))
 
 
 def simple_transposition(n: int, i: int) -> Permutation:
-    """The transposition s_i swapping i and i+1."""
+    """The transposition s_i swapping i and i+1; ValueError unless 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"s_{i} undefined in S_{n}")
     w = list(range(1, n + 1))
@@ -42,7 +43,7 @@ def simple_transposition(n: int, i: int) -> Permutation:
 
 
 def compose(u: Permutation, v: Permutation) -> Permutation:
-    """(uv)(p) = u(v(p))."""
+    """(uv)(p) = u(v(p)); ValueError for mismatched degrees."""
     if len(u) != len(v):
         raise ValueError("mismatched degrees")
     return tuple(u[v[p] - 1] for p in range(len(u)))
@@ -79,7 +80,7 @@ def subword_vj(J: IndexSet) -> Permutation:
 def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     """Bruhat-order comparison u <= v by the rank criterion: for every k,
     the ascending sort of {u(1), ..., u(k)} is entrywise <= that of
-    {v(1), ..., v(k)}."""
+    {v(1), ..., v(k)}.  ValueError for mismatched degrees."""
     if len(u) != len(v):
         raise ValueError("mismatched degrees")
     n = len(u)
@@ -100,4 +101,5 @@ def peterson_fixed_points(n: int) -> list[Permutation]:
 
 
 def format_one_line(w: Permutation) -> str:
+    """One-line notation in brackets, "[2,1,3]"."""
     return "[" + ",".join(str(x) for x in w) + "]"

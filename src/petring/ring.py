@@ -1,20 +1,13 @@
-"""The cohomology ring engine.
+"""The rewrite engine and the class algebra.
 
-A :class:`CohomologyClass` is a finite rational combination of square-free
-monomials in the degree-two generators, stored as a map from support sets to
-coefficients.  Products are computed by the run rule, ``intervals.run_step``,
-applied in one place, ``_transition``: multiplying by a generator
-already present in a term's support extends the maximal consecutive run
-containing it by one index to the left or to the right, dropping the
-boundary terms at 0 and n.  The step works in the basis of classes
-x_S / m_factor(S) (Harada-Tymoczko's positive Monk rule), where every
-coefficient is a positive integer, on integers keyed by bit mask; it is
-memoized per (n, i, S).  The rewrite's one path, ``rewrite_rows``, folds
-the generators of each K of a list into the class on J over a prefix memo
-of its call, and ends each row in ``errors.constants``, dividing by
-m_factor(K).  Their bilinear extension, ``_varpi_product``, is the product
-of ``multiply``, on Fractions, and of `verify`'s top-degree check, on ints;
-the class algebra alone builds Fractions, and imports them when it does.
+The rewrite multiplies the basis class on J, x_J / m_factor(J), by the
+generators of K, one run-rule step at a time in the basis of classes, where
+every step's coefficient is a positive integer (Harada-Tymoczko's positive
+Monk rule), and divides by m_factor(K).  ``rewrite_rows`` is its one path,
+and every row it gives has passed ``errors.constants``.  A
+``CohomologyClass`` is a rational combination of square-free monomials, and
+``multiply`` is the bilinear extension of the rewrite's rows.  Only the
+class algebra builds Fractions, and it imports them when it does.
 """
 
 from __future__ import annotations
@@ -34,9 +27,9 @@ Support = frozenset[int]
 
 
 class CohomologyClass(Frozen):
-    """Rational combination of square-free monomials; zero coefficients are
-    never stored.  Treated as immutable: all operations return new values.
-    Unhashable, as its terms are a dict."""
+    """Rational combination of square-free monomials, {support: coefficient};
+    ValueError for a support outside {1, ..., n-1} or a zero coefficient.
+    Treated as immutable, and unhashable, as its terms are a dict."""
 
     __slots__ = _fields = ("n", "terms")
 
@@ -62,10 +55,12 @@ class CohomologyClass(Frozen):
 
 
 def zero(n: int) -> CohomologyClass:
+    """The zero class of rank n."""
     return CohomologyClass(n, {})
 
 
 def unit(n: int) -> CohomologyClass:
+    """The unit of rank n, the monomial on the empty set."""
     return monomial(IndexSet(n))
 
 
@@ -95,11 +90,13 @@ def _collect(pairs: Iterable[tuple[Any, Any]]) -> dict:
 
 
 def add(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
+    """The sum of two classes; ValueError for mismatched ranks."""
     c1._check_same_rank(c2)
     return CohomologyClass(c1.n, _collect(chain(c1.terms.items(), c2.terms.items())))
 
 
 def scale(c: CohomologyClass, r: Fraction | int) -> CohomologyClass:
+    """The class c times the rational r."""
     from fractions import Fraction
 
     r = Fraction(r)
@@ -114,8 +111,7 @@ def multiply_generator(c: CohomologyClass, i: int) -> CohomologyClass:
 
 
 def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    """Bilinear product: c1 and c2 in the basis of classes on each support, multiplied by
-    :func:`_varpi_product`, each coefficient r on L giving r / m_L on x_L."""
+    """The product of two classes by the rewrite's checked rows; ValueError for mismatched ranks."""
     from fractions import Fraction
 
     c1._check_same_rank(c2)
@@ -153,10 +149,9 @@ def _varpi_times_generator(terms: dict[int, int], i: int, n: int) -> dict[int, i
 
 @functools.cache
 def _transition(n: int, i: int, S: int) -> tuple[tuple[int, int], ...]:
-    """Generator i times the basis class on the subset with mask S at rank
-    n, memoized: by the run rule, the (L, coefficient) pairs with L = S plus
-    a target and coefficient num*m_L / (den*m_S), a division asserted to be
-    exact."""
+    """Generator i times the basis class on the subset with mask S at rank n, memoized: by the run rule,
+    the (L, num * m_L / (den * m_S)) pairs with L = S plus a target.  ConsistencyError for a target
+    below column 1 or a division that is not exact."""
     m_S = decompose_mask(S).m_factor
     _, _, den, targets = run_step(S, i, n)
     out = []

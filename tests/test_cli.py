@@ -43,6 +43,18 @@ def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     assert not set(unneeded) & set(proc.stdout.split()), proc.stdout
 
 
+def test_every_public_function_and_class_has_a_docstring():
+    import importlib
+    import inspect
+
+    for module in ("cli", "diagrams", "errors", "intervals", "oracle", "permutations", "ring"):
+        public = vars(importlib.import_module(f"petring.{module}"))
+        for name in public["__all__"]:
+            obj = public[name]
+            if inspect.isroutine(obj) or inspect.isclass(obj):  # not a constant, a type alias or the parser
+                assert obj.__doc__, f"{module}.{name}"
+
+
 def test_package_resolves_every_public_name():
     import petring
     from petring import errors, intervals, ring
@@ -53,6 +65,7 @@ def test_package_resolves_every_public_name():
         assert any(getattr(m, name, None) is getattr(petring, name) for m in modules), name
     with pytest.raises(AttributeError):
         petring.no_such_name
+    assert set(petring.__all__) <= set(dir(petring))
 
 
 class TestExpand:
@@ -95,7 +108,7 @@ class TestExpand:
         (["expand", "-n", "5", "-J", "7", "-K", "-"], "-J"),
         (["expand", "-n", "5", "-J", "2,1", "-K", "-"], "-J"),
         (["expand", "-J", "1"], "-n/--rank"),
-        (["expand", "-n", "x"], "-n/--rank"),
+        (["expand", "-n", "x"], "error: argument -n/--rank: invalid decimal value: 'x'\n"),
         (["expand", "-n", "5", "--bogus"], "--bogus"),
         (["bogus", "-n", "5"], "bogus"),
         ([], "command"),
@@ -104,27 +117,46 @@ class TestExpand:
         (["expand", "-n", "5", "--cached", "{tmp}/missing.csv"], "--cached"),
         (["expand", "-n", "5", "--cached", "{tmp}"], "--cached"),
         (["table", "-n", "3", "--out", "{tmp}"], "--out"),
-        (["verify", "--n-max", "x"], "--n-max"),
+        (["verify", "--n-max", "x"], "error: argument --n-max: invalid decimal value: 'x'\n"),
         (["table", "-n", "3", "--out", "{tmp}/missing/t.csv"], "--out"),
         (["expand", "-n", "12", "-J", "1_0", "-K", "2"], "-J"),
         (["group", "-n", "12", "-J", "\u0663"], "-J"),
-        (["expand", "-n", "1_0", "-J", "1", "-K", "2"], "-n/--rank"),
-        (["group", "-n", "\u0661\u0660", "-J", "1"], "-n/--rank"),
-        (["table", "-n", "3", "--degree", "1_0"], "--degree"),
-        (["table", "-n", "3", "--degree", "\u0662"], "--degree"),
-        (["verify", "--n-max", "0_3"], "--n-max"),
-        (["verify", "--n-max", "\u0663"], "--n-max"),
-        (["verify", "--n-max", "1", "--jobs", "0_1"], "--jobs"),
-        (["verify", "--n-max", "1", "--jobs", "\u0661"], "--jobs"),
+        (["expand", "-n", "1_0", "-J", "1", "-K", "2"], "error: argument -n/--rank: invalid decimal value: '1_0'\n"),
+        (["group", "-n", "\u0661\u0660", "-J", "1"],
+         "error: argument -n/--rank: invalid decimal value: '\u0661\u0660'\n"),
+        (["table", "-n", "3", "--degree", "1_0"], "error: argument --degree: invalid decimal value: '1_0'\n"),
+        (["table", "-n", "3", "--degree", "\u0662"], "error: argument --degree: invalid decimal value: '\u0662'\n"),
+        (["verify", "--n-max", "0_3"], "error: argument --n-max: invalid decimal value: '0_3'\n"),
+        (["verify", "--n-max", "\u0663"], "error: argument --n-max: invalid decimal value: '\u0663'\n"),
+        (["verify", "--n-max", "1", "--jobs", "0_1"], "error: argument --jobs: invalid decimal value: '0_1'\n"),
+        (["verify", "--n-max", "1", "--jobs", "\u0661"], "error: argument --jobs: invalid decimal value: '\u0661'\n"),
+        (["verify", "--jobs", "x"], "error: argument --jobs: invalid decimal value: 'x'\n"),
+        (["table", "-n", "3", "--out", ""], "error: argument --out: '' is not a regular file\n"),
     ], ids=["rank-out-of-range", "member-out-of-range", "unsorted-subset", "missing-n", "non-integer-n",
             "unknown-option", "unknown-command", "no-command", "bad-method", "bad-format", "cached-missing",
             "cached-directory", "out-directory", "non-integer-n-max", "out-missing-directory",
             "underscored-member", "non-ascii-member", "underscored-n", "non-ascii-n", "underscored-degree",
-            "non-ascii-degree", "underscored-n-max", "non-ascii-n-max", "underscored-jobs", "non-ascii-jobs"])
+            "non-ascii-degree", "underscored-n-max", "non-ascii-n-max", "underscored-jobs", "non-ascii-jobs",
+            "non-integer-jobs", "out-empty"])
     def test_usage_errors(self, capsys, tmp_path, argv, named):
+        # ``named`` is the option at fault, or the whole stderr line
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
+    def test_unreadable_or_unwritable_path_refused(self, capsys, tmp_path, monkeypatch):
+        # root passes the permission bits, so access is refused by patching
+        table = tmp_path / "t.csv"
+        table.write_text("n,J,K,L,d\n")
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        for argv, line in [
+            (["expand", "-n", "3", "--cached", str(table)], f"argument --cached: {str(table)!r} is not readable"),
+            (["table", "-n", "3", "--out", str(table)], f"argument --out: {str(table)!r} is not writable"),
+            (["table", "-n", "3", "--out", str(tmp_path / "new.csv")],
+             f"argument --out: directory of {str(tmp_path / 'new.csv')!r} is not writable"),
+        ]:
+            assert run(capsys, *argv) == (1, "", f"error: {line}\n")
+        assert table.read_text() == "n,J,K,L,d\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["expand", "--help"]])
     def test_help_exits_zero(self, capsys, argv):

@@ -56,6 +56,12 @@ class TestIndexSet:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             IndexSet.of(4, [1]).union(IndexSet.of(5, [1]))
+        with pytest.raises(ValueError):
+            IndexSet.of(4, [1]).intersection(IndexSet.of(5, [1]))
+
+    def test_intersection(self):
+        assert IndexSet.of(6, [1, 2, 4]) & IndexSet.of(6, [2, 4, 5]) == IndexSet.of(6, [2, 4])
+        assert IndexSet.of(6, [1]).intersection(IndexSet.of(6, [5])) == IndexSet(6)
 
     def test_canonical_order(self):
         masks = [J.mask for J in all_index_sets(4)]

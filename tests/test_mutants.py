@@ -128,6 +128,12 @@ def _class_divisor_without_m_K(monkeypatch):
         monkeypatch.setattr(module, "class_tail", dropped)
 
 
+def _bruhat_last_prefix_skipped(monkeypatch):
+    # the rank criterion of `verify`'s Bruhat check without its last prefix, of length n - 1
+    leq = cli.bruhat_leq
+    monkeypatch.setattr(cli, "bruhat_leq", lambda u, v: leq(u[:-1], v[:-1]))
+
+
 # (fault, smallest rank at which verify fails, the start of its first FAIL line,
 # and the check line that reads FAIL, or None for the pair sweep, whose line has no status)
 MUTANTS = [
@@ -150,6 +156,8 @@ MUTANTS = [
      "non-negative integer", None),
     (_class_divisor_without_m_K, 3, "FAIL n=3 J=- K=1,2: engines disagree for J=-, K=1,2, first at L=1,2: "
      "diagram d=2, rewrite d=1, linalg d=2", None),
+    (_bruhat_last_prefix_skipped, 2, "FAIL n=2: Bruhat comparisons disagree with the subset criteria",
+     "n=2: Bruhat subset criteria FAIL"),
 ]
 
 

@@ -86,6 +86,11 @@ class TestRelationRows:
                 num_lower = math.comb(d - 2 + n - 2, n - 2)
                 assert len(matrix.rows) == (n - 1) * num_lower
 
+    def test_no_relations_below_degree_two(self):
+        for d in (0, 1):
+            with pytest.raises(ValueError, match="degree >= 2"):
+                relation_rows(4, d)
+
     def test_column_blocks(self):
         matrix = relation_rows(5, 3)
         k = sum(1 for m in matrix.columns if any(e > 1 for e in m))
@@ -322,6 +327,8 @@ class TestElimination:
 class TestQuotientDimension:
     def test_examples(self):
         assert quotient_dimension(4, 2) == 3
+        with pytest.raises(ValueError, match="non-negative"):
+            quotient_dimension(4, -1)
         assert quotient_dimension(6, 0) == 1
         assert quotient_dimension(3, 3) == 0
 

@@ -91,6 +91,14 @@ class TestBruhat:
     def test_mismatched_degrees(self):
         with pytest.raises(ValueError):
             bruhat_leq((1, 2), (1, 2, 3))
+        with pytest.raises(ValueError, match="mismatched degrees"):
+            compose((1, 2), (1, 2, 3))
+
+    def test_simple_transposition_range(self):
+        assert simple_transposition(4, 3) == (1, 2, 4, 3)
+        for i in (0, 4):
+            with pytest.raises(ValueError, match=f"s_{i} undefined in S_4"):
+                simple_transposition(4, i)
 
     def test_implies_length(self):
         for u in all_perms(range(1, 5)):

@@ -35,6 +35,7 @@ class TestLinearOps:
     def test_unit_and_zero(self):
         assert unit(4).terms == {frozenset(): 1}
         assert scale(unit(4), 0) == zero(4)
+        assert monomial(IndexSet.of(4, [1, 3]), 0) == zero(4)
 
     def test_add_cancels(self):
         w1 = monomial(IndexSet.of(4, [1]))
