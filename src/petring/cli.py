@@ -1,7 +1,8 @@
 """The ``petring`` command line: one argparse parser, ``cli``, with the
 subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group``
-in ``cli.commands``.  Importing it loads neither ``fractions`` nor
-``concurrent.futures``.
+in ``cli.commands``.  Of the package, importing it runs only ``errors``
+and ``intervals``, and it loads no ``fractions`` or ``concurrent.futures``:
+the engine modules run on first use, so ``expand --cached`` runs none.
 
 Exit codes: 0 on success; 1 on a usage error, a refused request or a
 standard output closed early; 2 on a ConsistencyError, such as engines
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib.util
 import io
 import itertools
 import json
@@ -21,13 +23,22 @@ import math
 import os
 import sys
 
-from . import diagrams, oracle, ring
-from .diagrams import diagram_row, enumerate_diagrams, render_ascii, structure_constant, weight
 from .errors import ConsistencyError, Row, class_tail, constants
 from .intervals import IndexSet, all_index_sets, decimal, decompose, factor_ranks, hessenberg_function
-from .oracle import linalg_row, presentation_failures
-from .permutations import bruhat_leq, format_one_line, length, longest_wj, simple_transposition, subword_vj
-from .ring import rewrite_row, rewrite_rows
+
+
+def _lazy(name: str):
+    """``petring.<name>`` as already imported, else bound as an import binds it, to run on first attribute access."""
+    if (module := sys.modules.get(f"{__package__}.{name}")) is None:
+        spec = importlib.util.find_spec(f"{__package__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+diagrams, oracle, permutations, ring = map(_lazy, ("diagrams", "oracle", "permutations", "ring"))
 
 __all__ = ["cli", "main", "entry"]
 
@@ -36,7 +47,7 @@ MAX_VERIFY_RANK = 8
 VERIFY_RANKS = range(1, MAX_VERIFY_RANK + 1)
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
-ENGINES = {"diagram": diagram_row, "rewrite": rewrite_row, "linalg": linalg_row}  # --method and message order
+ENGINES = {"diagram": (diagrams, "diagram_row"), "rewrite": (ring, "rewrite_row"), "linalg": (oracle, "linalg_row")}
 
 
 class UsageError(Exception):
@@ -105,10 +116,10 @@ SUBSET_K = option("-K", dest="k_text", default="-", metavar="SUBSET", help="Seco
 
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
     """The checked row of one engine, or of all three if they agree exactly; else ConsistencyError naming
-    the first L at which the rows differ and every engine's row."""
+    the first L at which the rows differ and every engine's row, in ENGINES order."""
     if method != "all":
-        return ENGINES[method](n, J, K)
-    rows = {name: engine(n, J, K) for name, engine in ENGINES.items()}
+        return getattr(*ENGINES[method])(n, J, K)
+    rows = {name: getattr(module, attr)(n, J, K) for name, (module, attr) in ENGINES.items()}
     if len(set(rows.values())) == 1:
         return rows["diagram"]
     found = {name: dict(row) for name, row in rows.items()}
@@ -238,15 +249,15 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
     J = _parse_subset("-J", j_text, n)
     K = _parse_subset("-K", k_text, n)
     L = _parse_subset("-L", l_text, n)
-    found = enumerate_diagrams(J, K, L)
+    found = diagrams.enumerate_diagrams(J, K, L)
     if not found:
         print("no diagrams; d = 0")
         return
     for idx, P in enumerate(found, start=1):
-        print(f"diagram {idx} of {len(found)}  (weight {weight(P)})")
-        print(render_ascii(P))
+        print(f"diagram {idx} of {len(found)}  (weight {diagrams.weight(P)})")
+        print(diagrams.render_ascii(P))
         print("")
-    print(f"d = {structure_constant(J, K, L)}")
+    print(f"d = {diagrams.structure_constant(J, K, L)}")
 
 
 def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
@@ -263,7 +274,7 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
     results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
     for jm, run in itertools.groupby(sorted(masks), key=lambda pair: pair[0]):
         try:
-            rewrites = dict(rewrite_rows(n, jm, ks := [km for _, km in run]))
+            rewrites = dict(ring.rewrite_rows(n, jm, ks := [km for _, km in run]))
         except Exception:  # rows of None, which no class row equals: each pair is checked again below
             rewrites = dict.fromkeys(ks)
         for km in ks:
@@ -304,7 +315,7 @@ def _graded_dimensions(n: int, _) -> list[str]:
     mismatch = []
     for size in range(n):
         try:
-            if presentation_failures(n, size):
+            if oracle.presentation_failures(n, size):
                 mismatch = [f"n={n}: graded dimensions do not match binomials"]
         except ConsistencyError as exc:
             return mismatch + [f"n={n} d={size + 2}: {exc}"]
@@ -313,9 +324,10 @@ def _graded_dimensions(n: int, _) -> list[str]:
 
 def _bruhat_criteria(n: int, _) -> list[str]:
     """s_i <= w_J exactly when i is in J, and w_J' <= w_J exactly when J' is a subset of J."""
-    sets, s = [(J, longest_wj(J)) for J in all_index_sets(n)], {i: simple_transposition(n, i) for i in range(1, n)}
-    if all(bruhat_leq(s[i], w) == (i in J) for J, w in sets for i in range(1, n)) \
-            and all(bruhat_leq(wp, w) == Jp.issubset(J) for J, w in sets for Jp, wp in sets):
+    sets = [(J, permutations.longest_wj(J)) for J in all_index_sets(n)]
+    s, leq = {i: permutations.simple_transposition(n, i) for i in range(1, n)}, permutations.bruhat_leq
+    if all(leq(s[i], w) == (i in J) for J, w in sets for i in range(1, n)) \
+            and all(leq(wp, w) == Jp.issubset(J) for J, w in sets for Jp, wp in sets):
         return []
     return [f"n={n}: Bruhat comparisons disagree with the subset criteria"]
 
@@ -428,7 +440,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     count = sum(len(admitted(jm)) for jm in js)
     if count > MAX_TABLE_PAIRS:
         raise Refused(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
-    blocks = ((jm, rewrite_rows(n, jm, admitted(jm))) for jm in js)
+    blocks = ((jm, ring.rewrite_rows(n, jm, admitted(jm))) for jm in js)
     if out is None:
         _write_table(sys.stdout, n, fmt, blocks)
         return
@@ -480,14 +492,14 @@ def cmd_group(n: int, j_text: str) -> None:
     _check_rank(n)
     J = _parse_subset("-J", j_text, n)
     dec = decompose(J)
-    wj = longest_wj(J)
+    wj = permutations.longest_wj(J)
     print(f"J = {J.format()}  (rank n = {n})")
     print("components = " + (" ".join(f"[{lo}..{hi}]" for lo, hi in dec.runs) or "(empty)"))
     print(f"m_J = {dec.m_factor}")
     print(f"factor ranks = {factor_ranks(J)}")
     print(f"h_J = {hessenberg_function(J)}")
-    print(f"w_J = {format_one_line(wj)}   length {length(wj)}")
-    print(f"v_J = {format_one_line(subword_vj(J))}")
+    print(f"w_J = {permutations.format_one_line(wj)}   length {permutations.length(wj)}")
+    print(f"v_J = {permutations.format_one_line(permutations.subword_vj(J))}")
 
 
 def main(argv: list[str] | None = None) -> int:

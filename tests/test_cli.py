@@ -16,7 +16,7 @@ from unittest.mock import ANY
 import pytest
 
 import petring.cli
-from petring import diagrams, oracle
+from petring import diagrams, oracle, ring
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import rewrite_row, structure_constants_rewrite
 
@@ -41,6 +41,31 @@ def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     code = f"import sys; before = set(sys.modules); import {module}; print(*set(sys.modules) - before)"
     proc = _python("-c", code, check=True)
     assert not set(unneeded) & set(proc.stdout.split()), proc.stdout
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ([], []),
+    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], []),
+    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{json}"], []),
+    (["table", "-n", "5"], ["ring"]),
+    (["expand", "-n", "5", "-J", "1", "-K", "2", "--method", "all"], ["diagrams", "oracle", "ring"]),
+    (["verify", "--n-max", "3"], ["diagrams", "oracle", "permutations", "ring"]),
+], ids=["import", "cached-csv", "cached-json", "table", "expand-all", "verify"])
+def test_a_command_runs_only_the_engine_modules_it_calls(tmp_path, argv, ran):
+    # in a fresh interpreter, after `import petring.cli` and the command: every engine module is in
+    # sys.modules and bound on the package, as an import binds it, and is a plain module once run;
+    # any attribute read would run it, so its type is tested
+    for fmt in ("csv", "json"):
+        assert main(["table", "-n", "5", "--format", fmt, "--out", str(tmp_path / f"table5.{fmt}")]) == 0
+    argv = [arg.format(csv=tmp_path / "table5.csv", json=tmp_path / "table5.json") for arg in argv]
+    code = ("import sys, types, petring; from petring.cli import main; "
+            "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "engines = {m: sys.modules['petring.' + m] for m in ('diagrams', 'oracle', 'permutations', 'ring')}; "
+            "assert all(getattr(petring, m) is module for m, module in engines.items()); "
+            "print(*(m for m, module in engines.items() if type(module) is types.ModuleType), file=sys.stderr); "
+            "sys.exit(code)")
+    proc = _python("-c", code, *argv, timeout=60)
+    assert (proc.returncode, proc.stderr.split()) == (0, ran), proc.stderr
 
 
 def test_every_public_function_and_class_has_a_docstring():
@@ -213,8 +238,6 @@ class TestCheckedTail:
         # a run step that also moves to column n when the run ends at n - 1,
         # in the rewrite and in the game alike: each command names the term
         # outside {1, ..., n-1} and exits 2, rather than failing to build L
-        import petring.ring as ring
-
         def beyond(mask, i, n, step=ring.run_step):
             a, b, den, moves = step(mask, i, n)
             return a, b, den, (moves + ((n, 1),) if b == n - 1 else moves)
@@ -300,8 +323,6 @@ def _python(*args, **kwargs):
 def _fresh_memos(monkeypatch):
     """Empty the engines' memos, so that a fault planted after this reaches
     every row that takes the faulty step."""
-    import petring.ring as ring
-
     monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
     for module, name in ((oracle, "_step"), (oracle, "_normal_form"), (diagrams, "_game_sums")):
         monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__))
@@ -310,8 +331,6 @@ def _fresh_memos(monkeypatch):
 def _pair_raises(monkeypatch):
     # the rewrite kernel raises at (J, K) = ({1,3}, {2}), in the sweep and in
     # the single-pair rewrite_row of the three-engine row alike
-    import petring.ring as ring
-
     kernel = ring.rewrite_rows
 
     def faulty(n, J, ks):
@@ -320,15 +339,12 @@ def _pair_raises(monkeypatch):
                 raise ConsistencyError("injected")
             yield from kernel(n, J, [K])
 
-    for module in (ring, petring.cli):
-        monkeypatch.setattr(module, "rewrite_rows", faulty)
+    monkeypatch.setattr(ring, "rewrite_rows", faulty)
 
 
 def _move_weight_off_by_one(monkeypatch):
     # g_2 times the monomial on {2}: its first move weighs one more, in the
     # rewrite and in the game alike
-    import petring.ring as ring
-
     def off(mask, i, n, step=ring.run_step):
         a, b, den, moves = step(mask, i, n)
         if (mask, i) == (0b10, 2):
@@ -424,8 +440,6 @@ class TestVerify:
         # the check works on integer rows: with the class algebra's product and
         # integral and the Fraction normal form raising wherever they are bound,
         # every line is as before
-        import petring.ring as ring
-
         expected = run(capsys, "verify", "--n-max", "6")
         assert expected[0] == 0 and "n=6: top-degree evaluation OK" in expected[1].splitlines()
 
@@ -700,15 +714,13 @@ class TestVerify:
         before = oracle._normal_form.cache_info()
         assert petring.cli._graded_dimensions(8, None) == []
         assert oracle._normal_form.cache_info() == before
-        monkeypatch.setattr(petring.cli, "presentation_failures", lambda n, size: [(0, 1, 1)] * (size < 2))
+        monkeypatch.setattr(oracle, "presentation_failures", lambda n, size: [(0, 1, 1)] * (size < 2))
         assert petring.cli._graded_dimensions(5, None) == ["n=5: graded dimensions do not match binomials"]
 
     def test_chunk_folds_each_J_once(self, monkeypatch):
         # a block expanded in (J, K) order: the rewrite folds each J once over
         # one prefix memo, one run-rule step per nonempty K, 4^5 - 2^5 in all
         # (one step per member of each K, 2560, pair by pair)
-        import petring.ring as ring
-
         steps = []
         step = ring._varpi_times_generator
         monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
@@ -719,8 +731,6 @@ class TestVerify:
     def test_chunk_takes_one_run_step_per_transition(self, monkeypatch):
         # on fresh memos, the rewrite of all pairs at rank 6 searches each
         # run once per (i, S) of the transition table it fills
-        import petring.ring as ring
-
         calls = []
         run_step = ring.run_step
         monkeypatch.setattr(ring, "run_step", lambda mask, i, n: calls.append((i, mask)) or run_step(mask, i, n))
@@ -756,7 +766,7 @@ def _failing_after(count):
     """The table's per-J rewrite kernel, raising ConsistencyError in place of
     its pair number ``count``, counted over every admitted pair, zero
     products included, in the order the table asks for them."""
-    rewrite_rows, pairs = petring.cli.rewrite_rows, itertools.count()
+    rewrite_rows, pairs = ring.rewrite_rows, itertools.count()
 
     def failing(n, J, ks):
         for K in ks:
@@ -826,7 +836,7 @@ class TestTable:
     def test_failing_table_keeps_existing_out(self, capsys, monkeypatch, tmp_path, fmt):
         path = tmp_path / "table.out"
         path.write_bytes(b"an earlier table\n")
-        monkeypatch.setattr(petring.cli, "rewrite_rows", _failing_after(20))
+        monkeypatch.setattr(ring, "rewrite_rows", _failing_after(20))
         code, out, err = run(capsys, "table", "-n", "4", "--format", fmt, "--out", str(path))
         assert code == 2
         assert "injected" in err
@@ -837,8 +847,6 @@ class TestTable:
         # a run step that always moves to column 1 leaves the support of
         # J | K: the rewrite's own tail refuses the term, and the table
         # fails before it replaces --out
-        import petring.ring as ring
-
         def astray(mask, i, n, step=ring.run_step):
             a, b, den, moves = step(mask, i, n)
             return a, b, den, tuple((1, num) for _, num in moves)
@@ -857,7 +865,7 @@ class TestTable:
     def test_csv_rows_stream_to_stdout(self, capsys, monkeypatch):
         # rows are written one J block at a time, not after the last pair, and
         # the block of a failing pair still gives every row before that pair
-        monkeypatch.setattr(petring.cli, "rewrite_rows", _failing_after(20))
+        monkeypatch.setattr(ring, "rewrite_rows", _failing_after(20))
         code, out, _ = run(capsys, "table", "-n", "4")
         assert code == 2
         assert out.startswith("n,J,K,L,d\n4,-,-,-,1\n")
@@ -958,16 +966,17 @@ class TestTableAgreesWithSinglePairs:
         # each (J, K list) that `table` hands the per-J kernel, over every filter, gives the
         # nonzero rewrite_row rows of that list, also where the first K's prefix is not memoized
         n, calls = 6, []
-        kernel = petring.cli.rewrite_rows
+        kernel = ring.rewrite_rows
 
         def recorded(n, J, ks):
             calls.append((J, list(ks)))
             return kernel(n, J, calls[-1][1])
 
-        monkeypatch.setattr(petring.cli, "rewrite_rows", recorded)
+        monkeypatch.setattr(ring, "rewrite_rows", recorded)
         for argv in _table_filters(n):
             assert run(capsys, "table", "-n", str(n), *argv)[0] == 0
         assert any(ks and ks[0].bit_count() > 1 for _, ks in calls)  # the _fold recursion ran
+        monkeypatch.undo()  # else rewrite_row below reaches `recorded`, which grows `calls` as it is read
         for J, ks in calls:
             assert list(kernel(n, J, ks)) == [(K, rewrite_row(n, J, K)) for K in ks if rewrite_row(n, J, K)]
 
@@ -1030,7 +1039,7 @@ class TestTableCap:
         def no_computation(*args):
             raise AssertionError("table computed a refused request")
 
-        monkeypatch.setattr(petring.cli, "rewrite_rows", no_computation)
+        monkeypatch.setattr(ring, "rewrite_rows", no_computation)
         code, out, err = run(capsys, "table", "-n", "12")
         assert code == 1
         assert out == ""
@@ -1039,7 +1048,7 @@ class TestTableCap:
         assert petring.cli.MAX_TABLE_PAIRS == 4**10
 
     def test_full_rank_eleven_is_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(petring.cli, "rewrite_rows", lambda n, J, ks: iter(()))
+        monkeypatch.setattr(ring, "rewrite_rows", lambda n, J, ks: iter(()))
         assert run(capsys, "table", "-n", "11")[0] == 0
 
     def test_degree_filter_visits_only_its_pairs(self, capsys):

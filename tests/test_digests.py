@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from test_cli import GOLDEN, run
+from test_cli import GOLDEN, _python, run
 
 PINNED = [
     (GOLDEN, "aac552d30b711929ba205aa41ebc9cd5738ba15cc6ebc6e63de741609174f789"),
@@ -52,3 +52,12 @@ def test_cached_lookup_is_pinned(capsys, tmp_path, table, lookup, digest):
     code, out, err = run(capsys, "expand", *lookup, "--cached", str(path))
     assert (code, err) == (0, "")
     assert _digest(out) == digest
+
+
+def test_verify_with_spawned_workers_is_pinned():
+    # a spawned worker imports petring.cli afresh, so it registers the engine modules again
+    script = ("import multiprocessing, os, sys; multiprocessing.set_start_method('spawn'); os.cpu_count = lambda: 2; "
+              "from petring.cli import main; sys.exit(main(['verify', '--n-max', '6', '--jobs', '2']))")
+    proc = _python("-c", script, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _digest(proc.stdout) == "db5f6ce15d9275206b02d74646f50b0cd1d21a465fd28ed87f36c58726ba3aba"

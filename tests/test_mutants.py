@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from petring import cli, diagrams, errors, intervals, oracle, ring
+from petring import cli, diagrams, errors, intervals, oracle, permutations, ring
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 from test_cli import _fresh_memos, run
@@ -130,8 +130,8 @@ def _class_divisor_without_m_K(monkeypatch):
 
 def _bruhat_last_prefix_skipped(monkeypatch):
     # the rank criterion of `verify`'s Bruhat check without its last prefix, of length n - 1
-    leq = cli.bruhat_leq
-    monkeypatch.setattr(cli, "bruhat_leq", lambda u, v: leq(u[:-1], v[:-1]))
+    leq = permutations.bruhat_leq
+    monkeypatch.setattr(permutations, "bruhat_leq", lambda u, v: leq(u[:-1], v[:-1]))
 
 
 # (fault, smallest rank at which verify fails, the start of its first FAIL line,

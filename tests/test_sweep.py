@@ -137,8 +137,7 @@ def test_kernel_fault_on_one_J_gives_the_reference_lines(monkeypatch, where):
                 raise ConsistencyError("injected")
             yield from kernel(n, jm, [km])
 
-    for module in (ring, petring.cli):
-        monkeypatch.setattr(module, "rewrite_rows", faulty)
+    monkeypatch.setattr(ring, "rewrite_rows", faulty)
     block = petring.cli._pair_blocks(n, 1)[0]
     lines = _reference_chunk(n, block)
     assert petring.cli._verify_chunk(n, block) == lines
@@ -152,7 +151,7 @@ def test_each_engine_read_once_per_input(monkeypatch):
     n = 6
     _fresh_memos(monkeypatch)
     games, forms, rows, retried, depth = [], [], [], [], [0]
-    game_sums, normal_form, kernel = diagrams._game_sums, oracle._normal_form, petring.cli.rewrite_rows
+    game_sums, normal_form, kernel = diagrams._game_sums, oracle._normal_form, ring.rewrite_rows
     expansion_row = petring.cli._expansion_row
 
     def outermost_form(n, exps):  # the recursion of _normal_form runs through this too
@@ -168,7 +167,7 @@ def test_each_engine_read_once_per_input(monkeypatch):
     monkeypatch.setattr(diagrams, "_game_sums", lambda n, union, meet: games.append((union, meet)) or
                         game_sums(n, union, meet))
     monkeypatch.setattr(oracle, "_normal_form", outermost_form)
-    monkeypatch.setattr(petring.cli, "rewrite_rows", lambda n, J, ks: rows.extend((J, K) for K in ks) or
+    monkeypatch.setattr(ring, "rewrite_rows", lambda n, J, ks: rows.extend((J, K) for K in ks) or
                         kernel(n, J, ks))
     monkeypatch.setattr(petring.cli, "_expansion_row", lambda n, J, K, method: retried.append((J, K)) or
                         expansion_row(n, J, K, method))
