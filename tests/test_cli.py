@@ -43,6 +43,15 @@ def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     assert not set(unneeded) & set(proc.stdout.split()), proc.stdout
 
 
+@pytest.fixture(scope="module")
+def tables5(tmp_path_factory):
+    """The n = 5 table as CSV and as JSON, by format."""
+    paths = {fmt: tmp_path_factory.mktemp("tables") / f"table5.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert main(["table", "-n", "5", "--format", fmt, "--out", str(path)]) == 0
+    return paths
+
+
 @pytest.mark.parametrize("argv, ran", [
     ([], []),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], []),
@@ -51,13 +60,11 @@ def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--method", "all"], ["diagrams", "oracle", "ring"]),
     (["verify", "--n-max", "3"], ["diagrams", "oracle", "permutations", "ring"]),
 ], ids=["import", "cached-csv", "cached-json", "table", "expand-all", "verify"])
-def test_a_command_runs_only_the_engine_modules_it_calls(tmp_path, argv, ran):
+def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
     # in a fresh interpreter, after `import petring.cli` and the command: every engine module is in
     # sys.modules and bound on the package, as an import binds it, and is a plain module once run;
     # any attribute read would run it, so its type is tested
-    for fmt in ("csv", "json"):
-        assert main(["table", "-n", "5", "--format", fmt, "--out", str(tmp_path / f"table5.{fmt}")]) == 0
-    argv = [arg.format(csv=tmp_path / "table5.csv", json=tmp_path / "table5.json") for arg in argv]
+    argv = [arg.format(**tables5) for arg in argv]
     code = ("import sys, types, petring; from petring.cli import main; "
             "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "engines = {m: sys.modules['petring.' + m] for m in ('diagrams', 'oracle', 'permutations', 'ring')}; "
