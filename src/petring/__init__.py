@@ -7,49 +7,18 @@ submodule, such as ``petring.intervals``, loads none of the others."""
 
 import importlib
 
-_EXPORTS = {
+_EXPORTS = {  # module: the public names it defines
     "errors": ("ConsistencyError", "PresentationError"),
-    "intervals": (
-        "ComponentDecomposition",
-        "IndexSet",
-        "all_index_sets",
-        "decompose",
-        "factor_ranks",
-        "hessenberg_function",
-        "m_factor",
-    ),
-    "ring": (
-        "CohomologyClass",
-        "add",
-        "integral",
-        "monomial",
-        "multiply",
-        "multiply_generator",
-        "pairing",
-        "peterson_schubert_class",
-        "scale",
-        "structure_constants_rewrite",
-        "to_varpi_basis",
-        "unit",
-        "zero",
-    ),
-    "diagrams": (
-        "GameRow",
-        "LeftRightDiagram",
-        "Move",
-        "enumerate_diagrams",
-        "expand_all",
-        "render_ascii",
-        "structure_constant",
-        "weight",
-    ),
-    "oracle": (
-        "Monomial",
-        "normal_form",
-        "quotient_dimension",
-        "relation_rows",
-        "structure_constants_linalg",
-    ),
+    "intervals": ("ComponentDecomposition", "IndexSet", "all_index_sets", "decompose", "factor_ranks",
+                  "hessenberg_function", "m_factor"),
+    "algebra": ("CohomologyClass", "add", "integral", "monomial", "multiply", "multiply_generator", "pairing",
+                "peterson_schubert_class", "scale", "to_varpi_basis", "unit", "zero"),
+    "ring": ("structure_constants_rewrite",),
+    "diagrams": ("expand_all",),
+    "listings": ("GameRow", "LeftRightDiagram", "Move", "enumerate_diagrams", "render_ascii", "structure_constant",
+                 "weight"),
+    "oracle": ("quotient_dimension", "structure_constants_linalg"),
+    "relations": ("Monomial", "normal_form", "relation_rows"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

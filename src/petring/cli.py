@@ -1,8 +1,11 @@
 """The ``petring`` command line: one argparse parser, ``cli``, with the
 subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group``
-in ``cli.commands``.  Of the package, importing it runs only ``errors``
-and ``intervals``, and it loads no ``fractions`` or ``concurrent.futures``:
-the engine modules run on first use, so ``expand --cached`` runs none.
+in ``cli.commands``, each with its function's docstring as help.  Importing
+it runs only ``errors`` and ``intervals``, and loads no ``csv``,
+``fractions`` or ``concurrent.futures``.  The rest runs on first use:
+``expand`` runs the three engines and ``--cached`` none, ``diagrams`` the
+game and ``listings``, and ``table`` and ``verify`` the engines they call
+and the module of their name, which holds the command's body.
 
 Exit codes: 0 on success; 1 on a usage error, a refused request or a
 standard output closed early; 2 on a ConsistencyError, such as engines
@@ -13,18 +16,15 @@ checked tail.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import importlib.util
 import io
-import itertools
 import json
-import math
 import os
 import sys
 
-from .errors import ConsistencyError, Row, class_tail, constants
-from .intervals import IndexSet, all_index_sets, decimal, decompose, factor_ranks, hessenberg_function
+from .errors import ConsistencyError, Row, constants
+from .intervals import IndexSet, decimal, decompose, factor_ranks, hessenberg_function
 
 
 def _lazy(name: str):
@@ -38,13 +38,13 @@ def _lazy(name: str):
     return module
 
 
-diagrams, oracle, permutations, ring = map(_lazy, ("diagrams", "oracle", "permutations", "ring"))
+diagrams, listings, oracle, permutations, ring, table, verify = map(
+    _lazy, ("diagrams", "listings", "oracle", "permutations", "ring", "table", "verify"))
 
 __all__ = ["cli", "main", "entry"]
 
 MAX_QUERY_RANK = 16
 MAX_VERIFY_RANK = 8
-VERIFY_RANKS = range(1, MAX_VERIFY_RANK + 1)
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
 ENGINES = {"diagram": (diagrams, "diagram_row"), "rewrite": (ring, "rewrite_row"), "linalg": (oracle, "linalg_row")}
@@ -163,6 +163,8 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
         record = {"n": n, "J": list(J.as_tuple()), "K": list(K.as_tuple()), "method": method, "terms": terms}
         print(json.dumps(record))
         return
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "J", "K", "method", "L", "coeff"])
     writer.writerows([n, J.format(), K.format(), method, IndexSet.from_mask(n, L).format(), d] for L, d in row)
@@ -201,6 +203,8 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         key = [list(J.as_tuple()), list(K.as_tuple())]
         # d as its text, as in a CSV table, so that decimal refuses 2.5 or true
         return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
+    import csv
+
     buf = io.StringIO()  # the pair's "n,J,K," prefix, quoted as the table's csv.writer quotes it
     csv.writer(buf, lineterminator=",").writerow([n, J.format(), K.format()])
     rank, prefix, target = f"{n},", buf.getvalue(), (J.mask, K.mask)
@@ -249,118 +253,15 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
     J = _parse_subset("-J", j_text, n)
     K = _parse_subset("-K", k_text, n)
     L = _parse_subset("-L", l_text, n)
-    found = diagrams.enumerate_diagrams(J, K, L)
+    found = listings.enumerate_diagrams(J, K, L)
     if not found:
         print("no diagrams; d = 0")
         return
     for idx, P in enumerate(found, start=1):
-        print(f"diagram {idx} of {len(found)}  (weight {diagrams.weight(P)})")
-        print(diagrams.render_ascii(P))
+        print(f"diagram {idx} of {len(found)}  (weight {listings.weight(P)})")
+        print(listings.render_ascii(P))
         print("")
-    print(f"d = {diagrams.structure_constant(J, K, L)}")
-
-
-def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
-    """The failure lines, in block order, of `verify`'s pair sweep over a block of (J, K) mask pairs that
-    holds each pair's transpose: a pair whose engines raise or disagree, in the words of
-    ``_expansion_row(..., "all")``, or whose row differs from its transpose's.  The game and linalg run
-    once per (J | K, J & K) class, the rewrite once per J's K list."""
-
-    @functools.cache  # the class table of this block
-    def agreed(union: int, meet: int) -> tuple | None:
-        (game, gd), (lin, ld) = diagrams._game_sums(n, union, meet), oracle._class_row(n, union, meet)
-        return (game, gd) if sorted((L, v * ld) for L, v in game) == sorted((L, v * gd) for L, v in lin) else None
-
-    results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
-    for jm, run in itertools.groupby(sorted(masks), key=lambda pair: pair[0]):
-        try:
-            rewrites = dict(ring.rewrite_rows(n, jm, ks := [km for _, km in run]))
-        except Exception:  # rows of None, which no class row equals: each pair is checked again below
-            rewrites = dict.fromkeys(ks)
-        for km in ks:
-            try:
-                rewrite, class_row = rewrites.get(km, ()), agreed(jm | km, jm & km)
-                row = rewrite if class_row and class_tail("diagram", n, jm, km, *class_row) == rewrite else None
-            except Exception:  # checked again below, where an error is named or raised
-                row = None
-            try:
-                results[jm, km] = _expansion_row(n, jm, km, "all") if row is None else row
-            except ConsistencyError as exc:
-                results[jm, km] = exc
-    return [f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: "
-            f"{row if isinstance(row, Exception) else 'expansion not symmetric'}"
-            for (jm, km), row in results.items() if isinstance(row, Exception) or results[km, jm] != row]
-
-
-def _pair_blocks(n: int, jobs: int) -> list[list[tuple[int, int]]]:
-    """The pairs of rank n in ``jobs`` blocks of whole J | K classes, so that one worker alone fills a
-    class's memos, in union-mask order, each class in (J, K) order, and of about equal cost: a pair costs
-    one if |J| + |K| = |J | K| + |J & K| <= n - 1, and C(u, m) * 2^(u - m) pairs have |J | K| = u and
-    |J & K| = m."""
-    cost = [sum(math.comb(u, m) << (u - m) for m in range(min(u + 1, n - u))) for u in range(n)]
-    total, spent = sum(math.comb(n - 1, u) * cost[u] for u in range(n)), 0
-    subsets = [[s for s in range(mask + 1) if s & mask == s] for mask in range(1 << (n - 1))]  # increasing
-    blocks: list[list[tuple[int, int]]] = [[]]
-    for union in range(1 << (n - 1)):
-        if spent >= total * len(blocks) / jobs:
-            blocks.append([])
-        blocks[-1] += [(jm, union ^ jm | s) for jm in subsets[union] for s in subsets[jm]]  # K = (J|K) - J + s
-        spent += cost[union.bit_count()]
-    return blocks
-
-
-def _graded_dimensions(n: int, _) -> list[str]:
-    """Degree d of the quotient has dimension C(n-1, d) for every d, certified by ``presentation_failures``
-    at |S| = 0..n-1; an entry that raises fails the check, named by its degree d = |S| + 2."""
-    mismatch = []
-    for size in range(n):
-        try:
-            if oracle.presentation_failures(n, size):
-                mismatch = [f"n={n}: graded dimensions do not match binomials"]
-        except ConsistencyError as exc:
-            return mismatch + [f"n={n} d={size + 2}: {exc}"]
-    return mismatch
-
-
-def _bruhat_criteria(n: int, _) -> list[str]:
-    """s_i <= w_J exactly when i is in J, and w_J' <= w_J exactly when J' is a subset of J."""
-    sets = [(J, permutations.longest_wj(J)) for J in all_index_sets(n)]
-    s, leq = {i: permutations.simple_transposition(n, i) for i in range(1, n)}, permutations.bruhat_leq
-    if all(leq(s[i], w) == (i in J) for J, w in sets for i in range(1, n)) \
-            and all(leq(wp, w) == Jp.issubset(J) for J, w in sets for Jp, wp in sets):
-        return []
-    return [f"n={n}: Bruhat comparisons disagree with the subset criteria"]
-
-
-def _top_degree(n: int, _) -> list[str]:
-    """The integral of g_i^(n-1) by the run rule, by the relations, and as the Eulerian number A(n-1, i-1), on ints."""
-    full, failures = (1 << (n - 1)) - 1, []
-    for i in range(1, n):
-        try:
-            power = functools.reduce(lambda c, _: ring._varpi_product(n, c, {1 << (i - 1): 1}), range(n - 1), {0: 1})
-            row, den = oracle._normal_form(n, tuple(n - 1 if k == i else 0 for k in range(1, n)))
-        except ConsistencyError as exc:
-            failures.append(f"n={n} i={i}: {exc}")
-            continue
-        by_rule, by_relations = power.get(full, 0), math.factorial(n - 1) * row.get(full, 0)
-        eulerian = sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1) for j in range(i))
-        if not by_rule * den == by_relations == eulerian * den:
-            g = math.gcd(by_relations, den)  # the relations' value, shown as a Fraction shows it
-            shown = by_relations // g if g == den else f"{by_relations // g}/{den // g}"
-            failures.append(f"n={n} i={i}: integral of g_{i}^{n - 1} is {by_rule} by the run rule, "
-                            f"{shown} by the relations, Eulerian number {eulerian}")
-    return failures
-
-
-# The checks of `verify`, in output order: the line after "n=N: ", the ranks it
-# runs at, the check (n, part) -> failure lines, which catches its own errors,
-# and the cut (n, jobs) -> parts, or None for one part per rank.
-CHECKS = [
-    ("{pairs} (J,K) pairs cross-checked over three engines", VERIFY_RANKS, _verify_chunk, _pair_blocks),
-    ("graded dimensions 0..{top} {status}", VERIFY_RANKS, _graded_dimensions, None),
-    ("Bruhat subset criteria {status}", range(1, 7), _bruhat_criteria, None),
-    ("top-degree evaluation {status}", VERIFY_RANKS[1:], _top_degree, None),
-]
+    print(f"d = {listings.structure_constant(J, K, L)}")
 
 
 @command("verify",
@@ -375,47 +276,7 @@ def cmd_verify(n_max: int, jobs: int) -> None:
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise UsageError(f"--jobs must be in [1, {cpus}], the number of CPUs")
-    if jobs == 1:
-        failures = _verify_ranks(n_max, jobs, map)
-    else:
-        # imported here: multiprocessing would slow every other command's start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pin = {}
-        if hasattr(os, "sched_setaffinity"):  # else the kernel may keep every worker on one CPU
-            mask, ids = itertools.cycle(sorted(os.sched_getaffinity(0))), multiprocessing.SimpleQueue()
-            for _ in range(jobs):  # one CPU of the mask per worker, cycling if --jobs exceeds it
-                ids.put(next(mask))
-            pin = {"initializer": _pin_worker, "initargs": (ids,)}
-        with ProcessPoolExecutor(max_workers=jobs, **pin) as pool:
-            failures = _verify_ranks(n_max, jobs, pool.map)
-    if failures:
-        sys.stdout.flush()  # the check lines first, also when both streams go to one file
-        print("\n".join(f"FAIL {line}" for line in failures), file=sys.stderr)
-        raise ConsistencyError(f"{len(failures)} verification check(s) failed")
-    print("all checks passed")
-
-
-def _pin_worker(ids) -> None:
-    """The pool's initializer: pin this worker to the next CPU id of ``ids``."""
-    os.sched_setaffinity(0, {ids.get()})
-
-
-def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
-    """Map every (rank, check) of CHECKS by ``sweep`` from rank n_max down, so that a pool starts on the
-    costliest, then print one line per (rank, check) from rank 1 up; returns the failure lines."""
-    mapped = []
-    for n, (line, ranks, check, cut) in itertools.product(range(n_max, 0, -1), CHECKS):
-        if n in ranks:
-            parts = cut(n, jobs) if cut else [None]
-            mapped.append((n, line, sweep(check, [n] * len(parts), parts)))
-    failures: list[str] = []
-    for n, line, results in sorted(mapped, key=lambda m: m[0]):  # stable: CHECKS order within a rank
-        lines = [failure for part in results for failure in part]
-        print(f"n={n}: " + line.format(pairs=4 ** (n - 1), top=n + 1, status="FAIL" if lines else "OK"))
-        failures += lines
-    return failures
+    verify.run(n_max, jobs)
 
 
 @command("table", RANK,
@@ -432,58 +293,7 @@ def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | 
     subsets = range(1 << (n - 1))
     js = [_parse_subset("--J", j_filter, n).mask] if j_filter is not None else subsets
     ks = [_parse_subset("--K", k_filter, n).mask] if k_filter is not None else subsets
-    # K grouped by size, in mask order, so that --degree visits only its pairs
-    by_size: dict[int, list[int]] = {}
-    for km in ks:
-        by_size.setdefault(km.bit_count(), []).append(km)
-    admitted = (lambda jm: ks) if degree is None else (lambda jm: by_size.get(degree - jm.bit_count(), []))
-    count = sum(len(admitted(jm)) for jm in js)
-    if count > MAX_TABLE_PAIRS:
-        raise Refused(f"table admits {count} (J, K) pairs, more than the cap of {MAX_TABLE_PAIRS}")
-    blocks = ((jm, ring.rewrite_rows(n, jm, admitted(jm))) for jm in js)
-    if out is None:
-        _write_table(sys.stdout, n, fmt, blocks)
-        return
-    # written beside --out and moved over it only once complete, so that a
-    # failing table leaves neither a partial file nor a clobbered one
-    partial = f"{out}.{os.getpid()}.tmp"
-    fh = open(partial, "x")
-    try:
-        with fh:
-            written = _write_table(fh, n, fmt, blocks)
-        os.replace(partial, out)
-    except BaseException:
-        os.remove(partial)
-        raise
-    print(f"wrote {written} rows to {out}")
-
-
-def _write_table(fh, n: int, fmt: str, blocks) -> int:
-    """Write the (J, (K, row) pairs) blocks of a rank-n table to ``fh``, a line (J, K, L, d) per (L, d), and
-    return the number of lines.  A CSV block is written whole, also when one of its pairs raises."""
-    if fmt == "csv":
-        fh.write("n,J,K,L,d\n")
-        # writerow returns what its file's write returns: here, the text itself
-        writer = csv.writer(argparse.Namespace(write=str), lineterminator=",")
-        cell = functools.cache(lambda m: writer.writerow([IndexSet.from_mask(n, m).format()]))
-        count = 0
-        for J, rows in blocks:
-            lines, head_J = [], f"{n},{cell(J)}"
-            try:
-                for K, row in rows:
-                    head = head_J + cell(K)
-                    for L, d in row:
-                        lines.append(f"{head}{cell(L)}{d}\n")
-            finally:
-                if lines:
-                    fh.write("".join(lines))
-            count += len(lines)
-        return count
-    members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
-    json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)}
-                 for J, rows in blocks for K, row in rows for L, d in row]
-    fh.write(json.dumps({"n": n, "rows": json_rows}) + "\n")
-    return len(json_rows)
+    table.run(n, degree, js, ks, fmt, out)
 
 
 @command("group", RANK, SUBSET_J)

@@ -9,22 +9,21 @@ A normal form is a rational combination of square-free monomials, folded
 over the memoized table NF(g_i * x_S) of ``_step``, on integers over one
 denominator that does not depend on the route.  ``presentation_failures``
 certifies that the forms are unique, so that the square-free monomials are
-a basis; ``quotient_dimension`` and ``_reduced_pivots`` are the references
-that the tests hold it to.
+a basis; ``quotient_dimension`` and the whole relation matrix of
+``relations`` are the references that the tests hold it to.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, combinations
-from typing import Iterable, NamedTuple
+from itertools import combinations
+from typing import Iterable
 
 from .errors import PresentationError, Row, class_tail, expansion
-from .intervals import Frozen, IndexSet, decompose_mask
+from .intervals import IndexSet, decompose_mask
 
-__all__ = ["Monomial", "RelationMatrix", "relation_rows", "normal_form", "quotient_dimension",
-           "presentation_failures", "structure_constants_linalg", "linalg_row"]
+__all__ = ["quotient_dimension", "presentation_failures", "structure_constants_linalg", "linalg_row"]
 
 # A monomial of rank n is its exponent tuple of length n-1 (entry i-1 is the
 # multiplicity of generator i).
@@ -44,43 +43,6 @@ def _mask(mono: Exponents) -> int:
     return sum(1 << k for k, e in enumerate(mono) if e)
 
 
-class Monomial(Frozen):
-    """A monomial in the generators, as an exponent tuple; ValueError unless
-    it has n-1 non-negative int exponents."""
-
-    __slots__ = _fields = ("n", "exponents")
-
-    def __init__(self, n: int, exponents: Exponents) -> None:
-        if len(exponents) != n - 1:
-            raise ValueError(f"expected {n - 1} exponents, got {len(exponents)}")
-        if any(isinstance(e, bool) or not isinstance(e, int) for e in exponents):
-            raise ValueError(f"exponents must be ints, got {exponents!r}")
-        if any(e < 0 for e in exponents):
-            raise ValueError("negative exponent")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exponents", exponents)
-
-    @classmethod
-    def from_multiset(cls, n: int, indices: dict[int, int] | list[int]) -> "Monomial":
-        exps = [0] * (n - 1)
-        items = indices.items() if isinstance(indices, dict) else [(i, 1) for i in indices]
-        for i, mult in items:
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in (i, mult)):
-                raise ValueError(f"generator index and multiplicity must be ints, got {i!r}: {mult!r}")
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"generator index {i} out of range for rank {n}")
-            exps[i - 1] += mult
-        return cls(n, tuple(exps))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def is_square_free(self) -> bool:
-        return not _squared(self.exponents)
-
-
 def _monomial_exponents(n: int, d: int) -> list[Exponents]:
     """All exponent tuples of length n-1 summing to d, in lexicographic order."""
     if n - 1 == 0:
@@ -96,25 +58,6 @@ def _monomial_exponents(n: int, d: int) -> list[Exponents]:
         exps.append(d + n - 2 - prev - 1)
         out.append(tuple(exps))
     return out
-
-
-def _columns(n: int, d: int) -> tuple[list[Exponents], dict[Exponents, int]]:
-    """Degree-d monomials ordered with non-square-free ones first, each block
-    in a fixed lexicographic order."""
-    monos = _monomial_exponents(n, d)
-    non_sf = [m for m in monos if _squared(m)]
-    sf = [m for m in monos if not _squared(m)]
-    cols = non_sf + sf
-    return cols, {m: idx for idx, m in enumerate(cols)}
-
-
-class RelationMatrix(NamedTuple):
-    """Sparse relation rows over the degree-d monomial columns."""
-
-    n: int
-    degree: int
-    columns: tuple[Exponents, ...]
-    rows: tuple[dict[int, int], ...]
 
 
 def _bump(mono: Exponents, i: int, k: int) -> Exponents:
@@ -137,22 +80,6 @@ def _own_row(mono: Exponents) -> dict[Exponents, int]:
     ``mono``, with j = _squared(mono)."""
     j = _squared(mono)
     return _relation_row(_bump(mono, j, -2), j)
-
-
-def relation_rows(n: int, d: int) -> RelationMatrix:
-    """One row per (generator i, degree-(d-2) monomial M): the expansion of
-    M * g_i * (2*g_i - g_{i-1} - g_{i+1}) with boundary terms dropped.
-    ValueError for d < 2."""
-    if d < 2:
-        raise ValueError("relations exist only in degree >= 2")
-    cols, col_index = _columns(n, d)
-    lower = _monomial_exponents(n, d - 2)
-    rows = tuple(
-        {col_index[mono]: v for mono, v in _relation_row(M, i).items()}
-        for i in range(1, n)
-        for M in lower
-    )
-    return RelationMatrix(n, d, tuple(cols), rows)
 
 
 def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> tuple[dict[int, int], int]:
@@ -193,19 +120,6 @@ def _echelon(rows: Iterable[dict[int, int]], num_columns: int) -> dict[int, dict
             if len(pivots) == num_columns:
                 break
     return pivots
-
-
-@functools.lru_cache(maxsize=None)
-def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, dict[int, int]]]:
-    """Echelon pivot rows of the whole degree-d relation matrix, non-square-free columns first, each
-    column's own row (``_own_row``) before the others: the reference that the tests hold the table and
-    ``quotient_dimension`` to.  The rank is exact, as the row order does not change the row space."""
-    cols, col_index = _columns(n, d)
-    lower = _monomial_exponents(n, d - 2) if d >= 2 else []
-    own = (_own_row(mono) for mono in cols if _squared(mono))
-    rest = (_relation_row(M, i) for i in range(1, n) for M in lower if _squared(_bump(M, i, 2)) != i)
-    rows = ({col_index[t]: v for t, v in row.items()} for row in chain(own, rest))
-    return tuple(cols), _echelon(rows, len(cols))
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,16 +182,6 @@ def _normal_form(n: int, exps: Exponents) -> tuple[dict[int, int], int]:
     if not j:
         return {_mask(exps): 1}, 1
     return _times(n, j, *_normal_form(n, _bump(exps, j, -1)))
-
-
-def normal_form(m: Monomial) -> dict[IndexSet, Fraction]:
-    """The unique expression of a monomial as a rational combination of
-    square-free monomials modulo the relation ideal; PresentationError
-    where the relations do not reduce it."""
-    from fractions import Fraction
-
-    row, denom = _normal_form(m.n, m.exponents)
-    return {IndexSet.from_mask(m.n, S): Fraction(v, denom) for S, v in row.items()}
 
 
 def quotient_dimension(n: int, d: int) -> int:

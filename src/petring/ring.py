@@ -1,84 +1,23 @@
-"""The rewrite engine and the class algebra.
+"""The rewrite engine.
 
 The rewrite multiplies the basis class on J, x_J / m_factor(J), by the
 generators of K, one run-rule step at a time in the basis of classes, where
 every step's coefficient is a positive integer (Harada-Tymoczko's positive
 Monk rule), and divides by m_factor(K).  ``rewrite_rows`` is its one path,
-and every row it gives has passed ``errors.constants``.  A
-``CohomologyClass`` is a rational combination of square-free monomials, and
-``multiply`` is the bilinear extension of the rewrite's rows.  Only the
-class algebra builds Fractions, and it imports them when it does.
+and every row it gives has passed ``errors.constants``.  ``_varpi_product``
+extends its rows bilinearly to combinations of basis classes: the product
+of the class algebra, ``algebra``, and of `verify`'s top-degree check.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain
 from typing import Any, Iterable, Iterator
 
 from .errors import ConsistencyError, Row, constants, expansion
-from .intervals import Frozen, IndexSet, decompose_mask, m_factor, run_step
+from .intervals import IndexSet, decompose_mask, run_step
 
-__all__ = ["CohomologyClass", "unit", "zero", "monomial", "peterson_schubert_class", "add", "scale",
-           "multiply_generator", "multiply", "to_varpi_basis", "structure_constants_rewrite",
-           "rewrite_rows", "rewrite_row", "integral", "pairing"]
-
-Support = frozenset[int]
-
-
-class CohomologyClass(Frozen):
-    """Rational combination of square-free monomials, {support: coefficient};
-    ValueError for a support outside {1, ..., n-1} or a zero coefficient.
-    Treated as immutable, and unhashable, as its terms are a dict."""
-
-    __slots__ = _fields = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[Support, Fraction] | None = None) -> None:
-        terms = {} if terms is None else terms
-        for support, coeff in terms.items():
-            if not all(1 <= i <= n - 1 for i in support):
-                raise ValueError(f"support {sorted(support)} invalid for rank {n}")
-            if coeff == 0:
-                raise ValueError("zero coefficients must be pruned")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int | None:
-        """Common support size of a homogeneous class; None for zero or mixed."""
-        degrees = {len(s) for s in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
-
-    _check_same_rank = IndexSet._check_same_rank
-
-
-def zero(n: int) -> CohomologyClass:
-    """The zero class of rank n."""
-    return CohomologyClass(n, {})
-
-
-def unit(n: int) -> CohomologyClass:
-    """The unit of rank n, the monomial on the empty set."""
-    return monomial(IndexSet(n))
-
-
-def monomial(J: IndexSet, coeff: Fraction | int = 1) -> CohomologyClass:
-    """The square-free monomial on J (product of the generators indexed by J)."""
-    from fractions import Fraction
-
-    coeff = Fraction(coeff)
-    if coeff == 0:
-        return zero(J.n)
-    return CohomologyClass(J.n, {J.members: coeff})
-
-
-def peterson_schubert_class(J: IndexSet) -> CohomologyClass:
-    """The basis class on J: the monomial on J scaled by 1/m_factor(J)."""
-    from fractions import Fraction
-
-    return monomial(J, Fraction(1, m_factor(J)))
+__all__ = ["structure_constants_rewrite", "rewrite_rows", "rewrite_row"]
 
 
 def _collect(pairs: Iterable[tuple[Any, Any]]) -> dict:
@@ -89,52 +28,11 @@ def _collect(pairs: Iterable[tuple[Any, Any]]) -> dict:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def add(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    """The sum of two classes; ValueError for mismatched ranks."""
-    c1._check_same_rank(c2)
-    return CohomologyClass(c1.n, _collect(chain(c1.terms.items(), c2.terms.items())))
-
-
-def scale(c: CohomologyClass, r: Fraction | int) -> CohomologyClass:
-    """The class c times the rational r."""
-    from fractions import Fraction
-
-    r = Fraction(r)
-    if r == 0:
-        return zero(c.n)
-    return CohomologyClass(c.n, {s: coeff * r for s, coeff in c.terms.items()})
-
-
-def multiply_generator(c: CohomologyClass, i: int) -> CohomologyClass:
-    """Multiply by the i-th generator."""
-    return multiply(c, monomial(IndexSet.of(c.n, [i])))
-
-
-def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    """The product of two classes by the rewrite's checked rows; ValueError for mismatched ranks."""
-    from fractions import Fraction
-
-    c1._check_same_rank(c2)
-    n = c1.n
-    left, right = ({J.mask: r for J, r in to_varpi_basis(c).items()} for c in (c1, c2))
-    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: Fraction(r, decompose_mask(L).m_factor)
-                               for L, r in _varpi_product(n, left, right).items()})
-
-
 def _varpi_product(n: int, left: dict[int, Any], right: dict[int, Any]) -> dict[int, Any]:
     """The product at rank n of two int or Fraction combinations of basis classes keyed by mask: :func:`rewrite_rows`
     of each J of ``left`` on the masks of ``right``, each (L, d) of a row adding r_J r_K d on L."""
     return _collect((L, r * right[K] * d)
                     for J, r in left.items() for K, row in rewrite_rows(n, J, right) for L, d in row)
-
-
-def to_varpi_basis(c: CohomologyClass) -> dict[IndexSet, Fraction]:
-    """Coefficients in the basis of classes on each support: the monomial
-    coefficient on L scaled by m_factor(L)."""
-    return {
-        IndexSet(c.n, support): coeff * m_factor(IndexSet(c.n, support))
-        for support, coeff in c.terms.items()
-    }
 
 
 def _varpi_times_generator(terms: dict[int, int], i: int, n: int) -> dict[int, int]:
@@ -200,18 +98,3 @@ def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
         top = K.bit_length()
         terms = prefix[K] = _varpi_times_generator(_fold(prefix, K ^ 1 << (top - 1), n), top, n)
     return terms
-
-
-def integral(c: CohomologyClass) -> Fraction:
-    """Evaluation against the fundamental class: (n-1)! times the monomial
-    coefficient on the full set {1, ..., n-1}, whose m-factor is (n-1)!."""
-    return pairing(IndexSet.full(c.n), c)
-
-
-def pairing(J: IndexSet, c: CohomologyClass) -> Fraction:
-    """Coefficient of the basis class on J in c: m_factor(J) times the
-    monomial coefficient on J."""
-    from fractions import Fraction
-
-    J._check_same_rank(c)
-    return m_factor(J) * c.terms.get(J.members, Fraction(0))

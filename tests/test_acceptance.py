@@ -9,20 +9,22 @@ import time
 from fractions import Fraction
 from itertools import permutations as all_perms
 
-from petring.diagrams import enumerate_diagrams, expand_all, weight
-from petring.intervals import IndexSet, all_index_sets, m_factor
-from petring.oracle import Monomial, normal_form, quotient_dimension, structure_constants_linalg
-from petring.permutations import bruhat_leq, longest_wj, simple_transposition
-from petring.ring import (
+from petring.algebra import (
     integral,
     monomial,
     multiply,
     multiply_generator,
     pairing,
     peterson_schubert_class,
-    structure_constants_rewrite,
     unit,
 )
+from petring.diagrams import expand_all
+from petring.intervals import IndexSet, all_index_sets, m_factor
+from petring.listings import enumerate_diagrams, weight
+from petring.oracle import quotient_dimension, structure_constants_linalg
+from petring.permutations import bruhat_leq, longest_wj, simple_transposition
+from petring.relations import Monomial, normal_form
+from petring.ring import structure_constants_rewrite
 
 GOLDEN_N = 10
 GOLDEN_J = IndexSet.parse("1,3,5,6,7", GOLDEN_N)

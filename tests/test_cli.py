@@ -16,7 +16,9 @@ from unittest.mock import ANY
 import pytest
 
 import petring.cli
-from petring import diagrams, oracle, ring
+import petring.table
+import petring.verify
+from petring import algebra, diagrams, oracle, relations, ring
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import rewrite_row, structure_constants_rewrite
 
@@ -33,7 +35,7 @@ def run(capsys, *argv):
 
 
 @pytest.mark.parametrize("module, unneeded", [
-    ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal"]),
+    ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal", "csv"]),
     ("petring.intervals", ["petring.ring", "petring.diagrams", "petring.oracle"]),
 ])
 def test_fresh_import_loads_no_unneeded_module(module, unneeded):
@@ -56,30 +58,50 @@ def tables5(tmp_path_factory):
     ([], []),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], []),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{json}"], []),
-    (["table", "-n", "5"], ["ring"]),
+    (["table", "-n", "5"], ["ring", "table"]),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--method", "all"], ["diagrams", "oracle", "ring"]),
-    (["verify", "--n-max", "3"], ["diagrams", "oracle", "permutations", "ring"]),
-], ids=["import", "cached-csv", "cached-json", "table", "expand-all", "verify"])
+    (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], ["diagrams", "listings"]),
+    (["verify", "--n-max", "3"], ["diagrams", "oracle", "permutations", "ring", "verify"]),
+], ids=["import", "cached-csv", "cached-json", "table", "expand-all", "diagrams", "verify"])
 def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
-    # in a fresh interpreter, after `import petring.cli` and the command: every engine module is in
-    # sys.modules and bound on the package, as an import binds it, and is a plain module once run;
-    # any attribute read would run it, so its type is tested
+    # in a fresh interpreter, after `import petring.cli` and the command: every module that cli calls is
+    # in sys.modules and bound on the package, as an import binds it, and is a plain module once run;
+    # any attribute read would run it, so its type is tested; the class algebra and the relation
+    # reference, which cli never calls, are not imported at all
     argv = [arg.format(**tables5) for arg in argv]
     code = ("import sys, types, petring; from petring.cli import main; "
             "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "engines = {m: sys.modules['petring.' + m] for m in ('diagrams', 'oracle', 'permutations', 'ring')}; "
-            "assert all(getattr(petring, m) is module for m, module in engines.items()); "
-            "print(*(m for m, module in engines.items() if type(module) is types.ModuleType), file=sys.stderr); "
+            "called = ('diagrams', 'listings', 'oracle', 'permutations', 'ring', 'table', 'verify'); "
+            "modules = {m: sys.modules.get('petring.' + m) for m in sorted((*called, 'algebra', 'relations'))}; "
+            "assert all(getattr(petring, m) is modules[m] for m in called); "
+            "print(*(m for m, module in modules.items() if type(module) is types.ModuleType), file=sys.stderr); "
             "sys.exit(code)")
     proc = _python("-c", code, *argv, timeout=60)
     assert (proc.returncode, proc.stderr.split()) == (0, ran), proc.stderr
+
+
+def test_a_query_compiles_only_the_code_it_runs():
+    # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written:
+    # 1608 lines while the bodies of `verify` and `table` and the engines' listings, class algebra and
+    # relation reference shared the modules a query runs, 1084 since; code put back on the path shows here
+    code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
+            "print(*(m.__file__ for name, m in sys.modules.items() "
+            "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
+            "sys.exit(code)")
+    proc = _python("-c", code, *GOLDEN, "--method", "all", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ran = proc.stderr.split()
+    assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
+                                                       "oracle", "ring"]
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1084
 
 
 def test_every_public_function_and_class_has_a_docstring():
     import importlib
     import inspect
 
-    for module in ("cli", "diagrams", "errors", "intervals", "oracle", "permutations", "ring"):
+    for module in ("algebra", "cli", "diagrams", "errors", "intervals", "listings", "oracle", "permutations",
+                   "relations", "ring", "table", "verify"):
         public = vars(importlib.import_module(f"petring.{module}"))
         for name in public["__all__"]:
             obj = public[name]
@@ -89,9 +111,9 @@ def test_every_public_function_and_class_has_a_docstring():
 
 def test_package_resolves_every_public_name():
     import petring
-    from petring import errors, intervals, ring
+    from petring import errors, intervals, listings
 
-    modules = (errors, intervals, ring, diagrams, oracle)
+    modules = (errors, intervals, algebra, ring, diagrams, listings, oracle, relations)
     assert petring.__version__ == "0.1.0" and len(petring.__all__) == 36
     for name in (n for n in petring.__all__ if n != "__version__"):
         assert any(getattr(m, name, None) is getattr(petring, name) for m in modules), name
@@ -417,7 +439,7 @@ class TestVerify:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", counting)
         pooled = run(capsys, "verify", "--n-max", "6", "--jobs", "2")
-        assert pools == [{"max_workers": 2, "initializer": petring.cli._pin_worker, "initargs": (ANY,)}]
+        assert pools == [{"max_workers": 2, "initializer": petring.verify._pin_worker, "initargs": (ANY,)}]
         assert serial[0] == pooled[0] == 0
         assert pooled[1] == serial[1]
         assert "n=6: 1024 (J,K) pairs" in pooled[1]
@@ -454,7 +476,8 @@ class TestVerify:
             raise AssertionError("the class algebra was called")
 
         modules = [m for name, m in sys.modules.items() if name.startswith("petring")]
-        for name, fn in (("multiply", ring.multiply), ("integral", ring.integral), ("normal_form", oracle.normal_form)):
+        for name, fn in (("multiply", algebra.multiply), ("integral", algebra.integral),
+                         ("normal_form", relations.normal_form)):
             for module in modules:
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, refused)
@@ -475,7 +498,7 @@ class TestVerify:
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-        monkeypatch.setattr(petring.cli, "CHECKS", [("worker {status}", range(1, 9), _worker_cpus, None)])
+        monkeypatch.setattr(petring.verify, "CHECKS", [("worker {status}", range(1, 9), _worker_cpus, None)])
         code, out, err = run(capsys, "verify", "--n-max", "8", "--jobs", "2")
         assert code == 2
         assert out.splitlines() == [f"n={n}: worker FAIL" for n in range(1, 9)]
@@ -578,8 +601,8 @@ class TestVerify:
     def test_every_map_issued_before_any_result_is_read(self, capsys, monkeypatch):
         # every check of every rank goes to the pool at once, top rank first,
         # so no worker waits for the parent, and the parent does no check's work
-        cli = petring.cli
-        checks = [cli._verify_chunk, cli._graded_dimensions, cli._bruhat_criteria, cli._top_degree]
+        verify = petring.verify
+        checks = [verify._verify_chunk, verify._graded_dimensions, verify._bruhat_criteria, verify._top_degree]
         expected = [(n, fn) for n in (4, 3, 2) for fn in checks] + [(1, fn) for fn in checks[:3]]
         issued = []
 
@@ -592,13 +615,13 @@ class TestVerify:
 
             return results()
 
-        assert cli._verify_ranks(4, 1, sweep) == []
+        assert verify._verify_ranks(4, 1, sweep) == []
         assert issued == expected
         assert "n=4: graded dimensions 0..5 OK" in capsys.readouterr().out
         # a check is one function and one row of the table: its line is
         # printed after the rank's other checks, and its failure exits 2
         odd_rank_check = ("odd-rank check {status}", range(2, 9), _odd_rank_fails, None)
-        monkeypatch.setattr(cli, "CHECKS", [*cli.CHECKS, odd_rank_check])
+        monkeypatch.setattr(verify, "CHECKS", [*verify.CHECKS, odd_rank_check])
         code, out, err = run(capsys, "verify", "--n-max", "3")
         assert code == 2
         assert out.splitlines()[6:] == ["n=2: top-degree evaluation OK", "n=2: odd-rank check OK",
@@ -625,14 +648,14 @@ class TestVerify:
                     for memo in memos.values():
                         memo.cache_clear()
                     results.append(fn(n, block))
-                    if fn is petring.cli._verify_chunk and n == 6:
+                    if fn is petring.verify._verify_chunk and n == 6:
                         blocks.append(block)
                         lines.extend(results[-1])
                         for name in fills:
                             fills[name] += memos[name].cache_info().currsize
                 return results
 
-            assert petring.cli._verify_ranks(6, jobs, sweep) == []
+            assert petring.verify._verify_ranks(6, jobs, sweep) == []
             return blocks, lines, fills
 
         one, lines_one, single = filled(1)
@@ -719,10 +742,10 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "quotient_dimension", refused)
         before = oracle._normal_form.cache_info()
-        assert petring.cli._graded_dimensions(8, None) == []
+        assert petring.verify._graded_dimensions(8, None) == []
         assert oracle._normal_form.cache_info() == before
         monkeypatch.setattr(oracle, "presentation_failures", lambda n, size: [(0, 1, 1)] * (size < 2))
-        assert petring.cli._graded_dimensions(5, None) == ["n=5: graded dimensions do not match binomials"]
+        assert petring.verify._graded_dimensions(5, None) == ["n=5: graded dimensions do not match binomials"]
 
     def test_chunk_folds_each_J_once(self, monkeypatch):
         # a block expanded in (J, K) order: the rewrite folds each J once over
@@ -732,7 +755,7 @@ class TestVerify:
         step = ring._varpi_times_generator
         monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
         block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
-        assert petring.cli._verify_chunk(6, block) == []
+        assert petring.verify._verify_chunk(6, block) == []
         assert len(steps) == 4 ** 5 - 2 ** 5
 
     def test_chunk_takes_one_run_step_per_transition(self, monkeypatch):
@@ -744,7 +767,7 @@ class TestVerify:
         transition = functools.cache(ring._transition.__wrapped__)
         monkeypatch.setattr(ring, "_transition", transition)
         block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
-        assert petring.cli._verify_chunk(6, block) == []
+        assert petring.verify._verify_chunk(6, block) == []
         assert 0 < len(calls) == len(set(calls)) == transition.cache_info().currsize
 
     def test_jobs_blocks_balance_cost(self):
@@ -753,13 +776,13 @@ class TestVerify:
         blocks = []
 
         def sweep(fn, ns, args):
-            if fn is petring.cli._verify_chunk and ns[0] == 7:
+            if fn is petring.verify._verify_chunk and ns[0] == 7:
                 blocks[:] = args
                 return [[] for _ in args]
             return map(fn, ns, args)
 
         n = 7
-        assert petring.cli._verify_ranks(n, 2, sweep) == []
+        assert petring.verify._verify_ranks(n, 2, sweep) == []
         costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in block) for block in blocks]
         assert len(costs) == 2
         classes: dict[int, int] = {}
@@ -1010,7 +1033,7 @@ class TestTableAgreesWithSinglePairs:
             def __exit__(self, *exc):
                 self.fh.close()
 
-        monkeypatch.setattr(petring.cli, "open", Counted, raising=False)
+        monkeypatch.setattr(petring.table, "open", Counted, raising=False)
         path = tmp_path / "table6.csv"
         assert run(capsys, "table", "-n", "6", *argv, "--out", str(path))[0] == 0
         [counted] = files

@@ -5,15 +5,15 @@ from fractions import Fraction
 import pytest
 
 from petring import diagrams
-from petring.diagrams import (
+from petring.diagrams import expand_all
+from petring.intervals import IndexSet, all_index_sets
+from petring.listings import (
     Move,
     enumerate_diagrams,
-    expand_all,
     render_ascii,
     structure_constant,
     weight,
 )
-from petring.intervals import IndexSet, all_index_sets
 from petring.ring import structure_constants_rewrite
 
 N10 = 10

@@ -2,6 +2,7 @@
 each against the SHA-256 digest of its standard output that CI checks."""
 
 import hashlib
+import sys
 
 import pytest
 
@@ -29,6 +30,18 @@ PINNED = [
 ]
 
 
+# the help of `petring` and of each subcommand at COLUMNS=80: a subcommand's help is
+# the docstring of its command function in cli, whatever module holds its body
+HELP = [
+    ([], "342c47d162a43ce55ab0ad867df790de88a13bf5c1fe193715041fdf4be81ce3"),
+    (["expand"], "de59305f483139aecf54d67442e62c92411c5b2ea88331ae73fc982b8b4a69e9"),
+    (["diagrams"], "d50cc2692a889e2be94622a58605ca6cedcacb2473049b5b96cf7b2adec9c024"),
+    (["verify"], "109d9d2e707fcbdaebfa4986f116f851f7cce716c9d04eee82c6f8b7c78b7771"),
+    (["table"], "399e218a31df4f08ba4fb0e1225a9976888b0083046215489b59e70e1a121dcb"),
+    (["group"], "10a65be244da99a96cfdcea1d55fa306b7c1aef2061bba9b844daa6c27b0b9a9"),
+]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -36,6 +49,16 @@ def _digest(text: str) -> str:
 @pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
 def test_output_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _digest(out) == digest
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently across Python "
+                    "versions, and these digests are of Python 3.11's help")
+@pytest.mark.parametrize("argv, digest", HELP, ids=[" ".join(argv) or "petring" for argv, _ in HELP])
+def test_help_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv, "--help")
     assert (code, err) == (0, "")
     assert _digest(out) == digest
 

@@ -86,8 +86,8 @@ class TestValueTypes:
         import copy
         import pickle
 
-        from petring.oracle import Monomial
-        from petring.ring import CohomologyClass
+        from petring.algebra import CohomologyClass
+        from petring.relations import Monomial
 
         for value in (IndexSet.of(5, [1, 3]), Monomial(4, (0, 2, 1)), CohomologyClass(3, {frozenset({1}): 2})):
             assert pickle.loads(pickle.dumps(value)) == value
@@ -96,8 +96,8 @@ class TestValueTypes:
         assert repr(Monomial(3, (1, 0))) == "Monomial(n=3, exponents=(1, 0))"
 
     def test_fields_refuse_assignment(self):
-        from petring.oracle import Monomial
-        from petring.ring import CohomologyClass
+        from petring.algebra import CohomologyClass
+        from petring.relations import Monomial
 
         values = [(IndexSet.of(5, [1]), "members"), (IndexSet.of(5, [1]), "mask"),
                   (Monomial(4, (0, 2, 1)), "exponents"), (CohomologyClass(3), "terms")]
@@ -130,8 +130,8 @@ class TestValueTypes:
         assert str(caught.value) == message
 
     def test_monomial_and_class_errors(self):
-        from petring.oracle import Monomial
-        from petring.ring import CohomologyClass
+        from petring.algebra import CohomologyClass
+        from petring.relations import Monomial
 
         for build, message in [
             (lambda: Monomial(4, (1, 2)), "expected 3 exponents, got 2"),

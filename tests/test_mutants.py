@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from petring import cli, diagrams, errors, intervals, oracle, permutations, ring
+from petring import algebra, diagrams, errors, intervals, oracle, permutations, ring, verify
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 from test_cli import _fresh_memos, run
@@ -124,7 +124,7 @@ def _class_divisor_without_m_K(monkeypatch):
     def dropped(engine, n, J, K, row, denom):
         return errors.constants(engine, n, J, K, row, denom * intervals.decompose_mask(J).m_factor)
 
-    for module in (diagrams, oracle, cli):
+    for module in (diagrams, oracle, verify):
         monkeypatch.setattr(module, "class_tail", dropped)
 
 
@@ -191,6 +191,6 @@ def test_multiply_ends_in_the_checked_tail(monkeypatch):
     # so a transition entry off the support is refused, not summed into a class
     _fresh_memos(monkeypatch)
     _transition_off_support(monkeypatch)
-    g2 = ring.monomial(IndexSet.of(5, [2]))
+    g2 = algebra.monomial(IndexSet.of(5, [2]))
     with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=3,4 for J=2, K=2, outside"):
-        ring.multiply(g2, g2)
+        algebra.multiply(g2, g2)

@@ -7,17 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from petring import intervals, oracle
+from petring import intervals, oracle, relations
 from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet, all_index_sets
-from petring.oracle import (
-    Monomial,
-    normal_form,
-    presentation_failures,
-    quotient_dimension,
-    relation_rows,
-    structure_constants_linalg,
-)
+from petring.oracle import presentation_failures, quotient_dimension, structure_constants_linalg
+from petring.relations import Monomial, normal_form, relation_rows
 from petring.ring import rewrite_row, structure_constants_rewrite
 
 
@@ -118,7 +112,7 @@ class TestNormalForm:
         # against reduction by the echelon form of the whole degree-d matrix
         for n in range(1, 7):
             for d in range(0, n + 2):
-                cols, pivots = oracle._reduced_pivots(n, d)
+                cols, pivots = relations._reduced_pivots(n, d)
                 col_index = {mono: idx for idx, mono in enumerate(cols)}
                 for exps in oracle._monomial_exponents(n, d):
                     vec, denom = oracle._reduce_row({col_index[exps]: 1}, pivots)
@@ -134,9 +128,9 @@ class TestNormalForm:
         K = IndexSet.parse("3,6,8", 10)
         # hits, misses and currsize all unchanged: no full matrix was
         # looked up, let alone eliminated
-        before = oracle._reduced_pivots.cache_info()
+        before = relations._reduced_pivots.cache_info()
         structure_constants_linalg(J, K)
-        assert oracle._reduced_pivots.cache_info() == before
+        assert relations._reduced_pivots.cache_info() == before
 
 
 @pytest.fixture
@@ -153,7 +147,7 @@ class TestTable:
         # echelon form of the whole degree-(|S|+1) matrix
         for n in range(2, 8):
             for S in range(1 << (n - 1)):
-                cols, pivots = oracle._reduced_pivots(n, S.bit_count() + 1)
+                cols, pivots = relations._reduced_pivots(n, S.bit_count() + 1)
                 col_index = {mono: idx for idx, mono in enumerate(cols)}
                 for i in (k + 1 for k in range(n - 1) if S >> k & 1):
                     product = oracle._bump(tuple(S >> k & 1 for k in range(n - 1)), i, 1)
@@ -214,19 +208,21 @@ class TestTable:
 
     def test_independent_of_the_run_rule(self, monkeypatch):
         # linalg is a cross-check only while it never uses the run rule: not
-        # by name, and not at run time through a callee such as the m-factors
-        tree = ast.parse(inspect.getsource(oracle))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add((node.module or "").split(".")[-1])
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(part for alias in node.names for part in alias.name.split("."))
-        assert not imported & {"ring", "diagrams", "run_step"}
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert "run_step" not in names
+        # by name, and not at run time through a callee such as the m-factors;
+        # nor does its reference, the relation matrix of `relations`
+        for module in (oracle, relations):
+            tree = ast.parse(inspect.getsource(module))
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    imported.add((node.module or "").split(".")[-1])
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    imported.update(part for alias in node.names for part in alias.name.split("."))
+            assert not imported & {"ring", "diagrams", "algebra", "listings", "run_step"}, module
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert "run_step" not in names, module
 
         def refused(*args):
             raise AssertionError("linalg reached the run rule")
@@ -269,7 +265,7 @@ class TestElimination:
             for d in range(2, n + 2):
                 matrix = relation_rows(n, d)
                 plain = oracle._echelon(matrix.rows, len(matrix.columns) + 1)
-                cols, pivots = oracle._reduced_pivots(n, d)
+                cols, pivots = relations._reduced_pivots(n, d)
                 assert cols == matrix.columns
                 assert len(pivots) == len(plain), (n, d)
                 for row in matrix.rows:
@@ -307,7 +303,7 @@ class TestElimination:
             return reduce_row(row, pivots)
 
         monkeypatch.setattr(oracle, "_reduce_row", counting)
-        oracle._reduced_pivots.__wrapped__(n, d)
+        relations._reduced_pivots.__wrapped__(n, d)
         return len(calls)
 
     def test_one_row_per_column_above_top_degree(self, monkeypatch):
@@ -345,14 +341,14 @@ class TestQuotientDimension:
     def test_matches_full_elimination(self):
         for n in range(1, 8):
             for d in range(0, n + 2):
-                cols, pivots = oracle._reduced_pivots(n, d)
+                cols, pivots = relations._reduced_pivots(n, d)
                 assert quotient_dimension(n, d) == len(cols) - len(pivots), (n, d)
 
     def test_eliminates_no_full_matrix(self):
-        before = oracle._reduced_pivots.cache_info()
+        before = relations._reduced_pivots.cache_info()
         for d in range(0, 10):
             quotient_dimension(8, d)
-        assert oracle._reduced_pivots.cache_info() == before
+        assert relations._reduced_pivots.cache_info() == before
 
     def test_rank_nine(self):
         # a rank that verify's pair sweep does not reach

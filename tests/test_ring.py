@@ -6,9 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from petring.errors import ConsistencyError, constants
-from petring.intervals import IndexSet, all_index_sets, m_factor
-from petring.ring import (
+from petring.algebra import (
     CohomologyClass,
     add,
     integral,
@@ -17,14 +15,14 @@ from petring.ring import (
     multiply_generator,
     pairing,
     peterson_schubert_class,
-    rewrite_row,
-    rewrite_rows,
     scale,
-    structure_constants_rewrite,
     to_varpi_basis,
     unit,
     zero,
 )
+from petring.errors import ConsistencyError, constants
+from petring.intervals import IndexSet, all_index_sets, m_factor
+from petring.ring import rewrite_row, rewrite_rows, structure_constants_rewrite
 
 
 def cls(n, terms):
@@ -146,7 +144,7 @@ class TestMultiply:
         def no_add(*args):
             raise AssertionError("multiply must not fold with add")
 
-        monkeypatch.setattr("petring.ring.add", no_add)
+        monkeypatch.setattr("petring.algebra.add", no_add)
         assert multiply(a, b) == expected
         assert multiply(a, scale(a, -1)) == scale(multiply(a, a), -1)
 

@@ -10,6 +10,7 @@ import random
 import pytest
 
 import petring.cli
+import petring.verify
 from petring import diagrams, oracle, ring
 from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet
@@ -50,7 +51,7 @@ def _reference_blocks(n, jobs):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_blocks_match_the_sorted_reference(n):
     for jobs in (1, 2, 3):
-        assert petring.cli._pair_blocks(n, jobs) == _reference_blocks(n, jobs)
+        assert petring.verify._pair_blocks(n, jobs) == _reference_blocks(n, jobs)
 
 
 # the memoized engine internals a fault is planted in, and the module that holds each
@@ -65,7 +66,7 @@ def _entries_read(name, n):
         _fresh_memos(mp)
         memo = getattr(module, name)
         mp.setattr(module, name, lambda *args: read.add(args) or memo(*args))
-        assert petring.cli._verify_chunk(n, petring.cli._pair_blocks(n, 1)[0]) == []
+        assert petring.verify._verify_chunk(n, petring.verify._pair_blocks(n, 1)[0]) == []
     return sorted(read)
 
 
@@ -112,11 +113,11 @@ def _plant(monkeypatch, name, seed):
 @pytest.mark.parametrize("name", ENTRIES)
 def test_faults_give_the_reference_lines(monkeypatch, name, seed):
     lines = []
-    for sweep in (_reference_chunk, petring.cli._verify_chunk):
+    for sweep in (_reference_chunk, petring.verify._verify_chunk):
         with monkeypatch.context() as mp:
             _fresh_memos(mp)
             n = _plant(mp, name, seed)
-            lines.append(sweep(n, petring.cli._pair_blocks(n, 1)[0]))
+            lines.append(sweep(n, petring.verify._pair_blocks(n, 1)[0]))
     assert lines[0] == lines[1]
     assert lines[0], "the planted fault went unseen"
 
@@ -138,9 +139,9 @@ def test_kernel_fault_on_one_J_gives_the_reference_lines(monkeypatch, where):
             yield from kernel(n, jm, [km])
 
     monkeypatch.setattr(ring, "rewrite_rows", faulty)
-    block = petring.cli._pair_blocks(n, 1)[0]
+    block = petring.verify._pair_blocks(n, 1)[0]
     lines = _reference_chunk(n, block)
-    assert petring.cli._verify_chunk(n, block) == lines
+    assert petring.verify._verify_chunk(n, block) == lines
     assert f"n={n} J=2 K={IndexSet.from_mask(n, K)}: injected" in lines
 
 
@@ -171,7 +172,7 @@ def test_each_engine_read_once_per_input(monkeypatch):
                         kernel(n, J, ks))
     monkeypatch.setattr(petring.cli, "_expansion_row", lambda n, J, K, method: retried.append((J, K)) or
                         expansion_row(n, J, K, method))
-    assert petring.cli._verify_chunk(n, petring.cli._pair_blocks(n, 1)[0]) == []
+    assert petring.verify._verify_chunk(n, petring.verify._pair_blocks(n, 1)[0]) == []
     classes = {(jm | km, jm & km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))}
     assert sorted(games) == sorted(classes) and len(classes) == 3 ** (n - 1)
     below_top = [(u, m) for u, m in classes if u.bit_count() + m.bit_count() <= n - 1]
