@@ -2,10 +2,12 @@
 ring in type A, by three independent engines: the left-right diagram game,
 run-rule term rewriting, and relation-matrix linear algebra.
 
-The public names below are loaded on first use (PEP 562), so importing one
-submodule, such as ``petring.intervals``, loads none of the others."""
+Its ``__getattr__`` (PEP 562) serves the public names below, each from its
+module, and the submodules, bound as an import binds them but run on first
+attribute access, so ``import petring.intervals`` runs no other submodule."""
 
-import importlib
+import importlib.util
+import sys
 
 _EXPORTS = {  # module: the public names it defines
     "errors": ("ConsistencyError", "PresentationError"),
@@ -27,10 +29,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import the submodule that defines a public name, and keep the name."""
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    """A public name from its module, or a submodule: the one in ``sys.modules``, else one registered to run on use."""
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif (value := sys.modules.get(f"{__name__}.{name}")) is None:
+        if name.startswith("_") or (spec := importlib.util.find_spec(f"{__name__}.{name}")) is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        value = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(value)
+    globals()[name] = value
     return value
 
 

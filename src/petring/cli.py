@@ -1,11 +1,12 @@
 """The ``petring`` command line: one argparse parser, ``cli``, with the
-subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group``
-in ``cli.commands``, each with its function's docstring as help.  Importing
-it runs only ``errors`` and ``intervals``, and loads no ``csv``,
-``fractions`` or ``concurrent.futures``.  The rest runs on first use:
-``expand`` runs the three engines and ``--cached`` none, ``diagrams`` the
-game and ``listings``, and ``table`` and ``verify`` the engines they call
-and the module of their name, which holds the command's body.
+subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group`` in
+``cli.commands``, each with its function's docstring as help.  Importing it
+runs ``errors`` and ``intervals``, and no ``csv``, ``fractions`` or
+``concurrent.futures``.  Each command runs besides only the modules it
+calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and
+none with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``;
+``group`` ``permutations``; ``table`` ``ring`` and ``table``; ``verify`` the
+engines, ``permutations`` and ``verify``.
 
 Exit codes: 0 on success; 1 on a usage error, a refused request or a
 standard output closed early; 2 on a ConsistencyError, such as engines
@@ -17,29 +18,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.util
 import io
 import json
 import os
 import sys
 
+from . import diagrams, listings, oracle, permutations, ring, table, verify
 from .errors import ConsistencyError, Row, constants
 from .intervals import IndexSet, decimal, decompose, factor_ranks, hessenberg_function
-
-
-def _lazy(name: str):
-    """``petring.<name>`` as already imported, else bound as an import binds it, to run on first attribute access."""
-    if (module := sys.modules.get(f"{__package__}.{name}")) is None:
-        spec = importlib.util.find_spec(f"{__package__}.{name}")
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-diagrams, listings, oracle, permutations, ring, table, verify = map(
-    _lazy, ("diagrams", "listings", "oracle", "permutations", "ring", "table", "verify"))
 
 __all__ = ["cli", "main", "entry"]
 
@@ -191,11 +177,13 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
 
 
 def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
-    """The (L, d) cells of the rows for (J, K) in a table file; UsageError if a line read is of another rank.
-    A CSV table is bisected over byte offsets for the pair's first line, in the (J mask, K mask) order that
-    `table` writes, so in a file out of that order it can find part of a pair's rows, or none: a documented
-    limit, as only a scan to the end could see the disorder.  A JSON table is loaded whole."""
-    if path.endswith(".json"):
+    """The (L, d) cells of the rows for (J, K) in a table file, read whole if JSON (named *.json or starting with
+    "{"); UsageError if a line read is of another rank.  A CSV table is bisected over byte offsets for the pair's
+    first line, in the (J mask, K mask) order that `table` writes, so in a file out of that order it can find part
+    of a pair's rows, or none: a documented limit, as only a scan to the end could see the disorder."""
+    with open(path, "rb") as fh:
+        is_json = path.endswith(".json") or fh.read(1) == b"{"
+    if is_json:
         with open(path) as fh:
             data = json.load(fh)
         if data["n"] != n:

@@ -37,6 +37,8 @@ def run(capsys, *argv):
 @pytest.mark.parametrize("module, unneeded", [
     ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal", "csv"]),
     ("petring.intervals", ["petring.ring", "petring.diagrams", "petring.oracle"]),
+    ("petring", [f"petring.{m}" for m in ("cli", "diagrams", "errors", "intervals", "listings", "oracle",
+                                          "permutations", "relations", "ring", "table", "verify")]),
 ])
 def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     # in a fresh interpreter, the modules that the import adds to those loaded at start-up
@@ -83,7 +85,8 @@ def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
 def test_a_query_compiles_only_the_code_it_runs():
     # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written:
     # 1608 lines while the bodies of `verify` and `table` and the engines' listings, class algebra and
-    # relation reference shared the modules a query runs, 1084 since; code put back on the path shows here
+    # relation reference shared the modules a query runs, 1084 then, 1080 since the package holds the one
+    # loader; code put back on the path shows here
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -93,7 +96,52 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1084
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1080
+
+
+def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
+    # a fresh `expand --cached` on a CSV table runs no engine: the package, cli, errors and intervals,
+    # 665 lines while cli held a loader of its own besides the package's, 661 since
+    code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
+            "print(*(m.__file__ for name, m in sys.modules.items() "
+            "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
+            "sys.exit(code)")
+    proc = _python("-c", code, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(tables5["csv"]),
+                   timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ran = proc.stderr.split()
+    assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals"]
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 661
+
+
+def test_a_submodule_read_on_the_package_is_registered_but_not_run():
+    # one attribute read on the package registers the module in sys.modules and binds it, unrun;
+    # one attribute read on the module runs it
+    code = ("import sys, types, petring; module = petring.verify; "
+            "assert sys.modules['petring.verify'] is module is vars(petring)['verify']; "
+            "assert type(module) is not types.ModuleType; module.run; assert type(module) is types.ModuleType")
+    proc = _python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["ring", "table", "verify"])
+def test_a_submodule_imported_first_is_the_one_the_package_gives(module):
+    # `table` and `verify` run `cli` while they are themselves mid-import, and cli's `from . import` of them
+    # must give the module being imported, run once, not a second object that a monkeypatch would miss
+    code = (f"import sys, types, petring.{module}; assert type(sys.modules['petring.{module}']) is types.ModuleType; "
+            f"import petring.cli; from petring import {module} as imported; "
+            f"assert imported is petring.{module} is sys.modules['petring.{module}'] is petring.cli.{module}")
+    proc = _python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["__main__", "_lazy", "no_such_module"])
+def test_a_name_that_is_no_submodule_raises_and_registers_nothing(name):
+    code = (f"import sys, petring; before = set(sys.modules)\n"
+            f"try:\n    petring.{name}\nexcept AttributeError:\n    pass\nelse:\n    sys.exit('no error')\n"
+            f"assert set(sys.modules) == before, set(sys.modules) - before")
+    proc = _python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_public_function_and_class_has_a_docstring():
@@ -1217,6 +1265,15 @@ class TestCachedLookup:
         path = tmp_path / "t5.json"
         assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
         for j, k in [("-", "-"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
+            cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
+            assert cached == rewrite != []
+
+    @pytest.mark.parametrize("name", ["t5.csv", "t5"])
+    def test_json_table_under_another_name(self, capsys, tmp_path, name):
+        # a table whose first byte is "{" is read as JSON whatever its name
+        path = tmp_path / name
+        assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
+        for j, k in [("-", "-"), ("1", "1"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
             cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
             assert cached == rewrite != []
 
