@@ -177,13 +177,13 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
 
 
 def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
-    """The (L, d) cells of the rows for (J, K) in a table file, read whole if JSON (named *.json or starting with
-    "{"); UsageError if a line read is of another rank.  A CSV table is bisected over byte offsets for the pair's
-    first line, in the (J mask, K mask) order that `table` writes, so in a file out of that order it can find part
-    of a pair's rows, or none: a documented limit, as only a scan to the end could see the disorder."""
-    with open(path, "rb") as fh:
-        is_json = path.endswith(".json") or fh.read(1) == b"{"
-    if is_json:
+    """The (L, d) cells of the rows for (J, K) in a table file, read whole if JSON (named *.json or whose first
+    non-whitespace byte is "{"); UsageError if a line read is of another rank.  A CSV table is bisected over byte
+    offsets for the pair's first line, in the (J mask, K mask) order that `table` writes, so in a file out of that
+    order it can find part of a pair's rows, or none: a documented limit, as only a scan to the end could see it."""
+    with open(path, "rb") as fh:  # past the whitespace that JSON allows before a value
+        first = next((c for c in iter(lambda: fh.read(1), b"") if c not in b" \t\n\r"), b"")
+    if path.endswith(".json") or first == b"{":
         with open(path) as fh:
             data = json.load(fh)
         if data["n"] != n:

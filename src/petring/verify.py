@@ -18,9 +18,9 @@ __all__ = ["CHECKS", "run"]
 VERIFY_RANKS = range(1, cli.MAX_VERIFY_RANK + 1)
 
 
-def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
-    """The failure lines, in block order, of `verify`'s pair sweep over a block of (J, K) mask pairs that
-    holds each pair's transpose: a pair whose engines raise or disagree, in the words of
+def _verify_chunk(n: int, unions: range) -> list[str]:
+    """The failure lines, in block order, of `verify`'s pair sweep over the (J, K) mask pairs whose J | K is
+    in ``unions``, by J | K, then J, then K: a pair whose engines raise or disagree, in the words of
     ``_expansion_row(..., "all")``, or whose row differs from its transpose's.  The game and linalg run
     once per (J | K, J & K) class, the rewrite once per J's K list."""
 
@@ -29,6 +29,8 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
         (game, gd), (lin, ld) = diagrams._game_sums(n, union, meet), oracle._class_row(n, union, meet)
         return (game, gd) if sorted((L, v * ld) for L, v in game) == sorted((L, v * gd) for L, v in lin) else None
 
+    subsets = functools.cache(lambda mask: [s for s in range(mask + 1) if s & mask == s])  # increasing
+    masks = [(jm, union ^ jm | s) for union in unions for jm in subsets(union) for s in subsets(jm)]  # K = J|K - J + s
     results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
     for jm, run in itertools.groupby(sorted(masks), key=lambda pair: pair[0]):
         try:
@@ -50,21 +52,17 @@ def _verify_chunk(n: int, masks: list[tuple[int, int]]) -> list[str]:
             for (jm, km), row in results.items() if isinstance(row, Exception) or results[km, jm] != row]
 
 
-def _pair_blocks(n: int, jobs: int) -> list[list[tuple[int, int]]]:
-    """The pairs of rank n in ``jobs`` blocks of whole J | K classes, so that one worker alone fills a
-    class's memos, in union-mask order, each class in (J, K) order, and of about equal cost: a pair costs
-    one if |J| + |K| = |J | K| + |J & K| <= n - 1, and C(u, m) * 2^(u - m) pairs have |J | K| = u and
-    |J & K| = m."""
+def _pair_blocks(n: int, jobs: int) -> list[range]:
+    """The union masks J | K of rank n in ``jobs`` contiguous ranges of whole classes, so that one worker alone
+    fills a class's memos, and of about equal cost: a pair costs one if |J| + |K| = |J | K| + |J & K| <= n - 1,
+    and C(u, m) * 2^(u - m) pairs have |J | K| = u and |J & K| = m."""
     cost = [sum(math.comb(u, m) << (u - m) for m in range(min(u + 1, n - u))) for u in range(n)]
-    total, spent = sum(math.comb(n - 1, u) * cost[u] for u in range(n)), 0
-    subsets = [[s for s in range(mask + 1) if s & mask == s] for mask in range(1 << (n - 1))]  # increasing
-    blocks: list[list[tuple[int, int]]] = [[]]
+    total, spent, cuts = sum(math.comb(n - 1, u) * cost[u] for u in range(n)), 0, [0]
     for union in range(1 << (n - 1)):
-        if spent >= total * len(blocks) / jobs:
-            blocks.append([])
-        blocks[-1] += [(jm, union ^ jm | s) for jm in subsets[union] for s in subsets[jm]]  # K = (J|K) - J + s
+        if spent >= total * len(cuts) / jobs:
+            cuts.append(union)
         spent += cost[union.bit_count()]
-    return blocks
+    return [range(start, stop) for start, stop in zip(cuts, cuts[1:] + [1 << (n - 1)])]
 
 
 def _graded_dimensions(n: int, _) -> list[str]:

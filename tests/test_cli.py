@@ -713,8 +713,8 @@ class TestVerify:
         # a passing block returns no lines, and nothing but failure lines
         assert lines_one == lines_two == []
         assert len(one) == 1 and len(two) == 2
-        assert sorted(one[0]) == sorted(two[0] + two[1])
-        unions = [{jm | km for jm, km in block} for block in two]
+        assert sorted(_range_pairs(6, one[0])) == sorted(_range_pairs(6, two[0]) + _range_pairs(6, two[1]))
+        unions = [{jm | km for jm, km in _range_pairs(6, block)} for block in two]
         assert not unions[0] & unions[1]
         assert max(unions[0]) < min(unions[1])
 
@@ -802,8 +802,7 @@ class TestVerify:
         steps = []
         step = ring._varpi_times_generator
         monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
-        block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
-        assert petring.verify._verify_chunk(6, block) == []
+        assert petring.verify._verify_chunk(6, range(32)) == []
         assert len(steps) == 4 ** 5 - 2 ** 5
 
     def test_chunk_takes_one_run_step_per_transition(self, monkeypatch):
@@ -814,8 +813,7 @@ class TestVerify:
         monkeypatch.setattr(ring, "run_step", lambda mask, i, n: calls.append((i, mask)) or run_step(mask, i, n))
         transition = functools.cache(ring._transition.__wrapped__)
         monkeypatch.setattr(ring, "_transition", transition)
-        block = sorted(((jm, km) for jm in range(32) for km in range(32)), key=lambda p: p[0] | p[1])
-        assert petring.verify._verify_chunk(6, block) == []
+        assert petring.verify._verify_chunk(6, range(32)) == []
         assert 0 < len(calls) == len(set(calls)) == transition.cache_info().currsize
 
     def test_jobs_blocks_balance_cost(self):
@@ -831,13 +829,18 @@ class TestVerify:
 
         n = 7
         assert petring.verify._verify_ranks(n, 2, sweep) == []
-        costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in block) for block in blocks]
+        costs = [sum(jm.bit_count() + km.bit_count() < n for jm, km in _range_pairs(n, block)) for block in blocks]
         assert len(costs) == 2
         classes: dict[int, int] = {}
         for jm in range(1 << (n - 1)):
             for km in range(1 << (n - 1)):
                 classes[jm | km] = classes.get(jm | km, 0) + (jm.bit_count() + km.bit_count() < n)
         assert abs(costs[0] - costs[1]) <= max(classes.values())
+
+
+def _range_pairs(n, unions):
+    """The (J, K) mask pairs of rank n whose J | K is in ``unions``."""
+    return [(jm, km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1)) if jm | km in unions]
 
 
 def _failing_after(count):
@@ -1273,6 +1276,17 @@ class TestCachedLookup:
         # a table whose first byte is "{" is read as JSON whatever its name
         path = tmp_path / name
         assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
+        for j, k in [("-", "-"), ("1", "1"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
+            cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
+            assert cached == rewrite != []
+
+    @pytest.mark.parametrize("lead", ["\n", "  \n\t"], ids=["newline", "mixed"])
+    @pytest.mark.parametrize("name", ["t5.csv", "t5"])
+    def test_json_table_after_whitespace(self, capsys, tmp_path, name, lead):
+        # the sniff skips the whitespace that JSON allows before "{"
+        path = tmp_path / name
+        assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
+        path.write_text(lead + path.read_text())
         for j, k in [("-", "-"), ("1", "1"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
             cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
             assert cached == rewrite != []

@@ -5,6 +5,7 @@ sweep that ran all three engines on every pair."""
 
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -17,10 +18,13 @@ from petring.intervals import IndexSet
 from test_cli import _fresh_memos
 
 
-def _reference_chunk(n, masks):
-    """The per-pair sweep: the three-engine row of every pair in (J, K) order."""
-    results = dict.fromkeys(masks)
-    for jm, km in sorted(masks):
+def _reference_chunk(n, unions):
+    """The per-pair sweep over the pairs whose J | K is in ``unions``, listed by
+    a stable sort of all pairs on J | K: the three-engine row of every pair in
+    (J, K) order."""
+    pairs = sorted(itertools.product(range(1 << (n - 1)), repeat=2), key=lambda p: p[0] | p[1])
+    results = dict.fromkeys((jm, km) for jm, km in pairs if jm | km in unions)
+    for jm, km in sorted(results):
         try:
             results[jm, km] = petring.cli._expansion_row(n, jm, km, "all")
         except (ConsistencyError, PresentationError) as exc:
@@ -51,7 +55,20 @@ def _reference_blocks(n, jobs):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_blocks_match_the_sorted_reference(n):
     for jobs in (1, 2, 3):
-        assert petring.verify._pair_blocks(n, jobs) == _reference_blocks(n, jobs)
+        unions = [sorted({jm | km for jm, km in block}) for block in _reference_blocks(n, jobs)]
+        assert [list(block) for block in petring.verify._pair_blocks(n, jobs)] == unions
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_blocks_are_ranges_of_union_masks(n):
+    # the parent lists no pair: each block travels as a range of J | K masks,
+    # and the blocks cut range(2^(n-1)) into contiguous pieces
+    for jobs in (1, 2, 3):
+        blocks = petring.verify._pair_blocks(n, jobs)
+        assert all(type(block) is range and block.step == 1 and block for block in blocks)
+        assert [block.start for block in blocks[1:]] == [block.stop for block in blocks[:-1]]
+        assert (blocks[0].start, blocks[-1].stop) == (0, 2 ** (n - 1))
+        assert all(len(pickle.dumps(block)) < 200 for block in blocks)
 
 
 # the memoized engine internals a fault is planted in, and the module that holds each
@@ -120,6 +137,18 @@ def test_faults_give_the_reference_lines(monkeypatch, name, seed):
             lines.append(sweep(n, petring.verify._pair_blocks(n, 1)[0]))
     assert lines[0] == lines[1]
     assert lines[0], "the planted fault went unseen"
+
+
+@pytest.mark.parametrize("seed", [2, 5, 6, 7])
+def test_fault_lines_keep_their_order_across_the_cut(monkeypatch, seed):
+    # a planted fault whose lines fall on both sides of the cut of --jobs 2:
+    # the two blocks' lines, joined, are the one block's and the reference's
+    _fresh_memos(monkeypatch)
+    n = _plant(monkeypatch, "_transition", seed)
+    halves = [petring.verify._verify_chunk(n, block) for block in petring.verify._pair_blocks(n, 2)]
+    assert len(halves) == 2 and all(halves)
+    whole = petring.verify._verify_chunk(n, petring.verify._pair_blocks(n, 1)[0])
+    assert halves[0] + halves[1] == whole == _reference_chunk(n, range(2 ** (n - 1)))
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
