@@ -164,8 +164,7 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
     except (ValueError, KeyError, TypeError) as exc:
         raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
     masks = sorted(L for L, _ in pairs)
-    repeated = [L for L, M in zip(masks, masks[1:]) if L == M]
-    if repeated:
+    if repeated := [L for L, M in zip(masks, masks[1:]) if L == M]:
         raise ConsistencyError(f"cache {path} has two rows for J={J.format()} K={K.format()} "
                                f"L={IndexSet.from_mask(n, repeated[0]).format()}")
     out = constants("cached", n, J.mask, K.mask, pairs, 1)
@@ -186,6 +185,8 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     if path.endswith(".json") or first == b"{":
         with open(path) as fh:
             data = json.load(fh)
+        if type(data["n"]) is not int:  # "3", true or 3.0, which a rank compare would misread
+            raise TypeError(f"n is {json.dumps(data['n'])}, not an integer")
         if data["n"] != n:
             raise UsageError(f"cache {path} is for rank {data['n']}, not {n}")
         key = [list(J.as_tuple()), list(K.as_tuple())]

@@ -33,8 +33,7 @@ def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]
         L = ",".join(str(k + 1) for k in range(row[-1][0].bit_length()) if row[-1][0] >> k & 1)
         raise ConsistencyError(f"{engine} engine gave a term on L={L} for J={IndexSet.from_mask(n, J)}, "
                                f"K={IndexSet.from_mask(n, K)}, outside {{1, ..., {n - 1}}}")
-    out = []
-    previous = -1
+    out, previous = [], -1
     for L, value in row:
         d, remainder = divmod(value, divisor)
         if L & union != union or L.bit_count() != degree:

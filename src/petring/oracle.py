@@ -48,16 +48,8 @@ def _monomial_exponents(n: int, d: int) -> list[Exponents]:
     if n - 1 == 0:
         return [()] if d == 0 else []
     # stars and bars: bar positions in lexicographic order give the exponents in lexicographic order
-    out: list[Exponents] = []
-    for bars in combinations(range(d + n - 2), n - 2):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + n - 2 - prev - 1)
-        out.append(tuple(exps))
-    return out
+    edges = ((-1, *bars, d + n - 2) for bars in combinations(range(d + n - 2), n - 2))
+    return [tuple(b - a - 1 for a, b in zip(e, e[1:])) for e in edges]
 
 
 def _bump(mono: Exponents, i: int, k: int) -> Exponents:

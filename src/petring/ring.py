@@ -4,9 +4,9 @@ The rewrite multiplies the basis class on J, x_J / m_factor(J), by the
 generators of K, one run-rule step at a time in the basis of classes, where
 every step's coefficient is a positive integer (Harada-Tymoczko's positive
 Monk rule), and divides by m_factor(K).  ``rewrite_rows`` is its one path,
-and every row it gives has passed ``errors.constants``.  ``_varpi_product``
-extends its rows bilinearly to combinations of basis classes: the product
-of the class algebra, ``algebra``, and of `verify`'s top-degree check.
+by the one fold ``_fold``, and every row it gives has passed ``constants``.
+``_varpi_product`` extends its rows bilinearly to combinations of basis
+classes: the product of the class algebra and of `verify`'s top-degree check.
 """
 
 from __future__ import annotations
@@ -78,21 +78,17 @@ def rewrite_row(n: int, J: int, K: int) -> Row:
 
 def rewrite_rows(n: int, J: int, ks: Iterable[int]) -> Iterator[tuple[int, Row]]:
     """The nonzero checked rows of the mask J times each mask K of ``ks`` at rank n, as (K, row) in the order of
-    ``ks``: one step from K minus its top element in a prefix memo of J's own, or by ``_fold`` where that is new."""
-    prefix, step = {0: {J: 1}}, _varpi_times_generator
+    ``ks``: each K folded by :func:`_fold` in a prefix memo of J's own."""
+    prefix = {0: {J: 1}}
     for K in ks:
-        terms = prefix.get(K)
-        if terms is None:
-            top = K.bit_length()
-            below = prefix.get(K ^ 1 << top - 1)
-            terms = prefix[K] = step(_fold(prefix, K ^ 1 << top - 1, n) if below is None else below, top, n)
+        terms = _fold(prefix, K, n)
         if terms:  # zero products, |J| + |K| > n - 1, 40% of a table, skip the tail
             yield K, constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor)
 
 
 def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
-    """The kernel's recursion for a K whose prefix is not memoized: the class on J, prefix[0] = {J: 1},
-    times the generators of the subset with mask K, in increasing order, memoized in ``prefix``."""
+    """The kernel's one fold: the class on J, prefix[0] = {J: 1}, times the generators of the subset with mask
+    K, in increasing order, as one step from K minus its top element, memoized in ``prefix``."""
     terms = prefix.get(K)
     if terms is None:  # not `if not terms`: an empty fold is falsy
         top = K.bit_length()

@@ -18,11 +18,16 @@ __all__ = ["CHECKS", "run"]
 VERIFY_RANKS = range(1, cli.MAX_VERIFY_RANK + 1)
 
 
+def _named(exc: Exception) -> str:
+    """An engine's error as a failure line gives it: a ConsistencyError by its message, any other by its type too."""
+    return str(exc) if isinstance(exc, ConsistencyError) else f"{type(exc).__name__}: {exc}"
+
+
 def _verify_chunk(n: int, unions: range) -> list[str]:
     """The failure lines, in block order, of `verify`'s pair sweep over the (J, K) mask pairs whose J | K is
     in ``unions``, by J | K, then J, then K: a pair whose engines raise or disagree, in the words of
-    ``_expansion_row(..., "all")``, or whose row differs from its transpose's.  The game and linalg run
-    once per (J | K, J & K) class, the rewrite once per J's K list."""
+    ``_expansion_row(..., "all")`` as :func:`_named` gives them, or whose row differs from its transpose's.
+    The game and linalg run once per (J | K, J & K) class, the rewrite once per J's K list."""
 
     @functools.cache  # the class table of this block
     def agreed(union: int, meet: int) -> tuple | None:
@@ -41,14 +46,14 @@ def _verify_chunk(n: int, unions: range) -> list[str]:
             try:
                 rewrite, class_row = rewrites.get(km, ()), agreed(jm | km, jm & km)
                 row = rewrite if class_row and class_tail("diagram", n, jm, km, *class_row) == rewrite else None
-            except Exception:  # checked again below, where an error is named or raised
+            except Exception:  # checked again below, where an error is named
                 row = None
             try:
                 results[jm, km] = cli._expansion_row(n, jm, km, "all") if row is None else row
-            except ConsistencyError as exc:
+            except Exception as exc:
                 results[jm, km] = exc
     return [f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: "
-            f"{row if isinstance(row, Exception) else 'expansion not symmetric'}"
+            f"{_named(row) if isinstance(row, Exception) else 'expansion not symmetric'}"
             for (jm, km), row in results.items() if isinstance(row, Exception) or results[km, jm] != row]
 
 
@@ -73,8 +78,8 @@ def _graded_dimensions(n: int, _) -> list[str]:
         try:
             if oracle.presentation_failures(n, size):
                 mismatch = [f"n={n}: graded dimensions do not match binomials"]
-        except ConsistencyError as exc:
-            return mismatch + [f"n={n} d={size + 2}: {exc}"]
+        except Exception as exc:
+            return mismatch + [f"n={n} d={size + 2}: {_named(exc)}"]
     return mismatch
 
 
@@ -95,8 +100,8 @@ def _top_degree(n: int, _) -> list[str]:
         try:
             power = functools.reduce(lambda c, _: ring._varpi_product(n, c, {1 << (i - 1): 1}), range(n - 1), {0: 1})
             row, den = oracle._normal_form(n, tuple(n - 1 if k == i else 0 for k in range(1, n)))
-        except ConsistencyError as exc:
-            failures.append(f"n={n} i={i}: {exc}")
+        except Exception as exc:
+            failures.append(f"n={n} i={i}: {_named(exc)}")
             continue
         by_rule, by_relations = power.get(full, 0), math.factorial(n - 1) * row.get(full, 0)
         eulerian = sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1) for j in range(i))

@@ -86,7 +86,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written:
     # 1608 lines while the bodies of `verify` and `table` and the engines' listings, class algebra and
     # relation reference shared the modules a query runs, 1084 then, 1080 since the package holds the one
-    # loader; code put back on the path shows here
+    # loader, 1068 since the rewrite folds by one path; code put back on the path shows here
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -96,7 +96,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1080
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1068
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -795,6 +795,30 @@ class TestVerify:
         monkeypatch.setattr(oracle, "presentation_failures", lambda n, size: [(0, 1, 1)] * (size < 2))
         assert petring.verify._graded_dimensions(5, None) == ["n=5: graded dimensions do not match binomials"]
 
+    def test_engine_error_of_any_type_fails_its_check(self, capsys, monkeypatch):
+        # an error that is not a ConsistencyError, in the certificate at |S| = 1 and in the top-degree
+        # power of g_2, fails its check on a line named with its type: exit 2, and no traceback
+        certify, product = oracle.presentation_failures, ring._varpi_product
+
+        def certify_raising(n, size):
+            if size == 1:
+                raise IndexError("planted")
+            return certify(n, size)
+
+        def product_raising(n, left, right):
+            if right == {0b10: 1}:
+                raise ValueError("planted")
+            return product(n, left, right)
+
+        monkeypatch.setattr(oracle, "presentation_failures", certify_raising)
+        monkeypatch.setattr(ring, "_varpi_product", product_raising)
+        code, out, err = run(capsys, "verify", "--n-max", "3")
+        assert code == 2
+        assert {"n=2: graded dimensions 0..3 FAIL", "n=3: top-degree evaluation FAIL"} <= set(out.splitlines())
+        assert err.splitlines() == ["FAIL n=2 d=3: IndexError: planted", "FAIL n=3 d=3: IndexError: planted",
+                                    "FAIL n=3 i=2: ValueError: planted",
+                                    "consistency failure: 3 verification check(s) failed"]
+
     def test_chunk_folds_each_J_once(self, monkeypatch):
         # a block expanded in (J, K) order: the rewrite folds each J once over
         # one prefix memo, one run-rule step per nonempty K, 4^5 - 2^5 in all
@@ -1263,6 +1287,19 @@ class TestCachedLookup:
         assert code == 1
         assert out == ""
         assert f"cache {path} is for rank 4, not 5" in err
+
+    @pytest.mark.parametrize("rank, shown", [("5", '"5"'), (True, "true"), (5.0, "5.0")],
+                             ids=["string", "bool", "float"])
+    def test_json_rank_that_is_not_an_integer_refused(self, capsys, tmp_path, rank, shown):
+        # refused before the ranks are compared, which would call "5" another rank and take 5.0 for 5
+        path = tmp_path / "t5.json"
+        assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
+        data = json.loads(path.read_text())
+        data["n"] = rank
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"Error: cache {path} is malformed: TypeError: n is {shown}, not an integer\n"
 
     def test_json_table(self, capsys, tmp_path):
         path = tmp_path / "t5.json"

@@ -134,6 +134,35 @@ def _bruhat_last_prefix_skipped(monkeypatch):
     monkeypatch.setattr(permutations, "bruhat_leq", lambda u, v: leq(u[:-1], v[:-1]))
 
 
+def _fold_keyed(monkeypatch, key):
+    # the rewrite's one fold, with its prefix key, K minus its top element, replaced by key(K, top)
+    def fold(prefix, K, n):
+        terms = prefix.get(K)
+        if terms is None:
+            top = K.bit_length()
+            terms = prefix[K] = ring._varpi_times_generator(fold(prefix, key(K, top), n), top, n)
+        return terms
+
+    monkeypatch.setattr(ring, "_fold", fold)
+
+
+def _fold_key_top_minus_two(monkeypatch):
+    # the prefix key K ^ 1 << (top - 2): a negative shift at K = {1}
+    _fold_keyed(monkeypatch, lambda K, top: K ^ 1 << (top - 2))
+
+
+def _fold_key_top_plus_one(monkeypatch):
+    # the prefix key K ^ 1 << (top + 1): a key one member larger at every step, without end
+    _fold_keyed(monkeypatch, lambda K, top: K ^ 1 << (top + 1))
+
+
+def _fold_from_the_lowest_member(monkeypatch):
+    # one step by K's top generator from K minus its lowest member: a fault that raises nothing itself, the
+    # class on J times g_top twice and the lowest generator never; generators commute, so the step by the
+    # lowest generator from that key would be equivalent
+    _fold_keyed(monkeypatch, lambda K, top: K & (K - 1))
+
+
 # (fault, smallest rank at which verify fails, the start of its first FAIL line,
 # and the check line that reads FAIL, or None for the pair sweep, whose line has no status)
 MUTANTS = [
@@ -158,6 +187,12 @@ MUTANTS = [
      "diagram d=2, rewrite d=1, linalg d=2", None),
     (_bruhat_last_prefix_skipped, 2, "FAIL n=2: Bruhat comparisons disagree with the subset criteria",
      "n=2: Bruhat subset criteria FAIL"),
+    (_fold_key_top_minus_two, 2, "FAIL n=2 J=- K=1: ValueError: negative shift count",
+     "n=2: top-degree evaluation FAIL"),
+    (_fold_key_top_plus_one, 2, "FAIL n=2 J=- K=1: RecursionError: maximum recursion depth exceeded",
+     "n=2: top-degree evaluation FAIL"),
+    (_fold_from_the_lowest_member, 3, "FAIL n=3 J=- K=1,2: rewrite engine gave d = 1/2 for J=-, K=1,2, L=1,2, "
+     "expected a non-negative integer", None),
 ]
 
 

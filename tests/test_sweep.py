@@ -13,7 +13,7 @@ import pytest
 import petring.cli
 import petring.verify
 from petring import diagrams, oracle, ring
-from petring.errors import ConsistencyError, PresentationError
+from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 from test_cli import _fresh_memos
 
@@ -21,14 +21,16 @@ from test_cli import _fresh_memos
 def _reference_chunk(n, unions):
     """The per-pair sweep over the pairs whose J | K is in ``unions``, listed by
     a stable sort of all pairs on J | K: the three-engine row of every pair in
-    (J, K) order."""
+    (J, K) order, an error that is not a ConsistencyError named with its type."""
     pairs = sorted(itertools.product(range(1 << (n - 1)), repeat=2), key=lambda p: p[0] | p[1])
     results = dict.fromkeys((jm, km) for jm, km in pairs if jm | km in unions)
     for jm, km in sorted(results):
         try:
             results[jm, km] = petring.cli._expansion_row(n, jm, km, "all")
-        except (ConsistencyError, PresentationError) as exc:
+        except ConsistencyError as exc:
             results[jm, km] = exc
+        except Exception as exc:  # any other error that an engine raises, named with its type
+            results[jm, km] = ConsistencyError(f"{type(exc).__name__}: {exc}")
     failures = []
     for (jm, km), row in results.items():
         if isinstance(row, Exception) or results[km, jm] != row:
@@ -151,11 +153,9 @@ def test_fault_lines_keep_their_order_across_the_cut(monkeypatch, seed):
     assert halves[0] + halves[1] == whole == _reference_chunk(n, range(2 ** (n - 1)))
 
 
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_kernel_fault_on_one_J_gives_the_reference_lines(monkeypatch, where):
-    # the kernel raises at one K of J = {2}'s list, before, among or after the
-    # rows it yields: every pair of that J is expanded again by all three
-    # engines, as in the per-pair sweep, whose rewrite_row meets the same fault
+def _kernel_fault_lines(monkeypatch, where, error):
+    """The sweep's lines at n = 4 with the kernel raising ``error("injected")`` at one K of J = {2}'s list,
+    which must be the reference's, and that K."""
     n, J = 4, 0b010
     ks = range(1 << (n - 1))
     K = {"first": ks[0], "middle": ks[len(ks) // 2], "last": ks[-1]}[where]
@@ -164,14 +164,30 @@ def test_kernel_fault_on_one_J_gives_the_reference_lines(monkeypatch, where):
     def faulty(n, jm, kms):
         for km in kms:
             if (jm, km) == (J, K):
-                raise ConsistencyError("injected")
+                raise error("injected")
             yield from kernel(n, jm, [km])
 
     monkeypatch.setattr(ring, "rewrite_rows", faulty)
     block = petring.verify._pair_blocks(n, 1)[0]
     lines = _reference_chunk(n, block)
     assert petring.verify._verify_chunk(n, block) == lines
-    assert f"n={n} J=2 K={IndexSet.from_mask(n, K)}: injected" in lines
+    return lines, IndexSet.from_mask(n, K)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_kernel_fault_on_one_J_gives_the_reference_lines(monkeypatch, where):
+    # the kernel raises at one K of J = {2}'s list, before, among or after the
+    # rows it yields: every pair of that J is expanded again by all three
+    # engines, as in the per-pair sweep, whose rewrite_row meets the same fault
+    lines, K = _kernel_fault_lines(monkeypatch, where, ConsistencyError)
+    assert f"n=4 J=2 K={K}: injected" in lines
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_kernel_error_of_another_type_is_named_with_it(monkeypatch, where):
+    # an engine error that is not a ConsistencyError is a failure line too, named with its type
+    lines, K = _kernel_fault_lines(monkeypatch, where, ValueError)
+    assert f"n=4 J=2 K={K}: ValueError: injected" in lines
 
 
 def test_each_engine_read_once_per_input(monkeypatch):
