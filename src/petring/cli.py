@@ -177,7 +177,7 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
 
 def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     """The (L, d) cells of the rows for (J, K) in a table file, read whole if JSON (named *.json or whose first
-    non-whitespace byte is "{"); UsageError if a line read is of another rank.  A CSV table is bisected over byte
+    non-whitespace byte is "{"); Refused if a line read is of another rank.  A CSV table is bisected over byte
     offsets for the pair's first line, in the (J mask, K mask) order that `table` writes, so in a file out of that
     order it can find part of a pair's rows, or none: a documented limit, as only a scan to the end could see it."""
     with open(path, "rb") as fh:  # past the whitespace that JSON allows before a value
@@ -188,7 +188,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         if type(data["n"]) is not int:  # "3", true or 3.0, which a rank compare would misread
             raise TypeError(f"n is {json.dumps(data['n'])}, not an integer")
         if data["n"] != n:
-            raise UsageError(f"cache {path} is for rank {data['n']}, not {n}")
+            raise Refused(f"cache {path} is for rank {data['n']}, not {n}")
         key = [list(J.as_tuple()), list(K.as_tuple())]
         # d as its text, as in a CSV table, so that decimal refuses 2.5 or true
         return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
@@ -201,7 +201,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     def decoded(line: bytes) -> str:
         text = line.decode()
         if not text.startswith(rank):
-            raise UsageError(f"cache {path} is for rank {text.split(',', 1)[0]}, not {n}")
+            raise Refused(f"cache {path} is for rank {text.split(',', 1)[0]}, not {n}")
         return text
 
     def below_target(text: str) -> bool:

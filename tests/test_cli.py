@@ -1275,18 +1275,16 @@ class TestCachedLookup:
         assert json.loads(out)["terms"] == []
         assert petring.cli._read_table(str(path), 5, IndexSet.of(5, [1, 2]), IndexSet.of(5, [1, 3, 4])) == []
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "1,2,3,4", "-K", "1", "--cached", str(path))
-        assert code == 1
-        assert out == ""
-        assert f"cache {path} is for rank 4, not 5" in err
+        assert (code, out) == (1, "")
+        assert err == f"Error: cache {path} is for rank 4, not 5\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refuses_table_of_other_rank(self, capsys, tmp_path, fmt):
         path = tmp_path / f"t4.{fmt}"
         assert run(capsys, "table", "-n", "4", "--format", fmt, "--out", str(path))[0] == 0
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
-        assert code == 1
-        assert out == ""
-        assert f"cache {path} is for rank 4, not 5" in err
+        assert (code, out) == (1, "")
+        assert err == f"Error: cache {path} is for rank 4, not 5\n"
 
     @pytest.mark.parametrize("rank, shown", [("5", '"5"'), (True, "true"), (5.0, "5.0")],
                              ids=["string", "bool", "float"])
