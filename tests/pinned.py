@@ -1,6 +1,6 @@
-"""Check the outputs pinned in pinned.txt with the installed `petring`, or with COMMAND in its place:
+"""Check the outputs pinned in pinned.txt, each run as `python -m petring` by the interpreter that runs this file:
 
-    python tests/pinned.py [COMMAND ...]    # e.g. PYTHONPATH=$PWD/src python tests/pinned.py python -m petring
+    python tests/pinned.py
 
 A line `DIGEST TAG ... : ARGUMENTS` pins the SHA-256 of what `petring ARGUMENTS` prints, and every run must also
 exit 0 with an empty stderr.  The outputs of commands joined by ` ; ` are hashed as one, and `> NAME` keeps the
@@ -22,6 +22,7 @@ from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("pinned.txt")
 TRACER = Path(__file__).parents[1] / "benchmarks" / "tracer.py"
+PETRING = [sys.executable, "-m", "petring"]
 VARIANTS = ("jobs2", "spawn", "taskset", "out", "traced", "padded")
 # os.cpu_count is patched so that --jobs 2 is allowed on one CPU too
 SPAWN = ("import multiprocessing, os, sys; multiprocessing.set_start_method('spawn'); os.cpu_count = lambda: 2; "
@@ -31,44 +32,54 @@ Line = namedtuple("Line", "where digest tags commands keep")  # where: FILE:NUMB
 
 
 def read(path: Path = MANIFEST) -> list[Line]:
-    """The manifest's lines, skipping those that are blank or start with "#"."""
-    return [Line(f"{path.name}:{number}", m[1], m[2].split(), [c.split() for c in m[3].split(" ; ")], m[4] or "")
-            for number, text in enumerate(path.read_text().splitlines(), start=1) if text[:1] not in ("", "#")
-            for m in [re.fullmatch(r"(\w+)(.*?) : (.*?)(?: > (\S+))?", text)]]
+    """The manifest's lines, skipping those that are blank or start with "#"; ValueError names one that does not
+    parse."""
+    lines = []
+    for number, text in enumerate(path.read_text().splitlines(), start=1):
+        if text[:1] in ("", "#"):
+            continue
+        if not (m := re.fullmatch(r"([0-9a-f]{64})((?: \w+)*) : (.+?)(?: > (\S+))?", text)):
+            raise ValueError(f"{path.name}:{number}: not DIGEST TAG ... : ARGUMENTS [> NAME]")
+        lines.append(Line(f"{path.name}:{number}", m[1], m[2].split(), [c.split() for c in m[3].split(" ; ")],
+                          m[4] or ""))
+    return lines
 
 
-def check(line: Line, variant: str, petring: list[str], work: Path) -> str:
+def check(line: Line, variant: str, work: Path) -> str:
     """What is wrong with the variant's run of the line in ``work``, or "" if nothing."""
     out, env = b"", {**os.environ, "COLUMNS": "80"} if "help" in line.tags else None
-    for args in line.commands:
-        if variant == "padded":
-            (work / Path(args[-1]).stem).write_bytes(b"\n" + (work / args[-1]).read_bytes())
-            args = [*args[:-1], Path(args[-1]).stem]
-        args = [*args, *{"jobs2": ["--jobs", "2"], "spawn": ["--jobs", "2"], "taskset": ["--jobs", "2"],
-                         "out": ["--out", "out"]}.get(variant, [])]
-        start = {"spawn": [sys.executable, "-c", SPAWN], "taskset": ["taskset", "-c", "0", *petring],
-                 "traced": [sys.executable, str(TRACER), "spans", args[0]]}.get(variant, petring)
-        proc = subprocess.run([*start, *args], cwd=work, env=env, capture_output=True, timeout=120)
-        if proc.returncode or proc.stderr:
-            return f"exit code {proc.returncode}, stderr {proc.stderr.decode(errors='replace')!r}"
-        out += (work / "out").read_bytes() if variant == "out" else proc.stdout
-    if line.keep and not variant:
-        (work / line.keep).write_bytes(out)
+    try:
+        for args in line.commands:
+            if variant == "padded":
+                (work / Path(args[-1]).stem).write_bytes(b"\n" + (work / args[-1]).read_bytes())
+                args = [*args[:-1], Path(args[-1]).stem]
+            args = [*args, *{"jobs2": ["--jobs", "2"], "spawn": ["--jobs", "2"], "taskset": ["--jobs", "2"],
+                             "out": ["--out", "out"]}.get(variant, [])]
+            start = {"spawn": [sys.executable, "-c", SPAWN], "taskset": ["taskset", "-c", "0", *PETRING],
+                     "traced": [sys.executable, str(TRACER), "spans", args[0]]}.get(variant, PETRING)
+            proc = subprocess.run([*start, *args], cwd=work, env=env, capture_output=True, timeout=120)
+            if proc.returncode or proc.stderr:
+                return f"exit code {proc.returncode}, stderr {proc.stderr.decode(errors='replace')!r}"
+            out += (work / "out").read_bytes() if variant == "out" else proc.stdout
+        if line.keep and not variant:
+            (work / line.keep).write_bytes(out)
+    except (subprocess.TimeoutExpired, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return "" if (digest := hashlib.sha256(out).hexdigest()) == line.digest else f"digest {digest}"
 
 
-def main(petring: list[str], manifest: Path = MANIFEST) -> int:
-    """Check every line of the manifest with ``petring`` as the command: 1 if a run failed, else 0."""
+def main(manifest: Path = MANIFEST) -> int:
+    """Check every line of the manifest: 1 if a run failed, else 0."""
     failed = False
     with tempfile.TemporaryDirectory() as work:
         for line in (line for line in read(manifest) if "help" not in line.tags or sys.version_info[:2] == (3, 11)):
             for variant in ("", *(tag for tag in VARIANTS if tag in line.tags)):
-                print(line.where, variant or "plain", end=": ", flush=True)  # named before a traceback too
-                problem = check(line, variant, petring, Path(work))
+                print(line.where, variant or "plain", end=": ", flush=True)  # named while it runs
+                problem = check(line, variant, Path(work))
                 failed |= bool(problem)
                 print(f"FAIL, {problem}" if problem else "ok")
     return int(failed)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:] or ["petring"]))
+    sys.exit(main())

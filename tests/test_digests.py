@@ -49,7 +49,7 @@ def test_verify_with_spawned_workers_is_pinned(monkeypatch, tmp_path):
     # a spawned worker imports petring.cli afresh, so it registers the engine modules again
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))  # for the runner's subprocesses
     for line in (line for line in CHEAP if "spawn" in line.tags):
-        assert pinned.check(line, "spawn", [], tmp_path) == "", line.where
+        assert pinned.check(line, "spawn", tmp_path) == "", line.where
 
 
 def test_runner_names_a_line_whose_digest_is_wrong(capsys, monkeypatch, tmp_path):
@@ -57,8 +57,24 @@ def test_runner_names_a_line_whose_digest_is_wrong(capsys, monkeypatch, tmp_path
     line = next(line for line in OUTPUTS if line.commands[0][0] == "group")
     digit = "1" if line.digest.endswith("0") else "0"
     (tmp_path / "one.txt").write_text(f"{line.digest[:-1]}{digit} : {' '.join(line.commands[0])}\n")
-    assert pinned.main([sys.executable, "-m", "petring"], tmp_path / "one.txt") == 1
+    assert pinned.main(tmp_path / "one.txt") == 1
     assert capsys.readouterr().out == f"one.txt:1 plain: FAIL, digest {line.digest}\n"
+
+
+def test_runner_names_a_run_that_raises(capsys, monkeypatch, tmp_path):
+    # the plain run fails, so the padded run finds no table to pad; neither stops the runner
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))  # for the runner's subprocesses
+    (tmp_path / "one.txt").write_text(f"{'0' * 64} padded : expand -n 3 -J 1 -K 1 --cached absent.json\n")
+    assert pinned.main(tmp_path / "one.txt") == 1
+    plain, padded = capsys.readouterr().out.splitlines()
+    assert plain.startswith("one.txt:1 plain: FAIL, exit code 1, stderr \"error: argument --cached: ")
+    assert padded.startswith("one.txt:1 padded: FAIL, FileNotFoundError: ")
+
+
+def test_manifest_line_that_does_not_parse_is_named(tmp_path):
+    (tmp_path / "one.txt").write_text(f"# a comment\n\n{'0' * 64} cheap verify --n-max 3\n")
+    with pytest.raises(ValueError, match=r"^one\.txt:3: not DIGEST TAG \.\.\. : ARGUMENTS"):
+        pinned.read(tmp_path / "one.txt")
 
 
 def test_manifest_is_the_one_list_of_digests():
@@ -67,5 +83,5 @@ def test_manifest_is_the_one_list_of_digests():
     assert [name for name, digests in found.items() if digests] == [pinned.MANIFEST.name]
     assert sorted(found[pinned.MANIFEST.name]) == sorted({line.digest for line in LINES})  # each on one line
     assert {tag for line in LINES for tag in line.tags} <= {"cheap", "help", *pinned.VARIANTS}
-    assert sum(1 + len(set(pinned.VARIANTS) & set(line.tags)) for line in LINES) >= 38  # CI's runs before
-    assert len(CHEAP) + sum("spawn" in line.tags for line in CHEAP) >= 24  # and tier-1's
+    assert sum(1 + len(set(pinned.VARIANTS) & set(line.tags)) for line in LINES) == 41  # CI's runs, 38 before
+    assert len(CHEAP) + sum("spawn" in line.tags for line in CHEAP) == 25  # and tier-1's, 24 before
