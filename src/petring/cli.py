@@ -157,8 +157,8 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
-    """The checked row of (J, K) in a table file: Refused if the file does not parse or has no rows for a
-    nonzero product, ConsistencyError for two rows on one L or a row that fails the checked tail."""
+    """The checked row of (J, K) in a table file: Refused if the file does not parse or has no rows for a nonzero
+    product, ConsistencyError for two rows on one L, a row with d = 0 or a row that fails the checked tail."""
     try:
         pairs = [(IndexSet.parse(L, n).mask, decimal(d)) for L, d in _read_table(path, n, J, K)]
     except (ValueError, KeyError, TypeError) as exc:
@@ -167,9 +167,12 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
     if repeated := [L for L, M in zip(masks, masks[1:]) if L == M]:
         raise ConsistencyError(f"cache {path} has two rows for J={J.format()} K={K.format()} "
                                f"L={IndexSet.from_mask(n, repeated[0]).format()}")
+    # a table holds only nonzero constants, which the checked tail would drop
+    if zero := [L for L, d in pairs if not d]:
+        raise ConsistencyError(f"cache {path} has a row with d = 0 for J={J.format()} K={K.format()} "
+                               f"L={IndexSet.from_mask(n, zero[0]).format()}")
     out = constants("cached", n, J.mask, K.mask, pairs, 1)
-    # a table holds only nonzero constants, and the product is nonzero exactly
-    # when |J| + |K| <= n - 1: such a pair without rows was left out by filters
+    # the product is nonzero exactly when |J| + |K| <= n - 1: such a pair without rows was left out by filters
     if not out and len(J) + len(K) <= n - 1:
         raise Refused(f"cache {path} has no rows for J={J.format()} K={K.format()}, a nonzero product")
     return out

@@ -106,9 +106,7 @@ class IndexSet(Frozen):
 
     def format(self) -> str:
         """Inverse of :meth:`parse`."""
-        if not self.members:
-            return "-"
-        return ",".join(str(m) for m in sorted(self.members))
+        return ",".join(map(str, self)) or "-"
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -122,8 +120,7 @@ class IndexSet(Frozen):
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.members))
 
-    def __str__(self) -> str:
-        return self.format()
+    __str__ = format
 
     def _check_same_rank(self, other: "IndexSet") -> None:
         # shared with ring.CohomologyClass, which also has a rank ``n``

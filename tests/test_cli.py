@@ -1,10 +1,8 @@
 import csv
-import functools
 import io
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,20 +16,14 @@ import pytest
 import petring.cli
 import petring.table
 import petring.verify
+from helpers import (GOLDEN, MEMOS, forked_pool, plant, python, run, step_tripled, to_column_n, to_column_one,
+                     wrap_run_step)
 from petring import algebra, diagrams, oracle, relations, ring
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import rewrite_row, structure_constants_rewrite
 
 from petring.cli import main
 from petring.errors import ConsistencyError
-
-GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("module, unneeded", [
@@ -43,7 +35,7 @@ def run(capsys, *argv):
 def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     # in a fresh interpreter, the modules that the import adds to those loaded at start-up
     code = f"import sys; before = set(sys.modules); import {module}; print(*set(sys.modules) - before)"
-    proc = _python("-c", code, check=True)
+    proc = python("-c", code, check=True)
     assert not set(unneeded) & set(proc.stdout.split()), proc.stdout
 
 
@@ -78,7 +70,7 @@ def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
             "assert all(getattr(petring, m) is modules[m] for m in called); "
             "print(*(m for m, module in modules.items() if type(module) is types.ModuleType), file=sys.stderr); "
             "sys.exit(code)")
-    proc = _python("-c", code, *argv, timeout=60)
+    proc = python("-c", code, *argv, timeout=60)
     assert (proc.returncode, proc.stderr.split()) == (0, ran), proc.stderr
 
 
@@ -91,7 +83,7 @@ def test_a_query_compiles_only_the_code_it_runs():
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
             "sys.exit(code)")
-    proc = _python("-c", code, *GOLDEN, "--method", "all", timeout=60)
+    proc = python("-c", code, *GOLDEN, "--method", "all", timeout=60)
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
@@ -106,8 +98,8 @@ def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
             "sys.exit(code)")
-    proc = _python("-c", code, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(tables5["csv"]),
-                   timeout=60)
+    proc = python("-c", code, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(tables5["csv"]),
+                  timeout=60)
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals"]
@@ -120,7 +112,7 @@ def test_a_submodule_read_on_the_package_is_registered_but_not_run():
     code = ("import sys, types, petring; module = petring.verify; "
             "assert sys.modules['petring.verify'] is module is vars(petring)['verify']; "
             "assert type(module) is not types.ModuleType; module.run; assert type(module) is types.ModuleType")
-    proc = _python("-c", code, timeout=60)
+    proc = python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -131,7 +123,7 @@ def test_a_submodule_imported_first_is_the_one_the_package_gives(module):
     code = (f"import sys, types, petring.{module}; assert type(sys.modules['petring.{module}']) is types.ModuleType; "
             f"import petring.cli; from petring import {module} as imported; "
             f"assert imported is petring.{module} is sys.modules['petring.{module}'] is petring.cli.{module}")
-    proc = _python("-c", code, timeout=60)
+    proc = python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -140,7 +132,7 @@ def test_a_name_that_is_no_submodule_raises_and_registers_nothing(name):
     code = (f"import sys, petring; before = set(sys.modules)\n"
             f"try:\n    petring.{name}\nexcept AttributeError:\n    pass\nelse:\n    sys.exit('no error')\n"
             f"assert set(sys.modules) == before, set(sys.modules) - before")
-    proc = _python("-c", code, timeout=60)
+    proc = python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -279,16 +271,8 @@ class TestCheckedTail:
     def test_linalg_term_off_support_refused(self, capsys, monkeypatch):
         # NF(g_2 * x_{2}) at rank 5 with the weight of L = {1,2} moved onto
         # {3,4}, which does not contain J | K = {2}
-        step = oracle._step.__wrapped__
-
-        def moved(n, i, S):
-            row, denom = step(n, i, S)
-            if (n, i, S) == (5, 2, 0b0010):
-                row = {0b1100 if L == 0b0011 else L: v for L, v in row.items()}
-            return row, denom
-
-        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(moved))
-        monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(oracle._normal_form.__wrapped__))
+        plant(monkeypatch, oracle, "_step", (5, 2, 0b0010),
+              lambda entry: ({0b1100 if L == 0b0011 else L: v for L, v in entry[0].items()}, entry[1]))
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "2", "-K", "2", "--method", "linalg")
         assert code == 2
         assert out == ""
@@ -297,15 +281,8 @@ class TestCheckedTail:
     def test_diagram_shading_off_degree_refused(self, capsys, monkeypatch):
         # the game from {2} with row 2 at rank 5, with its final shading
         # {1,2} turned into {1,2,3}, one column more than |J| + |K|
-        game_sums = diagrams._game_sums.__wrapped__
-
-        def grown(n, start, marked):
-            sums, denom = game_sums(n, start, marked)
-            if (n, start, marked) == (5, 0b0010, 0b0010):
-                sums = tuple((0b0111 if L == 0b0011 else L, v) for L, v in sums)
-            return sums, denom
-
-        monkeypatch.setattr(diagrams, "_game_sums", grown)
+        plant(monkeypatch, diagrams, "_game_sums", (5, 0b0010, 0b0010),
+              lambda entry: (tuple((0b0111 if L == 0b0011 else L, v) for L, v in entry[0]), entry[1]))
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "2", "-K", "2", "--method", "diagram")
         assert code == 2
         assert out == ""
@@ -315,13 +292,7 @@ class TestCheckedTail:
         # a run step that also moves to column n when the run ends at n - 1,
         # in the rewrite and in the game alike: each command names the term
         # outside {1, ..., n-1} and exits 2, rather than failing to build L
-        def beyond(mask, i, n, step=ring.run_step):
-            a, b, den, moves = step(mask, i, n)
-            return a, b, den, (moves + ((n, 1),) if b == n - 1 else moves)
-
-        _fresh_memos(monkeypatch)
-        monkeypatch.setattr(ring, "run_step", beyond)
-        monkeypatch.setattr(diagrams, "run_step", beyond)
+        wrap_run_step(monkeypatch, to_column_n)
         code, out, err = run(capsys, "expand", "-n", "4", "-J", "3", "-K", "3", "--method", "rewrite")
         assert (code, out) == (2, "")
         assert err == "consistency failure: rewrite engine gave a term on L=3,4 for J=3, K=3, outside {1, ..., 3}\n"
@@ -390,21 +361,6 @@ def _worker_cpus(n, part):
     return [f"{os.getpid()}:{','.join(map(str, sorted(os.sched_getaffinity(0))))}"]
 
 
-def _python(*args, **kwargs):
-    """Run the interpreter on ``args`` with this checkout's petring importable."""
-    src = Path(petring.cli.__file__).parents[1]
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, **kwargs)
-
-
-def _fresh_memos(monkeypatch):
-    """Empty the engines' memos, so that a fault planted after this reaches
-    every row that takes the faulty step."""
-    monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
-    for module, name in ((oracle, "_step"), (oracle, "_normal_form"), (diagrams, "_game_sums")):
-        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__))
-
-
 def _pair_raises(monkeypatch):
     # the rewrite kernel raises at (J, K) = ({1,3}, {2}), in the sweep and in
     # the single-pair rewrite_row of the three-engine row alike
@@ -422,25 +378,12 @@ def _pair_raises(monkeypatch):
 def _move_weight_off_by_one(monkeypatch):
     # g_2 times the monomial on {2}: its first move weighs one more, in the
     # rewrite and in the game alike
-    def off(mask, i, n, step=ring.run_step):
-        a, b, den, moves = step(mask, i, n)
+    def off(mask, i, n, a, b, den, moves):
         if (mask, i) == (0b10, 2):
             moves = ((moves[0][0], moves[0][1] + 1),) + moves[1:]
         return a, b, den, moves
 
-    monkeypatch.setattr(ring, "run_step", off)
-    monkeypatch.setattr(diagrams, "run_step", off)
-
-
-def _step_tripled(monkeypatch):
-    # NF(g_2 * x_{2}) at rank 4 with every term tripled
-    step = oracle._step.__wrapped__
-
-    def corrupted(n, i, S):
-        row, denom = step(n, i, S)
-        return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
-
-    monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+    wrap_run_step(monkeypatch, off)
 
 
 def _top_form_tripled(form):
@@ -457,15 +400,8 @@ def _top_form_tripled(form):
 
 def _game_doubled(monkeypatch):
     # the game from {2} with row 2 at rank 4 with every sum doubled
-    game_sums = diagrams._game_sums.__wrapped__
-
-    def doubled(n, start, marked):
-        sums, denom = game_sums(n, start, marked)
-        if (n, start, marked) == (4, 0b010, 0b010):
-            sums = tuple((L, 2 * v) for L, v in sums)
-        return sums, denom
-
-    monkeypatch.setattr(diagrams, "_game_sums", functools.lru_cache(maxsize=None)(doubled))
+    plant(monkeypatch, diagrams, "_game_sums", (4, 0b010, 0b010),
+          lambda entry: (tuple((L, 2 * v) for L, v in entry[0]), entry[1]))
 
 
 class TestVerify:
@@ -500,12 +436,9 @@ class TestVerify:
     ], ids=["multiply", "normal_form"])
     def test_top_degree_fault_detected(self, capsys, monkeypatch, module, target, fault, line):
         # the check runs in a worker under --jobs 2, and reports the same
-        _fresh_memos(monkeypatch)
         module = getattr(petring, module)
         monkeypatch.setattr(module, target, fault(getattr(module, target)))
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        forked_pool(monkeypatch)
         code, out, err = run(capsys, "verify", "--n-max", "3", "--jobs", "1")
         assert run(capsys, "verify", "--n-max", "3", "--jobs", "2") == (code, out, err)
         assert code == 2
@@ -534,7 +467,7 @@ class TestVerify:
     def test_verify_loads_no_fractions(self):
         code = ("import sys; from petring.cli import main; code = main(['verify', '--n-max', '8']); "
                 "print('fractions' in sys.modules); sys.exit(code)")
-        proc = _python("-c", code, timeout=120)
+        proc = python("-c", code, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[-2:] == ["all checks passed", "False"]
 
@@ -543,9 +476,7 @@ class TestVerify:
         # under --jobs 2 each worker runs on one CPU of the parent's mask, the
         # two on different CPUs when the mask holds two; the parent is not pinned
         mask = os.sched_getaffinity(0)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        forked_pool(monkeypatch)
         monkeypatch.setattr(petring.verify, "CHECKS", [("worker {status}", range(1, 9), _worker_cpus, None)])
         code, out, err = run(capsys, "verify", "--n-max", "8", "--jobs", "2")
         assert code == 2
@@ -564,7 +495,7 @@ class TestVerify:
         script = ("import os, sys; cpu = min(os.sched_getaffinity(0)); os.sched_getaffinity = lambda pid: {cpu}; "
                   "os.cpu_count = lambda: 2; from petring.cli import main; "
                   "sys.exit(main(['verify', '--n-max', '5', '--jobs', sys.argv[1]]))")
-        serial, pooled = (_python("-c", script, jobs, timeout=60) for jobs in ("1", "2"))
+        serial, pooled = (python("-c", script, jobs, timeout=60) for jobs in ("1", "2"))
         assert serial.returncode == pooled.returncode == 0
         assert pooled.stdout == serial.stdout
         assert "n=5: 256 (J,K) pairs cross-checked over three engines" in pooled.stdout.splitlines()
@@ -576,7 +507,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--n-max", "3")
         assert (code, err) == (0, "")
         assert "n=3: top-degree evaluation OK" in out.splitlines()
-        proc = _python("-m", module, "verify", "--n-max", "3", timeout=60)
+        proc = python("-m", module, "verify", "--n-max", "3", timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     def test_rank_one_trivial(self, capsys):
@@ -609,14 +540,7 @@ class TestVerify:
     def test_corrupted_table_entry_detected(self, capsys, monkeypatch):
         # one wrong one-generator step, NF(g_2 * x_{2}) at rank 4, shows up
         # as a disagreement of linalg with the other engines
-        step = oracle._step.__wrapped__
-
-        def corrupted(n, i, S):
-            row, denom = step(n, i, S)
-            return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
-
-        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
-        monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(oracle._normal_form.__wrapped__))
+        step_tripled(monkeypatch)
         code, out, err = run(capsys, "verify", "--n-max", "4")
         assert code == 2
         assert "FAIL n=4 J=2 K=2: engines disagree" in err
@@ -627,16 +551,7 @@ class TestVerify:
         # NF(g_2 * x_{2}) at rank 4 is (x_{1,2} + x_{2,3}) / 2; tripling its
         # terms on the masks in ``tripled`` makes linalg differ from the
         # other engines, first at L = ``first``
-        step = oracle._step.__wrapped__
-
-        def corrupted(n, i, S):
-            row, denom = step(n, i, S)
-            if (n, i, S) == (4, 2, 0b010):
-                row = {L: 3 * v if L in tripled else v for L, v in row.items()}
-            return row, denom
-
-        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
-        monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(oracle._normal_form.__wrapped__))
+        step_tripled(monkeypatch, tripled)
         linalg = {"1,2": 3 if 0b011 in tripled else 1, "2,3": 3}
         named = (f"engines disagree for J=2, K=2, first at L={first}: diagram d=1, rewrite d=1, linalg d=3; "
                  f"diagram={{'1,2': 1, '2,3': 1}} rewrite={{'1,2': 1, '2,3': 1}} linalg={linalg}")
@@ -682,10 +597,7 @@ class TestVerify:
         # memos cleared before each block, as in a fresh worker: the blocks of
         # --jobs 2 fill the normal-form and game memos no more than one block
         # of all pairs does, because each holds whole J | K classes
-        memos = {}
-        for module, name in ((oracle, "_step"), (oracle, "_normal_form"), (diagrams, "_game_sums")):
-            memos[name] = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
-            monkeypatch.setattr(module, name, memos[name])
+        memos = {name: getattr(module, name) for module, name in MEMOS}
 
         def filled(jobs):
             blocks, lines, fills = [], [], {"_normal_form": 0, "_game_sums": 0}
@@ -735,7 +647,7 @@ class TestVerify:
             "FAIL n=4 J=2,3 K=2: expansion not symmetric",
             "FAIL n=4 i=2: integral of g_2^3 is 6 by the run rule, 4 by the relations, Eulerian number 4",
         ]),
-        (_step_tripled, "4", [
+        (step_tripled, "4", [
             "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=1,2: diagram d=1, rewrite d=1, linalg d=3; "
             "diagram={'1,2': 1, '2,3': 1} rewrite={'1,2': 1, '2,3': 1} linalg={'1,2': 3, '2,3': 3}",
             "FAIL n=4: graded dimensions do not match binomials",
@@ -749,11 +661,8 @@ class TestVerify:
     def test_failure_lines_independent_of_jobs(self, capsys, monkeypatch, fault, n_max, lines):
         # each check makes its failure lines in the worker that runs it, and
         # the pair sweep's come back in union-mask order either way
-        _fresh_memos(monkeypatch)
         fault(monkeypatch)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        forked_pool(monkeypatch)
         serial = run(capsys, "verify", "--n-max", n_max, "--jobs", "1")
         pooled = run(capsys, "verify", "--n-max", n_max, "--jobs", "2")
         assert serial[0] == pooled[0] == 2
@@ -766,11 +675,7 @@ class TestVerify:
         # (n, i), and every later check still runs, under either --jobs
         own_row = oracle._own_row
         monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
-        for name in ("_step", "_normal_form"):
-            monkeypatch.setattr(oracle, name, functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        forked_pool(monkeypatch)
         serial = run(capsys, "verify", "--n-max", "4", "--jobs", "1")
         pooled = run(capsys, "verify", "--n-max", "4", "--jobs", "2")
         assert serial == pooled
@@ -835,10 +740,8 @@ class TestVerify:
         calls = []
         run_step = ring.run_step
         monkeypatch.setattr(ring, "run_step", lambda mask, i, n: calls.append((i, mask)) or run_step(mask, i, n))
-        transition = functools.cache(ring._transition.__wrapped__)
-        monkeypatch.setattr(ring, "_transition", transition)
         assert petring.verify._verify_chunk(6, range(32)) == []
-        assert 0 < len(calls) == len(set(calls)) == transition.cache_info().currsize
+        assert 0 < len(calls) == len(set(calls)) == ring._transition.cache_info().currsize
 
     def test_jobs_blocks_balance_cost(self):
         # the pairs with |J| + |K| <= n - 1 carry the cost; the two blocks of
@@ -952,12 +855,7 @@ class TestTable:
         # a run step that always moves to column 1 leaves the support of
         # J | K: the rewrite's own tail refuses the term, and the table
         # fails before it replaces --out
-        def astray(mask, i, n, step=ring.run_step):
-            a, b, den, moves = step(mask, i, n)
-            return a, b, den, tuple((1, num) for _, num in moves)
-
-        monkeypatch.setattr(ring, "run_step", astray)
-        monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
+        wrap_run_step(monkeypatch, to_column_one)
         path = tmp_path / "table5.csv"
         path.write_bytes(b"an earlier table\n")
         code, out, err = run(capsys, "table", "-n", "5", "--out", str(path))
@@ -1429,6 +1327,27 @@ class TestCachedRowsChecked:
         assert code == 2
         assert out == ""
         assert err == f"consistency failure: cache {path} has two rows for J=2 K=2 L=1,2\n"
+
+    @pytest.mark.parametrize("out_fmt", ["json", "csv"])
+    @pytest.mark.parametrize("table_fmt, d", [("csv", "0"), ("csv", "-0"), ("json", "0"), ("json", 0)],
+                             ids=["csv", "csv-minus-zero", "json", "json-integer"])
+    def test_zero_row_refused(self, capsys, tmp_path, table_fmt, d, out_fmt):
+        # J = K = {2} has two rows, d = 1 on L = {1,2} and on L = {2,3}: a d of
+        # 0 on the second is named, not dropped from a row that looks whole
+        path = tmp_path / f"t4.{table_fmt}"
+        assert run(capsys, "table", "-n", "4", "--format", table_fmt, "--out", str(path))[0] == 0
+        if table_fmt == "json":
+            data = json.loads(path.read_text())
+            data["rows"][data["rows"].index({"J": [2], "K": [2], "L": [2, 3], "d": "1"})]["d"] = d
+            path.write_text(json.dumps(data))
+        else:
+            text = path.read_text()
+            assert text.count('4,2,2,"2,3",1\n') == 1
+            path.write_text(text.replace('4,2,2,"2,3",1\n', f'4,2,2,"2,3",{d}\n'))
+        code, out, err = run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2", "--cached", str(path),
+                             "--format", out_fmt)
+        assert (code, out) == (2, "")
+        assert err == f"consistency failure: cache {path} has a row with d = 0 for J=2 K=2 L=2,3\n"
 
     @pytest.mark.parametrize("table_fmt, L, d, text", [
         ("csv", [1, 2], "x", None),

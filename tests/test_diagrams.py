@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -144,15 +143,8 @@ class TestExpandAll:
                     assert expand_all(J, K) == structure_constants_rewrite(J, K), (n, J, K)
 
 
-@pytest.fixture
-def fresh_games(monkeypatch):
-    """An empty game memo for one test, so that its counts start from zero
-    and nothing it stores is left in the shared cache."""
-    monkeypatch.setattr(diagrams, "_game_sums", functools.lru_cache(maxsize=None)(diagrams._game_sums.__wrapped__))
-
-
 class TestGameMemo:
-    def test_one_game_per_union_and_intersection(self, fresh_games):
+    def test_one_game_per_union_and_intersection(self):
         # the 4^4 pairs of rank 5 have 3^4 distinct (J | K, J & K)
         for J in all_index_sets(5):
             for K in all_index_sets(5):
@@ -161,7 +153,7 @@ class TestGameMemo:
         assert (info.misses, info.hits) == (3**4, 4**4 - 3**4)
 
     @pytest.mark.parametrize("first", [0, 1])
-    def test_memo_holds_unscaled_sums(self, fresh_games, first):
+    def test_memo_holds_unscaled_sums(self, first):
         # one game, J | K = {1,2} and J & K empty, but m_J * m_K is 1 for the
         # first pair and 2 for the second: the scaling is per pair
         pairs = [((1,), (2,), 2), ((1, 2), (), 1)]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pinned
-from test_cli import run
+from helpers import run
 
 LINES = pinned.read()
 CHEAP = [line for line in LINES if "cheap" in line.tags]

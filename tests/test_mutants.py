@@ -7,40 +7,30 @@ import math
 
 import pytest
 
+from helpers import GOLDEN, MEMOS, plant, run, to_column_n, wrap_run_step
 from petring import algebra, diagrams, errors, intervals, oracle, permutations, ring, verify
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
-from test_cli import _fresh_memos, run
 
 
 def _squared_m(monkeypatch):
     # each run's factorial squared, in every module that reads the m-factors
-    decompose = intervals.decompose_mask.__wrapped__
-    squared = functools.cache(lambda mask: decompose(mask)._replace(m_factor=decompose(mask).m_factor ** 2))
-    for module in (intervals, ring, diagrams, oracle):
-        monkeypatch.setattr(module, "decompose_mask", squared)
+    _m_changed(monkeypatch, lambda found: found.m_factor ** 2)
 
 
 def _column_zero(monkeypatch):
     # a run step that also moves to column 0 when the run around i starts at 1
-    def also_zero(mask, i, n, step=intervals.run_step):
-        a, b, den, moves = step(mask, i, n)
+    def also_zero(mask, i, n, a, b, den, moves):
         return a, b, den, (((0, 1),) + moves if mask >> (i - 1) & 1 and a == 1 else moves)
 
-    for module in (ring, diagrams):
-        monkeypatch.setattr(module, "run_step", also_zero)
+    wrap_run_step(monkeypatch, also_zero)
 
 
 def _transition_off_support(monkeypatch):
     # g_2 times the class on {2} at rank 5 with its term on {1,2} moved onto
     # {3,4}, which does not contain {2}
-    transition = ring._transition.__wrapped__
-
-    def planted(n, i, S):
-        out = transition(n, i, S)
-        return tuple((0b1100 if L == 0b0011 else L, c) for L, c in out) if (n, i, S) == (5, 2, 0b0010) else out
-
-    monkeypatch.setattr(ring, "_transition", functools.cache(planted))
+    plant(monkeypatch, ring, "_transition", (5, 2, 0b0010),
+          lambda entry: tuple((0b1100 if L == 0b0011 else L, c) for L, c in entry))
 
 
 def _relation_coefficient_three(monkeypatch):
@@ -65,58 +55,44 @@ def _own_row_term_dropped(monkeypatch):
 def _first_move_heavier(monkeypatch):
     # g_i times a monomial on a subset holding i: its first move weighs one
     # more, in the rewrite and in the game alike
-    def heavier(mask, i, n, step=intervals.run_step):
-        a, b, den, moves = step(mask, i, n)
+    def heavier(mask, i, n, a, b, den, moves):
         if mask >> (i - 1) & 1 and moves:
             moves = ((moves[0][0], moves[0][1] + 1),) + moves[1:]
         return a, b, den, moves
 
-    for module in (ring, diagrams):
-        monkeypatch.setattr(module, "run_step", heavier)
+    wrap_run_step(monkeypatch, heavier)
 
 
 def _run_one_column_short(monkeypatch):
     # the run search stops one column short of the run's right end when the
     # run extends past i, in the rewrite and in the game alike
-    def short(mask, i, n, step=intervals.run_step):
-        a, b, den, moves = step(mask, i, n)
-        return step(mask & ~(1 << (b - 1)), i, n) if b > i else (a, b, den, moves)
+    def short(mask, i, n, a, b, den, moves):
+        return intervals.run_step(mask & ~(1 << (b - 1)), i, n) if b > i else (a, b, den, moves)
 
-    for module in (ring, diagrams):
-        monkeypatch.setattr(module, "run_step", short)
+    wrap_run_step(monkeypatch, short)
 
 
 def _column_n(monkeypatch):
     # a run step that also moves to column n when the run around i ends at n - 1
-    def beyond(mask, i, n, step=intervals.run_step):
-        a, b, den, moves = step(mask, i, n)
-        return a, b, den, (moves + ((n, 1),) if mask >> (i - 1) & 1 and b == n - 1 else moves)
-
-    for module in (ring, diagrams):
-        monkeypatch.setattr(module, "run_step", beyond)
+    wrap_run_step(monkeypatch, to_column_n)
 
 
-def _m_times(monkeypatch, factor):
-    # each m-factor times factor(runs), in every module that reads the m-factors
-    decompose = intervals.decompose_mask.__wrapped__
-
-    @functools.cache
-    def scaled(mask):
-        found = decompose(mask)
-        return found._replace(m_factor=found.m_factor * factor(found.runs))
-
+def _m_changed(monkeypatch, change):
+    # each m-factor replaced by change(the clean decomposition), in every module that reads the m-factors
+    decompose = intervals.decompose_mask
+    changed = functools.cache(lambda mask: decompose(mask)._replace(m_factor=change(decompose(mask))))
     for module in (intervals, ring, diagrams, oracle):
-        monkeypatch.setattr(module, "decompose_mask", scaled)
+        monkeypatch.setattr(module, "decompose_mask", changed)
 
 
 def _m_doubled_per_pair_run(monkeypatch):
     # m times 2 for each run of length 2
-    _m_times(monkeypatch, lambda runs: 2 ** sum(hi - lo == 1 for lo, hi in runs))
+    _m_changed(monkeypatch, lambda found: found.m_factor * 2 ** sum(hi - lo == 1 for lo, hi in found.runs))
 
 
 def _m_times_runs_factorial(monkeypatch):
     # m times (number of runs)!
-    _m_times(monkeypatch, lambda runs: math.factorial(len(runs)))
+    _m_changed(monkeypatch, lambda found: found.m_factor * math.factorial(len(found.runs)))
 
 
 def _class_divisor_without_m_K(monkeypatch):
@@ -196,10 +172,9 @@ MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize("plant, rank, first, status", MUTANTS, ids=[row[0].__name__ for row in MUTANTS])
-def test_verify_catches(capsys, monkeypatch, plant, rank, first, status):
-    _fresh_memos(monkeypatch)
-    plant(monkeypatch)
+@pytest.mark.parametrize("fault, rank, first, status", MUTANTS, ids=[row[0].__name__ for row in MUTANTS])
+def test_verify_catches(capsys, monkeypatch, fault, rank, first, status):
+    fault(monkeypatch)
     assert run(capsys, "verify", "--n-max", str(rank - 1))[0] == 0
     code, out, err = run(capsys, "verify", "--n-max", str(rank))
     assert code == 2
@@ -209,7 +184,6 @@ def test_verify_catches(capsys, monkeypatch, plant, rank, first, status):
 
 
 def test_column_zero_exits_2_in_every_command(capsys, monkeypatch):
-    _fresh_memos(monkeypatch)
     _column_zero(monkeypatch)
     for method in ("rewrite", "diagram"):
         code, out, err = run(capsys, "expand", "-n", "4", "-J", "1", "-K", "1", "--method", method)
@@ -224,8 +198,17 @@ def test_column_zero_exits_2_in_every_command(capsys, monkeypatch):
 def test_multiply_ends_in_the_checked_tail(monkeypatch):
     # the class algebra is the bilinear extension of the rewrite's checked rows,
     # so a transition entry off the support is refused, not summed into a class
-    _fresh_memos(monkeypatch)
     _transition_off_support(monkeypatch)
     g2 = algebra.monomial(IndexSet.of(5, [2]))
     with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=3,4 for J=2, K=2, outside"):
         algebra.multiply(g2, g2)
+
+
+@pytest.mark.parametrize("case", ["first", "second"])
+def test_every_test_starts_with_empty_memos(capsys, case):
+    # each case finds the four engine memos empty and leaves them filled, so
+    # the case that runs second fails unless every test starts on empty memos
+    memos = [getattr(module, name) for module, name in MEMOS]
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(MEMOS)
+    assert run(capsys, *GOLDEN)[0] == 0
+    assert all(memo.cache_info().currsize for memo in memos)

@@ -1,5 +1,4 @@
 import ast
-import functools
 import inspect
 import itertools
 import math
@@ -7,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import empty, empty_memos, plant, step_tripled
 from petring import intervals, oracle, relations
 from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet, all_index_sets
@@ -133,14 +133,6 @@ class TestNormalForm:
         assert relations._reduced_pivots.cache_info() == before
 
 
-@pytest.fixture
-def fresh_table(monkeypatch):
-    """Empty table and normal-form memos for one test, so that a patched
-    entry or relation is neither read from nor left in the shared caches."""
-    for name in ("_step", "_normal_form"):
-        monkeypatch.setattr(oracle, name, functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
-
-
 class TestTable:
     def test_entries_match_full_elimination(self):
         # every entry NF(g_i * x_S) for n <= 7, against reduction by the
@@ -164,7 +156,7 @@ class TestTable:
                     row, denom = oracle._step(n, i, S)
                     assert denom > 0 and math.gcd(denom, *row.values()) == 1, (n, i, S)
 
-    def test_transposed_pairs_share_one_reduction(self, fresh_table):
+    def test_transposed_pairs_share_one_reduction(self):
         J, K = IndexSet.of(8, [1, 2, 3]), IndexSet.of(8, [2, 3, 5])
         expansion = structure_constants_linalg(J, K)
         first = oracle._normal_form.cache_info()
@@ -179,7 +171,7 @@ class TestTable:
         # that the first step leaves
         assert oracle._step.cache_info().currsize == 2
 
-    def test_dropped_relation_term_raises(self, fresh_table, monkeypatch):
+    def test_dropped_relation_term_raises(self, monkeypatch):
         # without its 2*g_j^2 term a relation row cannot eliminate that
         # monomial, so building the entry must refuse
         own_row = oracle._own_row
@@ -189,16 +181,10 @@ class TestTable:
         with pytest.raises(PresentationError):
             structure_constants_linalg(IndexSet.of(4, [2]), IndexSet.of(4, [2]))
 
-    def test_non_integral_constant_raises_in_the_engine(self, fresh_table, monkeypatch):
+    def test_non_integral_constant_raises_in_the_engine(self, monkeypatch):
         # NF(g_2 * x_{2}) at rank 4 with a tripled denominator gives
         # d = 2/6 on L = {1,2}: linalg itself must refuse it
-        step = oracle._step.__wrapped__
-
-        def corrupted(n, i, S):
-            row, denom = step(n, i, S)
-            return (row, 3 * denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
-
-        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        plant(monkeypatch, oracle, "_step", (4, 2, 0b010), lambda entry: (entry[0], 3 * entry[1]))
         with pytest.raises(ConsistencyError, match=r"linalg engine gave d = 2/6 for J=2, K=2, L=1,2,"):
             structure_constants_linalg(IndexSet.of(4, [2]), IndexSet.of(4, [2]))
 
@@ -229,8 +215,6 @@ class TestTable:
 
         monkeypatch.setattr(intervals, "run_step", refused)
         intervals.decompose_mask.cache_clear()
-        for name in ("_step", "_normal_form"):
-            monkeypatch.setattr(oracle, name, functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
         for n in range(1, 7):
             # ring binds its own run_step, so the rewrite still gives the reference rows
             for J, K in itertools.product(range(1 << (n - 1)), repeat=2):
@@ -303,7 +287,7 @@ class TestElimination:
             return reduce_row(row, pivots)
 
         monkeypatch.setattr(oracle, "_reduce_row", counting)
-        relations._reduced_pivots.__wrapped__(n, d)
+        empty(relations._reduced_pivots)(n, d)
         return len(calls)
 
     def test_one_row_per_column_above_top_degree(self, monkeypatch):
@@ -354,7 +338,7 @@ class TestQuotientDimension:
         # a rank that verify's pair sweep does not reach
         assert [quotient_dimension(9, d) for d in range(0, 11)] == [math.comb(8, d) for d in range(0, 11)]
 
-    def test_each_level_built_once(self, fresh_table, monkeypatch):
+    def test_each_level_built_once(self, monkeypatch):
         # d = 0, 1, ..., n+1 in turn: one table fold per monomial that is not
         # square-free, of degree at most n, and none above degree n
         calls = []
@@ -364,20 +348,14 @@ class TestQuotientDimension:
         assert [quotient_dimension(n, d) for d in range(n + 2)] == [math.comb(n - 1, d) for d in range(n + 2)]
         assert len(calls) == sum(math.comb(n + k - 2, k) - math.comb(n - 1, k) for k in range(n + 1))
 
-    def test_wrong_table_entry_lowers_the_count(self, fresh_table, monkeypatch):
+    def test_wrong_table_entry_lowers_the_count(self, monkeypatch):
         # NF(g_2 * x_{2}) at rank 4 tripled: the relation row of g_2^2 no
         # longer reduces to zero, so degree 2 loses a dimension
-        step = oracle._step.__wrapped__
-
-        def corrupted(n, i, S):
-            row, denom = step(n, i, S)
-            return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
-
-        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        step_tripled(monkeypatch)
         assert quotient_dimension(4, 2) == 2
         assert quotient_dimension(4, 1) == 3
 
-    def test_unreduced_monomial_raises(self, fresh_table, monkeypatch):
+    def test_unreduced_monomial_raises(self, monkeypatch):
         # without its 2*g_j^2 term no relation row eliminates g_1^2 at rank 2
         own_row = oracle._own_row
         monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
@@ -420,20 +398,14 @@ class TestPresentationCertificate:
         assert not any(presentation_failures(8, size) for size in range(8))
         assert oracle._normal_form.cache_info() == before
 
-    def test_names_each_failing_check(self, fresh_table, monkeypatch):
+    def test_names_each_failing_check(self, monkeypatch):
         # NF(g_2 * x_{2}) at rank 4 tripled: r_2 fails on x_0, and on x_{2}
         # every check whose two steps reach the entry fails
-        step = oracle._step.__wrapped__
-
-        def corrupted(n, i, S):
-            row, denom = step(n, i, S)
-            return ({L: 3 * v for L, v in row.items()}, denom) if (n, i, S) == (4, 2, 0b010) else (row, denom)
-
-        monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
+        step_tripled(monkeypatch)
         assert [presentation_failures(4, size) for size in range(4)] == [
             [(0, 2, 2)], [(0b010, 1, 2), (0b010, 2, 3), (0b010, 1, 1), (0b010, 2, 2), (0b010, 3, 3)], [], []]
 
-    def test_entry_that_does_not_reduce_raises(self, fresh_table, monkeypatch):
+    def test_entry_that_does_not_reduce_raises(self, monkeypatch):
         # without its 2*g_j^2 term no relation row eliminates g_1^2 at rank 2:
         # r_1 on x_0 builds that degree-2 entry
         own_row = oracle._own_row
@@ -445,18 +417,12 @@ class TestPresentationCertificate:
         # every single-entry corruption of the table at n = 3..5: the
         # certificate fails or raises exactly when some graded dimension is
         # not a binomial or raises
-        step = oracle._step.__wrapped__
         verdicts = {}
         for n in range(3, 6):
             entries = [(i, S) for S in range(1 << (n - 1)) for i in range(1, n) if S >> (i - 1) & 1]
             for (i, S), (name, corrupt) in itertools.product(entries, CORRUPTIONS.items()):
-                def corrupted(n_, i_, S_, key=(n, i, S), corrupt=corrupt):
-                    row, denom = step(n_, i_, S_)
-                    return corrupt(row, denom) if (n_, i_, S_) == key else (row, denom)
-
-                monkeypatch.setattr(oracle, "_step", functools.lru_cache(maxsize=None)(corrupted))
-                monkeypatch.setattr(oracle, "_normal_form", functools.lru_cache(maxsize=None)(
-                    oracle._normal_form.__wrapped__))
+                empty_memos(monkeypatch)
+                plant(monkeypatch, oracle, "_step", (n, i, S), lambda entry, corrupt=corrupt: corrupt(*entry))
                 verdict = _certificate_fails(n)
                 assert verdict == _graded_dimensions_fail(n), (n, i, S, name)
                 verdicts[verdict] = verdicts.get(verdict, 0) + 1

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -6,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import to_column_one, wrap_run_step
 from petring.algebra import (
     CohomologyClass,
     add,
@@ -251,14 +251,7 @@ class TestStructureConstants:
 
     def test_inexact_step_raises(self, monkeypatch):
         # a run step whose weights are off by a factor 7 cannot stay integral
-        import petring.ring as ring
-
-        def off(mask, i, n, step=ring.run_step):
-            a, b, den, moves = step(mask, i, n)
-            return a, b, 7 * den, moves
-
-        monkeypatch.setattr(ring, "run_step", off)
-        monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
+        wrap_run_step(monkeypatch, lambda mask, i, n, a, b, den, moves: (a, b, 7 * den, moves))
         with pytest.raises(ConsistencyError, match="not integral"):
             structure_constants_rewrite(IndexSet.of(3, [1]), IndexSet.of(3, [1]))
         with pytest.raises(ConsistencyError, match="not integral"):
@@ -320,14 +313,7 @@ class TestStructureConstants:
     def test_rewrite_term_off_support_refused(self, monkeypatch):
         # a run step that always moves to column 1 leaves the support of
         # J | K, and the rewrite's own tail must refuse the term
-        import petring.ring as ring
-
-        def astray(mask, i, n, step=ring.run_step):
-            a, b, den, moves = step(mask, i, n)
-            return a, b, den, tuple((1, num) for _, num in moves)
-
-        monkeypatch.setattr(ring, "run_step", astray)
-        monkeypatch.setattr(ring, "_transition", functools.cache(ring._transition.__wrapped__))
+        wrap_run_step(monkeypatch, to_column_one)
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [4])
         with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=1,3 for J=3, K=4"):
             structure_constants_rewrite(J, K)

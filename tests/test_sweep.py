@@ -12,10 +12,10 @@ import pytest
 
 import petring.cli
 import petring.verify
+from helpers import empty_memos, plant
 from petring import diagrams, oracle, ring
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
-from test_cli import _fresh_memos
 
 
 def _reference_chunk(n, unions):
@@ -79,14 +79,14 @@ ENTRIES = {"_step": oracle, "_game_sums": diagrams, "_transition": ring}
 
 @functools.cache
 def _entries_read(name, n):
-    """The arguments of every entry of ``name`` that a clean sweep at rank n reads."""
-    module, read = ENTRIES[name], set()
+    """Every entry of ``name`` that a clean sweep at rank n reads, as (arguments, entry), by arguments."""
+    module, read = ENTRIES[name], {}
     with pytest.MonkeyPatch.context() as mp:
-        _fresh_memos(mp)
+        empty_memos(mp)
         memo = getattr(module, name)
-        mp.setattr(module, name, lambda *args: read.add(args) or memo(*args))
+        mp.setattr(module, name, lambda *args: read.setdefault(args, memo(*args)))
         assert petring.verify._verify_chunk(n, petring.verify._pair_blocks(n, 1)[0]) == []
-    return sorted(read)
+    return sorted(read.items())
 
 
 def _corrupted(terms, rng, n):
@@ -101,30 +101,20 @@ def _corrupted(terms, rng, n):
     return terms[:k] + changed + terms[k + 1:]
 
 
-def _terms(name, args):
-    """The (mask, value) terms of the clean entry of ``name`` at ``args``."""
-    out = getattr(ENTRIES[name], name).__wrapped__(*args)
-    return tuple(out[0].items()) if name == "_step" else out[0] if name == "_game_sums" else out
+def _terms(name, entry):
+    """The (mask, value) terms of an entry of ``name``."""
+    return tuple(entry[0].items()) if name == "_step" else entry[0] if name == "_game_sums" else entry
 
 
 def _plant(monkeypatch, name, seed):
     """A single-entry fault in ``name`` at a rank of 3..5, on an entry that the sweep reads; returns the rank."""
     rng = random.Random(seed)
     n = rng.choice([3, 4, 5])
-    target = rng.choice([args for args in _entries_read(name, n) if _terms(name, args)])
-    module = ENTRIES[name]
-    memo = getattr(module, name).__wrapped__
-    terms = _corrupted(list(_terms(name, target)), rng, n)
-
-    def planted(*args):
-        out = memo(*args)
-        if args != target:
-            return out
-        if name == "_step":
-            return dict(terms), out[1]
-        return (tuple(terms), out[1]) if name == "_game_sums" else tuple(terms)
-
-    monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(planted))
+    target, entry = rng.choice([(args, entry) for args, entry in _entries_read(name, n) if _terms(name, entry)])
+    terms = _corrupted(list(_terms(name, entry)), rng, n)
+    rebuilt = {"_step": lambda out: (dict(terms), out[1]), "_game_sums": lambda out: (tuple(terms), out[1]),
+               "_transition": lambda out: tuple(terms)}[name]
+    plant(monkeypatch, ENTRIES[name], name, target, rebuilt)
     return n
 
 
@@ -134,7 +124,7 @@ def test_faults_give_the_reference_lines(monkeypatch, name, seed):
     lines = []
     for sweep in (_reference_chunk, petring.verify._verify_chunk):
         with monkeypatch.context() as mp:
-            _fresh_memos(mp)
+            empty_memos(mp)
             n = _plant(mp, name, seed)
             lines.append(sweep(n, petring.verify._pair_blocks(n, 1)[0]))
     assert lines[0] == lines[1]
@@ -145,7 +135,6 @@ def test_faults_give_the_reference_lines(monkeypatch, name, seed):
 def test_fault_lines_keep_their_order_across_the_cut(monkeypatch, seed):
     # a planted fault whose lines fall on both sides of the cut of --jobs 2:
     # the two blocks' lines, joined, are the one block's and the reference's
-    _fresh_memos(monkeypatch)
     n = _plant(monkeypatch, "_transition", seed)
     halves = [petring.verify._verify_chunk(n, block) for block in petring.verify._pair_blocks(n, 2)]
     assert len(halves) == 2 and all(halves)
@@ -195,7 +184,6 @@ def test_each_engine_read_once_per_input(monkeypatch):
     # normal form once, and hands each pair to the rewrite kernel once, with
     # no three-engine row on a clean sweep
     n = 6
-    _fresh_memos(monkeypatch)
     games, forms, rows, retried, depth = [], [], [], [], [0]
     game_sums, normal_form, kernel = diagrams._game_sums, oracle._normal_form, ring.rewrite_rows
     expansion_row = petring.cli._expansion_row
