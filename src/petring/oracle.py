@@ -229,17 +229,11 @@ def _exponents(n: int, union: int, meet: int) -> Exponents:
     return tuple((union >> k & 1) + (meet >> k & 1) for k in range(n - 1))
 
 
-def _class_row(n: int, union: int, meet: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """NF(x_J * x_K) for the masks J | K and J & K at rank n in the basis of
-    classes, (S mask, v * m_factor(S)) for its entries v, and its denominator."""
-    if union.bit_count() + meet.bit_count() > n - 1:  # the quotient vanishes above the top degree
-        return (), 1
-    row, denom = _normal_form(n, _exponents(n, union, meet))
-    return tuple((S, v * decompose_mask(S).m_factor) for S, v in row.items()), denom
-
-
 def linalg_row(n: int, J: int, K: int) -> Row:
     """The checked row of the product for the masks J and K at rank n, with
     no use of the run rule: d_JK^L = v * m_factor(L) / (denominator *
-    m_factor(J) * m_factor(K)) for the normal form's entry v on L."""
-    return class_tail("linalg", n, J, K, *_class_row(n, J | K, J & K))
+    m_factor(J) * m_factor(K)) for the entry v on L of NF(x_J * x_K)."""
+    if J.bit_count() + K.bit_count() > n - 1:  # the quotient vanishes above the top degree
+        return ()
+    row, denom = _normal_form(n, _exponents(n, J | K, J & K))
+    return class_tail("linalg", n, J, K, tuple((L, v * decompose_mask(L).m_factor) for L, v in row.items()), denom)

@@ -20,7 +20,10 @@ __all__ = ["run"]
 
 def run(n: int, degree: int | None, js: Sequence[int], ks: Sequence[int], fmt: str, out: str | None) -> None:
     """The table of the pairs of a J mask of ``js`` and a K mask of ``ks``, with |J| + |K| = ``degree`` unless
-    it is None, to ``out``, through a temporary file beside it, or to stdout; Refused above the pair cap."""
+    it is None, to ``out``, through a temporary file beside it, or to stdout; Refused above the pair cap, or for
+    an ``out`` that is a symbolic link, which the move over it would replace."""
+    if out is not None and os.path.islink(out):
+        raise Refused(f"--out {out} is a symbolic link")
     # K grouped by size, in mask order, so that --degree visits only its pairs
     by_size: dict[int, list[int]] = {}
     for km in ks:

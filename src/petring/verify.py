@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import cli, diagrams, oracle, permutations, ring
-from .errors import ConsistencyError, Row, class_tail
+from .errors import ConsistencyError, Row
 from .intervals import IndexSet, all_index_sets
 
 __all__ = ["CHECKS", "run"]
@@ -27,25 +27,23 @@ def _verify_chunk(n: int, unions: range) -> list[str]:
     """The failure lines, in block order, of `verify`'s pair sweep over the (J, K) mask pairs whose J | K is
     in ``unions``, by J | K, then J, then K: a pair whose engines raise or disagree, in the words of
     ``_expansion_row(..., "all")`` as :func:`_named` gives them, or whose row differs from its transpose's.
-    The game and linalg run once per (J | K, J & K) class, the rewrite once per J's K list."""
-
-    @functools.cache  # the class table of this block
-    def agreed(union: int, meet: int) -> tuple | None:
-        (game, gd), (lin, ld) = diagrams._game_sums(n, union, meet), oracle._class_row(n, union, meet)
-        return (game, gd) if sorted((L, v * ld) for L, v in game) == sorted((L, v * gd) for L, v in lin) else None
-
+    A pair's ``diagram_row`` must equal the kernel's row, and ``linalg_row`` at the first pair of its class."""
+    # by class (J | K, J & K), whose pairs all divide one class row by m_factor(J) * m_factor(K)
+    linalg_agreed: dict[tuple[int, int], bool] = {}
     subsets = functools.cache(lambda mask: [s for s in range(mask + 1) if s & mask == s])  # increasing
     masks = [(jm, union ^ jm | s) for union in unions for jm in subsets(union) for s in subsets(jm)]  # K = J|K - J + s
     results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
     for jm, run in itertools.groupby(sorted(masks), key=lambda pair: pair[0]):
         try:
             rewrites = dict(ring.rewrite_rows(n, jm, ks := [km for _, km in run]))
-        except Exception:  # rows of None, which no class row equals: each pair is checked again below
+        except Exception:  # rows of None, which no game row equals: each pair is checked again below
             rewrites = dict.fromkeys(ks)
         for km in ks:
             try:
-                rewrite, class_row = rewrites.get(km, ()), agreed(jm | km, jm & km)
-                row = rewrite if class_row and class_tail("diagram", n, jm, km, *class_row) == rewrite else None
+                row = diagrams.diagram_row(n, jm, km)
+                if (key := (jm | km, jm & km)) not in linalg_agreed:
+                    linalg_agreed[key] = oracle.linalg_row(n, jm, km) == row
+                row = row if linalg_agreed[key] and rewrites.get(km, ()) == row else None
             except Exception:  # checked again below, where an error is named
                 row = None
             try:

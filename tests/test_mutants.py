@@ -8,7 +8,7 @@ import math
 import pytest
 
 from helpers import GOLDEN, MEMOS, plant, run, to_column_n, wrap_run_step
-from petring import algebra, diagrams, errors, intervals, oracle, permutations, ring, verify
+from petring import algebra, diagrams, errors, intervals, oracle, permutations, ring
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 
@@ -96,11 +96,11 @@ def _m_times_runs_factorial(monkeypatch):
 
 
 def _class_divisor_without_m_K(monkeypatch):
-    # the per-pair tail of the game and linalg, which the sweep shares, divides by m_factor(J) alone
+    # the per-pair tail of the game and linalg divides by m_factor(J) alone
     def dropped(engine, n, J, K, row, denom):
         return errors.constants(engine, n, J, K, row, denom * intervals.decompose_mask(J).m_factor)
 
-    for module in (diagrams, oracle, verify):
+    for module in (diagrams, oracle):
         monkeypatch.setattr(module, "class_tail", dropped)
 
 
@@ -108,6 +108,19 @@ def _bruhat_last_prefix_skipped(monkeypatch):
     # the rank criterion of `verify`'s Bruhat check without its last prefix, of length n - 1
     leq = permutations.bruhat_leq
     monkeypatch.setattr(permutations, "bruhat_leq", lambda u, v: leq(u[:-1], v[:-1]))
+
+
+def _linalg_row_first_term(monkeypatch):
+    # the row that `expand` reads from linalg, cut to its first term
+    row = oracle.linalg_row
+    monkeypatch.setattr(oracle, "linalg_row", lambda n, J, K: row(n, J, K)[:1])
+
+
+def _diagram_row_doubled_on_a_meet(monkeypatch):
+    # the row that `expand` reads from the game, each constant doubled when J & K is nonempty
+    row = diagrams.diagram_row
+    monkeypatch.setattr(diagrams, "diagram_row",
+                        lambda n, J, K: tuple((L, 2 * d if J & K else d) for L, d in row(n, J, K)))
 
 
 def _fold_keyed(monkeypatch, key):
@@ -169,6 +182,10 @@ MUTANTS = [
      "n=2: top-degree evaluation FAIL"),
     (_fold_from_the_lowest_member, 3, "FAIL n=3 J=- K=1,2: rewrite engine gave d = 1/2 for J=-, K=1,2, L=1,2, "
      "expected a non-negative integer", None),
+    (_linalg_row_first_term, 4, "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=2,3: "
+     "diagram d=1, rewrite d=1, linalg d=0", None),
+    (_diagram_row_doubled_on_a_meet, 3, "FAIL n=3 J=1 K=1: engines disagree for J=1, K=1, first at L=1,2: "
+     "diagram d=2, rewrite d=1, linalg d=1", None),
 ]
 
 

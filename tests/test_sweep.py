@@ -1,7 +1,8 @@
-"""`verify`'s pair sweep against the per-pair sweep it replaced: the game
-and linalg are checked once per (J | K, J & K) class and the rewrite once
-per pair, and on every planted fault the failure lines are those of the
-sweep that ran all three engines on every pair."""
+"""`verify`'s pair sweep against the per-pair sweep it replaced: the game's
+row and the rewrite are checked on every pair, linalg once per
+(J | K, J & K) class, and the game is played once per class; on every
+planted fault the failure lines are those of the sweep that ran all three
+engines on every pair."""
 
 import functools
 import itertools
@@ -185,7 +186,7 @@ def test_each_engine_read_once_per_input(monkeypatch):
     # no three-engine row on a clean sweep
     n = 6
     games, forms, rows, retried, depth = [], [], [], [], [0]
-    game_sums, normal_form, kernel = diagrams._game_sums, oracle._normal_form, ring.rewrite_rows
+    play, normal_form, kernel = diagrams._games, oracle._normal_form, ring.rewrite_rows
     expansion_row = petring.cli._expansion_row
 
     def outermost_form(n, exps):  # the recursion of _normal_form runs through this too
@@ -198,8 +199,8 @@ def test_each_engine_read_once_per_input(monkeypatch):
             forms.append(exps)
         return out
 
-    monkeypatch.setattr(diagrams, "_game_sums", lambda n, union, meet: games.append((union, meet)) or
-                        game_sums(n, union, meet))
+    monkeypatch.setattr(diagrams, "_games", lambda n, union, meet: games.append((union, meet)) or
+                        play(n, union, meet))
     monkeypatch.setattr(oracle, "_normal_form", outermost_form)
     monkeypatch.setattr(ring, "rewrite_rows", lambda n, J, ks: rows.extend((J, K) for K in ks) or
                         kernel(n, J, ks))
