@@ -1,8 +1,8 @@
 """The ``petring`` command line: one argparse parser, ``cli``, with the
 subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group`` in
 ``cli.commands``, each with its function's docstring as help.  Importing it
-runs ``errors`` and ``intervals``, and no ``csv``, ``fractions`` or
-``concurrent.futures``.  Each command runs besides only the modules it
+runs ``errors`` and ``intervals``, and no ``csv``, ``json``, ``fractions``
+or ``concurrent.futures``.  Each command runs besides only the modules it
 calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and
 none with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``;
 ``group`` ``permutations``; ``table`` ``ring`` and ``table``; ``verify`` the
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
-import json
+import gc
 import os
 import sys
 
@@ -145,6 +144,7 @@ def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: 
     else:
         row = _expansion_row(n, J.mask, K.mask, method)
     if fmt == "json":
+        import json
         terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)} for L, d in row]
         record = {"n": n, "J": list(J.as_tuple()), "K": list(K.as_tuple()), "method": method, "terms": terms}
         print(json.dumps(record))
@@ -186,6 +186,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     with open(path, "rb") as fh:  # past the whitespace that JSON allows before a value
         first = next((c for c in iter(lambda: fh.read(1), b"") if c not in b" \t\n\r"), b"")
     if path.endswith(".json") or first == b"{":
+        import json
         with open(path) as fh:
             data = json.load(fh)
         if type(data["n"]) is not int:  # "3", true or 3.0, which a rank compare would misread
@@ -197,9 +198,9 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
         return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
     import csv
 
-    buf = io.StringIO()  # the pair's "n,J,K," prefix, quoted as the table's csv.writer quotes it
-    csv.writer(buf, lineterminator=",").writerow([n, J.format(), K.format()])
-    rank, prefix, target = f"{n},", buf.getvalue(), (J.mask, K.mask)
+    # the pair's "n,J,K," prefix, quoted as the table's csv.writer quotes it: writerow returns what write does
+    written = csv.writer(argparse.Namespace(write=str), lineterminator="\n").writerow([n, J.format(), K.format()])
+    rank, prefix, target = f"{n},", written[:-1] + ",", (J.mask, K.mask)
 
     def decoded(line: bytes) -> str:
         text = line.decode()
@@ -325,8 +326,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The ``petring`` script: exit with ``main``'s code."""
-    sys.exit(main())
+    """The ``petring`` script: ``main`` with rare collections, as its memos hold many containers and a run makes
+    few cycles, then ``os._exit`` with its code, or 1 if a stream does not flush: the memos are not freed."""
+    gc.set_threshold(100_000, 50, 50)
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

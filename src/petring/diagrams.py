@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 
+from . import intervals
 from .errors import ConsistencyError, Row, class_tail, expansion
 from .intervals import IndexSet, decompose_mask, run_step
 
@@ -29,7 +30,7 @@ def _games(n: int, start: int, marked: int) -> list[tuple[int, tuple, int, int]]
     num/den; the game carries the product num/den of its row weights.
     ConsistencyError for a move below column 1."""
     games = [(start, (), 1, 1)]
-    for element in (k + 1 for k in range(marked.bit_length()) if marked >> k & 1):
+    for element in [k + 1 for k in range(marked.bit_length()) if marked >> k & 1]:
         played = []
         for shading, rows, num, den in games:
             a, b, row_den, moves = run_step(shading, element, n)
@@ -48,11 +49,11 @@ def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], 
     """The weight sums of ``_games`` per final shading mask L, times m_factor(L), in order of first
     appearance, as (L, numerator) pairs and their one common denominator."""
     games = _games(n, start, marked)
-    denom = math.lcm(*(den for _, _, _, den in games))
+    denom = math.lcm(*[den for _, _, _, den in games])
     sums: dict[int, int] = {}
     for final, _, num, den in games:
         sums[final] = sums.get(final, 0) + num * (denom // den)
-    return tuple((L, decompose_mask(L).m_factor * total) for L, total in sums.items()), denom
+    return tuple([(L, decompose_mask(L).m_factor * total) for L, total in sums.items()]), denom
 
 
 def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
@@ -60,7 +61,17 @@ def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     return expansion(diagram_row, J, K)
 
 
+@functools.lru_cache(maxsize=None)
+def _tails(n: int, union: int, meet: int) -> dict[int, Row]:
+    """The checked rows of the class (J | K, J & K) found so far, by m_factor(J) * m_factor(K)."""
+    return {}
+
+
 def diagram_row(n: int, J: int, K: int) -> Row:
-    """The checked row of the product for the masks J and K at rank n: the
-    memoized game sums, divided by m_factor(J) * m_factor(K)."""
-    return class_tail("diagram", n, J, K, *_game_sums(n, J | K, J & K))
+    """The checked row of the masks J and K at rank n: the memoized game sums over m_factor(J) * m_factor(K),
+    memoized per class and divisor.  A row that fails the tail is not kept: each pair raises in its own words."""
+    sums, decompose = _game_sums(n, J | K, J & K), intervals.decompose_mask
+    rows, m = _tails(n, J | K, J & K), decompose(J).m_factor * decompose(K).m_factor
+    if (row := rows.get(m)) is None:
+        row = rows[m] = class_tail("diagram", n, J, K, *sums)
+    return row

@@ -40,7 +40,7 @@ def _squared(mono: Exponents) -> int:
 
 def _mask(mono: Exponents) -> int:
     """The bit mask of the generators that a monomial contains."""
-    return sum(1 << k for k, e in enumerate(mono) if e)
+    return sum([1 << k for k, e in enumerate(mono) if e])
 
 
 def _monomial_exponents(n: int, d: int) -> list[Exponents]:
@@ -67,9 +67,10 @@ def _relation_row(M: Exponents, i: int) -> dict[Exponents, int]:
     return row
 
 
+@functools.lru_cache(maxsize=None)
 def _own_row(mono: Exponents) -> dict[Exponents, int]:
-    """The relation row whose 2*g_j^2 term is the non-square-free monomial
-    ``mono``, with j = _squared(mono)."""
+    """The relation row whose 2*g_j^2 term is the non-square-free monomial ``mono``, with j = _squared(mono);
+    memoized, so that its callers share the row and leave it as it is."""
     j = _squared(mono)
     return _relation_row(_bump(mono, j, -2), j)
 
@@ -118,28 +119,31 @@ def _echelon(rows: Iterable[dict[int, int]], num_columns: int) -> dict[int, dict
 def _step(n: int, i: int, S: int) -> tuple[dict[int, int], int]:
     """The table entry NF(g_i * x_S) for i in the subset with mask S: an integer row keyed by mask, and
     its denominator.  Each non-square-free monomial reached from g_i * x_S brings in the relation row whose
-    2*g_j^2 term it is; only these rows are eliminated, their columns first.  PresentationError if a
+    2*g_j^2 term it is; only these rows are eliminated, by ``_eliminated``.  PresentationError if a
     non-square-free monomial is left over."""
     product = _bump(_exponents(n, S, 0), i, 1)
-    relations: dict[Exponents, dict[Exponents, int]] = {}
-    todo = [product]
+    squares, todo = set(), [product]
     while todo:
         mono = todo.pop()
-        if _squared(mono) and mono not in relations:
-            relations[mono] = _own_row(mono)
-            todo.extend(relations[mono])
-    others = {product}.union(*relations.values()).difference(relations)
-    cols = sorted(relations) + sorted(others)
-    col_index = {mono: idx for idx, mono in enumerate(cols)}
-    pivots = _echelon(
-        ({col_index[t]: v for t, v in relations[mono].items()} for mono in cols[: len(relations)]),
-        len(cols),
-    )
-    reduced, denom = _reduce_row({col_index[product]: 1}, pivots)
-    if reduced and min(reduced) < len(relations):
+        if mono not in squares and _squared(mono):
+            squares.add(mono)
+            todo.extend(_own_row(mono))
+    cols, pivots = _eliminated(tuple(sorted(squares)))
+    reduced, denom = _reduce_row({cols.index(product): 1}, pivots)
+    if reduced and min(reduced) < len(squares):
         raise PresentationError(f"monomial {cols[min(reduced)]} at rank {n}, degree {S.bit_count() + 1} is neither "
                                 "square-free nor eliminated: the relations are incomplete here")
     return {_mask(cols[c]): v for c, v in reduced.items()}, denom
+
+
+@functools.lru_cache(maxsize=None)
+def _eliminated(squares: tuple[Exponents, ...]) -> tuple[list[Exponents], dict[int, dict[int, int]]]:
+    """The columns, the sorted squares then the sorted monomials that their relation rows reach, and the pivots
+    of those rows: one elimination for every table entry whose product reaches these squares."""
+    rows = [_own_row(mono) for mono in squares]
+    cols = [*squares, *sorted(set().union(*rows).difference(squares))]
+    col_index = {mono: idx for idx, mono in enumerate(cols)}
+    return cols, _echelon(({col_index[t]: v for t, v in row.items()} for row in rows), len(cols))
 
 
 def _combine(parts: list[tuple[int, dict[int, int], int]]) -> tuple[dict[int, int], int]:
@@ -158,10 +162,20 @@ def _times(n: int, i: int, terms: dict[int, int], denom: int) -> tuple[dict[int,
     """g_i times the square-free combination terms / denom, by one table step
     per term (g_i * x_S = x_{S+i} for i not in S), over one common
     denominator whose content is divided out.  Returns (terms, denominator)."""
-    bit = 1 << (i - 1)
-    out, scale = _combine([(v, *_step(n, i, S)) if S & bit else (v, {S | bit: 1}, 1) for S, v in terms.items()])
-    g = math.gcd(denom * scale, *out.values())
-    return {S: v // g for S, v in out.items()}, denom * scale // g
+    bit, out, scale = 1 << (i - 1), {}, 1
+    for S, v in terms.items():
+        row, den = _step(n, i, S) if S & bit else ({S | bit: 1}, 1)
+        if scale % den:  # the common denominator grows to lcm(scale, den)
+            grow = den // math.gcd(scale, den)
+            scale *= grow
+            for T in out:
+                out[T] *= grow
+        v *= scale // den
+        for T, w in row.items():
+            out[T] = out.get(T, 0) + v * w
+    if (g := math.gcd(denom * scale, *out.values())) == 1 and all(out.values()):
+        return out, denom * scale
+    return {S: v // g for S, v in out.items() if v}, denom * scale // g
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,7 +184,7 @@ def _normal_form(n: int, exps: Exponents) -> tuple[dict[int, int], int]:
     mask and a denominator.  A square-free monomial is its own form; any
     other is g_j times the form of the monomial with one g_j less, j its
     last squared generator, by one step of ``_times``."""
-    j = max((i for i, e in enumerate(exps, start=1) if e > 1), default=0)
+    j = max([i for i, e in enumerate(exps, start=1) if e > 1], default=0)
     if not j:
         return {_mask(exps): 1}, 1
     return _times(n, j, *_normal_form(n, _bump(exps, j, -1)))
@@ -208,7 +222,8 @@ def presentation_failures(n: int, size: int) -> list[tuple[int, int, int]]:
     PresentationError for an entry that does not reduce."""
     gens, failures = range(1, n), []
     for S in (S for S in range(1 << (n - 1)) if S.bit_count() == size):
-        once = [({}, 1), *(_times(n, i, {S: 1}, 1) for i in gens), ({}, 1)]  # T_i x_S, zero at i = 0, n
+        # T_i x_S, the table entry or x_{S+i}, and zero at i = 0, n
+        once = [({}, 1), *(_step(n, i, S) if S >> (i - 1) & 1 else ({S | 1 << (i - 1): 1}, 1) for i in gens), ({}, 1)]
         for i, j in combinations(gens, 2):
             if S & (1 << (i - 1) | 1 << (j - 1)) and _times(n, i, *once[j]) != _times(n, j, *once[i]):
                 failures.append((S, i, j))
@@ -226,7 +241,7 @@ def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
 @functools.lru_cache(maxsize=None)
 def _exponents(n: int, union: int, meet: int) -> Exponents:
     """The exponents of x_J * x_K for the masks J | K and J & K at rank n."""
-    return tuple((union >> k & 1) + (meet >> k & 1) for k in range(n - 1))
+    return tuple([(union >> k & 1) + (meet >> k & 1) for k in range(n - 1)])
 
 
 def linalg_row(n: int, J: int, K: int) -> Row:
@@ -236,4 +251,4 @@ def linalg_row(n: int, J: int, K: int) -> Row:
     if J.bit_count() + K.bit_count() > n - 1:  # the quotient vanishes above the top degree
         return ()
     row, denom = _normal_form(n, _exponents(n, J | K, J & K))
-    return class_tail("linalg", n, J, K, tuple((L, v * decompose_mask(L).m_factor) for L, v in row.items()), denom)
+    return class_tail("linalg", n, J, K, tuple([(L, v * decompose_mask(L).m_factor) for L, v in row.items()]), denom)

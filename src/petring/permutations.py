@@ -8,6 +8,7 @@ so it is fixed here once and used everywhere.
 from __future__ import annotations
 
 import bisect
+import operator
 
 from .intervals import IndexSet, all_index_sets, decompose
 
@@ -83,13 +84,12 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     {v(1), ..., v(k)}.  ValueError for mismatched degrees."""
     if len(u) != len(v):
         raise ValueError("mismatched degrees")
-    n = len(u)
     u_pref: list[int] = []
     v_pref: list[int] = []
-    for k in range(n - 1):
-        bisect.insort(u_pref, u[k])
-        bisect.insort(v_pref, v[k])
-        if any(a > b for a, b in zip(u_pref, v_pref)):
+    for a, b in zip(u[:-1], v[:-1]):
+        bisect.insort(u_pref, a)
+        bisect.insort(v_pref, b)
+        if any(map(operator.gt, u_pref, v_pref)):
             return False
     return True
 

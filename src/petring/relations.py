@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from . import oracle
 from .intervals import Frozen, IndexSet
-from .oracle import Exponents, _bump, _echelon, _monomial_exponents, _own_row, _relation_row, _squared
+from .oracle import Exponents, _bump, _echelon, _monomial_exponents, _relation_row, _squared
 
 __all__ = ["Monomial", "RelationMatrix", "relation_rows", "normal_form"]
 
@@ -56,10 +56,7 @@ class Monomial(Frozen):
 def _columns(n: int, d: int) -> tuple[list[Exponents], dict[Exponents, int]]:
     """Degree-d monomials ordered with non-square-free ones first, each block
     in a fixed lexicographic order."""
-    monos = _monomial_exponents(n, d)
-    non_sf = [m for m in monos if _squared(m)]
-    sf = [m for m in monos if not _squared(m)]
-    cols = non_sf + sf
+    cols = sorted(_monomial_exponents(n, d), key=lambda m: not _squared(m))  # stable: each block stays in order
     return cols, {m: idx for idx, m in enumerate(cols)}
 
 
@@ -95,7 +92,7 @@ def _reduced_pivots(n: int, d: int) -> tuple[tuple[Exponents, ...], dict[int, di
     ``quotient_dimension`` to.  The rank is exact, as the row order does not change the row space."""
     cols, col_index = _columns(n, d)
     lower = _monomial_exponents(n, d - 2) if d >= 2 else []
-    own = (_own_row(mono) for mono in cols if _squared(mono))
+    own = (oracle._own_row(mono) for mono in cols if _squared(mono))
     rest = (_relation_row(M, i) for i in range(1, n) for M in lower if _squared(_bump(M, i, 2)) != i)
     rows = ({col_index[t]: v for t, v in row.items()} for row in chain(own, rest))
     return tuple(cols), _echelon(rows, len(cols))

@@ -56,8 +56,8 @@ def _write_table(fh, n: int, fmt: str, blocks) -> int:
     if fmt == "csv":
         fh.write("n,J,K,L,d\n")
         # writerow returns what its file's write returns: here, the text itself
-        writer = csv.writer(argparse.Namespace(write=str), lineterminator=",")
-        cell = functools.cache(lambda m: writer.writerow([IndexSet.from_mask(n, m).format()]))
+        writer = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
+        cell = functools.cache(lambda m: writer.writerow([IndexSet.from_mask(n, m).format()])[:-1] + ",")
         count = 0
         for J, rows in blocks:
             lines, head_J = [], f"{n},{cell(J)}"

@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import cli, diagrams, oracle, permutations, ring
-from .errors import ConsistencyError, Row
+from .errors import ConsistencyError
 from .intervals import IndexSet, all_index_sets
 
 __all__ = ["CHECKS", "run"]
@@ -24,35 +24,36 @@ def _named(exc: Exception) -> str:
 
 
 def _verify_chunk(n: int, unions: range) -> list[str]:
-    """The failure lines, in block order, of `verify`'s pair sweep over the (J, K) mask pairs whose J | K is
-    in ``unions``, by J | K, then J, then K: a pair whose engines raise or disagree, in the words of
-    ``_expansion_row(..., "all")`` as :func:`_named` gives them, or whose row differs from its transpose's.
-    A pair's ``diagram_row`` must equal the kernel's row, and ``linalg_row`` at the first pair of its class."""
-    # by class (J | K, J & K), whose pairs all divide one class row by m_factor(J) * m_factor(K)
-    linalg_agreed: dict[tuple[int, int], bool] = {}
-    subsets = functools.cache(lambda mask: [s for s in range(mask + 1) if s & mask == s])  # increasing
-    masks = [(jm, union ^ jm | s) for union in unions for jm in subsets(union) for s in subsets(jm)]  # K = J|K - J + s
-    results: dict[tuple[int, int], Row | Exception | None] = dict.fromkeys(masks)
-    for jm, run in itertools.groupby(sorted(masks), key=lambda pair: pair[0]):
+    """The failure lines of `verify`'s pair sweep over the (J, K) mask pairs whose J | K is in ``unions``, by
+    J | K, then J, then K: a pair whose engines raise or disagree, in the words of ``_expansion_row(..., "all")``
+    as :func:`_named` gives them, or whose row differs from its transpose's.  A pair's ``diagram_row`` must
+    equal the kernel's row, and ``linalg_row`` at the first pair of its class (J | K, J & K)."""
+    linalg_agreed, results = {}, {}  # linalg's verdict by class; each pair's row or error, by J, then K
+    for jm in range(1 << (n - 1)):
         try:
-            rewrites = dict(ring.rewrite_rows(n, jm, ks := [km for _, km in run]))
+            rewrites = dict(ring.rewrite_rows(n, jm, ks := [km for km in range(1 << (n - 1)) if jm | km in unions]))
         except Exception:  # rows of None, which no game row equals: each pair is checked again below
             rewrites = dict.fromkeys(ks)
+        results[jm] = found = {}
         for km in ks:
             try:
                 row = diagrams.diagram_row(n, jm, km)
-                if (key := (jm | km, jm & km)) not in linalg_agreed:
-                    linalg_agreed[key] = oracle.linalg_row(n, jm, km) == row
-                row = row if linalg_agreed[key] and rewrites.get(km, ()) == row else None
+                if (agreed := linalg_agreed.get(key := (jm | km, jm & km))) is None:
+                    agreed = linalg_agreed[key] = oracle.linalg_row(n, jm, km) == row
+                if agreed and rewrites.get(km, ()) == row:
+                    found[km] = row
+                    continue
             except Exception:  # checked again below, where an error is named
-                row = None
+                pass
             try:
-                results[jm, km] = cli._expansion_row(n, jm, km, "all") if row is None else row
+                found[km] = cli._expansion_row(n, jm, km, "all")
             except Exception as exc:
-                results[jm, km] = exc
+                found[km] = exc
+    failed = sorted([(jm | km, jm, km) for jm, found in results.items() for km, row in found.items()
+                     if isinstance(row, Exception) or results[km][jm] != row])
     return [f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: "
-            f"{_named(row) if isinstance(row, Exception) else 'expansion not symmetric'}"
-            for (jm, km), row in results.items() if isinstance(row, Exception) or results[km, jm] != row]
+            f"{_named(row) if isinstance(row := results[jm][km], Exception) else 'expansion not symmetric'}"
+            for _, jm, km in failed]
 
 
 def _pair_blocks(n: int, jobs: int) -> list[range]:

@@ -27,7 +27,7 @@ from petring.errors import ConsistencyError
 
 
 @pytest.mark.parametrize("module, unneeded", [
-    ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal", "csv"]),
+    ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal", "csv", "json"]),
     ("petring.intervals", ["petring.ring", "petring.diagrams", "petring.oracle"]),
     ("petring", [f"petring.{m}" for m in ("cli", "diagrams", "errors", "intervals", "listings", "oracle",
                                           "permutations", "relations", "ring", "table", "verify")]),
@@ -79,7 +79,8 @@ def test_a_query_compiles_only_the_code_it_runs():
     # 1608 lines while the bodies of `verify` and `table` and the engines' listings, class algebra and
     # relation reference shared the modules a query runs, 1084 then, 1080 since the package holds the one
     # loader, 1068 since the rewrite folds by one path, 1062 since linalg's row function reduces its class row
-    # itself; code put back on the path shows here
+    # itself, 1097 since the game memoizes its checked rows, linalg steps in one pass and shares one
+    # elimination per set of squares, and the script leaves by os._exit; code put back on the path shows here
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -89,12 +90,13 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1062
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1097
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
     # a fresh `expand --cached` on a CSV table runs no engine: the package, cli, errors and intervals,
-    # 665 lines while cli held a loader of its own besides the package's, 661 since
+    # 665 lines while cli held a loader of its own besides the package's, 661 since, 670 since the script
+    # leaves by os._exit
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -104,7 +106,7 @@ def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 661
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 670
 
 
 def test_a_submodule_read_on_the_package_is_registered_but_not_run():
@@ -1424,3 +1426,72 @@ class TestGroup:
     def test_derived_word(self, capsys):
         _, out, _ = run(capsys, "group", "-n", "8", "-J", "1,4,5,7")
         assert "w_J = [2,1,3,6,5,4,8,7]" in out
+
+
+class TestExitContract:
+    """The exit codes and streams of `python -m petring`, whose script flushes both streams and leaves by
+    os._exit: output written before the exit is all there, and a run that exits 0 writes nothing to stderr."""
+
+    def test_usage_error_exits_1_with_one_stderr_line(self):
+        proc = python("-m", "petring", "expand", "-n", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: rank must be in [1, 16], got 0\n")
+
+    def test_cached_row_with_d_zero_exits_2(self, tmp_path):
+        path = tmp_path / "t4.csv"
+        proc = python("-m", "petring", "table", "-n", "4", "--out", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        text = path.read_text()
+        path.write_text(text.replace('4,2,2,"2,3",1\n', '4,2,2,"2,3",0\n'))
+        proc = python("-m", "petring", "expand", "-n", "4", "-J", "2", "-K", "2", "--cached", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"consistency failure: cache {path} has a row with d = 0 for J=2 K=2 L=2,3\n"
+
+    def test_verify_into_a_closed_pipe_exits_1_without_a_traceback(self):
+        # each line written as it is printed; the ranks above the first take some tens of
+        # milliseconds at n = 7, so the closed pipe is met by a later line
+        env = {**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH": str(Path(petring.cli.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-m", "petring", "verify", "--n-max", "7"], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"n=1: 1 (J,K) pairs cross-checked over three engines\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
+
+    @pytest.mark.parametrize("argv, last", [
+        (["verify", "--n-max", "3"], "all checks passed"),
+        (["--help"], "show this help message and exit"),
+        ([*GOLDEN, "--format", "csv"], "10,\"1,3,5,6,7\",\"3,6,8\",all,\"1,3,4,5,6,7,8,9\",240"),
+        (["group", "-n", "5", "-J", "1,2"], "v_J = [2,3,1,4,5]"),
+    ], ids=["verify", "help", "expand", "group"])
+    def test_exit_0_keeps_all_output_and_an_empty_stderr(self, argv, last):
+        # stdout to a pipe is block-buffered here: all of it, whose last line ends as given, is
+        # flushed before os._exit
+        proc = subprocess.run([sys.executable, "-m", "petring", *argv], env=self._buffered(), capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("\n") and proc.stdout.splitlines()[-1].endswith(last)
+
+    def test_exit_2_keeps_the_rows_written_before_the_failure(self):
+        # `table -n 4` to a block-buffered stdout, with the kernel raising at J = {1,2}: the blocks of
+        # J = -, 1 and 2 are written before the consistency failure, and the script flushes them
+        planted = ("from petring import ring\n"
+                   "from petring.cli import entry\n"
+                   "from petring.errors import ConsistencyError\n"
+                   "kernel = ring.rewrite_rows\n"
+                   "def rows(n, J, ks):\n"
+                   "    if J == 3:\n"
+                   "        raise ConsistencyError('planted')\n"
+                   "    return kernel(n, J, ks)\n"
+                   "ring.rewrite_rows = rows\n"
+                   "entry()")
+        proc = subprocess.run([sys.executable, "-c", planted, "table", "-n", "4"], env=self._buffered(),
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, "consistency failure: planted\n")
+        whole = python("-m", "petring", "table", "-n", "4").stdout
+        assert proc.stdout == whole[:whole.index('4,"1,2",')] and proc.stdout.count("\n") > 10
+
+    @staticmethod
+    def _buffered():
+        """This environment without PYTHONUNBUFFERED, with this checkout's petring and help at 80 columns."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        return {**env, "COLUMNS": "80", "PYTHONPATH": str(Path(petring.cli.__file__).parents[1])}

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import plant
 from petring import diagrams
 from petring.diagrams import expand_all
+from petring.errors import ConsistencyError
 from petring.intervals import IndexSet, all_index_sets
 from petring.listings import (
     Move,
@@ -13,7 +15,7 @@ from petring.listings import (
     structure_constant,
     weight,
 )
-from petring.ring import structure_constants_rewrite
+from petring.ring import rewrite_row, structure_constants_rewrite
 
 N10 = 10
 J10 = IndexSet.parse("1,3,5,6,7", N10)
@@ -160,6 +162,27 @@ class TestGameMemo:
         for J, K, d in pairs[first:] + pairs[:first]:
             assert expand_all(IndexSet.of(3, J), IndexSet.of(3, K)) == {IndexSet.of(3, [1, 2]): d}
         assert diagrams._game_sums.cache_info().misses == 1
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_tail_memo_keeps_one_row_per_divisor(self, first):
+        # J | K = {1,2,3} and J & K = {2} at rank 5 for both pairs, but m_J * m_K
+        # is 2 * 2 = 4 for the first and 1 * 6 = 6 for the second: each pair gets
+        # its own row, whichever the memo meets first
+        pairs = [(0b0011, 0b0110), (0b0010, 0b0111)]
+        for J, K in pairs[first:] + pairs[:first]:
+            assert diagrams.diagram_row(5, J, K) == rewrite_row(5, J, K)
+        assert sorted(diagrams._tails(5, 0b0111, 0b0010)) == [4, 6]
+        assert diagrams._game_sums.cache_info().misses == 1
+
+    def test_tail_that_fails_is_not_kept(self, monkeypatch):
+        # the game sum of J | K = {1,2}, J & K = {1} at rank 4 made 7/3 in place
+        # of 6/3: (J, K) and (K, J) share one memo key, and each raises in its own words
+        plant(monkeypatch, diagrams, "_game_sums", (4, 0b011, 0b001),
+              lambda entry: (tuple((L, v + 1) for L, v in entry[0]), entry[1]))
+        for J, K, words in [(0b001, 0b011, "J=1, K=1,2"), (0b011, 0b001, "J=1,2, K=1")] * 2:
+            with pytest.raises(ConsistencyError, match=f"^diagram engine gave d = 7/6 for {words}, L=1,2,3, "):
+                diagrams.diagram_row(4, J, K)
+        assert diagrams._tails(4, 0b011, 0b001) == {}
 
 
 class TestRender:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import petring
 
-TOTAL, CODE = 1741, 1069
+TOTAL, CODE = 1774, 1093
 
 
 def _line_kinds() -> dict[str, int]:

@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,7 +134,41 @@ class TestNormalForm:
         assert relations._reduced_pivots.cache_info() == before
 
 
+def _times_reference(n, i, terms, denom):
+    """g_i times terms / denom as the sum of one part per term, a table step or x_{S+i}, each scaled to the lcm of
+    the parts' denominators; zeros dropped, then the content of the sum over denom times that lcm divided out."""
+    bit = 1 << (i - 1)
+    parts = [(v, *oracle._step(n, i, S)) if S & bit else (v, {S | bit: 1}, 1) for S, v in terms.items()]
+    scale, out = math.lcm(*[den for _, _, den in parts]), {}
+    for v, row, den in parts:
+        for T, w in row.items():
+            out[T] = out.get(T, 0) + v * (scale // den) * w
+    out = {T: w for T, w in out.items() if w}
+    g = math.gcd(denom * scale, *out.values())
+    return {T: w // g for T, w in out.items()}, denom * scale // g
+
+
 class TestTable:
+    def test_times_is_the_sum_of_its_parts(self):
+        # the one-pass product by g_i gives the sum of parts exactly: the same terms in the same order and
+        # the same denominator, for every one-term input at n <= 6 and for seeded random combinations, whose
+        # table steps have mixed denominators and may cancel
+        cases = [(n, i, {S: v}, denom) for n in range(1, 7) for i in range(1, n) for S in range(1 << (n - 1))
+                 for v, denom in [(1, 1), (-3, 2), (4, 6)]]
+        rng = random.Random(41)
+        for _ in range(400):
+            n = rng.randrange(3, 8)
+            size = rng.randrange(n - 1)
+            masks = [S for S in range(1 << (n - 1)) if S.bit_count() == size]
+            chosen = rng.sample(masks, min(len(masks), rng.randrange(1, 7)))
+            terms = {S: rng.choice([-6, -3, -1, 1, 2, 3, 5]) for S in chosen}
+            cases.append((n, rng.randrange(1, n), terms, rng.choice([1, 2, 3, 6, 10])))
+        assert sum(len({oracle._step(n, i, S)[1] for S in terms if S >> (i - 1) & 1}) > 1
+                   for n, i, terms, _ in cases) > 50
+        for n, i, terms, denom in cases:
+            got, want = oracle._times(n, i, terms, denom), _times_reference(n, i, terms, denom)
+            assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1]), (n, i, terms, denom)
+
     def test_entries_match_full_elimination(self):
         # every entry NF(g_i * x_S) for n <= 7, against reduction by the
         # echelon form of the whole degree-(|S|+1) matrix

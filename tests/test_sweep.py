@@ -14,7 +14,7 @@ import pytest
 import petring.cli
 import petring.verify
 from helpers import empty_memos, plant
-from petring import diagrams, oracle, ring
+from petring import diagrams, intervals, oracle, ring
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 
@@ -182,12 +182,16 @@ def test_kernel_error_of_another_type_is_named_with_it(monkeypatch, where):
 
 def test_each_engine_read_once_per_input(monkeypatch):
     # at n = 6 the sweep plays each class's game and reduces each class's
-    # normal form once, and hands each pair to the rewrite kernel once, with
-    # no three-engine row on a clean sweep
+    # normal form once, checks the game's tail once per class and divisor
+    # m_J * m_K, and hands each pair to the rewrite kernel once, with no
+    # three-engine row on a clean sweep
     n = 6
-    games, forms, rows, retried, depth = [], [], [], [], [0]
-    play, normal_form, kernel = diagrams._games, oracle._normal_form, ring.rewrite_rows
+    games, forms, rows, retried, depth, tails = [], [], [], [], [0], []
+    play, normal_form, kernel, tail = diagrams._games, oracle._normal_form, ring.rewrite_rows, diagrams.class_tail
     expansion_row = petring.cli._expansion_row
+
+    def m_factor(mask):
+        return intervals.decompose_mask(mask).m_factor
 
     def outermost_form(n, exps):  # the recursion of _normal_form runs through this too
         depth[0] += 1
@@ -206,7 +210,12 @@ def test_each_engine_read_once_per_input(monkeypatch):
                         kernel(n, J, ks))
     monkeypatch.setattr(petring.cli, "_expansion_row", lambda n, J, K, method: retried.append((J, K)) or
                         expansion_row(n, J, K, method))
+    monkeypatch.setattr(diagrams, "class_tail", lambda engine, n, J, K, *sums: tails.append(
+        (J | K, J & K, m_factor(J) * m_factor(K))) or tail(engine, n, J, K, *sums))
     assert petring.verify._verify_chunk(n, petring.verify._pair_blocks(n, 1)[0]) == []
+    keys = {(jm | km, jm & km, m_factor(jm) * m_factor(km)) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))}
+    assert sorted(tails) == sorted(keys) and len(keys) == 417
+    assert sum(u.bit_count() + meet.bit_count() <= n - 1 for u, meet, _ in keys) == 236
     classes = {(jm | km, jm & km) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))}
     assert sorted(games) == sorted(classes) and len(classes) == 3 ** (n - 1)
     below_top = [(u, m) for u, m in classes if u.bit_count() + m.bit_count() <= n - 1]
