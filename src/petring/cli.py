@@ -9,9 +9,9 @@ none with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``;
 engines, ``permutations`` and ``verify``.
 
 Exit codes: 0 on success; 1 on a usage error, a refused request or a
-standard output closed early; 2 on a ConsistencyError, such as engines
-that disagree, a failed `verify` check or a cached row that fails the
-checked tail.
+standard output closed early (or at start: then before any work); 2 on a
+ConsistencyError, such as engines that disagree, a failed `verify` check
+or a cached row that fails the checked tail.  Only ``entry`` flushes.
 """
 
 from __future__ import annotations
@@ -310,7 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         options = vars(cli.parse_args(argv))
         cli.commands[options.pop("command")].callback(**options)
-        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
     except SystemExit as exc:  # --help, printed by argparse
         return exc.code
     except UsageError as exc:
@@ -319,8 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # stdout closed early: at the null device, the flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # stdout closed early
         return 1
     return 0
 
@@ -328,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     """The ``petring`` script: ``main`` with rare collections, as its memos hold many containers and a run makes
     few cycles, then ``os._exit`` with its code, or 1 if a stream does not flush: the memos are not freed."""
+    if sys.stdout is None:  # fd 1 closed at start: exit 1 before any work, as when it closes early
+        os._exit(1)
     gc.set_threshold(100_000, 50, 50)
     code = main()
     try:

@@ -146,33 +146,28 @@ def _eliminated(squares: tuple[Exponents, ...]) -> tuple[list[Exponents], dict[i
     return cols, _echelon(({col_index[t]: v for t, v in row.items()} for row in rows), len(cols))
 
 
-def _combine(parts: list[tuple[int, dict[int, int], int]]) -> tuple[dict[int, int], int]:
-    """The sum of v * terms / den over the (v, terms, den) parts, as integer
-    terms over the lcm of the denominators, and that lcm; zeros dropped."""
-    scale = math.lcm(*[den for _, _, den in parts])
-    out: dict[int, int] = {}
-    for v, terms, den in parts:
-        v *= scale // den
-        for S, w in terms.items():
-            out[S] = out.get(S, 0) + v * w
-    return {S: w for S, w in out.items() if w}, scale
-
-
-def _times(n: int, i: int, terms: dict[int, int], denom: int) -> tuple[dict[int, int], int]:
-    """g_i times the square-free combination terms / denom, by one table step
-    per term (g_i * x_S = x_{S+i} for i not in S), over one common
-    denominator whose content is divided out.  Returns (terms, denominator)."""
-    bit, out, scale = 1 << (i - 1), {}, 1
-    for S, v in terms.items():
-        row, den = _step(n, i, S) if S & bit else ({S | bit: 1}, 1)
+def _combine(parts: Iterable[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[int, int], int]:
+    """The sum of v * terms / den over the (v, (terms, den)) parts, in one pass: integer terms over a common
+    denominator that grows to the lcm of the dens as the parts come, and that lcm; cancelled terms kept as 0."""
+    out, scale = {}, 1
+    for v, (terms, den) in parts:
         if scale % den:  # the common denominator grows to lcm(scale, den)
             grow = den // math.gcd(scale, den)
             scale *= grow
             for T in out:
                 out[T] *= grow
         v *= scale // den
-        for T, w in row.items():
+        for T, w in terms.items():
             out[T] = out.get(T, 0) + v * w
+    return out, scale
+
+
+def _times(n: int, i: int, terms: dict[int, int], denom: int) -> tuple[dict[int, int], int]:
+    """g_i times the square-free combination terms / denom, by one table step
+    per term (g_i * x_S = x_{S+i} for i not in S), over one common
+    denominator whose content is divided out.  Returns (terms, denominator)."""
+    bit = 1 << (i - 1)
+    out, scale = _combine((v, _step(n, i, S) if S & bit else ({S | bit: 1}, 1)) for S, v in terms.items())
     if (g := math.gcd(denom * scale, *out.values())) == 1 and all(out.values()):
         return out, denom * scale
     return {S: v // g for S, v in out.items() if v}, denom * scale // g
@@ -203,10 +198,10 @@ def quotient_dimension(n: int, d: int) -> int:
         for mono in _monomial_exponents(n, n):
             _normal_form(n, mono)
         return 0
-    # one relation row per (monomial with g_i squared, i): its 2*g_i^2 term
-    rows = (_combine([(v, *_normal_form(n, t)) for t, v in _relation_row(_bump(mono, i, -2), i).items()])[0]
+    # one relation row per (monomial with g_i squared, i): its 2*g_i^2 term; its form, cancelled terms dropped
+    sums = (_combine((v, _normal_form(n, t)) for t, v in _relation_row(_bump(mono, i, -2), i).items())[0]
             for mono in _monomial_exponents(n, d) for i in range(1, n) if mono[i - 1] > 1)
-    return math.comb(n - 1, d) - len(_echelon(filter(None, rows), math.comb(n - 1, d)))
+    return math.comb(n - 1, d) - len(_echelon(({S: w for S, w in r.items() if w} for r in sums), math.comb(n - 1, d)))
 
 
 def presentation_failures(n: int, size: int) -> list[tuple[int, int, int]]:
@@ -228,7 +223,7 @@ def presentation_failures(n: int, size: int) -> list[tuple[int, int, int]]:
             if S & (1 << (i - 1) | 1 << (j - 1)) and _times(n, i, *once[j]) != _times(n, j, *once[i]):
                 failures.append((S, i, j))
         for i in gens:
-            if _times(n, i, *_combine([(2, *once[i]), (-1, *once[i - 1]), (-1, *once[i + 1])]))[0]:
+            if _times(n, i, *_combine([(2, once[i]), (-1, once[i - 1]), (-1, once[i + 1])]))[0]:
                 failures.append((S, i, i))
     return failures
 

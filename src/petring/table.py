@@ -3,8 +3,6 @@ computed and written one J at a time, as CSV or JSON."""
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import json
 import os
@@ -55,9 +53,8 @@ def _write_table(fh, n: int, fmt: str, blocks) -> int:
     return the number of lines.  A CSV block is written whole, also when one of its pairs raises."""
     if fmt == "csv":
         fh.write("n,J,K,L,d\n")
-        # writerow returns what its file's write returns: here, the text itself
-        writer = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
-        cell = functools.cache(lambda m: writer.writerow([IndexSet.from_mask(n, m).format()])[:-1] + ",")
+        # a cell holds only digits, commas or "-", and csv quotes it exactly when it holds a comma
+        cell = functools.cache(lambda m: f'"{s}",' if "," in (s := IndexSet.from_mask(n, m).format()) else f"{s},")
         count = 0
         for J, rows in blocks:
             lines, head_J = [], f"{n},{cell(J)}"

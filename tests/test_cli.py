@@ -80,7 +80,8 @@ def test_a_query_compiles_only_the_code_it_runs():
     # relation reference shared the modules a query runs, 1084 then, 1080 since the package holds the one
     # loader, 1068 since the rewrite folds by one path, 1062 since linalg's row function reduces its class row
     # itself, 1097 since the game memoizes its checked rows, linalg steps in one pass and shares one
-    # elimination per set of squares, and the script leaves by os._exit; code put back on the path shows here
+    # elimination per set of squares, and the script leaves by os._exit, 1092 since linalg has one exact sum;
+    # code put back on the path shows here
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -90,7 +91,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1097
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1092
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -832,6 +833,22 @@ class TestTable:
             err = proc.stderr.read()
             assert (proc.wait(timeout=60), err) == (1, b"")
 
+    def test_cells_quoted_as_csv_quotes_them(self):
+        # a subset cell is quoted exactly when it holds a comma: at every n <= 10 each line is csv.writer's, and
+        # each cell, without its trailing comma, reads back through csv.reader, as cli._read_table reads it, as
+        # one field: its subset
+        for n in range(1, 11):
+            masks = range(1 << (n - 1))
+            fh = io.StringIO()
+            assert petring.table._write_table(fh, n, "csv", [(0, [(0, [(L, 1) for L in masks])])]) == len(masks)
+            lines = fh.getvalue().splitlines(keepends=True)[1:]
+            for L, line in zip(masks, lines, strict=True):
+                subset, written = IndexSet.from_mask(n, L).format(), io.StringIO()
+                csv.writer(written, lineterminator="\n").writerow([n, "-", "-", subset, 1])
+                assert line == written.getvalue(), line
+                cell = line[len(f"{n},-,-,"):-len(",1\n")]
+                assert list(csv.reader([cell])) == [[subset]], line
+
     def test_out_file_and_cache(self, capsys, tmp_path):
         path = tmp_path / "table4.csv"
         code, _, _ = run(capsys, "table", "-n", "4", "--out", str(path))
@@ -1456,6 +1473,22 @@ class TestExitContract:
             proc.stdout.close()
             err = proc.stderr.read()
             assert (proc.wait(timeout=60), err) == (1, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["group", "-n", "3", "-J", "1"],
+        GOLDEN,
+        ["diagrams", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8", "-L", "1,2,3,4,5,6,7,8"],
+        ["verify", "--n-max", "2"],
+        ["table", "-n", "4", "--out", "{out}"],
+    ], ids=["group", "expand", "diagrams", "verify", "table"])
+    def test_stdout_closed_at_start_exits_1_before_any_work(self, tmp_path, argv):
+        # `petring ... >&-`: with fd 1 closed, sys.stdout is None and a print writes nothing; the command
+        # exits 1, as into a pipe closed early, with an empty stderr, and `table --out` leaves no file
+        argv = [arg.format(out=tmp_path / "t4.csv") for arg in argv]
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "petring", *argv],
+                              env=self._buffered(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, last", [
         (["verify", "--n-max", "3"], "all checks passed"),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import petring
 
-TOTAL, CODE = 1774, 1093
+TOTAL, CODE = 1766, 1085
 
 
 def _line_kinds() -> dict[str, int]:

@@ -134,15 +134,22 @@ class TestNormalForm:
         assert relations._reduced_pivots.cache_info() == before
 
 
-def _times_reference(n, i, terms, denom):
-    """g_i times terms / denom as the sum of one part per term, a table step or x_{S+i}, each scaled to the lcm of
-    the parts' denominators; zeros dropped, then the content of the sum over denom times that lcm divided out."""
-    bit = 1 << (i - 1)
-    parts = [(v, *oracle._step(n, i, S)) if S & bit else (v, {S | bit: 1}, 1) for S, v in terms.items()]
-    scale, out = math.lcm(*[den for _, _, den in parts]), {}
-    for v, row, den in parts:
+def _combine_reference(parts):
+    """The sum of v * terms / den over the (v, (terms, den)) parts, lcm first: each part scaled to the lcm of their
+    denominators, then summed in order; cancelled terms kept as 0.  Returns (terms, that lcm)."""
+    scale, out = math.lcm(*[den for _, (_, den) in parts]), {}
+    for v, (row, den) in parts:
         for T, w in row.items():
             out[T] = out.get(T, 0) + v * (scale // den) * w
+    return out, scale
+
+
+def _times_reference(n, i, terms, denom):
+    """g_i times terms / denom as the lcm-first sum of one part per term, a table step or x_{S+i}; zeros dropped,
+    then the content of the sum over denom times that lcm divided out."""
+    bit = 1 << (i - 1)
+    out, scale = _combine_reference([(v, oracle._step(n, i, S) if S & bit else ({S | bit: 1}, 1))
+                                     for S, v in terms.items()])
     out = {T: w for T, w in out.items() if w}
     g = math.gcd(denom * scale, *out.values())
     return {T: w // g for T, w in out.items()}, denom * scale // g
@@ -168,6 +175,20 @@ class TestTable:
         for n, i, terms, denom in cases:
             got, want = oracle._times(n, i, terms, denom), _times_reference(n, i, terms, denom)
             assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1]), (n, i, terms, denom)
+        # and _combine, the one-pass sum under _times and quotient_dimension, is the lcm-first sum: the same terms,
+        # cancelled ones kept as 0, in the same order over the same denominator, for seeded random parts with mixed
+        # denominators, an empty sum, and parts over 2 and 4 in which every term cancels
+        sums = [[], [(1, ({1: 1, 2: 3}, 2)), (-1, ({1: 2}, 4)), (-3, ({2: 1}, 2))]]
+        for _ in range(400):
+            parts = ((rng.choice([-2, -1, 1, 2]), {S: rng.choice([-2, -1, 1, 2]) for S in rng.sample(range(4), 2)},
+                      rng.choice([1, 2, 3, 4, 6])) for _ in range(rng.randrange(1, 5)))
+            sums.append([(v, (terms, den)) for v, terms, den in parts])
+        assert sum(len({den for _, (_, den) in parts}) > 2 for parts in sums) > 100
+        assert sum(0 in _combine_reference(parts)[0].values() for parts in sums) > 20
+        assert _combine_reference(sums[1]) == ({1: 0, 2: 0}, 4)
+        for parts in sums:
+            got, want = oracle._combine(iter(parts)), _combine_reference(parts)
+            assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1]), parts
 
     def test_entries_match_full_elimination(self):
         # every entry NF(g_i * x_S) for n <= 7, against reduction by the
