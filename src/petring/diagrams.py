@@ -4,10 +4,10 @@ A game for (J, K) starts from the shading J | K and plays one row per
 element of J & K, in increasing order.  A row is one step of the run rule,
 ``intervals.run_step``: the maximal shaded run {a, ..., b} around the
 element gains a dark box at a-1 (LEFT) or b+1 (RIGHT), with the step's
-weight, if that column is in {1, ..., n-1}.  d_JK^L is the weight sum of
-the games that end on L, times m_factor(L) / (m_factor(J) * m_factor(K)),
-so the game depends on (J, K) only through (J | K, J & K).  The games as
-Fraction listings are in ``listings``.
+weight, if that column is in {1, ..., n-1}.  The weight sum of the games
+that end on L is the coefficient of x_L in x_J * x_K, which
+``errors.class_tail`` turns into d_JK^L: the game depends on (J, K) only
+through (J | K, J & K).  The games as Fraction listings are in ``listings``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 from . import intervals
 from .errors import ConsistencyError, Row, class_tail, expansion
-from .intervals import IndexSet, decompose_mask, run_step
+from .intervals import IndexSet, run_step
 
 __all__ = ["expand_all", "diagram_row"]
 
@@ -45,15 +45,15 @@ def _games(n: int, start: int, marked: int) -> list[tuple[int, tuple, int, int]]
 
 
 @functools.lru_cache(maxsize=None)
-def _game_sums(n: int, start: int, marked: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The weight sums of ``_games`` per final shading mask L, times m_factor(L), in order of first
-    appearance, as (L, numerator) pairs and their one common denominator."""
-    games = _games(n, start, marked)
+def _game_sums(n: int, union: int, meet: int) -> tuple[dict[int, int], int, dict[int, Row]]:
+    """The weight sums of ``_games`` per final shading mask, in order of first appearance, over their one
+    common denominator, and the checked rows of the class found so far, by m_factor(J) * m_factor(K)."""
+    games = _games(n, union, meet)
     denom = math.lcm(*[den for _, _, _, den in games])
     sums: dict[int, int] = {}
     for final, _, num, den in games:
         sums[final] = sums.get(final, 0) + num * (denom // den)
-    return tuple([(L, decompose_mask(L).m_factor * total) for L, total in sums.items()]), denom
+    return sums, denom, {}
 
 
 def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
@@ -61,17 +61,11 @@ def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     return expansion(diagram_row, J, K)
 
 
-@functools.lru_cache(maxsize=None)
-def _tails(n: int, union: int, meet: int) -> dict[int, Row]:
-    """The checked rows of the class (J | K, J & K) found so far, by m_factor(J) * m_factor(K)."""
-    return {}
-
-
 def diagram_row(n: int, J: int, K: int) -> Row:
-    """The checked row of the masks J and K at rank n: the memoized game sums over m_factor(J) * m_factor(K),
-    memoized per class and divisor.  A row that fails the tail is not kept: each pair raises in its own words."""
-    sums, decompose = _game_sums(n, J | K, J & K), intervals.decompose_mask
-    rows, m = _tails(n, J | K, J & K), decompose(J).m_factor * decompose(K).m_factor
+    """The checked row of the masks J and K at rank n: the game sums through ``class_tail``, kept per class and
+    m_factor(J) * m_factor(K).  A row that fails the tail is not kept: each pair raises in its own words."""
+    sums, denom, rows = _game_sums(n, J | K, J & K)
+    m = intervals.decompose_mask(J).m_factor * intervals.decompose_mask(K).m_factor
     if (row := rows.get(m)) is None:
-        row = rows[m] = class_tail("diagram", n, J, K, *sums)
+        row = rows[m] = class_tail("diagram", n, J, K, sums.items(), denom)
     return row

@@ -1,7 +1,7 @@
-"""The package's exceptions, and ``constants``, the checked tail that every
-engine's row ends in."""
+"""The package's exceptions, ``constants``, the checked tail that every
+engine's row ends in, and ``class_tail``, its one m-factor normalization."""
 
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from . import intervals
 from .intervals import IndexSet
@@ -54,12 +54,12 @@ def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]
     return tuple(out)
 
 
-def class_tail(engine: str, n: int, J: int, K: int, row: tuple[tuple[int, int], ...], denom: int) -> Row:
-    """``constants`` of a row that depends on (J, K) only through (J | K, J & K), over denom * m_factor(J)
-    * m_factor(K); () for an empty row.  ``decompose_mask`` is read through ``intervals`` at call time, so
-    that a patched one reaches it."""
-    decompose = intervals.decompose_mask
-    return constants(engine, n, J, K, row, denom * decompose(J).m_factor * decompose(K).m_factor) if row else ()
+def class_tail(engine: str, n: int, J: int, K: int, row: Collection[tuple[int, int]], denom: int) -> Row:
+    """``constants`` of the (L, v) pairs of x_J * x_K = sum of v / denom * x_L: d_JK^L = v * m_factor(L) / (denom
+    * m_factor(J) * m_factor(K)); () for an empty row.  A patched ``intervals.decompose_mask`` reaches it."""
+    m = intervals.decompose_mask
+    return constants(engine, n, J, K, [(L, v * m(L).m_factor) for L, v in row],
+                     denom * m(J).m_factor * m(K).m_factor) if row else ()
 
 
 def expansion(engine: Callable[[int, int, int], Row], J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:

@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple
 
 from .diagrams import _games
 from .errors import class_tail
-from .intervals import IndexSet, m_factor
+from .intervals import IndexSet
 
 __all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight", "structure_constant", "render_ascii"]
 
@@ -72,9 +72,8 @@ def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
     """d_JK^L by counting weighted diagrams, through the checked tail: 0
     when there are none, ConsistencyError if the sum is not a non-negative
     integer."""
-    found = enumerate_diagrams(J, K, L)
-    total = sum(P.weight for P in found)
-    row = ((L.mask, m_factor(L) * total.numerator),) if found else ()
+    total = sum(P.weight for P in enumerate_diagrams(J, K, L))  # every weight is positive
+    row = ((L.mask, total.numerator),) if total else ()
     return dict(class_tail("diagram", J.n, J.mask, K.mask, row, total.denominator)).get(L.mask, 0)
 
 

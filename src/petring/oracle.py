@@ -2,8 +2,9 @@
 
     g_i * (2*g_i - g_{i-1} - g_{i+1}) = 0,   1 <= i <= n-1,   g_0 = g_n = 0,
 
-by exact integer elimination.  It never uses the run rule, so its
-structure constants are an independent cross-check of the other engines.
+by exact integer elimination.  It neither uses the run rule nor reads an
+m-factor (``errors.class_tail`` applies them), so its structure constants
+are an independent cross-check of the other engines.
 
 A normal form is a rational combination of square-free monomials, folded
 over the memoized table NF(g_i * x_S) of ``_step``, on integers over one
@@ -21,7 +22,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import PresentationError, Row, class_tail, expansion
-from .intervals import IndexSet, decompose_mask
+from .intervals import IndexSet
 
 __all__ = ["quotient_dimension", "presentation_failures", "structure_constants_linalg", "linalg_row"]
 
@@ -240,10 +241,8 @@ def _exponents(n: int, union: int, meet: int) -> Exponents:
 
 
 def linalg_row(n: int, J: int, K: int) -> Row:
-    """The checked row of the product for the masks J and K at rank n, with
-    no use of the run rule: d_JK^L = v * m_factor(L) / (denominator *
-    m_factor(J) * m_factor(K)) for the entry v on L of NF(x_J * x_K)."""
+    """The checked row of the masks J and K at rank n: NF(x_J * x_K) through ``class_tail``, with no run rule."""
     if J.bit_count() + K.bit_count() > n - 1:  # the quotient vanishes above the top degree
         return ()
     row, denom = _normal_form(n, _exponents(n, J | K, J & K))
-    return class_tail("linalg", n, J, K, tuple([(L, v * decompose_mask(L).m_factor) for L, v in row.items()]), denom)
+    return class_tail("linalg", n, J, K, row.items(), denom)

@@ -75,13 +75,9 @@ def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
 
 
 def test_a_query_compiles_only_the_code_it_runs():
-    # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written:
-    # 1608 lines while the bodies of `verify` and `table` and the engines' listings, class algebra and
-    # relation reference shared the modules a query runs, 1084 then, 1080 since the package holds the one
-    # loader, 1068 since the rewrite folds by one path, 1062 since linalg's row function reduces its class row
-    # itself, 1097 since the game memoizes its checked rows, linalg steps in one pass and shares one
-    # elimination per set of squares, and the script leaves by os._exit, 1092 since linalg has one exact sum;
-    # code put back on the path shows here
+    # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written: the
+    # package, cli, errors, intervals and the three engines, and none of the bodies of `verify` and `table`,
+    # the diagram listings, the class algebra or the relation reference; code put back on the path shows here
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -91,13 +87,12 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1092
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1085
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
-    # a fresh `expand --cached` on a CSV table runs no engine: the package, cli, errors and intervals,
-    # 665 lines while cli held a loader of its own besides the package's, 661 since, 670 since the script
-    # leaves by os._exit
+    # a fresh `expand --cached` on a CSV table runs no engine: it compiles the package, cli, errors and
+    # intervals only
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -286,7 +281,7 @@ class TestCheckedTail:
         # the game from {2} with row 2 at rank 5, with its final shading
         # {1,2} turned into {1,2,3}, one column more than |J| + |K|
         plant(monkeypatch, diagrams, "_game_sums", (5, 0b0010, 0b0010),
-              lambda entry: (tuple((0b0111 if L == 0b0011 else L, v) for L, v in entry[0]), entry[1]))
+              lambda entry: ({0b0111 if L == 0b0011 else L: v for L, v in entry[0].items()}, entry[1], {}))
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "2", "-K", "2", "--method", "diagram")
         assert code == 2
         assert out == ""
@@ -405,7 +400,7 @@ def _top_form_tripled(form):
 def _game_doubled(monkeypatch):
     # the game from {2} with row 2 at rank 4 with every sum doubled
     plant(monkeypatch, diagrams, "_game_sums", (4, 0b010, 0b010),
-          lambda entry: (tuple((L, 2 * v) for L, v in entry[0]), entry[1]))
+          lambda entry: ({L: 2 * v for L, v in entry[0].items()}, entry[1], {}))
 
 
 class TestVerify:

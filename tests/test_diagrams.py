@@ -157,11 +157,13 @@ class TestGameMemo:
     @pytest.mark.parametrize("first", [0, 1])
     def test_memo_holds_unscaled_sums(self, first):
         # one game, J | K = {1,2} and J & K empty, but m_J * m_K is 1 for the
-        # first pair and 2 for the second: the scaling is per pair
+        # first pair and 2 for the second: the scaling is per pair, and the
+        # memo holds the weight sum 1 on {1,2}, not m_factor({1,2}) = 2 times it
         pairs = [((1,), (2,), 2), ((1, 2), (), 1)]
         for J, K, d in pairs[first:] + pairs[:first]:
             assert expand_all(IndexSet.of(3, J), IndexSet.of(3, K)) == {IndexSet.of(3, [1, 2]): d}
         assert diagrams._game_sums.cache_info().misses == 1
+        assert diagrams._game_sums(3, 0b11, 0)[:2] == ({0b11: 1}, 1)
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_tail_memo_keeps_one_row_per_divisor(self, first):
@@ -171,18 +173,19 @@ class TestGameMemo:
         pairs = [(0b0011, 0b0110), (0b0010, 0b0111)]
         for J, K in pairs[first:] + pairs[:first]:
             assert diagrams.diagram_row(5, J, K) == rewrite_row(5, J, K)
-        assert sorted(diagrams._tails(5, 0b0111, 0b0010)) == [4, 6]
+        assert sorted(diagrams._game_sums(5, 0b0111, 0b0010)[2]) == [4, 6]
         assert diagrams._game_sums.cache_info().misses == 1
 
     def test_tail_that_fails_is_not_kept(self, monkeypatch):
-        # the game sum of J | K = {1,2}, J & K = {1} at rank 4 made 7/3 in place
-        # of 6/3: (J, K) and (K, J) share one memo key, and each raises in its own words
+        # the game sum of J | K = {1,2}, J & K = {1} at rank 4 made 1/4 in place
+        # of 1/3, so d = 1/4 * m_factor({1,2,3}) / (m_factor({1}) * m_factor({1,2}))
+        # = 6/8: (J, K) and (K, J) share one memo key, and each raises in its own words
         plant(monkeypatch, diagrams, "_game_sums", (4, 0b011, 0b001),
-              lambda entry: (tuple((L, v + 1) for L, v in entry[0]), entry[1]))
+              lambda entry: (entry[0], 4, {}))
         for J, K, words in [(0b001, 0b011, "J=1, K=1,2"), (0b011, 0b001, "J=1,2, K=1")] * 2:
-            with pytest.raises(ConsistencyError, match=f"^diagram engine gave d = 7/6 for {words}, L=1,2,3, "):
+            with pytest.raises(ConsistencyError, match=f"^diagram engine gave d = 6/8 for {words}, L=1,2,3, "):
                 diagrams.diagram_row(4, J, K)
-        assert diagrams._tails(4, 0b011, 0b001) == {}
+        assert diagrams._game_sums(4, 0b011, 0b001)[2] == {}
 
 
 class TestRender:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import petring
 
-TOTAL, CODE = 1766, 1085
+TOTAL, CODE = 1758, 1082
 
 
 def _line_kinds() -> dict[str, int]:

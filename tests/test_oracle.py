@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import empty, empty_memos, plant, step_tripled
-from petring import intervals, oracle, relations
+from petring import intervals, listings, oracle, relations
 from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet, all_index_sets
 from petring.oracle import presentation_failures, quotient_dimension, structure_constants_linalg
@@ -252,7 +252,8 @@ class TestTable:
         # linalg is a cross-check only while it never uses the run rule: not
         # by name, and not at run time through a callee such as the m-factors;
         # nor does its reference, the relation matrix of `relations`
-        for module in (oracle, relations):
+        def named(module):
+            """The names that ``module`` imports, and those it reads as names or attributes."""
             tree = ast.parse(inspect.getsource(module))
             imported = set()
             for node in ast.walk(tree):
@@ -261,10 +262,18 @@ class TestTable:
                     imported.update(alias.name for alias in node.names)
                 elif isinstance(node, ast.Import):
                     imported.update(part for alias in node.names for part in alias.name.split("."))
-            assert not imported & {"ring", "diagrams", "algebra", "listings", "run_step"}, module
             names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            return imported, names
+
+        for module in (oracle, relations):
+            imported, names = named(module)
+            assert not imported & {"ring", "diagrams", "algebra", "listings", "run_step"}, module
             assert "run_step" not in names, module
+        # the checked tail, errors.class_tail, applies the m-factors: neither linalg
+        # nor the diagram listings read one
+        assert not set().union(*named(oracle)) & {"decompose_mask", "m_factor"}
+        assert not set().union(*named(listings)) & {"decompose_mask", "m_factor"}
 
         def refused(*args):
             raise AssertionError("linalg reached the run rule")

@@ -104,7 +104,7 @@ def _corrupted(terms, rng, n):
 
 def _terms(name, entry):
     """The (mask, value) terms of an entry of ``name``."""
-    return tuple(entry[0].items()) if name == "_step" else entry[0] if name == "_game_sums" else entry
+    return entry if name == "_transition" else tuple(entry[0].items())
 
 
 def _plant(monkeypatch, name, seed):
@@ -113,7 +113,7 @@ def _plant(monkeypatch, name, seed):
     n = rng.choice([3, 4, 5])
     target, entry = rng.choice([(args, entry) for args, entry in _entries_read(name, n) if _terms(name, entry)])
     terms = _corrupted(list(_terms(name, entry)), rng, n)
-    rebuilt = {"_step": lambda out: (dict(terms), out[1]), "_game_sums": lambda out: (tuple(terms), out[1]),
+    rebuilt = {"_step": lambda out: (dict(terms), out[1]), "_game_sums": lambda out: (dict(terms), out[1], {}),
                "_transition": lambda out: tuple(terms)}[name]
     plant(monkeypatch, ENTRIES[name], name, target, rebuilt)
     return n
