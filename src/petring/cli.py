@@ -265,7 +265,7 @@ def cmd_verify(n_max: int, jobs: int) -> None:
     combinatorics for every rank up to --n-max."""
     if not 1 <= n_max <= MAX_VERIFY_RANK:
         raise UsageError(f"--n-max must be in [1, {MAX_VERIFY_RANK}]")
-    # a process pool starts all its workers at once: refuse more than the CPUs
+    # the parent and jobs - 1 forked children run checks at once: refuse more than the CPUs
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise UsageError(f"--jobs must be in [1, {cpus}], the number of CPUs")

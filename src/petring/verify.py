@@ -1,10 +1,11 @@
 """The body of ``petring verify``, whose options and help ``cli`` registers: the checks, the pair sweep and the
-process pool.  They read ``cli._expansion_row`` and the engines through their modules at call time."""
+forked workers.  They read ``cli._expansion_row`` and the engines through their modules at call time."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import math
 import os
 import sys
@@ -113,8 +114,9 @@ def _top_degree(n: int, _) -> list[str]:
 
 
 # The checks of `verify`, in output order: the line after "n=N: ", the ranks it
-# runs at, the check (n, part) -> failure lines, which catches its own errors,
-# and the cut (n, jobs) -> parts, or None for one part per rank.
+# runs at, the check (n, part) -> failure lines, which catches its own errors
+# and is in no other row, and the cut (n, jobs) -> parts, or None for one part
+# per rank.
 CHECKS = [
     ("{pairs} (J,K) pairs cross-checked over three engines", VERIFY_RANKS, _verify_chunk, _pair_blocks),
     ("graded dimensions 0..{top} {status}", VERIFY_RANKS, _graded_dimensions, None),
@@ -124,46 +126,68 @@ CHECKS = [
 
 
 def run(n_max: int, jobs: int) -> None:
-    """Run every check of CHECKS at every rank up to n_max, in ``jobs`` worker processes if above one, and
-    print its lines; ConsistencyError after the failure lines on stderr if any check fails."""
-    if jobs == 1:
-        failures = _verify_ranks(n_max, jobs, map)
-    else:
-        # imported here: a run with --jobs 1 starts no pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pin = {}
-        if hasattr(os, "sched_setaffinity"):  # else the kernel may keep every worker on one CPU
-            mask, ids = itertools.cycle(sorted(os.sched_getaffinity(0))), multiprocessing.SimpleQueue()
-            for _ in range(jobs):  # one CPU of the mask per worker, cycling if --jobs exceeds it
-                ids.put(next(mask))
-            pin = {"initializer": _pin_worker, "initargs": (ids,)}
-        with ProcessPoolExecutor(max_workers=jobs, **pin) as pool:
-            failures = _verify_ranks(n_max, jobs, pool.map)
-    if failures:
+    """Run every check of CHECKS at every rank up to n_max, in this process and ``jobs`` - 1 forked ones, and print
+    its lines; ConsistencyError after the failure lines on stderr if any check fails, UsageError before any work
+    if ``jobs`` is above one where ``os.fork`` is missing."""
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise cli.UsageError("--jobs above 1 needs os.fork, which this platform does not have")
+    sweep = functools.partial(_forked_map, jobs=jobs) if jobs > 1 else lambda tasks: (c(n, p) for c, n, p in tasks)
+    if failures := _verify_ranks(n_max, jobs, sweep):
         sys.stdout.flush()  # the check lines first, also when both streams go to one file
         print("\n".join(f"FAIL {line}" for line in failures), file=sys.stderr)
         raise ConsistencyError(f"{len(failures)} verification check(s) failed")
     print("all checks passed")
 
 
-def _pin_worker(ids) -> None:
-    """The pool's initializer: pin this worker to the next CPU id of ``ids``."""
-    os.sched_setaffinity(0, {ids.get()})
+def _forked_map(tasks: list[tuple], jobs: int) -> list[list[str]]:
+    """The lines of each (check, n, part) of ``tasks``, in task order, from this process and ``jobs`` - 1 children
+    of ``os.fork``, each on one CPU of the mask, cycling.  Each takes the next task index, 2 bytes, from one pipe,
+    costliest (highest n) first, until it is empty; a child sends its {index: lines} back by ``marshal`` through
+    a pipe of its own and leaves by ``os._exit``.  Every child is reaped and this process's mask put back, also on
+    an error; Refused if a child ends with a nonzero wait status or a task goes unreported."""
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(2, "big") for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][1])))
+    os.close(feed)
+    mask, pin = getattr(os, "sched_getaffinity", lambda _: {0})(0), getattr(os, "sched_setaffinity", lambda *_: None)
+
+    def take(cpu: int) -> dict[int, list[str]]:  # on ``cpu``, the lines of each task that this process takes
+        pin(0, {cpu})
+        indices = map(int.from_bytes, iter(functools.partial(os.read, queue, 2), b""), itertools.repeat("big"))
+        return {i: tasks[i][0](*tasks[i][1:]) for i in indices}
+
+    cpus, children, results, statuses = itertools.cycle(sorted(mask)), [], {}, []
+    try:
+        for cpu in itertools.islice(cpus, jobs - 1):
+            reader, writer = os.pipe()
+            if not (pid := os.fork()):  # the child: no caller's teardown, no flush of the stdio buffers it copied
+                try:  # exit 0 once all of its result is written; 1 if a signal cuts the write short, or on an error
+                    os._exit(os.write(writer, sent := marshal.dumps(take(cpu))) != len(sent))
+                finally:
+                    os._exit(1)
+            os.close(writer)
+            children.append((pid, reader))
+        results.update(take(next(cpus)))
+    finally:
+        os.close(queue)
+        for pid, reader in children:  # each pipe read to its end before its child is reaped
+            with open(reader, "rb") as pipe:
+                data = pipe.read()
+            statuses.append(status := os.waitpid(pid, 0)[1])
+            results.update(marshal.loads(data) if data and not status else {})
+        pin(0, mask)
+    if (unreported := len(tasks) - len(results)) or any(statuses):
+        raise cli.Refused(f"a verify worker ended with wait status {max(statuses)}, {unreported} check(s) unreported")
+    return [results[i] for i in range(len(tasks))]
 
 
 def _verify_ranks(n_max: int, jobs: int, sweep) -> list[str]:
-    """Map every (rank, check) of CHECKS by ``sweep`` from rank n_max down, so that a pool starts on the
-    costliest, then print one line per (rank, check) from rank 1 up; returns the failure lines."""
-    mapped = []
-    for n, (line, ranks, check, cut) in itertools.product(range(n_max, 0, -1), CHECKS):
-        if n in ranks:
-            parts = cut(n, jobs) if cut else [None]
-            mapped.append((n, line, sweep(check, [n] * len(parts), parts)))
-    failures: list[str] = []
-    for n, line, results in sorted(mapped, key=lambda m: m[0]):  # stable: CHECKS order within a rank
-        lines = [failure for part in results for failure in part]
-        print(f"n={n}: " + line.format(pairs=4 ** (n - 1), top=n + 1, status="FAIL" if lines else "OK"))
+    """Map the (check, n, part) tasks of every (rank, check) of CHECKS by one call of ``sweep``, from rank 1 up,
+    and print one line per (rank, check) as its results come; returns the failure lines."""
+    tasks = [(check, n, part) for n, (_, ranks, check, cut) in itertools.product(range(1, n_max + 1), CHECKS)
+             if n in ranks for part in (cut(n, jobs) if cut else [None])]
+    names, failures = {check: line for line, _, check, _ in CHECKS}, []
+    for (check, n), parts in itertools.groupby(zip(tasks, sweep(tasks)), key=lambda done: done[0][:2]):
+        lines = [failure for _, found in parts for failure in found]
+        print(f"n={n}: " + names[check].format(pairs=4 ** (n - 1), top=n + 1, status="FAIL" if lines else "OK"))
         failures += lines
     return failures

@@ -1,14 +1,12 @@
 """What the tests share: the engines' memos emptied, one memoized entry
-corrupted, a run step wrapped in the rewrite and the game, a forked process
-pool, the command line run in-process or in a fresh interpreter, and each
+corrupted, a run step wrapped in the rewrite and the game, --jobs 2 allowed
+on one CPU, the command line run in-process or in a fresh interpreter, and each
 fault that more than one test plants, written once."""
 
 import functools
-import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import petring.cli
@@ -50,12 +48,10 @@ def wrap_run_step(monkeypatch, change):
         monkeypatch.setattr(module, "run_step", lambda mask, i, n: change(mask, i, n, *step(mask, i, n)))
 
 
-def forked_pool(monkeypatch):
-    """Allow --jobs 2 on one CPU too, with workers forked, so that they run
-    what the test planted."""
+def two_cpus(monkeypatch):
+    """Allow --jobs 2 on one CPU too; its worker is forked, so it runs what
+    the test planted."""
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
 def run(capsys, *argv):

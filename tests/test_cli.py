@@ -7,16 +7,14 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from unittest.mock import ANY
 
 import pytest
 
 import petring.cli
 import petring.table
 import petring.verify
-from helpers import (GOLDEN, MEMOS, forked_pool, plant, python, run, step_tripled, to_column_n, to_column_one,
+from helpers import (GOLDEN, MEMOS, plant, python, run, step_tripled, to_column_n, to_column_one, two_cpus,
                      wrap_run_step)
 from petring import algebra, diagrams, oracle, relations, ring
 from petring.intervals import IndexSet, all_index_sets
@@ -360,6 +358,22 @@ def _worker_cpus(n, part):
     return [f"{os.getpid()}:{','.join(map(str, sorted(os.sched_getaffinity(0))))}"]
 
 
+def _named_after(n, part):
+    """A task of the forked map by a test: ``part`` is (name, seconds); it
+    sleeps those seconds and returns the name and its process id."""
+    time.sleep(part[1])
+    return [part[0], str(os.getpid())]
+
+
+def _all_reaped():
+    """Whether this process has no child left, exited or running."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def _pair_raises(monkeypatch):
     # the rewrite kernel raises at (J, K) = ({1,3}, {2}), in the sweep and in
     # the single-pair rewrite_row of the three-engine row alike
@@ -411,18 +425,19 @@ class TestVerify:
         assert "all checks passed" in out
 
     def test_process_pool_matches_serial(self, capsys, monkeypatch):
-        # one pool serves the pair sweep of every rank, its workers pinned by its initializer
+        # one fork serves the checks of every rank under --jobs 2: jobs - 1 children, the parent the other worker
         serial = run(capsys, "verify", "--n-max", "6", "--jobs", "1")
-        pools = []
-        pool = ProcessPoolExecutor
+        forks, parent = [], os.getpid()
+        fork = os.fork
 
-        def counting(**kwargs):
-            pools.append(kwargs)
-            return pool(**kwargs)
+        def counting():
+            forks.append(os.getpid())
+            return fork()
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", counting)
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(os, "fork", counting)
         pooled = run(capsys, "verify", "--n-max", "6", "--jobs", "2")
-        assert pools == [{"max_workers": 2, "initializer": petring.verify._pin_worker, "initargs": (ANY,)}]
+        assert forks == [parent]
         assert serial[0] == pooled[0] == 0
         assert pooled[1] == serial[1]
         assert "n=6: 1024 (J,K) pairs" in pooled[1]
@@ -437,7 +452,7 @@ class TestVerify:
         # the check runs in a worker under --jobs 2, and reports the same
         module = getattr(petring, module)
         monkeypatch.setattr(module, target, fault(getattr(module, target)))
-        forked_pool(monkeypatch)
+        two_cpus(monkeypatch)
         code, out, err = run(capsys, "verify", "--n-max", "3", "--jobs", "1")
         assert run(capsys, "verify", "--n-max", "3", "--jobs", "2") == (code, out, err)
         assert code == 2
@@ -472,10 +487,11 @@ class TestVerify:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     def test_each_worker_pinned_to_one_cpu(self, capsys, monkeypatch):
-        # under --jobs 2 each worker runs on one CPU of the parent's mask, the
-        # two on different CPUs when the mask holds two; the parent is not pinned
+        # under --jobs 2 the parent and its forked child each run checks on one
+        # CPU of the parent's mask, the two on different CPUs when the mask
+        # holds two; the parent works pinned and gets its mask back
         mask = os.sched_getaffinity(0)
-        forked_pool(monkeypatch)
+        two_cpus(monkeypatch)
         monkeypatch.setattr(petring.verify, "CHECKS", [("worker {status}", range(1, 9), _worker_cpus, None)])
         code, out, err = run(capsys, "verify", "--n-max", "8", "--jobs", "2")
         assert code == 2
@@ -486,6 +502,85 @@ class TestVerify:
         if len(mask) >= 2:
             assert len(set(workers.values())) == 2
         assert os.sched_getaffinity(0) == mask
+
+    def test_forked_results_in_task_order(self):
+        # the tasks sleep less the later they come, so that both processes
+        # run some and finish out of order: the lines still come in task order
+        results = petring.verify._forked_map([(_named_after, 1, (str(k), 0.02 * (8 - k))) for k in range(8)], 2)
+        assert [lines[0] for lines in results] == [str(k) for k in range(8)]
+        assert {lines[1] for lines in results} - {str(os.getpid())}
+        assert _all_reaped()
+
+    def test_forked_map_takes_indices_past_one_byte(self):
+        tasks = [(lambda n, part: [str(n * part)], n, 3) for n in range(300)]
+        assert petring.verify._forked_map(tasks, 2) == [[str(3 * n)] for n in range(300)]
+        assert _all_reaped()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_forked_map_gives_back_the_mask_when_a_check_raises(self):
+        # the check raises in the parent, while the child sleeps on the first task it takes
+        mask, parent = os.sched_getaffinity(0), os.getpid()
+
+        def raising(n, part):
+            if os.getpid() == parent:
+                raise ValueError("planted")
+            time.sleep(0.2)
+            return []
+
+        with pytest.raises(ValueError, match="planted"):
+            petring.verify._forked_map([(raising, n, None) for n in range(3)], 2)
+        assert os.sched_getaffinity(0) == mask
+        assert _all_reaped()
+
+    def test_forked_map_refuses_a_cut_write(self, monkeypatch):
+        # a child whose result write comes up short, as when a signal cuts it,
+        # exits 1: refused by its wait status, though no task goes unreported
+        write, parent = os.write, os.getpid()
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data) - (os.getpid() != parent))
+        with pytest.raises(petring.cli.Refused, match=f"^a verify worker ended with wait status {1 << 8}, 0 check"):
+            petring.verify._forked_map([], 2)
+        assert _all_reaped()
+
+    def test_worker_that_dies_is_named(self, capsys, monkeypatch):
+        # a check that leaves its forked worker by os._exit(3): exit 1 and one
+        # line naming the wait status, no check line, and the child reaped
+        parent = os.getpid()
+
+        def exits_in_worker(n, part):
+            if os.getpid() != parent:
+                os._exit(3)
+            time.sleep(0.05)
+            return []
+
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(petring.verify, "CHECKS", [("dies {status}", range(1, 9), exits_in_worker, None)])
+        code, out, err = run(capsys, "verify", "--n-max", "8", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert err == f"Error: a verify worker ended with wait status {3 << 8}, 1 check(s) unreported\n"
+        assert _all_reaped()
+
+    def test_verify_jobs_loads_no_process_pool(self):
+        code = ("import os, sys; os.cpu_count = lambda: 2; from petring.cli import main; "
+                "code = main(['verify', '--n-max', '3', '--jobs', '2']); "
+                "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')]); "
+                "sys.exit(code)")
+        proc = python("-c", code, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-2:] == ["all checks passed", "[]"]
+
+    def test_jobs_refused_without_fork(self, capsys, monkeypatch):
+        # where os.fork is missing, --jobs above 1 is refused before any work, and --jobs 1 runs
+        two_cpus(monkeypatch)
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, "verify", "--n-max", "2", "--jobs", "1")[0] == 0
+
+        def refused(n, part):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(petring.verify, "CHECKS", [("refused {status}", range(1, 9), refused, None)])
+        code, out, err = run(capsys, "verify", "--n-max", "3", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: --jobs above 1 needs os.fork, which this platform does not have\n"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     def test_more_workers_than_cpus_in_the_mask(self):
@@ -517,11 +612,11 @@ class TestVerify:
         assert run(capsys, "verify", "--n-max", "9")[0] == 1
 
     def test_jobs_above_cpu_count_refused_before_any_pool(self, capsys, monkeypatch):
-        def no_pool(**kwargs):
-            raise AssertionError("a process pool was built")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         code, out, err = run(capsys, "verify", "--n-max", "3", "--jobs", "3")
         assert code == 1
         assert out == ""
@@ -561,24 +656,29 @@ class TestVerify:
         assert run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2") == (2, "", f"consistency failure: {named}\n")
 
     def test_every_map_issued_before_any_result_is_read(self, capsys, monkeypatch):
-        # every check of every rank goes to the pool at once, top rank first,
-        # so no worker waits for the parent, and the parent does no check's work
+        # every check of every rank goes to the workers in one task list, so
+        # no worker waits for the parent to issue more, and the workers take
+        # them top rank first, in CHECKS order within a rank
         verify = petring.verify
         checks = [verify._verify_chunk, verify._graded_dimensions, verify._bruhat_criteria, verify._top_degree]
-        expected = [(n, fn) for n in (4, 3, 2) for fn in checks] + [(1, fn) for fn in checks[:3]]
-        issued = []
+        expected = [(1, fn) for fn in checks[:3]] + [(n, fn) for n in (2, 3, 4) for fn in checks]
+        issued, written = [], []
 
-        def sweep(fn, ns, parts):
-            issued.append((ns[0], fn))
+        def sweep(tasks):
+            issued.append([(n, fn) for fn, n, _ in tasks])
+            return verify._forked_map(tasks, 2)
 
-            def results():
-                assert issued == expected
-                yield from map(fn, ns, parts)
-
-            return results()
-
-        assert verify._verify_ranks(4, 1, sweep) == []
-        assert issued == expected
+        write = os.write
+        with monkeypatch.context() as patched:  # the first write is the task queue
+            patched.setattr(os, "write", lambda fd, data: written.append(bytes(data)) or write(fd, data))
+            assert verify._verify_ranks(4, 2, sweep) == []
+        # the pair sweep of a rank may be cut in parts, one task each
+        assert len(issued) == 1
+        assert [check for check, _ in itertools.groupby(issued[0])] == expected
+        queue = [int.from_bytes(written[0][i:i + 2], "big") for i in range(0, len(written[0]), 2)]
+        assert sorted(queue) == list(range(len(issued[0])))
+        taken = [check for check, _ in itertools.groupby(issued[0][i] for i in queue)]
+        assert taken == [(n, fn) for n in (4, 3, 2) for fn in checks] + [(1, fn) for fn in checks[:3]]
         assert "n=4: graded dimensions 0..5 OK" in capsys.readouterr().out
         # a check is one function and one row of the table: its line is
         # printed after the rank's other checks, and its failure exits 2
@@ -601,9 +701,9 @@ class TestVerify:
         def filled(jobs):
             blocks, lines, fills = [], [], {"_normal_form": 0, "_game_sums": 0}
 
-            def sweep(fn, ns, args):
+            def sweep(tasks):
                 results = []
-                for n, block in zip(ns, args):
+                for fn, n, block in tasks:
                     for memo in memos.values():
                         memo.cache_clear()
                     results.append(fn(n, block))
@@ -661,7 +761,7 @@ class TestVerify:
         # each check makes its failure lines in the worker that runs it, and
         # the pair sweep's come back in union-mask order either way
         fault(monkeypatch)
-        forked_pool(monkeypatch)
+        two_cpus(monkeypatch)
         serial = run(capsys, "verify", "--n-max", n_max, "--jobs", "1")
         pooled = run(capsys, "verify", "--n-max", n_max, "--jobs", "2")
         assert serial[0] == pooled[0] == 2
@@ -674,7 +774,7 @@ class TestVerify:
         # (n, i), and every later check still runs, under either --jobs
         own_row = oracle._own_row
         monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
-        forked_pool(monkeypatch)
+        two_cpus(monkeypatch)
         serial = run(capsys, "verify", "--n-max", "4", "--jobs", "1")
         pooled = run(capsys, "verify", "--n-max", "4", "--jobs", "2")
         assert serial == pooled
@@ -747,11 +847,9 @@ class TestVerify:
         # --jobs 2 hold about as many each, within one J | K class
         blocks = []
 
-        def sweep(fn, ns, args):
-            if fn is petring.verify._verify_chunk and ns[0] == 7:
-                blocks[:] = args
-                return [[] for _ in args]
-            return map(fn, ns, args)
+        def sweep(tasks):
+            blocks[:] = [part for fn, n, part in tasks if fn is petring.verify._verify_chunk and n == 7]
+            return [[] if fn is petring.verify._verify_chunk and n == 7 else fn(n, part) for fn, n, part in tasks]
 
         n = 7
         assert petring.verify._verify_ranks(n, 2, sweep) == []

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import petring
 
-TOTAL, CODE = 1758, 1082
+TOTAL, CODE = 1782, 1100
 
 
 def _line_kinds() -> dict[str, int]:
