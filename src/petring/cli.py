@@ -1,17 +1,16 @@
-"""The ``petring`` command line: one argparse parser, ``cli``, with the
-subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group`` in
-``cli.commands``, each with its function's docstring as help.  Importing it
-runs ``errors`` and ``intervals``, and no ``csv``, ``json``, ``fractions``
-or ``concurrent.futures``.  Each command runs besides only the modules it
-calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and
-none with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``;
-``group`` ``permutations``; ``table`` ``ring`` and ``table``; ``verify`` the
-engines, ``permutations`` and ``verify``.
+"""The ``petring`` command line: one argparse parser, ``cli``, with the subcommands ``expand``, ``diagrams``,
+``verify``, ``table`` and ``group`` in ``cli.commands``, each with its function's docstring as help.  Importing it
+runs ``errors`` and ``intervals``, and no ``csv``, ``json``, ``fractions`` or ``concurrent.futures``.  Each command
+runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and none with
+``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring`` and
+``table``; ``verify`` the engines, ``permutations`` and ``verify``.
 
-Exit codes: 0 on success; 1 on a usage error, a refused request or a
-standard output closed early (or at start: then before any work); 2 on a
-ConsistencyError, such as engines that disagree, a failed `verify` check
-or a cached row that fails the checked tail.  Only ``entry`` flushes.
+A command line is checked once, before any work: argparse checks the form of each option, ``main`` the rank and then
+each subset option, in the command's option order, and ``verify.run`` makes every ``verify`` refusal.
+
+Exit codes: 0 on success; 1 on a usage error, a refused request or a standard output closed early (or at start:
+then before any work); 2 on a ConsistencyError, such as engines that disagree, a failed `verify` check or a cached
+row that fails the checked tail.  Only ``entry`` flushes.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .intervals import IndexSet, decimal, decompose, factor_ranks, hessenberg_fu
 __all__ = ["cli", "main", "entry"]
 
 MAX_QUERY_RANK = 16
-MAX_VERIFY_RANK = 8
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
 ENGINES = {"diagram": (diagrams, "diagram_row"), "rewrite": (ring, "rewrite_row"), "linalg": (oracle, "linalg_row")}
@@ -61,12 +59,14 @@ _subparsers = cli.add_subparsers(dest="command", required=True)
 
 def command(name: str, *options: tuple[tuple[str, ...], dict]):
     """Register the decorated function as the subcommand ``name``, with its
-    options given by :func:`option`; its docstring is the help."""
+    options given by :func:`option`; its docstring is the help.  Its options
+    of metavar SUBSET are its subparser's ``subsets``, in option order."""
 
     def register(fn):
         parser = cli.commands[name] = _subparsers.add_parser(
             name, help=fn.__doc__.split(".")[0] + ".", description=fn.__doc__, allow_abbrev=False)
         parser.callback = fn
+        parser.subsets = [(flags[0], kwargs["dest"]) for flags, kwargs in options if kwargs.get("metavar") == "SUBSET"]
         for flags, kwargs in options:
             parser.add_argument(*flags, **kwargs)
         return fn
@@ -95,8 +95,8 @@ def _file(path: str, must_exist: bool = False) -> str:
 
 
 RANK = option("-n", "--rank", dest="n", type=decimal, required=True, help="Ambient rank.")
-SUBSET_J = option("-J", dest="j_text", default="-", metavar="SUBSET", help='First subset, e.g. "1,3,5" ("-" = empty).')
-SUBSET_K = option("-K", dest="k_text", default="-", metavar="SUBSET", help="Second subset.")
+SUBSET_J = option("-J", dest="J", default="-", metavar="SUBSET", help='First subset, e.g. "1,3,5" ("-" = empty).')
+SUBSET_K = option("-K", dest="K", default="-", metavar="SUBSET", help="Second subset.")
 
 
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
@@ -116,28 +116,13 @@ def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
         + " ".join(f"{e}={ {subset(L).format(): c for L, c in row} }" for e, row in rows.items()))
 
 
-def _parse_subset(ctx_name: str, text: str, n: int) -> IndexSet:
-    try:
-        return IndexSet.parse(text, n)
-    except ValueError as exc:
-        raise UsageError(f"bad {ctx_name}: {exc}") from None
-
-
-def _check_rank(n: int) -> None:
-    if not 1 <= n <= MAX_QUERY_RANK:
-        raise UsageError(f"rank must be in [1, {MAX_QUERY_RANK}], got {n}")
-
-
 @command("expand", RANK, SUBSET_J, SUBSET_K,
          option("--method", choices=(*ENGINES, "all"), default="all", help="Engine (default: all)."),
          option("--format", dest="fmt", choices=("json", "csv"), default="json", help="Output (default: json)."),
          option("--cached", type=lambda path: _file(path, must_exist=True), metavar="PATH",
                 help="Read the expansion from a table file written by `table` instead of computing."))
-def cmd_expand(n: int, j_text: str, k_text: str, method: str, fmt: str, cached: str | None) -> None:
+def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: str | None) -> None:
     """Expand a product of two basis classes."""
-    _check_rank(n)
-    J = _parse_subset("-J", j_text, n)
-    K = _parse_subset("-K", k_text, n)
     if cached is not None:
         row = _lookup_cached(cached, n, J, K)
         method = "cached"
@@ -239,13 +224,9 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
 
 
 @command("diagrams", RANK, SUBSET_J, SUBSET_K,
-         option("-L", dest="l_text", required=True, metavar="SUBSET", help="The subset of the product's term."))
-def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
+         option("-L", dest="L", required=True, metavar="SUBSET", help="The subset of the product's term."))
+def cmd_diagrams(n: int, J: IndexSet, K: IndexSet, L: IndexSet) -> None:
     """List and render the left-right diagrams for one (J, K, L) triple."""
-    _check_rank(n)
-    J = _parse_subset("-J", j_text, n)
-    K = _parse_subset("-K", k_text, n)
-    L = _parse_subset("-L", l_text, n)
     found = listings.enumerate_diagrams(J, K, L)
     if not found:
         print("no diagrams; d = 0")
@@ -263,37 +244,28 @@ def cmd_diagrams(n: int, j_text: str, k_text: str, l_text: str) -> None:
 def cmd_verify(n_max: int, jobs: int) -> None:
     """Exhaustively cross-check the three engines and the supporting
     combinatorics for every rank up to --n-max."""
-    if not 1 <= n_max <= MAX_VERIFY_RANK:
-        raise UsageError(f"--n-max must be in [1, {MAX_VERIFY_RANK}]")
-    # the parent and jobs - 1 forked children run checks at once: refuse more than the CPUs
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise UsageError(f"--jobs must be in [1, {cpus}], the number of CPUs")
     verify.run(n_max, jobs)
 
 
 @command("table", RANK,
          option("--degree", type=decimal, help="Only pairs with |J| + |K| equal to this."),
-         option("--J", dest="j_filter", metavar="SUBSET", help="Restrict to this J."),
-         option("--K", dest="k_filter", metavar="SUBSET", help="Restrict to this K."),
+         option("--J", dest="J", metavar="SUBSET", help="Restrict to this J."),
+         option("--K", dest="K", metavar="SUBSET", help="Restrict to this K."),
          option("--format", dest="fmt", choices=("csv", "json"), default="csv", help="Output (default: csv)."),
          option("--out", type=_file, metavar="PATH", help="Output path (default: stdout)."))
-def cmd_table(n: int, degree: int | None, j_filter: str | None, k_filter: str | None,
+def cmd_table(n: int, degree: int | None, J: IndexSet | None, K: IndexSet | None,
               fmt: str, out: str | None) -> None:
     """Write the structure-constant table for one rank, rows (J, K, L, d) in
     canonical order, nonzero constants only, computed and written one J at a time."""
-    _check_rank(n)
     subsets = range(1 << (n - 1))
-    js = [_parse_subset("--J", j_filter, n).mask] if j_filter is not None else subsets
-    ks = [_parse_subset("--K", k_filter, n).mask] if k_filter is not None else subsets
+    js = [J.mask] if J is not None else subsets
+    ks = [K.mask] if K is not None else subsets
     table.run(n, degree, js, ks, fmt, out)
 
 
 @command("group", RANK, SUBSET_J)
-def cmd_group(n: int, j_text: str) -> None:
+def cmd_group(n: int, J: IndexSet) -> None:
     """Print the combinatorial data attached to one subset."""
-    _check_rank(n)
-    J = _parse_subset("-J", j_text, n)
     dec = decompose(J)
     wj = permutations.longest_wj(J)
     print(f"J = {J.format()}  (rank n = {n})")
@@ -309,7 +281,15 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` (default: ``sys.argv[1:]``) and return its exit code: 0, 1 or 2."""
     try:
         options = vars(cli.parse_args(argv))
-        cli.commands[options.pop("command")].callback(**options)
+        parser = cli.commands[options.pop("command")]
+        if "n" in options and not 1 <= options["n"] <= MAX_QUERY_RANK:
+            raise UsageError(f"rank must be in [1, {MAX_QUERY_RANK}], got {options['n']}")
+        for flag, dest in parser.subsets:
+            try:
+                options[dest] = None if options[dest] is None else IndexSet.parse(options[dest], options["n"])
+            except ValueError as exc:
+                raise UsageError(f"bad {flag}: {exc}") from None
+        parser.callback(**options)
     except SystemExit as exc:  # --help, printed by argparse
         return exc.code
     except UsageError as exc:

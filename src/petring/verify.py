@@ -1,5 +1,5 @@
-"""The body of ``petring verify``, whose options and help ``cli`` registers: the checks, the pair sweep and the
-forked workers.  They read ``cli._expansion_row`` and the engines through their modules at call time."""
+"""The body of ``petring verify``, whose options and help ``cli`` registers: its refusals, the checks, the pair
+sweep and the forked workers.  They read ``cli._expansion_row`` and the engines through their modules at call time."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .intervals import IndexSet, all_index_sets
 
 __all__ = ["CHECKS", "run"]
 
-VERIFY_RANKS = range(1, cli.MAX_VERIFY_RANK + 1)
+VERIFY_RANKS = range(1, 9)  # the ranks that --n-max may name
 
 
 def _named(exc: Exception) -> str:
@@ -127,8 +127,13 @@ CHECKS = [
 
 def run(n_max: int, jobs: int) -> None:
     """Run every check of CHECKS at every rank up to n_max, in this process and ``jobs`` - 1 forked ones, and print
-    its lines; ConsistencyError after the failure lines on stderr if any check fails, UsageError before any work
-    if ``jobs`` is above one where ``os.fork`` is missing."""
+    its lines; ConsistencyError after the failure lines on stderr if any check fails.  UsageError before any work
+    if ``n_max`` is outside VERIFY_RANKS, ``jobs`` outside [1, the number of CPUs], as this process and its
+    children run checks at once, or ``jobs`` above one where ``os.fork`` is missing."""
+    if n_max not in VERIFY_RANKS:
+        raise cli.UsageError(f"--n-max must be in [1, {VERIFY_RANKS[-1]}]")
+    if not (cpus := os.cpu_count() or 1) >= jobs >= 1:
+        raise cli.UsageError(f"--jobs must be in [1, {cpus}], the number of CPUs")
     if jobs > 1 and not hasattr(os, "fork"):
         raise cli.UsageError("--jobs above 1 needs os.fork, which this platform does not have")
     sweep = functools.partial(_forked_map, jobs=jobs) if jobs > 1 else lambda tasks: (c(n, p) for c, n, p in tasks)

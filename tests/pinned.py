@@ -1,4 +1,5 @@
-"""Check the outputs pinned in pinned.txt, each run as `python -m petring` by the interpreter that runs this file:
+"""Check the outputs pinned in pinned.txt, each run by the interpreter that runs this file as `python -m petring`, or
+as its variant says:
 
     python tests/pinned.py
 
@@ -6,9 +7,10 @@ A line `DIGEST TAG ... : ARGUMENTS` pins the SHA-256 of what `petring ARGUMENTS`
 exit 0 with an empty stderr.  The outputs of commands joined by ` ; ` are hashed as one, and `> NAME` keeps the
 output as NAME in the work directory that the lines share, in file order.  Tags: cheap, run in-process by
 test_digests.py; help, run at COLUMNS=80 on Python 3.11 alone, whose argparse layout it pins; and variants, each
-one more run: jobs2 adds `--jobs 2`, which spawn and taskset add under the spawn start method and `taskset -c 0`;
-out hashes the `--out` file; traced runs under benchmarks/tracer.py; padded reads the `--cached` table, the last
-argument, after a blank line and under its name without the suffix.
+one more run: jobs2 adds `--jobs 2` and runs the script's `petring.cli.entry` with `os.cpu_count` patched to 2, so
+that it runs on one CPU too; taskset adds `--jobs 2` under `taskset -c 0`; out hashes the `--out` file; traced runs
+under benchmarks/tracer.py; padded reads the `--cached` table, the last argument, after a blank line and under its
+name without the suffix.
 """
 
 import hashlib
@@ -23,10 +25,8 @@ from pathlib import Path
 MANIFEST = Path(__file__).with_name("pinned.txt")
 TRACER = Path(__file__).parents[1] / "benchmarks" / "tracer.py"
 PETRING = [sys.executable, "-m", "petring"]
-VARIANTS = ("jobs2", "spawn", "taskset", "out", "traced", "padded")
-# os.cpu_count is patched so that --jobs 2 is allowed on one CPU too
-SPAWN = ("import multiprocessing, os, sys; multiprocessing.set_start_method('spawn'); os.cpu_count = lambda: 2; "
-         "from petring.cli import main; sys.exit(main(sys.argv[1:]))")
+VARIANTS = ("jobs2", "taskset", "out", "traced", "padded")
+JOBS2 = "import os; os.cpu_count = lambda: 2; from petring.cli import entry; entry()"
 
 Line = namedtuple("Line", "where digest tags commands keep")  # where: FILE:NUMBER; keep: a name, or "" for none
 
@@ -53,9 +53,9 @@ def check(line: Line, variant: str, work: Path) -> str:
             if variant == "padded":
                 (work / Path(args[-1]).stem).write_bytes(b"\n" + (work / args[-1]).read_bytes())
                 args = [*args[:-1], Path(args[-1]).stem]
-            args = [*args, *{"jobs2": ["--jobs", "2"], "spawn": ["--jobs", "2"], "taskset": ["--jobs", "2"],
+            args = [*args, *{"jobs2": ["--jobs", "2"], "taskset": ["--jobs", "2"],
                              "out": ["--out", "out"]}.get(variant, [])]
-            start = {"spawn": [sys.executable, "-c", SPAWN], "taskset": ["taskset", "-c", "0", *PETRING],
+            start = {"jobs2": [sys.executable, "-c", JOBS2], "taskset": ["taskset", "-c", "0", *PETRING],
                      "traced": [sys.executable, str(TRACER), "spans", args[0]]}.get(variant, PETRING)
             proc = subprocess.run([*start, *args], cwd=work, env=env, capture_output=True, timeout=120)
             if proc.returncode or proc.stderr:

@@ -85,7 +85,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1085
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1065
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -100,7 +100,7 @@ def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 670
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 650
 
 
 def test_a_submodule_read_on_the_package_is_registered_but_not_run():
@@ -157,6 +157,47 @@ def test_package_resolves_every_public_name():
     with pytest.raises(AttributeError):
         petring.no_such_name
     assert set(petring.__all__) <= set(dir(petring))
+
+
+_MEMBER_9 = "member 9 outside {1, ..., 4}"
+
+
+@pytest.mark.parametrize("argv, fork, line", [
+    (["expand", "-n", "0", "-J", "9", "-K", "9"], True, "error: rank must be in [1, 16], got 0"),
+    (["expand", "-n", "5", "-K", "x", "-J", "9"], True, f"error: bad -J: {_MEMBER_9}"),
+    (["expand", "-n", "5", "-J", "1", "-K", "x"], True, "error: bad -K: cannot parse subset 'x'"),
+    (["diagrams", "-n", "17", "-J", "9", "-K", "9", "-L", "9"], True, "error: rank must be in [1, 16], got 17"),
+    (["diagrams", "-n", "5", "-L", "9", "-K", "9", "-J", "2,1"], True,
+     "error: bad -J: subset '2,1' must list distinct integers in ascending order"),
+    (["diagrams", "-n", "5", "-L", "9", "-K", "9", "-J", "1"], True, f"error: bad -K: {_MEMBER_9}"),
+    (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "5"], True, "error: bad -L: member 5 outside {1, ..., 4}"),
+    (["table", "-n", "0", "--K", "9", "--J", "9"], True, "error: rank must be in [1, 16], got 0"),
+    (["table", "-n", "5", "--K", "9", "--J", "9"], True, f"error: bad --J: {_MEMBER_9}"),
+    (["table", "-n", "5", "--J", "1", "--K", "1,1"], True,
+     "error: bad --K: subset '1,1' must list distinct integers in ascending order"),
+    (["group", "-n", "0", "-J", "9"], True, "error: rank must be in [1, 16], got 0"),
+    (["group", "-n", "5", "-J", "9"], True, f"error: bad -J: {_MEMBER_9}"),
+    (["verify", "--jobs", "0", "--n-max", "9"], True, "error: --n-max must be in [1, 8]"),
+    (["verify", "--n-max", "0", "--jobs", "2"], False, "error: --n-max must be in [1, 8]"),
+    (["verify", "--n-max", "3", "--jobs", "0"], True, "error: --jobs must be in [1, 2], the number of CPUs"),
+    (["verify", "--n-max", "3", "--jobs", "3"], False, "error: --jobs must be in [1, 2], the number of CPUs"),
+    (["verify", "--n-max", "3", "--jobs", "2"], False,
+     "error: --jobs above 1 needs os.fork, which this platform does not have"),
+])
+def test_a_request_is_refused_at_its_first_bad_check(capsys, monkeypatch, argv, fork, line):
+    # the rank first, then each subset in the order of the command's options, whatever their order on the command
+    # line; `verify` checks --n-max, then --jobs against the CPUs, then os.fork, and a refused one forks nothing and
+    # runs no check
+    def refused(*args):
+        raise AssertionError("a check ran or a worker was forked")
+
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(petring.verify, "CHECKS", [("refused {status}", range(1, 9), refused, None)])
+    if fork:
+        monkeypatch.setattr(os, "fork", refused)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert run(capsys, *argv) == (1, "", line + "\n")
 
 
 class TestExpand:
