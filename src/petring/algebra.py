@@ -2,8 +2,6 @@
 square-free monomials, and ``multiply`` is the bilinear extension of the
 rewrite's checked rows, ``ring._varpi_product``."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain
 

@@ -1,19 +1,17 @@
 """The ``petring`` command line: one argparse parser, ``cli``, with the subcommands ``expand``, ``diagrams``,
 ``verify``, ``table`` and ``group`` in ``cli.commands``, each with its function's docstring as help.  Importing it
-runs ``errors`` and ``intervals``, and no ``csv``, ``json``, ``fractions`` or ``concurrent.futures``.  Each command
-runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and none with
+runs ``errors`` and ``intervals``, and no ``typing``, ``csv``, ``json`` or ``fractions``.  Each command runs besides
+only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and none with
 ``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring`` and
-``table``; ``verify`` the engines, ``permutations`` and ``verify``.
+``table``; ``verify`` the engines, ``permutations`` and ``verify``.  Only a JSON table, read or written, needs ``json``.
 
 A command line is checked once, before any work: argparse checks the form of each option, ``main`` the rank and then
 each subset option, in the command's option order, and ``verify.run`` makes every ``verify`` refusal.
 
-Exit codes: 0 on success; 1 on a usage error, a refused request or a standard output closed early (or at start:
-then before any work); 2 on a ConsistencyError, such as engines that disagree, a failed `verify` check or a cached
-row that fails the checked tail.  Only ``entry`` flushes.
+Exit codes: 0 on success; 1 on a usage error, a refused request or an OSError, silent where stdout failed; 2 on a
+ConsistencyError, such as engines that disagree or a failed `verify` check.  ``entry`` flushes both streams, as
+``os._exit`` does not, and ``verify.run`` stdout before its FAIL lines, which thus follow the check lines in one file.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
@@ -128,11 +126,10 @@ def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: 
         method = "cached"
     else:
         row = _expansion_row(n, J.mask, K.mask, method)
-    if fmt == "json":
-        import json
-        terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)} for L, d in row]
-        record = {"n": n, "J": list(J.as_tuple()), "K": list(K.as_tuple()), "method": method, "terms": terms}
-        print(json.dumps(record))
+    if fmt == "json":  # the text of json.dumps: int lists print as Python prints them, and each string is plain ASCII
+        terms = ", ".join(f'{{"L": {list(IndexSet.from_mask(n, L).as_tuple())}, "coeff": "{d}"}}' for L, d in row)
+        print(f'{{"n": {n}, "J": {list(J.as_tuple())}, "K": {list(K.as_tuple())}, "method": "{method}", '
+              f'"terms": [{terms}]}}')
         return
     import csv
 
@@ -298,7 +295,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # stdout closed early
+    except OSError as exc:  # silent where stdout failed: a closed pipe, or a fd 1 that fails even an empty write,
+        try:  # as a full device or a closed descriptor does; else one line, if stderr takes it
+            if not isinstance(exc, BrokenPipeError) and not os.write(1, b""):
+                print(f"Error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
         return 1
     return 0
 

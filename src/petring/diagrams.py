@@ -10,8 +10,6 @@ that end on L is the coefficient of x_L in x_J * x_K, which
 through (J | K, J & K).  The games as Fraction listings are in ``listings``.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

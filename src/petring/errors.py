@@ -1,7 +1,7 @@
 """The package's exceptions, ``constants``, the checked tail that every
 engine's row ends in, and ``class_tail``, its one m-factor normalization."""
 
-from typing import Callable, Collection, Iterable
+from collections.abc import Callable, Collection, Iterable
 
 from . import intervals
 from .intervals import IndexSet

@@ -3,11 +3,10 @@ masks (bit i-1 for member i); their maximal runs and m-factors; and
 ``run_step``, the one statement of the run rule.
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 __all__ = ["MAX_RANK", "IndexSet", "ComponentDecomposition", "decompose", "decompose_mask",
            "m_factor", "run_step", "hessenberg_function", "factor_ranks", "all_index_sets"]
@@ -143,12 +142,11 @@ class IndexSet(Frozen):
     __and__ = intersection
 
 
-class ComponentDecomposition(NamedTuple):
+class ComponentDecomposition(namedtuple("ComponentDecomposition", "runs m_factor")):
     """Maximal consecutive runs (lo, hi) of an IndexSet, in ascending order,
     and the product of factorials of the run lengths."""
 
-    runs: tuple[tuple[int, int], ...]
-    m_factor: int
+    __slots__ = ()
 
 
 @functools.cache

@@ -2,14 +2,12 @@
 game of ``diagrams._games`` that ends on L, row by row, with its weight, and
 their ASCII rendering, which the ``diagrams`` command prints."""
 
-from __future__ import annotations
-
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
 
-from .diagrams import _games
-from .errors import class_tail
+from .diagrams import _games, expand_all
 from .intervals import IndexSet
 
 __all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight", "structure_constant", "render_ascii"]
@@ -22,28 +20,20 @@ class Move(str, Enum):
     RIGHT = "R"
 
 
-class GameRow(NamedTuple):
-    """One played row: the marked element, the run of shaded columns around
-    it before the move, the move direction, the darkly-shaded column it
-    added, and the rational weight of the move."""
+class GameRow(namedtuple("GameRow", "element run move added_column row_weight")):
+    """One played row: the marked element, the run (a, b) of shaded columns
+    around it before the move, the Move, the darkly-shaded column it added,
+    and the Fraction weight of the move."""
 
-    element: int
-    run: tuple[int, int]
-    move: Move
-    added_column: int
-    row_weight: Fraction
+    __slots__ = ()
 
 
-class LeftRightDiagram(NamedTuple):
-    """A successful game, identified by its move sequence: two diagrams with
-    the same final shading but different moves are distinct."""
+class LeftRightDiagram(namedtuple("LeftRightDiagram", "n J K L rows weight")):
+    """A successful game at rank n for the IndexSets J, K and L, its GameRows
+    and their Fraction product, the weight, identified by its move sequence:
+    two diagrams with the same final shading but different moves are distinct."""
 
-    n: int
-    J: IndexSet
-    K: IndexSet
-    L: IndexSet
-    rows: tuple[GameRow, ...]
-    weight: Fraction
+    __slots__ = ()
 
 
 def enumerate_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> list[LeftRightDiagram]:
@@ -69,12 +59,10 @@ def weight(P: LeftRightDiagram) -> Fraction:
 
 
 def structure_constant(J: IndexSet, K: IndexSet, L: IndexSet) -> int:
-    """d_JK^L by counting weighted diagrams, through the checked tail: 0
-    when there are none, ConsistencyError if the sum is not a non-negative
-    integer."""
-    total = sum(P.weight for P in enumerate_diagrams(J, K, L))  # every weight is positive
-    row = ((L.mask, total.numerator),) if total else ()
-    return dict(class_tail("diagram", J.n, J.mask, K.mask, row, total.denominator)).get(L.mask, 0)
+    """d_JK^L, read from the checked row of ``diagrams.diagram_row``: 0 when
+    L has no diagram.  ValueError for mismatched ranks."""
+    J._check_same_rank(L)
+    return expand_all(J, K).get(L, 0)
 
 
 def render_ascii(P: LeftRightDiagram) -> str:

@@ -14,12 +14,10 @@ a basis; ``quotient_dimension`` and the whole relation matrix of
 ``relations`` are the references that the tests hold it to.
 """
 
-from __future__ import annotations
-
 import functools
 import math
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
 from .errors import PresentationError, Row, class_tail, expansion
 from .intervals import IndexSet

@@ -5,8 +5,6 @@ one-line form of a product of simple transpositions depends on this choice,
 so it is fixed here once and used everywhere.
 """
 
-from __future__ import annotations
-
 import bisect
 import operator
 

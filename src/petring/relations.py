@@ -2,8 +2,6 @@
 degree-d relation matrix with its echelon pivots, ``_reduced_pivots``: the reference that the tests hold the
 linalg engine's table to.  Like ``oracle``, it uses the relations alone, never the run rule."""
 
-from __future__ import annotations
-
 import functools
 from fractions import Fraction
 from itertools import chain

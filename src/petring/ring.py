@@ -9,10 +9,8 @@ by the one fold ``_fold``, and every row it gives has passed ``constants``.
 classes: the product of the class algebra and of `verify`'s top-degree check.
 """
 
-from __future__ import annotations
-
 import functools
-from typing import Any, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import ConsistencyError, Row, constants, expansion
 from .intervals import IndexSet, decompose_mask, run_step
@@ -20,7 +18,7 @@ from .intervals import IndexSet, decompose_mask, run_step
 __all__ = ["structure_constants_rewrite", "rewrite_rows", "rewrite_row"]
 
 
-def _collect(pairs: Iterable[tuple[Any, Any]]) -> dict:
+def _collect(pairs: Iterable[tuple[object, object]]) -> dict:
     """Sum the coefficients of equal keys, dropping the sums that vanish."""
     out: dict = {}
     for key, coeff in pairs:
@@ -28,7 +26,7 @@ def _collect(pairs: Iterable[tuple[Any, Any]]) -> dict:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _varpi_product(n: int, left: dict[int, Any], right: dict[int, Any]) -> dict[int, Any]:
+def _varpi_product(n: int, left: dict[int, object], right: dict[int, object]) -> dict[int, object]:
     """The product at rank n of two int or Fraction combinations of basis classes keyed by mask: :func:`rewrite_rows`
     of each J of ``left`` on the masks of ``right``, each (L, d) of a row adding r_J r_K d on L."""
     return _collect((L, r * right[K] * d)

@@ -1,13 +1,10 @@
 """The body of ``petring table``, whose options and help ``cli`` registers: the rewrite's rows of one rank,
 computed and written one J at a time, as CSV or JSON."""
 
-from __future__ import annotations
-
 import functools
-import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import ring
 from .cli import MAX_TABLE_PAIRS, Refused
@@ -68,6 +65,7 @@ def _write_table(fh, n: int, fmt: str, blocks) -> int:
                     fh.write("".join(lines))
             count += len(lines)
         return count
+    import json
     members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
     json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)}
                  for J, rows in blocks for K, row in rows for L, d in row]

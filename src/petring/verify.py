@@ -1,8 +1,6 @@
 """The body of ``petring verify``, whose options and help ``cli`` registers: its refusals, the checks, the pair
 sweep and the forked workers.  They read ``cli._expansion_row`` and the engines through their modules at call time."""
 
-from __future__ import annotations
-
 import functools
 import itertools
 import marshal

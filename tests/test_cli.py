@@ -72,6 +72,27 @@ def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
     assert (proc.returncode, proc.stderr.split()) == (0, ran), proc.stderr
 
 
+@pytest.mark.parametrize("argv, added", [
+    (GOLDEN, []),
+    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], []),
+    (["table", "-n", "4"], []),
+    (["group", "-n", "5", "-J", "1,2"], []),
+    (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], []),
+    (["verify", "--n-max", "2"], []),
+    (["table", "-n", "4", "--format", "json"], ["json"]),
+    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{json}"], ["json"]),
+], ids=["expand", "cached-csv", "table", "group", "diagrams", "verify", "table-json", "cached-json"])
+def test_a_command_loads_typing_and_json_only_where_it_needs_them(tables5, argv, added):
+    # under -S, as a .pth file in site-packages may import typing at start-up (certifi's does), which would hide
+    # it from test_fresh_import_loads_no_unneeded_module: which of the two the command adds to `import argparse`
+    argv = [arg.format(**tables5) for arg in argv]
+    code = ("import sys, argparse; before = set(sys.modules); from petring.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(*sorted({'typing', 'json'} & set(sys.modules) - before), file=sys.stderr); sys.exit(code)")
+    proc = python("-S", "-c", code, *argv, timeout=60)
+    assert (proc.returncode, proc.stderr.split()) == (0, added), proc.stderr
+
+
 def test_a_query_compiles_only_the_code_it_runs():
     # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written: the
     # package, cli, errors, intervals and the three engines, and none of the bodies of `verify` and `table`,
@@ -85,7 +106,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1065
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1059
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -363,8 +384,40 @@ class TestExpansionRecord:
         assert (record["n"], record["J"], record["K"], record["method"]) == (10, [1, 3, 5, 6, 7], [3, 6, 8], "all")
         assert all(list(term) == ["L", "coeff"] and type(term["coeff"]) is str for term in record["terms"])
 
+    @pytest.mark.parametrize("method", ["all", "diagram", "rewrite", "linalg"])
+    def test_record_is_the_text_of_json_dumps(self, capsys, method):
+        # the record, written without json, against json.dumps of the record as a dict: every pair at n <= 5,
+        # and the pinned pairs at n = 10 and n = 16
+        pairs = [(n, J, K) for n in range(1, 6) for J in all_index_sets(n) for K in all_index_sets(n)]
+        pairs += [(10, IndexSet.of(10, [1, 3, 5, 6, 7]), IndexSet.of(10, [3, 6, 8])),
+                  (16, IndexSet.of(16, range(2, 7)), IndexSet.of(16, range(2, 7)))]
+        for n, J, K in pairs:
+            argv = ["expand", "-n", str(n), "-J", J.format(), "-K", K.format(), "--method", method]
+            assert run(capsys, *argv) == (0, _dumped_record(n, J, K, method), ""), argv
+
+    def test_cached_record_is_the_text_of_json_dumps(self, capsys, tables5):
+        for J, K, path in itertools.product(all_index_sets(5), all_index_sets(5), tables5.values()):
+            argv = ["expand", "-n", "5", "-J", J.format(), "-K", K.format(), "--cached", str(path)]
+            assert run(capsys, *argv) == (0, _dumped_record(5, J, K, "cached"), ""), argv
+
+
+def _dumped_record(n, J, K, method):
+    """``json.dumps`` of the `expand` record of (J, K) as a dict, and a newline."""
+    terms = [{"L": list(IndexSet.from_mask(n, L).as_tuple()), "coeff": str(d)}
+             for L, d in diagrams.diagram_row(n, J.mask, K.mask)]
+    return json.dumps({"n": n, "J": list(J.as_tuple()), "K": list(K.as_tuple()), "method": method,
+                       "terms": terms}) + "\n"
+
 
 class TestDiagramsCommand:
+    def test_d_is_read_from_the_row_that_expand_prints(self, capsys, monkeypatch):
+        # the last line's d is diagram_row's, which `expand --method diagram` prints, not a sum of the listing
+        monkeypatch.setattr(diagrams, "diagram_row", lambda n, J, K: ((0b11, 7),))
+        code, out, _ = run(capsys, "diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2")
+        assert (code, out.splitlines()[-1]) == (0, "d = 7")
+        assert run(capsys, "expand", "-n", "5", "-J", "1", "-K", "1", "--method", "diagram") == \
+            (0, '{"n": 5, "J": [1], "K": [1], "method": "diagram", "terms": [{"L": [1, 2], "coeff": "7"}]}\n', "")
+
     def test_two_diagrams(self, capsys):
         code, out, _ = run(capsys, "diagrams", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8",
                            "-L", "1,2,3,4,5,6,7,8")
@@ -1607,6 +1660,31 @@ class TestExitContract:
             proc.stdout.close()
             err = proc.stderr.read()
             assert (proc.wait(timeout=60), err) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["table", "-n", "7"], ["expand", "-n", "5", "-J", "1", "-K", "2"],
+                                      ["verify", "--n-max", "2"]], ids=["table", "expand", "verify"])
+    def test_a_full_stdout_exits_1_with_an_empty_stderr(self, argv, unbuffered):
+        # `petring ... > /dev/full`: a block-buffered stdout fails at a large write or at the script's flush,
+        # an unbuffered one at the first print; each ends as a closed pipe does
+        env = {**self._buffered(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "petring", *argv], env=env, stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_an_os_error_off_stdout_exits_1_with_one_error_line(self):
+        # an OSError from anything but stdout, here planted in the kernel, is named in one line
+        planted = ("from petring import ring\n"
+                   "from petring.cli import entry\n"
+                   "def rows(n, J, ks):\n"
+                   "    raise OSError(5, 'planted')\n"
+                   "ring.rewrite_rows = rows\n"
+                   "entry()")
+        proc = subprocess.run([sys.executable, "-c", planted, "table", "-n", "4"], env=self._buffered(),
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "n,J,K,L,d\n", "Error: [Errno 5] planted\n")
 
     @pytest.mark.parametrize("argv", [
         ["group", "-n", "3", "-J", "1"],

@@ -7,7 +7,7 @@ from helpers import plant
 from petring import diagrams
 from petring.diagrams import expand_all
 from petring.errors import ConsistencyError
-from petring.intervals import IndexSet, all_index_sets
+from petring.intervals import IndexSet, all_index_sets, m_factor
 from petring.listings import (
     Move,
     enumerate_diagrams,
@@ -112,14 +112,17 @@ class TestStructureConstant:
 
     def test_listing_matches_memoized_game(self):
         # the listing filters the game that expand_all memoizes on final
-        # shading L: both must give every constant, zeros included
+        # shading L: its weights, summed here and scaled by m_L / (m_J m_K),
+        # give every constant, zeros included
         for n in range(1, 7):
             sets = list(all_index_sets(n))
             for J in sets:
                 for K in sets:
                     expansion = expand_all(J, K)
                     for L in sets:
-                        assert structure_constant(J, K, L) == expansion.get(L, 0), (n, J, K, L)
+                        total = sum((P.weight for P in enumerate_diagrams(J, K, L)), Fraction(0))
+                        d = total * m_factor(L) / (m_factor(J) * m_factor(K))
+                        assert d == expansion.get(L, 0) == structure_constant(J, K, L), (n, J, K, L)
 
     def test_symmetry(self):
         for n in range(2, 8):

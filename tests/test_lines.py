@@ -10,7 +10,7 @@ prints the counts by kind and their total:
 import ast
 from pathlib import Path
 
-TOTAL, CODE = 1767, 1089
+TOTAL, CODE = 1739, 1072
 
 
 def _line_kinds() -> dict[str, int]:
