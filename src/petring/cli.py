@@ -167,56 +167,47 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     order it can find part of a pair's rows, or none: a documented limit, as only a scan to the end could see it."""
     with open(path, "rb") as fh:  # past the whitespace that JSON allows before a value
         first = next((c for c in iter(lambda: fh.read(1), b"") if c not in b" \t\n\r"), b"")
-    if path.endswith(".json") or first == b"{":
-        import json
-        with open(path) as fh:
-            data = json.load(fh)
-        if type(data["n"]) is not int:  # "3", true or 3.0, which a rank compare would misread
-            raise TypeError(f"n is {json.dumps(data['n'])}, not an integer")
-        if data["n"] != n:
-            raise Refused(f"cache {path} is for rank {data['n']}, not {n}")
-        key = [list(J.as_tuple()), list(K.as_tuple())]
-        # d as its text, as in a CSV table, so that decimal refuses 2.5 or true
-        return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
-    import csv
+        fh.seek(0)
+        if path.endswith(".json") or first == b"{":
+            import json
+            data = json.loads(fh.read().decode())
+            if type(data["n"]) is not int:  # "3", true or 3.0, which a rank compare would misread
+                raise TypeError(f"n is {json.dumps(data['n'])}, not an integer")
+            if data["n"] != n:
+                raise Refused(f"cache {path} is for rank {data['n']}, not {n}")
+            for r in data["rows"]:  # "12", ["1"], [true] or [1.0], which the join and the compare below would misread
+                if bad := [c for c in "JKL" if type(r[c]) is not list or any(type(i) is not int for i in r[c])]:
+                    raise TypeError(f"{bad[0]} is {json.dumps(r[bad[0]])}, not a list of integers")
+            key = [list(J.as_tuple()), list(K.as_tuple())]
+            # d as its text, as in a CSV table, so that decimal refuses 2.5 or true
+            return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
+        import bisect
+        import csv
 
-    # the pair's "n,J,K," prefix, quoted as the table's csv.writer quotes it: writerow returns what write does
-    written = csv.writer(argparse.Namespace(write=str), lineterminator="\n").writerow([n, J.format(), K.format()])
-    rank, prefix, target = f"{n},", written[:-1] + ",", (J.mask, K.mask)
+        def cells(offset: int) -> list[str]:
+            """The cells of the first line at or after byte ``offset`` > 0, or [] at the end of the file."""
+            fh.seek(offset - 1)
+            fh.readline()  # the rest of the line that holds byte offset - 1
+            if not (line := fh.readline()):
+                return []
+            if not (text := line.decode()).startswith(f"{n},"):
+                raise Refused(f"cache {path} is for rank {text.split(',', 1)[0]}, not {n}")
+            try:
+                return next(csv.reader([text]))
+            except csv.Error as exc:  # a bare "\r" in a cell, or a cell over the csv field limit
+                raise ValueError(f"a line csv cannot read: {exc}") from None
 
-    def decoded(line: bytes) -> str:
-        text = line.decode()
-        if not text.startswith(rank):
-            raise Refused(f"cache {path} is for rank {text.split(',', 1)[0]}, not {n}")
-        return text
+        def at_or_past(offset: int) -> bool:  # whether the first line at or after offset is the pair's, later or none
+            _, j, k, *_ = cells(offset) or (None, None, None)  # a ValueError on a line of fewer cells
+            return j is None or (IndexSet.parse(j, n).mask, IndexSet.parse(k, n).mask) >= (J.mask, K.mask)
 
-    def below_target(text: str) -> bool:
-        _, j, k, *_ = next(csv.reader([text]))  # a ValueError on a line of fewer cells
-        return (IndexSet.parse(j, n).mask, IndexSet.parse(k, n).mask) < target
-
-    with open(path, "rb") as fh:
-        lo = len(fh.readline())  # the rows start past the header
-        if not lo:
+        if not (start := len(fh.readline())):  # the rows start past the header
             return []  # an empty file
-        hi = os.fstat(fh.fileno()).st_size
-        # the least offset whose first line at or after it is not below the pair, or is the end
-        while lo < hi:
-            mid = (lo + hi) // 2
-            fh.seek(mid - 1)
-            fh.readline()  # the rest of the line that holds byte mid - 1
-            line = fh.readline()
-            if line and below_target(decoded(line)):
-                lo = mid + 1
-            else:
-                hi = mid
-        fh.seek(lo - 1)
-        fh.readline()  # to the first line at or after lo
-        rows: list[list[str]] = []
-        for line in fh:
-            text = decoded(line)
-            if not text.startswith(prefix):
-                break
-            rows.append(next(csv.reader([text[len(prefix):]])))
+        # the pair's first line is that of the least offset at or past it; its block runs to another pair or the end
+        row, rows = cells(bisect.bisect_left(range(os.fstat(fh.fileno()).st_size), True, start, key=at_or_past)), []
+        while row[1:3] == [J.format(), K.format()]:
+            rows.append(row[3:])
+            row = cells(fh.tell())
     return rows
 
 

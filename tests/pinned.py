@@ -1,16 +1,17 @@
 """Check the outputs pinned in pinned.txt, each run by the interpreter that runs this file as `python -m petring`, or
-as its variant says:
+as its variant says, with the package installed or on PYTHONPATH:
 
-    python tests/pinned.py
+    PYTHONPATH=src python tests/pinned.py
 
-A line `DIGEST TAG ... : ARGUMENTS` pins the SHA-256 of what `petring ARGUMENTS` prints, and every run must also
-exit 0 with an empty stderr.  The outputs of commands joined by ` ; ` are hashed as one, and `> NAME` keeps the
-output as NAME in the work directory that the lines share, in file order.  Tags: cheap, run in-process by
-test_digests.py; help, run at COLUMNS=80 on Python 3.11 alone, whose argparse layout it pins; and variants, each
-one more run: jobs2 adds `--jobs 2` and runs the script's `petring.cli.entry` with `os.cpu_count` patched to 2, so
-that it runs on one CPU too; taskset adds `--jobs 2` under `taskset -c 0`; out hashes the `--out` file; traced runs
-under benchmarks/tracer.py; padded reads the `--cached` table, the last argument, after a blank line and under its
-name without the suffix.
+The runs work in a temporary directory, so each relative entry of PYTHONPATH, as `src` or the empty one that names
+the current directory, is made absolute in their environment.  A line `DIGEST TAG ... : ARGUMENTS` pins the SHA-256
+of what `petring ARGUMENTS` prints, and every run must also exit 0 with an empty stderr.  The outputs of commands
+joined by ` ; ` are hashed as one, and `> NAME` keeps the output as NAME in the work directory that the lines share,
+in file order.  Tags: cheap, run in-process by test_digests.py; help, run at COLUMNS=80 on Python 3.11 alone, whose
+argparse layout it pins; and variants, each one more run: jobs2 adds `--jobs 2` and runs the script's
+`petring.cli.entry` with `os.cpu_count` patched to 2, so that it runs on one CPU too; taskset adds `--jobs 2` under
+`taskset -c 0`; out hashes the `--out` file; traced runs under benchmarks/tracer.py; padded reads the `--cached`
+table, the last argument, after a blank line and under its name without the suffix.
 """
 
 import hashlib
@@ -47,7 +48,9 @@ def read(path: Path = MANIFEST) -> list[Line]:
 
 def check(line: Line, variant: str, work: Path) -> str:
     """What is wrong with the variant's run of the line in ``work``, or "" if nothing."""
-    out, env = b"", {**os.environ, "COLUMNS": "80"} if "help" in line.tags else None
+    out, env = b"", {**os.environ, **({"COLUMNS": "80"} if "help" in line.tags else {})}
+    if "PYTHONPATH" in env:  # relative to the directory this runs in, not to the work directory
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
     try:
         for args in line.commands:
             if variant == "padded":

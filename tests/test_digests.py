@@ -53,6 +53,14 @@ def test_verify_with_spawned_workers_is_pinned(monkeypatch, tmp_path):
         assert pinned.check(line, "jobs2", tmp_path) == "", line.where
 
 
+def test_runner_takes_a_relative_pythonpath(monkeypatch, tmp_path):
+    # PYTHONPATH=src from the repo root, as tier-1 runs: the runs, which work in another directory, still find petring
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("PYTHONPATH", "src")
+    line = next(line for line in OUTPUTS if line.commands[0][0] == "group")
+    assert pinned.check(line, "", tmp_path) == "", line.where
+
+
 def test_runner_names_a_line_whose_digest_is_wrong(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))  # for the runner's subprocesses
     line = next(line for line in OUTPUTS if line.commands[0][0] == "group")
