@@ -191,7 +191,7 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
             if not (line := fh.readline()):
                 return []
             if not (text := line.decode()).startswith(f"{n},"):
-                raise Refused(f"cache {path} is for rank {text.split(',', 1)[0]}, not {n}")
+                raise Refused(f"cache {path} is for rank {decimal(text.split(',', 1)[0])}, not {n}")
             try:
                 return next(csv.reader([text]))
             except csv.Error as exc:  # a bare "\r" in a cell, or a cell over the csv field limit

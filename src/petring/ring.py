@@ -1,10 +1,10 @@
 """The rewrite engine.
 
-The rewrite multiplies the basis class on J, x_J / m_factor(J), by the
-generators of K, one run-rule step at a time in the basis of classes, where
-every step's coefficient is a positive integer (Harada-Tymoczko's positive
-Monk rule), and divides by m_factor(K).  ``rewrite_rows`` is its one path,
-by the one fold ``_fold``, and every row it gives has passed ``constants``.
+The rewrite multiplies x_J * x_K = x_{J|K} * x_{J&K}, the generators of J | K
+and J & K, one run-rule step at a time in the basis of classes, where every
+step's coefficient is a positive integer (Harada-Tymoczko's positive Monk
+rule), and divides by m_factor(J) * m_factor(K).  ``rewrite_rows`` is its one
+path, by one ``_fold`` per class (J | K, J & K), and its rows pass ``constants``.
 ``_varpi_product`` extends its rows bilinearly to combinations of basis
 classes: the product of the class algebra and of `verify`'s top-degree check.
 """
@@ -36,11 +36,7 @@ def _varpi_product(n: int, left: dict[int, object], right: dict[int, object]) ->
 def _varpi_times_generator(terms: dict[int, int], i: int, n: int) -> dict[int, int]:
     """Generator i times an integer combination of basis classes keyed by
     bit mask, one :func:`_transition` per term."""
-    out: dict[int, int] = {}
-    for S, coeff in terms.items():
-        for L, step in _transition(n, i, S):
-            out[L] = out.get(L, 0) + coeff * step
-    return out
+    return _collect((L, coeff * step) for S, coeff in terms.items() for L, step in _transition(n, i, S))
 
 
 @functools.cache
@@ -64,8 +60,8 @@ def _transition(n: int, i: int, S: int) -> tuple[tuple[int, int], ...]:
 
 def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     """Expansion of the product of the basis classes on J and K by the
-    run-rule engine: the class on J times the generators of K, one at a
-    time, divided by m_factor(K)."""
+    run-rule engine: the generators of J | K and J & K, one at a time,
+    divided by m_factor(J) * m_factor(K)."""
     return expansion(rewrite_row, J, K)
 
 
@@ -75,20 +71,22 @@ def rewrite_row(n: int, J: int, K: int) -> Row:
 
 
 def rewrite_rows(n: int, J: int, ks: Iterable[int]) -> Iterator[tuple[int, Row]]:
-    """The nonzero checked rows of the mask J times each mask K of ``ks`` at rank n, as (K, row) in the order of
-    ``ks``: each K folded by :func:`_fold` in a prefix memo of J's own."""
-    prefix = {0: {J: 1}}
+    """The checked rows of the mask J times each mask K of ``ks`` with |J| + |K| <= n - 1 at rank n, as (K, row) in
+    the order of ``ks``: the row its class's :func:`_fold` keeps for m_J * m_K, else the tail's, kept if it passes."""
     for K in ks:
-        terms = _fold(prefix, K, n)
-        if terms:  # zero products, |J| + |K| > n - 1, 40% of a table, skip the tail
-            yield K, constants("rewrite", n, J, K, terms.items(), decompose_mask(K).m_factor)
+        if J.bit_count() + K.bit_count() < n:  # zero products, 40% of a table, skip the fold and the tail
+            terms, rows = _fold(n, J | K, J & K)
+            if (row := rows.get(m := decompose_mask(J).m_factor * decompose_mask(K).m_factor)) is None:
+                row = rows[m] = constants("rewrite", n, J, K, terms.items(), m)
+            yield K, row
 
 
-def _fold(prefix: dict[int, dict[int, int]], K: int, n: int) -> dict[int, int]:
-    """The kernel's one fold: the class on J, prefix[0] = {J: 1}, times the generators of the subset with mask
-    K, in increasing order, as one step from K minus its top element, memoized in ``prefix``."""
-    terms = prefix.get(K)
-    if terms is None:  # not `if not terms`: an empty fold is falsy
-        top = K.bit_length()
-        terms = prefix[K] = _varpi_times_generator(_fold(prefix, K ^ 1 << (top - 1), n), top, n)
-    return terms
+@functools.cache
+def _fold(n: int, U: int, M: int) -> tuple[dict[int, int], dict[int, Row]]:
+    """The kernel's one fold, memoized: x_U * x_M, the generators of the multiset U + M applied to 1 in increasing
+    order, as one step from the class without its last generator, and the class's checked rows by m_J * m_K."""
+    if not (top := U.bit_length()):
+        return {0: 1}, {}
+    last = 1 << (top - 1)
+    terms, _ = _fold(n, U, M ^ last) if M & last else _fold(n, U ^ last, M)
+    return _varpi_times_generator(terms, top, n), {}

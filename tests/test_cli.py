@@ -106,7 +106,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1050
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1048
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -360,7 +360,7 @@ class TestCheckedTail:
         for argv in (["table", "-n", "4"], ["table", "-n", "4", "--out", str(path)]):
             code, out, err = run(capsys, *argv)
             assert code == 2
-            assert err == ("consistency failure: rewrite engine gave a term on L=1,2,3,4 for J=1, K=1,2,3, "
+            assert err == ("consistency failure: rewrite engine gave a term on L=2,3,4 for J=2, K=2,3, "
                            "outside {1, ..., 3}\n")
         assert path.read_bytes() == b"an earlier table\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table4.csv"]
@@ -837,8 +837,8 @@ class TestVerify:
             "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=1,2: diagram d=2, rewrite d=2, linalg d=1; "
             "diagram={'1,2': 2, '2,3': 1} rewrite={'1,2': 2, '2,3': 1} linalg={'1,2': 1, '2,3': 1}",
             "FAIL n=4 J=2 K=2,3: rewrite engine gave d = 7/2 for J=2, K=2,3, L=1,2,3, expected a non-negative integer",
-            "FAIL n=4 J=2,3 K=2: expansion not symmetric",
-            "FAIL n=4 i=2: integral of g_2^3 is 6 by the run rule, 4 by the relations, Eulerian number 4",
+            "FAIL n=4 J=2,3 K=2: rewrite engine gave d = 7/2 for J=2,3, K=2, L=1,2,3, expected a non-negative integer",
+            "FAIL n=4 i=2: rewrite engine gave d = 7/2 for J=2,3, K=2, L=1,2,3, expected a non-negative integer",
         ]),
         (step_tripled, "4", [
             "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=1,2: diagram d=1, rewrite d=1, linalg d=3; "
@@ -917,15 +917,26 @@ class TestVerify:
                                     "FAIL n=3 i=2: ValueError: planted",
                                     "consistency failure: 3 verification check(s) failed"]
 
-    def test_chunk_folds_each_J_once(self, monkeypatch):
-        # a block expanded in (J, K) order: the rewrite folds each J once over
-        # one prefix memo, one run-rule step per nonempty K, 4^5 - 2^5 in all
-        # (one step per member of each K, 2560, pair by pair)
+    def test_chunk_folds_each_class_once(self, monkeypatch):
+        # a block expanded in (J, K) order: the rewrite folds each class (J | K, J & K) with |J| + |K| <= n - 1
+        # once, one run-rule step from the class without its last generator, so one step per class with
+        # J | K nonempty, 146 at n = 6, and one memo entry per class, the empty one included
         steps = []
         step = ring._varpi_times_generator
         monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
         assert petring.verify._verify_chunk(6, range(32)) == []
-        assert len(steps) == 4 ** 5 - 2 ** 5
+        classes = sum(math.comb(5, u) * sum(math.comb(u, m) for m in range(min(u, 5 - u) + 1)) for u in range(6))
+        assert len(steps) == classes - 1 == 146
+        assert ring._fold.cache_info().currsize == classes == 147
+
+    def test_rewrite_checks_each_class_and_divisor_once(self, capsys, monkeypatch):
+        # `verify --n-max 8` checks a rewrite row once per class and divisor m_J * m_K that a pair reaches,
+        # as often as the game's: 3,795 tails
+        tails = []
+        tail = ring.constants
+        monkeypatch.setattr(ring, "constants", lambda engine, *args: tails.append(engine) or tail(engine, *args))
+        assert run(capsys, "verify", "--n-max", "8", "--jobs", "1")[0] == 0
+        assert len(tails) == 3795 and set(tails) == {"rewrite"}
 
     def test_chunk_takes_one_run_step_per_transition(self, monkeypatch):
         # on fresh memos, the rewrite of all pairs at rank 6 searches each
@@ -1407,6 +1418,16 @@ class TestCachedLookup:
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
         assert (code, out) == (1, "")
         assert err == f"Error: cache {path} is for rank 4, not 5\n"
+
+    @pytest.mark.parametrize("text", ['n,J,K,L,d\n\n5,1,2,"1,2",2\n', "n,J,K,L,d\n\n\n"], ids=["one", "only"])
+    def test_blank_line_refused_as_malformed(self, capsys, tmp_path, text):
+        # a blank line, before the pair's rows or in place of them, is no line of another rank: refused in
+        # one stderr line, which shows the line's newline escaped
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"Error: cache {path} is malformed: ValueError: invalid decimal numeral '\\n'\n"
 
     @pytest.mark.parametrize("rank, shown", [("5", '"5"'), (True, "true"), (5.0, "5.0")],
                              ids=["string", "bool", "float"])

@@ -125,33 +125,41 @@ def _diagram_row_doubled_on_a_meet(monkeypatch):
                         lambda n, J, K: tuple((L, 2 * d if J & K else d) for L, d in row(n, J, K)))
 
 
-def _fold_keyed(monkeypatch, key):
-    # the rewrite's one fold, with its prefix key, K minus its top element, replaced by key(K, top)
-    def fold(prefix, K, n):
-        terms = prefix.get(K)
-        if terms is None:
-            top = K.bit_length()
-            terms = prefix[K] = ring._varpi_times_generator(fold(prefix, key(K, top), n), top, n)
-        return terms
+def _fold_keyed(monkeypatch, last):
+    # the rewrite's one fold, with the generator that it takes off the class, U's top member 1 << (top - 1),
+    # replaced by last(U, top)
+    @functools.cache
+    def fold(n, U, M):
+        if not (top := U.bit_length()):
+            return {0: 1}, {}
+        bit = last(U, top)
+        terms, _ = fold(n, U, M ^ bit) if M & bit else fold(n, U ^ bit, M)
+        return ring._varpi_times_generator(terms, top, n), {}
 
     monkeypatch.setattr(ring, "_fold", fold)
 
 
 def _fold_key_top_minus_two(monkeypatch):
-    # the prefix key K ^ 1 << (top - 2): a negative shift at K = {1}
-    _fold_keyed(monkeypatch, lambda K, top: K ^ 1 << (top - 2))
+    # the generator 1 << (top - 2): a negative shift at U = {1}
+    _fold_keyed(monkeypatch, lambda U, top: 1 << (top - 2))
 
 
 def _fold_key_top_plus_one(monkeypatch):
-    # the prefix key K ^ 1 << (top + 1): a key one member larger at every step, without end
-    _fold_keyed(monkeypatch, lambda K, top: K ^ 1 << (top + 1))
+    # the generator 1 << (top + 1), not in U: a class one member larger at every step, without end
+    _fold_keyed(monkeypatch, lambda U, top: 1 << (top + 1))
 
 
 def _fold_from_the_lowest_member(monkeypatch):
-    # one step by K's top generator from K minus its lowest member: a fault that raises nothing itself, the
-    # class on J times g_top twice and the lowest generator never; generators commute, so the step by the
-    # lowest generator from that key would be equivalent
-    _fold_keyed(monkeypatch, lambda K, top: K & (K - 1))
+    # one step by U's top generator from the class without U's lowest member: a fault that raises nothing
+    # itself, g_top once too often and the lowest generator once too few; generators commute, so the step by
+    # the lowest generator from that class would be equivalent
+    _fold_keyed(monkeypatch, lambda U, top: U & -U)
+
+
+def _square_free_move_doubled(monkeypatch):
+    # g_2 times the class on {1} at rank 3 with its step doubled: a move by a generator not in the subset,
+    # which the rewrite takes as it builds x_U one generator at a time, and the game never plays
+    plant(monkeypatch, ring, "_transition", (3, 2, 0b01), lambda entry: tuple((L, 2 * c) for L, c in entry))
 
 
 # (fault, smallest rank at which verify fails, the start of its first FAIL line,
@@ -184,6 +192,8 @@ MUTANTS = [
      "n=2: top-degree evaluation FAIL"),
     (_fold_from_the_lowest_member, 3, "FAIL n=3 J=- K=1,2: rewrite engine gave d = 1/2 for J=-, K=1,2, L=1,2, "
      "expected a non-negative integer", None),
+    (_square_free_move_doubled, 3, "FAIL n=3 J=- K=1,2: engines disagree for J=-, K=1,2, first at L=1,2: "
+     "diagram d=1, rewrite d=2, linalg d=1", None),
     (_linalg_row_first_term, 4, "FAIL n=4 J=2 K=2: engines disagree for J=2, K=2, first at L=2,3: "
      "diagram d=1, rewrite d=1, linalg d=0", None),
     (_diagram_row_doubled_on_a_meet, 3, "FAIL n=3 J=1 K=1: engines disagree for J=1, K=1, first at L=1,2: "

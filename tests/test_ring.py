@@ -226,28 +226,28 @@ class TestStructureConstants:
                     expected = [(K, rewrite_row(n, J, K)) for K in order if rewrite_row(n, J, K)]
                     assert list(rewrite_rows(n, J, order)) == expected, (n, J, order)
 
-    def test_pairs_take_one_step_per_pair_in_canonical_order(self, monkeypatch):
+    def test_kernel_takes_one_step_per_class(self, monkeypatch):
         import petring.ring as ring
 
         steps = []
         step = ring._varpi_times_generator
         monkeypatch.setattr(ring, "_varpi_times_generator", lambda terms, i, n: steps.append(i) or step(terms, i, n))
         n = 7
+        # the generators of the multiset J | K + J & K, from 1 in increasing order, one step each
+        list(rewrite_rows(n, 0b011, [0b110]))
+        assert steps == [1, 2, 2, 3]
+        # one step per class (J | K, J & K) with |J| + |K| <= n - 1 and J | K nonempty, each from the class
+        # without its last generator, and one memo entry per class, the empty one included
         for J in range(64):
             list(rewrite_rows(n, J, range(64)))
-        assert len(steps) == 64 * 63
-        # filtered requests, each J's K list through the kernel: never more than the |K| steps of a fold per pair
-        for requests in (
-            [(J, [K for K in range(64) if J.bit_count() + K.bit_count() == 4]) for J in range(64)],
-            [(J, [0b101101]) for J in range(64)],
-            [(0b11, [K for K in range(64) if K.bit_count() == 3])],
-            [(5, [0b111000])],
-        ):
-            steps.clear()
-            for J, ks in requests:
-                list(rewrite_rows(n, J, ks))
-            assert 0 < len(steps) <= sum(K.bit_count() for _, ks in requests for K in ks)
-        assert steps == [4, 5, 6]
+        classes = sum(math.comb(6, u) * sum(math.comb(u, m) for m in range(min(u, 6 - u) + 1)) for u in range(7))
+        assert len(steps) == classes - 1 == 434
+        assert ring._fold.cache_info().currsize == classes == 435
+        # every later request reads the memo, in any order
+        steps.clear()
+        for J in reversed(range(64)):
+            list(rewrite_rows(n, J, reversed(range(64))))
+        assert steps == []
 
     def test_inexact_step_raises(self, monkeypatch):
         # a run step whose weights are off by a factor 7 cannot stay integral
@@ -263,14 +263,15 @@ class TestStructureConstants:
             multiply(g1, g1)
 
     def test_inexact_division_by_m_K_raises(self, monkeypatch):
-        # m_K read as 2 for K = {1}: the fold's term 1 on L = {1,3} is not a
-        # multiple of it, and the division must say so rather than round
+        # m_J read as 2 for J = {3}, which the fold of the class ({1,3}, {})
+        # never reads: its term 1 on L = {1,3} is not a multiple of the
+        # divisor m_J * m_K, and the division must say so rather than round
         import petring.ring as ring
         from petring.intervals import ComponentDecomposition
 
         def doubled(mask, decompose=ring.decompose_mask):
             found = decompose(mask)
-            return ComponentDecomposition(found.runs, 2) if mask == 0b1 else found
+            return ComponentDecomposition(found.runs, 2) if mask == 0b100 else found
 
         monkeypatch.setattr(ring, "decompose_mask", doubled)
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [1])
@@ -315,7 +316,7 @@ class TestStructureConstants:
         # J | K, and the rewrite's own tail must refuse the term
         wrap_run_step(monkeypatch, to_column_one)
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [4])
-        with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=1,3 for J=3, K=4"):
+        with pytest.raises(ConsistencyError, match=r"rewrite engine gave a term on L=1 for J=3, K=4, outside the L"):
             structure_constants_rewrite(J, K)
 
 

@@ -132,7 +132,7 @@ def test_faults_give_the_reference_lines(monkeypatch, name, seed):
     assert lines[0], "the planted fault went unseen"
 
 
-@pytest.mark.parametrize("seed", [2, 5, 6, 7])
+@pytest.mark.parametrize("seed", [2, 5, 7, 9])
 def test_fault_lines_keep_their_order_across_the_cut(monkeypatch, seed):
     # a planted fault whose lines fall on both sides of the cut of --jobs 2:
     # the two blocks' lines, joined, are the one block's and the reference's
