@@ -5,7 +5,7 @@ rewrite's checked rows, ``ring._varpi_product``."""
 from fractions import Fraction
 from itertools import chain
 
-from .intervals import Frozen, IndexSet, decompose_mask, m_factor
+from .intervals import Frozen, IndexSet, m_factor, mask_m_factor
 from .ring import _collect, _varpi_product
 
 __all__ = ["CohomologyClass", "unit", "zero", "monomial", "peterson_schubert_class", "add", "scale",
@@ -89,7 +89,7 @@ def multiply(c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
     c1._check_same_rank(c2)
     n = c1.n
     left, right = ({J.mask: r for J, r in to_varpi_basis(c).items()} for c in (c1, c2))
-    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: Fraction(r, decompose_mask(L).m_factor)
+    return CohomologyClass(n, {IndexSet.from_mask(n, L).members: Fraction(r, mask_m_factor(L))
                                for L, r in _varpi_product(n, left, right).items()})
 
 

@@ -14,14 +14,13 @@ ConsistencyError, such as engines that disagree or a failed `verify` check.  ``e
 """
 
 import argparse
-import functools
 import gc
 import os
 import sys
 
 from . import diagrams, listings, oracle, permutations, ring, table, verify
 from .errors import ConsistencyError, Row, constants
-from .intervals import IndexSet, decimal, decompose, factor_ranks, hessenberg_function
+from .intervals import IndexSet, decimal, decompose, factor_ranks, format_mask, hessenberg_function
 
 __all__ = ["cli", "main", "entry"]
 
@@ -107,11 +106,10 @@ def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
         return rows["diagram"]
     found = {name: dict(row) for name, row in rows.items()}
     first = min(L for d in found.values() for L in d if len({e.get(L, 0) for e in found.values()}) > 1)
-    subset = functools.partial(IndexSet.from_mask, n)
     raise ConsistencyError(
-        f"engines disagree for J={subset(J)}, K={subset(K)}, first at L={subset(first)}: "
+        f"engines disagree for J={format_mask(J)}, K={format_mask(K)}, first at L={format_mask(first)}: "
         + ", ".join(f"{e} d={d.get(first, 0)}" for e, d in found.items()) + "; "
-        + " ".join(f"{e}={ {subset(L).format(): c for L, c in row} }" for e, row in rows.items()))
+        + " ".join(f"{e}={ {format_mask(L): c for L, c in row} }" for e, row in rows.items()))
 
 
 @command("expand", RANK, SUBSET_J, SUBSET_K,
@@ -135,7 +133,7 @@ def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: 
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "J", "K", "method", "L", "coeff"])
-    writer.writerows([n, J.format(), K.format(), method, IndexSet.from_mask(n, L).format(), d] for L, d in row)
+    writer.writerows([n, J.format(), K.format(), method, format_mask(L), d] for L, d in row)
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
@@ -147,16 +145,14 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
         raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
     masks = sorted(L for L, _ in pairs)
     if repeated := [L for L, M in zip(masks, masks[1:]) if L == M]:
-        raise ConsistencyError(f"cache {path} has two rows for J={J.format()} K={K.format()} "
-                               f"L={IndexSet.from_mask(n, repeated[0]).format()}")
+        raise ConsistencyError(f"cache {path} has two rows for J={J} K={K} L={format_mask(repeated[0])}")
     # a table holds only nonzero constants, which the checked tail would drop
     if zero := [L for L, d in pairs if not d]:
-        raise ConsistencyError(f"cache {path} has a row with d = 0 for J={J.format()} K={K.format()} "
-                               f"L={IndexSet.from_mask(n, zero[0]).format()}")
+        raise ConsistencyError(f"cache {path} has a row with d = 0 for J={J} K={K} L={format_mask(zero[0])}")
     out = constants("cached", n, J.mask, K.mask, pairs, 1)
     # the product is nonzero exactly when |J| + |K| <= n - 1: such a pair without rows was left out by filters
     if not out and len(J) + len(K) <= n - 1:
-        raise Refused(f"cache {path} has no rows for J={J.format()} K={K.format()}, a nonzero product")
+        raise Refused(f"cache {path} has no rows for J={J} K={K}, a nonzero product")
     return out
 
 
@@ -190,8 +186,8 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
             fh.readline()  # the rest of the line that holds byte offset - 1
             if not (line := fh.readline()):
                 return []
-            if not (text := line.decode()).startswith(f"{n},"):
-                raise Refused(f"cache {path} is for rank {decimal(text.split(',', 1)[0])}, not {n}")
+            if (rank := decimal((text := line.decode()).split(",", 1)[0])) != n:
+                raise Refused(f"cache {path} is for rank {rank}, not {n}")
             try:
                 return next(csv.reader([text]))
             except csv.Error as exc:  # a bare "\r" in a cell, or a cell over the csv field limit

@@ -63,7 +63,7 @@ def diagram_row(n: int, J: int, K: int) -> Row:
     """The checked row of the masks J and K at rank n: the game sums through ``class_tail``, kept per class and
     m_factor(J) * m_factor(K).  A row that fails the tail is not kept: each pair raises in its own words."""
     sums, denom, rows = _game_sums(n, J | K, J & K)
-    m = intervals.decompose_mask(J).m_factor * intervals.decompose_mask(K).m_factor
+    m = intervals.mask_m_factor(J) * intervals.mask_m_factor(K)
     if (row := rows.get(m)) is None:
         row = rows[m] = class_tail("diagram", n, J, K, sums.items(), denom)
     return row

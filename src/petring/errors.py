@@ -4,7 +4,7 @@ engine's row ends in, and ``class_tail``, its one m-factor normalization."""
 from collections.abc import Callable, Collection, Iterable
 
 from . import intervals
-from .intervals import IndexSet
+from .intervals import IndexSet, format_mask
 
 __all__ = ["ConsistencyError", "PresentationError", "constants", "class_tail", "expansion"]
 
@@ -30,25 +30,22 @@ def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]
     union, degree = J | K, J.bit_count() + K.bit_count()
     row = sorted(row)
     if row and row[-1][0] >> (n - 1):  # the largest L has a member past n - 1
-        L = ",".join(str(k + 1) for k in range(row[-1][0].bit_length()) if row[-1][0] >> k & 1)
-        raise ConsistencyError(f"{engine} engine gave a term on L={L} for J={IndexSet.from_mask(n, J)}, "
-                               f"K={IndexSet.from_mask(n, K)}, outside {{1, ..., {n - 1}}}")
+        raise ConsistencyError(f"{engine} engine gave a term on L={format_mask(row[-1][0])} for J={format_mask(J)}, "
+                               f"K={format_mask(K)}, outside {{1, ..., {n - 1}}}")
     out, previous = [], -1
     for L, value in row:
         d, remainder = divmod(value, divisor)
         if L & union != union or L.bit_count() != degree:
-            raise ConsistencyError(f"{engine} engine gave a term on L={IndexSet.from_mask(n, L)} for "
-                                   f"J={IndexSet.from_mask(n, J)}, K={IndexSet.from_mask(n, K)}, "
-                                   "outside the L containing J | K with |L| = |J| + |K|")
+            raise ConsistencyError(f"{engine} engine gave a term on L={format_mask(L)} for J={format_mask(J)}, "
+                                   f"K={format_mask(K)}, outside the L containing J | K with |L| = |J| + |K|")
         if L == previous:
-            raise ConsistencyError(f"{engine} engine gave two terms on L={IndexSet.from_mask(n, L)} for "
-                                   f"J={IndexSet.from_mask(n, J)}, K={IndexSet.from_mask(n, K)}")
+            raise ConsistencyError(f"{engine} engine gave two terms on L={format_mask(L)} for J={format_mask(J)}, "
+                                   f"K={format_mask(K)}")
         previous = L
         if remainder or d < 0:
             shown = value if divisor == 1 else f"{value}/{divisor}"
-            raise ConsistencyError(f"{engine} engine gave d = {shown} for J={IndexSet.from_mask(n, J)}, "
-                                   f"K={IndexSet.from_mask(n, K)}, L={IndexSet.from_mask(n, L)}, "
-                                   "expected a non-negative integer")
+            raise ConsistencyError(f"{engine} engine gave d = {shown} for J={format_mask(J)}, K={format_mask(K)}, "
+                                   f"L={format_mask(L)}, expected a non-negative integer")
         if d:
             out.append((L, d))
     return tuple(out)
@@ -56,10 +53,9 @@ def constants(engine: str, n: int, J: int, K: int, row: Iterable[tuple[int, int]
 
 def class_tail(engine: str, n: int, J: int, K: int, row: Collection[tuple[int, int]], denom: int) -> Row:
     """``constants`` of the (L, v) pairs of x_J * x_K = sum of v / denom * x_L: d_JK^L = v * m_factor(L) / (denom
-    * m_factor(J) * m_factor(K)); () for an empty row.  A patched ``intervals.decompose_mask`` reaches it."""
-    m = intervals.decompose_mask
-    return constants(engine, n, J, K, [(L, v * m(L).m_factor) for L, v in row],
-                     denom * m(J).m_factor * m(K).m_factor) if row else ()
+    * m_factor(J) * m_factor(K)); () for an empty row.  A patched ``intervals.mask_m_factor`` reaches it."""
+    m = intervals.mask_m_factor
+    return constants(engine, n, J, K, [(L, v * m(L)) for L, v in row], denom * m(J) * m(K)) if row else ()
 
 
 def expansion(engine: Callable[[int, int, int], Row], J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:

@@ -1,6 +1,6 @@
-"""Subsets J of {1, ..., n-1} with their rank n, as ``IndexSet`` and as bit
-masks (bit i-1 for member i); their maximal runs and m-factors; and
-``run_step``, the one statement of the run rule.
+"""Subsets J of {1, ..., n-1} with their rank n, as ``IndexSet`` and as bit masks (bit i-1 for member i), and
+``format_mask``, their one text; their maximal runs and m-factors, the latter memoized as ints by ``mask_m_factor``
+alone; and ``run_step``, the one statement of the run rule.
 """
 
 import functools
@@ -8,8 +8,8 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-__all__ = ["MAX_RANK", "IndexSet", "ComponentDecomposition", "decompose", "decompose_mask",
-           "m_factor", "run_step", "hessenberg_function", "factor_ranks", "all_index_sets"]
+__all__ = ["MAX_RANK", "IndexSet", "ComponentDecomposition", "format_mask", "decompose", "decompose_mask",
+           "mask_m_factor", "m_factor", "run_step", "hessenberg_function", "factor_ranks", "all_index_sets"]
 
 # Exhaustive drivers are hopeless beyond this anyway; a fixed cap keeps the
 # bit-mask ordering well defined.
@@ -80,9 +80,8 @@ class IndexSet(Frozen):
         return cls(n, members)
 
     @classmethod
-    @functools.cache
     def from_mask(cls, n: int, mask: int) -> "IndexSet":
-        """Inverse of :attr:`mask`, memoized: equal subsets share one object."""
+        """Inverse of :attr:`mask`."""
         return cls(n, (i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
     @classmethod
@@ -105,7 +104,7 @@ class IndexSet(Frozen):
 
     def format(self) -> str:
         """Inverse of :meth:`parse`."""
-        return ",".join(map(str, self)) or "-"
+        return format_mask(self.mask)
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -149,10 +148,14 @@ class ComponentDecomposition(namedtuple("ComponentDecomposition", "runs m_factor
     __slots__ = ()
 
 
-@functools.cache
+def format_mask(mask: int) -> str:
+    """The text of the subset with bit mask ``mask`` that :meth:`IndexSet.parse` reads; also for a mask past rank n."""
+    return ",".join([str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]) or "-"
+
+
 def decompose_mask(mask: int) -> ComponentDecomposition:
-    """The runs and m-factor of the subset with bit mask ``mask``, memoized; by carry arithmetic,
-    not ``run_step``, so that linalg, which reads m-factors, never reaches the run rule."""
+    """The runs and m-factor of the subset with bit mask ``mask``; by carry arithmetic, not ``run_step``, so that
+    the checked tail of linalg's rows, which reads m-factors, never reaches the run rule."""
     runs: list[tuple[int, int]] = []
     m = 1
     while mask:
@@ -162,6 +165,12 @@ def decompose_mask(mask: int) -> ComponentDecomposition:
         m *= math.factorial(above.bit_length() - low.bit_length())
         mask &= mask + low
     return ComponentDecomposition(tuple(runs), m)
+
+
+@functools.cache
+def mask_m_factor(mask: int) -> int:
+    """The m-factor of the subset with bit mask ``mask``: the one m-factor memo, read by the engines and the tail."""
+    return decompose_mask(mask).m_factor
 
 
 def decompose(J: IndexSet) -> ComponentDecomposition:

@@ -3,9 +3,9 @@ degree-d relation matrix with its echelon pivots, ``_reduced_pivots``: the refer
 linalg engine's table to.  Like ``oracle``, it uses the relations alone, never the run rule."""
 
 import functools
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
 
 from . import oracle
 from .intervals import Frozen, IndexSet
@@ -58,13 +58,10 @@ def _columns(n: int, d: int) -> tuple[list[Exponents], dict[Exponents, int]]:
     return cols, {m: idx for idx, m in enumerate(cols)}
 
 
-class RelationMatrix(NamedTuple):
-    """Sparse relation rows over the degree-d monomial columns."""
+class RelationMatrix(namedtuple("RelationMatrix", "n degree columns rows")):
+    """Sparse relation rows, dicts {column: coefficient}, over the degree-d monomial columns, exponent tuples."""
 
-    n: int
-    degree: int
-    columns: tuple[Exponents, ...]
-    rows: tuple[dict[int, int], ...]
+    __slots__ = ()
 
 
 def relation_rows(n: int, d: int) -> RelationMatrix:

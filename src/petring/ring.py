@@ -13,7 +13,7 @@ import functools
 from collections.abc import Iterable, Iterator
 
 from .errors import ConsistencyError, Row, constants, expansion
-from .intervals import IndexSet, decompose_mask, run_step
+from .intervals import IndexSet, mask_m_factor, run_step
 
 __all__ = ["structure_constants_rewrite", "rewrite_rows", "rewrite_row"]
 
@@ -44,14 +44,14 @@ def _transition(n: int, i: int, S: int) -> tuple[tuple[int, int], ...]:
     """Generator i times the basis class on the subset with mask S at rank n, memoized: by the run rule,
     the (L, num * m_L / (den * m_S)) pairs with L = S plus a target.  ConsistencyError for a target
     below column 1 or a division that is not exact."""
-    m_S = decompose_mask(S).m_factor
+    m_S = mask_m_factor(S)
     _, _, den, targets = run_step(S, i, n)
     out = []
     for target, num in targets:
         if target < 1:  # column n is left to the checked tail, which names J and K
             raise ConsistencyError(f"run rule g_{i} from mask {S:b} at rank {n} moves to column {target}")
         L = S | 1 << (target - 1)
-        step, remainder = divmod(num * decompose_mask(L).m_factor, den * m_S)
+        step, remainder = divmod(num * mask_m_factor(L), den * m_S)
         if remainder:
             raise ConsistencyError(f"run rule g_{i} from mask {S:b} to {L:b} at rank {n} is not integral")
         out.append((L, step))
@@ -76,7 +76,7 @@ def rewrite_rows(n: int, J: int, ks: Iterable[int]) -> Iterator[tuple[int, Row]]
     for K in ks:
         if J.bit_count() + K.bit_count() < n:  # zero products, 40% of a table, skip the fold and the tail
             terms, rows = _fold(n, J | K, J & K)
-            if (row := rows.get(m := decompose_mask(J).m_factor * decompose_mask(K).m_factor)) is None:
+            if (row := rows.get(m := mask_m_factor(J) * mask_m_factor(K))) is None:
                 row = rows[m] = constants("rewrite", n, J, K, terms.items(), m)
             yield K, row
 

@@ -8,7 +8,7 @@ from collections.abc import Sequence
 
 from . import ring
 from .cli import MAX_TABLE_PAIRS, Refused
-from .intervals import IndexSet
+from .intervals import IndexSet, format_mask
 
 __all__ = ["run"]
 
@@ -51,7 +51,7 @@ def _write_table(fh, n: int, fmt: str, blocks) -> int:
     if fmt == "csv":
         fh.write("n,J,K,L,d\n")
         # a cell holds only digits, commas or "-", and csv quotes it exactly when it holds a comma
-        cell = functools.cache(lambda m: f'"{s}",' if "," in (s := IndexSet.from_mask(n, m).format()) else f"{s},")
+        cell = functools.cache(lambda m: f'"{s}",' if "," in (s := format_mask(m)) else f"{s},")
         count = 0
         for J, rows in blocks:
             lines, head_J = [], f"{n},{cell(J)}"

@@ -10,7 +10,7 @@ import sys
 
 from . import cli, diagrams, oracle, permutations, ring
 from .errors import ConsistencyError
-from .intervals import IndexSet, all_index_sets
+from .intervals import all_index_sets, format_mask
 
 __all__ = ["CHECKS", "run"]
 
@@ -50,7 +50,7 @@ def _verify_chunk(n: int, unions: range) -> list[str]:
                 found[km] = exc
     failed = sorted([(jm | km, jm, km) for jm, found in results.items() for km, row in found.items()
                      if isinstance(row, Exception) or results[km][jm] != row])
-    return [f"n={n} J={IndexSet.from_mask(n, jm)} K={IndexSet.from_mask(n, km)}: "
+    return [f"n={n} J={format_mask(jm)} K={format_mask(km)}: "
             f"{_named(row) if isinstance(row := results[jm][km], Exception) else 'expansion not symmetric'}"
             for _, jm, km in failed]
 

@@ -14,9 +14,10 @@ from petring import diagrams, intervals, oracle, ring
 
 GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]  # the golden example
 
-# the engines' memos, as (module, name), and the functions they memoize, taken before any test replaces one
+# the engines' memos and the m-factor memo, in each module that binds it, as (module, name), and the functions
+# they memoize, taken before any test replaces one
 MEMOS = ((ring, "_transition"), (ring, "_fold"), (oracle, "_own_row"), (oracle, "_eliminated"), (oracle, "_step"),
-         (oracle, "_normal_form"), (diagrams, "_game_sums"))
+         (oracle, "_normal_form"), (diagrams, "_game_sums"), (intervals, "mask_m_factor"), (ring, "mask_m_factor"))
 _CLEAN = {(module, name): getattr(module, name).__wrapped__ for module, name in MEMOS}
 
 

@@ -93,6 +93,18 @@ def test_a_command_loads_typing_and_json_only_where_it_needs_them(tables5, argv,
     assert (proc.returncode, proc.stderr.split()) == (0, added), proc.stderr
 
 
+def test_no_module_loads_typing():
+    # under -S, as above: every module, the class algebra and the relation reference too, which no command runs;
+    # reading its __all__ runs a module that the package registered unrun
+    modules = sorted(path.stem for path in Path(petring.cli.__file__).parent.glob("[!_]*.py"))
+    code = ("import importlib, sys; before = set(sys.modules); "
+            "[importlib.import_module(f'petring.{name}').__all__ for name in sys.argv[1:]]; "
+            "print(*sorted({'typing'} & set(sys.modules) - before))")
+    proc = python("-S", "-c", code, *modules, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+    assert "relations" in modules
+
+
 def test_a_query_compiles_only_the_code_it_runs():
     # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written: the
     # package, cli, errors, intervals and the three engines, and none of the bodies of `verify` and `table`,
@@ -106,7 +118,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1048
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1049
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -121,7 +133,22 @@ def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 641
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 642
+
+
+def test_table_and_the_sweep_build_no_index_set(capsys, monkeypatch):
+    # subsets stay bit masks past the command line: `table -n 7`, which parses no subset option, and a chunk of
+    # the sweep, which fails no pair, build no IndexSet; each table cell is the text of its mask
+    def refused(self, *args):
+        raise AssertionError("an IndexSet was built")
+
+    init = IndexSet.__init__
+    monkeypatch.setattr(IndexSet, "__init__", refused)
+    table = run(capsys, "table", "-n", "7")
+    assert petring.verify._verify_chunk(6, range(32)) == []
+    monkeypatch.setattr(IndexSet, "__init__", init)
+    assert table == run(capsys, "table", "-n", "7")
+    assert table[0] == 0 and len(table[1].splitlines()) > 1
 
 
 def test_a_submodule_read_on_the_package_is_registered_but_not_run():
@@ -1418,6 +1445,17 @@ class TestCachedLookup:
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
         assert (code, out) == (1, "")
         assert err == f"Error: cache {path} is for rank 4, not 5\n"
+
+    @pytest.mark.parametrize("cell", ["05", " 5"], ids=["zero", "space"])
+    def test_rank_cell_read_as_its_decimal(self, capsys, tmp_path, cell):
+        # a rank cell that reads as 5, as a d cell "05" or " 5" reads, is of rank 5: each line is served, and
+        # none is refused as of "rank 5, not 5"
+        path = tmp_path / "t5.csv"
+        assert run(capsys, "table", "-n", "5", "--out", str(path))[0] == 0
+        path.write_text(path.read_text().replace("\n5,", f"\n{cell},"))
+        for j, k in (("1", "2"), ("-", "-"), ("1,2,3,4", "-")):
+            cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
+            assert cached == rewrite != []
 
     @pytest.mark.parametrize("text", ['n,J,K,L,d\n\n5,1,2,"1,2",2\n', "n,J,K,L,d\n\n\n"], ids=["one", "only"])
     def test_blank_line_refused_as_malformed(self, capsys, tmp_path, text):

@@ -8,6 +8,7 @@ from petring.intervals import (
     all_index_sets,
     decompose,
     factor_ranks,
+    format_mask,
     hessenberg_function,
     m_factor,
     run_step,
@@ -46,6 +47,10 @@ class TestIndexSet:
         assert IndexSet.parse("1,3", 4).format() == "1,3"
         assert IndexSet.parse(" 1 , 3 ", 4) == IndexSet.parse("1,3", 4)  # spaces around a cell
         assert IndexSet(4).format() == "-"
+        for n in range(1, 9):  # the text of a mask, as the subset of each rank below 9 gives it
+            for mask in range(1 << (n - 1)):
+                assert format_mask(mask) == IndexSet.from_mask(n, mask).format()
+                assert IndexSet.parse(format_mask(mask), n).mask == mask
         with pytest.raises(ValueError):
             IndexSet.parse("3,1", 4)
         with pytest.raises(ValueError):

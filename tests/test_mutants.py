@@ -78,12 +78,12 @@ def _column_n(monkeypatch):
 
 
 def _m_changed(monkeypatch, change):
-    # each m-factor replaced by change(the clean decomposition), in every module that reads the m-factors:
+    # each m-factor replaced by change(the clean decomposition) in the one m-factor memo, wherever it is read:
     # intervals, which the checked tail and the game read at call time, and ring, which binds its own
     decompose = intervals.decompose_mask
-    changed = functools.cache(lambda mask: decompose(mask)._replace(m_factor=change(decompose(mask))))
+    changed = functools.cache(lambda mask: change(decompose(mask)))
     for module in (intervals, ring):
-        monkeypatch.setattr(module, "decompose_mask", changed)
+        monkeypatch.setattr(module, "mask_m_factor", changed)
 
 
 def _m_doubled_per_pair_run(monkeypatch):
@@ -99,8 +99,8 @@ def _m_times_runs_factorial(monkeypatch):
 def _class_divisor_without_m_K(monkeypatch):
     # the per-pair tail of the game and linalg applies m_factor(L) but divides by m_factor(J) alone
     def dropped(engine, n, J, K, row, denom):
-        m = intervals.decompose_mask
-        return errors.constants(engine, n, J, K, [(L, v * m(L).m_factor) for L, v in row], denom * m(J).m_factor)
+        m = intervals.mask_m_factor
+        return errors.constants(engine, n, J, K, [(L, v * m(L)) for L, v in row], denom * m(J))
 
     for module in (diagrams, oracle):
         monkeypatch.setattr(module, "class_tail", dropped)

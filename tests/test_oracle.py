@@ -272,14 +272,14 @@ class TestTable:
             assert "run_step" not in names, module
         # the checked tail, errors.class_tail, applies the m-factors: neither linalg
         # nor the diagram listings read one
-        assert not set().union(*named(oracle)) & {"decompose_mask", "m_factor"}
-        assert not set().union(*named(listings)) & {"decompose_mask", "m_factor"}
+        assert not set().union(*named(oracle)) & {"decompose_mask", "mask_m_factor", "m_factor"}
+        assert not set().union(*named(listings)) & {"decompose_mask", "mask_m_factor", "m_factor"}
 
         def refused(*args):
             raise AssertionError("linalg reached the run rule")
 
         monkeypatch.setattr(intervals, "run_step", refused)
-        intervals.decompose_mask.cache_clear()
+        intervals.mask_m_factor.cache_clear()
         for n in range(1, 7):
             # ring binds its own run_step, so the rewrite still gives the reference rows
             for J, K in itertools.product(range(1 << (n - 1)), repeat=2):

@@ -267,13 +267,11 @@ class TestStructureConstants:
         # never reads: its term 1 on L = {1,3} is not a multiple of the
         # divisor m_J * m_K, and the division must say so rather than round
         import petring.ring as ring
-        from petring.intervals import ComponentDecomposition
 
-        def doubled(mask, decompose=ring.decompose_mask):
-            found = decompose(mask)
-            return ComponentDecomposition(found.runs, 2) if mask == 0b100 else found
+        def doubled(mask, m_factor=ring.mask_m_factor):
+            return 2 if mask == 0b100 else m_factor(mask)
 
-        monkeypatch.setattr(ring, "decompose_mask", doubled)
+        monkeypatch.setattr(ring, "mask_m_factor", doubled)
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [1])
         with pytest.raises(ConsistencyError, match=r"d = 1/2 for J=3, K=1, L=1,3"):
             structure_constants_rewrite(J, K)
