@@ -1,9 +1,9 @@
 """The ``petring`` command line: one argparse parser, ``cli``, with the subcommands ``expand``, ``diagrams``,
 ``verify``, ``table`` and ``group`` in ``cli.commands``, each with its function's docstring as help.  Importing it
-runs ``errors`` and ``intervals``, and no ``typing``, ``csv``, ``json`` or ``fractions``.  Each command runs besides
-only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and none with
-``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring`` and
-``table``; ``verify`` the engines, ``permutations`` and ``verify``.  Only a JSON table, read or written, needs ``json``.
+runs ``errors`` and ``intervals``, and no ``typing``, ``csv`` or ``fractions``; no module imports ``json``.  Each
+command runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and none
+with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring`` and
+``table``; ``verify`` the engines, ``permutations`` and ``verify``.
 
 A command line is checked once, before any work: argparse checks the form of each option, ``main`` the rank and then
 each subset option, in the command's option order, and ``verify.run`` makes every ``verify`` refusal.
@@ -141,7 +141,7 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
     product, ConsistencyError for two rows on one L, a row with d = 0 or a row that fails the checked tail."""
     try:
         pairs = [(IndexSet.parse(L, n).mask, decimal(d)) for L, d in _read_table(path, n, J, K)]
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError included
         raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
     masks = sorted(L for L, _ in pairs)
     if repeated := [L for L, M in zip(masks, masks[1:]) if L == M]:
@@ -157,26 +157,15 @@ def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
 
 
 def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
-    """The (L, d) cells of the rows for (J, K) in a table file, read whole if JSON (named *.json or whose first
-    non-whitespace byte is "{"); Refused if a line read is of another rank.  A CSV table is bisected over byte
+    """The (L, d) cells of the rows for (J, K) in a CSV table file; Refused if its first line is not the header
+    n,J,K,L,d, as that of a JSON table is not, or if a line read is of another rank.  The table is bisected over byte
     offsets for the pair's first line, in the (J mask, K mask) order that `table` writes, so in a file out of that
     order it can find part of a pair's rows, or none: a documented limit, as only a scan to the end could see it."""
-    with open(path, "rb") as fh:  # past the whitespace that JSON allows before a value
-        first = next((c for c in iter(lambda: fh.read(1), b"") if c not in b" \t\n\r"), b"")
-        fh.seek(0)
-        if path.endswith(".json") or first == b"{":
-            import json
-            data = json.loads(fh.read().decode())
-            if type(data["n"]) is not int:  # "3", true or 3.0, which a rank compare would misread
-                raise TypeError(f"n is {json.dumps(data['n'])}, not an integer")
-            if data["n"] != n:
-                raise Refused(f"cache {path} is for rank {data['n']}, not {n}")
-            for r in data["rows"]:  # "12", ["1"], [true] or [1.0], which the join and the compare below would misread
-                if bad := [c for c in "JKL" if type(r[c]) is not list or any(type(i) is not int for i in r[c])]:
-                    raise TypeError(f"{bad[0]} is {json.dumps(r[bad[0]])}, not a list of integers")
-            key = [list(J.as_tuple()), list(K.as_tuple())]
-            # d as its text, as in a CSV table, so that decimal refuses 2.5 or true
-            return [[",".join(map(str, r["L"])) or "-", str(r["d"])] for r in data["rows"] if [r["J"], r["K"]] == key]
+    with open(path, "rb") as fh:
+        if not (header := fh.readline(16)):  # a bounded read, as a JSON table is one line
+            return []  # an empty file
+        if header.splitlines() != [b"n,J,K,L,d"]:
+            raise Refused(f"cache {path} is malformed: its first line is not the CSV header n,J,K,L,d")
         import bisect
         import csv
 
@@ -197,10 +186,8 @@ def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
             _, j, k, *_ = cells(offset) or (None, None, None)  # a ValueError on a line of fewer cells
             return j is None or (IndexSet.parse(j, n).mask, IndexSet.parse(k, n).mask) >= (J.mask, K.mask)
 
-        if not (start := len(fh.readline())):  # the rows start past the header
-            return []  # an empty file
         # the pair's first line is that of the least offset at or past it; its block runs to another pair or the end
-        row, rows = cells(bisect.bisect_left(range(os.fstat(fh.fileno()).st_size), True, start, key=at_or_past)), []
+        row, rows = cells(bisect.bisect_left(range(fh.seek(0, os.SEEK_END)), True, len(header), key=at_or_past)), []
         while row[1:3] == [J.format(), K.format()]:
             rows.append(row[3:])
             row = cells(fh.tell())

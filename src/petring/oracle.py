@@ -232,7 +232,6 @@ def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
     return expansion(linalg_row, J, K)
 
 
-@functools.lru_cache(maxsize=None)
 def _exponents(n: int, union: int, meet: int) -> Exponents:
     """The exponents of x_J * x_K for the masks J | K and J & K at rank n."""
     return tuple([(union >> k & 1) + (meet >> k & 1) for k in range(n - 1)])

@@ -8,7 +8,7 @@ from collections.abc import Sequence
 
 from . import ring
 from .cli import MAX_TABLE_PAIRS, Refused
-from .intervals import IndexSet, format_mask
+from .intervals import format_mask
 
 __all__ = ["run"]
 
@@ -46,28 +46,31 @@ def run(n: int, degree: int | None, js: Sequence[int], ks: Sequence[int], fmt: s
 
 
 def _write_table(fh, n: int, fmt: str, blocks) -> int:
-    """Write the (J, (K, row) pairs) blocks of a rank-n table to ``fh``, a line (J, K, L, d) per (L, d), and
-    return the number of lines.  A CSV block is written whole, also when one of its pairs raises."""
-    if fmt == "csv":
-        fh.write("n,J,K,L,d\n")
-        # a cell holds only digits, commas or "-", and csv quotes it exactly when it holds a comma
+    """Write the (J, (K, row) pairs) blocks of a rank-n table to ``fh`` and return its number of rows: the header,
+    then each J's rows in one write, also when one of its pairs raises, then the closing text.  A CSV row is a line
+    n,J,K,L,d; a JSON row is the text that json.dumps gives of {"J": [...], "K": [...], "L": [...], "d": "d"}, and
+    the rows are joined by ", " in {"n": n, "rows": [...]}."""
+    if fmt == "csv":  # a cell holds only digits, commas or "-", and csv quotes it exactly when it holds a comma
         cell = functools.cache(lambda m: f'"{s}",' if "," in (s := format_mask(m)) else f"{s},")
-        count = 0
-        for J, rows in blocks:
-            lines, head_J = [], f"{n},{cell(J)}"
-            try:
-                for K, row in rows:
-                    head = head_J + cell(K)
-                    for L, d in row:
-                        lines.append(f"{head}{cell(L)}{d}\n")
-            finally:
-                if lines:
-                    fh.write("".join(lines))
-            count += len(lines)
-        return count
-    import json
-    members = functools.cache(lambda m: IndexSet.from_mask(n, m).as_tuple())
-    json_rows = [{"J": members(J), "K": members(K), "L": members(L), "d": str(d)}
-                 for J, rows in blocks for K, row in rows for L, d in row]
-    fh.write(json.dumps({"n": n, "rows": json_rows}) + "\n")
-    return len(json_rows)
+        start, keys, sep, close = "n,J,K,L,d\n", (f"{n},", "", "", "", "\n"), "", ""
+    else:  # a list of ints prints as json.dumps prints it
+        cell = functools.cache(lambda m: f"{[i for i in range(1, n) if m >> (i - 1) & 1]}, ")
+        start, keys, sep, close = f'{{"n": {n}, "rows": [', ('{"J": ', '"K": ', '"L": ', '"d": "', '"}'), ", ", "]}\n"
+    on_J, on_K, on_L, on_d, end = keys  # a row is on_J J on_K K on_L L on_d d end, each subset as its cell
+    fh.write(start)
+    count, lead = 0, ""
+    for J, rows in blocks:
+        lines, head_J = [], f"{on_J}{cell(J)}{on_K}"
+        try:
+            for K, row in rows:
+                head = f"{head_J}{cell(K)}{on_L}"
+                for L, d in row:
+                    lines.append(f"{head}{cell(L)}{on_d}{d}{end}")
+        finally:
+            if lines:
+                fh.write(lead + sep.join(lines))
+                lead = sep
+        count += len(lines)
+    if close:
+        fh.write(close)
+    return count

@@ -4,6 +4,7 @@ on one CPU, the command line run in-process or in a fresh interpreter, and each
 fault that more than one test plants, written once."""
 
 import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -14,10 +15,12 @@ from petring import diagrams, intervals, oracle, ring
 
 GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]  # the golden example
 
-# the engines' memos and the m-factor memo, in each module that binds it, as (module, name), and the functions
-# they memoize, taken before any test replaces one
-MEMOS = ((ring, "_transition"), (ring, "_fold"), (oracle, "_own_row"), (oracle, "_eliminated"), (oracle, "_step"),
-         (oracle, "_normal_form"), (diagrams, "_game_sums"), (intervals, "mask_m_factor"), (ring, "mask_m_factor"))
+# every functools cache that a petring module binds, as (module, name), found rather than listed: each memo where it
+# is defined, and each binding of one by name in another module, as ring's of mask_m_factor; and the functions they
+# memoize, taken before any test replaces one
+MEMOS = tuple((module, name) for path in sorted(Path(petring.cli.__file__).parent.glob("[!_]*.py"))
+              for module in [importlib.import_module(f"petring.{path.stem}")]
+              for name, value in vars(module).items() if hasattr(value, "cache_info"))
 _CLEAN = {(module, name): getattr(module, name).__wrapped__ for module, name in MEMOS}
 
 

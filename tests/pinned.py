@@ -10,8 +10,7 @@ joined by ` ; ` are hashed as one, and `> NAME` keeps the output as NAME in the 
 in file order.  Tags: cheap, run in-process by test_digests.py; help, run at COLUMNS=80 on Python 3.11 alone, whose
 argparse layout it pins; and variants, each one more run: jobs2 adds `--jobs 2` and runs the script's
 `petring.cli.entry` with `os.cpu_count` patched to 2, so that it runs on one CPU too; taskset adds `--jobs 2` under
-`taskset -c 0`; out hashes the `--out` file; traced runs under benchmarks/tracer.py; padded reads the `--cached`
-table, the last argument, after a blank line and under its name without the suffix.
+`taskset -c 0`; out hashes the `--out` file; traced runs under benchmarks/tracer.py.
 """
 
 import hashlib
@@ -26,7 +25,7 @@ from pathlib import Path
 MANIFEST = Path(__file__).with_name("pinned.txt")
 TRACER = Path(__file__).parents[1] / "benchmarks" / "tracer.py"
 PETRING = [sys.executable, "-m", "petring"]
-VARIANTS = ("jobs2", "taskset", "out", "traced", "padded")
+VARIANTS = ("jobs2", "taskset", "out", "traced")
 JOBS2 = "import os; os.cpu_count = lambda: 2; from petring.cli import entry; entry()"
 
 Line = namedtuple("Line", "where digest tags commands keep")  # where: FILE:NUMBER; keep: a name, or "" for none
@@ -53,9 +52,6 @@ def check(line: Line, variant: str, work: Path) -> str:
         env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
     try:
         for args in line.commands:
-            if variant == "padded":
-                (work / Path(args[-1]).stem).write_bytes(b"\n" + (work / args[-1]).read_bytes())
-                args = [*args[:-1], Path(args[-1]).stem]
             args = [*args, *{"jobs2": ["--jobs", "2"], "taskset": ["--jobs", "2"],
                              "out": ["--out", "out"]}.get(variant, [])]
             start = {"jobs2": [sys.executable, "-c", JOBS2], "taskset": ["taskset", "-c", "0", *PETRING],

@@ -39,22 +39,20 @@ def test_fresh_import_loads_no_unneeded_module(module, unneeded):
 
 @pytest.fixture(scope="module")
 def tables5(tmp_path_factory):
-    """The n = 5 table as CSV and as JSON, by format."""
-    paths = {fmt: tmp_path_factory.mktemp("tables") / f"table5.{fmt}" for fmt in ("csv", "json")}
-    for fmt, path in paths.items():
-        assert main(["table", "-n", "5", "--format", fmt, "--out", str(path)]) == 0
-    return paths
+    """The n = 5 CSV table, which `expand --cached` reads, keyed by its format for the argv templates."""
+    path = tmp_path_factory.mktemp("tables") / "table5.csv"
+    assert main(["table", "-n", "5", "--out", str(path)]) == 0
+    return {"csv": path}
 
 
 @pytest.mark.parametrize("argv, ran", [
     ([], []),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], []),
-    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{json}"], []),
     (["table", "-n", "5"], ["ring", "table"]),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--method", "all"], ["diagrams", "oracle", "ring"]),
     (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], ["diagrams", "listings"]),
     (["verify", "--n-max", "3"], ["diagrams", "oracle", "permutations", "ring", "verify"]),
-], ids=["import", "cached-csv", "cached-json", "table", "expand-all", "diagrams", "verify"])
+], ids=["import", "cached-csv", "table", "expand-all", "diagrams", "verify"])
 def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
     # in a fresh interpreter, after `import petring.cli` and the command: every module that cli calls is
     # in sys.modules and bound on the package, as an import binds it, and is a plain module once run;
@@ -72,34 +70,34 @@ def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
     assert (proc.returncode, proc.stderr.split()) == (0, ran), proc.stderr
 
 
-@pytest.mark.parametrize("argv, added", [
-    (GOLDEN, []),
-    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], []),
-    (["table", "-n", "4"], []),
-    (["group", "-n", "5", "-J", "1,2"], []),
-    (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], []),
-    (["verify", "--n-max", "2"], []),
-    (["table", "-n", "4", "--format", "json"], ["json"]),
-    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{json}"], ["json"]),
-], ids=["expand", "cached-csv", "table", "group", "diagrams", "verify", "table-json", "cached-json"])
-def test_a_command_loads_typing_and_json_only_where_it_needs_them(tables5, argv, added):
+@pytest.mark.parametrize("argv", [
+    GOLDEN,
+    ["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"],
+    ["table", "-n", "4"],
+    ["group", "-n", "5", "-J", "1,2"],
+    ["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"],
+    ["verify", "--n-max", "2"],
+    ["table", "-n", "4", "--format", "json"],
+], ids=["expand", "cached-csv", "table", "group", "diagrams", "verify", "table-json"])
+def test_a_command_loads_typing_and_json_only_where_it_needs_them(tables5, argv):
     # under -S, as a .pth file in site-packages may import typing at start-up (certifi's does), which would hide
-    # it from test_fresh_import_loads_no_unneeded_module: which of the two the command adds to `import argparse`
+    # it from test_fresh_import_loads_no_unneeded_module: which of the two the command adds to `import argparse`;
+    # none, as the JSON record and the JSON table are written as the text of json.dumps, and only CSV tables are read
     argv = [arg.format(**tables5) for arg in argv]
     code = ("import sys, argparse; before = set(sys.modules); from petring.cli import main; "
             "code = main(sys.argv[1:]); "
             "print(*sorted({'typing', 'json'} & set(sys.modules) - before), file=sys.stderr); sys.exit(code)")
     proc = python("-S", "-c", code, *argv, timeout=60)
-    assert (proc.returncode, proc.stderr.split()) == (0, added), proc.stderr
+    assert (proc.returncode, proc.stderr.split()) == (0, []), proc.stderr
 
 
 def test_no_module_loads_typing():
-    # under -S, as above: every module, the class algebra and the relation reference too, which no command runs;
-    # reading its __all__ runs a module that the package registered unrun
+    # under -S, as above: every module, the class algebra and the relation reference too, which no command runs,
+    # loads neither typing nor json; reading its __all__ runs a module that the package registered unrun
     modules = sorted(path.stem for path in Path(petring.cli.__file__).parent.glob("[!_]*.py"))
     code = ("import importlib, sys; before = set(sys.modules); "
             "[importlib.import_module(f'petring.{name}').__all__ for name in sys.argv[1:]]; "
-            "print(*sorted({'typing'} & set(sys.modules) - before))")
+            "print(*sorted({'typing', 'json'} & set(sys.modules) - before))")
     proc = python("-S", "-c", code, *modules, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
     assert "relations" in modules
@@ -118,7 +116,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1049
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1035
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -133,7 +131,7 @@ def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 642
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 629
 
 
 def test_table_and_the_sweep_build_no_index_set(capsys, monkeypatch):
@@ -423,8 +421,8 @@ class TestExpansionRecord:
             assert run(capsys, *argv) == (0, _dumped_record(n, J, K, method), ""), argv
 
     def test_cached_record_is_the_text_of_json_dumps(self, capsys, tables5):
-        for J, K, path in itertools.product(all_index_sets(5), all_index_sets(5), tables5.values()):
-            argv = ["expand", "-n", "5", "-J", J.format(), "-K", K.format(), "--cached", str(path)]
+        for J, K in itertools.product(all_index_sets(5), all_index_sets(5)):
+            argv = ["expand", "-n", "5", "-J", J.format(), "-K", K.format(), "--cached", str(tables5["csv"])]
             assert run(capsys, *argv) == (0, _dumped_record(5, J, K, "cached"), ""), argv
 
 
@@ -1245,12 +1243,15 @@ class TestTableAgreesWithSinglePairs:
         for J, ks in calls:
             assert list(kernel(n, J, ks)) == [(K, rewrite_row(n, J, K)) for K in ks if rewrite_row(n, J, K)]
 
-    # every J has rows; the 16 J with |J| <= 2; none, as |J| + |K| = 6 > n - 1
-    @pytest.mark.parametrize("argv, with_rows", [([], 32), (["--K", "1,2,3"], 16), (["--degree", "6"], 0)])
+    # every J has rows; the 16 J with |J| <= 2; none, as |J| + |K| = 6 > n - 1; each as CSV, then as JSON
+    @pytest.mark.parametrize("argv, with_rows", [([], 32), (["--K", "1,2,3"], 16), (["--degree", "6"], 0),
+                                                 (["--format", "json"], 32),
+                                                 (["--format", "json", "--K", "1,2,3"], 16),
+                                                 (["--format", "json", "--degree", "6"], 0)])
     def test_one_write_per_J_block(self, capsys, monkeypatch, tmp_path, argv, with_rows):
-        # a CSV --out file is written once for the header and once per J that
-        # has rows, each write holding that J's lines whole, counted through
-        # a wrapped file
+        # an --out file is written once for the header, once per J that has
+        # rows, each write holding that J's rows whole, and for JSON once for
+        # the closing text, with no empty write, counted through a wrapped file
         files = []
 
         class Counted:
@@ -1269,12 +1270,19 @@ class TestTableAgreesWithSinglePairs:
                 self.fh.close()
 
         monkeypatch.setattr(petring.table, "open", Counted, raising=False)
-        path = tmp_path / "table6.csv"
+        path = tmp_path / "table6.out"
         assert run(capsys, "table", "-n", "6", *argv, "--out", str(path))[0] == 0
         [counted] = files
-        header, *blocks = counted.writes
-        assert header == "n,J,K,L,d\n" and "".join(counted.writes) == path.read_text()
-        js = [{row[1] for row in csv.reader(io.StringIO(block))} for block in blocks]
+        assert "".join(counted.writes) == path.read_text() and "" not in counted.writes
+        if "json" in argv:  # a block after the first starts with the ", " that joins it to the one before
+            header, *blocks, close = counted.writes
+            assert (header, close) == ('{"n": 6, "rows": [', "]}\n")
+            assert [block.startswith(", ") for block in blocks] == [i > 0 for i in range(len(blocks))]
+            js = [{str(row["J"]) for row in json.loads(f"[{block.removeprefix(', ')}]")} for block in blocks]
+        else:
+            header, *blocks = counted.writes
+            assert header == "n,J,K,L,d\n"
+            js = [{row[1] for row in csv.reader(io.StringIO(block))} for block in blocks]
         assert all(len(j) == 1 for j in js)
         assert len(blocks) == len(set.union(set(), *js)) == with_rows
 
@@ -1345,6 +1353,12 @@ def _cached_and_rewrite(capsys, path, n, j, k):
     return cached["terms"], json.loads(out)["terms"]
 
 
+def _not_csv(path):
+    """What `expand --cached` gives for a table file whose first line is not the CSV header, as that of a JSON
+    table is not: exit 1, no stdout and one stderr line."""
+    return 1, "", f"Error: cache {path} is malformed: its first line is not the CSV header n,J,K,L,d\n"
+
+
 def _counting_open(counter):
     """An ``open`` that counts in counter[0] the lines decoded from its files:
     each line read from a text file, each ``decode`` of a line read from a
@@ -1377,8 +1391,8 @@ def _counting_open(counter):
                 raise StopIteration
             return line
 
-        def readline(self):
-            line = self.fh.readline()
+        def readline(self, *size):
+            line = self.fh.readline(*size)
             if isinstance(line, bytes):
                 return Line(line)
             counter[0] += bool(line)
@@ -1440,11 +1454,11 @@ class TestCachedLookup:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refuses_table_of_other_rank(self, capsys, tmp_path, fmt):
+        # a JSON table is refused at its first line, before any rank is read
         path = tmp_path / f"t4.{fmt}"
         assert run(capsys, "table", "-n", "4", "--format", fmt, "--out", str(path))[0] == 0
-        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"Error: cache {path} is for rank 4, not 5\n"
+        refused = (1, "", f"Error: cache {path} is for rank 4, not 5\n") if fmt == "csv" else _not_csv(path)
+        assert run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path)) == refused
 
     @pytest.mark.parametrize("cell", ["05", " 5"], ids=["zero", "space"])
     def test_rank_cell_read_as_its_decimal(self, capsys, tmp_path, cell):
@@ -1467,45 +1481,67 @@ class TestCachedLookup:
         assert (code, out) == (1, "")
         assert err == f"Error: cache {path} is malformed: ValueError: invalid decimal numeral '\\n'\n"
 
-    @pytest.mark.parametrize("rank, shown", [("5", '"5"'), (True, "true"), (5.0, "5.0")],
-                             ids=["string", "bool", "float"])
-    def test_json_rank_that_is_not_an_integer_refused(self, capsys, tmp_path, rank, shown):
-        # refused before the ranks are compared, which would call "5" another rank and take 5.0 for 5
+    @pytest.mark.parametrize("rank", ["5", True, 5.0], ids=["string", "bool", "float"])
+    def test_json_rank_that_is_not_an_integer_refused(self, capsys, tmp_path, rank):
+        # refused at its first line, as every JSON table is, so no rank is read or compared
         path = tmp_path / "t5.json"
         assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
         data = json.loads(path.read_text())
         data["n"] = rank
         path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"Error: cache {path} is malformed: TypeError: n is {shown}, not an integer\n"
+        assert run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path)) == _not_csv(path)
 
-    def test_json_table(self, capsys, tmp_path):
-        path = tmp_path / "t5.json"
-        assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
+    def test_json_table(self, capsys, monkeypatch, tmp_path):
+        # refused at its first line, of which no more than 16 bytes are read: a JSON table is one line, which
+        # is not read whole; the file is opened unbuffered, so that each byte read is one that the lookup asked for
+        path = tmp_path / "t9.json"
+        assert run(capsys, "table", "-n", "9", "--format", "json", "--out", str(path))[0] == 0
+        read = []
+
+        class Counted(io.FileIO):
+            def read(self, size=-1):
+                read.append(data := super().read(size))
+                return data
+
+        monkeypatch.setattr(petring.cli, "open", lambda path, mode: Counted(path, mode.rstrip("b")), raising=False)
         for j, k in [("-", "-"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
-            cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
-            assert cached == rewrite != []
+            read.clear()
+            assert run(capsys, "expand", "-n", "9", "-J", j, "-K", k, "--cached", str(path)) == _not_csv(path)
+            assert 0 < sum(map(len, read)) <= 16 < path.stat().st_size
 
     @pytest.mark.parametrize("name", ["t5.csv", "t5"])
     def test_json_table_under_another_name(self, capsys, tmp_path, name):
-        # a table whose first byte is "{" is read as JSON whatever its name
+        # a JSON table is refused at its first line whatever its name
         path = tmp_path / name
         assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
         for j, k in [("-", "-"), ("1", "1"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
-            cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
-            assert cached == rewrite != []
+            assert run(capsys, "expand", "-n", "5", "-J", j, "-K", k, "--cached", str(path)) == _not_csv(path)
 
     @pytest.mark.parametrize("lead", ["\n", "  \n\t"], ids=["newline", "mixed"])
     @pytest.mark.parametrize("name", ["t5.csv", "t5"])
     def test_json_table_after_whitespace(self, capsys, tmp_path, name, lead):
-        # the sniff skips the whitespace that JSON allows before "{"
+        # a first line that is blank or whitespace is not the CSV header either
         path = tmp_path / name
         assert run(capsys, "table", "-n", "5", "--format", "json", "--out", str(path))[0] == 0
         path.write_text(lead + path.read_text())
-        for j, k in [("-", "-"), ("1", "1"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
-            cached, rewrite = _cached_and_rewrite(capsys, path, 5, j, k)
-            assert cached == rewrite != []
+        assert run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path)) == _not_csv(path)
+
+    def test_crlf_table_answers_as_the_lf_table(self, capsys, table5, tmp_path):
+        # a copy of the table with CRLF line ends, as a Windows tool would save it, gives every pair the same answer
+        path = tmp_path / "table5-crlf.csv"
+        path.write_bytes(table5.read_bytes().replace(b"\n", b"\r\n"))
+        for J, K in itertools.product(all_index_sets(5), all_index_sets(5)):
+            argv = ["expand", "-n", "5", "-J", J.format(), "-K", K.format(), "--cached"]
+            assert run(capsys, *argv, str(path)) == run(capsys, *argv, str(table5)), (J, K)
+
+    @pytest.mark.parametrize("header", [b'"n","J","K","L","d"\n', b"n,J,K,L,d \n", b"\xef\xbb\xbfn,J,K,L,d\n"],
+                             ids=["quoted", "trailing-space", "utf8-bom"])
+    def test_header_is_its_bytes(self, capsys, table5, tmp_path, header):
+        # the header is matched as its bytes, not as its cells: a header whose cells csv reads as n,J,K,L,d, or
+        # one led by a byte-order mark, is refused as any other first line is
+        path = tmp_path / "t5.csv"
+        path.write_bytes(header + table5.read_bytes().split(b"\n", 1)[1])
+        assert run(capsys, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(path)) == _not_csv(path)
 
     @pytest.mark.parametrize("header", [False, True], ids=["empty", "header-only"])
     def test_table_without_rows(self, capsys, tmp_path, header):
@@ -1576,7 +1612,8 @@ def _edited_table(capsys, tmp_path, fmt, L, d):
 
 class TestCachedRowsChecked:
     """A cached row goes through the checked tail of the engines, and a table
-    that does not parse is refused with one line naming it."""
+    that does not parse is refused with one line naming it.  A JSON table,
+    edited or not, is refused at its first line, before any row is read."""
 
     @pytest.mark.parametrize("out_fmt", ["json", "csv"])
     @pytest.mark.parametrize("table_fmt", ["csv", "json"])
@@ -1588,6 +1625,9 @@ class TestCachedRowsChecked:
         path = _edited_table(capsys, tmp_path, table_fmt, L, d)
         code, out, err = run(capsys, "expand", "-n", "4", "-J", "1", "-K", "2", "--cached", str(path),
                              "--format", out_fmt)
+        if table_fmt == "json":
+            assert (code, out, err) == _not_csv(path)
+            return
         assert code == 2
         assert out == ""
         assert err.startswith(f"consistency failure: {message}") and err.count("\n") == 1
@@ -1607,6 +1647,9 @@ class TestCachedRowsChecked:
             assert text.count('4,2,2,"1,2",1\n') == 1
             path.write_text(text.replace('4,2,2,"1,2",1\n', '4,2,2,"1,2",1\n' * 2))
         code, out, err = run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2", "--cached", str(path))
+        if table_fmt == "json":
+            assert (code, out, err) == _not_csv(path)
+            return
         assert code == 2
         assert out == ""
         assert err == f"consistency failure: cache {path} has two rows for J=2 K=2 L=1,2\n"
@@ -1629,6 +1672,9 @@ class TestCachedRowsChecked:
             path.write_text(text.replace('4,2,2,"2,3",1\n', f'4,2,2,"2,3",{d}\n'))
         code, out, err = run(capsys, "expand", "-n", "4", "-J", "2", "-K", "2", "--cached", str(path),
                              "--format", out_fmt)
+        if table_fmt == "json":
+            assert (code, out, err) == _not_csv(path)
+            return
         assert (code, out) == (2, "")
         assert err == f"consistency failure: cache {path} has a row with d = 0 for J=2 K=2 L=2,3\n"
 
@@ -1659,6 +1705,7 @@ class TestCachedRowsChecked:
         assert out == ""
         assert err.startswith(f"Error: cache {path} is malformed: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert table_fmt == "csv" or err == _not_csv(path)[2]  # refused at its first line
 
     @pytest.mark.parametrize("line, error", [
         (b"4,x,-,-,1\n", "ValueError: cannot parse subset 'x'"),
@@ -1781,9 +1828,10 @@ class TestExitContract:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.endswith("\n") and proc.stdout.splitlines()[-1].endswith(last)
 
-    def test_exit_2_keeps_the_rows_written_before_the_failure(self):
+    def test_exit_2_keeps_the_rows_written_before_the_failure(self, tmp_path):
         # `table -n 4` to a block-buffered stdout, with the kernel raising at J = {1,2}: the blocks of
-        # J = -, 1 and 2 are written before the consistency failure, and the script flushes them
+        # J = -, 1 and 2 are written before the consistency failure, and the script flushes them, as CSV and
+        # as JSON, whose text then stops before the ", " that would join the next block; --out leaves no file
         planted = ("from petring import ring\n"
                    "from petring.cli import entry\n"
                    "from petring.errors import ConsistencyError\n"
@@ -1794,11 +1842,16 @@ class TestExitContract:
                    "    return kernel(n, J, ks)\n"
                    "ring.rewrite_rows = rows\n"
                    "entry()")
-        proc = subprocess.run([sys.executable, "-c", planted, "table", "-n", "4"], env=self._buffered(),
-                              capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (2, "consistency failure: planted\n")
-        whole = python("-m", "petring", "table", "-n", "4").stdout
-        assert proc.stdout == whole[:whole.index('4,"1,2",')] and proc.stdout.count("\n") > 10
+        for fmt, next_block, row in (("csv", '4,"1,2",', "\n"), ("json", ', {"J": [1, 2], ', '"d": ')):
+            argv = [sys.executable, "-c", planted, "table", "-n", "4", "--format", fmt]
+            proc = subprocess.run(argv, env=self._buffered(), capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (2, "consistency failure: planted\n")
+            whole = python("-m", "petring", "table", "-n", "4", "--format", fmt).stdout
+            assert proc.stdout == whole[:whole.index(next_block)] and proc.stdout.count(row) > 10, fmt
+            proc = subprocess.run([*argv, "--out", str(tmp_path / "t4")], env=self._buffered(), capture_output=True,
+                                  text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "consistency failure: planted\n")
+            assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def _buffered():

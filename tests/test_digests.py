@@ -71,13 +71,16 @@ def test_runner_names_a_line_whose_digest_is_wrong(capsys, monkeypatch, tmp_path
 
 
 def test_runner_names_a_run_that_raises(capsys, monkeypatch, tmp_path):
-    # the plain run fails, so the padded run finds no table to pad; neither stops the runner
+    # the first line's run exits 1 with an error, and the second's out run, whose --help exits before --out is
+    # read, writes no file for the runner to read; neither stops the runner
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))  # for the runner's subprocesses
-    (tmp_path / "one.txt").write_text(f"{'0' * 64} padded : expand -n 3 -J 1 -K 1 --cached absent.json\n")
+    (tmp_path / "one.txt").write_text(f"{'0' * 64} : expand -n 3 -J 1 -K 1 --cached absent.csv\n"
+                                      f"{'0' * 64} out : table --help\n")
     assert pinned.main(tmp_path / "one.txt") == 1
-    plain, padded = capsys.readouterr().out.splitlines()
-    assert plain.startswith("one.txt:1 plain: FAIL, exit code 1, stderr \"error: argument --cached: ")
-    assert padded.startswith("one.txt:1 padded: FAIL, FileNotFoundError: ")
+    exits, plain, out = capsys.readouterr().out.splitlines()
+    assert exits.startswith("one.txt:1 plain: FAIL, exit code 1, stderr \"error: argument --cached: ")
+    assert plain.startswith("one.txt:2 plain: FAIL, digest ")
+    assert out.startswith("one.txt:2 out: FAIL, FileNotFoundError: ")
 
 
 def test_manifest_line_that_does_not_parse_is_named(tmp_path):
@@ -92,5 +95,5 @@ def test_manifest_is_the_one_list_of_digests():
     assert [name for name, digests in found.items() if digests] == [pinned.MANIFEST.name]
     assert sorted(found[pinned.MANIFEST.name]) == sorted({line.digest for line in LINES})  # each on one line
     assert {tag for line in LINES for tag in line.tags} <= {"cheap", "help", *pinned.VARIANTS}
-    assert sum(1 + len(set(pinned.VARIANTS) & set(line.tags)) for line in LINES) == 40  # CI's runs, 41 before
-    assert len(CHEAP) + sum("jobs2" in line.tags for line in CHEAP) == 25  # and tier-1's, as before
+    assert sum(1 + len(set(pinned.VARIANTS) & set(line.tags)) for line in LINES) == 38  # CI's runs, 40 before
+    assert len(CHEAP) + sum("jobs2" in line.tags for line in CHEAP) == 24  # and tier-1's, 25 before

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from helpers import GOLDEN, MEMOS, plant, run, to_column_n, wrap_run_step
-from petring import algebra, diagrams, errors, intervals, oracle, permutations, ring
+from petring import algebra, diagrams, errors, intervals, oracle, permutations, relations, ring
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 
@@ -78,12 +78,13 @@ def _column_n(monkeypatch):
 
 
 def _m_changed(monkeypatch, change):
-    # each m-factor replaced by change(the clean decomposition) in the one m-factor memo, wherever it is read:
-    # intervals, which the checked tail and the game read at call time, and ring, which binds its own
+    # each m-factor replaced by change(the clean decomposition) in the one m-factor memo, wherever it is bound:
+    # intervals, which the checked tail and the game read at call time, and each module that binds its own, as ring
     decompose = intervals.decompose_mask
     changed = functools.cache(lambda mask: change(decompose(mask)))
-    for module in (intervals, ring):
-        monkeypatch.setattr(module, "mask_m_factor", changed)
+    for module, name in MEMOS:
+        if name == "mask_m_factor":
+            monkeypatch.setattr(module, name, changed)
 
 
 def _m_doubled_per_pair_run(monkeypatch):
@@ -235,9 +236,12 @@ def test_multiply_ends_in_the_checked_tail(monkeypatch):
 
 @pytest.mark.parametrize("case", ["first", "second"])
 def test_every_test_starts_with_empty_memos(capsys, case):
-    # each case finds the four engine memos empty and leaves them filled, so
-    # the case that runs second fails unless every test starts on empty memos
-    memos = [getattr(module, name) for module, name in MEMOS]
-    assert [memo.cache_info().currsize for memo in memos] == [0] * len(MEMOS)
+    # each case finds every memo that MEMOS found empty and leaves each one filled: the golden example fills the
+    # engines', a product the class algebra's m-factor binding and a call the relation reference's, so the case that
+    # runs second fails unless every test starts on empty memos; a memo that none of these reaches is named
+    memos = {(module.__name__, name): getattr(module, name) for module, name in MEMOS}
+    assert {key: memo.cache_info().currsize for key, memo in memos.items()} == dict.fromkeys(memos, 0)
     assert run(capsys, *GOLDEN)[0] == 0
-    assert all(memo.cache_info().currsize for memo in memos)
+    algebra.multiply(algebra.monomial(IndexSet.of(4, [2])), algebra.monomial(IndexSet.of(4, [2])))
+    relations._reduced_pivots(4, 2)
+    assert [key for key, memo in memos.items() if not memo.cache_info().currsize] == []
