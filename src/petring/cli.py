@@ -1,9 +1,9 @@
 """The ``petring`` command line: one argparse parser, ``cli``, with the subcommands ``expand``, ``diagrams``,
 ``verify``, ``table`` and ``group`` in ``cli.commands``, each with its function's docstring as help.  Importing it
 runs ``errors`` and ``intervals``, and no ``typing``, ``csv`` or ``fractions``; no module imports ``json``.  Each
-command runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and none
-with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring`` and
-``table``; ``verify`` the engines, ``permutations`` and ``verify``.
+command runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and
+``ring`` alone with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table``
+``ring`` and ``table``; ``verify`` the engines, ``permutations`` and ``verify``.
 
 A command line is checked once, before any work: argparse checks the form of each option, ``main`` the rank and then
 each subset option, in the command's option order, and ``verify.run`` makes every ``verify`` refusal.
@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import diagrams, listings, oracle, permutations, ring, table, verify
-from .errors import ConsistencyError, Row, constants
+from .errors import ConsistencyError, Row
 from .intervals import IndexSet, decimal, decompose, factor_ranks, format_mask, hessenberg_function
 
 __all__ = ["cli", "main", "entry"]
@@ -97,19 +97,24 @@ SUBSET_K = option("-K", dest="K", default="-", metavar="SUBSET", help="Second su
 
 
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
-    """The checked row of one engine, or of all three if they agree exactly; else ConsistencyError naming
-    the first L at which the rows differ and every engine's row, in ENGINES order."""
+    """The checked row of one engine, or of all three if they agree exactly, else ``_check_rows_agree``'s error."""
     if method != "all":
         return getattr(*ENGINES[method])(n, J, K)
     rows = {name: getattr(module, attr)(n, J, K) for name, (module, attr) in ENGINES.items()}
-    if len(set(rows.values())) == 1:
-        return rows["diagram"]
-    found = {name: dict(row) for name, row in rows.items()}
-    first = min(L for d in found.values() for L in d if len({e.get(L, 0) for e in found.values()}) > 1)
-    raise ConsistencyError(
-        f"engines disagree for J={format_mask(J)}, K={format_mask(K)}, first at L={format_mask(first)}: "
-        + ", ".join(f"{e} d={d.get(first, 0)}" for e, d in found.items()) + "; "
-        + " ".join(f"{e}={ {format_mask(L): c for L, c in row} }" for e, row in rows.items()))
+    if len(set(rows.values())) > 1:
+        _check_rows_agree("engines disagree", J, K, {name: dict(row) for name, row in rows.items()})
+    return rows["diagram"]
+
+
+def _check_rows_agree(what: str, J: int, K: int, rows: dict[str, dict[int, int]]) -> None:
+    """ConsistencyError unless the {L mask: d} rows for the masks J and K are equal, in one line: ``what``, the
+    first L at which they differ, each row's d there, or "no term" where it has none, and each row whole."""
+    if differ := [L for d in rows.values() for L in d if len({e.get(L) for e in rows.values()}) > 1]:
+        first = min(differ)
+        raise ConsistencyError(
+            f"{what} for J={format_mask(J)}, K={format_mask(K)}, first at L={format_mask(first)}: "
+            + ", ".join(f"{e} d={d[first]}" if first in d else f"{e} no term" for e, d in rows.items()) + "; "
+            + " ".join(f"{e}={ {format_mask(L): c for L, c in d.items()} }" for e, d in rows.items()))
 
 
 @command("expand", RANK, SUBSET_J, SUBSET_K,
@@ -137,30 +142,25 @@ def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: 
 
 
 def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
-    """The checked row of (J, K) in a table file: Refused if the file does not parse or has no rows for a nonzero
-    product, ConsistencyError for two rows on one L, a row with d = 0 or a row that fails the checked tail."""
+    """The rewrite's row of (J, K) if the pair's rows in a table file equal it: Refused if the file does not parse or
+    has no rows for a nonzero product, else ConsistencyError for any other difference."""
     try:
         pairs = [(IndexSet.parse(L, n).mask, decimal(d)) for L, d in _read_table(path, n, J, K)]
     except ValueError as exc:  # UnicodeDecodeError included
         raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
-    masks = sorted(L for L, _ in pairs)
-    if repeated := [L for L, M in zip(masks, masks[1:]) if L == M]:
-        raise ConsistencyError(f"cache {path} has two rows for J={J} K={K} L={format_mask(repeated[0])}")
-    # a table holds only nonzero constants, which the checked tail would drop
-    if zero := [L for L, d in pairs if not d]:
-        raise ConsistencyError(f"cache {path} has a row with d = 0 for J={J} K={K} L={format_mask(zero[0])}")
-    out = constants("cached", n, J.mask, K.mask, pairs, 1)
-    # the product is nonzero exactly when |J| + |K| <= n - 1: such a pair without rows was left out by filters
-    if not out and len(J) + len(K) <= n - 1:
+    if (row := ring.rewrite_row(n, J.mask, K.mask)) and not pairs:  # a pair that filters left out
         raise Refused(f"cache {path} has no rows for J={J} K={K}, a nonzero product")
-    return out
+    _check_rows_agree(f"cache {path} disagrees", J.mask, K.mask, {"cached": dict(pairs), "rewrite": dict(row)})
+    if len(pairs) > len(row):  # a row written twice, which {L: d} cannot show: the rewrite has 1 term on its L
+        count, L = max(([M for M, _ in pairs].count(L), L) for L, _ in pairs)
+        raise ConsistencyError(f"cache {path} has {count} rows for J={J} K={K} L={format_mask(L)}, the rewrite 1")
+    return row
 
 
 def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
     """The (L, d) cells of the rows for (J, K) in a CSV table file; Refused if its first line is not the header
     n,J,K,L,d, as that of a JSON table is not, or if a line read is of another rank.  The table is bisected over byte
-    offsets for the pair's first line, in the (J mask, K mask) order that `table` writes, so in a file out of that
-    order it can find part of a pair's rows, or none: a documented limit, as only a scan to the end could see it."""
+    offsets in the (J mask, K mask) order that `table` writes: out of it, some of a pair's rows can be missed."""
     with open(path, "rb") as fh:
         if not (header := fh.readline(16)):  # a bounded read, as a JSON table is one line
             return []  # an empty file

@@ -47,7 +47,7 @@ def tables5(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, ran", [
     ([], []),
-    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], []),
+    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], ["ring"]),
     (["table", "-n", "5"], ["ring", "table"]),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--method", "all"], ["diagrams", "oracle", "ring"]),
     (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], ["diagrams", "listings"]),
@@ -120,8 +120,8 @@ def test_a_query_compiles_only_the_code_it_runs():
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
-    # a fresh `expand --cached` on a CSV table runs no engine: it compiles the package, cli, errors and
-    # intervals only
+    # a fresh `expand --cached` on a CSV table runs the rewrite, whose row the table's rows must equal, and no
+    # other engine: it compiles the package, cli, errors, intervals and ring only
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
@@ -130,8 +130,8 @@ def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
                   timeout=60)
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
-    assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 629
+    assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals", "ring"]
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 721
 
 
 def test_table_and_the_sweep_build_no_index_set(capsys, monkeypatch):
@@ -1610,16 +1610,43 @@ def _edited_table(capsys, tmp_path, fmt, L, d):
     return path
 
 
+# id: (J, K, a row of the n = 4 and n = 5 tables without its rank cell, the rows that replace it or None to move it
+# to the end of the file, and the message that follows "consistency failure: cache PATH ")
+_EDITED_ROWS = {
+    "d-7": ("1", "2", '1,2,"1,2",2', ['1,2,"1,2",7'],
+            "disagrees for J=1, K=2, first at L=1,2: cached d=7, rewrite d=2; cached={'1,2': 7} rewrite={'1,2': 2}"),
+    "zero-on-support": ("2", "2", '2,2,"2,3",1', ['2,2,"2,3",0'],
+                        "disagrees for J=2, K=2, first at L=2,3: cached d=0, rewrite d=1; "
+                        "cached={'1,2': 1, '2,3': 0} rewrite={'1,2': 1, '2,3': 1}"),
+    "zero-off-support": ("1", "1", '1,1,"1,2",1', ['1,1,"1,2",1', '1,1,"1,3",0'],
+                         "disagrees for J=1, K=1, first at L=1,3: cached d=0, rewrite no term; "
+                         "cached={'1,2': 1, '1,3': 0} rewrite={'1,2': 1}"),
+    "negative": ("1", "2", '1,2,"1,2",2', ['1,2,"1,2",-2'],
+                 "disagrees for J=1, K=2, first at L=1,2: cached d=-2, rewrite d=2; "
+                 "cached={'1,2': -2} rewrite={'1,2': 2}"),
+    "L-without-J-or-K": ("1", "2", '1,2,"1,2",2', ['1,2,"1,2",2', '1,2,"2,3",2'],
+                         "disagrees for J=1, K=2, first at L=2,3: cached d=2, rewrite no term; "
+                         "cached={'1,2': 2, '2,3': 2} rewrite={'1,2': 2}"),
+    "written-twice": ("2", "2", '2,2,"1,2",1', ['2,2,"1,2",1'] * 2, "has 2 rows for J=2 K=2 L=1,2, the rewrite 1"),
+    "deleted": ("2", "2", '2,2,"2,3",1', [],
+                "disagrees for J=2, K=2, first at L=2,3: cached no term, rewrite d=1; "
+                "cached={'1,2': 1} rewrite={'1,2': 1, '2,3': 1}"),
+    "moved-to-the-end": ("2", "2", '2,2,"2,3",1', None,
+                         "disagrees for J=2, K=2, first at L=2,3: cached no term, rewrite d=1; "
+                         "cached={'1,2': 1} rewrite={'1,2': 1, '2,3': 1}"),
+}
+
+
 class TestCachedRowsChecked:
-    """A cached row goes through the checked tail of the engines, and a table
-    that does not parse is refused with one line naming it.  A JSON table,
+    """A pair's cached rows must equal the rewrite's row, and a table that
+    does not parse is refused with one line naming it.  A JSON table,
     edited or not, is refused at its first line, before any row is read."""
 
     @pytest.mark.parametrize("out_fmt", ["json", "csv"])
     @pytest.mark.parametrize("table_fmt", ["csv", "json"])
     @pytest.mark.parametrize("L, d, message", [
-        ([1, 2], "-3", "cached engine gave d = -3 for J=1, K=2, L=1,2, expected a non-negative integer"),
-        ([2, 3], "2", "cached engine gave a term on L=2,3 for J=1, K=2, outside the L containing J | K"),
+        ([1, 2], "-3", "first at L=1,2: cached d=-3, rewrite d=2; cached={'1,2': -3} rewrite={'1,2': 2}"),
+        ([2, 3], "2", "first at L=1,2: cached no term, rewrite d=2; cached={'2,3': 2} rewrite={'1,2': 2}"),
     ], ids=["negative", "off-support"])
     def test_bad_row_refused(self, capsys, tmp_path, table_fmt, out_fmt, L, d, message):
         path = _edited_table(capsys, tmp_path, table_fmt, L, d)
@@ -1628,9 +1655,8 @@ class TestCachedRowsChecked:
         if table_fmt == "json":
             assert (code, out, err) == _not_csv(path)
             return
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"consistency failure: {message}") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"consistency failure: cache {path} disagrees for J=1, K=2, {message}\n"
 
     @pytest.mark.parametrize("table_fmt", ["csv", "json"])
     def test_repeated_row_refused(self, capsys, tmp_path, table_fmt):
@@ -1652,14 +1678,14 @@ class TestCachedRowsChecked:
             return
         assert code == 2
         assert out == ""
-        assert err == f"consistency failure: cache {path} has two rows for J=2 K=2 L=1,2\n"
+        assert err == f"consistency failure: cache {path} has 2 rows for J=2 K=2 L=1,2, the rewrite 1\n"
 
     @pytest.mark.parametrize("out_fmt", ["json", "csv"])
     @pytest.mark.parametrize("table_fmt, d", [("csv", "0"), ("csv", "-0"), ("json", "0"), ("json", 0)],
                              ids=["csv", "csv-minus-zero", "json", "json-integer"])
     def test_zero_row_refused(self, capsys, tmp_path, table_fmt, d, out_fmt):
         # J = K = {2} has two rows, d = 1 on L = {1,2} and on L = {2,3}: a d of
-        # 0 on the second is named, not dropped from a row that looks whole
+        # 0 on the second is named with the rewrite's d, not dropped from a row that looks whole
         path = tmp_path / f"t4.{table_fmt}"
         assert run(capsys, "table", "-n", "4", "--format", table_fmt, "--out", str(path))[0] == 0
         if table_fmt == "json":
@@ -1676,7 +1702,28 @@ class TestCachedRowsChecked:
             assert (code, out, err) == _not_csv(path)
             return
         assert (code, out) == (2, "")
-        assert err == f"consistency failure: cache {path} has a row with d = 0 for J=2 K=2 L=2,3\n"
+        assert err == (f"consistency failure: cache {path} disagrees for J=2, K=2, first at L=2,3: cached d=0, "
+                       "rewrite d=1; cached={'1,2': 1, '2,3': 0} rewrite={'1,2': 1, '2,3': 1}\n")
+
+    @pytest.mark.parametrize("out_fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("edit", _EDITED_ROWS)
+    def test_edited_rows_exit_2(self, capsys, tmp_path, edit, n, out_fmt):
+        # a table whose rows for one pair differ from the rewrite's row is refused in one line that names the cache,
+        # J, K, an L and two values that differ, where a missing term is "no term", not d=0: no answer is printed
+        j, k, row, rows, message = _EDITED_ROWS[edit]
+        path = tmp_path / f"t{n}.csv"
+        assert run(capsys, "table", "-n", str(n), "--out", str(path))[0] == 0
+        lines = path.read_text().splitlines()
+        index = lines.index(f"{n},{row}")
+        if rows is None:
+            lines.append(lines.pop(index))
+        else:
+            lines[index:index + 1] = [f"{n},{r}" for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "expand", "-n", str(n), "-J", j, "-K", k, "--cached", str(path),
+                             "--format", out_fmt)
+        assert (code, out, err) == (2, "", f"consistency failure: cache {path} {message}\n")
 
     @pytest.mark.parametrize("table_fmt, L, d, text", [
         ("csv", [1, 2], "x", None),
@@ -1760,7 +1807,8 @@ class TestExitContract:
         path.write_text(text.replace('4,2,2,"2,3",1\n', '4,2,2,"2,3",0\n'))
         proc = python("-m", "petring", "expand", "-n", "4", "-J", "2", "-K", "2", "--cached", str(path))
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"consistency failure: cache {path} has a row with d = 0 for J=2 K=2 L=2,3\n"
+        assert proc.stderr == (f"consistency failure: cache {path} disagrees for J=2, K=2, first at L=2,3: cached d=0, "
+                               "rewrite d=1; cached={'1,2': 1, '2,3': 0} rewrite={'1,2': 1, '2,3': 1}\n")
 
     def test_verify_into_a_closed_pipe_exits_1_without_a_traceback(self):
         # each line written as it is printed; the ranks above the first take some tens of
