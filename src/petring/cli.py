@@ -1,22 +1,23 @@
-"""The ``petring`` command line: one argparse parser, ``cli``, with the subcommands ``expand``, ``diagrams``,
-``verify``, ``table`` and ``group`` in ``cli.commands``, each with its function's docstring as help.  Importing it
-runs ``errors`` and ``intervals``, and no ``typing``, ``csv`` or ``fractions``; no module imports ``json``.  Each
-command runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and
-``ring`` alone with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table``
-``ring`` and ``table``; ``verify`` the engines, ``permutations`` and ``verify``.
+"""The ``petring`` command line: the subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group`` in
+``COMMANDS``, each with its options and its function's docstring as help.  Importing it runs ``errors`` and
+``intervals``, and no ``argparse``, ``typing``, ``csv`` or ``fractions``; no module imports ``json``.  Each command
+runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and ``ring``
+alone with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring``
+and ``table``; ``verify`` the engines, ``permutations`` and ``verify``.
 
-A command line is checked once, before any work: argparse checks the form of each option, ``main`` the rank and then
-each subset option, in the command's option order, and ``verify.run`` makes every ``verify`` refusal.
+A command line is checked once, before any work: ``_read`` reads the form COMMAND FLAG VALUE ..., and the argparse
+parser ``cli``, built from ``COMMANDS`` on first use, every other line and ``--help``; then ``main`` checks the rank
+and each subset option, in the command's option order, and ``verify.run`` makes every ``verify`` refusal.
 
 Exit codes: 0 on success; 1 on a usage error, a refused request or an OSError, silent where stdout failed; 2 on a
 ConsistencyError, such as engines that disagree or a failed `verify` check.  ``entry`` flushes both streams, as
 ``os._exit`` does not, and ``verify.run`` stdout before its FAIL lines, which thus follow the check lines in one file.
 """
 
-import argparse
 import gc
 import os
 import sys
+import types
 
 from . import diagrams, listings, oracle, permutations, ring, table, verify
 from .errors import ConsistencyError, Row
@@ -28,6 +29,7 @@ MAX_QUERY_RANK = 16
 MAX_TABLE_PAIRS = 4**10  # a full n = 11 table; `table` refuses requests that admit more pairs
 
 ENGINES = {"diagram": (diagrams, "diagram_row"), "rewrite": (ring, "rewrite_row"), "linalg": (oracle, "linalg_row")}
+COMMANDS = {}  # name: the subcommand, whose ``callback`` main runs
 
 
 class UsageError(Exception):
@@ -43,29 +45,14 @@ class Refused(UsageError):
     prefix = "Error"
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # in place of argparse's usage message and exit 2
-        raise UsageError(message)
-
-
-cli = _Parser(prog="petring", description="Exact structure constants for the Peterson cohomology basis.",
-              allow_abbrev=False)
-cli.commands = {}  # name: subparser, whose ``callback`` runs the command
-_subparsers = cli.add_subparsers(dest="command", required=True)
-
-
 def command(name: str, *options: tuple[tuple[str, ...], dict]):
     """Register the decorated function as the subcommand ``name``, with its
     options given by :func:`option`; its docstring is the help.  Its options
-    of metavar SUBSET are its subparser's ``subsets``, in option order."""
+    of metavar SUBSET are its ``subsets``, in option order."""
 
     def register(fn):
-        parser = cli.commands[name] = _subparsers.add_parser(
-            name, help=fn.__doc__.split(".")[0] + ".", description=fn.__doc__, allow_abbrev=False)
-        parser.callback = fn
-        parser.subsets = [(flags[0], kwargs["dest"]) for flags, kwargs in options if kwargs.get("metavar") == "SUBSET"]
-        for flags, kwargs in options:
-            parser.add_argument(*flags, **kwargs)
+        COMMANDS[name] = types.SimpleNamespace(callback=fn, options=options, subsets=[
+            (flags[0], kwargs["dest"]) for flags, kwargs in options if kwargs.get("metavar") == "SUBSET"])
         return fn
 
     return register
@@ -75,20 +62,68 @@ def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return flags, kwargs
 
 
+def __getattr__(name: str):
+    """``cli``: the argparse parser of ``COMMANDS``, kept as its ``commands``, built on the first read of it."""
+    if name != "cli":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # in place of argparse's usage message and exit 2
+            raise UsageError(message)
+
+    parser = Parser(prog="petring", description="Exact structure constants for the Peterson cohomology basis.",
+                    allow_abbrev=False)
+    parser.commands = COMMANDS  # the registry that main runs, so a callback wrapped through it is the one called
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for key, entry in COMMANDS.items():
+        doc = entry.callback.__doc__
+        sub = subparsers.add_parser(key, help=doc.split(".")[0] + ".", description=doc, allow_abbrev=False)
+        for flags, kwargs in entry.options:
+            sub.add_argument(*flags, **kwargs)
+    return globals().setdefault("cli", parser)
+
+
+def _read(argv: list[str]) -> dict | None:
+    """The options of a command line of the form COMMAND FLAG VALUE ..., as argparse reads them: each flag written
+    whole, each value of its type and choices and not starting with "-" unless it is "-", the last of a flag written
+    twice, and every required option given; else None, for argparse to read, refuse or answer with help."""
+    if len(argv) % 2 == 0 or (cmd := COMMANDS.get(argv[0])) is None:
+        return None
+    given, read = {flag: kwargs for flags, kwargs in cmd.options for flag in flags}, {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if (kwargs := given.get(flag)) is None or value.startswith("-") and value != "-":
+            return None
+        try:
+            read[kwargs["dest"]] = value = kwargs.get("type", str)(value)
+        except Exception:  # any: argparse calls the type again, and words or raises what it raises
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+    return None if any(kwargs.get("required") and kwargs["dest"] not in read for _, kwargs in cmd.options) else \
+        {"command": argv[0], **{kwargs["dest"]: kwargs.get("default") for _, kwargs in cmd.options}, **read}
+
+
 def _file(path: str, must_exist: bool = False) -> str:
     """The argparse type of ``--out`` and, with ``must_exist``, of ``--cached``: ``path`` itself if it is
     not empty, its directory exists, and it names a regular file or, for ``--out``, nothing yet; the file
     must be readable (``--cached``) or writable with its directory (``--out``).  Else ArgumentTypeError."""
     if path and not os.path.exists(path):
         if must_exist or not os.path.isdir(os.path.dirname(path) or "."):
-            raise argparse.ArgumentTypeError(f"{'file' if must_exist else 'directory of'} {path!r} does not exist")
+            raise _type_error(f"{'file' if must_exist else 'directory of'} {path!r} does not exist")
     elif not os.path.isfile(path):
-        raise argparse.ArgumentTypeError(f"{path!r} is not a regular file")
+        raise _type_error(f"{path!r} is not a regular file")
     elif not os.access(path, os.R_OK if must_exist else os.W_OK):
-        raise argparse.ArgumentTypeError(f"{path!r} is not {'readable' if must_exist else 'writable'}")
+        raise _type_error(f"{path!r} is not {'readable' if must_exist else 'writable'}")
     if not (must_exist or os.access(os.path.dirname(path) or ".", os.W_OK)):
-        raise argparse.ArgumentTypeError(f"directory of {path!r} is not writable")
+        raise _type_error(f"directory of {path!r} is not writable")
     return path
+
+
+def _type_error(message: str) -> Exception:
+    import argparse  # here, and in the parser: a path that _file accepts loads none of it
+
+    return argparse.ArgumentTypeError(message)
 
 
 RANK = option("-n", "--rank", dest="n", type=decimal, required=True, help="Ambient rank.")
@@ -118,9 +153,9 @@ def _check_rows_agree(what: str, J: int, K: int, rows: dict[str, dict[int, int]]
 
 
 @command("expand", RANK, SUBSET_J, SUBSET_K,
-         option("--method", choices=(*ENGINES, "all"), default="all", help="Engine (default: all)."),
+         option("--method", dest="method", choices=(*ENGINES, "all"), default="all", help="Engine (default: all)."),
          option("--format", dest="fmt", choices=("json", "csv"), default="json", help="Output (default: json)."),
-         option("--cached", type=lambda path: _file(path, must_exist=True), metavar="PATH",
+         option("--cached", dest="cached", type=lambda path: _file(path, must_exist=True), metavar="PATH",
                 help="Read the expansion from a table file written by `table` instead of computing."))
 def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: str | None) -> None:
     """Expand a product of two basis classes."""
@@ -210,8 +245,8 @@ def cmd_diagrams(n: int, J: IndexSet, K: IndexSet, L: IndexSet) -> None:
 
 
 @command("verify",
-         option("--n-max", type=decimal, default=7, help="Largest rank checked (default: 7)."),
-         option("--jobs", type=decimal, default=1, help="Worker processes for the checks (default: 1)."))
+         option("--n-max", dest="n_max", type=decimal, default=7, help="Largest rank checked (default: 7)."),
+         option("--jobs", dest="jobs", type=decimal, default=1, help="Worker processes for the checks (default: 1)."))
 def cmd_verify(n_max: int, jobs: int) -> None:
     """Exhaustively cross-check the three engines and the supporting
     combinatorics for every rank up to --n-max."""
@@ -219,11 +254,11 @@ def cmd_verify(n_max: int, jobs: int) -> None:
 
 
 @command("table", RANK,
-         option("--degree", type=decimal, help="Only pairs with |J| + |K| equal to this."),
+         option("--degree", dest="degree", type=decimal, help="Only pairs with |J| + |K| equal to this."),
          option("--J", dest="J", metavar="SUBSET", help="Restrict to this J."),
          option("--K", dest="K", metavar="SUBSET", help="Restrict to this K."),
          option("--format", dest="fmt", choices=("csv", "json"), default="csv", help="Output (default: csv)."),
-         option("--out", type=_file, metavar="PATH", help="Output path (default: stdout)."))
+         option("--out", dest="out", type=_file, metavar="PATH", help="Output path (default: stdout)."))
 def cmd_table(n: int, degree: int | None, J: IndexSet | None, K: IndexSet | None,
               fmt: str, out: str | None) -> None:
     """Write the structure-constant table for one rank, rows (J, K, L, d) in
@@ -251,16 +286,16 @@ def cmd_group(n: int, J: IndexSet) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` (default: ``sys.argv[1:]``) and return its exit code: 0, 1 or 2."""
     try:
-        options = vars(cli.parse_args(argv))
-        parser = cli.commands[options.pop("command")]
+        options = _read(sys.argv[1:] if argv is None else argv) or vars(sys.modules[__name__].cli.parse_args(argv))
+        cmd = COMMANDS[options.pop("command")]
         if "n" in options and not 1 <= options["n"] <= MAX_QUERY_RANK:
             raise UsageError(f"rank must be in [1, {MAX_QUERY_RANK}], got {options['n']}")
-        for flag, dest in parser.subsets:
+        for flag, dest in cmd.subsets:
             try:
                 options[dest] = None if options[dest] is None else IndexSet.parse(options[dest], options["n"])
             except ValueError as exc:
                 raise UsageError(f"bad {flag}: {exc}") from None
-        parser.callback(**options)
+        cmd.callback(**options)
     except SystemExit as exc:  # --help, printed by argparse
         return exc.code
     except UsageError as exc:

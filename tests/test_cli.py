@@ -14,6 +14,7 @@ import pytest
 import petring.cli
 import petring.table
 import petring.verify
+import pinned
 from helpers import (GOLDEN, MEMOS, plant, python, run, step_tripled, to_column_n, to_column_one, two_cpus,
                      wrap_run_step)
 from petring import algebra, diagrams, oracle, relations, ring
@@ -25,7 +26,8 @@ from petring.errors import ConsistencyError
 
 
 @pytest.mark.parametrize("module, unneeded", [
-    ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal", "csv", "json"]),
+    ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal", "csv", "json",
+                     "argparse", "gettext", "locale", "shutil"]),
     ("petring.intervals", ["petring.ring", "petring.diagrams", "petring.oracle"]),
     ("petring", [f"petring.{m}" for m in ("cli", "diagrams", "errors", "intervals", "listings", "oracle",
                                           "permutations", "relations", "ring", "table", "verify")]),
@@ -70,15 +72,18 @@ def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
     assert (proc.returncode, proc.stderr.split()) == (0, ran), proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    GOLDEN,
-    ["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"],
-    ["table", "-n", "4"],
-    ["group", "-n", "5", "-J", "1,2"],
-    ["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"],
-    ["verify", "--n-max", "2"],
-    ["table", "-n", "4", "--format", "json"],
-], ids=["expand", "cached-csv", "table", "group", "diagrams", "verify", "table-json"])
+COMMAND_LINES = {  # one canonical line of each command, {csv} the n = 5 CSV table
+    "expand": GOLDEN,
+    "cached-csv": ["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"],
+    "table": ["table", "-n", "4"],
+    "group": ["group", "-n", "5", "-J", "1,2"],
+    "diagrams": ["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"],
+    "verify": ["verify", "--n-max", "2"],
+    "table-json": ["table", "-n", "4", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES.values(), ids=COMMAND_LINES)
 def test_a_command_loads_typing_and_json_only_where_it_needs_them(tables5, argv):
     # under -S, as a .pth file in site-packages may import typing at start-up (certifi's does), which would hide
     # it from test_fresh_import_loads_no_unneeded_module: which of the two the command adds to `import argparse`;
@@ -89,6 +94,78 @@ def test_a_command_loads_typing_and_json_only_where_it_needs_them(tables5, argv)
             "print(*sorted({'typing', 'json'} & set(sys.modules) - before), file=sys.stderr); sys.exit(code)")
     proc = python("-S", "-c", code, *argv, timeout=60)
     assert (proc.returncode, proc.stderr.split()) == (0, []), proc.stderr
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES.values(), ids=COMMAND_LINES)
+def test_a_canonical_command_line_loads_no_argparse(tables5, argv):
+    # under -S, as above: a line COMMAND FLAG VALUE ... is read from the option registry, without argparse, whose
+    # messages load gettext and locale, and whose help formatters load shutil
+    argv = [arg.format(**tables5) for arg in argv]
+    code = ("import sys; before = set(sys.modules); from petring.cli import main; code = main(sys.argv[1:]); "
+            "print(*sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules) - before), file=sys.stderr); "
+            "sys.exit(code)")
+    proc = python("-S", "-c", code, *argv, timeout=60)
+    assert (proc.returncode, proc.stderr.split()) == (0, []), proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["expand", "--help"], 0, "usage: petring expand [-h] -n N", ""),
+    (["expand", "-n", "1_0", "-J", "1", "-K", "2"], 1, "", "error: argument -n/--rank: invalid decimal value: '1_0'\n"),
+], ids=["help", "bad-rank"])
+def test_any_other_command_line_is_read_by_argparse(argv, code, out, err):
+    # under -S: help and a refusal are argparse's own text, in a process that imports it for them
+    script = ("import sys; from petring.cli import main; code = main(sys.argv[1:]); "
+              "print('argparse' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = python("-S", "-c", script, *argv, timeout=60)
+    assert (proc.returncode, proc.stdout[:len(out)], proc.stderr) == (code, out, err + "True\n"), proc.stderr
+
+
+def _parsed(argv: list[str]) -> dict | None:
+    """vars(cli.parse_args(argv)), or None where argparse refuses the line or answers it with help."""
+    try:
+        return vars(petring.cli.cli.parse_args(argv))
+    except (petring.cli.UsageError, SystemExit):
+        return None
+
+
+def test_the_reader_gives_what_argparse_gives_or_leaves_the_line_to_it(monkeypatch, tmp_path):
+    # for each line, cli._read gives argparse's options or None, and None wherever argparse refuses the line; the
+    # corpus: the pinned lines and their variants, every command with its flags in every order, each option's
+    # edge values, and the forms that only argparse reads
+    monkeypatch.chdir(tmp_path)
+    file, absent, no_dir = tmp_path / "table.csv", tmp_path / "absent.csv", tmp_path / "no" / "table.csv"
+    file.write_text("n,J,K,L,d\n")
+    lines = [[*argv, *variant] for line in pinned.read() for argv in line.commands
+             for variant in ([], ["--jobs", "2"], ["--out", "out"])]
+    for line in pinned.read():  # the tables that pinned lookups name
+        if line.keep:
+            (tmp_path / line.keep).write_text("n,J,K,L,d\n")
+    valid = {"n": "5", "J": "1,3", "K": "-", "L": "1,2", "n_max": "3", "jobs": "1", "degree": "2",
+             "cached": str(file), "out": str(absent)}
+    edges = ["-", " 9", "1_0", "-1", "-1 2", "", "9", "all", "csv", "nope", "-x", "-J", "--help", "--", str(file),
+             str(absent), str(no_dir), str(tmp_path)]
+    for name, command in petring.cli.COMMANDS.items():
+        given = [(flags, kwargs, valid.get(kwargs["dest"]) or kwargs["choices"][-1])
+                 for flags, kwargs in command.options]
+        required = [[flags[0], value] for flags, kwargs, value in given if kwargs.get("required")]
+        in_order = [[name, *itertools.chain(*((flags[0], value) for flags, _, value in order))]
+                    for order in itertools.permutations(given)]
+        for argv in in_order:  # every order read, as argparse reads it
+            assert (read := petring.cli._read(argv)) is not None and read == _parsed(argv), argv
+        lines += [[name, *itertools.chain(*required), flags[-1], edge] for flags, _, _ in given for edge in edges]
+        lines += [[name, *itertools.chain(*required), flags[0], value, flags[-1], value] for flags, _, value in given]
+        lines += [[name, *itertools.chain(*(pair for pair in required if pair != req))] for req in required]
+        lines += [[name, *argv] for argv in (["-n9"], ["--rank=9"], ["--", "-n", "5"], ["-h"], ["--help"], ["-n"],
+                                             ["-n", "5", "--"], ["-n", "5", "-J"], ["-n", "5", "--bogus", "1"])]
+    lines += [[], ["-h"], ["--help"], ["nope", "-n", "5"], ["-n", "5", "expand"], ["--", "expand", "-n", "5"]]
+    for argv in lines:
+        read = petring.cli._read(argv)
+        assert read is None or read == _parsed(argv), argv
+    # the benchmark's four request shapes, an empty subset written "-", are read without argparse
+    for argv in (["expand", "-n", "9", "-J", "1,3,5", "-K", "-", "--method", "all"],
+                 ["expand", "-n", "9", "-J", "1,3,5", "-K", "2,3", "--cached", str(file)],
+                 ["table", "-n", "9", "--out", str(absent)], ["verify", "--n-max", "8", "--jobs", "2"]):
+        assert (read := petring.cli._read(argv)) is not None and read == _parsed(argv), argv
 
 
 def test_no_module_loads_typing():
@@ -116,7 +193,7 @@ def test_a_query_compiles_only_the_code_it_runs():
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
                                                        "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1035
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1070
 
 
 def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
@@ -131,7 +208,7 @@ def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
     assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 721
+    assert sum(Path(path).read_text().count("\n") for path in ran) <= 756
 
 
 def test_table_and_the_sweep_build_no_index_set(capsys, monkeypatch):
@@ -185,9 +262,9 @@ def test_every_public_function_and_class_has_a_docstring():
 
     for module in ("algebra", "cli", "diagrams", "errors", "intervals", "listings", "oracle", "permutations",
                    "relations", "ring", "table", "verify"):
-        public = vars(importlib.import_module(f"petring.{module}"))
-        for name in public["__all__"]:
-            obj = public[name]
+        public = importlib.import_module(f"petring.{module}")
+        for name in public.__all__:
+            obj = getattr(public, name)  # cli.cli, the parser, is built on this first read
             if inspect.isroutine(obj) or inspect.isclass(obj):  # not a constant, a type alias or the parser
                 assert obj.__doc__, f"{module}.{name}"
 
