@@ -1,12 +1,13 @@
 """The ``petring`` command line: the subcommands ``expand``, ``diagrams``, ``verify``, ``table`` and ``group`` in
-``COMMANDS``, each with its options and its function's docstring as help.  Importing it runs ``errors`` and
-``intervals``, and no ``argparse``, ``typing``, ``csv`` or ``fractions``; no module imports ``json``.  Each command
-runs besides only the modules it calls: ``expand`` the engines ``diagrams``, ``oracle`` and ``ring``, and ``ring``
-alone with ``--cached``; ``diagrams`` ``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring``
-and ``table``; ``verify`` the engines, ``permutations`` and ``verify``.
+``COMMANDS``, each with its options and its function's docstring as help, and its body, but for ``expand``'s, in the
+module that runs it.  Importing it runs ``errors`` and ``intervals``, and no ``argparse``, ``typing``, ``csv`` or
+``fractions``; no module imports ``json``.  Each command runs besides only the modules it calls: ``expand`` the
+engines ``diagrams``, ``oracle`` and ``ring``, and ``lookup`` and ``ring`` with ``--cached``; ``diagrams``
+``diagrams`` and ``listings``; ``group`` ``permutations``; ``table`` ``ring`` and ``table``; ``verify`` the engines,
+``permutations`` and ``verify``.
 
 A command line is checked once, before any work: ``_read`` reads the form COMMAND FLAG VALUE ..., and the argparse
-parser ``cli``, built from ``COMMANDS`` on first use, every other line and ``--help``; then ``main`` checks the rank
+parser ``cli``, built by ``parser`` on first use, every other line and ``--help``; then ``main`` checks the rank
 and each subset option, in the command's option order, and ``verify.run`` makes every ``verify`` refusal.
 
 Exit codes: 0 on success; 1 on a usage error, a refused request or an OSError, silent where stdout failed; 2 on a
@@ -19,9 +20,9 @@ import os
 import sys
 import types
 
-from . import diagrams, listings, oracle, permutations, ring, table, verify
+from . import diagrams, listings, lookup, oracle, parser, permutations, ring, table, verify
 from .errors import ConsistencyError, Row
-from .intervals import IndexSet, decimal, decompose, factor_ranks, format_mask, hessenberg_function
+from .intervals import IndexSet, decimal, format_mask
 
 __all__ = ["cli", "main", "entry"]
 
@@ -63,25 +64,10 @@ def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 
 def __getattr__(name: str):
-    """``cli``: the argparse parser of ``COMMANDS``, kept as its ``commands``, built on the first read of it."""
+    """``cli``: the argparse parser of ``COMMANDS``, built by ``parser.build`` on the first read of it."""
     if name != "cli":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message: str):  # in place of argparse's usage message and exit 2
-            raise UsageError(message)
-
-    parser = Parser(prog="petring", description="Exact structure constants for the Peterson cohomology basis.",
-                    allow_abbrev=False)
-    parser.commands = COMMANDS  # the registry that main runs, so a callback wrapped through it is the one called
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for key, entry in COMMANDS.items():
-        doc = entry.callback.__doc__
-        sub = subparsers.add_parser(key, help=doc.split(".")[0] + ".", description=doc, allow_abbrev=False)
-        for flags, kwargs in entry.options:
-            sub.add_argument(*flags, **kwargs)
-    return globals().setdefault("cli", parser)
+    return globals().setdefault("cli", parser.build())
 
 
 def _read(argv: list[str]) -> dict | None:
@@ -160,7 +146,7 @@ def _check_rows_agree(what: str, J: int, K: int, rows: dict[str, dict[int, int]]
 def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: str | None) -> None:
     """Expand a product of two basis classes."""
     if cached is not None:
-        row = _lookup_cached(cached, n, J, K)
+        row = lookup.cached_row(cached, n, J, K)
         method = "cached"
     else:
         row = _expansion_row(n, J.mask, K.mask, method)
@@ -176,72 +162,11 @@ def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: 
     writer.writerows([n, J.format(), K.format(), method, format_mask(L), d] for L, d in row)
 
 
-def _lookup_cached(path: str, n: int, J: IndexSet, K: IndexSet) -> Row:
-    """The rewrite's row of (J, K) if the pair's rows in a table file equal it: Refused if the file does not parse or
-    has no rows for a nonzero product, else ConsistencyError for any other difference."""
-    try:
-        pairs = [(IndexSet.parse(L, n).mask, decimal(d)) for L, d in _read_table(path, n, J, K)]
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise Refused(f"cache {path} is malformed: {type(exc).__name__}: {exc}") from None
-    if (row := ring.rewrite_row(n, J.mask, K.mask)) and not pairs:  # a pair that filters left out
-        raise Refused(f"cache {path} has no rows for J={J} K={K}, a nonzero product")
-    _check_rows_agree(f"cache {path} disagrees", J.mask, K.mask, {"cached": dict(pairs), "rewrite": dict(row)})
-    if len(pairs) > len(row):  # a row written twice, which {L: d} cannot show: the rewrite has 1 term on its L
-        count, L = max(([M for M, _ in pairs].count(L), L) for L, _ in pairs)
-        raise ConsistencyError(f"cache {path} has {count} rows for J={J} K={K} L={format_mask(L)}, the rewrite 1")
-    return row
-
-
-def _read_table(path: str, n: int, J: IndexSet, K: IndexSet) -> list[list[str]]:
-    """The (L, d) cells of the rows for (J, K) in a CSV table file; Refused if its first line is not the header
-    n,J,K,L,d, as that of a JSON table is not, or if a line read is of another rank.  The table is bisected over byte
-    offsets in the (J mask, K mask) order that `table` writes: out of it, some of a pair's rows can be missed."""
-    with open(path, "rb") as fh:
-        if not (header := fh.readline(16)):  # a bounded read, as a JSON table is one line
-            return []  # an empty file
-        if header.splitlines() != [b"n,J,K,L,d"]:
-            raise Refused(f"cache {path} is malformed: its first line is not the CSV header n,J,K,L,d")
-        import bisect
-        import csv
-
-        def cells(offset: int) -> list[str]:
-            """The cells of the first line at or after byte ``offset`` > 0, or [] at the end of the file."""
-            fh.seek(offset - 1)
-            fh.readline()  # the rest of the line that holds byte offset - 1
-            if not (line := fh.readline()):
-                return []
-            if (rank := decimal((text := line.decode()).split(",", 1)[0])) != n:
-                raise Refused(f"cache {path} is for rank {rank}, not {n}")
-            try:
-                return next(csv.reader([text]))
-            except csv.Error as exc:  # a bare "\r" in a cell, or a cell over the csv field limit
-                raise ValueError(f"a line csv cannot read: {exc}") from None
-
-        def at_or_past(offset: int) -> bool:  # whether the first line at or after offset is the pair's, later or none
-            _, j, k, *_ = cells(offset) or (None, None, None)  # a ValueError on a line of fewer cells
-            return j is None or (IndexSet.parse(j, n).mask, IndexSet.parse(k, n).mask) >= (J.mask, K.mask)
-
-        # the pair's first line is that of the least offset at or past it; its block runs to another pair or the end
-        row, rows = cells(bisect.bisect_left(range(fh.seek(0, os.SEEK_END)), True, len(header), key=at_or_past)), []
-        while row[1:3] == [J.format(), K.format()]:
-            rows.append(row[3:])
-            row = cells(fh.tell())
-    return rows
-
-
 @command("diagrams", RANK, SUBSET_J, SUBSET_K,
          option("-L", dest="L", required=True, metavar="SUBSET", help="The subset of the product's term."))
 def cmd_diagrams(n: int, J: IndexSet, K: IndexSet, L: IndexSet) -> None:
     """List and render the left-right diagrams for one (J, K, L) triple."""
-    found = listings.enumerate_diagrams(J, K, L)
-    if not found:
-        print("no diagrams; d = 0")
-        return
-    for idx, P in enumerate(found, start=1):
-        print(f"diagram {idx} of {len(found)}  (weight {listings.weight(P)})")
-        print(listings.render_ascii(P))
-        print("")
-    print(f"d = {listings.structure_constant(J, K, L)}")
+    listings.print_diagrams(J, K, L)
 
 
 @command("verify",
@@ -272,15 +197,7 @@ def cmd_table(n: int, degree: int | None, J: IndexSet | None, K: IndexSet | None
 @command("group", RANK, SUBSET_J)
 def cmd_group(n: int, J: IndexSet) -> None:
     """Print the combinatorial data attached to one subset."""
-    dec = decompose(J)
-    wj = permutations.longest_wj(J)
-    print(f"J = {J.format()}  (rank n = {n})")
-    print("components = " + (" ".join(f"[{lo}..{hi}]" for lo, hi in dec.runs) or "(empty)"))
-    print(f"m_J = {dec.m_factor}")
-    print(f"factor ranks = {factor_ranks(J)}")
-    print(f"h_J = {hessenberg_function(J)}")
-    print(f"w_J = {permutations.format_one_line(wj)}   length {permutations.length(wj)}")
-    print(f"v_J = {permutations.format_one_line(permutations.subword_vj(J))}")
+    permutations.print_group(J)
 
 
 def main(argv: list[str] | None = None) -> int:

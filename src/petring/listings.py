@@ -1,6 +1,6 @@
 """The left-right diagrams of one (J, K, L) triple as Fraction listings: each
 game of ``diagrams._games`` that ends on L, row by row, with its weight, and
-their ASCII rendering, which the ``diagrams`` command prints."""
+their ASCII rendering; ``print_diagrams`` is the body of the ``diagrams`` command."""
 
 from collections import namedtuple
 from collections.abc import Iterable
@@ -10,7 +10,8 @@ from fractions import Fraction
 from .diagrams import _games, expand_all
 from .intervals import IndexSet
 
-__all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight", "structure_constant", "render_ascii"]
+__all__ = ["Move", "GameRow", "LeftRightDiagram", "enumerate_diagrams", "weight", "structure_constant", "render_ascii",
+           "print_diagrams"]
 
 
 class Move(str, Enum):
@@ -85,3 +86,12 @@ def render_ascii(P: LeftRightDiagram) -> str:
         cells = (marks.get(c) or ("#" if c in shading else "") for c in columns)
         lines.append(line(str(row.element), cells) + f" ({row.move.value}) {row.row_weight}")
     return "\n".join(lines)
+
+
+def print_diagrams(J: IndexSet, K: IndexSet, L: IndexSet) -> None:
+    """The ``diagrams`` command's lines: each diagram of (J, K, L) with its weight and rendering, then d."""
+    for idx, P in enumerate(found := enumerate_diagrams(J, K, L), start=1):
+        print(f"diagram {idx} of {len(found)}  (weight {weight(P)})")
+        print(render_ascii(P))
+        print("")
+    print(f"d = {structure_constant(J, K, L)}" if found else "no diagrams; d = 0")

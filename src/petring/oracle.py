@@ -8,7 +8,7 @@ are an independent cross-check of the other engines.
 
 A normal form is a rational combination of square-free monomials, folded
 over the memoized table NF(g_i * x_S) of ``_step``, on integers over one
-denominator that does not depend on the route.  ``presentation_failures``
+denominator that does not depend on the route.  ``verify.presentation_failures``
 certifies that the forms are unique, so that the square-free monomials are
 a basis; ``quotient_dimension`` and the whole relation matrix of
 ``relations`` are the references that the tests hold it to.
@@ -22,7 +22,7 @@ from itertools import combinations
 from .errors import PresentationError, Row, class_tail, expansion
 from .intervals import IndexSet
 
-__all__ = ["quotient_dimension", "presentation_failures", "structure_constants_linalg", "linalg_row"]
+__all__ = ["quotient_dimension", "structure_constants_linalg", "linalg_row"]
 
 # A monomial of rank n is its exponent tuple of length n-1 (entry i-1 is the
 # multiplicity of generator i).
@@ -201,30 +201,6 @@ def quotient_dimension(n: int, d: int) -> int:
     sums = (_combine((v, _normal_form(n, t)) for t, v in _relation_row(_bump(mono, i, -2), i).items())[0]
             for mono in _monomial_exponents(n, d) for i in range(1, n) if mono[i - 1] > 1)
     return math.comb(n - 1, d) - len(_echelon(({S: w for S, w in r.items() if w} for r in sums), math.comb(n - 1, d)))
-
-
-def presentation_failures(n: int, size: int) -> list[tuple[int, int, int]]:
-    """The (S mask, i, j) with |S| = size at which the table, as operators
-    T_i = ``_times(n, i, .)`` on the square-free span, fails to be a module
-    over the quotient: i < j for T_i T_j x_S != T_j T_i x_S, checked when i
-    or j is in S (else both are x_{S+i+j}), and i = j for r_i(T) x_S != 0,
-    r_i = g_i (2 g_i - g_{i-1} - g_{i+1}) with boundary terms dropped.
-
-    With no failure for size = 0..n-1, every form is m(T) 1 whatever its
-    route, so every relation row's form is zero and every
-    ``quotient_dimension`` is a binomial.  Builds no normal form;
-    PresentationError for an entry that does not reduce."""
-    gens, failures = range(1, n), []
-    for S in (S for S in range(1 << (n - 1)) if S.bit_count() == size):
-        # T_i x_S, the table entry or x_{S+i}, and zero at i = 0, n
-        once = [({}, 1), *(_step(n, i, S) if S >> (i - 1) & 1 else ({S | 1 << (i - 1): 1}, 1) for i in gens), ({}, 1)]
-        for i, j in combinations(gens, 2):
-            if S & (1 << (i - 1) | 1 << (j - 1)) and _times(n, i, *once[j]) != _times(n, j, *once[i]):
-                failures.append((S, i, j))
-        for i in gens:
-            if _times(n, i, *_combine([(2, once[i]), (-1, once[i - 1]), (-1, once[i + 1])]))[0]:
-                failures.append((S, i, i))
-    return failures
 
 
 def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:

@@ -8,7 +8,7 @@ so it is fixed here once and used everywhere.
 import bisect
 import operator
 
-from .intervals import IndexSet, all_index_sets, decompose
+from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function
 
 __all__ = [
     "Permutation",
@@ -21,6 +21,7 @@ __all__ = [
     "bruhat_leq",
     "peterson_fixed_points",
     "format_one_line",
+    "print_group",
 ]
 
 # One-line notation: w[p-1] == w(p), a permutation of {1, ..., n}.
@@ -101,3 +102,15 @@ def peterson_fixed_points(n: int) -> list[Permutation]:
 def format_one_line(w: Permutation) -> str:
     """One-line notation in brackets, "[2,1,3]"."""
     return "[" + ",".join(str(x) for x in w) + "]"
+
+
+def print_group(J: IndexSet) -> None:
+    """The ``group`` command's lines for J: its runs, m_J, factor ranks, h_J, w_J with its length, and v_J."""
+    dec, wj = decompose(J), longest_wj(J)
+    print(f"J = {J.format()}  (rank n = {J.n})")
+    print("components = " + (" ".join(f"[{lo}..{hi}]" for lo, hi in dec.runs) or "(empty)"))
+    print(f"m_J = {dec.m_factor}")
+    print(f"factor ranks = {factor_ranks(J)}")
+    print(f"h_J = {hessenberg_function(J)}")
+    print(f"w_J = {format_one_line(wj)}   length {length(wj)}")
+    print(f"v_J = {format_one_line(subword_vj(J))}")

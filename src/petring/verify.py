@@ -1,5 +1,5 @@
-"""The body of ``petring verify``, whose options and help ``cli`` registers: its refusals, the checks, the pair
-sweep and the forked workers.  They read ``cli._expansion_row`` and the engines through their modules at call time."""
+"""The body of ``petring verify``, whose options and help ``cli`` registers: its refusals, the checks, linalg's module
+certificate, the pair sweep and the forked workers.  They read ``cli._expansion_row`` and the engines at call time."""
 
 import functools
 import itertools
@@ -12,7 +12,7 @@ from . import cli, diagrams, oracle, permutations, ring
 from .errors import ConsistencyError
 from .intervals import all_index_sets, format_mask
 
-__all__ = ["CHECKS", "run"]
+__all__ = ["CHECKS", "presentation_failures", "run"]
 
 VERIFY_RANKS = range(1, 9)  # the ranks that --n-max may name
 
@@ -68,13 +68,37 @@ def _pair_blocks(n: int, jobs: int) -> list[range]:
     return [range(start, stop) for start, stop in zip(cuts, cuts[1:] + [1 << (n - 1)])]
 
 
+def presentation_failures(n: int, size: int) -> list[tuple[int, int, int]]:
+    """The (S mask, i, j) with |S| = size at which linalg's table, as operators
+    T_i = ``oracle._times(n, i, .)`` on the square-free span, fails to be a module
+    over the quotient: i < j for T_i T_j x_S != T_j T_i x_S, checked when i
+    or j is in S (else both are x_{S+i+j}), and i = j for r_i(T) x_S != 0,
+    r_i = g_i (2 g_i - g_{i-1} - g_{i+1}) with boundary terms dropped.
+
+    With no failure for size = 0..n-1, every form is m(T) 1 whatever its
+    route, so every relation row's form is zero and every
+    ``oracle.quotient_dimension`` is a binomial.  Builds no normal form;
+    PresentationError for an entry that does not reduce."""
+    gens, failures, step, times = range(1, n), [], oracle._step, oracle._times
+    for S in (S for S in range(1 << (n - 1)) if S.bit_count() == size):
+        # T_i x_S, the table entry or x_{S+i}, and zero at i = 0, n
+        once = [({}, 1), *(step(n, i, S) if S >> (i - 1) & 1 else ({S | 1 << (i - 1): 1}, 1) for i in gens), ({}, 1)]
+        for i, j in itertools.combinations(gens, 2):
+            if S & (1 << (i - 1) | 1 << (j - 1)) and times(n, i, *once[j]) != times(n, j, *once[i]):
+                failures.append((S, i, j))
+        for i in gens:
+            if times(n, i, *oracle._combine([(2, once[i]), (-1, once[i - 1]), (-1, once[i + 1])]))[0]:
+                failures.append((S, i, i))
+    return failures
+
+
 def _graded_dimensions(n: int, _) -> list[str]:
-    """Degree d of the quotient has dimension C(n-1, d) for every d, certified by ``presentation_failures``
+    """Degree d of the quotient has dimension C(n-1, d) for every d, certified by :func:`presentation_failures`
     at |S| = 0..n-1; an entry that raises fails the check, named by its degree d = |S| + 2."""
     mismatch = []
     for size in range(n):
         try:
-            if oracle.presentation_failures(n, size):
+            if presentation_failures(n, size):
                 mismatch = [f"n={n}: graded dimensions do not match binomials"]
         except Exception as exc:
             return mismatch + [f"n={n} d={size + 2}: {_named(exc)}"]

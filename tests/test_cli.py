@@ -1,3 +1,9 @@
+"""The command line, end to end.  Run as a script, it prints the lines of petring source that each command runs, and
+so compiles where no bytecode is written, as a Markdown table:
+
+    python tests/test_cli.py
+"""
+
 import csv
 import io
 import itertools
@@ -12,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import petring.cli
+import petring.lookup
 import petring.table
 import petring.verify
 import pinned
@@ -29,8 +36,8 @@ from petring.errors import ConsistencyError
     ("petring.cli", ["click", "dataclasses", "inspect", "fractions", "decimal", "csv", "json",
                      "argparse", "gettext", "locale", "shutil"]),
     ("petring.intervals", ["petring.ring", "petring.diagrams", "petring.oracle"]),
-    ("petring", [f"petring.{m}" for m in ("cli", "diagrams", "errors", "intervals", "listings", "oracle",
-                                          "permutations", "relations", "ring", "table", "verify")]),
+    ("petring", [f"petring.{m}" for m in ("cli", "diagrams", "errors", "intervals", "listings", "lookup", "oracle",
+                                          "parser", "permutations", "relations", "ring", "table", "verify")]),
 ])
 def test_fresh_import_loads_no_unneeded_module(module, unneeded):
     # in a fresh interpreter, the modules that the import adds to those loaded at start-up
@@ -49,21 +56,24 @@ def tables5(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, ran", [
     ([], []),
-    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], ["ring"]),
+    (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], ["lookup", "ring"]),
     (["table", "-n", "5"], ["ring", "table"]),
     (["expand", "-n", "5", "-J", "1", "-K", "2", "--method", "all"], ["diagrams", "oracle", "ring"]),
     (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], ["diagrams", "listings"]),
     (["verify", "--n-max", "3"], ["diagrams", "oracle", "permutations", "ring", "verify"]),
-], ids=["import", "cached-csv", "table", "expand-all", "diagrams", "verify"])
+    (["expand", "--help"], ["parser"]),
+], ids=["import", "cached-csv", "table", "expand-all", "diagrams", "verify", "help"])
 def test_a_command_runs_only_the_engine_modules_it_calls(tables5, argv, ran):
     # in a fresh interpreter, after `import petring.cli` and the command: every module that cli calls is
     # in sys.modules and bound on the package, as an import binds it, and is a plain module once run;
     # any attribute read would run it, so its type is tested; the class algebra and the relation
-    # reference, which cli never calls, are not imported at all
+    # reference, which cli never calls, are not imported at all; a canonical `expand` runs neither the
+    # cached lookup nor the argparse parser, `--cached` runs the lookup, and `--help` the parser
     argv = [arg.format(**tables5) for arg in argv]
     code = ("import sys, types, petring; from petring.cli import main; "
             "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "called = ('diagrams', 'listings', 'oracle', 'permutations', 'ring', 'table', 'verify'); "
+            "called = ('diagrams', 'listings', 'lookup', 'oracle', 'parser', 'permutations', 'ring', 'table', "
+            "'verify'); "
             "modules = {m: sys.modules.get('petring.' + m) for m in sorted((*called, 'algebra', 'relations'))}; "
             "assert all(getattr(petring, m) is modules[m] for m in called); "
             "print(*(m for m, module in modules.items() if type(module) is types.ModuleType), file=sys.stderr); "
@@ -180,35 +190,39 @@ def test_no_module_loads_typing():
     assert "relations" in modules
 
 
-def test_a_query_compiles_only_the_code_it_runs():
-    # a fresh `expand --method all` compiles every petring module it runs when no bytecode is written: the
-    # package, cli, errors, intervals and the three engines, and none of the bodies of `verify` and `table`,
-    # the diagram listings, the class algebra or the relation reference; code put back on the path shows here
+COMPILED = {  # a canonical line of each command, the modules it runs besides those of every command, and their lines
+    "expand": ([*GOLDEN, "--method", "all"], ["diagrams", "oracle", "ring"], 963),
+    "expand --cached": (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], ["lookup", "ring"], 736),
+    "table": (["table", "-n", "4"], ["ring", "table"], 749),
+    "verify": (["verify", "--n-max", "2"], ["diagrams", "oracle", "permutations", "ring", "verify"], 1299),
+    "group": (["group", "-n", "5", "-J", "1,2"], ["permutations"], 697),
+    "diagrams": (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], ["diagrams", "listings"], 747),
+}
+EVERY_COMMAND = ["__init__", "cli", "errors", "intervals"]  # the modules that every command runs
+
+
+def _compiled(argv: list[str]) -> tuple[list[str], int]:
+    """The names of the petring modules that a fresh run of ``argv`` runs, sorted, and their lines: the source
+    that Python compiles in a process that finds no bytecode, as under PYTHONDONTWRITEBYTECODE=1."""
     code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
             "print(*(m.__file__ for name, m in sys.modules.items() "
             "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
             "sys.exit(code)")
-    proc = python("-c", code, *GOLDEN, "--method", "all", timeout=60)
+    proc = python("-c", code, *argv, timeout=60)
     assert proc.returncode == 0, proc.stderr
     ran = proc.stderr.split()
-    assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "diagrams", "errors", "intervals",
-                                                       "oracle", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 1070
+    return sorted(Path(path).stem for path in ran), sum(Path(path).read_text().count("\n") for path in ran)
 
 
-def test_a_cached_lookup_compiles_only_the_code_it_runs(tables5):
-    # a fresh `expand --cached` on a CSV table runs the rewrite, whose row the table's rows must equal, and no
-    # other engine: it compiles the package, cli, errors, intervals and ring only
-    code = ("import sys, types; from petring.cli import main; code = main(sys.argv[1:]); "
-            "print(*(m.__file__ for name, m in sys.modules.items() "
-            "if name.split('.')[0] == 'petring' and type(m) is types.ModuleType), file=sys.stderr); "
-            "sys.exit(code)")
-    proc = python("-c", code, "expand", "-n", "5", "-J", "1", "-K", "2", "--cached", str(tables5["csv"]),
-                  timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    ran = proc.stderr.split()
-    assert sorted(Path(path).stem for path in ran) == ["__init__", "cli", "errors", "intervals", "ring"]
-    assert sum(Path(path).read_text().count("\n") for path in ran) <= 756
+@pytest.mark.parametrize("command", COMPILED)
+def test_a_command_compiles_only_the_code_it_runs(tables5, command):
+    # each command compiles the modules that it runs and no others, and no more lines than its ceiling: the bodies
+    # of the other commands, the cached lookup, the argparse parser, linalg's certificate, the class algebra and
+    # the relation reference stay off its path; code put back on a path shows here
+    argv, modules, ceiling = COMPILED[command]
+    ran, lines = _compiled([arg.format(**tables5) for arg in argv])
+    assert ran == sorted([*EVERY_COMMAND, *modules]), ran
+    assert lines <= ceiling, lines
 
 
 def test_table_and_the_sweep_build_no_index_set(capsys, monkeypatch):
@@ -260,8 +274,8 @@ def test_every_public_function_and_class_has_a_docstring():
     import importlib
     import inspect
 
-    for module in ("algebra", "cli", "diagrams", "errors", "intervals", "listings", "oracle", "permutations",
-                   "relations", "ring", "table", "verify"):
+    for module in ("algebra", "cli", "diagrams", "errors", "intervals", "listings", "lookup", "oracle", "parser",
+                   "permutations", "relations", "ring", "table", "verify"):
         public = importlib.import_module(f"petring.{module}")
         for name in public.__all__:
             obj = getattr(public, name)  # cli.cli, the parser, is built on this first read
@@ -992,13 +1006,13 @@ class TestVerify:
         before = oracle._normal_form.cache_info()
         assert petring.verify._graded_dimensions(8, None) == []
         assert oracle._normal_form.cache_info() == before
-        monkeypatch.setattr(oracle, "presentation_failures", lambda n, size: [(0, 1, 1)] * (size < 2))
+        monkeypatch.setattr(petring.verify, "presentation_failures", lambda n, size: [(0, 1, 1)] * (size < 2))
         assert petring.verify._graded_dimensions(5, None) == ["n=5: graded dimensions do not match binomials"]
 
     def test_engine_error_of_any_type_fails_its_check(self, capsys, monkeypatch):
         # an error that is not a ConsistencyError, in the certificate at |S| = 1 and in the top-degree
         # power of g_2, fails its check on a line named with its type: exit 2, and no traceback
-        certify, product = oracle.presentation_failures, ring._varpi_product
+        certify, product = petring.verify.presentation_failures, ring._varpi_product
 
         def certify_raising(n, size):
             if size == 1:
@@ -1010,7 +1024,7 @@ class TestVerify:
                 raise ValueError("planted")
             return product(n, left, right)
 
-        monkeypatch.setattr(oracle, "presentation_failures", certify_raising)
+        monkeypatch.setattr(petring.verify, "presentation_failures", certify_raising)
         monkeypatch.setattr(ring, "_varpi_product", product_raising)
         code, out, err = run(capsys, "verify", "--n-max", "3")
         assert code == 2
@@ -1135,7 +1149,7 @@ class TestTable:
 
     def test_cells_quoted_as_csv_quotes_them(self):
         # a subset cell is quoted exactly when it holds a comma: at every n <= 10 each line is csv.writer's, and
-        # each cell, without its trailing comma, reads back through csv.reader, as cli._read_table reads it, as
+        # each cell, without its trailing comma, reads back through csv.reader, as lookup._read_table reads it, as
         # one field: its subset
         for n in range(1, 11):
             masks = range(1 << (n - 1))
@@ -1524,7 +1538,7 @@ class TestCachedLookup:
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "1", "-K", "1,2,3,4", "--cached", str(path))
         assert code == 0, err
         assert json.loads(out)["terms"] == []
-        assert petring.cli._read_table(str(path), 5, IndexSet.of(5, [1, 2]), IndexSet.of(5, [1, 3, 4])) == []
+        assert petring.lookup._read_table(str(path), 5, IndexSet.of(5, [1, 2]), IndexSet.of(5, [1, 3, 4])) == []
         code, out, err = run(capsys, "expand", "-n", "5", "-J", "1,2,3,4", "-K", "1", "--cached", str(path))
         assert (code, out) == (1, "")
         assert err == f"Error: cache {path} is for rank 4, not 5\n"
@@ -1580,7 +1594,7 @@ class TestCachedLookup:
                 read.append(data := super().read(size))
                 return data
 
-        monkeypatch.setattr(petring.cli, "open", lambda path, mode: Counted(path, mode.rstrip("b")), raising=False)
+        monkeypatch.setattr(petring.lookup, "open", lambda path, mode: Counted(path, mode.rstrip("b")), raising=False)
         for j, k in [("-", "-"), ("1", "2,3"), ("1,2", "3"), ("2,3", "1,2")]:
             read.clear()
             assert run(capsys, "expand", "-n", "9", "-J", j, "-K", k, "--cached", str(path)) == _not_csv(path)
@@ -1650,19 +1664,19 @@ class TestCachedLookup:
         for J in sets:
             for K in sets:
                 expected = by_pair.get((J.format(), K.format()), [])
-                assert petring.cli._read_table(str(path), 6, J, K) == expected, (J, K)
+                assert petring.lookup._read_table(str(path), 6, J, K) == expected, (J, K)
 
     def test_lines_decoded_grow_with_the_log_of_the_file(self, monkeypatch, tmp_path):
         path = tmp_path / "t7.csv"
         assert main(["table", "-n", "7", "--out", str(path)]) == 0
         bound = 2 * math.ceil(math.log2(path.stat().st_size)) + 2
         counter = [0]
-        monkeypatch.setattr(petring.cli, "open", _counting_open(counter), raising=False)
+        monkeypatch.setattr(petring.lookup, "open", _counting_open(counter), raising=False)
         sets = list(all_index_sets(7))
         for J in sets:
             for K in sets:
                 counter[0] = 0
-                rows = petring.cli._read_table(str(path), 7, J, K)
+                rows = petring.lookup._read_table(str(path), 7, J, K)
                 assert counter[0] <= bound + len(rows), (J, K, counter[0])
 
 
@@ -1983,3 +1997,17 @@ class TestExitContract:
         """This environment without PYTHONUNBUFFERED, with this checkout's petring and help at 80 columns."""
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         return {**env, "COLUMNS": "80", "PYTHONPATH": str(Path(petring.cli.__file__).parents[1])}
+
+
+if __name__ == "__main__":  # the compile table: the lines that each command of COMPILED runs, as a Markdown table
+    import contextlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = {"csv": os.path.join(tmp, "table5.csv")}
+        with contextlib.redirect_stdout(io.StringIO()):  # without the line "wrote 173 rows to ..."
+            assert main(["table", "-n", "5", "--out", tables["csv"]]) == 0
+        print("| command | modules run besides `__init__`, `cli`, `errors` and `intervals` | lines |\n|---|---|---|")
+        for command, (argv, _, _) in COMPILED.items():
+            ran, lines = _compiled([arg.format(**tables) for arg in argv])
+            print(f"| `{command}` | " + ", ".join(f"`{m}`" for m in ran if m not in EVERY_COMMAND) + f" | {lines} |")

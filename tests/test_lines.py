@@ -10,7 +10,7 @@ prints the counts by kind and their total:
 import ast
 from pathlib import Path
 
-TOTAL, CODE = 1750, 1068
+TOTAL, CODE = 1780, 1078
 
 
 def _line_kinds() -> dict[str, int]:

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import empty, empty_memos, plant, step_tripled
-from petring import intervals, listings, oracle, relations
+from petring import intervals, listings, oracle, relations, verify
 from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet, all_index_sets
-from petring.oracle import presentation_failures, quotient_dimension, structure_constants_linalg
+from petring.oracle import quotient_dimension, structure_constants_linalg
 from petring.relations import Monomial, normal_form, relation_rows
 from petring.ring import rewrite_row, structure_constants_rewrite
 
@@ -251,9 +251,10 @@ class TestTable:
     def test_independent_of_the_run_rule(self, monkeypatch):
         # linalg is a cross-check only while it never uses the run rule: not
         # by name, and not at run time through a callee such as the m-factors;
-        # nor does its reference, the relation matrix of `relations`
+        # nor does its reference, the relation matrix of `relations`, nor its
+        # module certificate, which `verify` runs on oracle's table alone
         def named(module):
-            """The names that ``module`` imports, and those it reads as names or attributes."""
+            """The names that ``module``, or a function, imports, and those it reads as names or attributes."""
             tree = ast.parse(inspect.getsource(module))
             imported = set()
             for node in ast.walk(tree):
@@ -274,6 +275,10 @@ class TestTable:
         # nor the diagram listings read one
         assert not set().union(*named(oracle)) & {"decompose_mask", "mask_m_factor", "m_factor"}
         assert not set().union(*named(listings)) & {"decompose_mask", "mask_m_factor", "m_factor"}
+        certificate = set().union(*named(verify.presentation_failures))
+        assert not certificate & {"ring", "diagrams", "algebra", "listings", "intervals", "cli", "run_step",
+                                  "decompose_mask", "mask_m_factor", "m_factor"}, certificate
+        assert {"_step", "_times", "_combine"} <= certificate
 
         def refused(*args):
             raise AssertionError("linalg reached the run rule")
@@ -284,7 +289,7 @@ class TestTable:
             # ring binds its own run_step, so the rewrite still gives the reference rows
             for J, K in itertools.product(range(1 << (n - 1)), repeat=2):
                 assert oracle.linalg_row(n, J, K) == rewrite_row(n, J, K), (n, J, K)
-            assert not any(presentation_failures(n, size) for size in range(n))
+            assert [verify.presentation_failures(n, size) for size in range(n)] == [[]] * n, n
 
 
 class TestElimination:
@@ -439,7 +444,7 @@ def _graded_dimensions_fail(n):
 
 def _certificate_fails(n):
     try:
-        return any(presentation_failures(n, size) for size in range(n))
+        return any(verify.presentation_failures(n, size) for size in range(n))
     except PresentationError:
         return True
 
@@ -456,18 +461,18 @@ CORRUPTIONS = {
 class TestPresentationCertificate:
     def test_passes_to_rank_nine(self):
         for n in range(1, 10):
-            assert [presentation_failures(n, size) for size in range(n)] == [[]] * n, n
+            assert [verify.presentation_failures(n, size) for size in range(n)] == [[]] * n, n
 
     def test_builds_no_normal_form(self):
         before = oracle._normal_form.cache_info()
-        assert not any(presentation_failures(8, size) for size in range(8))
+        assert not any(verify.presentation_failures(8, size) for size in range(8))
         assert oracle._normal_form.cache_info() == before
 
     def test_names_each_failing_check(self, monkeypatch):
         # NF(g_2 * x_{2}) at rank 4 tripled: r_2 fails on x_0, and on x_{2}
         # every check whose two steps reach the entry fails
         step_tripled(monkeypatch)
-        assert [presentation_failures(4, size) for size in range(4)] == [
+        assert [verify.presentation_failures(4, size) for size in range(4)] == [
             [(0, 2, 2)], [(0b010, 1, 2), (0b010, 2, 3), (0b010, 1, 1), (0b010, 2, 2), (0b010, 3, 3)], [], []]
 
     def test_entry_that_does_not_reduce_raises(self, monkeypatch):
@@ -476,7 +481,7 @@ class TestPresentationCertificate:
         own_row = oracle._own_row
         monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
         with pytest.raises(PresentationError, match=r"monomial \(2,\) at rank 2, degree 2"):
-            presentation_failures(2, 0)
+            verify.presentation_failures(2, 0)
 
     def test_same_verdict_as_graded_dimensions_on_every_corrupted_entry(self, monkeypatch):
         # every single-entry corruption of the table at n = 3..5: the
