@@ -117,6 +117,11 @@ SUBSET_J = option("-J", dest="J", default="-", metavar="SUBSET", help='First sub
 SUBSET_K = option("-K", dest="K", default="-", metavar="SUBSET", help="Second subset.")
 
 
+def csv_cell(mask: int) -> str:
+    """The CSV cell of the subset with bit mask ``mask``: its text, quoted exactly when it holds a comma, as by csv."""
+    return f'"{s}"' if "," in (s := format_mask(mask)) else s
+
+
 def _expansion_row(n: int, J: int, K: int, method: str) -> Row:
     """The checked row of one engine, or of all three if they agree exactly, else ``_check_rows_agree``'s error."""
     if method != "all":
@@ -155,11 +160,8 @@ def cmd_expand(n: int, J: IndexSet, K: IndexSet, method: str, fmt: str, cached: 
         print(f'{{"n": {n}, "J": {list(J.as_tuple())}, "K": {list(K.as_tuple())}, "method": "{method}", '
               f'"terms": [{terms}]}}')
         return
-    import csv
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["n", "J", "K", "method", "L", "coeff"])
-    writer.writerows([n, J.format(), K.format(), method, format_mask(L), d] for L, d in row)
+    head = f"{n},{csv_cell(J.mask)},{csv_cell(K.mask)},{method},"
+    print("n,J,K,method,L,coeff", *(f"{head}{csv_cell(L)},{d}" for L, d in row), sep="\n")
 
 
 @command("diagrams", RANK, SUBSET_J, SUBSET_K,
@@ -189,9 +191,7 @@ def cmd_table(n: int, degree: int | None, J: IndexSet | None, K: IndexSet | None
     """Write the structure-constant table for one rank, rows (J, K, L, d) in
     canonical order, nonzero constants only, computed and written one J at a time."""
     subsets = range(1 << (n - 1))
-    js = [J.mask] if J is not None else subsets
-    ks = [K.mask] if K is not None else subsets
-    table.run(n, degree, js, ks, fmt, out)
+    table.run(n, degree, subsets if J is None else [J.mask], subsets if K is None else [K.mask], fmt, out)
 
 
 @command("group", RANK, SUBSET_J)

@@ -13,9 +13,8 @@ through (J | K, J & K).  The games as Fraction listings are in ``listings``.
 import functools
 import math
 
-from . import intervals
-from .errors import ConsistencyError, Row, class_tail, expansion
-from .intervals import IndexSet, run_step
+from . import errors, intervals
+from .errors import ConsistencyError, Row, expansion
 
 __all__ = ["expand_all", "diagram_row"]
 
@@ -31,7 +30,7 @@ def _games(n: int, start: int, marked: int) -> list[tuple[int, tuple, int, int]]
     for element in [k + 1 for k in range(marked.bit_length()) if marked >> k & 1]:
         played = []
         for shading, rows, num, den in games:
-            a, b, row_den, moves = run_step(shading, element, n)
+            a, b, row_den, moves = intervals.run_step(shading, element, n)
             for target, row_num in moves:
                 if target < 1:
                     raise ConsistencyError(f"run rule g_{element} from mask {shading:b} at rank {n} "
@@ -54,7 +53,7 @@ def _game_sums(n: int, union: int, meet: int) -> tuple[dict[int, int], int, dict
     return sums, denom, {}
 
 
-def expand_all(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
+def expand_all(J: intervals.IndexSet, K: intervals.IndexSet) -> dict[intervals.IndexSet, int]:
     """The product of the basis classes on J and K by :func:`diagram_row`."""
     return expansion(diagram_row, J, K)
 
@@ -65,5 +64,5 @@ def diagram_row(n: int, J: int, K: int) -> Row:
     sums, denom, rows = _game_sums(n, J | K, J & K)
     m = intervals.mask_m_factor(J) * intervals.mask_m_factor(K)
     if (row := rows.get(m)) is None:
-        row = rows[m] = class_tail("diagram", n, J, K, sums.items(), denom)
+        row = rows[m] = errors.class_tail("diagram", n, J, K, sums.items(), denom)
     return row

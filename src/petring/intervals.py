@@ -179,8 +179,8 @@ def decompose(J: IndexSet) -> ComponentDecomposition:
 
 
 def m_factor(J: IndexSet) -> int:
-    """Product of factorials of the run lengths of J; 1 for the empty set."""
-    return decompose_mask(J.mask).m_factor
+    """Product of factorials of the run lengths of J, 1 for the empty set: the memo's value for its mask."""
+    return mask_m_factor(J.mask)
 
 
 def run_step(mask: int, i: int, n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:

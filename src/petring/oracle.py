@@ -19,8 +19,8 @@ import math
 from collections.abc import Iterable
 from itertools import combinations
 
-from .errors import PresentationError, Row, class_tail, expansion
-from .intervals import IndexSet
+from . import errors, intervals
+from .errors import PresentationError, Row, expansion
 
 __all__ = ["quotient_dimension", "structure_constants_linalg", "linalg_row"]
 
@@ -203,7 +203,7 @@ def quotient_dimension(n: int, d: int) -> int:
     return math.comb(n - 1, d) - len(_echelon(({S: w for S, w in r.items() if w} for r in sums), math.comb(n - 1, d)))
 
 
-def structure_constants_linalg(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
+def structure_constants_linalg(J: intervals.IndexSet, K: intervals.IndexSet) -> dict[intervals.IndexSet, int]:
     """The product of the basis classes on J and K by :func:`linalg_row`."""
     return expansion(linalg_row, J, K)
 
@@ -218,4 +218,4 @@ def linalg_row(n: int, J: int, K: int) -> Row:
     if J.bit_count() + K.bit_count() > n - 1:  # the quotient vanishes above the top degree
         return ()
     row, denom = _normal_form(n, _exponents(n, J | K, J & K))
-    return class_tail("linalg", n, J, K, row.items(), denom)
+    return errors.class_tail("linalg", n, J, K, row.items(), denom)

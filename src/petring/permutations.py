@@ -8,7 +8,7 @@ so it is fixed here once and used everywhere.
 import bisect
 import operator
 
-from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function
+from .intervals import IndexSet, all_index_sets, decompose, factor_ranks, hessenberg_function, m_factor
 
 __all__ = [
     "Permutation",
@@ -109,7 +109,7 @@ def print_group(J: IndexSet) -> None:
     dec, wj = decompose(J), longest_wj(J)
     print(f"J = {J.format()}  (rank n = {J.n})")
     print("components = " + (" ".join(f"[{lo}..{hi}]" for lo, hi in dec.runs) or "(empty)"))
-    print(f"m_J = {dec.m_factor}")
+    print(f"m_J = {m_factor(J)}")
     print(f"factor ranks = {factor_ranks(J)}")
     print(f"h_J = {hessenberg_function(J)}")
     print(f"w_J = {format_one_line(wj)}   length {length(wj)}")

@@ -1,19 +1,18 @@
 """The rewrite engine.
 
-The rewrite multiplies x_J * x_K = x_{J|K} * x_{J&K}, the generators of J | K
-and J & K, one run-rule step at a time in the basis of classes, where every
-step's coefficient is a positive integer (Harada-Tymoczko's positive Monk
-rule), and divides by m_factor(J) * m_factor(K).  ``rewrite_rows`` is its one
-path, by one ``_fold`` per class (J | K, J & K), and its rows pass ``constants``.
-``_varpi_product`` extends its rows bilinearly to combinations of basis
-classes: the product of the class algebra and of `verify`'s top-degree check.
+The rewrite multiplies x_J * x_K = x_{J|K} * x_{J&K}, the generators of J | K and J & K, one run-rule step at a time
+in the basis of classes, where every step's coefficient is a positive integer (Harada-Tymoczko's positive Monk rule),
+and divides by m_factor(J) * m_factor(K).  ``rewrite_rows`` is its one path, by one ``_fold`` per class (J | K, J & K),
+and its rows pass ``errors.constants``.  ``_varpi_product`` extends its rows bilinearly to combinations of basis
+classes: the product of the class algebra and of `verify`'s top-degree check.  The run step, the m-factor memo and
+the tail are read where they are defined, at call time, so that a fault planted there reaches the rewrite.
 """
 
 import functools
 from collections.abc import Iterable, Iterator
 
-from .errors import ConsistencyError, Row, constants, expansion
-from .intervals import IndexSet, mask_m_factor, run_step
+from . import errors, intervals
+from .errors import ConsistencyError, Row, expansion
 
 __all__ = ["structure_constants_rewrite", "rewrite_rows", "rewrite_row"]
 
@@ -44,21 +43,21 @@ def _transition(n: int, i: int, S: int) -> tuple[tuple[int, int], ...]:
     """Generator i times the basis class on the subset with mask S at rank n, memoized: by the run rule,
     the (L, num * m_L / (den * m_S)) pairs with L = S plus a target.  ConsistencyError for a target
     below column 1 or a division that is not exact."""
-    m_S = mask_m_factor(S)
-    _, _, den, targets = run_step(S, i, n)
+    m_S = intervals.mask_m_factor(S)
+    _, _, den, targets = intervals.run_step(S, i, n)
     out = []
     for target, num in targets:
         if target < 1:  # column n is left to the checked tail, which names J and K
             raise ConsistencyError(f"run rule g_{i} from mask {S:b} at rank {n} moves to column {target}")
         L = S | 1 << (target - 1)
-        step, remainder = divmod(num * mask_m_factor(L), den * m_S)
+        step, remainder = divmod(num * intervals.mask_m_factor(L), den * m_S)
         if remainder:
             raise ConsistencyError(f"run rule g_{i} from mask {S:b} to {L:b} at rank {n} is not integral")
         out.append((L, step))
     return tuple(out)
 
 
-def structure_constants_rewrite(J: IndexSet, K: IndexSet) -> dict[IndexSet, int]:
+def structure_constants_rewrite(J: intervals.IndexSet, K: intervals.IndexSet) -> dict[intervals.IndexSet, int]:
     """Expansion of the product of the basis classes on J and K by the
     run-rule engine: the generators of J | K and J & K, one at a time,
     divided by m_factor(J) * m_factor(K)."""
@@ -73,11 +72,12 @@ def rewrite_row(n: int, J: int, K: int) -> Row:
 def rewrite_rows(n: int, J: int, ks: Iterable[int]) -> Iterator[tuple[int, Row]]:
     """The checked rows of the mask J times each mask K of ``ks`` with |J| + |K| <= n - 1 at rank n, as (K, row) in
     the order of ``ks``: the row its class's :func:`_fold` keeps for m_J * m_K, else the tail's, kept if it passes."""
+    m_J = (m := intervals.mask_m_factor)(J)
     for K in ks:
         if J.bit_count() + K.bit_count() < n:  # zero products, 40% of a table, skip the fold and the tail
             terms, rows = _fold(n, J | K, J & K)
-            if (row := rows.get(m := mask_m_factor(J) * mask_m_factor(K))) is None:
-                row = rows[m] = constants("rewrite", n, J, K, terms.items(), m)
+            if (row := rows.get(divisor := m_J * m(K))) is None:
+                row = rows[divisor] = errors.constants("rewrite", n, J, K, terms.items(), divisor)
             yield K, row
 
 

@@ -7,8 +7,7 @@ import sys
 from collections.abc import Sequence
 
 from . import ring
-from .cli import MAX_TABLE_PAIRS, Refused
-from .intervals import format_mask
+from .cli import MAX_TABLE_PAIRS, Refused, csv_cell
 
 __all__ = ["run"]
 
@@ -50,8 +49,8 @@ def _write_table(fh, n: int, fmt: str, blocks) -> int:
     then each J's rows in one write, also when one of its pairs raises, then the closing text.  A CSV row is a line
     n,J,K,L,d; a JSON row is the text that json.dumps gives of {"J": [...], "K": [...], "L": [...], "d": "d"}, and
     the rows are joined by ", " in {"n": n, "rows": [...]}."""
-    if fmt == "csv":  # a cell holds only digits, commas or "-", and csv quotes it exactly when it holds a comma
-        cell = functools.cache(lambda m: f'"{s}",' if "," in (s := format_mask(m)) else f"{s},")
+    if fmt == "csv":
+        cell = functools.cache(lambda m: f"{csv_cell(m)},")
         start, keys, sep, close = "n,J,K,L,d\n", (f"{n},", "", "", "", "\n"), "", ""
     else:  # a list of ints prints as json.dumps prints it
         cell = functools.cache(lambda m: f"{[i for i in range(1, n) if m >> (i - 1) & 1]}, ")

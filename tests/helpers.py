@@ -1,7 +1,8 @@
 """What the tests share: the engines' memos emptied, one memoized entry
-corrupted, a run step wrapped in the rewrite and the game, --jobs 2 allowed
-on one CPU, the command line run in-process or in a fresh interpreter, and each
-fault that more than one test plants, written once."""
+corrupted, the run step wrapped where it is defined, --jobs 2 allowed on one
+CPU, the command line run in-process or in a fresh interpreter, and each fault
+that more than one test plants, written once.  Each shared primitive is bound
+by name only in its defining module, so a fault is planted once, there."""
 
 import functools
 import importlib
@@ -11,13 +12,13 @@ import sys
 from pathlib import Path
 
 import petring.cli
-from petring import diagrams, intervals, oracle, ring
+from petring import intervals, oracle
 
 GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]  # the golden example
 
 # every functools cache that a petring module binds, as (module, name), found rather than listed: each memo where it
-# is defined, and each binding of one by name in another module, as ring's of mask_m_factor; and the functions they
-# memoize, taken before any test replaces one
+# is defined, as intervals' mask_m_factor, which no other module binds; and the functions they memoize, taken
+# before any test replaces one
 MEMOS = tuple((module, name) for path in sorted(Path(petring.cli.__file__).parent.glob("[!_]*.py"))
               for module in [importlib.import_module(f"petring.{path.stem}")]
               for name, value in vars(module).items() if hasattr(value, "cache_info"))
@@ -45,11 +46,11 @@ def plant(monkeypatch, module, name, at, change):
 
 
 def wrap_run_step(monkeypatch, change):
-    """Give the rewrite and the game the run step ``change(mask, i, n, a, b,
-    den, moves)``, with (a, b, den, moves) the clean step's."""
+    """Give the rewrite and the game, which read ``intervals.run_step`` at call
+    time, the run step ``change(mask, i, n, a, b, den, moves)``, with (a, b,
+    den, moves) the clean step's."""
     step = intervals.run_step
-    for module in (ring, diagrams):
-        monkeypatch.setattr(module, "run_step", lambda mask, i, n: change(mask, i, n, *step(mask, i, n)))
+    monkeypatch.setattr(intervals, "run_step", lambda mask, i, n: change(mask, i, n, *step(mask, i, n)))
 
 
 def two_cpus(monkeypatch):

@@ -10,7 +10,7 @@ prints the counts by kind and their total:
 import ast
 from pathlib import Path
 
-TOTAL, CODE = 1780, 1078
+TOTAL, CODE = 1778, 1075
 
 
 def _line_kinds() -> dict[str, int]:

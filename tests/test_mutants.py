@@ -66,8 +66,10 @@ def _first_move_heavier(monkeypatch):
 def _run_one_column_short(monkeypatch):
     # the run search stops one column short of the run's right end when the
     # run extends past i, in the rewrite and in the game alike
+    step = intervals.run_step  # the clean step: the wrapped one replaces intervals.run_step
+
     def short(mask, i, n, a, b, den, moves):
-        return intervals.run_step(mask & ~(1 << (b - 1)), i, n) if b > i else (a, b, den, moves)
+        return step(mask & ~(1 << (b - 1)), i, n) if b > i else (a, b, den, moves)
 
     wrap_run_step(monkeypatch, short)
 
@@ -78,13 +80,10 @@ def _column_n(monkeypatch):
 
 
 def _m_changed(monkeypatch, change):
-    # each m-factor replaced by change(the clean decomposition) in the one m-factor memo, wherever it is bound:
-    # intervals, which the checked tail and the game read at call time, and each module that binds its own, as ring
+    # each m-factor replaced by change(the clean decomposition) in the one m-factor memo, intervals.mask_m_factor,
+    # which the engines, the checked tail, m_factor and the class algebra read at call time
     decompose = intervals.decompose_mask
-    changed = functools.cache(lambda mask: change(decompose(mask)))
-    for module, name in MEMOS:
-        if name == "mask_m_factor":
-            monkeypatch.setattr(module, name, changed)
+    monkeypatch.setattr(intervals, "mask_m_factor", functools.cache(lambda mask: change(decompose(mask))))
 
 
 def _m_doubled_per_pair_run(monkeypatch):
@@ -98,13 +97,12 @@ def _m_times_runs_factorial(monkeypatch):
 
 
 def _class_divisor_without_m_K(monkeypatch):
-    # the per-pair tail of the game and linalg applies m_factor(L) but divides by m_factor(J) alone
+    # the per-pair tail of the game and linalg, errors.class_tail, applies m_factor(L) but divides by m_factor(J) alone
     def dropped(engine, n, J, K, row, denom):
         m = intervals.mask_m_factor
         return errors.constants(engine, n, J, K, [(L, v * m(L)) for L, v in row], denom * m(J))
 
-    for module in (diagrams, oracle):
-        monkeypatch.setattr(module, "class_tail", dropped)
+    monkeypatch.setattr(errors, "class_tail", dropped)
 
 
 def _bruhat_last_prefix_skipped(monkeypatch):
@@ -237,8 +235,9 @@ def test_multiply_ends_in_the_checked_tail(monkeypatch):
 @pytest.mark.parametrize("case", ["first", "second"])
 def test_every_test_starts_with_empty_memos(capsys, case):
     # each case finds every memo that MEMOS found empty and leaves each one filled: the golden example fills the
-    # engines', a product the class algebra's m-factor binding and a call the relation reference's, so the case that
-    # runs second fails unless every test starts on empty memos; a memo that none of these reaches is named
+    # engines' and the one m-factor memo, and a call the relation reference's (the class algebra binds none of its
+    # own, and its product reads the rewrite's), so the case that runs second fails unless every test starts on
+    # empty memos; a memo that none of these reaches is named
     memos = {(module.__name__, name): getattr(module, name) for module, name in MEMOS}
     assert {key: memo.cache_info().currsize for key, memo in memos.items()} == dict.fromkeys(memos, 0)
     assert run(capsys, *GOLDEN)[0] == 0

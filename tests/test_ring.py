@@ -263,15 +263,16 @@ class TestStructureConstants:
             multiply(g1, g1)
 
     def test_inexact_division_by_m_K_raises(self, monkeypatch):
-        # m_J read as 2 for J = {3}, which the fold of the class ({1,3}, {})
-        # never reads: its term 1 on L = {1,3} is not a multiple of the
-        # divisor m_J * m_K, and the division must say so rather than round
-        import petring.ring as ring
+        # m_J read as 2 for J = {3}, in the one m-factor memo, which the fold of
+        # the class ({1,3}, {}) never reads at that mask: its term 1 on L = {1,3}
+        # is not a multiple of the divisor m_J * m_K, and the division must say
+        # so rather than round
+        from petring import intervals
 
-        def doubled(mask, m_factor=ring.mask_m_factor):
+        def doubled(mask, m_factor=intervals.mask_m_factor):
             return 2 if mask == 0b100 else m_factor(mask)
 
-        monkeypatch.setattr(ring, "mask_m_factor", doubled)
+        monkeypatch.setattr(intervals, "mask_m_factor", doubled)
         J, K = IndexSet.of(5, [3]), IndexSet.of(5, [1])
         with pytest.raises(ConsistencyError, match=r"d = 1/2 for J=3, K=1, L=1,3"):
             structure_constants_rewrite(J, K)

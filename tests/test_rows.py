@@ -1,16 +1,22 @@
 """The row contract of the checked tail, ``errors.constants``: each engine
 gives an expansion as (L mask, d) pairs, strictly increasing in mask, with
 positive int constants, and the public functions return exactly that row
-as {L: d}; and ``errors.class_tail``, the one normalization of an engine's
-coefficients on the monomials x_L into constants."""
+as {L: d}; ``errors.class_tail``, the one normalization of an engine's
+coefficients on the monomials x_L into constants; and each primitive that the
+engines share, these two, the run step and the m-factor memo, bound by name
+only in the module that defines it."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from helpers import MEMOS
 from petring.diagrams import diagram_row, expand_all
+from petring import errors
 from petring.errors import ConsistencyError, class_tail
 from petring.intervals import IndexSet
 from petring.oracle import linalg_row, structure_constants_linalg
@@ -84,3 +90,22 @@ def test_class_tail_is_the_one_normalization():
         else:
             kept += 1
             assert class_tail("test", n, J, K, row, denom) == tuple((L, int(d)) for L, d in reference if d)
+
+
+def test_each_shared_primitive_is_bound_only_where_it_is_defined():
+    # a fault planted once, on the module that defines a primitive the engines share, reaches every engine only while
+    # no other module binds it by name: by an import, or by a read that runs when the module or a function is defined
+    # (a default, say) rather than when a function is called
+    defined_in = {"run_step": "intervals", "mask_m_factor": "intervals", "constants": "errors", "class_tail": "errors"}
+    bound = []
+    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        at_call = {id(node) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+                   for part in (fn.body if isinstance(fn.body, list) else [fn.body]) for node in ast.walk(part)}
+        for node in ast.walk(tree):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else \
+                [node.attr] if isinstance(node, ast.Attribute) and id(node) not in at_call else []
+            bound += [(path.stem, name) for name in names if defined_in.get(name, path.stem) != path.stem]
+    assert bound == []
+    assert [(module.__name__, name) for module, name in MEMOS if name == "mask_m_factor"] == \
+        [("petring.intervals", "mask_m_factor")]

@@ -14,7 +14,7 @@ import pytest
 import petring.cli
 import petring.verify
 from helpers import empty_memos, plant
-from petring import diagrams, intervals, oracle, ring
+from petring import diagrams, errors, intervals, oracle, ring
 from petring.errors import ConsistencyError
 from petring.intervals import IndexSet
 
@@ -183,11 +183,12 @@ def test_kernel_error_of_another_type_is_named_with_it(monkeypatch, where):
 def test_each_engine_read_once_per_input(monkeypatch):
     # at n = 6 the sweep plays each class's game and reduces each class's
     # normal form once, checks the game's tail once per class and divisor
-    # m_J * m_K, and hands each pair to the rewrite kernel once, with no
-    # three-engine row on a clean sweep
+    # m_J * m_K (counted where the tail is defined, by the engine it names),
+    # and hands each pair to the rewrite kernel once, with no three-engine
+    # row on a clean sweep
     n = 6
     games, forms, rows, retried, depth, tails = [], [], [], [], [0], []
-    play, normal_form, kernel, tail = diagrams._games, oracle._normal_form, ring.rewrite_rows, diagrams.class_tail
+    play, normal_form, kernel, tail = diagrams._games, oracle._normal_form, ring.rewrite_rows, errors.class_tail
     expansion_row = petring.cli._expansion_row
 
     def m_factor(mask):
@@ -210,7 +211,7 @@ def test_each_engine_read_once_per_input(monkeypatch):
                         kernel(n, J, ks))
     monkeypatch.setattr(petring.cli, "_expansion_row", lambda n, J, K, method: retried.append((J, K)) or
                         expansion_row(n, J, K, method))
-    monkeypatch.setattr(diagrams, "class_tail", lambda engine, n, J, K, *sums: tails.append(
+    monkeypatch.setattr(errors, "class_tail", lambda engine, n, J, K, *sums: engine == "diagram" and tails.append(
         (J | K, J & K, m_factor(J) * m_factor(K))) or tail(engine, n, J, K, *sums))
     assert petring.verify._verify_chunk(n, petring.verify._pair_blocks(n, 1)[0]) == []
     keys = {(jm | km, jm & km, m_factor(jm) * m_factor(km)) for jm in range(1 << (n - 1)) for km in range(1 << (n - 1))}
