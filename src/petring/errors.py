@@ -1,5 +1,5 @@
-"""The package's exceptions, ``constants``, the checked tail that every
-engine's row ends in, and ``class_tail``, its one m-factor normalization."""
+"""ConsistencyError and PresentationError, the engines' exceptions (``cli`` holds its own, UsageError and Refused),
+``constants``, the checked tail that every engine's row ends in, and ``class_tail``, its one m-factor normalization."""
 
 from collections.abc import Callable, Collection, Iterable
 

@@ -106,12 +106,15 @@ def _graded_dimensions(n: int, _) -> list[str]:
 
 
 def _bruhat_criteria(n: int, _) -> list[str]:
-    """s_i <= w_J exactly when i is in J, and w_J' <= w_J exactly when J' is a subset of J."""
-    sets = [(J, permutations.longest_wj(J)) for J in all_index_sets(n)]
-    s, leq = {i: permutations.simple_transposition(n, i) for i in range(1, n)}, permutations.bruhat_leq
-    if all(leq(s[i], w) == (i in J) for J, w in sets for i in range(1, n)) \
-            and all(leq(wp, w) == Jp.issubset(J) for J, w in sets for Jp, wp in sets):
-        return []
+    """s_i <= w_J exactly when i is in J, and w_J' <= w_J exactly when J' is a subset of J; an error fails the check."""
+    try:
+        sets = [(J, permutations.longest_wj(J)) for J in all_index_sets(n)]
+        s, leq = {i: permutations.simple_transposition(n, i) for i in range(1, n)}, permutations.bruhat_leq
+        if all(leq(s[i], w) == (i in J) for J, w in sets for i in range(1, n)) \
+                and all(leq(wp, w) == Jp.issubset(J) for J, w in sets for Jp, wp in sets):
+            return []
+    except Exception as exc:
+        return [f"n={n}: {_named(exc)}"]
     return [f"n={n}: Bruhat comparisons disagree with the subset criteria"]
 
 

@@ -1,8 +1,9 @@
-"""What the tests share: the engines' memos emptied, one memoized entry
-corrupted, the run step wrapped where it is defined, --jobs 2 allowed on one
-CPU, the command line run in-process or in a fresh interpreter, and each fault
-that more than one test plants, written once.  Each shared primitive is bound
-by name only in its defining module, so a fault is planted once, there."""
+"""What the tests share: the golden example, subsets drawn by Hypothesis, the
+engines' memos emptied, one memoized entry corrupted, the run step wrapped
+where it is defined, --jobs 2 allowed on one CPU, the command line run
+in-process or in a fresh interpreter, and each fault that more than one test
+plants, written once.  Each shared primitive is bound by name only in its
+defining module, so a fault is planted once, there."""
 
 import functools
 import importlib
@@ -11,10 +12,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import petring.cli
 from petring import intervals, oracle
+from petring.intervals import IndexSet
 
-GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]  # the golden example
+# the golden example: its command line, its J and K, and its row {L: d}
+GOLDEN = ["expand", "-n", "10", "-J", "1,3,5,6,7", "-K", "3,6,8"]
+GOLDEN_J, GOLDEN_K = (IndexSet.parse(S, 10) for S in GOLDEN[4::2])
+GOLDEN_ROW = {IndexSet.parse(L, 10): d for L, d in
+              [("1,2,3,4,5,6,7,8", 3456), ("1,2,3,5,6,7,8,9", 24), ("1,3,4,5,6,7,8,9", 240)]}
 
 # every functools cache that a petring module binds, as (module, name), found rather than listed: each memo where it
 # is defined, as intervals' mask_m_factor, which no other module binds; and the functions they memoize, taken
@@ -23,6 +31,15 @@ MEMOS = tuple((module, name) for path in sorted(Path(petring.cli.__file__).paren
               for module in [importlib.import_module(f"petring.{path.stem}")]
               for name, value in vars(module).items() if hasattr(value, "cache_info"))
 _CLEAN = {(module, name): getattr(module, name).__wrapped__ for module, name in MEMOS}
+
+
+@st.composite
+def index_sets(draw, max_n):
+    """A subset of {1, ..., n - 1} at a rank n from 1 to ``max_n``."""
+    n = draw(st.integers(1, max_n))
+    if n == 1:
+        return IndexSet(n)
+    return IndexSet(n, draw(st.frozensets(st.integers(1, n - 1))))
 
 
 def empty_memos(monkeypatch):
@@ -78,6 +95,12 @@ def step_tripled(monkeypatch, masks=None):
     tripled: those on ``masks``, or all of them."""
     plant(monkeypatch, oracle, "_step", (4, 2, 0b010),
           lambda entry: ({L: 3 * v if masks is None or L in masks else v for L, v in entry[0].items()}, entry[1]))
+
+
+def without_square_terms(monkeypatch):
+    """Each relation row without its 2*g_j^2 term, so that no row eliminates g_j^2."""
+    own_row = oracle._own_row
+    monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
 
 
 def to_column_one(mask, i, n, a, b, den, moves):

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from itertools import permutations as all_perms
 
+from helpers import GOLDEN_J, GOLDEN_K, GOLDEN_ROW
 from petring.algebra import (
     integral,
     monomial,
@@ -26,14 +27,6 @@ from petring.permutations import bruhat_leq, longest_wj, simple_transposition
 from petring.relations import Monomial, normal_form
 from petring.ring import structure_constants_rewrite
 
-GOLDEN_N = 10
-GOLDEN_J = IndexSet.parse("1,3,5,6,7", GOLDEN_N)
-GOLDEN_K = IndexSet.parse("3,6,8", GOLDEN_N)
-GOLDEN_EXPANSION = {
-    IndexSet.parse("1,2,3,4,5,6,7,8", GOLDEN_N): 3456,
-    IndexSet.parse("1,2,3,5,6,7,8,9", GOLDEN_N): 24,
-    IndexSet.parse("1,3,4,5,6,7,8,9", GOLDEN_N): 240,
-}
 
 
 def report(number: int, description: str) -> None:
@@ -49,19 +42,16 @@ def test_criterion_1_golden_example_three_engines():
     by_rewrite = structure_constants_rewrite(GOLDEN_J, GOLDEN_K)
     by_linalg = structure_constants_linalg(GOLDEN_J, GOLDEN_K)
     elapsed = time.perf_counter() - start
-    assert by_diagram == GOLDEN_EXPANSION
-    assert by_rewrite == GOLDEN_EXPANSION
-    assert by_linalg == GOLDEN_EXPANSION
+    assert by_diagram == by_rewrite == by_linalg == GOLDEN_ROW
     assert elapsed < 1.0, f"golden example took {elapsed:.3f}s"
     report(1, "golden example, three engines")
 
 
 def test_criterion_2_golden_diagrams():
-    L = IndexSet.parse("1,2,3,4,5,6,7,8", GOLDEN_N)
+    L, L_prime, _ = GOLDEN_ROW
     found = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L)
     assert len(found) == 2
     assert sorted(weight(P) for P in found) == [Fraction(3, 14), Fraction(3, 10)]
-    L_prime = IndexSet.parse("1,2,3,5,6,7,8,9", GOLDEN_N)
     found_prime = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_prime)
     assert len(found_prime) == 1
     assert weight(found_prime[0]) == Fraction(1, 5)

@@ -23,8 +23,8 @@ import petring.table
 import petring.verify
 import pinned
 from helpers import (GOLDEN, MEMOS, plant, python, run, step_tripled, to_column_n, to_column_one, two_cpus,
-                     wrap_run_step)
-from petring import algebra, diagrams, errors, intervals, oracle, relations, ring
+                     without_square_terms, wrap_run_step)
+from petring import algebra, diagrams, errors, intervals, oracle, permutations, relations, ring
 from petring.intervals import IndexSet, all_index_sets
 from petring.ring import rewrite_row, structure_constants_rewrite
 
@@ -193,12 +193,12 @@ def test_no_module_loads_typing():
 
 
 COMPILED = {  # a canonical line of each command, the modules it runs besides those of every command, and their lines
-    "expand": ([*GOLDEN, "--method", "all"], ["diagrams", "oracle", "ring"], 962),
-    "expand --cached": (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], ["lookup", "ring"], 736),
-    "table": (["table", "-n", "4"], ["ring", "table"], 748),
-    "verify": (["verify", "--n-max", "2"], ["diagrams", "oracle", "permutations", "ring", "verify"], 1298),
-    "group": (["group", "-n", "5", "-J", "1,2"], ["permutations"], 697),
-    "diagrams": (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], ["diagrams", "listings"], 746),
+    "expand": ([*GOLDEN, "--method", "all"], ["diagrams", "oracle", "ring"], 961),
+    "expand --cached": (["expand", "-n", "5", "-J", "1", "-K", "2", "--cached", "{csv}"], ["lookup", "ring"], 735),
+    "table": (["table", "-n", "4"], ["ring", "table"], 747),
+    "verify": (["verify", "--n-max", "2"], ["diagrams", "oracle", "permutations", "ring", "verify"], 1300),
+    "group": (["group", "-n", "5", "-J", "1,2"], ["permutations"], 696),
+    "diagrams": (["diagrams", "-n", "5", "-J", "1", "-K", "1", "-L", "1,2"], ["diagrams", "listings"], 745),
 }
 EVERY_COMMAND = ["__init__", "cli", "errors", "intervals"]  # the modules that every command runs
 
@@ -984,8 +984,7 @@ class TestVerify:
         # without its 2*g_j^2 term no relation row eliminates g_j^2: the
         # graded dimensions and the top-degree check fail, naming (n, d) and
         # (n, i), and every later check still runs, under either --jobs
-        own_row = oracle._own_row
-        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        without_square_terms(monkeypatch)
         two_cpus(monkeypatch)
         serial = run(capsys, "verify", "--n-max", "4", "--jobs", "1")
         pooled = run(capsys, "verify", "--n-max", "4", "--jobs", "2")
@@ -1012,8 +1011,9 @@ class TestVerify:
         assert petring.verify._graded_dimensions(5, None) == ["n=5: graded dimensions do not match binomials"]
 
     def test_engine_error_of_any_type_fails_its_check(self, capsys, monkeypatch):
-        # an error that is not a ConsistencyError, in the certificate at |S| = 1 and in the top-degree
-        # power of g_2, fails its check on a line named with its type: exit 2, and no traceback
+        # an error that is not a ConsistencyError, in the certificate at |S| = 1, in every Bruhat comparison and
+        # in the top-degree power of g_2, fails its check on a line named with its type: exit 2, and no
+        # traceback, under either --jobs
         certify, product = petring.verify.presentation_failures, ring._varpi_product
 
         def certify_raising(n, size):
@@ -1026,14 +1026,23 @@ class TestVerify:
                 raise ValueError("planted")
             return product(n, left, right)
 
+        def bruhat_raising(u, v):
+            raise IndexError("planted")
+
         monkeypatch.setattr(petring.verify, "presentation_failures", certify_raising)
         monkeypatch.setattr(ring, "_varpi_product", product_raising)
-        code, out, err = run(capsys, "verify", "--n-max", "3")
+        monkeypatch.setattr(permutations, "bruhat_leq", bruhat_raising)
+        two_cpus(monkeypatch)
+        code, out, err = serial = run(capsys, "verify", "--n-max", "3", "--jobs", "1")
+        assert run(capsys, "verify", "--n-max", "3", "--jobs", "2") == serial
         assert code == 2
-        assert {"n=2: graded dimensions 0..3 FAIL", "n=3: top-degree evaluation FAIL"} <= set(out.splitlines())
-        assert err.splitlines() == ["FAIL n=2 d=3: IndexError: planted", "FAIL n=3 d=3: IndexError: planted",
+        assert {"n=2: graded dimensions 0..3 FAIL", "n=3: top-degree evaluation FAIL",
+                *(f"n={n}: Bruhat subset criteria FAIL" for n in (1, 2, 3))} <= set(out.splitlines())
+        assert err.splitlines() == ["FAIL n=1: IndexError: planted",
+                                    "FAIL n=2 d=3: IndexError: planted", "FAIL n=2: IndexError: planted",
+                                    "FAIL n=3 d=3: IndexError: planted", "FAIL n=3: IndexError: planted",
                                     "FAIL n=3 i=2: ValueError: planted",
-                                    "consistency failure: 3 verification check(s) failed"]
+                                    "consistency failure: 6 verification check(s) failed"]
 
     def test_chunk_folds_each_class_once(self, monkeypatch):
         # a block expanded in (J, K) order: the rewrite folds each class (J | K, J & K) with |J| + |K| <= n - 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import plant
+from helpers import GOLDEN_J, GOLDEN_K, GOLDEN_ROW, plant
 from petring import diagrams
 from petring.diagrams import expand_all
 from petring.errors import ConsistencyError
@@ -17,24 +17,19 @@ from petring.listings import (
 )
 from petring.ring import rewrite_row, structure_constants_rewrite
 
-N10 = 10
-J10 = IndexSet.parse("1,3,5,6,7", N10)
-K10 = IndexSet.parse("3,6,8", N10)
-L_FULL = IndexSet.parse("1,2,3,4,5,6,7,8", N10)
-L_PRIME = IndexSet.parse("1,2,3,5,6,7,8,9", N10)
-L_DOUBLE = IndexSet.parse("1,3,4,5,6,7,8,9", N10)
+L_FULL, L_PRIME, _ = GOLDEN_ROW
 
 
 class TestEnumerate:
     def test_two_diagrams_for_full_interval(self):
-        found = enumerate_diagrams(J10, K10, L_FULL)
+        found = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_FULL)
         assert len(found) == 2
         assert [P.rows[0].move for P in found] == [Move.LEFT, Move.RIGHT]
         for P in found:
             assert P.L == L_FULL
 
     def test_single_diagram_with_gap(self):
-        found = enumerate_diagrams(J10, K10, L_PRIME)
+        found = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_PRIME)
         assert len(found) == 1
         (P,) = found
         assert [r.move for r in P.rows] == [Move.LEFT, Move.RIGHT]
@@ -51,9 +46,9 @@ class TestEnumerate:
 
     def test_bad_support_returns_empty(self):
         # wrong cardinality
-        assert enumerate_diagrams(J10, K10, IndexSet.parse("1,2,3,4,5,6,7", N10)) == []
+        assert enumerate_diagrams(GOLDEN_J, GOLDEN_K, IndexSet.parse("1,2,3,4,5,6,7", 10)) == []
         # does not contain J | K (3 missing)
-        assert enumerate_diagrams(J10, K10, IndexSet.parse("1,2,4,5,6,7,8,9", N10)) == []
+        assert enumerate_diagrams(GOLDEN_J, GOLDEN_K, IndexSet.parse("1,2,4,5,6,7,8,9", 10)) == []
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -75,11 +70,11 @@ class TestEnumerate:
 
 class TestWeights:
     def test_golden_weights(self):
-        found = enumerate_diagrams(J10, K10, L_FULL)
+        found = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_FULL)
         assert sorted(weight(P) for P in found) == [Fraction(3, 14), Fraction(3, 10)]
         assert weight(found[0]) == Fraction(1, 2) * Fraction(3, 5)
         assert weight(found[1]) == Fraction(1, 2) * Fraction(3, 7)
-        (P,) = enumerate_diagrams(J10, K10, L_PRIME)
+        (P,) = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_PRIME)
         assert weight(P) == Fraction(1, 2) * Fraction(2, 5)
 
     def test_weight_bound(self):
@@ -97,9 +92,7 @@ class TestWeights:
 
 class TestStructureConstant:
     def test_golden_constants(self):
-        assert structure_constant(J10, K10, L_FULL) == 3456
-        assert structure_constant(J10, K10, L_PRIME) == 24
-        assert structure_constant(J10, K10, L_DOUBLE) == 240
+        assert {L: structure_constant(GOLDEN_J, GOLDEN_K, L) for L in GOLDEN_ROW} == GOLDEN_ROW
 
     def test_zero_criterion_both_directions(self):
         for n in range(2, 6):
@@ -133,7 +126,7 @@ class TestStructureConstant:
 
 class TestExpandAll:
     def test_golden_expansion(self):
-        assert expand_all(J10, K10) == {L_FULL: 3456, L_PRIME: 24, L_DOUBLE: 240}
+        assert expand_all(GOLDEN_J, GOLDEN_K) == GOLDEN_ROW
 
     def test_overflow_is_empty(self):
         assert expand_all(IndexSet.of(3, [1, 2]), IndexSet.of(3, [1, 2])) == {}
@@ -193,7 +186,7 @@ class TestGameMemo:
 
 class TestRender:
     def test_golden_render_full(self):
-        P1, P2 = enumerate_diagrams(J10, K10, L_FULL)
+        P1, P2 = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_FULL)
         text = render_ascii(P1)
         lines = text.splitlines()
         assert len(lines) == 4  # header, initial shading, two move rows
@@ -206,7 +199,7 @@ class TestRender:
         assert "(R) 1/2" in text2 and "(L) 3/7" in text2
 
     def test_gap_column_absent(self):
-        (P,) = enumerate_diagrams(J10, K10, L_PRIME)
+        (P,) = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_PRIME)
         header = render_ascii(P).splitlines()[0]
         assert header.split("|")[1].split() == ["1", "2", "3", "5", "6", "7", "8", "9"]
         assert "(R) 2/5" in render_ascii(P)
@@ -219,5 +212,5 @@ class TestRender:
         assert len(lines) == 2  # header plus initial shading only
 
     def test_deterministic(self):
-        P1, _ = enumerate_diagrams(J10, K10, L_FULL)
+        P1, _ = enumerate_diagrams(GOLDEN_J, GOLDEN_K, L_FULL)
         assert render_ascii(P1) == render_ascii(P1)

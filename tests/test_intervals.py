@@ -1,8 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from helpers import index_sets
 from petring.intervals import (
     IndexSet,
     all_index_sets,
@@ -13,14 +14,6 @@ from petring.intervals import (
     m_factor,
     run_step,
 )
-
-
-@st.composite
-def index_sets(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
-    if n == 1:
-        return IndexSet(n)
-    return IndexSet(n, draw(st.frozensets(st.integers(1, n - 1))))
 
 
 class TestIndexSet:
@@ -161,7 +154,7 @@ class TestDecompose:
     def test_two_runs(self):
         assert decompose(IndexSet.of(9, [2, 3, 4, 7, 8])).runs == ((2, 4), (7, 8))
 
-    @given(index_sets())
+    @given(index_sets(10))
     def test_runs_reconstruct(self, J):
         dec = decompose(J)
         rebuilt = set()
@@ -208,7 +201,7 @@ class TestMFactor:
     def test_examples(self, n, members, expected):
         assert m_factor(IndexSet.of(n, members)) == expected
 
-    @given(index_sets())
+    @given(index_sets(10))
     def test_divides_full_factorial(self, J):
         assert math.factorial(len(J)) % m_factor(J) == 0
 
@@ -222,7 +215,7 @@ class TestHessenbergFunction:
         assert hessenberg_function(IndexSet(3)) == [1, 2, 3]
         assert hessenberg_function(IndexSet.of(4, [1, 2, 3])) == [2, 3, 4, 4]
 
-    @given(index_sets())
+    @given(index_sets(10))
     def test_axioms(self, J):
         h = hessenberg_function(J)
         assert all(h[i] <= h[i + 1] for i in range(len(h) - 1))

@@ -2,7 +2,8 @@
 stay at or under their ceilings.  Code is every non-blank line outside a
 docstring that is not a comment alone; a docstring is that of a module,
 class or function, and its blank lines count as blank.  Run as a script, it
-prints the counts by kind and their total:
+prints the counts by kind and their total, for ``src/petring`` and, by the
+same rule but with no ceiling, for ``tests``:
 
     python tests/test_lines.py
 """
@@ -10,13 +11,13 @@ prints the counts by kind and their total:
 import ast
 from pathlib import Path
 
-TOTAL, CODE = 1778, 1075
+TOTAL, CODE = 1780, 1077
 
 
-def _line_kinds() -> dict[str, int]:
-    """The lines of the package's modules by kind: docstring, comment, blank and code."""
+def _line_kinds(directory: str = "src/petring") -> dict[str, int]:
+    """The lines of the ``*.py`` files in ``directory`` of the checkout by kind: docstring, comment, blank and code."""
     counts = dict.fromkeys(("docstring", "comment", "blank", "code"), 0)
-    for path in sorted((Path(__file__).parents[1] / "src" / "petring").glob("*.py")):
+    for path in sorted((Path(__file__).parents[1] / directory).glob("*.py")):
         text = path.read_text()
         docstrings = set()
         for node in ast.walk(ast.parse(text)):
@@ -37,5 +38,6 @@ def test_src_lines_within_their_ceilings():
 
 
 if __name__ == "__main__":
-    counts = _line_kinds()
-    print(*(f"{kind} {count}" for kind, count in counts.items()), f"total {sum(counts.values())}")
+    for directory in ("src/petring", "tests"):
+        counts = _line_kinds(directory)
+        print(f"{directory}:", *(f"{kind} {count}" for kind, count in counts.items()), f"total {sum(counts.values())}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import empty, empty_memos, plant, step_tripled
+from helpers import GOLDEN_J, GOLDEN_K, GOLDEN_ROW, empty, empty_memos, plant, step_tripled, without_square_terms
 from petring import diagrams, intervals, listings, oracle, relations, verify
 from petring.errors import ConsistencyError, PresentationError
 from petring.intervals import IndexSet, all_index_sets
@@ -125,12 +125,10 @@ class TestNormalForm:
                     assert normal_form(Monomial(n, exps)) == expected, (n, exps)
 
     def test_builds_no_full_matrix(self):
-        J = IndexSet.parse("1,3,5,6,7", 10)
-        K = IndexSet.parse("3,6,8", 10)
         # hits, misses and currsize all unchanged: no full matrix was
         # looked up, let alone eliminated
         before = relations._reduced_pivots.cache_info()
-        structure_constants_linalg(J, K)
+        structure_constants_linalg(GOLDEN_J, GOLDEN_K)
         assert relations._reduced_pivots.cache_info() == before
 
 
@@ -230,8 +228,7 @@ class TestTable:
     def test_dropped_relation_term_raises(self, monkeypatch):
         # without its 2*g_j^2 term a relation row cannot eliminate that
         # monomial, so building the entry must refuse
-        own_row = oracle._own_row
-        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        without_square_terms(monkeypatch)
         with pytest.raises(PresentationError, match="neither square-free nor eliminated"):
             oracle._step(4, 2, 0b010)
         with pytest.raises(PresentationError):
@@ -245,8 +242,7 @@ class TestTable:
             structure_constants_linalg(IndexSet.of(4, [2]), IndexSet.of(4, [2]))
 
     def test_constants_are_integers(self):
-        J, K = IndexSet.parse("1,3,5,6,7", 10), IndexSet.parse("3,6,8", 10)
-        assert all(type(d) is int for d in structure_constants_linalg(J, K).values())
+        assert all(type(d) is int for d in structure_constants_linalg(GOLDEN_J, GOLDEN_K).values())
 
     def test_independent_of_the_run_rule(self, monkeypatch):
         # linalg is a cross-check only while it never uses the run rule: not
@@ -434,8 +430,7 @@ class TestQuotientDimension:
 
     def test_unreduced_monomial_raises(self, monkeypatch):
         # without its 2*g_j^2 term no relation row eliminates g_1^2 at rank 2
-        own_row = oracle._own_row
-        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        without_square_terms(monkeypatch)
         assert quotient_dimension(2, 1) == 1
         for d in (2, 3):
             with pytest.raises(PresentationError, match=r"monomial \(2,\) at rank 2, degree 2"):
@@ -485,8 +480,7 @@ class TestPresentationCertificate:
     def test_entry_that_does_not_reduce_raises(self, monkeypatch):
         # without its 2*g_j^2 term no relation row eliminates g_1^2 at rank 2:
         # r_1 on x_0 builds that degree-2 entry
-        own_row = oracle._own_row
-        monkeypatch.setattr(oracle, "_own_row", lambda mono: {t: v for t, v in own_row(mono).items() if t != mono})
+        without_square_terms(monkeypatch)
         with pytest.raises(PresentationError, match=r"monomial \(2,\) at rank 2, degree 2"):
             verify.presentation_failures(2, 0)
 
@@ -542,14 +536,7 @@ class TestPresentationCertificate:
 
 class TestStructureConstantsLinalg:
     def test_golden_example(self):
-        J = IndexSet.parse("1,3,5,6,7", 10)
-        K = IndexSet.parse("3,6,8", 10)
-        got = structure_constants_linalg(J, K)
-        assert got == {
-            IndexSet.parse("1,2,3,4,5,6,7,8", 10): 3456,
-            IndexSet.parse("1,2,3,5,6,7,8,9", 10): 24,
-            IndexSet.parse("1,3,4,5,6,7,8,9", 10): 240,
-        }
+        assert structure_constants_linalg(GOLDEN_J, GOLDEN_K) == GOLDEN_ROW
 
     def test_disjoint_supports(self):
         from petring.intervals import m_factor

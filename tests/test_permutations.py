@@ -1,8 +1,9 @@
 from itertools import permutations as all_perms
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from helpers import index_sets
 from petring.intervals import IndexSet, all_index_sets, decompose
 from petring.permutations import (
     bruhat_leq,
@@ -15,14 +16,6 @@ from petring.permutations import (
     simple_transposition,
     subword_vj,
 )
-
-
-@st.composite
-def index_sets(draw, max_n=8):
-    n = draw(st.integers(1, max_n))
-    if n == 1:
-        return IndexSet(n)
-    return IndexSet(n, draw(st.frozensets(st.integers(1, n - 1))))
 
 
 def word_product(n, word):
@@ -47,12 +40,12 @@ class TestLongestWj:
         assert expected == (2, 1, 3, 6, 5, 4, 8, 7)
         assert longest_wj(IndexSet.of(8, [1, 4, 5, 7])) == expected
 
-    @given(index_sets())
+    @given(index_sets(8))
     def test_involution(self, J):
         w = longest_wj(J)
         assert compose(w, w) == identity(J.n)
 
-    @given(index_sets())
+    @given(index_sets(8))
     def test_length_formula(self, J):
         runs = decompose(J).runs
         expected = sum((hi - lo + 1) * (hi - lo + 2) // 2 for lo, hi in runs)
@@ -65,7 +58,7 @@ class TestSubwordVj:
         assert subword_vj(IndexSet.of(4, [1, 2])) == (2, 3, 1, 4)
         assert subword_vj(IndexSet(4)) == identity(4)
 
-    @given(index_sets())
+    @given(index_sets(8))
     def test_word_is_reduced(self, J):
         assert length(subword_vj(J)) == len(J)
 
@@ -136,17 +129,8 @@ def brute_force_lower_interval(n, v):
     below = set()
     for mask in range(1 << len(word)):
         sub = [word[i] for i in range(len(word)) if mask >> i & 1]
-        below.add(tuple(
-            compose_word(n, sub)
-        ))
+        below.add(word_product(n, sub))
     return below
-
-
-def compose_word(n, word):
-    w = identity(n)
-    for i in word:
-        w = compose(w, simple_transposition(n, i))
-    return w
 
 
 class TestFixedPoints:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import to_column_one, wrap_run_step
+from helpers import GOLDEN_J, GOLDEN_K, GOLDEN_ROW, to_column_one, wrap_run_step
 from petring.algebra import (
     CohomologyClass,
     add,
@@ -93,16 +93,10 @@ class TestMultiply:
     def test_golden_monomial_product(self):
         # the rank-10 showcase product in raw monomial coordinates: basis
         # coefficients m_J * m_K * {3456, 24, 240} after conversion
-        J = IndexSet.parse("1,3,5,6,7", 10)
-        K = IndexSet.parse("3,6,8", 10)
-        got = to_varpi_basis(multiply(monomial(J), monomial(K)))
-        mjk = m_factor(J) * m_factor(K)
+        got = to_varpi_basis(multiply(monomial(GOLDEN_J), monomial(GOLDEN_K)))
+        mjk = m_factor(GOLDEN_J) * m_factor(GOLDEN_K)
         assert mjk == 6
-        assert got == {
-            IndexSet.parse("1,2,3,4,5,6,7,8", 10): 3456 * mjk,
-            IndexSet.parse("1,2,3,5,6,7,8,9", 10): 24 * mjk,
-            IndexSet.parse("1,3,4,5,6,7,8,9", 10): 240 * mjk,
-        }
+        assert got == {L: d * mjk for L, d in GOLDEN_ROW.items()}
 
     def test_order_independence_exhaustive(self):
         rng = random.Random(7)
@@ -175,13 +169,7 @@ class TestBasisConversion:
 
 class TestStructureConstants:
     def test_golden_example(self):
-        J = IndexSet.parse("1,3,5,6,7", 10)
-        K = IndexSet.parse("3,6,8", 10)
-        assert structure_constants_rewrite(J, K) == {
-            IndexSet.parse("1,2,3,4,5,6,7,8", 10): 3456,
-            IndexSet.parse("1,2,3,5,6,7,8,9", 10): 24,
-            IndexSet.parse("1,3,4,5,6,7,8,9", 10): 240,
-        }
+        assert structure_constants_rewrite(GOLDEN_J, GOLDEN_K) == GOLDEN_ROW
 
     def test_unit_factor(self):
         J = IndexSet.of(6, [2, 4, 5])
